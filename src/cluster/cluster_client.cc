@@ -42,27 +42,32 @@ void ClusterClient::Attempt(CallCtx* ctx) {
     // The directory is shared across edges (and, in sharded testbeds,
     // across threads): resolve + pick + signal update are one atomic
     // section. Released before the send — and before Finish, which runs
-    // user code.
+    // user code. The scratch buffers are members touched only under this
+    // lock, so they are reused across calls without allocating.
     std::lock_guard<std::mutex> lock(directory_.mu());
-    std::vector<size_t> candidates =
-        directory_.Resolve(ctx->service_id, sim_.Now(), config_.tenant);
+    directory_.Resolve(ctx->service_id, sim_.Now(), candidates_, config_.tenant);
     // Prefer replicas this call has not touched yet; once every replica has
     // been tried, allow re-tries (a fresh request id, still at-most-once).
-    std::vector<size_t> untried;
-    untried.reserve(candidates.size());
-    for (size_t idx : candidates) {
-      if (std::find(ctx->tried.begin(), ctx->tried.end(), idx) ==
-          ctx->tried.end()) {
-        untried.push_back(idx);
+    // A first attempt has tried nothing, so every candidate is untried.
+    const std::vector<size_t>* pool = &candidates_;
+    if (!ctx->tried.empty()) {
+      untried_.clear();
+      for (size_t idx : candidates_) {
+        if (std::find(ctx->tried.begin(), ctx->tried.end(), idx) ==
+            ctx->tried.end()) {
+          untried_.push_back(idx);
+        }
+      }
+      if (!untried_.empty()) {
+        pool = &untried_;
       }
     }
-    const std::vector<size_t>& pool = untried.empty() ? candidates : untried;
-    if (pool.empty()) {
+    if (pool->empty()) {
       ++stats_.no_replica;
     } else {
       --ctx->attempts_left;
       ++stats_.attempts;
-      pick = policy_.Pick(directory_, ctx->service_id, pool, ctx->shard_key,
+      pick = policy_.Pick(directory_, ctx->service_id, *pool, ctx->shard_key,
                           sim_.Now());
       ctx->tried.push_back(pick);
       ServiceDirectory::Replica& replica =

@@ -100,6 +100,9 @@ class ClusterClient {
   LbPolicy& policy_;
   Config config_;
   Stats stats_;
+  // Attempt's scratch: the eligible set and its not-yet-tried subset.
+  std::vector<size_t> candidates_;
+  std::vector<size_t> untried_;
 };
 
 }  // namespace lauberhorn

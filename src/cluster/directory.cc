@@ -32,14 +32,12 @@ std::function<size_t()> MakeLauberhornDepthProbe(Machine& machine,
   if (nic == nullptr) {
     return nullptr;
   }
-  // ServiceBacklog is the dispatch policy's aggregate signal (§18): every
-  // member endpoint's private queue plus the central queue counted once, so
-  // least-loaded comparisons stay truthful under c-FCFS / JBSQ (where the
-  // per-endpoint queues are empty by design).
-  const uint32_t service_id = service.service_id;
-  return [nic, service_id]() -> size_t {
-    return nic->ColdQueueDepth() + nic->ServiceBacklog(service_id);
-  };
+  // The backlog register is the dispatch policy's aggregate signal (§13,
+  // §18): every member endpoint's private queue plus the central queue
+  // counted once, so least-loaded comparisons stay truthful under c-FCFS /
+  // JBSQ (where the per-endpoint queues are empty by design).
+  const size_t* backlog = &nic->BacklogRegister(service.service_id);
+  return [nic, backlog]() -> size_t { return nic->ColdQueueDepth() + *backlog; };
 }
 
 size_t ServiceDirectory::AddReplica(uint32_t service_id, ReplicaInfo info) {
@@ -69,22 +67,22 @@ ServiceDirectory::Replica& ServiceDirectory::replica(uint32_t service_id,
   return it->second[index];
 }
 
-std::vector<size_t> ServiceDirectory::Resolve(uint32_t service_id,
-                                              SimTime now) {
-  return Resolve(service_id, now, kAnyTenant);
-}
-
-std::vector<size_t> ServiceDirectory::Resolve(uint32_t service_id, SimTime now,
-                                              uint32_t tenant) {
-  ++stats_.resolutions;
-  std::vector<size_t> eligible;
+std::span<const ServiceDirectory::Replica> ServiceDirectory::replicas(
+    uint32_t service_id) const {
   auto it = services_.find(service_id);
   if (it == services_.end()) {
-    return eligible;
+    return {};
   }
-  eligible.reserve(it->second.size());
-  for (size_t i = 0; i < it->second.size(); ++i) {
-    const Replica& r = it->second[i];
+  return it->second;
+}
+
+void ServiceDirectory::Resolve(uint32_t service_id, SimTime now,
+                               std::vector<size_t>& eligible, uint32_t tenant) {
+  ++stats_.resolutions;
+  eligible.clear();
+  const std::span<const Replica> set = replicas(service_id);
+  for (size_t i = 0; i < set.size(); ++i) {
+    const Replica& r = set[i];
     const bool tenant_ok = tenant == kAnyTenant ||
                            r.info.tenant == kAnyTenant ||
                            r.info.tenant == tenant;
@@ -93,7 +91,6 @@ std::vector<size_t> ServiceDirectory::Resolve(uint32_t service_id, SimTime now,
       eligible.push_back(i);
     }
   }
-  return eligible;
 }
 
 void ServiceDirectory::MarkDown(uint32_t service_id, size_t index,

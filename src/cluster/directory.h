@@ -20,6 +20,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -74,10 +75,11 @@ struct ReplicaInfo {
 };
 
 // Builds a queue-depth probe for a service hosted on a Lauberhorn machine:
-// the sum of the NIC-side pending queues of the service's endpoints plus the
-// shared cold-queue backlog. The probe reads the NIC's internal queues
-// directly, so it is only safe from the machine's own shard — sharded
-// testbeds wrap it in a DepthPublisher (below).
+// the service's NIC backlog register (its endpoints' pending queues plus its
+// central queue) plus the shared cold-queue backlog. The probe captures the
+// register's address once, so each call is two loads; it reads live NIC
+// state, so it is only safe from the machine's own shard — sharded testbeds
+// wrap it in a DepthPublisher (below).
 std::function<size_t()> MakeLauberhornDepthProbe(Machine& machine,
                                                  const ServiceDef& service);
 
@@ -153,15 +155,18 @@ class ServiceDirectory {
   size_t NumReplicas(uint32_t service_id) const;
   const Replica& replica(uint32_t service_id, size_t index) const;
   Replica& replica(uint32_t service_id, size_t index);
+  // The whole replica set, indexed like replica(); empty for an unknown
+  // service. One lookup for callers that visit many replicas. Invalidated by
+  // AddReplica on the same service.
+  std::span<const Replica> replicas(uint32_t service_id) const;
 
-  // Indices of replicas eligible for placement at `now`: up, or down but
-  // past down_until (probe-eligible). Counted as one resolution.
-  std::vector<size_t> Resolve(uint32_t service_id, SimTime now);
-  // Tenant-scoped resolution: additionally requires the replica to belong to
-  // `tenant` (kAnyTenant replicas match every tenant, and resolving as
-  // kAnyTenant sees every replica).
-  std::vector<size_t> Resolve(uint32_t service_id, SimTime now,
-                              uint32_t tenant);
+  // Fills `eligible` (cleared first) with the indices of replicas eligible
+  // for placement at `now`: up, or down but past down_until
+  // (probe-eligible), and owned by `tenant` (kAnyTenant replicas match every
+  // tenant, and resolving as kAnyTenant sees every replica). Counted as one
+  // resolution. The caller owns the buffer, so a reused one never allocates.
+  void Resolve(uint32_t service_id, SimTime now, std::vector<size_t>& eligible,
+               uint32_t tenant = kAnyTenant);
 
   void MarkDown(uint32_t service_id, size_t index, SimTime until);
   // Publishes NIC-recovery-in-progress: kUp -> kDegraded. A down replica

@@ -118,14 +118,16 @@ size_t LeastLoadedPolicy::Pick(const ServiceDirectory& directory,
   (void)shard_key;
   (void)now;
   assert(!candidates.empty());
+  const std::span<const ServiceDirectory::Replica> set =
+      directory.replicas(service_id);
   // Ties rotate so an all-idle set still spreads instead of hammering the
   // lowest index.
   const size_t offset = tie_breaker_++ % candidates.size();
   size_t best = candidates[offset];
-  double best_score = Score(directory.replica(service_id, best));
+  double best_score = Score(set[best]);
   for (size_t i = 1; i < candidates.size(); ++i) {
     size_t idx = candidates[(offset + i) % candidates.size()];
-    double score = Score(directory.replica(service_id, idx));
+    double score = Score(set[idx]);
     if (score < best_score) {
       best = idx;
       best_score = score;

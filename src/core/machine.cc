@@ -224,7 +224,7 @@ void Machine::HookLatencyTracking() {
     if (!frame.has_value()) {
       return;
     }
-    const auto msg = DecodeRpcMessage(frame->payload);
+    const auto msg = PeekRpcHeader(frame->payload);
     if (msg.has_value() && msg->kind == MessageKind::kRequest) {
       if (config_.record_arrival_log) {
         arrival_log_.push_back({sim_->Now(), msg->request_id, false});
@@ -242,7 +242,7 @@ void Machine::HookLatencyTracking() {
     if (!frame.has_value()) {
       return;
     }
-    const auto msg = DecodeRpcMessage(frame->payload);
+    const auto msg = PeekRpcHeader(frame->payload);
     if (!msg.has_value() || msg->kind != MessageKind::kResponse) {
       return;
     }
@@ -431,6 +431,15 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
     C("nic/drops_nic_down", s.drops_nic_down);
     C("nic/crashed_polls", s.crashed_polls);
     C("nic/resets", s.nic_resets);
+    C("nic/drops_queue_full", s.drops_queue_full);
+    C("nic/drops_bad_frame", s.drops_bad_frame);
+    C("nic/drops_no_endpoint", s.drops_no_endpoint);
+    C("nic/drops_bad_args", s.drops_bad_args);
+    C("nic/drops_service_down", s.drops_service_down);
+    C("nic/crypto_failures", s.crypto_failures);
+    C("nic/wedged_polls", s.wedged_polls);
+    C("nic/degraded_dispatches", s.degraded_dispatches);
+    C("nic/dispatcher_wakeups", s.dispatcher_wakeups);
     C("overload/sheds_queue", s.requests_shed_queue);
     C("overload/sheds_quota", s.requests_shed_quota);
     C("overload/sheds_sojourn", s.requests_shed_sojourn);

@@ -75,7 +75,7 @@ void LauberhornNic::FreeContinuation(uint32_t endpoint) {
   assert(ep.is_continuation);
   ep.in_use = false;
   ep.active = false;
-  ep.pending.clear();
+  ep.pending.TakeAll();
   ep.outstanding.reset();
   free_continuations_.push_back(endpoint);
   if (shadow_ != nullptr) {
@@ -210,6 +210,7 @@ std::optional<uint32_t> LauberhornNic::AllocateEndpointOnVf(
   ep.data_ptr = data_ptr;
   ep.dma_buffer_iova = dma_buffer_iova;
   ++owner.stats.endpoints;
+  ep.pending.Bind(&service_backlog_[service_id]);
   const ServiceDef* service = services_.Find(service_id);
   assert(service != nullptr && "endpoint for unknown service");
   port_to_endpoints_[service->udp_port].push_back(id);
@@ -254,6 +255,7 @@ void LauberhornNic::CrashNow() {
   // Volatile device state dies with the firmware. Structural identity (line
   // addresses, continuation ports) is part of the address map and survives.
   for (Endpoint& ep : endpoints_) {
+    ep.pending.TakeAll();
     const uint32_t id = ep.id;
     const bool is_kernel = ep.is_kernel;
     const bool is_continuation = ep.is_continuation;
@@ -283,8 +285,11 @@ void LauberhornNic::CrashNow() {
   // The *configs* are derived from the OS's ServiceDef/VfConfig on first
   // use after replay, and the counters persist like stats_.
   for (auto& [service_id, group] : groups_) {
-    group.central.clear();
+    group.central.TakeAll();
     group.sojourn = SojournGate{};
+  }
+  for (const auto& [service_id, backlog] : service_backlog_) {
+    assert(backlog == 0 && "backlog register drifted from its queues");
   }
   dedup_ = RpcDedupCache(config_.dedup_window);
   grant_ramp_until_ = 0;
@@ -315,6 +320,7 @@ void LauberhornNic::RestoreEndpoint(uint32_t id, uint32_t service_id, Pid pid,
   ep.code_ptr = code_ptr;
   ep.data_ptr = data_ptr;
   ep.dma_buffer_iova = dma_buffer_iova;
+  ep.pending.Bind(&service_backlog_[service_id]);
   const ServiceDef* service = services_.Find(service_id);
   assert(service != nullptr && "replayed endpoint for unknown service");
   port_to_endpoints_[service->udp_port].push_back(id);
@@ -702,9 +708,7 @@ uint32_t LauberhornNic::PickEndpoint(const std::vector<uint32_t>& candidates,
 
 void LauberhornNic::MaybeRestartCold(Endpoint& ep) {
   if (!ep.active && !ep.cold_dispatch_inflight && !ep.pending.empty()) {
-    PreparedRequest request = std::move(ep.pending.front());
-    ep.pending.pop_front();
-    RouteCold(std::move(request));
+    RouteCold(ep.pending.Pop());
   }
   if (!ep.is_kernel && !ep.is_continuation && ep.in_use) {
     // Central disciplines: if this endpoint was the group's last usable
@@ -721,6 +725,7 @@ LauberhornNic::DispatchGroup& LauberhornNic::EnsureGroup(const Endpoint& ep) {
     return it->second;
   }
   DispatchGroup group;
+  group.central.Bind(&service_backlog_[ep.service_id]);
   const ServiceDef* service = services_.Find(ep.service_id);
   if (service != nullptr &&
       service->dispatch.kind != DispatchPolicyKind::kLegacy) {
@@ -869,7 +874,7 @@ bool LauberhornNic::CentralDispatch(Endpoint& ep, DispatchGroup& group,
         spans_->Record(request.request_id, SpanStage::kDispatched, now);
         spans_->Annotate(request.request_id, SpanDispatch::kQueued, target.id);
       }
-      target.pending.push_back(std::move(request));
+      target.pending.Push(std::move(request));
       return true;
     }
   }
@@ -910,7 +915,7 @@ bool LauberhornNic::CentralDispatch(Endpoint& ep, DispatchGroup& group,
     spans_->Record(request.request_id, SpanStage::kDispatched, now);
     spans_->Annotate(request.request_id, SpanDispatch::kQueued, ep.id);
   }
-  group.central.push_back(std::move(request));
+  group.central.Push(std::move(request));
   return true;
 }
 
@@ -928,14 +933,13 @@ void LauberhornNic::ReplenishJbsq(Endpoint& ep) {
     return;
   }
   while (Resident(ep) < group.config.jbsq_k && !group.central.empty()) {
-    PreparedRequest request = std::move(group.central.front());
-    group.central.pop_front();
+    PreparedRequest request = group.central.Pop();
     if (request.endpoint != ep.id) {
       ++group.stats.retargets;
       request.endpoint = ep.id;
     }
     ++group.stats.jbsq_replenished;
-    ep.pending.push_back(std::move(request));
+    ep.pending.Push(std::move(request));
   }
 }
 
@@ -953,8 +957,7 @@ void LauberhornNic::ReturnLocalQueue(Endpoint& ep) {
   DispatchGroup& group = it->second;
   group.stats.returned_on_retire += ep.pending.size();
   while (!ep.pending.empty()) {
-    group.central.push_front(std::move(ep.pending.back()));
-    ep.pending.pop_back();
+    group.central.Push(ep.pending.Pop(/*from_front=*/false), /*at_front=*/true);
   }
 }
 
@@ -978,10 +981,8 @@ void LauberhornNic::MaybeDrainCentral(uint32_t service_id) {
   // Every member retired or degraded: the central queue would strand behind
   // cores that will never poll again. Drain it through the kernel path.
   while (!group.central.empty()) {
-    PreparedRequest request = std::move(group.central.front());
-    group.central.pop_front();
     ++group.stats.drained_cold;
-    RouteCold(std::move(request));
+    RouteCold(group.central.Pop());
   }
 }
 
@@ -1015,7 +1016,7 @@ void LauberhornNic::DispatchPrepared(PreparedRequest request) {
                   static_cast<uint32_t>(request.request_id));
       DeliverToWaiting(ep, std::move(request));
     } else {
-      ep.pending.push_back(std::move(request));
+      ep.pending.Push(std::move(request));
     }
     return;
   }
@@ -1108,7 +1109,7 @@ void LauberhornNic::DispatchPrepared(PreparedRequest request) {
       spans_->Record(request.request_id, SpanStage::kDispatched, sim_.Now());
       spans_->Annotate(request.request_id, SpanDispatch::kQueued, ep.id);
     }
-    ep.pending.push_back(std::move(request));
+    ep.pending.Push(std::move(request));
     return;
   }
   if (AdmissionActive(ep)) {
@@ -1524,9 +1525,7 @@ void LauberhornNic::DegradeEndpoint(Endpoint& ep) {
   // Drain the backlog through the kernel path so requests stop waiting on a
   // hot path that is not progressing. New arrivals follow via the
   // degraded_until check in DispatchPrepared until the backoff expires.
-  std::deque<PreparedRequest> backlog = std::move(ep.pending);
-  ep.pending.clear();
-  for (PreparedRequest& request : backlog) {
+  for (PreparedRequest& request : ep.pending.TakeAll()) {
     RouteCold(std::move(request));
   }
   if (!ep.is_kernel && !ep.is_continuation && ep.in_use) {
@@ -1610,10 +1609,8 @@ void LauberhornNic::HandleCtrlPoll(Endpoint& ep, int parity, AgentId requester,
     // from the central queue before serving, so the core stays k-deep.
     ReplenishJbsq(ep);
     if (!ep.pending.empty()) {
-      PreparedRequest request = std::move(ep.pending.front());
-      ep.pending.pop_front();
       ++stats_.hot_dispatches;
-      DeliverToWaiting(ep, std::move(request));
+      DeliverToWaiting(ep, ep.pending.Pop());
       return;
     }
     if (!ep.is_continuation) {
@@ -1622,8 +1619,7 @@ void LauberhornNic::HandleCtrlPoll(Endpoint& ep, int parity, AgentId requester,
       if (it != groups_.end() && IsCentral(it->second.config) &&
           !it->second.central.empty() && ep.degraded_until <= sim_.Now()) {
         DispatchGroup& group = it->second;
-        PreparedRequest request = std::move(group.central.front());
-        group.central.pop_front();
+        PreparedRequest request = group.central.Pop();
         if (request.endpoint != ep.id) {
           ++group.stats.retargets;
           request.endpoint = ep.id;
@@ -1839,6 +1835,43 @@ void LauberhornNic::OnHomeUncachedWrite(AgentId /*from*/, LineAddr addr, size_t 
   std::copy(data.begin(), data.end(), line.begin() + static_cast<long>(offset));
 }
 
+void LauberhornNic::BacklogQueue::Bind(size_t* backlog) {
+  assert(items_.empty() && "rebinding a queue that holds requests");
+  backlog_ = backlog;
+}
+
+void LauberhornNic::BacklogQueue::Push(PreparedRequest request, bool at_front) {
+  if (at_front) {
+    items_.push_front(std::move(request));
+  } else {
+    items_.push_back(std::move(request));
+  }
+  if (backlog_ != nullptr) {
+    ++*backlog_;
+  }
+}
+
+LauberhornNic::PreparedRequest LauberhornNic::BacklogQueue::Pop(bool from_front) {
+  PreparedRequest request =
+      std::move(from_front ? items_.front() : items_.back());
+  if (from_front) {
+    items_.pop_front();
+  } else {
+    items_.pop_back();
+  }
+  if (backlog_ != nullptr) {
+    --*backlog_;
+  }
+  return request;
+}
+
+std::deque<LauberhornNic::PreparedRequest> LauberhornNic::BacklogQueue::TakeAll() {
+  if (backlog_ != nullptr) {
+    *backlog_ -= items_.size();
+  }
+  return std::exchange(items_, {});
+}
+
 size_t LauberhornNic::QueueDepth(uint32_t endpoint) const {
   return endpoints_[endpoint].pending.size();
 }
@@ -1861,19 +1894,8 @@ size_t LauberhornNic::CentralQueueDepth(uint32_t service_id) const {
 }
 
 size_t LauberhornNic::ServiceBacklog(uint32_t service_id) const {
-  size_t depth = CentralQueueDepth(service_id);
-  const ServiceDef* service = services_.Find(service_id);
-  if (service == nullptr) {
-    return depth;
-  }
-  auto it = port_to_endpoints_.find(service->udp_port);
-  if (it == port_to_endpoints_.end()) {
-    return depth;
-  }
-  for (uint32_t id : it->second) {
-    depth += endpoints_[id].pending.size();
-  }
-  return depth;
+  auto it = service_backlog_.find(service_id);
+  return it != service_backlog_.end() ? it->second : 0;
 }
 
 DispatchPolicyConfig LauberhornNic::ServicePolicy(uint32_t service_id) {

@@ -344,9 +344,16 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // queue is empty by design, yet the core is anything but idle.
   size_t DispatchBacklog(uint32_t endpoint) const;
   // Aggregate backlog of a whole service: every member endpoint's private
-  // queue plus the central queue, counted once. The cluster least-loaded
-  // probe exports this (plus the cold queue) as the machine's depth.
+  // queue plus the central queue, counted once. Reads the service's backlog
+  // register (below); 0 for a service that never had an endpoint.
   size_t ServiceBacklog(uint32_t service_id) const;
+  // The service's backlog register itself (DESIGN.md §13): kept equal to
+  // ServiceBacklog by every enqueue and dequeue, and at a stable address for
+  // the life of the NIC (crashes zero it, never move it). The cluster
+  // least-loaded probe captures it once and then reads it in O(1).
+  const size_t& BacklogRegister(uint32_t service_id) {
+    return service_backlog_[service_id];
+  }
   // Depth of the service's central queue alone (0 for per-endpoint
   // disciplines, which never populate it).
   size_t CentralQueueDepth(uint32_t service_id) const;
@@ -393,6 +400,27 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     SimTime wire_arrival = 0;
   };
 
+  // A NIC-side request queue mirrored into a service backlog register. Its
+  // mutators are the only way requests enter or leave a service endpoint's
+  // private queue or a central queue, so the register cannot drift from the
+  // queues it sums. An unbound queue (kernel channel, continuation) is not
+  // counted.
+  class BacklogQueue {
+   public:
+    void Bind(size_t* backlog);
+    bool empty() const { return items_.empty(); }
+    size_t size() const { return items_.size(); }
+    const PreparedRequest& front() const { return items_.front(); }
+    void Push(PreparedRequest request, bool at_front = false);
+    PreparedRequest Pop(bool from_front = true);
+    // Removes every request at once (degradation drain, crash wipe).
+    std::deque<PreparedRequest> TakeAll();
+
+   private:
+    std::deque<PreparedRequest> items_;
+    size_t* backlog_ = nullptr;
+  };
+
   struct WaitingLoad {
     FillFn fill;
     AgentId requester = kNoAgent;
@@ -426,7 +454,7 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     bool retire_requested = false;
     std::optional<WaitingLoad> waiting;
     std::optional<OutstandingRequest> outstanding;
-    std::deque<PreparedRequest> pending;
+    BacklogQueue pending;  // bound to the service's register when allocated
     // Graceful degradation (§5.1 fallout): consecutive TRYAGAINs fired while
     // work was pending mean the hot path is not making progress (a wedged
     // CONTROL line); past the threshold the endpoint is demoted to the cold
@@ -463,7 +491,7 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // wipe the queue contents. Counters persist across resets like stats_.
   struct DispatchGroup {
     DispatchPolicyConfig config;
-    std::deque<PreparedRequest> central;  // c-FCFS / JBSQ shared queue
+    BacklogQueue central;                 // c-FCFS / JBSQ shared queue
     SojournGate sojourn;                  // CoDel gate over `central`
     DispatchPolicyStats stats;
   };
@@ -622,6 +650,9 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // Dispatch-discipline groups, keyed by service id (§18). Queue contents
   // are volatile (wiped by CrashNow); counters persist like stats_.
   std::unordered_map<uint32_t, DispatchGroup> groups_;
+  // Backlog register per service id (§13). Node-based so the addresses the
+  // queues and cluster probes hold stay valid; entries are never erased.
+  std::unordered_map<uint32_t, size_t> service_backlog_;
   // Per-core occupancy counters (§18 satellite). Keyed by core id; kept
   // across NIC resets like the other statistics.
   std::map<int, CoreOccupancy> core_stats_;

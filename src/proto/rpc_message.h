@@ -76,6 +76,18 @@ void EncodeRpcMessage(const RpcMessage& msg, std::vector<uint8_t>& out);
 // Decodes one message from `in`; returns nullopt on malformed framing.
 std::optional<RpcMessage> DecodeRpcMessage(std::span<const uint8_t> in);
 
+// The header fields an observer needs to follow a request, read without
+// copying the payload.
+struct RpcHeaderPeek {
+  MessageKind kind = MessageKind::kRequest;
+  uint64_t request_id = 0;
+};
+
+// Validates `in` exactly as DecodeRpcMessage does (magic, version, kind,
+// header length, payload length): returns nullopt exactly when decoding
+// would, and otherwise the kind and request id decoding would return.
+std::optional<RpcHeaderPeek> PeekRpcHeader(std::span<const uint8_t> in);
+
 }  // namespace lauberhorn
 
 #endif  // SRC_PROTO_RPC_MESSAGE_H_

@@ -57,19 +57,23 @@ TEST(DirectoryTest, ResolveSkipsDownUntilDeadline) {
   directory.AddReplica(1, StubReplica(1));
   directory.AddReplica(1, StubReplica(2));
 
-  EXPECT_EQ(directory.Resolve(1, 0).size(), 3u);
+  std::vector<size_t> eligible;
+  directory.Resolve(1, 0, eligible);
+  EXPECT_EQ(eligible.size(), 3u);
 
+  // The buffer is reused: each Resolve replaces its contents.
   directory.MarkDown(1, 1, Microseconds(100));
-  std::vector<size_t> up = directory.Resolve(1, Microseconds(50));
-  ASSERT_EQ(up.size(), 2u);
-  EXPECT_EQ(up[0], 0u);
-  EXPECT_EQ(up[1], 2u);
+  directory.Resolve(1, Microseconds(50), eligible);
+  EXPECT_EQ(eligible, (std::vector<size_t>{0, 2}));
 
   // Past down_until the replica is probe-eligible again.
-  EXPECT_EQ(directory.Resolve(1, Microseconds(100)).size(), 3u);
+  directory.Resolve(1, Microseconds(100), eligible);
+  EXPECT_EQ(eligible.size(), 3u);
 
   directory.MarkUp(1, 1);
-  EXPECT_EQ(directory.Resolve(1, 0).size(), 3u);
+  directory.Resolve(1, 0, eligible);
+  EXPECT_EQ(eligible.size(), 3u);
+  EXPECT_EQ(directory.stats().resolutions, 4u);
   EXPECT_EQ(directory.stats().marked_down, 1u);
   EXPECT_EQ(directory.stats().marked_up, 1u);
 }
@@ -92,7 +96,9 @@ TEST(DirectoryTest, DegradedStaysEligibleAndNeverUpgradesDown) {
   // kDegraded keeps the replica resolvable.
   directory.MarkDegraded(1, 0);
   EXPECT_EQ(directory.replica(1, 0).health, ReplicaHealth::kDegraded);
-  EXPECT_EQ(directory.Resolve(1, 0).size(), 2u);
+  std::vector<size_t> eligible;
+  directory.Resolve(1, 0, eligible);
+  EXPECT_EQ(eligible.size(), 2u);
   EXPECT_EQ(directory.stats().marked_degraded, 1u);
 
   // Degrading a down replica does not resurrect it.
@@ -152,17 +158,34 @@ TEST(DirectoryTest, TenantScopedResolve) {
   directory.AddReplica(1, shared);
 
   // A tenant-scoped edge sees only its own replicas plus shared ones.
-  EXPECT_EQ(directory.Resolve(1, 0, /*tenant=*/1),
-            (std::vector<size_t>{0, 2}));
-  EXPECT_EQ(directory.Resolve(1, 0, /*tenant=*/2),
-            (std::vector<size_t>{1, 2}));
-  // An unscoped edge (and the legacy overload) sees everything.
-  EXPECT_EQ(directory.Resolve(1, 0, kAnyTenant).size(), 3u);
-  EXPECT_EQ(directory.Resolve(1, 0).size(), 3u);
+  std::vector<size_t> eligible;
+  directory.Resolve(1, 0, eligible, /*tenant=*/1);
+  EXPECT_EQ(eligible, (std::vector<size_t>{0, 2}));
+  directory.Resolve(1, 0, eligible, /*tenant=*/2);
+  EXPECT_EQ(eligible, (std::vector<size_t>{1, 2}));
+  // An unscoped edge (explicitly or by default) sees everything.
+  directory.Resolve(1, 0, eligible, kAnyTenant);
+  EXPECT_EQ(eligible.size(), 3u);
+  directory.Resolve(1, 0, eligible);
+  EXPECT_EQ(eligible.size(), 3u);
   // Health filtering still composes with tenant filtering.
   directory.MarkDown(1, 0, Microseconds(100));
-  EXPECT_EQ(directory.Resolve(1, Microseconds(50), /*tenant=*/1),
-            (std::vector<size_t>{2}));
+  directory.Resolve(1, Microseconds(50), eligible, /*tenant=*/1);
+  EXPECT_EQ(eligible, (std::vector<size_t>{2}));
+}
+
+TEST(DirectoryTest, ReplicasSpanMatchesIndexedLookup) {
+  ServiceDirectory directory;
+  EXPECT_TRUE(directory.replicas(1).empty());
+  for (uint32_t m = 0; m < 3; ++m) directory.AddReplica(1, StubReplica(m));
+  const std::span<const ServiceDirectory::Replica> set = directory.replicas(1);
+  ASSERT_EQ(set.size(), directory.NumReplicas(1));
+  for (size_t i = 0; i < set.size(); ++i) {
+    EXPECT_EQ(&set[i], &directory.replica(1, i));
+  }
+  std::vector<size_t> eligible = {7, 8, 9};
+  directory.Resolve(2, 0, eligible);  // unknown service: cleared, not kept
+  EXPECT_TRUE(eligible.empty());
 }
 
 TEST(LbPolicyTest, ConsistentHashVnodeIdentitiesNeverAlias) {

@@ -3,16 +3,20 @@
 // selection and parsing, end-to-end correctness of d-FCFS / c-FCFS / JBSQ(k)
 // (everything completes, nothing executes twice), the JBSQ outstanding bound,
 // credit return when a core retires mid-load, central-queue visibility through
-// DispatchBacklog/ServiceBacklog, TryAgain not stranding central requests,
+// DispatchBacklog/ServiceBacklog, the per-service backlog register matching
+// its queues at every tick, TryAgain not stranding central requests,
 // at-most-once across NIC crashes under central disciplines, and bit-identical
 // determinism across runs.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
 
+#include "src/cluster/directory.h"
 #include "src/core/machine.h"
 #include "src/nic/dispatch_policy/dispatch_policy.h"
 #include "src/sim/simulator.h"
@@ -394,6 +398,110 @@ TEST(DispatchChaosTest, AtMostOnceAcrossNicCrashesUnderCentralPolicies) {
               harness.sent())
         << ToString(kind);
   }
+}
+
+// --- Backlog register (§13) ----------------------------------------------------
+
+struct BacklogCell {
+  const char* name;
+  DispatchPolicyKind kind;
+  bool nic_crash;
+};
+
+class BacklogRegisterTest : public ::testing::TestWithParam<BacklogCell> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, BacklogRegisterTest,
+    ::testing::Values(BacklogCell{"Legacy", DispatchPolicyKind::kLegacy, false},
+                      BacklogCell{"dFcfs", DispatchPolicyKind::kDFcfs, false},
+                      BacklogCell{"cFcfs", DispatchPolicyKind::kCFcfs, false},
+                      BacklogCell{"Jbsq", DispatchPolicyKind::kJbsq, false},
+                      BacklogCell{"JbsqNicCrash", DispatchPolicyKind::kJbsq, true}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST_P(BacklogRegisterTest, EqualsQueueSumAtEveryTick) {
+  // The NIC keeps ServiceBacklog as an incremental register; here the sum it
+  // stands for is recomputed from the public per-queue accessors every 1 us.
+  // Overload builds standing queues; wedged CONTROL lines degrade endpoints
+  // (their backlog drains cold); a mid-load retire returns a private queue
+  // to the central queue (or restarts it cold); retiring every core leaves
+  // no usable member, so the central queue drains to the cold path.
+  MachineConfig config = DispatchConfig();
+  config.faults.nic.wedge_probability = 0.05;
+  config.faults.nic.wedge_duration = Microseconds(100);
+  LauberhornParams params = config.platform.lauberhorn;
+  params.tryagain_timeout = Microseconds(20);
+  params.degrade_tryagain_threshold = 2;
+  params.degrade_backoff = Microseconds(100);
+  config.lauberhorn_params = params;
+  if (GetParam().nic_crash) {
+    config.faults.nic_crash.first_crash_at = Microseconds(400);
+    config.faults.nic_crash.crash_period = Milliseconds(1);
+    config.faults.nic_crash.reset_latency = Microseconds(50);
+    config.client_retransmit_timeout = Microseconds(200);
+    config.client_max_retransmits = 8;
+    config.server_dedup = true;
+  }
+  DispatchHarness harness(std::move(config), Policy(GetParam().kind),
+                          FixedSpec(Microseconds(6)));
+  LauberhornNic& nic = harness.nic();
+  Simulator& sim = harness.machine().sim();
+  const auto endpoints = harness.machine().EndpointsOf(harness.service());
+  ASSERT_EQ(endpoints.size(), 3u);
+  const std::function<size_t()> probe =
+      MakeLauberhornDepthProbe(harness.machine(), harness.service());
+
+  uint64_t ticks = 0;
+  uint64_t mismatches = 0;
+  size_t max_backlog = 0;
+  auto tick = std::make_shared<Function<void()>>();
+  *tick = [&, tick]() {
+    size_t sum = nic.CentralQueueDepth(1);
+    for (uint32_t ep : endpoints) {
+      sum += nic.QueueDepth(ep);
+    }
+    const size_t backlog = nic.ServiceBacklog(1);
+    if (backlog != sum || probe() != nic.ColdQueueDepth() + sum) {
+      ADD_FAILURE() << "register " << backlog << " != queue sum " << sum
+                    << " at " << sim.Now();
+      ++mismatches;
+    }
+    max_backlog = std::max(max_backlog, backlog);
+    ++ticks;
+    sim.Schedule(Microseconds(1), [tick]() { (*tick)(); });
+  };
+  (*tick)();
+  sim.Schedule(Microseconds(200), [&]() { nic.RequestRetire(endpoints[0]); });
+  sim.Schedule(Microseconds(700), [&]() {
+    for (uint32_t ep : endpoints) {
+      nic.RequestRetire(ep);
+    }
+  });
+  harness.Flood(800, Microseconds(1));
+
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GT(ticks, 5000u);
+  EXPECT_GT(max_backlog, 0u);
+  const LauberhornNic::Stats& stats = nic.stats();
+  EXPECT_GT(stats.retires, 0u);
+  EXPECT_GT(stats.degradations, 0u);
+  if (GetParam().nic_crash) {
+    EXPECT_GT(stats.nic_resets, 0u);
+  }
+  DispatchPolicyStats policy;
+  for (const auto& [kind, s] : nic.PolicyStatsSnapshot()) {
+    if (kind == GetParam().kind) {
+      policy = s;
+    }
+  }
+  if (GetParam().kind == DispatchPolicyKind::kCFcfs ||
+      GetParam().kind == DispatchPolicyKind::kJbsq) {
+    EXPECT_GT(policy.drained_cold, 0u);
+  }
+  if (GetParam().kind == DispatchPolicyKind::kJbsq) {
+    EXPECT_GT(policy.returned_on_retire, 0u);
+  }
+  EXPECT_EQ(harness.DuplicateExecutions(), 0u);
 }
 
 TEST(DispatchDeterminismTest, IdenticalRunsProduceIdenticalResults) {

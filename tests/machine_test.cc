@@ -131,6 +131,39 @@ TEST(MachineTest, EndpointsOfReturnsAllocatedEndpoints) {
   EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
 }
 
+TEST(MachineTest, ExportsNicDropAndDispatchCounters) {
+  // No NIC drop is silent: each of these reaches the registry, with the
+  // value the NIC holds.
+  MachineConfig config;
+  config.stack = StackKind::kLauberhorn;
+  Machine machine(config);
+  const ServiceDef& echo = machine.AddService(ServiceRegistry::MakeEchoService(1, 7000));
+  machine.Start();
+  machine.StartHotLoop(echo);
+  machine.sim().RunUntil(Milliseconds(1));
+  machine.client().Call(echo, 0, std::vector<WireValue>{WireValue::Bytes({1})});
+  machine.sim().RunUntil(Milliseconds(10));
+
+  MetricsRegistry metrics;
+  machine.ExportMetrics(metrics);
+  const LauberhornNic::Stats& s = machine.lauberhorn_nic()->stats();
+  const std::pair<const char*, uint64_t> expected[] = {
+      {"nic/drops_queue_full", s.drops_queue_full},
+      {"nic/drops_bad_frame", s.drops_bad_frame},
+      {"nic/drops_no_endpoint", s.drops_no_endpoint},
+      {"nic/drops_bad_args", s.drops_bad_args},
+      {"nic/drops_service_down", s.drops_service_down},
+      {"nic/crypto_failures", s.crypto_failures},
+      {"nic/wedged_polls", s.wedged_polls},
+      {"nic/degraded_dispatches", s.degraded_dispatches},
+      {"nic/dispatcher_wakeups", s.dispatcher_wakeups},
+  };
+  for (const auto& [key, value] : expected) {
+    ASSERT_TRUE(metrics.HasCounter(key)) << key;
+    EXPECT_EQ(metrics.Counter(key), value) << key;
+  }
+}
+
 TEST(RpcClientTest, MatchesResponsesToRequests) {
   MachineConfig config;
   config.stack = StackKind::kLauberhorn;

@@ -1,6 +1,10 @@
 // Tests for argument marshalling and LRPC message framing.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/proto/marshal.h"
 #include "src/proto/rpc_message.h"
 #include "src/sim/random.h"
@@ -209,6 +213,54 @@ TEST(RpcMessageTest, TruncatedPayloadRejected) {
 
 TEST(RpcMessageTest, EmptyInputRejected) {
   EXPECT_FALSE(DecodeRpcMessage(std::span<const uint8_t>{}).has_value());
+}
+
+TEST(RpcMessageTest, PeekAcceptsExactlyWhatDecodeAccepts) {
+  RpcMessage request;
+  request.kind = MessageKind::kRequest;
+  request.request_id = 0x0102030405060708ULL;
+  request.payload.assign(40, 7);
+  RpcMessage response = request;
+  response.kind = MessageKind::kResponse;
+  response.request_id = 99;
+  std::vector<uint8_t> valid_request;
+  EncodeRpcMessage(request, valid_request);
+  std::vector<uint8_t> valid_response;
+  EncodeRpcMessage(response, valid_response);
+
+  // One frame per malformed-header class, plus every truncation of a valid
+  // frame (inside the header and inside the payload) and a zero-length one.
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> frames = {
+      {"request", valid_request}, {"response", valid_response}};
+  const auto mutate = [&](const std::string& name, size_t offset, uint8_t value) {
+    std::vector<uint8_t> wire = valid_request;
+    wire[offset] = value;
+    frames.emplace_back(name, std::move(wire));
+  };
+  mutate("bad magic", 0, 0);
+  mutate("bad version", 2, kLrpcVersion + 1);
+  mutate("kind 0", 3, 0);
+  mutate("kind 3", 3, 3);
+  mutate("payload length past end", 20, 41);
+  for (size_t len = 0; len < valid_request.size(); ++len) {
+    frames.emplace_back("truncated to " + std::to_string(len),
+                        std::vector<uint8_t>(valid_request.begin(),
+                                             valid_request.begin() +
+                                                 static_cast<long>(len)));
+  }
+
+  int accepted = 0;
+  for (const auto& [name, wire] : frames) {
+    const auto decoded = DecodeRpcMessage(wire);
+    const auto peeked = PeekRpcHeader(wire);
+    ASSERT_EQ(peeked.has_value(), decoded.has_value()) << name;
+    if (decoded.has_value()) {
+      ++accepted;
+      EXPECT_EQ(peeked->kind, decoded->kind) << name;
+      EXPECT_EQ(peeked->request_id, decoded->request_id) << name;
+    }
+  }
+  EXPECT_EQ(accepted, 2);  // only the two valid frames
 }
 
 }  // namespace
