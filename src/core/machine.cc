@@ -141,7 +141,7 @@ Machine::Machine(MachineConfig config, Simulator* shared_sim)
       // §16: the OS's authoritative shadow of the NIC's control-plane state,
       // written through on every mutation. The watchdog (heartbeat + reset +
       // replay) runs only when a crash can actually happen (or is forced).
-      nic_shadow_ = std::make_unique<NicShadow>(nic_config.dedup_window);
+      nic_shadow_ = std::make_unique<NicShadow>();
       nic_shadow_->RecordAdmission(nic_config.admission);
       lauberhorn_nic_->set_shadow(nic_shadow_.get());
       if ((faults_ != nullptr && config_.faults.nic_crash.Any()) ||
@@ -539,7 +539,8 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
     C("recovery/shadow_writes", nic_shadow_->writes());
     G("recovery/shadow_vfs", static_cast<double>(nic_shadow_->vf_count()));
     G("recovery/shadow_endpoints", static_cast<double>(nic_shadow_->endpoint_count()));
-    G("recovery/shadow_dedup_entries", static_cast<double>(nic_shadow_->dedup_count()));
+    // The name predates the single dedup table; perfbench reads it.
+    G("recovery/shadow_dedup_entries", static_cast<double>(lauberhorn_nic_->dedup().size()));
   }
   if (nic_recovery_ != nullptr) {
     const NicRecoveryManager::Stats& r = nic_recovery_->stats();

@@ -100,9 +100,9 @@ struct NicFaultPlan {
 // schedule (like OsFaultPlan's crash windows). Unlike a wedged CONTROL line,
 // a crash blackholes the entire device — every endpoint, the admission plane
 // and grant computation — and wipes its volatile state (endpoint table,
-// dedup cache, admission config). Recovery is *host-driven*: the OS watchdog
-// detects the dead device, holds it in reset for `reset_latency`, and
-// replays the NicShadow into it. The injector only declares the crash
+// queues, admission config; the host-owned dedup table survives). Recovery
+// is *host-driven*: the OS watchdog detects the dead device, holds it in
+// reset for `reset_latency`, and replays the NicShadow into it. The injector only declares the crash
 // instant; NicDeviceRecovered() is how the host ends the outage.
 struct NicCrashFaultPlan {
   Duration first_crash_at = 0;  // 0 = never crash

@@ -16,6 +16,7 @@ RetransState RetransInitialState(const RetransSpecConfig& config) {
   RetransState state;
   state.attempts_left = static_cast<uint8_t>(config.max_attempts);
   state.dups_left = static_cast<uint8_t>(config.dup_budget);
+  state.crashes_left = static_cast<uint8_t>(config.crash_budget);
   return state;
 }
 
@@ -50,26 +51,27 @@ RetransChecker::SuccessorFn RetransSuccessors(RetransSpecConfig config) {
       --n.req_in_flight;
       switch (s.server) {
         case RetransState::kIdle:
-          // First sighting: admit and execute.
-          n.server = RetransState::kExecuting;
-          ++n.executions;
+          // First sighting: admit; the NIC delivers it to a handler later.
+          n.server = RetransState::kAdmitted;
           Push(out, "ServerAdmit", n);
           break;
-        case RetransState::kExecuting:
+        case RetransState::kAdmitted:
+        case RetransState::kDelivered:
+        case RetransState::kPinned:
           if (config.bug_execute_inflight_dup) {
             // Mutation: no in-flight tracking — the duplicate runs too.
             ++n.executions;
             Push(out, "BuggyExecInFlightDup", n);
           } else {
-            // Duplicate of an executing request: dropped; the original's
-            // response will answer it.
+            // Duplicate of an uncompleted request: dropped; the original's
+            // response (or the client's timeout) will answer it.
             Push(out, "ServerDropInFlightDup", n);
           }
           break;
         case RetransState::kCompleted:
           if (config.bug_forget_completed) {
             // Mutation: the completed entry was evicted — re-execute.
-            n.server = RetransState::kExecuting;
+            n.server = RetransState::kDelivered;
             ++n.executions;
             Push(out, "BuggyReExecute", n);
           } else if (s.resp_in_flight < cap) {
@@ -83,12 +85,42 @@ RetransChecker::SuccessorFn RetransSuccessors(RetransSpecConfig config) {
       }
     }
 
+    // -- NIC hands the admitted request to a handler, which runs it ----------
+    if (s.server == RetransState::kAdmitted) {
+      RetransState n = s;
+      n.server = RetransState::kDelivered;
+      ++n.executions;
+      Push(out, "Deliver", n);
+    }
+
     // -- Handler finishes; response cached and transmitted --------------------
-    if (s.server == RetransState::kExecuting && s.resp_in_flight < cap) {
+    // From kPinned this is a response path that outlived the crash: it still
+    // stores the real response.
+    if ((s.server == RetransState::kDelivered ||
+         s.server == RetransState::kPinned) &&
+        s.resp_in_flight < cap) {
       RetransState n = s;
       n.server = RetransState::kCompleted;
       ++n.resp_in_flight;
-      Push(out, "ExecDone", n);
+      Push(out, s.server == RetransState::kPinned ? "LateExecDone" : "ExecDone",
+           n);
+    }
+
+    // -- NIC crash, reset, and dedup crash replay -----------------------------
+    // Wire copies survive; the NIC's own state (an admitted request waiting
+    // for a handler) does not.
+    if (s.crashes_left > 0) {
+      RetransState n = s;
+      --n.crashes_left;
+      if (s.server == RetransState::kAdmitted ||
+          (s.server == RetransState::kDelivered && config.bug_forget_delivered)) {
+        n.server = RetransState::kIdle;  // forgotten: a retransmit runs fresh
+      } else if (s.server == RetransState::kDelivered) {
+        n.server = RetransState::kPinned;
+      } else if (s.server == RetransState::kPinned) {
+        n.server = RetransState::kCompleted;  // synthetic kInternal terminal
+      }
+      Push(out, "NicCrashReplay", n);
     }
 
     // -- Network: duplicate or drop a response copy ---------------------------

@@ -1,6 +1,9 @@
 // Small-scope specification of the end-to-end reliability layer: a client
 // retransmits one request over a lossy, duplicating network; the server runs
 // an at-most-once dedup stage (src/proto/dedup.h) in front of the handler.
+// The NIC may crash (up to a small budget); each crash applies the dedup
+// table's crash-replay rules: an admitted but undelivered entry is erased, a
+// delivered one is pinned, and one still pinned gets a synthetic terminal.
 //
 // Checked properties:
 //   * AtMostOnce  — the handler never executes more than once, no matter how
@@ -11,11 +14,14 @@
 //   * terminal ok — the only quiescent states are "client done" or "client
 //                   exhausted its retry budget", with all channels drained.
 //
-// Two mutations reproduce real bug classes and must be caught by the checker:
+// Three mutations reproduce real bug classes and must be caught by the
+// checker:
 //   * bug_forget_completed: the dedup window drops completed entries while
 //     retransmits are still possible, so a late duplicate re-executes;
 //   * bug_execute_inflight_dup: a duplicate of an in-flight request is
-//     admitted instead of dropped (no in-flight tracking).
+//     admitted instead of dropped (no in-flight tracking);
+//   * bug_forget_delivered: crash replay erases delivered entries like
+//     undelivered ones, so a retransmit re-runs a handler that already ran.
 #ifndef SRC_MODEL_RETRANS_SPEC_H_
 #define SRC_MODEL_RETRANS_SPEC_H_
 
@@ -27,13 +33,16 @@ namespace lauberhorn {
 
 struct RetransState {
   enum Server : uint8_t {
-    kIdle = 0,    // request id never seen
-    kExecuting,   // admitted, handler running
-    kCompleted,   // handler done, response cached for replay
+    kIdle = 0,    // request id never seen (or forgotten by a crash)
+    kAdmitted,    // in flight on the NIC, not yet handed to a handler
+    kDelivered,   // handler running
+    kPinned,      // delivered when the NIC crashed; response lost
+    kCompleted,   // response (real or synthetic) cached for replay
   };
 
   uint8_t attempts_left = 0;  // client sends remaining (original + retries)
   uint8_t dups_left = 0;      // network duplication budget (bounds the space)
+  uint8_t crashes_left = 0;   // NIC crash budget
   uint8_t req_in_flight = 0;  // request copies on the wire
   uint8_t resp_in_flight = 0; // response copies on the wire
   uint8_t server = kIdle;
@@ -52,6 +61,7 @@ struct RetransStateHash {
     };
     mix(s.attempts_left);
     mix(s.dups_left);
+    mix(s.crashes_left);
     mix(s.req_in_flight);
     mix(s.resp_in_flight);
     mix(s.server);
@@ -67,9 +77,11 @@ struct RetransSpecConfig {
   int max_attempts = 3;    // client retry budget (original + retransmits)
   int dup_budget = 2;      // network may duplicate at most this many times
   int channel_capacity = 3;  // copies simultaneously in flight per direction
-  // Mutations (see header comment); the checker must flag both.
+  int crash_budget = 2;    // NIC crashes (each followed by replay)
+  // Mutations (see header comment); the checker must flag each.
   bool bug_forget_completed = false;
   bool bug_execute_inflight_dup = false;
+  bool bug_forget_delivered = false;
 };
 
 RetransState RetransInitialState(const RetransSpecConfig& config);

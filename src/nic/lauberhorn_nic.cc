@@ -291,7 +291,6 @@ void LauberhornNic::CrashNow() {
   for (const auto& [service_id, backlog] : service_backlog_) {
     assert(backlog == 0 && "backlog register drifted from its queues");
   }
-  dedup_ = RpcDedupCache(config_.dedup_window);
   grant_ramp_until_ = 0;
   // VF partitions are device state too: the firmware that knew them is gone.
   // The shadow replays RestoreVf before any endpoint, so tenants come back
@@ -344,14 +343,8 @@ void LauberhornNic::RestoreAdmission(const AdmissionConfig& admission) {
   config_.admission = admission;
 }
 
-void LauberhornNic::RestoreDedupInFlight(uint64_t flow, uint64_t request_id) {
-  dedup_.Admit(flow, request_id);  // in flight, never evicted
-}
-
-void LauberhornNic::RestoreDedupCompleted(uint64_t flow, uint64_t request_id,
-                                          const RpcMessage& response) {
-  dedup_.Admit(flow, request_id);
-  dedup_.Complete(flow, request_id, response);
+RpcDedupCache::ReplayCounts LauberhornNic::ReplayDedup() {
+  return dedup_.ReplayAfterCrash();
 }
 
 void LauberhornNic::ActivateEndpoint(uint32_t endpoint, int core) {
@@ -536,9 +529,6 @@ void LauberhornNic::ReceivePacket(Packet packet) {
       const uint64_t flow = VfFlowKey(ep_id, frame->ip.src, frame->udp.src_port);
       switch (dedup_.Admit(flow, request->request_id)) {
         case RpcDedupCache::Verdict::kNew:
-          if (shadow_ != nullptr) {
-            shadow_->DedupAdmit(flow, request->request_id);
-          }
           break;
         case RpcDedupCache::Verdict::kInFlight:
           // The original is still executing; its response answers this copy.
@@ -1001,8 +991,8 @@ bool LauberhornNic::HasBacklog(Endpoint& ep) {
 void LauberhornNic::DispatchPrepared(PreparedRequest request) {
   if (!CheckDeviceUp()) {
     // The crash landed between the RX front end and dispatch: this request
-    // died inside the device pipeline. Its dedup entry was wiped with the
-    // cache, so a retransmit executes fresh.
+    // died inside the device pipeline. Its dedup entry is still in flight,
+    // so the crash replay erases it and a retransmit executes fresh.
     ++stats_.drops_nic_down;
     return;
   }
@@ -1391,10 +1381,10 @@ void LauberhornNic::DeliverToWaiting(Endpoint& ep, PreparedRequest request) {
   if (spans_ != nullptr && !ep.is_continuation) {
     spans_->Record(request.request_id, SpanStage::kDelivered, sim_.Now());
   }
-  if (shadow_ != nullptr && config_.dedup && !ep.is_continuation) {
+  if (config_.dedup && !ep.is_continuation) {
     // The request is about to reach a handler: from here on a crash must
-    // restore it as in-flight (executed-but-response-lost), never re-run it.
-    shadow_->DedupDelivered(
+    // pin it in flight (executed-but-response-lost), never re-run it.
+    dedup_.MarkDelivered(
         VfFlowKey(request.endpoint, request.ip.src, request.udp.src_port),
         request.request_id);
   }
@@ -1431,8 +1421,8 @@ void LauberhornNic::DeliverToKernelChannel(Endpoint& channel, PreparedRequest re
   if (spans_ != nullptr) {
     spans_->Record(request.request_id, SpanStage::kDelivered, sim_.Now());
   }
-  if (shadow_ != nullptr && config_.dedup) {
-    shadow_->DedupDelivered(
+  if (config_.dedup) {
+    dedup_.MarkDelivered(
         VfFlowKey(request.endpoint, request.ip.src, request.udp.src_port),
         request.request_id);
   }
@@ -1725,7 +1715,7 @@ void LauberhornNic::TransmitResponse(const PreparedRequest& meta, RpcMessage res
   if (!CheckDeviceUp()) {
     // A response path (cold SoftwareTransmit, DMA completion, AUX fetch)
     // that outlived the firmware: the TX engine is dead, the response is
-    // lost. The shadow's kDelivered rule keeps at-most-once intact.
+    // lost. The dedup table's delivered rule keeps at-most-once intact.
     ++stats_.drops_nic_down;
     return;
   }
@@ -1739,16 +1729,10 @@ void LauberhornNic::TransmitResponse(const PreparedRequest& meta, RpcMessage res
     if (response.status == RpcStatus::kOverloaded) {
       // Shed, not executed: forget the entry so a retransmit runs fresh.
       dedup_.Abort(flow, response.request_id);
-      if (shadow_ != nullptr) {
-        shadow_->DedupAbort(flow, response.request_id);
-      }
     } else {
       // Cache pre-seal so replays re-seal with a fresh pass through this
       // function. Idempotent for replayed responses.
       dedup_.Complete(flow, response.request_id, response);
-      if (shadow_ != nullptr) {
-        shadow_->DedupComplete(flow, response.request_id, response);
-      }
     }
   }
   // Congestion feedback (§15), attached after dedup caching so a replayed

@@ -202,8 +202,8 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // Per-request span tracing: the NIC stamps admission/dispatch/delivery.
   void set_span_collector(SpanCollector* spans) { spans_ = spans; }
   // OS-side write-through shadow (src/nic/shadow): mirrors every
-  // control-plane mutation and dedup transition so the host can rebuild the
-  // device after a crash.
+  // control-plane mutation so the host can rebuild the device after a crash.
+  // The dedup table needs no mirror: it is host-owned and survives a crash.
   void set_shadow(NicShadow* shadow) { shadow_ = shadow; }
 
   // -- Crash / recovery (§16) ----------------------------------------------
@@ -215,7 +215,8 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   bool device_up() const { return device_up_; }
   // Host-driven reset completion: the device is reborn empty (the crash
   // already wiped all volatile state) and grants ramp from grant_reset_cap.
-  // The caller (NicRecoveryManager) replays the shadow immediately after.
+  // The caller (NicRecoveryManager) replays the shadow and applies the dedup
+  // table's crash-replay rules immediately after.
   void CompleteReset();
   // Shadow replay entry points. Restore* reconstruct control-plane state
   // exactly as the original Allocate* calls built it, without re-recording
@@ -227,9 +228,9 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   void RestoreKernelChannel(uint32_t id);
   void RestoreContinuation(uint32_t id);
   void RestoreAdmission(const AdmissionConfig& admission);
-  void RestoreDedupInFlight(uint64_t flow, uint64_t request_id);
-  void RestoreDedupCompleted(uint64_t flow, uint64_t request_id,
-                             const RpcMessage& response);
+  // Applies the dedup table's crash-replay rules (src/proto/dedup.h).
+  RpcDedupCache::ReplayCounts ReplayDedup();
+  const RpcDedupCache& dedup() const { return dedup_; }
 
   // -- Address layout ------------------------------------------------------
 
@@ -605,8 +606,9 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   bool CheckDeviceUp();
   // The firmware died: answer every parked load with TRYAGAIN (the
   // bus-timeout model keeps cores from stranding), then wipe all volatile
-  // state — endpoint table, line store, queues, dedup cache, admission
-  // buckets, grant state — exactly what the shadow exists to rebuild.
+  // state — endpoint table, line store, queues, admission buckets, grant
+  // state — exactly what the shadow exists to rebuild. The dedup table is
+  // host-owned memory and survives.
   void CrashNow();
 
   Simulator& sim_;

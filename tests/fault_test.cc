@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/coherence/cache_agent.h"
@@ -237,6 +238,164 @@ TEST(DedupCacheTest, CompletedWindowEvictsFifoButNeverInFlight) {
   cache.Abort(1, 0);
   EXPECT_EQ(cache.Admit(1, 9), RpcDedupCache::Verdict::kCompleted);
   EXPECT_EQ(cache.Admit(1, 100), RpcDedupCache::Verdict::kInFlight);
+}
+
+TEST(DedupCacheTest, DeliveredStateMachineAndEviction) {
+  RpcDedupCache cache(/*completed_window=*/2);
+  RpcMessage response;
+  response.kind = MessageKind::kResponse;
+  response.status = RpcStatus::kOk;
+
+  cache.Admit(1, 10);
+  cache.MarkDelivered(1, 10);
+  EXPECT_EQ(cache.Admit(1, 10), RpcDedupCache::Verdict::kInFlight);
+  cache.Complete(1, 10, response);
+  EXPECT_EQ(cache.size(), 1u);
+
+  // Complete is idempotent; Abort and MarkDelivered never touch a completed
+  // entry, and MarkDelivered never creates one.
+  cache.Complete(1, 10, response);
+  cache.Abort(1, 10);
+  cache.MarkDelivered(1, 10);
+  cache.MarkDelivered(1, 12);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.Admit(1, 10), RpcDedupCache::Verdict::kCompleted);
+
+  // Abort forgets an in-flight entry (admission shed it pre-execution), and
+  // a delivered one.
+  cache.Admit(1, 11);
+  cache.Abort(1, 11);
+  cache.Admit(1, 13);
+  cache.MarkDelivered(1, 13);
+  cache.Abort(1, 13);
+  EXPECT_EQ(cache.size(), 1u);
+
+  // Completed entries evict FIFO past the window; in-flight and delivered
+  // entries never evict.
+  cache.Admit(1, 99);  // stays in flight throughout
+  cache.Admit(1, 98);
+  cache.MarkDelivered(1, 98);  // stays delivered throughout
+  for (uint64_t id = 20; id < 25; ++id) {
+    cache.Admit(1, id);
+    cache.Complete(1, id, response);
+  }
+  // Window of 2 completed + the in-flight and delivered survivors.
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_EQ(cache.Admit(1, 99), RpcDedupCache::Verdict::kInFlight);
+  EXPECT_EQ(cache.Admit(1, 98), RpcDedupCache::Verdict::kInFlight);
+  EXPECT_EQ(cache.Admit(1, 24), RpcDedupCache::Verdict::kCompleted);
+}
+
+TEST(DedupCacheTest, ReplayRulesAcrossTwoCrashes) {
+  RpcDedupCache cache(16);
+  RpcMessage response;
+  response.kind = MessageKind::kResponse;
+  response.status = RpcStatus::kOk;
+  response.request_id = 1;
+  cache.Admit(5, 1);
+  cache.MarkDelivered(5, 1);
+  cache.Complete(5, 1, response);  // completed: replay the response
+  cache.Admit(5, 2);
+  cache.MarkDelivered(5, 2);  // delivered: pin in flight, never re-execute
+  cache.Admit(5, 3);          // in flight: forget, retransmit runs fresh
+  cache.Admit(5, 4);
+  cache.MarkDelivered(5, 4);  // delivered, answered after the crash
+
+  const RpcDedupCache::ReplayCounts first = cache.ReplayAfterCrash();
+  EXPECT_EQ(first.completed, 1u);
+  EXPECT_EQ(first.pinned, 2u);
+  EXPECT_EQ(first.dropped, 1u);
+  EXPECT_EQ(cache.size(), 3u);  // the undelivered entry is gone
+  ASSERT_NE(cache.Lookup(5, 1), nullptr);
+  EXPECT_EQ(cache.Lookup(5, 1)->status, RpcStatus::kOk);
+  EXPECT_EQ(cache.Lookup(5, 2), nullptr);
+  EXPECT_EQ(cache.Admit(5, 2), RpcDedupCache::Verdict::kInFlight);
+
+  // A response path that outlived the crash still stores the real response
+  // on a pinned entry.
+  RpcMessage late = response;
+  late.request_id = 4;
+  cache.Complete(5, 4, late);
+  ASSERT_NE(cache.Lookup(5, 4), nullptr);
+  EXPECT_EQ(cache.Lookup(5, 4)->status, RpcStatus::kOk);
+
+  // The still-pinned entry is completed with a synthetic terminal: a second
+  // crash resolves it instead of re-pinning it forever.
+  const RpcDedupCache::ReplayCounts second = cache.ReplayAfterCrash();
+  EXPECT_EQ(second.completed, 3u);
+  EXPECT_EQ(second.pinned, 0u);
+  EXPECT_EQ(second.dropped, 0u);
+  ASSERT_NE(cache.Lookup(5, 2), nullptr);
+  EXPECT_EQ(cache.Lookup(5, 2)->status, RpcStatus::kInternal);
+  EXPECT_EQ(cache.Lookup(5, 2)->request_id, 2u);
+  EXPECT_EQ(cache.Admit(5, 2), RpcDedupCache::Verdict::kCompleted);
+  EXPECT_EQ(cache.Admit(5, 3), RpcDedupCache::Verdict::kNew);
+}
+
+TEST(DedupCacheTest, ReplayKeepsCompletionOrderAndSortsSyntheticTerminals) {
+  // Window 6 holds exactly the three completed and three synthetic entries,
+  // so each later completion evicts one: the eviction order reads back the
+  // table's completion order.
+  RpcDedupCache cache(/*completed_window=*/6);
+  RpcMessage response;
+  response.kind = MessageKind::kResponse;
+  response.status = RpcStatus::kOk;
+  for (uint64_t id : {30, 10, 20}) {  // completion order, not id order
+    cache.Admit(1, id);
+    cache.Complete(1, id, response);
+  }
+  // Pinned in reverse (flow, id) order.
+  const std::vector<std::pair<uint64_t, uint64_t>> pinned = {
+      {2, 7}, {1, 9}, {1, 5}};
+  for (const auto& [flow, id] : pinned) {
+    cache.Admit(flow, id);
+    cache.MarkDelivered(flow, id);
+  }
+  EXPECT_EQ(cache.ReplayAfterCrash().pinned, 3u);
+  EXPECT_EQ(cache.ReplayAfterCrash().completed, 6u);
+
+  const std::vector<std::pair<uint64_t, uint64_t>> expected_evictions = {
+      {1, 30}, {1, 10}, {1, 20}, {1, 5}, {1, 9}, {2, 7}};
+  uint64_t next_id = 100;
+  for (size_t i = 0; i < expected_evictions.size(); ++i) {
+    cache.Admit(3, next_id);
+    cache.Complete(3, next_id, response);
+    ++next_id;
+    for (size_t j = 0; j < expected_evictions.size(); ++j) {
+      const auto& [flow, id] = expected_evictions[j];
+      EXPECT_EQ(cache.Lookup(flow, id) == nullptr, j <= i)
+          << "after completion " << i << ", entry (" << flow << ", " << id
+          << ")";
+    }
+  }
+}
+
+TEST(DedupCacheTest, PinnedEntryOutlivesTheWindowUntilTheNextReplay) {
+  // At-most-once across two crashes: a delivered request whose response died
+  // with the NIC must stay known however many completions follow, so a
+  // retransmit after a second crash is answered, never re-executed.
+  RpcDedupCache cache(/*completed_window=*/2);
+  RpcMessage response;
+  response.kind = MessageKind::kResponse;
+  response.status = RpcStatus::kOk;
+  cache.Admit(1, 1);
+  cache.MarkDelivered(1, 1);
+  EXPECT_EQ(cache.ReplayAfterCrash().pinned, 1u);
+
+  for (uint64_t id = 10; id < 15; ++id) {  // more than `window` completions
+    cache.Admit(1, id);
+    cache.Complete(1, id, response);
+  }
+  EXPECT_EQ(cache.stats().evictions, 3u);
+  EXPECT_EQ(cache.Admit(1, 1), RpcDedupCache::Verdict::kInFlight);
+
+  const RpcDedupCache::ReplayCounts second = cache.ReplayAfterCrash();
+  EXPECT_EQ(second.completed, 3u);  // the window's 2 + the synthetic one
+  ASSERT_NE(cache.Lookup(1, 1), nullptr);
+  EXPECT_EQ(cache.Lookup(1, 1)->status, RpcStatus::kInternal);
+  EXPECT_EQ(cache.Admit(1, 1), RpcDedupCache::Verdict::kCompleted);
+  EXPECT_EQ(cache.ReplayAfterCrash().completed, 3u);
+  EXPECT_EQ(cache.Admit(1, 1), RpcDedupCache::Verdict::kCompleted);
 }
 
 // --- Coherence faults exercise the bus-timeout watchdog ----------------------

@@ -4,6 +4,8 @@
 // caught with a counterexample trace (§6's TLA+ claim, reproduced).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/model/checker.h"
 #include "src/model/cold_path_spec.h"
 #include "src/model/lauberhorn_spec.h"
@@ -305,6 +307,41 @@ TEST_F(RetransSpecTest, ExecutingInFlightDuplicatesIsCaught) {
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.violation.find("AtMostOnce"), std::string::npos)
       << result.violation;
+}
+
+TEST_F(RetransSpecTest, CrashReplayRulesKeepAtMostOnce) {
+  // The shipped crash-replay rules (erase undelivered, pin delivered,
+  // synthesize a terminal for the still-pinned) hold across two crashes.
+  RetransSpecConfig no_crash;
+  no_crash.crash_budget = 0;
+  const auto baseline = Run(no_crash);
+  ASSERT_TRUE(baseline.ok) << baseline.violation;
+
+  RetransSpecConfig config;
+  config.max_attempts = 4;
+  config.crash_budget = 2;
+  const auto result = Run(config);
+  EXPECT_TRUE(result.ok) << result.violation << " after "
+                         << ::testing::PrintToString(result.trace);
+  EXPECT_GT(result.states_explored, baseline.states_explored);
+}
+
+TEST_F(RetransSpecTest, ForgettingDeliveredEntriesOnCrashBreaksAtMostOnce) {
+  // Mutation: replay erases delivered entries like undelivered ones, so a
+  // retransmit after the crash runs the handler a second time.
+  RetransSpecConfig config;
+  config.bug_forget_delivered = true;
+  const auto result = Run(config);
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.violation.find("AtMostOnce"), std::string::npos)
+      << result.violation;
+  EXPECT_NE(std::find(result.trace.begin(), result.trace.end(),
+                      "NicCrashReplay"),
+            result.trace.end());
+
+  // Without a crash the mutated rule never fires.
+  config.crash_budget = 0;
+  EXPECT_TRUE(Run(config).ok);
 }
 
 TEST_F(RetransSpecTest, CounterexampleTraceReplaysToViolation) {

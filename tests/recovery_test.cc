@@ -1,5 +1,5 @@
 // Tests for NIC hot recovery (DESIGN.md §16): the whole-NIC crash fault
-// layer, the OS-side write-through NicShadow and its dedup replay rules, the
+// layer, the OS-side write-through NicShadow of control-plane state, the
 // watchdog-driven reset path end to end, and the cluster directory's
 // kDegraded publication during recovery. Also the PR's satellite coverage:
 // exported CC fault counters, dedup replay across an OS crash window, and
@@ -82,38 +82,6 @@ TEST(FaultInjectorTest, PeriodicOsCrashCountsEachWindowOnce) {
 
 // --- NicShadow unit tests ----------------------------------------------------
 
-TEST(NicShadowTest, DedupStateMachineAndEviction) {
-  NicShadow shadow(/*dedup_window=*/2);
-  RpcMessage response;
-  response.kind = MessageKind::kResponse;
-  response.status = RpcStatus::kOk;
-
-  shadow.DedupAdmit(1, 10);
-  shadow.DedupDelivered(1, 10);
-  shadow.DedupComplete(1, 10, response);
-  EXPECT_EQ(shadow.dedup_count(), 1u);
-
-  // Complete is idempotent; Abort never touches a completed entry.
-  shadow.DedupComplete(1, 10, response);
-  shadow.DedupAbort(1, 10);
-  EXPECT_EQ(shadow.dedup_count(), 1u);
-
-  // Abort forgets an in-flight entry (admission shed it pre-execution).
-  shadow.DedupAdmit(1, 11);
-  shadow.DedupAbort(1, 11);
-  EXPECT_EQ(shadow.dedup_count(), 1u);
-
-  // Completed entries evict FIFO past the window; in-flight never evicts.
-  shadow.DedupAdmit(1, 99);  // stays in flight throughout
-  for (uint64_t id = 20; id < 25; ++id) {
-    shadow.DedupAdmit(1, id);
-    shadow.DedupComplete(1, id, response);
-  }
-  // Window of 2 completed + 1 in-flight survivor.
-  EXPECT_EQ(shadow.dedup_count(), 3u);
-  EXPECT_GT(shadow.writes(), 0u);
-}
-
 TEST(NicShadowTest, RecordsControlPlaneAllocations) {
   NicShadow shadow;
   shadow.RecordKernelChannel(0);
@@ -131,41 +99,6 @@ TEST(NicShadowTest, RecordsControlPlaneAllocations) {
   EXPECT_EQ(shadow.writes(), 6u);
 }
 
-TEST(NicShadowTest, ReplayRulesAcrossTwoResets) {
-  // A live NIC to replay into; its own shadow is irrelevant here — the test
-  // drives a standalone shadow holding one entry per dedup state.
-  MachineConfig config;
-  config.stack = StackKind::kLauberhorn;
-  Machine machine(std::move(config));
-  machine.Start();
-  LauberhornNic& nic = *machine.lauberhorn_nic();
-
-  NicShadow shadow;
-  RpcMessage response;
-  response.kind = MessageKind::kResponse;
-  response.status = RpcStatus::kOk;
-  response.request_id = 1;
-  shadow.DedupAdmit(5, 1);
-  shadow.DedupDelivered(5, 1);
-  shadow.DedupComplete(5, 1, response);  // kCompleted: replay the response
-  shadow.DedupAdmit(5, 2);
-  shadow.DedupDelivered(5, 2);  // kDelivered: pin in flight, never re-execute
-  shadow.DedupAdmit(5, 3);      // kInFlight: forget, retransmit runs fresh
-
-  NicShadow::ReplayCounts first = shadow.ReplayInto(nic);
-  EXPECT_EQ(first.dedup_completed, 1u);
-  EXPECT_EQ(first.dedup_in_flight, 1u);
-  EXPECT_EQ(first.dedup_dropped, 1u);
-  EXPECT_EQ(shadow.dedup_count(), 2u);  // the undelivered entry is gone
-
-  // The kDelivered entry was converted to a synthetic terminal: a second
-  // crash replays it as completed instead of re-pinning it forever.
-  NicShadow::ReplayCounts second = shadow.ReplayInto(nic);
-  EXPECT_EQ(second.dedup_completed, 2u);
-  EXPECT_EQ(second.dedup_in_flight, 0u);
-  EXPECT_EQ(second.dedup_dropped, 0u);
-}
-
 // --- End-to-end recovery through Machine -------------------------------------
 
 // Slim copy of fault_test.cc's harness: uniquely-numbered RPCs, per-seq
@@ -174,7 +107,8 @@ class RecoveryHarness {
  public:
   explicit RecoveryHarness(
       MachineConfig config,
-      std::optional<LauberhornNic::VfConfig> vf_config = std::nullopt)
+      std::optional<LauberhornNic::VfConfig> vf_config = std::nullopt,
+      Duration service_time = Nanoseconds(500))
       : machine_(std::move(config)) {
     ServiceDef def;
     def.service_id = 1;
@@ -189,7 +123,7 @@ class RecoveryHarness {
       ++execs_[args.at(0).scalar];
       return std::vector<WireValue>{args.at(0)};
     };
-    method.SetFixedServiceTime(Nanoseconds(500));
+    method.SetFixedServiceTime(service_time);
     def.methods[0] = std::move(method);
     uint32_t vf = 0;
     if (vf_config.has_value()) {
@@ -305,6 +239,26 @@ TEST(RecoveryE2eTest, WatchdogRecoversNicMidLoadAtMostOnce) {
   EXPECT_EQ(directory.stats().marked_up, 1u);
   EXPECT_EQ(directory.stats().marked_down, 0u);
   EXPECT_EQ(directory.replica(1, 0).health, ReplicaHealth::kUp);
+}
+
+TEST(RecoveryE2eTest, CrashDuringHandlerPinsTheRequest) {
+  // One request whose 100 us handler is running when the NIC dies: the
+  // response dies with the device, and the crash replay must pin the
+  // delivered entry so no retransmit runs the handler a second time.
+  MachineConfig config = RecoveryConfig();
+  config.faults.nic_crash.first_crash_at = Microseconds(150);
+  config.faults.nic_crash.reset_latency = Microseconds(50);
+  RecoveryHarness harness(config, std::nullopt, Microseconds(100));
+  harness.Run(1, Microseconds(10), Milliseconds(20));
+
+  const auto& stats = harness.machine().nic_recovery()->stats();
+  EXPECT_EQ(stats.recoveries, 1u);
+  EXPECT_EQ(stats.replayed_dedup_in_flight, 1u);
+  EXPECT_EQ(harness.TotalExecutions(), 1u);
+  RpcClient& client = harness.machine().client();
+  EXPECT_GT(client.retransmits(), 0u);
+  EXPECT_GT(harness.machine().lauberhorn_nic()->stats().dup_drops_in_flight, 0u);
+  EXPECT_EQ(harness.ok() + client.timeouts(), 1u);
 }
 
 TEST(RecoveryE2eTest, PeriodicCrashesRecoverEveryTime) {
