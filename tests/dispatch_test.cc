@@ -402,21 +402,26 @@ TEST(DispatchChaosTest, AtMostOnceAcrossNicCrashesUnderCentralPolicies) {
 
 // --- Backlog register (§13) ----------------------------------------------------
 
+// gtest lists an unprintable parameter as a dump of its bytes, and ctest
+// takes that listing into the test's name. The name is stored inline and the
+// fields leave no padding, so those bytes hold no address and the name stays
+// the same from one build to the next.
 struct BacklogCell {
-  const char* name;
   DispatchPolicyKind kind;
   bool nic_crash;
+  char name[14];
 };
+static_assert(sizeof(BacklogCell) == 16);
 
 class BacklogRegisterTest : public ::testing::TestWithParam<BacklogCell> {};
 
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, BacklogRegisterTest,
-    ::testing::Values(BacklogCell{"Legacy", DispatchPolicyKind::kLegacy, false},
-                      BacklogCell{"dFcfs", DispatchPolicyKind::kDFcfs, false},
-                      BacklogCell{"cFcfs", DispatchPolicyKind::kCFcfs, false},
-                      BacklogCell{"Jbsq", DispatchPolicyKind::kJbsq, false},
-                      BacklogCell{"JbsqNicCrash", DispatchPolicyKind::kJbsq, true}),
+    ::testing::Values(BacklogCell{DispatchPolicyKind::kLegacy, false, "Legacy"},
+                      BacklogCell{DispatchPolicyKind::kDFcfs, false, "dFcfs"},
+                      BacklogCell{DispatchPolicyKind::kCFcfs, false, "cFcfs"},
+                      BacklogCell{DispatchPolicyKind::kJbsq, false, "Jbsq"},
+                      BacklogCell{DispatchPolicyKind::kJbsq, true, "JbsqNicCrash"}),
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST_P(BacklogRegisterTest, EqualsQueueSumAtEveryTick) {

@@ -1,9 +1,10 @@
 // Tests for NIC hot recovery (DESIGN.md §16): the whole-NIC crash fault
-// layer, the OS-side write-through NicShadow of control-plane state, the
-// watchdog-driven reset path end to end, and the cluster directory's
-// kDegraded publication during recovery. Also the PR's satellite coverage:
-// exported CC fault counters, dedup replay across an OS crash window, and
-// the FaultInjector periodic-crash arithmetic.
+// layer, the OS-side write-through NicShadow of control-plane state and its
+// dedup replay through the NIC, the watchdog-driven reset path end to end,
+// and the cluster directory's kDegraded publication during recovery. Also
+// the PR's satellite coverage: exported CC fault counters, dedup replay
+// across an OS crash window, and the FaultInjector periodic-crash
+// arithmetic.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -193,6 +194,33 @@ MachineConfig RecoveryConfig() {
   config.client_max_retransmit_timeout = Milliseconds(2);
   config.server_dedup = true;
   return config;
+}
+
+TEST(NicShadowTest, ReplayRulesAcrossTwoResets) {
+  // Three requests 10 us apart reach one hot 100 us handler; 150 us in, the
+  // NIC's dedup table holds one entry per state: the first completed, the
+  // second delivered (its handler still running), the third still queued.
+  // A standalone shadow (no control-plane records) replays into that live
+  // NIC twice and reports the table's rule counts.
+  RecoveryHarness harness(RecoveryConfig(), std::nullopt, Microseconds(100));
+  harness.Run(3, Microseconds(10), Microseconds(120));
+  LauberhornNic& nic = *harness.machine().lauberhorn_nic();
+
+  NicShadow shadow;
+  const NicShadow::ReplayCounts first = shadow.ReplayInto(nic);
+  EXPECT_EQ(first.endpoints, 0u);
+  EXPECT_EQ(first.dedup.completed, 1u);
+  EXPECT_EQ(first.dedup.pinned, 1u);
+  EXPECT_EQ(first.dedup.dropped, 1u);
+  EXPECT_EQ(nic.dedup().size(), 2u);  // the undelivered entry is gone
+
+  // The pinned entry gets a synthetic terminal: a second reset replays it
+  // as completed instead of re-pinning it forever.
+  const NicShadow::ReplayCounts second = shadow.ReplayInto(nic);
+  EXPECT_EQ(second.dedup.completed, 2u);
+  EXPECT_EQ(second.dedup.pinned, 0u);
+  EXPECT_EQ(second.dedup.dropped, 0u);
+  EXPECT_EQ(nic.dedup().size(), 2u);
 }
 
 TEST(RecoveryE2eTest, WatchdogRecoversNicMidLoadAtMostOnce) {
