@@ -1,6 +1,6 @@
 // CLSTR: cluster dispatch plane scale-out (DESIGN.md §13, EXPERIMENTS.md).
 //
-// Three cells over the multi-machine testbed + src/cluster dispatch plane:
+// Four cells over the multi-machine testbed + src/cluster dispatch plane:
 //
 //   1. Scaling: N in {1,2,4,8} machines, every service replicated on every
 //      machine, one ClusterClient edge per machine driving open-loop Poisson
@@ -13,16 +13,17 @@
 //      at-most-once cluster-wide (zero duplicate executions).
 //   3. Fabric: per-port egress-queue drop counters surface through
 //      Testbed::ExportMetrics.
-//   4. PDES scale: N in {8,16,32,64} machines under --shards S parallel
-//      simulation; reports wall-clock goodput per simulated machine and the
-//      64-vs-8 ratio (the sharded-engine scalability claim). Informational
-//      on oversubscribed hardware — threads timeslice.
+//   4. Simulator scale: N in {8,16,32,64} machines on the sequential
+//      engine; reports wall-clock goodput per simulated machine and the
+//      64-vs-8 ratio (what the simulator pays per machine as the cluster
+//      grows). Informational, not gated.
 //
 // --smoke gates (exit 1 + VIOLATION on stderr on failure):
 //   - aggregate goodput at 8 machines >= 6x the 1-machine cell
 //   - failover: every call completes (nothing exhausts the retry budget),
 //     zero duplicate executions, worst-case rtt within the retry budget
 //   - fabric/port queue-drop counters present in the exported metrics
+//   - sim/pending and sim/events_executed present in the exported metrics
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -32,7 +33,6 @@
 #include "bench/common.h"
 #include "src/cluster/cluster_client.h"
 #include "src/core/testbed.h"
-#include "src/sim/shard.h"
 
 namespace lauberhorn {
 namespace {
@@ -47,8 +47,6 @@ struct CellParams {
   Duration warmup = Milliseconds(2);
   Duration drain = Milliseconds(5);
   uint64_t seed = 1;
-  // Parallel simulation shards (1 = sequential testbed, the seed behavior).
-  int shards = 1;
   // Failover cell: machine 1 crashes at `crash_at` for `outage` (0 = none).
   Duration crash_at = 0;
   Duration outage = 0;
@@ -56,22 +54,20 @@ struct CellParams {
 
 struct CellResult {
   int machines = 0;
-  int shards = 1;
   std::string policy;
   double offered_rps = 0;
   double goodput_rps = 0;
-  double wall_seconds = 0;  // wall-clock of the RunUntil, threads included
+  double wall_seconds = 0;  // wall-clock of the RunUntil
   Duration p50 = 0, p99 = 0, max_rtt = 0;
   uint64_t calls = 0, ok = 0, failovers = 0, diverts = 0, exhausted = 0;
   uint64_t marked_down = 0, marked_up = 0;
   uint64_t duplicate_executions = 0;
   uint64_t fabric_forwarded = 0, fabric_queue_drops = 0;
-  uint64_t horizon_stalls = 0, cross_shard_messages = 0;
   bool fabric_metrics_present = false;
   bool sim_metrics_present = false;
 
-  // Wall-clock goodput each simulated machine achieves — the PDES scale
-  // metric (per-machine cost of growing the cluster).
+  // Wall-clock goodput each simulated machine achieves — the simulator
+  // scale metric (per-machine cost of growing the cluster).
   double PerMachineWallRps() const {
     return wall_seconds > 0
                ? static_cast<double>(ok) / wall_seconds / machines
@@ -110,9 +106,7 @@ ServiceDef MakeSeqService(uint32_t id, uint16_t port,
 }
 
 CellResult RunCell(const CellParams& p) {
-  TestbedConfig tb;
-  tb.shards = p.shards;
-  Testbed testbed(tb);
+  Testbed testbed;
   MachineConfig base;
   base.stack = StackKind::kLauberhorn;
   base.num_cores = 8;
@@ -124,11 +118,9 @@ CellResult RunCell(const CellParams& p) {
   base.admission.enabled = true;
   base.admission.queue_depth_limit = 64;
 
-  // One executions map per machine: handlers run on the hosting machine's
-  // shard, so each map is only touched by one thread; merged after the run
-  // for the cluster-wide at-most-once check.
-  std::vector<std::unordered_map<uint64_t, uint32_t>> executions(
-      static_cast<size_t>(p.machines));
+  // Cluster-wide execution count per sequence number, for the at-most-once
+  // check.
+  std::unordered_map<uint64_t, uint32_t> executions;
   std::vector<Machine*> machines;
   for (int m = 0; m < p.machines; ++m) {
     MachineConfig config = base;
@@ -149,13 +141,9 @@ CellResult RunCell(const CellParams& p) {
       const uint32_t service_id = static_cast<uint32_t>(s + 1);
       const uint16_t port = static_cast<uint16_t>(7000 + s);
       defs[m * p.services + s] = &machines[m]->AddService(
-          MakeSeqService(service_id, port, &executions[m]));
+          MakeSeqService(service_id, port, &executions));
     }
   }
-  // Sharded runs publish NIC queue depths through per-machine DepthPublisher
-  // registers (the raw probe reads another shard's queues); sequential runs
-  // keep the raw probe, matching the seed behavior exactly.
-  std::vector<std::unique_ptr<DepthPublisher>> publishers;
   for (size_t m = 0; m < machines.size(); ++m) {
     machines[m]->Start();
     for (int s = 0; s < p.services; ++s) {
@@ -167,15 +155,7 @@ CellResult RunCell(const CellParams& p) {
       info.udp_port = def.udp_port;
       info.stack = StackKind::kLauberhorn;
       info.placement = PlacementKind::kHotUserPoll;
-      auto probe = MakeLauberhornDepthProbe(*machines[m], def);
-      if (p.shards > 1) {
-        publishers.push_back(std::make_unique<DepthPublisher>(
-            machines[m]->sim(), std::move(probe)));
-        publishers.back()->Start();
-        info.queue_depth = publishers.back()->Reader();
-      } else {
-        info.queue_depth = std::move(probe);
-      }
+      info.queue_depth = MakeLauberhornDepthProbe(*machines[m], def);
       directory.AddReplica(def.service_id, std::move(info));
     }
   }
@@ -193,8 +173,6 @@ CellResult RunCell(const CellParams& p) {
   std::vector<Edge> edges(machines.size());
   for (size_t m = 0; m < machines.size(); ++m) {
     edges[m].policy = MakePolicy(p.policy);
-    // Each edge lives on its machine's own shard: timers and completions run
-    // where the machine's RpcClient runs.
     edges[m].cluster = std::make_unique<ClusterClient>(
         machines[m]->sim(), machines[m]->client(), directory, *edges[m].policy,
         ccfg);
@@ -208,15 +186,11 @@ CellResult RunCell(const CellParams& p) {
 
   CellResult result;
   result.machines = p.machines;
-  result.shards = p.shards;
   result.policy = p.policy;
-  // Zipf tables are read-only after construction — safe to share across
-  // shard threads.
   ZipfDistribution service_zipf(static_cast<size_t>(p.services), p.zipf_skew);
   ZipfDistribution user_zipf(10000, 0.99);
-  // All driver state is per-edge: each driver runs on its machine's shard,
-  // so counters, the rtt histogram, and the rng are single-threaded. App
-  // sequence numbers get a per-edge range (m << 40) so they stay
+  // Each edge has its own load generator: counters, rtt histogram, and
+  // rng. App sequence numbers get a per-edge range (m << 40) so they stay
   // cluster-unique without a shared counter.
   struct EdgeDriver {
     Rng rng{0};
@@ -267,7 +241,7 @@ CellResult RunCell(const CellParams& p) {
   }
 
   const auto wall_start = std::chrono::steady_clock::now();
-  testbed.RunUntil(t_stop + p.drain);
+  testbed.sim().RunUntil(t_stop + p.drain);
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
@@ -298,24 +272,11 @@ CellResult RunCell(const CellParams& p) {
   result.marked_down = directory.stats().marked_down;
   result.marked_up = directory.stats().marked_up;
   // A retried request can execute on several machines; at-most-once means
-  // the cluster-wide count per sequence number stays <= 1, so merge the
-  // per-machine maps before checking.
-  std::unordered_map<uint64_t, uint32_t> merged_executions;
-  for (const auto& per_machine : executions) {
-    for (const auto& [s, count] : per_machine) {
-      merged_executions[s] += count;
-    }
-  }
-  for (const auto& [s, count] : merged_executions) {
+  // the cluster-wide count per sequence number stays <= 1.
+  for (const auto& [s, count] : executions) {
     if (count > 1) {
       ++result.duplicate_executions;
     }
-  }
-
-  for (int s = 0; s < testbed.shards(); ++s) {
-    const ShardedEngine::ShardStats& stats = testbed.engine().stats(s);
-    result.horizon_stalls += stats.horizon_stalls;
-    result.cross_shard_messages += stats.messages_posted;
   }
 
   MetricsRegistry metrics;
@@ -326,9 +287,8 @@ CellResult RunCell(const CellParams& p) {
       metrics.HasCounter("fabric/queue_drops") &&
       metrics.HasCounter("fabric/port0/queue_drops") &&
       metrics.HasCounter("m0/wire/nic_egress_queue_drops");
-  result.sim_metrics_present = metrics.HasCounter("sim/0/pending") &&
-                               metrics.HasCounter("sim/0/events_executed") &&
-                               metrics.HasCounter("sim/0/horizon_stalls");
+  result.sim_metrics_present = metrics.HasCounter("sim/pending") &&
+                               metrics.HasCounter("sim/events_executed");
   return result;
 }
 
@@ -389,18 +349,16 @@ int main(int argc, char** argv) {
   }
   PrintTable(scaling, args.csv);
 
-  // --- Cell 1b: PDES scale-out to 64 machines ------------------------------
-  // The parallel-simulation payoff cell: grow the cluster to 64 machines and
-  // report the *wall-clock* goodput per simulated machine, i.e. what it
-  // costs the simulator (not the simulated cluster) to host each machine.
-  // The ISSUE target: 64 machines within 2x of the 8-machine per-machine
-  // wall throughput. Runs at --shards; informational on a single core
-  // (threads timeslice), so the ratio is reported but not gated.
-  const unsigned threads_used = ShardThreadsUsed(args.shards);
+  // --- Cell 1b: simulator scale to 64 machines -----------------------------
+  // Grow the cluster to 64 machines and report the *wall-clock* goodput per
+  // simulated machine, i.e. what it costs the simulator (not the simulated
+  // cluster) to host each machine. Target: 64 machines within 2x of the
+  // 8-machine per-machine wall throughput. Wall-clock depends on the host,
+  // so the ratio is reported but not gated.
   std::vector<int> scale_sizes = smoke ? std::vector<int>{8, 64}
                                        : std::vector<int>{8, 16, 32, 64};
-  Table scale({"machines", "shards", "threads", "goodput_krps", "wall_s",
-               "machine_wall_rps", "vs_8m", "stalls", "xshard_msgs"});
+  Table scale({"machines", "goodput_krps", "wall_s", "machine_wall_rps",
+               "vs_8m"});
   std::vector<std::string> scale_json;
   double base_wall_rps = 0;
   double wall_ratio_64m = 0;
@@ -409,7 +367,6 @@ int main(int argc, char** argv) {
     CellParams p = base;
     p.machines = n;
     p.policy = "least-loaded";
-    p.shards = args.shards;
     p.per_edge_rps = smoke ? 20000.0 : 40000.0;
     p.measure = smoke ? Milliseconds(10) : Milliseconds(30);
     CellResult r = RunCell(p);
@@ -422,22 +379,15 @@ int main(int argc, char** argv) {
       wall_ratio_64m = vs_8m;
     }
     sim_metrics_present = sim_metrics_present && r.sim_metrics_present;
-    scale.AddRow({Table::Int(n), Table::Int(r.shards),
-                  Table::Int(static_cast<int64_t>(threads_used)),
-                  Table::Num(r.goodput_rps / 1e3), Table::Num(r.wall_seconds),
-                  Table::Num(r.PerMachineWallRps()), Table::Num(vs_8m),
-                  Table::Int(static_cast<int64_t>(r.horizon_stalls)),
-                  Table::Int(static_cast<int64_t>(r.cross_shard_messages))});
+    scale.AddRow({Table::Int(n), Table::Num(r.goodput_rps / 1e3),
+                  Table::Num(r.wall_seconds), Table::Num(r.PerMachineWallRps()),
+                  Table::Num(vs_8m)});
     scale_json.push_back(JsonObject()
                              .Field("machines", n)
-                             .Field("shards", r.shards)
-                             .Field("threads_used", static_cast<int>(threads_used))
                              .Field("goodput_rps", r.goodput_rps)
                              .Field("wall_seconds", r.wall_seconds)
                              .Field("per_machine_wall_rps", r.PerMachineWallRps())
                              .Field("vs_8m", vs_8m)
-                             .Field("horizon_stalls", r.horizon_stalls)
-                             .Field("cross_shard_messages", r.cross_shard_messages)
                              .Render());
   }
   PrintTable(scale, args.csv);
@@ -505,16 +455,15 @@ int main(int argc, char** argv) {
     violation("fabric/port queue-drop counters missing from ExportMetrics");
   }
   if (!sim_metrics_present) {
-    violation("sim/<shard> counters missing from ExportMetrics");
+    violation("sim/pending or sim/events_executed missing from ExportMetrics");
   }
 
   if (!args.json.empty()) {
     JsonObject out;
     out.Field("bench", std::string("cluster_scaleout"))
         .Field("smoke", smoke)
-        .Field("shards", args.shards)
         .Raw("scaling", JsonArray(scaling_json))
-        .Raw("pdes_scale", JsonArray(scale_json))
+        .Raw("sim_scale", JsonArray(scale_json))
         .Field("wall_ratio_64m_vs_8m", wall_ratio_64m)
         .Field("speedup_8x", speedup_8x)
         .Field("failover_calls", fr.calls)

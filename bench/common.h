@@ -29,13 +29,11 @@ inline void PrintHeader(const std::string& id, const std::string& title) {
 //   --json PATH  write a machine-readable BENCH_*.json result to PATH
 //   --smoke      CI mode: shrink the workload so the bench finishes in seconds
 //   --trace PATH write a Chrome trace-event JSON (benches that record spans)
-//   --shards N   parallel simulation shards (testbed benches; 1 = sequential)
 struct BenchArgs {
   bool csv = false;
   bool smoke = false;
   int trials = 1;
   uint64_t seed = 1;
-  int shards = 1;
   std::string json;
   std::string trace;
 
@@ -62,16 +60,10 @@ struct BenchArgs {
         args.json = next_value("--json");
       } else if (arg == "--trace") {
         args.trace = next_value("--trace");
-      } else if (arg == "--shards") {
-        args.shards = std::atoi(next_value("--shards"));
-        if (args.shards < 1) {
-          std::fprintf(stderr, "--shards must be >= 1\n");
-          std::exit(2);
-        }
       } else {
         std::fprintf(stderr,
                      "unknown flag %s (supported: --csv --trials N --seed S "
-                     "--json PATH --trace PATH --smoke --shards N)\n",
+                     "--json PATH --trace PATH --smoke)\n",
                      arg.c_str());
         std::exit(2);
       }
@@ -79,23 +71,6 @@ struct BenchArgs {
     return args;
   }
 };
-
-// Threads a sharded run actually uses: 1 when shards == 1 (the engine runs
-// inline on the caller), else one thread per shard. Warns — once per call —
-// when the request oversubscribes the hardware, so reported speedups are
-// honest about timeslicing.
-inline unsigned ShardThreadsUsed(int shards) {
-  const unsigned used = shards <= 1 ? 1u : static_cast<unsigned>(shards);
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw != 0 && used > hw) {
-    std::fprintf(stderr,
-                 "warning: --shards %d exceeds hardware concurrency (%u); "
-                 "shard threads will timeslice and speedups will be "
-                 "pessimistic\n",
-                 shards, hw);
-  }
-  return used;
-}
 
 inline void PrintTable(const Table& table, bool csv) {
   table.Print();

@@ -22,8 +22,7 @@
 // A chaos pair reruns c-FCFS and JBSQ under the periodic NIC-crash fault
 // plan with client retransmits + server dedup: the central queue is volatile
 // device state, wiped at crash, and at-most-once execution must survive its
-// loss. A final cell reruns the gate cell under a different PDES shard count
-// and requires bit-identical observables.
+// loss.
 //
 // --smoke gates (exit 1 + VIOLATION on stderr):
 //   - bimodal at 0.8 load: d-FCFS p99 >= 2x JBSQ(k) p99
@@ -31,7 +30,6 @@
 //   - bimodal at 0.8 load: JBSQ(k) p99 <= 0.5x d-FCFS p99
 //   - zero duplicate executions in every cell, chaos cells included
 //   - chaos cells actually crashed (nic_resets > 0) and still served
-//   - sequential and sharded gate-cell runs agree exactly
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
@@ -41,7 +39,6 @@
 #include "bench/common.h"
 #include "src/core/testbed.h"
 #include "src/nic/dispatch_policy/dispatch_policy.h"
-#include "src/sim/shard.h"
 
 namespace lauberhorn {
 namespace {
@@ -144,7 +141,6 @@ struct CellParams {
   Duration warmup = Milliseconds(2);
   Duration drain = Milliseconds(5);
   uint64_t seed = 1;
-  int shards = 1;
   bool chaos = false;  // periodic NIC crashes + retransmits + dedup
 };
 
@@ -154,7 +150,6 @@ struct CellResult {
   uint64_t timeouts = 0;
   uint64_t sheds = 0;
   uint64_t dup_execs = 0;
-  uint64_t total_execs = 0;
   uint64_t nic_resets = 0;
   uint64_t central_queued = 0;
   uint64_t local_queued = 0;
@@ -163,9 +158,7 @@ struct CellResult {
 };
 
 CellResult RunCell(const CellParams& p) {
-  TestbedConfig tb;
-  tb.shards = p.shards;
-  Testbed testbed(tb);
+  Testbed testbed;
 
   MachineConfig server_config;
   server_config.stack = StackKind::kLauberhorn;
@@ -251,7 +244,7 @@ CellResult RunCell(const CellParams& p) {
   };
   d->sim->ScheduleAt(t_start, [d] { d->fire(); });
 
-  testbed.RunUntil(t_stop + p.drain);
+  testbed.sim().RunUntil(t_stop + p.drain);
 
   CellResult result;
   result.sent = d->seq;
@@ -272,7 +265,6 @@ CellResult RunCell(const CellParams& p) {
     }
   }
   for (const auto& [seq, count] : execs) {
-    result.total_execs += count;
     result.dup_execs += count > 1;
   }
   return result;
@@ -325,7 +317,6 @@ int main(int argc, char** argv) {
   // gate cell lookup: [dist][policy] at the gate load
   std::vector<std::vector<CellResult>> at_gate(
       dists.size(), std::vector<CellResult>(policies.size()));
-  CellParams gate_params;  // JBSQ/bimodal cell, for the shard recheck
 
   for (size_t di = 0; di < dists.size(); ++di) {
     for (double load : loads) {
@@ -335,14 +326,9 @@ int main(int argc, char** argv) {
         p.dist = dists[di];
         p.load = load;
         p.capacity_rps = capacity[di];
-        p.shards = args.shards;
         const CellResult r = RunCell(p);
         if (load == gate_load) {
           at_gate[di][pi] = r;
-          if (dists[di] == ServiceTimeDist::kBimodal &&
-              policies[pi] == DispatchPolicyKind::kJbsq) {
-            gate_params = p;
-          }
         }
         table.AddRow({ToString(dists[di]), PolicyLabel(policies[pi]),
                       Table::Num(load, 2), Table::Num(capacity[di] / 1e3, 0),
@@ -420,7 +406,6 @@ int main(int argc, char** argv) {
     p.dist = ServiceTimeDist::kBimodal;
     p.load = 0.6;  // headroom for the retransmit storm after each blackout
     p.capacity_rps = capacity[bimodal_index];
-    p.shards = args.shards;
     p.chaos = true;
     p.drain = Milliseconds(12);  // cover the retransmit backoff ladder
     const CellResult r = RunCell(p);
@@ -449,37 +434,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- PDES reproducibility: same cell, different shard count ----------------
-  const CellResult gate_again = RunCell(gate_params);
-  CellParams p_re = gate_params;
-  p_re.shards = args.shards > 1 ? 1 : 4;
-  const CellResult re = RunCell(p_re);
-  std::printf("\nshard recheck (jbsq/bimodal @ %.1f): shards=%d ok=%" PRIu64
-              " execs=%" PRIu64 " | shards=%d ok=%" PRIu64 " execs=%" PRIu64
-              "\n",
-              gate_load, gate_params.shards, gate_again.ok,
-              gate_again.total_execs, p_re.shards, re.ok, re.total_execs);
-  if (re.ok != gate_again.ok || re.sent != gate_again.sent ||
-      re.total_execs != gate_again.total_execs ||
-      re.timeouts != gate_again.timeouts) {
-    violation("shards=%d and shards=%d disagree (ok %" PRIu64 " vs %" PRIu64
-              ", execs %" PRIu64 " vs %" PRIu64 ")",
-              gate_params.shards, p_re.shards, gate_again.ok, re.ok,
-              gate_again.total_execs, re.total_execs);
-  }
-
   if (!args.json.empty()) {
     JsonObject config;
     config.Field("seed", args.seed)
         .Field("smoke", args.smoke)
-        .Field("shards", args.shards)
         .Field("gate_load", gate_load)
         .Field("jbsq_k", 2)
-        .Field("threads_used",
-               static_cast<uint64_t>(ShardThreadsUsed(args.shards)));
+        .Field("threads_used", static_cast<uint64_t>(1));
     JsonObject out;
     out.Field("bench", std::string("dispatch_discipline"))
-        .Field("schema_version", 1)
+        .Field("schema_version", 2)
         .Raw("config", config.Render())
         .Raw("results", JsonArray(rows_json))
         .Raw("chaos", JsonArray(chaos_json))

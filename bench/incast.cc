@@ -18,8 +18,7 @@
 //     surplus burst requests are deferred locally, not dropped in-fabric.
 //
 // Cells: N in {2,8,32[,64]} senders, cc off vs cc on, closed-loop bursts of
-// 16 per sender. The cc cell at the gate size also reruns under a different
-// shard count to prove PDES reproducibility.
+// 16 per sender.
 //
 // --smoke gates (exit 1 + VIOLATION on stderr on failure):
 //   - cc at 32->1 (and 64->1 in the full run): zero timeouts and zero
@@ -30,7 +29,6 @@
 //     must show drops or the cell is not an incast at all)
 //   - fabric ECN marks > 0 and receiver grants > 0 in the cc run (the
 //     mechanism is actually exercised, not bypassed)
-//   - sequential and sharded cc runs agree exactly (ok / timeouts / drops)
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -39,7 +37,6 @@
 
 #include "bench/common.h"
 #include "src/core/testbed.h"
-#include "src/sim/shard.h"
 
 namespace lauberhorn {
 namespace {
@@ -62,13 +59,11 @@ struct CellParams {
   // Covers the worst final-expiry chain (1ms + 2ms + 4ms backoff ladder).
   Duration drain = Milliseconds(8);
   uint64_t seed = 1;
-  int shards = 1;
 };
 
 struct CellResult {
   int senders = 0;
   bool cc = false;
-  int shards = 1;
   uint64_t ok = 0;              // measured-window completions
   uint64_t bursts = 0;          // completed bursts across all senders
   double goodput_rps = 0;
@@ -100,14 +95,13 @@ ServiceDef MakeEchoU64(uint32_t id, uint16_t port, Duration service_time) {
 }
 
 CellResult RunCell(const CellParams& p) {
-  TestbedConfig tb;
-  tb.shards = p.shards;
   // A deliberately shallow receiver port: deep enough that paced windows
   // (<= 2 per sender at first flight) never overflow it, shallow enough
   // that an unpaced 32x16 burst sheds most of its tail.
-  tb.fabric.port_queue_limit = 128;
-  tb.fabric.port_ecn_threshold = 32;
-  Testbed testbed(tb);
+  FabricConfig fabric;
+  fabric.port_queue_limit = 128;
+  fabric.port_ecn_threshold = 32;
+  Testbed testbed(fabric);
 
   MachineConfig base;
   base.stack = StackKind::kLauberhorn;
@@ -151,10 +145,10 @@ CellResult RunCell(const CellParams& p) {
   const SimTime t_measure = t_start + p.warmup;
   const SimTime t_stop = t_measure + p.measure;
 
-  // One driver per sender, living entirely on its machine's shard: fire
-  // `burst` requests at every round boundary, open-loop. All senders share
-  // the same round clock, so every round is a fresh synchronized incast —
-  // the partition-aggregate pattern that collapses loss-based transports.
+  // One load generator per sender: fire `burst` requests at every round
+  // boundary, open-loop. All senders share the same round clock, so every
+  // round is a fresh synchronized incast — the partition-aggregate pattern
+  // that collapses loss-based transports.
   struct Driver {
     Simulator* sim = nullptr;
     RpcClient* client = nullptr;
@@ -199,12 +193,11 @@ CellResult RunCell(const CellParams& p) {
     drivers.push_back(std::move(driver));
   }
 
-  testbed.RunUntil(t_stop + p.drain);
+  testbed.sim().RunUntil(t_stop + p.drain);
 
   CellResult result;
   result.senders = p.senders;
   result.cc = p.cc;
-  result.shards = p.shards;
   Histogram rtt;
   for (const auto& d : drivers) {
     result.ok += d->ok;
@@ -258,7 +251,6 @@ int main(int argc, char** argv) {
     CellParams p_off = base;
     p_off.senders = n;
     p_off.cc = false;
-    p_off.shards = args.shards;
     const CellResult off = RunCell(p_off);
     CellParams p_cc = p_off;
     p_cc.cc = true;
@@ -292,27 +284,6 @@ int main(int argc, char** argv) {
     }
   }
   PrintTable(table, args.csv);
-
-  // PDES reproducibility: rerun the cc gate cell at a different shard count
-  // and require bit-identical observables. (With --shards 1 the recheck runs
-  // sharded; with --shards N it runs sequentially.)
-  CellParams p_re = base;
-  p_re.senders = gate_sizes.front();
-  p_re.cc = true;
-  p_re.shards = args.shards > 1 ? 1 : 4;
-  const CellResult re = RunCell(p_re);
-  const CellResult* gate_cc = nullptr;
-  for (size_t i = 0; i < cc_results.size(); ++i) {
-    if (cc_results[i].senders == gate_sizes.front()) {
-      gate_cc = &cc_results[i];
-    }
-  }
-  std::printf("\nshard recheck (cc, %d senders): shards=%d ok=%" PRIu64
-              " timeouts=%" PRIu64 " drops=%" PRIu64 " | shards=%d ok=%" PRIu64
-              " timeouts=%" PRIu64 " drops=%" PRIu64 "\n",
-              p_re.senders, gate_cc->shards, gate_cc->ok, gate_cc->timeouts,
-              gate_cc->fabric_drops, re.shards, re.ok, re.timeouts,
-              re.fabric_drops);
 
   // --- Gates ----------------------------------------------------------------
   int violations = 0;
@@ -360,26 +331,15 @@ int main(int argc, char** argv) {
       violation("cc %d->1: receiver issued no grants", cc.senders);
     }
   }
-  if (gate_cc == nullptr) {
-    violation("gate cell missing");
-  } else if (re.ok != gate_cc->ok || re.timeouts != gate_cc->timeouts ||
-             re.fabric_drops != gate_cc->fabric_drops) {
-    violation("shards=%d and shards=%d disagree (ok %" PRIu64 " vs %" PRIu64
-              ", timeouts %" PRIu64 " vs %" PRIu64 ")",
-              gate_cc->shards, re.shards, gate_cc->ok, re.ok,
-              gate_cc->timeouts, re.timeouts);
-  }
 
   if (!args.json.empty()) {
     JsonObject config;
     config.Field("seed", args.seed)
         .Field("smoke", smoke)
-        .Field("shards", args.shards)
-        .Field("threads_used",
-               static_cast<uint64_t>(ShardThreadsUsed(args.shards)));
+        .Field("threads_used", static_cast<uint64_t>(1));
     JsonObject out;
     out.Field("bench", std::string("incast"))
-        .Field("schema_version", 1)
+        .Field("schema_version", 2)
         .Raw("config", config.Render())
         .Raw("results", JsonArray(cells_json))
         .Field("violations", violations);

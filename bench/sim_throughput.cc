@@ -21,7 +21,6 @@
 
 #include "bench/common.h"
 #include "src/sim/random.h"
-#include "src/sim/shard.h"
 
 namespace lauberhorn {
 namespace {
@@ -97,7 +96,6 @@ struct WorkloadSize {
   uint64_t timer_churn = 800000;
   uint64_t cancel_churn = 400000;
   uint64_t capture48 = 400000;
-  uint64_t pdes = 3200000;
 };
 
 template <typename Sim>
@@ -182,64 +180,6 @@ uint64_t Capture48(uint64_t n, uint64_t seed) {
   return sim.events_executed() + (sink & 1);
 }
 
-// -- PDES workload (the sharded engine, src/sim/shard.h) -----------------------
-//
-// 64 logical nodes of self-rescheduling timers spread round-robin over N
-// shards; every 8th fire posts a cross-shard message one lookahead window
-// ahead (the shape machine-wire traffic has in a sharded Testbed). shards=1
-// runs the identical workload on the inline sequential path, so the
-// trajectory measures parallel speedup, not workload drift.
-struct PdesNode {
-  ShardedEngine* engine = nullptr;
-  int shard = 0;
-  int peer_shard = 0;
-  Rng rng{1};
-  uint64_t remaining = 0;
-  uint64_t next_key = 0;
-
-  void Fire() {
-    if (remaining == 0) {
-      return;
-    }
-    --remaining;
-    Simulator& sim = engine->shard(shard);
-    if (peer_shard != shard && remaining % 8 == 0) {
-      const SimTime when = sim.Now() + engine->lookahead() +
-                           static_cast<SimTime>(rng.UniformInt(0, 1000));
-      engine->Post(shard, peer_shard, when, next_key++, [] {});
-    }
-    sim.Schedule(static_cast<Duration>(rng.UniformInt(100, 5000)),
-                 [this] { Fire(); });
-  }
-};
-
-uint64_t PdesWorkload(int shards, uint64_t total, uint64_t seed) {
-  ShardedEngine engine(shards);
-  constexpr int kNodes = 64;
-  std::vector<std::unique_ptr<PdesNode>> nodes;
-  nodes.reserve(kNodes);
-  for (int i = 0; i < kNodes; ++i) {
-    auto node = std::make_unique<PdesNode>();
-    node->engine = &engine;
-    node->shard = i % shards;
-    node->peer_shard = (node->shard + 1) % shards;
-    node->rng = Rng(seed + static_cast<uint64_t>(i));
-    node->remaining = total / kNodes;
-    node->next_key = static_cast<uint64_t>(i) << 32;
-    PdesNode* raw = node.get();
-    engine.shard(node->shard)
-        .Schedule(static_cast<Duration>(raw->rng.UniformInt(100, 5000)),
-                  [raw] { raw->Fire(); });
-    nodes.push_back(std::move(node));
-  }
-  engine.RunUntil(Seconds(1));  // far past the last fire; exits at idle
-  uint64_t events = 0;
-  for (int s = 0; s < shards; ++s) {
-    events += engine.shard(s).events_executed();
-  }
-  return events;
-}
-
 struct Measurement {
   std::string workload;
   std::string engine;
@@ -290,7 +230,7 @@ int main(int argc, char** argv) {
   }
   WorkloadSize sizes;
   if (args.smoke) {
-    sizes = WorkloadSize{20000, 40000, 20000, 20000, 320000};
+    sizes = WorkloadSize{20000, 40000, 20000, 20000};
   }
   PrintHeader("SIMTP", "event-engine throughput, slab/4-ary heap vs seed engine");
 
@@ -354,68 +294,19 @@ int main(int argc, char** argv) {
   PrintTable(table, args.csv);
   std::printf("\ngeomean speedup over seed engine: %.2fx (target: >= 2x)\n", geomean);
 
-  // -- PDES trajectory: the sharded engine at 1/2/4/8 shards (capped by
-  // --shards). Runs serially — each measurement owns all its threads, so
-  // speedups are not polluted by trial fan-out.
-  std::printf("\n--- PDES: sharded engine, 64 nodes, conservative lookahead sync ---\n\n");
-  std::vector<int> shard_counts;
-  for (int s = 1; s <= args.shards; s *= 2) {
-    shard_counts.push_back(s);
-  }
-  Table pdes_table(
-      {"shards", "threads", "events", "wall (s)", "Mev/s", "speedup vs 1"});
-  std::vector<std::string> pdes_rows;
-  double base_events_per_sec = 0;
-  for (int s : shard_counts) {
-    const unsigned threads = ShardThreadsUsed(s);
-    uint64_t events = 0;
-    double best_seconds = 0;
-    for (int trial = 0; trial < trials; ++trial) {
-      const auto start = std::chrono::steady_clock::now();
-      events = PdesWorkload(s, sizes.pdes,
-                            base_seed + static_cast<uint64_t>(trial));
-      const auto end = std::chrono::steady_clock::now();
-      const double seconds = std::chrono::duration<double>(end - start).count();
-      if (trial == 0 || seconds < best_seconds) {
-        best_seconds = seconds;
-      }
-    }
-    const double events_per_sec = static_cast<double>(events) / best_seconds;
-    if (s == 1) {
-      base_events_per_sec = events_per_sec;
-    }
-    const double speedup = events_per_sec / base_events_per_sec;
-    pdes_table.AddRow({Table::Int(s), Table::Int(static_cast<int64_t>(threads)),
-                       Table::Int(static_cast<int64_t>(events)),
-                       Table::Num(best_seconds, 3),
-                       Table::Num(events_per_sec / 1e6, 2),
-                       Table::Num(speedup, 2)});
-    pdes_rows.push_back(JsonObject()
-                            .Field("shards", s)
-                            .Field("threads_used", static_cast<int>(threads))
-                            .Field("events", events)
-                            .Field("seconds", best_seconds)
-                            .Field("events_per_sec", events_per_sec)
-                            .Field("speedup_vs_1shard", speedup)
-                            .Render());
-  }
-  PrintTable(pdes_table, args.csv);
-
   if (!args.json.empty()) {
     const std::string json =
         JsonObject()
             .Field("bench", std::string("sim_throughput"))
-            .Field("schema_version", 2)
+            .Field("schema_version", 3)
             .Raw("config", JsonObject()
                                .Field("trials", trials)
                                .Field("seed", base_seed)
                                .Field("smoke", args.smoke)
-                               .Field("max_shards", args.shards)
                                .Field("threads_used",
                                       static_cast<int>(std::thread::hardware_concurrency()))
                                .Render())
             .Raw("results", JsonArray(json_rows))
-            .Raw("pdes", JsonArray(pdes_rows))
             .Field("geomean_speedup", geomean)
             .Render();
     if (!WriteJsonFile(args.json, json)) {

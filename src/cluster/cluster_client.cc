@@ -38,44 +38,36 @@ void ClusterClient::Attempt(CallCtx* ctx) {
   size_t pick = 0;
   uint32_t dst_ip = 0;
   uint16_t dst_port = 0;
-  {
-    // The directory is shared across edges (and, in sharded testbeds,
-    // across threads): resolve + pick + signal update are one atomic
-    // section. Released before the send — and before Finish, which runs
-    // user code. The scratch buffers are members touched only under this
-    // lock, so they are reused across calls without allocating.
-    std::lock_guard<std::mutex> lock(directory_.mu());
-    directory_.Resolve(ctx->service_id, sim_.Now(), candidates_, config_.tenant);
-    // Prefer replicas this call has not touched yet; once every replica has
-    // been tried, allow re-tries (a fresh request id, still at-most-once).
-    // A first attempt has tried nothing, so every candidate is untried.
-    const std::vector<size_t>* pool = &candidates_;
-    if (!ctx->tried.empty()) {
-      untried_.clear();
-      for (size_t idx : candidates_) {
-        if (std::find(ctx->tried.begin(), ctx->tried.end(), idx) ==
-            ctx->tried.end()) {
-          untried_.push_back(idx);
-        }
-      }
-      if (!untried_.empty()) {
-        pool = &untried_;
+  directory_.Resolve(ctx->service_id, sim_.Now(), candidates_, config_.tenant);
+  // Prefer replicas this call has not touched yet; once every replica has
+  // been tried, allow re-tries (a fresh request id, still at-most-once).
+  // A first attempt has tried nothing, so every candidate is untried.
+  const std::vector<size_t>* pool = &candidates_;
+  if (!ctx->tried.empty()) {
+    untried_.clear();
+    for (size_t idx : candidates_) {
+      if (std::find(ctx->tried.begin(), ctx->tried.end(), idx) ==
+          ctx->tried.end()) {
+        untried_.push_back(idx);
       }
     }
-    if (pool->empty()) {
-      ++stats_.no_replica;
-    } else {
-      --ctx->attempts_left;
-      ++stats_.attempts;
-      pick = policy_.Pick(directory_, ctx->service_id, *pool, ctx->shard_key,
-                          sim_.Now());
-      ctx->tried.push_back(pick);
-      ServiceDirectory::Replica& replica =
-          directory_.replica(ctx->service_id, pick);
-      ++replica.outstanding;
-      dst_ip = replica.info.ip;
-      dst_port = replica.info.udp_port;
+    if (!untried_.empty()) {
+      pool = &untried_;
     }
+  }
+  if (pool->empty()) {
+    ++stats_.no_replica;
+  } else {
+    --ctx->attempts_left;
+    ++stats_.attempts;
+    pick = policy_.Pick(directory_, ctx->service_id, *pool, ctx->shard_key,
+                        sim_.Now());
+    ctx->tried.push_back(pick);
+    ServiceDirectory::Replica& replica =
+        directory_.replica(ctx->service_id, pick);
+    ++replica.outstanding;
+    dst_ip = replica.info.ip;
+    dst_port = replica.info.udp_port;
   }
   if (dst_ip == 0) {
     RpcMessage failure;
@@ -96,54 +88,49 @@ void ClusterClient::Attempt(CallCtx* ctx) {
 
 void ClusterClient::OnOutcome(CallCtx* ctx, size_t replica_index,
                               const RpcMessage& response) {
-  // Update the shared replica signals under the directory lock, decide the
-  // next move, then act with the lock released (Attempt re-takes it; Finish
-  // runs user code).
+  // Update the replica's signals, decide the next move, then act.
   bool retry = false;
-  {
-    std::lock_guard<std::mutex> lock(directory_.mu());
-    ServiceDirectory::Replica& replica =
-        directory_.replica(ctx->service_id, replica_index);
-    replica.outstanding = std::max(0, replica.outstanding - 1);
+  ServiceDirectory::Replica& replica =
+      directory_.replica(ctx->service_id, replica_index);
+  replica.outstanding = std::max(0, replica.outstanding - 1);
 
-    if (response.status == kTimedOut) {
-      ++replica.timeouts;
-      ++replica.timeout_streak;
-      if (replica.timeout_streak >= config_.down_after_timeouts) {
-        directory_.MarkDown(ctx->service_id, replica_index,
-                            sim_.Now() + config_.down_duration);
-      }
-      if (config_.failover_on_timeout && ctx->attempts_left > 0) {
-        ++stats_.failovers;
-        retry = true;
-      } else {
-        ++stats_.exhausted;
-      }
-    } else if (response.status == RpcStatus::kOverloaded) {
-      ++replica.overloaded;
-      BumpOverloadScore(replica, 1.0);
-      if (config_.divert_on_overload && ctx->attempts_left > 0) {
-        ++stats_.diverts;
-        retry = true;
-      } else {
-        ++stats_.exhausted;
-      }
+  if (response.status == kTimedOut) {
+    ++replica.timeouts;
+    ++replica.timeout_streak;
+    if (replica.timeout_streak >= config_.down_after_timeouts) {
+      directory_.MarkDown(ctx->service_id, replica_index,
+                          sim_.Now() + config_.down_duration);
+    }
+    if (config_.failover_on_timeout && ctx->attempts_left > 0) {
+      ++stats_.failovers;
+      retry = true;
     } else {
-      // Any substantive response (kOk or an application error) proves the
-      // replica is alive and serving.
-      replica.timeout_streak = 0;
-      BumpOverloadScore(replica, 0.0);  // decay only
-      // A served request clears kDown (the replica answered), but never
-      // kDegraded: that state is published by the replica's host during NIC
-      // recovery and only the host clears it — answers are expected while
-      // degraded, they are not evidence that recovery finished.
-      if (replica.health == ReplicaHealth::kDown) {
-        directory_.MarkUp(ctx->service_id, replica_index);
-      }
-      if (response.status == RpcStatus::kOk) {
-        ++replica.ok;
-        ++stats_.ok;
-      }
+      ++stats_.exhausted;
+    }
+  } else if (response.status == RpcStatus::kOverloaded) {
+    ++replica.overloaded;
+    BumpOverloadScore(replica, 1.0);
+    if (config_.divert_on_overload && ctx->attempts_left > 0) {
+      ++stats_.diverts;
+      retry = true;
+    } else {
+      ++stats_.exhausted;
+    }
+  } else {
+    // Any substantive response (kOk or an application error) proves the
+    // replica is alive and serving.
+    replica.timeout_streak = 0;
+    BumpOverloadScore(replica, 0.0);  // decay only
+    // A served request clears kDown (the replica answered), but never
+    // kDegraded: that state is published by the replica's host during NIC
+    // recovery and only the host clears it — answers are expected while
+    // degraded, they are not evidence that recovery finished.
+    if (replica.health == ReplicaHealth::kDown) {
+      directory_.MarkUp(ctx->service_id, replica_index);
+    }
+    if (response.status == RpcStatus::kOk) {
+      ++replica.ok;
+      ++stats_.ok;
     }
   }
   if (retry) {

@@ -15,11 +15,8 @@
 #ifndef SRC_CLUSTER_DIRECTORY_H_
 #define SRC_CLUSTER_DIRECTORY_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -77,47 +74,9 @@ struct ReplicaInfo {
 // Builds a queue-depth probe for a service hosted on a Lauberhorn machine:
 // the service's NIC backlog register (its endpoints' pending queues plus its
 // central queue) plus the shared cold-queue backlog. The probe captures the
-// register's address once, so each call is two loads; it reads live NIC
-// state, so it is only safe from the machine's own shard — sharded testbeds
-// wrap it in a DepthPublisher (below).
+// register's address once, so each call is two loads of live NIC state.
 std::function<size_t()> MakeLauberhornDepthProbe(Machine& machine,
                                                  const ServiceDef& service);
-
-// Periodically samples a (shard-local) depth probe on the owning machine's
-// simulator and publishes the value into an atomic register that any shard
-// may read. This models the NIC exporting its admission-queue registers to
-// the cluster plane: the owner writes, remote load balancers read a
-// slightly stale copy instead of reaching into another shard's queues.
-class DepthPublisher {
- public:
-  DepthPublisher(Simulator& sim, std::function<size_t()> probe,
-                 Duration period = Microseconds(10))
-      : sim_(sim),
-        probe_(std::move(probe)),
-        period_(period),
-        value_(std::make_shared<std::atomic<size_t>>(0)) {}
-
-  // Samples once now and self-reschedules every `period` thereafter (runs
-  // for the remainder of the simulation).
-  void Start() { Sample(); }
-
-  // A probe reading the published register; safe to call from any shard,
-  // and outlives this publisher (it shares ownership of the register).
-  std::function<size_t()> Reader() const {
-    return [value = value_]() -> size_t { return value->load(); };
-  }
-
- private:
-  void Sample() {
-    value_->store(probe_());
-    sim_.Schedule(period_, [this] { Sample(); });
-  }
-
-  Simulator& sim_;
-  std::function<size_t()> probe_;
-  Duration period_;
-  std::shared_ptr<std::atomic<size_t>> value_;
-};
 
 class ServiceDirectory {
  public:
@@ -176,15 +135,7 @@ class ServiceDirectory {
 
   const Stats& stats() const { return stats_; }
 
-  // Guards all directory state when client edges live on different shards.
-  // The directory itself does NOT lock internally: each edge (ClusterClient)
-  // takes this around its resolve-pick-update sections, which also keeps
-  // pick + signal-update atomic. Single-shard testbeds pay one uncontended
-  // lock per call.
-  std::mutex& mu() const { return mu_; }
-
  private:
-  mutable std::mutex mu_;
   std::unordered_map<uint32_t, std::vector<Replica>> services_;
   Stats stats_;
 };

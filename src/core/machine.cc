@@ -226,9 +226,6 @@ void Machine::HookLatencyTracking() {
     }
     const auto msg = PeekRpcHeader(frame->payload);
     if (msg.has_value() && msg->kind == MessageKind::kRequest) {
-      if (config_.record_arrival_log) {
-        arrival_log_.push_back({sim_->Now(), msg->request_id, false});
-      }
       request_arrivals_[msg->request_id] = sim_->Now();
       if (spans_ != nullptr) {
         // Spans open here: wire arrival at the server NIC. Retransmits of an
@@ -245,9 +242,6 @@ void Machine::HookLatencyTracking() {
     const auto msg = PeekRpcHeader(frame->payload);
     if (!msg.has_value() || msg->kind != MessageKind::kResponse) {
       return;
-    }
-    if (config_.record_arrival_log) {
-      arrival_log_.push_back({sim_->Now(), msg->request_id, true});
     }
     if (spans_ != nullptr) {
       // Before the arrivals-map early return: dedup replays still stamp TX.

@@ -122,11 +122,6 @@ struct MachineConfig {
   Duration nic_watchdog_period = Microseconds(20);
   int nic_watchdog_miss_threshold = 2;
   uint64_t nic_watchdog_wedged_polls = 16;
-  // Records the machine's wire-level event order (request arrivals and
-  // response departures, with timestamps and request ids) — the observable
-  // the PDES determinism oracle compares between sequential and sharded
-  // runs (tests/pdes_test.cc). Off by default.
-  bool record_arrival_log = false;
   // Per-request span tracing (src/stats/span): every stack stamps the same
   // eight stages, stitched by request id. Off by default — benches that
   // measure raw throughput stay unaffected.
@@ -194,16 +189,6 @@ class Machine {
 
   // -- Measurement -----------------------------------------------------------
 
-  // One wire-level observation on this machine (config.record_arrival_log):
-  // a request arriving at, or a response leaving, the server NIC.
-  struct ArrivalRecord {
-    SimTime t = 0;
-    uint64_t request_id = 0;
-    bool response = false;
-    bool operator==(const ArrivalRecord&) const = default;
-  };
-  const std::vector<ArrivalRecord>& arrival_log() const { return arrival_log_; }
-
   // End-system latency: wire arrival of a request to wire departure of its
   // response at the server NIC (excludes propagation) — the paper's proxy
   // for software-stack efficiency (§1).
@@ -253,7 +238,6 @@ class Machine {
 
   std::unordered_map<uint32_t, std::vector<uint32_t>> service_endpoints_;
   std::unordered_map<uint64_t, SimTime> request_arrivals_;
-  std::vector<ArrivalRecord> arrival_log_;
   Histogram end_system_;
   uint64_t server_rpcs_ = 0;
   Duration busy_at_reset_ = 0;

@@ -2,46 +2,28 @@
 
 #include <cassert>
 #include <string>
+#include <utility>
 
 namespace lauberhorn {
 
-Testbed::Testbed(TestbedConfig config)
-    : config_(config), engine_(config.shards), router_(engine_) {
-  slices_.reserve(static_cast<size_t>(engine_.shards()));
-  for (int s = 0; s < engine_.shards(); ++s) {
-    slices_.push_back(
-        std::make_unique<IpSwitch>(engine_.shard(s), config_.fabric));
-  }
-}
+Testbed::Testbed(FabricConfig fabric) : fabric_(sim_, fabric) {}
 
 Machine& Testbed::AddMachine(MachineConfig config) {
   const auto index = static_cast<uint8_t>(machines_.size());
-  const int shard = shard_of(machines_.size());
   config.server_ip = MakeIpv4(10, 0, index, 2);
   config.client_ip = MakeIpv4(10, 0, index, 1);
   config.machine_index = index;
-  machines_.push_back(
-      std::make_unique<Machine>(std::move(config), &engine_.shard(shard)));
+  machines_.push_back(std::make_unique<Machine>(std::move(config), &sim_));
   Machine& machine = *machines_.back();
-  IpSwitch& slice = *slices_[static_cast<size_t>(shard)];
 
-  // Both wire egresses feed the shard's switch slice: the NIC side so
-  // responses and nested RPCs route by destination ip, and the client side
-  // so a cluster client can address any machine's services (its own included
-  // — local traffic takes one switch hop like everything else).
-  machine.wire().b_to_a().set_sink(&slice);
-  machine.wire().a_to_b().set_sink(&slice);
-  if (engine_.shards() > 1) {
-    // Cross-shard destinations leave through the router at Transmit time;
-    // the wire's propagation delay lower-bounds every such hand-off, which
-    // makes it the engine's conservative lookahead.
-    machine.wire().b_to_a().set_router(router_.ForShard(shard));
-    machine.wire().a_to_b().set_router(router_.ForShard(shard));
-    engine_.ObserveLinkLookahead(machine.config().platform.wire.propagation);
-  }
+  // Both wire egresses feed the switch: the NIC side so responses and
+  // nested RPCs route by destination ip, and the client side so a cluster
+  // client can address any machine's services (its own included — local
+  // traffic takes one switch hop like everything else).
+  machine.wire().b_to_a().set_sink(&fabric_);
+  machine.wire().a_to_b().set_sink(&fabric_);
 
-  port_table_.emplace_back(shard, slice.num_ports());
-  slice.Register(machine.config().client_ip, &machine.client());
+  fabric_.Register(machine.config().client_ip, &machine.client());
   PacketSink* nic_sink = nullptr;
   if (machine.lauberhorn_nic() != nullptr) {
     nic_sink = machine.lauberhorn_nic();
@@ -49,12 +31,7 @@ Machine& Testbed::AddMachine(MachineConfig config) {
     nic_sink = machine.dma_nic();
   }
   assert(nic_sink != nullptr);
-  port_table_.emplace_back(shard, slice.num_ports());
-  slice.Register(machine.config().server_ip, nic_sink);
-  if (engine_.shards() > 1) {
-    router_.RegisterDestination(machine.config().client_ip, shard, &slice);
-    router_.RegisterDestination(machine.config().server_ip, shard, &slice);
-  }
+  fabric_.Register(machine.config().server_ip, nic_sink);
   return machine;
 }
 
@@ -62,45 +39,9 @@ void Testbed::ExportMetrics(MetricsRegistry& metrics) const {
   for (size_t i = 0; i < machines_.size(); ++i) {
     machines_[i]->ExportMetrics(metrics, "m" + std::to_string(i) + "/");
   }
-  uint64_t forwarded = 0;
-  uint64_t dropped = 0;
-  uint64_t queue_drops = 0;
-  uint64_t ecn_marked = 0;
-  for (const auto& slice : slices_) {
-    forwarded += slice->forwarded();
-    dropped += slice->dropped();
-    queue_drops += slice->queue_drops();
-    ecn_marked += slice->ecn_marked();
-  }
-  metrics.SetCounter("fabric/forwarded", forwarded);
-  metrics.SetCounter("fabric/dropped", dropped);
-  metrics.SetCounter("fabric/queue_drops", queue_drops);
-  metrics.SetCounter("fabric/ecn_marked", ecn_marked);
-  // Global port numbering (registration order: machine i's client then NIC),
-  // invariant across shard counts.
-  for (size_t i = 0; i < port_table_.size(); ++i) {
-    const auto& [slice_index, local_port] = port_table_[i];
-    const LinkDirection& egress =
-        slices_[static_cast<size_t>(slice_index)]->port(local_port);
-    const std::string base = "fabric/port" + std::to_string(i) + "/";
-    metrics.SetCounter(base + "forwarded", egress.packets_sent());
-    metrics.SetCounter(base + "queue_drops", egress.queue_drops());
-    metrics.SetCounter(base + "ecn_marked", egress.ecn_marked());
-    metrics.SetCounter(base + "bytes", egress.bytes_sent());
-  }
-  for (int s = 0; s < engine_.shards(); ++s) {
-    const std::string base = "sim/" + std::to_string(s) + "/";
-    const ShardedEngine::ShardStats& stats = engine_.stats(s);
-    // Pending work = local heap entries plus cross-shard messages staged or
-    // inboxed for this shard (the part plain pending_events() can't see).
-    metrics.SetCounter(base + "pending", engine_.shard(s).pending_events() +
-                                             engine_.staged_messages(s));
-    metrics.SetCounter(base + "events_executed",
-                       engine_.shard(s).events_executed());
-    metrics.SetCounter(base + "horizon_stalls", stats.horizon_stalls);
-    metrics.SetCounter(base + "messages_posted", stats.messages_posted);
-    metrics.SetCounter(base + "messages_executed", stats.messages_executed);
-  }
+  fabric_.ExportMetrics(metrics, "fabric/");
+  metrics.SetCounter("sim/pending", sim_.pending_events());
+  metrics.SetCounter("sim/events_executed", sim_.events_executed());
 }
 
 }  // namespace lauberhorn

@@ -1,91 +1,50 @@
-// Multi-machine testbed: several full machines share a simulation engine and
-// a queued IP fabric (src/net/fabric.h), so a service on one machine can
-// issue nested RPCs (§6 continuation endpoints) to services on another
-// across the wire, and any machine's client can call any machine's services
-// (the cluster dispatch plane in src/cluster builds on this).
-//
-// With TestbedConfig::shards == 1 (the default) everything runs on one
-// sequential Simulator — bit-for-bit the seed behavior. With shards > 1 the
-// testbed becomes a parallel simulation (DESIGN.md §14): machines are pinned
-// round-robin to shards of a ShardedEngine, each shard owns a private
-// IpSwitch slice, and cross-shard deliveries travel as timestamped messages
-// through a ShardRouter installed on every machine wire. Drive sharded runs
-// with Testbed::RunUntil (not sim().RunUntil, which only advances shard 0).
+// Multi-machine testbed: several full machines share one sequential
+// Simulator and a queued IP fabric (src/net/fabric.h), so a service on one
+// machine can issue nested RPCs (§6 continuation endpoints) to services on
+// another across the wire, and any machine's client can call any machine's
+// services (the cluster dispatch plane in src/cluster builds on this).
 #ifndef SRC_CORE_TESTBED_H_
 #define SRC_CORE_TESTBED_H_
 
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "src/core/machine.h"
-#include "src/core/shard_router.h"
 #include "src/net/fabric.h"
-#include "src/sim/shard.h"
+#include "src/sim/simulator.h"
 
 namespace lauberhorn {
 
-struct TestbedConfig {
-  // Parallel event-loop shards. 1 = the sequential engine.
-  int shards = 1;
-  FabricConfig fabric;
-};
-
 class Testbed {
  public:
-  Testbed() : Testbed(TestbedConfig{}) {}
-  explicit Testbed(FabricConfig fabric)
-      : Testbed(TestbedConfig{/*shards=*/1, fabric}) {}
-  explicit Testbed(TestbedConfig config);
+  Testbed() : Testbed(FabricConfig{}) {}
+  explicit Testbed(FabricConfig fabric);
   Testbed(const Testbed&) = delete;
   Testbed& operator=(const Testbed&) = delete;
 
-  // Shard 0's simulator. With shards == 1 this is the (only) engine, exactly
-  // as before; sharded testbeds use it for setup-time scheduling but must
-  // advance time through RunUntil below.
-  Simulator& sim() { return engine_.shard(0); }
-  // Shard 0's switch slice (the whole fabric when shards == 1).
-  IpSwitch& fabric() { return *slices_[0]; }
+  Simulator& sim() { return sim_; }
+  IpSwitch& fabric() { return fabric_; }
 
-  ShardedEngine& engine() { return engine_; }
-  int shards() const { return engine_.shards(); }
-  // Which shard a machine's events execute on (round-robin pinning).
-  int shard_of(size_t machine_index) const {
-    return static_cast<int>(machine_index) % engine_.shards();
-  }
-
-  // Runs every shard to `deadline` — threads when shards > 1, plain
-  // sequential execution when shards == 1.
-  void RunUntil(SimTime deadline) { engine_.RunUntil(deadline); }
-
-  // Creates a machine pinned to shard size() % shards. `index` picks default
+  // Creates a machine on the shared simulator. `index` picks default
   // addresses: server 10.0.<index>.2, client 10.0.<index>.1. Both egress
-  // directions of the machine's wire are re-pointed at its shard's switch
-  // slice (so a client can reach any machine's services, not just its own),
-  // its NIC + client are registered as switch destinations, and — when
-  // sharded — the cross-shard router learns both addresses. The machine
-  // index also seeds the client's request-id space so ids are cluster-unique
-  // (which is what the router's deterministic tie-break keys on).
+  // directions of the machine's wire are re-pointed at the switch (so a
+  // client can reach any machine's services, not just its own), and its
+  // NIC + client are registered as switch destinations. The machine index
+  // also seeds the client's request-id space so ids are cluster-unique.
   Machine& AddMachine(MachineConfig config);
 
   Machine& machine(size_t index) { return *machines_[index]; }
   size_t size() const { return machines_.size(); }
 
   // Snapshots every machine's metrics under "m<i>/", the fabric's counters
-  // under "fabric/" (per-port queue drops included; ports are numbered in
-  // registration order across all slices, so keys match the sequential
-  // layout), and per-shard engine counters under "sim/<shard>/" (pending
-  // includes staged cross-shard messages, not just heap entries).
+  // under "fabric/" (IpSwitch::ExportMetrics: per-port and per-pair drops
+  // included), and the simulator's counters as "sim/pending" and
+  // "sim/events_executed".
   void ExportMetrics(MetricsRegistry& metrics) const;
 
  private:
-  TestbedConfig config_;
-  ShardedEngine engine_;
-  std::vector<std::unique_ptr<IpSwitch>> slices_;  // one per shard
-  ShardRouter router_;
-  // Global port numbering: (slice, local port) in registration order, so
-  // "fabric/port<i>/..." metric keys are shard-count-invariant.
-  std::vector<std::pair<int, size_t>> port_table_;
+  Simulator sim_;
+  IpSwitch fabric_;
   std::vector<std::unique_ptr<Machine>> machines_;
 };
 

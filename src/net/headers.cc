@@ -104,17 +104,6 @@ Packet BuildUdpFrame(const EthernetHeader& eth, Ipv4Header ip, UdpHeader udp,
   return packet;
 }
 
-std::optional<uint32_t> PeekIpv4Dst(const Packet& packet) {
-  const std::span<const uint8_t> d(packet.bytes);
-  if (d.size() < kEthernetHeaderSize + kIpv4HeaderSize) {
-    return std::nullopt;
-  }
-  if (Get16(d, 12) != kEtherTypeIpv4) {
-    return std::nullopt;
-  }
-  return Get32(d, kEthernetHeaderSize + 16);
-}
-
 std::optional<Ipv4Pair> PeekIpv4SrcDst(const Packet& packet) {
   const std::span<const uint8_t> d(packet.bytes);
   if (d.size() < kEthernetHeaderSize + kIpv4HeaderSize) {

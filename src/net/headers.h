@@ -89,17 +89,10 @@ enum class ParseError {
 // encountered, mirroring what a NIC RX pipeline checks stage by stage.
 std::optional<ParsedFrame> ParseUdpFrame(const Packet& packet, ParseError* error = nullptr);
 
-// Reads just the IPv4 destination address of a frame without validating
-// checksums or lengths — the switch-style forwarding peek the cross-shard
-// router uses to decide which shard owns a delivery. Returns nullopt for
-// frames too short to carry an IPv4 header or with a non-IPv4 ethertype
-// (those deliver locally and are dropped by the full parse, same as the
-// sequential path).
-std::optional<uint32_t> PeekIpv4Dst(const Packet& packet);
-
-// Reads the IPv4 (src, dst) pair without validation — used by egress queues
-// to attribute tail drops to the flow that suffered them. Same truncation /
-// ethertype rules as PeekIpv4Dst.
+// Reads the IPv4 (src, dst) pair without validating checksums or lengths —
+// used by egress queues to attribute tail drops to the flow that suffered
+// them. Returns nullopt for frames too short to carry an IPv4 header or with
+// a non-IPv4 ethertype.
 struct Ipv4Pair {
   uint32_t src = 0;
   uint32_t dst = 0;

@@ -38,12 +38,6 @@ void LinkDirection::Transmit(Packet packet, Duration extra_delay) {
     busy_until_.push_back(done);
   }
   const SimTime arrival = done + config_.propagation + extra_delay;
-  // The arrival time is fully known here (sender-side), which is what makes
-  // this the cross-shard hand-off point: the message's timestamp is at
-  // least `propagation` in the future, the engine's lookahead.
-  if (router_ != nullptr && router_->RouteTransmit(packet, arrival)) {
-    return;
-  }
   sim_.ScheduleAt(arrival, [this, p = std::move(packet)]() mutable {
     if (sink_ != nullptr) {
       sink_->ReceivePacket(std::move(p));

@@ -25,18 +25,6 @@ class PacketSink {
   virtual void ReceivePacket(Packet packet) = 0;
 };
 
-// Optional cross-shard routing hook (src/sim/shard.h): consulted by
-// LinkDirection::Transmit with the fully computed arrival time (after
-// serialization + propagation, the wire's contribution to the PDES
-// lookahead). Returns true if it took ownership of the delivery — i.e. the
-// destination lives on another shard and the packet was posted there as a
-// timestamped message; false routes through the local sink as usual.
-class WireRouter {
- public:
-  virtual ~WireRouter() = default;
-  virtual bool RouteTransmit(Packet& packet, SimTime arrival) = 0;
-};
-
 struct LinkConfig {
   double bandwidth_gbps = 100.0;           // serialization rate
   Duration propagation = Nanoseconds(500);  // one-way wire + switch latency
@@ -72,9 +60,6 @@ class LinkDirection {
   LinkDirection(Simulator& sim, const LinkConfig& config, uint64_t seed);
 
   void set_sink(PacketSink* sink) { sink_ = sink; }
-  // Sharded testbeds install a router that diverts deliveries whose
-  // destination lives on another shard (null = always deliver locally).
-  void set_router(WireRouter* router) { router_ = router; }
   // Optional cross-layer injector consulted per packet in addition to the
   // LinkConfig knobs (Gilbert–Elliott burst loss lives there).
   void set_fault_injector(FaultInjector* faults) { faults_ = faults; }
@@ -110,7 +95,6 @@ class LinkDirection {
   LinkConfig config_;
   Rng rng_;
   PacketSink* sink_ = nullptr;
-  WireRouter* router_ = nullptr;
   FaultInjector* faults_ = nullptr;
   bool TracksOccupancy() const {
     return config_.queue_limit > 0 || config_.ecn_threshold > 0;

@@ -656,8 +656,8 @@ uint32_t LauberhornNic::PickEndpoint(const std::vector<uint32_t>& candidates,
   // core (§5.2's dynamic scaling, driven by the NIC's own load statistics).
   // Every scan breaks ties by the smallest endpoint id: the candidate list
   // is rebuilt in replay order after a NIC crash, and a first-seen winner
-  // would make pre- and post-replay runs diverge (bit-identical PDES
-  // comparisons depend on the pick being a pure function of endpoint state).
+  // would make pre- and post-replay runs diverge (the pick must be a pure
+  // function of endpoint state).
   uint32_t parked = UINT32_MAX;
   for (uint32_t id : candidates) {
     if (endpoints_[id].waiting.has_value() && id < parked) {

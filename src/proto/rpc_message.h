@@ -17,8 +17,7 @@
 //   u8  payload[payload_length]
 //
 // Version 2 appended the 8 congestion-control bytes (flags/grant) to the v1
-// header; request_id stays at offset 12 so header peeks (the cross-shard
-// router's tie-break) are layout-stable.
+// header; request_id stays at offset 12 so header peeks are layout-stable.
 #ifndef SRC_PROTO_RPC_MESSAGE_H_
 #define SRC_PROTO_RPC_MESSAGE_H_
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <utility>
 
 namespace lauberhorn {
@@ -79,21 +78,6 @@ bool Simulator::Step() {
   ++events_executed_;
   fn();
   return true;
-}
-
-void Simulator::ExecuteInjected(SimTime when, Callback fn) {
-#ifndef NDEBUG
-  if (when < now_) {
-    std::fprintf(stderr,
-                 "ExecuteInjected in the past: when=%lld now=%lld delta=%lld\n",
-                 static_cast<long long>(when), static_cast<long long>(now_),
-                 static_cast<long long>(now_ - when));
-  }
-#endif
-  assert(when >= now_);
-  now_ = when;
-  ++events_executed_;
-  fn();
 }
 
 void Simulator::RunUntil(SimTime deadline) {

@@ -35,9 +35,6 @@ namespace lauberhorn {
 using EventId = uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
-// Sentinel returned by Simulator::NextEventTime() for an empty queue.
-inline constexpr SimTime kNoEventTime = INT64_MAX;
-
 class Simulator {
  public:
   Simulator() = default;
@@ -67,27 +64,6 @@ class Simulator {
 
   // Runs until no events remain.
   void RunUntilIdle();
-
-  // Timestamp of the earliest pending event, or kNoEventTime when the queue
-  // is empty. The sharded engine (src/sim/shard.h) polls this to decide
-  // whether the next local event is below the safe horizon.
-  SimTime NextEventTime() const {
-    return heap_.empty() ? kNoEventTime : heap_[0].when;
-  }
-
-  // Runs `fn` as if it were an event scheduled at `when` (>= Now()): time
-  // advances to `when`, the execution counter ticks, and the callback may
-  // schedule/cancel like any event. The sharded engine injects cross-shard
-  // deliveries through this — they never enter this simulator's heap, so
-  // local (when, seq) FIFO ordering is untouched by drain timing.
-  void ExecuteInjected(SimTime when, Callback fn);
-
-  // Advances the clock to `t` without running anything (no-op if t <= Now()).
-  void AdvanceTo(SimTime t) {
-    if (t > now_) {
-      now_ = t;
-    }
-  }
 
   // Number of events executed so far (for determinism checks and stats).
   uint64_t events_executed() const { return events_executed_; }

@@ -37,8 +37,8 @@ struct WorkloadTarget {
 // MethodDef::service_time that is a PURE function of the request content —
 // the first u64 scalar argument hashed with `seed` drives an inverse-CDF
 // draw — so the same request costs the same nanoseconds no matter which
-// policy, core, shard, or retransmit executes it. That keeps policy
-// comparisons apples-to-apples and sharded runs bit-identical.
+// policy, core, or retransmit executes it. That keeps policy comparisons
+// apples-to-apples.
 
 enum class ServiceTimeDist {
   kFixed,

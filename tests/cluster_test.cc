@@ -616,13 +616,22 @@ TEST(FabricTest, PortQueueOverflowDropsAndExportsCounters) {
   EXPECT_TRUE(metrics.HasCounter("fabric/queue_drops"));
   EXPECT_GT(metrics.Counter("fabric/queue_drops"), 0u);
   bool some_port_dropped = false;
+  // The drops are also attributed to the a -> b pair that suffered them.
+  const std::string pair_suffix = "/pair_drop/" +
+                                  FormatIpv4(a.config().client_ip) + "->" +
+                                  FormatIpv4(b.config().server_ip);
+  uint64_t pair_drops = 0;
   for (size_t port = 0; port < testbed.fabric().num_ports(); ++port) {
-    const std::string key =
-        "fabric/port" + std::to_string(port) + "/queue_drops";
+    const std::string base = "fabric/port" + std::to_string(port);
+    const std::string key = base + "/queue_drops";
     EXPECT_TRUE(metrics.HasCounter(key));
     some_port_dropped |= metrics.Counter(key) > 0;
+    if (metrics.HasCounter(base + pair_suffix)) {
+      pair_drops += metrics.Counter(base + pair_suffix);
+    }
   }
   EXPECT_TRUE(some_port_dropped);
+  EXPECT_GT(pair_drops, 0u);
   EXPECT_TRUE(metrics.HasCounter("m0/wire/client_egress_packets"));
   EXPECT_GT(metrics.Counter("m0/wire/client_egress_packets"), 0u);
 }

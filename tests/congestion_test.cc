@@ -281,10 +281,10 @@ TEST(CcClientTest, FabricCeMarksReachClientAccounting) {
   // drains, the queue builds past K = 1, and the CE marks must travel the
   // whole loop — switch rewrite, NIC echo, response header — into the
   // sender's mark accounting.
-  TestbedConfig tb;
-  tb.fabric.port_bandwidth_gbps = 1.0;
-  tb.fabric.port_ecn_threshold = 1;
-  Testbed testbed(tb);
+  FabricConfig fabric;
+  fabric.port_bandwidth_gbps = 1.0;
+  fabric.port_ecn_threshold = 1;
+  Testbed testbed(fabric);
   MachineConfig server_config = CcConfig();
   server_config.client_congestion = false;
   Machine& server = testbed.AddMachine(server_config);
@@ -325,7 +325,7 @@ TEST(CcClientTest, FabricCeMarksReachClientAccounting) {
                        });
     }
   });
-  testbed.RunUntil(Milliseconds(20));
+  testbed.sim().RunUntil(Milliseconds(20));
 
   EXPECT_EQ(ok, 200u);
   EXPECT_GT(client.cc_marks_seen(), 0u);

@@ -48,7 +48,7 @@ std::vector<WireValue> SeqArgs(uint64_t seq) {
 
 TEST(ServiceTimeDistTest, PureFunctionOfRequestContent) {
   // The same request must cost the same nanoseconds no matter which function
-  // instance (policy, shard, retransmit) evaluates it.
+  // instance (policy, core, retransmit) evaluates it.
   ServiceTimeSpec spec;
   spec.dist = ServiceTimeDist::kExponential;
   spec.mean = Microseconds(2);

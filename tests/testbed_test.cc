@@ -1,8 +1,14 @@
 // Multi-machine tests: two full Lauberhorn machines on one simulator,
-// cross-machine nested RPCs over the switch, and mixed-stack topologies.
+// cross-machine nested RPCs over the switch, mixed-stack topologies, and
+// run-to-run determinism of a multi-machine testbed.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "src/core/testbed.h"
+#include "src/proto/marshal.h"
 
 namespace lauberhorn {
 namespace {
@@ -213,6 +219,94 @@ TEST(TestbedTest, SwitchDropsUnroutableFrames) {
   // The frontend's nested call never completes; the client gets no response
   // (a retransmit/timeout layer above would handle this).
   EXPECT_EQ(machine.client().completed(), 0u);
+}
+
+struct CrossTrafficRun {
+  std::string metrics_json;
+  uint64_t completed = 0;
+};
+
+// Four Lauberhorn machines; each drives a short burst of echo calls to
+// pseudo-random peers, then every counter of the testbed is exported.
+CrossTrafficRun RunCrossTraffic(uint64_t seed) {
+  constexpr int kMachines = 4;
+  Testbed testbed;
+  std::vector<Machine*> machines;
+  for (int m = 0; m < kMachines; ++m) {
+    MachineConfig config;
+    config.stack = StackKind::kLauberhorn;
+    config.num_cores = 4;
+    config.seed = seed + static_cast<uint64_t>(m) * 977;
+    machines.push_back(&testbed.AddMachine(config));
+  }
+  for (Machine* machine : machines) {
+    const ServiceDef& echo = machine->AddService(
+        ServiceRegistry::MakeEchoService(1, 7000, Microseconds(1)));
+    machine->Start();
+    machine->StartHotLoop(echo);
+  }
+
+  struct Caller {
+    Rng rng{0};
+    Machine* self = nullptr;
+    std::vector<uint32_t> peer_ips;
+    int remaining = 60;
+    uint64_t* completed = nullptr;
+    Callback tick;
+  };
+  CrossTrafficRun run;
+  std::vector<std::unique_ptr<Caller>> callers;
+  for (size_t m = 0; m < machines.size(); ++m) {
+    auto caller = std::make_unique<Caller>();
+    Caller* d = caller.get();
+    d->rng = Rng(seed * 2654435761u + m);
+    d->self = machines[m];
+    d->completed = &run.completed;
+    for (size_t peer = 0; peer < machines.size(); ++peer) {
+      if (peer != m) {
+        d->peer_ips.push_back(machines[peer]->config().server_ip);
+      }
+    }
+    d->tick = [d] {
+      if (d->remaining-- <= 0) {
+        return;
+      }
+      const uint32_t dst =
+          d->peer_ips[d->rng.UniformInt(0, d->peer_ips.size() - 1)];
+      std::vector<uint8_t> payload;
+      MarshalArgs(MethodSignature{{WireType::kBytes}},
+                  std::vector<WireValue>{WireValue::Bytes({1, 2, 3})},
+                  payload);
+      d->self->client().CallRawTo(dst, 7000, 1, 0, std::move(payload),
+                                  [d](const RpcMessage& r, Duration) {
+                                    if (r.status == RpcStatus::kOk) {
+                                      ++*d->completed;
+                                    }
+                                  });
+      d->self->sim().Schedule(Nanoseconds(d->rng.UniformInt(500, 20000)),
+                              [d] { d->tick(); });
+    };
+    d->self->sim().ScheduleAt(Milliseconds(1) + static_cast<Duration>(m),
+                              [d] { d->tick(); });
+    callers.push_back(std::move(caller));
+  }
+  testbed.sim().RunUntil(Milliseconds(10));
+
+  MetricsRegistry metrics;
+  testbed.ExportMetrics(metrics);
+  run.metrics_json = metrics.ToJson();
+  return run;
+}
+
+TEST(TestbedTest, SameSeedSameMetrics) {
+  const CrossTrafficRun first = RunCrossTraffic(42);
+  ASSERT_GT(first.completed, 200u)
+      << "too little traffic for the comparison to mean anything";
+  const CrossTrafficRun again = RunCrossTraffic(42);
+  EXPECT_EQ(first.completed, again.completed);
+  EXPECT_EQ(first.metrics_json, again.metrics_json);
+  // Guards against a vacuous pass: the export must notice a different seed.
+  EXPECT_NE(first.metrics_json, RunCrossTraffic(43).metrics_json);
 }
 
 }  // namespace
