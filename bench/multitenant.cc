@@ -215,8 +215,6 @@ Packet RawRequest(uint16_t src_port, uint16_t dst_port, uint64_t request_id,
   msg.method_id = 0;
   msg.request_id = request_id;
   msg.payload = std::move(args);
-  std::vector<uint8_t> wire;
-  EncodeRpcMessage(msg, wire);
   EthernetHeader eth;
   eth.src = {2, 0, 0, 0, 0, 1};
   eth.dst = {2, 0, 0, 0, 0, 2};
@@ -226,7 +224,7 @@ Packet RawRequest(uint16_t src_port, uint16_t dst_port, uint64_t request_id,
   UdpHeader udp;
   udp.src_port = src_port;
   udp.dst_port = dst_port;
-  return BuildUdpFrame(eth, ip, udp, wire);
+  return BuildRpcFrame(eth, ip, udp, msg);
 }
 
 DedupCell RunDedupCell(uint64_t seed) {

@@ -68,8 +68,7 @@ int main() {
 
   const ServiceDef& backend_fast =
       lbh_backend.AddService(MakeBackendService(10, 7100, Microseconds(5)));
-  const ServiceDef& backend_slow =
-      linux_backend.AddService(MakeBackendService(11, 7100, Microseconds(5)));
+  linux_backend.AddService(MakeBackendService(11, 7100, Microseconds(5)));
   const ServiceDef& front_fast = frontend_machine.AddService(
       MakeFrontend(7000, lbh_backend.config().server_ip, 7100, 10));
   const ServiceDef& front_slow = frontend_machine.AddService(

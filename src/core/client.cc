@@ -49,9 +49,11 @@ uint64_t RpcClient::CallRawTo(uint32_t dst_ip, uint16_t dst_port,
   pending.on_done = std::move(on_done);
   pending.dst_ip = dst_ip;
   pending.dst_port = dst_port;
-  pending.service_id = service_id;
-  pending.method_id = method_id;
-  pending.payload = std::move(payload);
+  pending.request.kind = MessageKind::kRequest;
+  pending.request.service_id = service_id;
+  pending.request.method_id = method_id;
+  pending.request.request_id = request_id;
+  pending.request.payload = std::move(payload);
   pending.rto = config_.retransmit_timeout;
   auto [it, inserted] = pending_.emplace(request_id, std::move(pending));
   ++sent_;
@@ -68,7 +70,7 @@ uint64_t RpcClient::CallRawTo(uint32_t dst_ip, uint16_t dst_port,
     }
     CcNoteSend(cc, it->second);
   }
-  SendFrame(request_id, it->second);
+  SendFrame(it->second);
   ArmTimer(request_id);
   return request_id;
 }
@@ -126,7 +128,7 @@ void RpcClient::CcDrainDeferred(uint32_t dst_ip) {
     pending.cc_deferred = false;
     pending.sent_at = sim_.Now();  // rtt measured from actual injection
     CcNoteSend(cc, pending);
-    SendFrame(request_id, pending);
+    SendFrame(pending);
     ArmTimer(request_id);
   }
 }
@@ -230,20 +232,7 @@ size_t RpcClient::cc_deferred_count(uint32_t dst_ip) const {
   return it != cc_.end() ? it->second.deferred.size() : 0;
 }
 
-void RpcClient::SendFrame(uint64_t request_id, const Pending& pending) {
-  RpcMessage msg;
-  msg.kind = MessageKind::kRequest;
-  msg.service_id = pending.service_id;
-  msg.method_id = pending.method_id;
-  msg.request_id = request_id;
-  msg.payload = pending.payload;
-  if (config_.encrypt) {
-    msg.payload = SealPayload(DeriveKey(config_.root_key, pending.service_id),
-                              request_id, msg.payload);
-  }
-  std::vector<uint8_t> wire;
-  EncodeRpcMessage(msg, wire);
-
+void RpcClient::SendFrame(const Pending& pending) {
   EthernetHeader eth;
   eth.src = config_.client_mac;
   eth.dst = config_.server_mac;
@@ -253,11 +242,23 @@ void RpcClient::SendFrame(uint64_t request_id, const Pending& pending) {
   if (config_.cc_enabled) {
     ip.ecn = kEcnEct0;  // ECN-capable: fabric queues may CE-mark us
   }
+  const RpcMessage& request = pending.request;
   UdpHeader udp;
   // Spread flows over source ports so RSS distributes queues.
-  udp.src_port = static_cast<uint16_t>(config_.base_src_port + (request_id % 1024));
+  udp.src_port = static_cast<uint16_t>(config_.base_src_port + (request.request_id % 1024));
   udp.dst_port = pending.dst_port;
-  to_server_.Send(BuildUdpFrame(eth, ip, udp, wire));
+  if (!config_.encrypt) {
+    to_server_.Send(BuildRpcFrame(eth, ip, udp, request));
+    return;
+  }
+  RpcMessage sealed;
+  sealed.kind = request.kind;
+  sealed.service_id = request.service_id;
+  sealed.method_id = request.method_id;
+  sealed.request_id = request.request_id;
+  sealed.payload = SealPayload(DeriveKey(config_.root_key, request.service_id),
+                               request.request_id, request.payload);
+  to_server_.Send(BuildRpcFrame(eth, ip, udp, sealed));
 }
 
 void RpcClient::ArmTimer(uint64_t request_id) {
@@ -337,7 +338,7 @@ void RpcClient::OnTimeout(uint64_t request_id) {
   } else if (SpendRetryToken()) {
     ++retransmits_;
     ++pending.tokens_spent;
-    SendFrame(request_id, pending);
+    SendFrame(pending);
   } else {
     ++retransmits_suppressed_;
   }
@@ -364,7 +365,7 @@ void RpcClient::ReceivePacket(Packet packet) {
     ++errors_;
     return;
   }
-  const auto msg = DecodeRpcMessage(frame->payload);
+  auto msg = DecodeRpcMessage(frame->payload);
   if (!msg.has_value() || msg->kind != MessageKind::kResponse) {
     ++errors_;
     return;
@@ -432,9 +433,9 @@ void RpcClient::ReceivePacket(Packet packet) {
   if (config_.cc_enabled) {
     CcOnResponse(pending, *msg, frame->ip.ecn);
   }
-  RpcMessage opened = *msg;
+  RpcMessage opened = std::move(*msg);
   if (config_.encrypt && !opened.payload.empty()) {
-    auto plain = OpenPayload(DeriveKey(config_.root_key, pending.service_id),
+    auto plain = OpenPayload(DeriveKey(config_.root_key, pending.request.service_id),
                              opened.payload);
     if (!plain.has_value()) {
       ++errors_;

@@ -158,9 +158,7 @@ class RpcClient : public PacketSink {
     // For retransmission.
     uint32_t dst_ip = 0;
     uint16_t dst_port = 0;
-    uint32_t service_id = 0;
-    uint16_t method_id = 0;
-    std::vector<uint8_t> payload;
+    RpcMessage request;  // kind, ids and plaintext payload, sent as framed
     int attempts = 1;
     int tokens_spent = 0;  // retry tokens this request's retransmits consumed
     Duration rto = 0;  // current (backed-off) retransmit interval
@@ -184,7 +182,7 @@ class RpcClient : public PacketSink {
     std::deque<uint64_t> deferred;  // request ids awaiting a slot
   };
 
-  void SendFrame(uint64_t request_id, const Pending& pending);
+  void SendFrame(const Pending& pending);
   void ArmTimer(uint64_t request_id);
   void OnTimeout(uint64_t request_id);
   // Token-bucket draw; true when this retransmit may hit the wire.

@@ -1,20 +1,13 @@
 #include "src/net/headers.h"
 
+#include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cstdio>
 #include <cstring>
 
 namespace lauberhorn {
 namespace {
-
-void Put16(std::vector<uint8_t>& out, uint16_t v) {
-  out.push_back(static_cast<uint8_t>(v >> 8));
-  out.push_back(static_cast<uint8_t>(v & 0xff));
-}
-
-void Put32(std::vector<uint8_t>& out, uint32_t v) {
-  Put16(out, static_cast<uint16_t>(v >> 16));
-  Put16(out, static_cast<uint16_t>(v & 0xffff));
-}
 
 uint16_t Get16(std::span<const uint8_t> d, size_t off) {
   return static_cast<uint16_t>((d[off] << 8) | d[off + 1]);
@@ -24,21 +17,41 @@ uint32_t Get32(std::span<const uint8_t> d, size_t off) {
   return (static_cast<uint32_t>(Get16(d, off)) << 16) | Get16(d, off + 2);
 }
 
-void Store16(std::vector<uint8_t>& buf, size_t off, uint16_t v) {
+void Store16(std::span<uint8_t> buf, size_t off, uint16_t v) {
   buf[off] = static_cast<uint8_t>(v >> 8);
   buf[off + 1] = static_cast<uint8_t>(v & 0xff);
+}
+
+void Store32(std::span<uint8_t> buf, size_t off, uint32_t v) {
+  Store16(buf, off, static_cast<uint16_t>(v >> 16));
+  Store16(buf, off + 2, static_cast<uint16_t>(v & 0xffff));
 }
 
 }  // namespace
 
 uint16_t InternetChecksum(std::span<const uint8_t> data, uint32_t initial) {
+  // Eight bytes per step: read them as one big-endian u64 and add its two
+  // 32-bit halves. Since 2^16 == 1 (mod 65535), a half (a << 16) | b adds the
+  // same as the two 16-bit words a + b do, so after the fold the result is
+  // the RFC 1071 word-at-a-time sum bit for bit (RFC 1071 §2). The 64-bit
+  // accumulator cannot overflow: each step adds less than 2^33.
   uint64_t sum = initial;
+  const uint8_t* p = data.data();
+  const size_t n = data.size();
   size_t i = 0;
-  for (; i + 1 < data.size(); i += 2) {
-    sum += static_cast<uint32_t>((data[i] << 8) | data[i + 1]);
+  for (; i + 8 <= n; i += 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, p + i, sizeof(word));
+    if constexpr (std::endian::native == std::endian::little) {
+      word = __builtin_bswap64(word);
+    }
+    sum += (word >> 32) + (word & 0xffffffffu);
   }
-  if (i < data.size()) {
-    sum += static_cast<uint32_t>(data[i] << 8);
+  for (; i + 1 < n; i += 2) {
+    sum += static_cast<uint32_t>((p[i] << 8) | p[i + 1]);
+  }
+  if (i < n) {
+    sum += static_cast<uint32_t>(p[i] << 8);
   }
   while (sum >> 16) {
     sum = (sum & 0xffff) + (sum >> 16);
@@ -61,46 +74,49 @@ uint16_t UdpChecksum(uint32_t src_ip, uint32_t dst_ip,
   return sum == 0 ? 0xffff : sum;
 }
 
-Packet BuildUdpFrame(const EthernetHeader& eth, Ipv4Header ip, UdpHeader udp,
-                     std::span<const uint8_t> payload) {
-  Packet packet;
-  auto& out = packet.bytes;
-  out.reserve(kAllHeadersSize + payload.size());
+void WriteUdpHeaders(const EthernetHeader& eth, Ipv4Header ip, UdpHeader udp,
+                     std::span<uint8_t> frame) {
+  assert(frame.size() >= kAllHeadersSize);
+  const size_t payload_size = frame.size() - kAllHeadersSize;
 
   // Ethernet.
-  out.insert(out.end(), eth.dst.begin(), eth.dst.end());
-  out.insert(out.end(), eth.src.begin(), eth.src.end());
-  Put16(out, eth.ether_type);
+  std::memcpy(frame.data(), eth.dst.data(), eth.dst.size());
+  std::memcpy(frame.data() + 6, eth.src.data(), eth.src.size());
+  Store16(frame, 12, eth.ether_type);
 
   // IPv4 (20-byte header, no options).
+  const size_t ip_off = kEthernetHeaderSize;
   ip.total_length =
-      static_cast<uint16_t>(kIpv4HeaderSize + kUdpHeaderSize + payload.size());
-  out.push_back(0x45);  // version 4, IHL 5
-  out.push_back(static_cast<uint8_t>(ip.ecn & 0x3));  // DSCP 0, ECN bits
-  Put16(out, ip.total_length);
-  Put16(out, 0);  // identification
-  Put16(out, 0);  // flags/fragment offset
-  out.push_back(ip.ttl);
-  out.push_back(ip.protocol);
-  Put16(out, 0);  // checksum placeholder
-  Put32(out, ip.src);
-  Put32(out, ip.dst);
-  const uint16_t ip_csum = InternetChecksum(
-      std::span<const uint8_t>(out.data() + kEthernetHeaderSize, kIpv4HeaderSize));
-  Store16(out, kEthernetHeaderSize + 10, ip_csum);
+      static_cast<uint16_t>(kIpv4HeaderSize + kUdpHeaderSize + payload_size);
+  frame[ip_off] = 0x45;  // version 4, IHL 5
+  frame[ip_off + 1] = static_cast<uint8_t>(ip.ecn & 0x3);  // DSCP 0, ECN bits
+  Store16(frame, ip_off + 2, ip.total_length);
+  Store16(frame, ip_off + 4, 0);  // identification
+  Store16(frame, ip_off + 6, 0);  // flags/fragment offset
+  frame[ip_off + 8] = ip.ttl;
+  frame[ip_off + 9] = ip.protocol;
+  Store16(frame, ip_off + 10, 0);  // checksum placeholder
+  Store32(frame, ip_off + 12, ip.src);
+  Store32(frame, ip_off + 16, ip.dst);
+  Store16(frame, ip_off + 10, InternetChecksum(frame.subspan(ip_off, kIpv4HeaderSize)));
 
   // UDP.
-  udp.length = static_cast<uint16_t>(kUdpHeaderSize + payload.size());
-  const size_t udp_off = out.size();
-  Put16(out, udp.src_port);
-  Put16(out, udp.dst_port);
-  Put16(out, udp.length);
-  Put16(out, 0);  // checksum placeholder
-  out.insert(out.end(), payload.begin(), payload.end());
-  const uint16_t udp_csum = UdpChecksum(
-      ip.src, ip.dst, std::span<const uint8_t>(out.data() + udp_off, udp.length));
-  Store16(out, udp_off + 6, udp_csum);
+  const size_t udp_off = ip_off + kIpv4HeaderSize;
+  udp.length = static_cast<uint16_t>(kUdpHeaderSize + payload_size);
+  Store16(frame, udp_off, udp.src_port);
+  Store16(frame, udp_off + 2, udp.dst_port);
+  Store16(frame, udp_off + 4, udp.length);
+  Store16(frame, udp_off + 6, 0);  // checksum placeholder
+  Store16(frame, udp_off + 6,
+          UdpChecksum(ip.src, ip.dst, frame.subspan(udp_off, udp.length)));
+}
 
+Packet BuildUdpFrame(const EthernetHeader& eth, const Ipv4Header& ip,
+                     const UdpHeader& udp, std::span<const uint8_t> payload) {
+  Packet packet;
+  packet.bytes.resize(kAllHeadersSize + payload.size());
+  std::copy(payload.begin(), payload.end(), packet.bytes.begin() + kAllHeadersSize);
+  WriteUdpHeaders(eth, ip, udp, packet.bytes);
   return packet;
 }
 

@@ -45,15 +45,15 @@ struct Ipv4Header {
   uint8_t ecn = kEcnNotEct;  // RFC 3168 codepoint, low 2 bits of the ToS byte
   uint32_t src = 0;
   uint32_t dst = 0;
-  uint16_t total_length = 0;  // filled in by BuildFrame
-  uint16_t checksum = 0;      // filled in by BuildFrame / verified by Parse
+  uint16_t total_length = 0;  // filled in by WriteUdpHeaders
+  uint16_t checksum = 0;      // filled in by WriteUdpHeaders / verified by Parse
 };
 
 struct UdpHeader {
   uint16_t src_port = 0;
   uint16_t dst_port = 0;
-  uint16_t length = 0;    // filled in by BuildFrame
-  uint16_t checksum = 0;  // filled in by BuildFrame
+  uint16_t length = 0;    // filled in by WriteUdpHeaders
+  uint16_t checksum = 0;  // filled in by WriteUdpHeaders
 };
 
 // Fully parsed frame; spans reference the packet's bytes.
@@ -71,10 +71,18 @@ uint16_t InternetChecksum(std::span<const uint8_t> data, uint32_t initial = 0);
 // UDP checksum including the IPv4 pseudo-header.
 uint16_t UdpChecksum(uint32_t src_ip, uint32_t dst_ip, std::span<const uint8_t> udp_segment);
 
-// Builds a complete Ethernet+IPv4+UDP frame around `payload`, computing
-// lengths and checksums.
-Packet BuildUdpFrame(const EthernetHeader& eth, Ipv4Header ip, UdpHeader udp,
-                     std::span<const uint8_t> payload);
+// Fills in the Ethernet, IPv4 and UDP headers of `frame` in place: its first
+// kAllHeadersSize bytes are the headers, the rest is the UDP payload, already
+// written. Computes both lengths and both checksums from the payload. The
+// header fields these compute are ignored on input.
+void WriteUdpHeaders(const EthernetHeader& eth, Ipv4Header ip, UdpHeader udp,
+                     std::span<uint8_t> frame);
+
+// Builds a complete Ethernet+IPv4+UDP frame around a copy of `payload`. A
+// sender that can write its payload into the frame directly (BuildRpcFrame)
+// skips the copy by calling WriteUdpHeaders itself.
+Packet BuildUdpFrame(const EthernetHeader& eth, const Ipv4Header& ip,
+                     const UdpHeader& udp, std::span<const uint8_t> payload);
 
 enum class ParseError {
   kTruncated,

@@ -94,6 +94,7 @@ void BypassRuntime::ProcessBatch(uint32_t q, Core& core, std::vector<Packet> pac
         case ShedReason::kSojourn:
           ++sheds_sojourn_;
           break;
+        case ShedReason::kVfQuota:  // per-VF quotas exist only on the Lauberhorn NIC
         case ShedReason::kNone:
           break;
       }
@@ -115,15 +116,14 @@ void BypassRuntime::ProcessBatch(uint32_t q, Core& core, std::vector<Packet> pac
       UdpHeader udp;
       udp.src_port = frame->udp.dst_port;
       udp.dst_port = frame->udp.src_port;
-      std::vector<uint8_t> payload;
-      EncodeRpcMessage(response, payload);
-      const Packet out = BuildUdpFrame(eth, ip, udp, payload);
+      Packet out = BuildRpcFrame(eth, ip, udp, response);
       // Saying "no" skips crypto, dedup, and the handler, but still burns
       // user CPU on the polling core for the decode + reply TX.
       work += config_.tx_per_packet;
       shed_cpu_time_ += work;
       core.Run(work, CoreMode::kUser,
-               [this, q, &core, out, packets = std::move(packets), index]() mutable {
+               [this, q, &core, out = std::move(out), packets = std::move(packets),
+                index]() mutable {
                  driver_.Transmit(q, out.bytes);
                  ProcessBatch(q, core, std::move(packets), index + 1);
                });
@@ -239,14 +239,12 @@ void BypassRuntime::ProcessBatch(uint32_t q, Core& core, std::vector<Packet> pac
     // response does not fossilize one request's congestion observation).
     response.flags |= kLrpcFlagEcnEcho;
   }
-  std::vector<uint8_t> payload;
-  EncodeRpcMessage(response, payload);
-  const Packet out = BuildUdpFrame(eth, ip, udp, payload);
+  Packet out = BuildRpcFrame(eth, ip, udp, response);
 
   const uint64_t request_id = request->request_id;
   core.Run(work, CoreMode::kUser,
-           [this, q, &core, out, replay, request_id, packets = std::move(packets),
-            index]() mutable {
+           [this, q, &core, out = std::move(out), replay, request_id,
+            packets = std::move(packets), index]() mutable {
              if (spans_ != nullptr && !replay) {
                spans_->Record(request_id, SpanStage::kHandlerEnd, sim_.Now());
              }

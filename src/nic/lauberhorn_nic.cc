@@ -112,8 +112,6 @@ void LauberhornNic::ClientTransmit(uint32_t continuation, uint32_t dst_ip,
       config_.num_kernel_channels + config_.num_endpoints;
   const auto src_port = static_cast<uint16_t>(config_.continuation_port_base +
                                               (continuation - first_continuation));
-  std::vector<uint8_t> payload;
-  EncodeRpcMessage(request, payload);
   EthernetHeader eth;
   eth.src = {0x02, 0, 0, 0, 0, 0x02};
   eth.dst = {0x02, 0, 0, 0, 0, 0x02};
@@ -123,7 +121,7 @@ void LauberhornNic::ClientTransmit(uint32_t continuation, uint32_t dst_ip,
   UdpHeader udp;
   udp.src_port = src_port;
   udp.dst_port = dst_port;
-  Packet out = BuildUdpFrame(eth, ip, udp, payload);
+  Packet out = BuildRpcFrame(eth, ip, udp, request);
   if (local) {
     sim_.Schedule(config_.pipeline.tx_fixed + config_.hairpin_latency,
                   [this, out = std::move(out)]() mutable {
@@ -451,7 +449,7 @@ void LauberhornNic::ReceivePacket(Packet packet) {
     const uint32_t ep_id = PickEndpoint(it->second, frame->ip, frame->udp);
     Endpoint& ep = endpoints_[ep_id];
     trace_.Emit(sim_.Now(), TraceEvent::kWireRx, ep_id, 0);
-    const auto request = DecodeRpcMessage(frame->payload);
+    auto request = DecodeRpcMessage(frame->payload);
     if (!request.has_value()) {
       ++stats_.drops_bad_frame;
       return;
@@ -468,7 +466,7 @@ void LauberhornNic::ReceivePacket(Packet packet) {
       reply.service_id = request->service_id;
       reply.method_id = request->method_id;
       reply.request_id = request->request_id;
-      reply.args = request->payload;
+      reply.args = std::move(request->payload);
       if (config_.crypto && !reply.args.empty()) {
         auto opened = OpenPayload(
             DeriveKey(config_.crypto_root_key, request->service_id), reply.args);
@@ -501,8 +499,9 @@ void LauberhornNic::ReceivePacket(Packet packet) {
       ++stats_.drops_no_endpoint;
       return;
     }
-    // Inline crypto engine: open the sealed payload (§6).
-    std::vector<uint8_t> plaintext = request->payload;
+    // Inline crypto engine: open the sealed payload (§6). Without it the
+    // decoded payload is the plaintext and moves on as it is.
+    std::vector<uint8_t> plaintext;
     Duration crypto_cost = 0;
     if (config_.crypto) {
       auto opened = OpenPayload(DeriveKey(config_.crypto_root_key, ep.service_id),
@@ -513,11 +512,12 @@ void LauberhornNic::ReceivePacket(Packet packet) {
       }
       plaintext = std::move(*opened);
       crypto_cost = config_.pipeline.CryptoCost(request->payload.size());
+    } else {
+      plaintext = std::move(request->payload);
     }
 
     // NIC-side unmarshal/validation (the deserialization accelerator).
-    std::vector<WireValue> args_check;
-    if (!UnmarshalArgs(method->request_sig, plaintext, args_check)) {
+    if (!ValidateArgs(method->request_sig, plaintext)) {
       ++stats_.drops_bad_args;
       return;
     }
@@ -1762,8 +1762,6 @@ void LauberhornNic::TransmitResponse(const PreparedRequest& meta, RpcMessage res
                                    response.request_id ^ 0x5a5a, response.payload);
     crypto_cost = config_.pipeline.CryptoCost(response.payload.size());
   }
-  std::vector<uint8_t> payload;
-  EncodeRpcMessage(response, payload);
   EthernetHeader eth;
   eth.dst = meta.eth.src;
   eth.src = meta.eth.dst;
@@ -1776,7 +1774,7 @@ void LauberhornNic::TransmitResponse(const PreparedRequest& meta, RpcMessage res
   UdpHeader udp;
   udp.src_port = meta.udp.dst_port;
   udp.dst_port = meta.udp.src_port;
-  Packet out = BuildUdpFrame(eth, ip, udp, payload);
+  Packet out = BuildRpcFrame(eth, ip, udp, response);
   trace_.Emit(sim_.Now(), TraceEvent::kWireTx, meta.endpoint,
               static_cast<uint32_t>(response.request_id));
   if (meta.wire_arrival > 0) {

@@ -169,6 +169,7 @@ Duration LinuxRpcStack::ShedFrame(uint32_t q, const ParsedFrame& frame,
     case ShedReason::kSojourn:
       ++sheds_sojourn_;
       break;
+    case ShedReason::kVfQuota:  // per-VF quotas exist only on the Lauberhorn NIC
     case ShedReason::kNone:
       break;
   }
@@ -183,8 +184,6 @@ Duration LinuxRpcStack::ShedFrame(uint32_t q, const ParsedFrame& frame,
     // request picked up in the fabric is still echoed to the sender.
     overload.flags |= kLrpcFlagEcnEcho;
   }
-  std::vector<uint8_t> payload;
-  EncodeRpcMessage(overload, payload);
   EthernetHeader eth;
   eth.dst = frame.eth.src;
   eth.src = frame.eth.dst;
@@ -195,7 +194,7 @@ Duration LinuxRpcStack::ShedFrame(uint32_t q, const ParsedFrame& frame,
   UdpHeader udp;
   udp.src_port = frame.udp.dst_port;
   udp.dst_port = frame.udp.src_port;
-  const Packet out = BuildUdpFrame(eth, ip, udp, payload);
+  const Packet out = BuildRpcFrame(eth, ip, udp, overload);
   driver_.Transmit(q, out.bytes);
   const Duration cost = costs.protocol_processing + costs.driver_tx_per_packet;
   shed_cpu_time_ += cost;
@@ -336,19 +335,16 @@ void LinuxRpcStack::WorkerStep(ServiceState& state, Core& core) {
     }
 
     core.Run(user_cost, CoreMode::kUser, [this, &state, &core, response, replay, req_eth,
-                                          req_ip, req_udp]() {
+                                          req_ip, req_udp]() mutable {
       if (spans_ != nullptr && !replay) {
         spans_->Record(response.request_id, SpanStage::kHandlerEnd, sim_.Now());
       }
       // Step 3: sendmsg syscall + copyin + driver TX.
-      std::vector<uint8_t> payload;
-      RpcMessage out_msg = response;
       if (req_ip.ecn == kEcnCe) {
         // Host-side DCTCP fallback (§15): echo the fabric's CE mark. No
         // grants — the kernel has no NIC-resident queue-headroom view.
-        out_msg.flags |= kLrpcFlagEcnEcho;
+        response.flags |= kLrpcFlagEcnEcho;
       }
-      EncodeRpcMessage(out_msg, payload);
       EthernetHeader eth;
       eth.dst = req_eth.src;
       eth.src = req_eth.dst;
@@ -359,12 +355,13 @@ void LinuxRpcStack::WorkerStep(ServiceState& state, Core& core) {
       UdpHeader udp;
       udp.src_port = req_udp.dst_port;
       udp.dst_port = req_udp.src_port;
-      const Packet out = BuildUdpFrame(eth, ip, udp, payload);
+      Packet out = BuildRpcFrame(eth, ip, udp, response);
       const OsCostModel& costs2 = kernel_.costs();
       const Duration send_cost = costs2.syscall + costs2.socket_syscall_path +
-                                 costs2.CopyCost(payload.size()) +
+                                 costs2.CopyCost(response.WireSize()) +
                                  costs2.driver_tx_per_packet;
-      core.Run(send_cost, CoreMode::kKernel, [this, &state, &core, out, replay]() {
+      core.Run(send_cost, CoreMode::kKernel,
+               [this, &state, &core, out = std::move(out), replay]() {
         const uint32_t txq =
             static_cast<uint32_t>(core.index()) % driver_.num_queues();
         driver_.Transmit(txq, out.bytes);

@@ -20,20 +20,74 @@ bool WireValue::operator==(const WireValue& other) const {
   }
 }
 
-void PutU16Le(std::vector<uint8_t>& out, uint16_t v) {
-  out.push_back(static_cast<uint8_t>(v));
-  out.push_back(static_cast<uint8_t>(v >> 8));
+namespace {
+
+// Appends the low `N` bytes of `v`, least significant first, in one insert.
+template <size_t N>
+void PutLe(std::vector<uint8_t>& out, uint64_t v) {
+  uint8_t bytes[N];
+  for (size_t i = 0; i < N; ++i) {
+    bytes[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+  out.insert(out.end(), bytes, bytes + N);
 }
 
-void PutU32Le(std::vector<uint8_t>& out, uint32_t v) {
-  PutU16Le(out, static_cast<uint16_t>(v));
-  PutU16Le(out, static_cast<uint16_t>(v >> 16));
+// Encoded width of a fixed-size type; 0 for the length-prefixed ones.
+size_t ScalarSize(WireType t) {
+  switch (t) {
+    case WireType::kU8:
+      return 1;
+    case WireType::kU16:
+      return 2;
+    case WireType::kU32:
+      return 4;
+    case WireType::kU64:
+    case WireType::kI64:
+    case WireType::kF64:
+      return 8;
+    default:
+      return 0;
+  }
 }
 
-void PutU64Le(std::vector<uint8_t>& out, uint64_t v) {
-  PutU32Le(out, static_cast<uint32_t>(v));
-  PutU32Le(out, static_cast<uint32_t>(v >> 32));
+// The one decoder walk behind UnmarshalArgs and ValidateArgs, so the two
+// accept exactly the same bytes. Calls `emit(type, bits, bytes)` once per
+// argument: `bits` holds a scalar (an f64's IEEE bits), `bytes` the body of a
+// kBytes/kString value. Leaves `off` just past the last argument.
+template <typename Emit>
+bool WalkArgs(const MethodSignature& sig, std::span<const uint8_t> in, size_t& off,
+              Emit&& emit) {
+  for (WireType t : sig.args) {
+    uint64_t bits = 0;
+    std::span<const uint8_t> bytes;
+    if (const size_t width = ScalarSize(t); width > 0) {
+      if (off + width > in.size()) {
+        return false;
+      }
+      for (size_t i = 0; i < width; ++i) {
+        bits |= static_cast<uint64_t>(in[off + i]) << (8 * i);
+      }
+      off += width;
+    } else {
+      uint32_t len = 0;
+      if (!GetU32Le(in, off, len) || off + len > in.size()) {
+        return false;
+      }
+      bytes = in.subspan(off, len);
+      off += len;
+    }
+    emit(t, bits, bytes);
+  }
+  return true;
 }
+
+}  // namespace
+
+void PutU16Le(std::vector<uint8_t>& out, uint16_t v) { PutLe<2>(out, v); }
+
+void PutU32Le(std::vector<uint8_t>& out, uint32_t v) { PutLe<4>(out, v); }
+
+void PutU64Le(std::vector<uint8_t>& out, uint64_t v) { PutLe<8>(out, v); }
 
 bool GetU16Le(std::span<const uint8_t> in, size_t& off, uint16_t& v) {
   if (off + 2 > in.size()) {
@@ -63,27 +117,6 @@ bool GetU64Le(std::span<const uint8_t> in, size_t& off, uint64_t& v) {
   v = static_cast<uint64_t>(lo) | (static_cast<uint64_t>(hi) << 32);
   return true;
 }
-
-namespace {
-
-size_t ScalarSize(WireType t) {
-  switch (t) {
-    case WireType::kU8:
-      return 1;
-    case WireType::kU16:
-      return 2;
-    case WireType::kU32:
-      return 4;
-    case WireType::kU64:
-    case WireType::kI64:
-    case WireType::kF64:
-      return 8;
-    default:
-      return 0;
-  }
-}
-
-}  // namespace
 
 size_t MethodSignature::EncodedSize(std::span<const WireValue> values) const {
   size_t total = 0;
@@ -117,6 +150,8 @@ bool MarshalArgs(const MethodSignature& sig, std::span<const WireValue> values,
   if (!sig.Matches(values)) {
     return false;
   }
+  // One allocation at most: the per-field appends below never regrow `out`.
+  out.reserve(out.size() + sig.EncodedSize(values));
   for (const WireValue& v : values) {
     switch (v.type) {
       case WireType::kU8:
@@ -156,70 +191,34 @@ bool UnmarshalArgs(const MethodSignature& sig, std::span<const uint8_t> in,
   out.clear();
   out.reserve(sig.args.size());
   size_t off = 0;
-  for (WireType t : sig.args) {
-    WireValue v;
-    v.type = t;
-    switch (t) {
-      case WireType::kU8:
-        if (off + 1 > in.size()) {
-          return false;
-        }
-        v.scalar = in[off++];
-        break;
-      case WireType::kU16: {
-        uint16_t x = 0;
-        if (!GetU16Le(in, off, x)) {
-          return false;
-        }
-        v.scalar = x;
-        break;
-      }
-      case WireType::kU32: {
-        uint32_t x = 0;
-        if (!GetU32Le(in, off, x)) {
-          return false;
-        }
-        v.scalar = x;
-        break;
-      }
-      case WireType::kU64:
-      case WireType::kI64: {
-        uint64_t x = 0;
-        if (!GetU64Le(in, off, x)) {
-          return false;
-        }
-        v.scalar = x;
-        break;
-      }
-      case WireType::kF64: {
-        uint64_t bits = 0;
-        if (!GetU64Le(in, off, bits)) {
-          return false;
-        }
-        std::memcpy(&v.f64, &bits, sizeof(v.f64));
-        break;
-      }
-      case WireType::kBytes:
-      case WireType::kString: {
-        uint32_t len = 0;
-        if (!GetU32Le(in, off, len) || off + len > in.size()) {
-          return false;
-        }
-        if (t == WireType::kBytes) {
-          v.bytes.assign(in.begin() + off, in.begin() + off + len);
-        } else {
-          v.str.assign(in.begin() + off, in.begin() + off + len);
-        }
-        off += len;
-        break;
-      }
-    }
-    out.push_back(std::move(v));
+  const bool ok = WalkArgs(sig, in, off,
+                           [&out](WireType t, uint64_t bits,
+                                  std::span<const uint8_t> bytes) {
+                             WireValue& v = out.emplace_back();
+                             v.type = t;
+                             if (t == WireType::kF64) {
+                               std::memcpy(&v.f64, &bits, sizeof(v.f64));
+                             } else if (t == WireType::kBytes) {
+                               v.bytes.assign(bytes.begin(), bytes.end());
+                             } else if (t == WireType::kString) {
+                               v.str.assign(bytes.begin(), bytes.end());
+                             } else {
+                               v.scalar = bits;
+                             }
+                           });
+  if (!ok) {
+    out.clear();
+    return false;
   }
   if (consumed != nullptr) {
     *consumed = off;
   }
   return true;
+}
+
+bool ValidateArgs(const MethodSignature& sig, std::span<const uint8_t> in) {
+  size_t off = 0;
+  return WalkArgs(sig, in, off, [](WireType, uint64_t, std::span<const uint8_t>) {});
 }
 
 }  // namespace lauberhorn

@@ -65,15 +65,20 @@ struct MethodSignature {
   bool Matches(std::span<const WireValue> values) const;
 };
 
-// Serializes values (which must match `sig`) onto the end of `out`.
-// Returns false on signature mismatch.
+// Serializes values (which must match `sig`) onto the end of `out`, growing
+// it once to the exact encoded size. Returns false on signature mismatch.
 bool MarshalArgs(const MethodSignature& sig, std::span<const WireValue> values,
                  std::vector<uint8_t>& out);
 
-// Deserializes exactly the values described by `sig` from `in`. Returns
-// nullopt-like empty vector + false on malformed input.
+// Deserializes exactly the values described by `sig` from `in` (trailing
+// bytes are ignored; `consumed` reports how many were read). On malformed
+// input returns false and leaves `out` empty.
 bool UnmarshalArgs(const MethodSignature& sig, std::span<const uint8_t> in,
                    std::vector<WireValue>& out, size_t* consumed = nullptr);
+
+// True exactly when UnmarshalArgs(sig, in, ...) would succeed, without
+// building the values: the NIC's validate-only unmarshal stage.
+bool ValidateArgs(const MethodSignature& sig, std::span<const uint8_t> in);
 
 // Low-level primitives shared with the header codec.
 void PutU16Le(std::vector<uint8_t>& out, uint16_t v);

@@ -1,22 +1,41 @@
 #include "src/proto/rpc_message.h"
 
+#include <array>
+
 namespace lauberhorn {
 
 void EncodeRpcMessage(const RpcMessage& msg, std::vector<uint8_t>& out) {
+  // The header is assembled on the stack and appended with the payload in
+  // two bulk copies; `out` grows at most once.
+  std::array<uint8_t, kLrpcHeaderSize> header{};  // reserved fields stay 0
+  const auto put = [&header](size_t off, uint64_t v, size_t width) {
+    for (size_t i = 0; i < width; ++i) {
+      header[off + i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+  };
+  put(0, kLrpcMagic, 2);
+  header[2] = kLrpcVersion;
+  header[3] = static_cast<uint8_t>(msg.kind);
+  put(4, msg.service_id, 4);
+  put(8, msg.method_id, 2);
+  put(10, static_cast<uint16_t>(msg.status), 2);
+  put(12, msg.request_id, 8);
+  put(20, msg.payload.size(), 4);
+  header[24] = msg.flags;
+  put(26, msg.grant, 2);
   out.reserve(out.size() + msg.WireSize());
-  PutU16Le(out, kLrpcMagic);
-  out.push_back(kLrpcVersion);
-  out.push_back(static_cast<uint8_t>(msg.kind));
-  PutU32Le(out, msg.service_id);
-  PutU16Le(out, msg.method_id);
-  PutU16Le(out, static_cast<uint16_t>(msg.status));
-  PutU64Le(out, msg.request_id);
-  PutU32Le(out, static_cast<uint32_t>(msg.payload.size()));
-  out.push_back(msg.flags);
-  out.push_back(0);  // reserved
-  PutU16Le(out, msg.grant);
-  PutU32Le(out, 0);  // reserved2
+  out.insert(out.end(), header.begin(), header.end());
   out.insert(out.end(), msg.payload.begin(), msg.payload.end());
+}
+
+Packet BuildRpcFrame(const EthernetHeader& eth, const Ipv4Header& ip,
+                     const UdpHeader& udp, const RpcMessage& msg) {
+  Packet packet;
+  packet.bytes.reserve(kAllHeadersSize + msg.WireSize());
+  packet.bytes.resize(kAllHeadersSize);
+  EncodeRpcMessage(msg, packet.bytes);
+  WriteUdpHeaders(eth, ip, udp, packet.bytes);
+  return packet;
 }
 
 namespace {

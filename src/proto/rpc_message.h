@@ -26,6 +26,8 @@
 #include <span>
 #include <vector>
 
+#include "src/net/headers.h"
+#include "src/net/packet.h"
 #include "src/proto/marshal.h"
 
 namespace lauberhorn {
@@ -71,6 +73,13 @@ struct RpcMessage {
 
 // Appends the encoded message to `out`.
 void EncodeRpcMessage(const RpcMessage& msg, std::vector<uint8_t>& out);
+
+// Builds the complete Ethernet+IPv4+UDP frame carrying `msg`: one buffer,
+// sized once, with the LRPC header and payload encoded straight after the
+// UDP header and the IPv4/UDP headers and checksums written in place. The
+// bytes equal BuildUdpFrame(eth, ip, udp, <EncodeRpcMessage(msg)>).
+Packet BuildRpcFrame(const EthernetHeader& eth, const Ipv4Header& ip,
+                     const UdpHeader& udp, const RpcMessage& msg);
 
 // Decodes one message from `in`; returns nullopt on malformed framing.
 std::optional<RpcMessage> DecodeRpcMessage(std::span<const uint8_t> in);

@@ -166,8 +166,6 @@ TEST(CryptoIntegrationTest, WrongKeyClientRejectedByNic) {
   msg.method_id = 0;
   msg.request_id = 99;
   msg.payload = SealPayload(DeriveKey(0xbad, 1), 1, args);
-  std::vector<uint8_t> wire;
-  EncodeRpcMessage(msg, wire);
   EthernetHeader eth;
   eth.src = {2, 0, 0, 0, 0, 1};
   eth.dst = {2, 0, 0, 0, 0, 2};
@@ -177,7 +175,7 @@ TEST(CryptoIntegrationTest, WrongKeyClientRejectedByNic) {
   UdpHeader udp;
   udp.src_port = 40001;
   udp.dst_port = 7000;
-  machine.lauberhorn_nic()->ReceivePacket(BuildUdpFrame(eth, ip, udp, wire));
+  machine.lauberhorn_nic()->ReceivePacket(BuildRpcFrame(eth, ip, udp, msg));
   machine.sim().RunUntil(Milliseconds(50));
   EXPECT_EQ(machine.lauberhorn_nic()->stats().crypto_failures, 1u);
   EXPECT_EQ(machine.lauberhorn_nic()->stats().hot_dispatches, 0u);

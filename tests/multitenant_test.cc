@@ -57,8 +57,6 @@ Packet RawRequest(uint32_t src_ip, uint16_t src_port, uint16_t dst_port,
   msg.method_id = 0;
   msg.request_id = request_id;
   msg.payload = std::move(args);
-  std::vector<uint8_t> wire;
-  EncodeRpcMessage(msg, wire);
   EthernetHeader eth;
   eth.src = {2, 0, 0, 0, 0, 1};
   eth.dst = {2, 0, 0, 0, 0, 2};
@@ -68,7 +66,7 @@ Packet RawRequest(uint32_t src_ip, uint16_t src_port, uint16_t dst_port,
   UdpHeader udp;
   udp.src_port = src_port;
   udp.dst_port = dst_port;
-  return BuildUdpFrame(eth, ip, udp, wire);
+  return BuildRpcFrame(eth, ip, udp, msg);
 }
 
 TEST(VfTest, PfIsVfZeroAndVfIdsAreSequential) {

@@ -108,6 +108,49 @@ TEST(HeadersTest, ChecksumKnownVector) {
   EXPECT_EQ(InternetChecksum(data), static_cast<uint16_t>(~0xddf2 & 0xffff));
 }
 
+// The RFC 1071 definition, one 16-bit word per step: the reference the
+// eight-bytes-per-step InternetChecksum must match bit for bit.
+uint16_t WordChecksum(std::span<const uint8_t> data, uint32_t initial) {
+  uint64_t sum = initial;
+  size_t i = 0;
+  for (; i + 1 < data.size(); i += 2) {
+    sum += static_cast<uint32_t>((data[i] << 8) | data[i + 1]);
+  }
+  if (i < data.size()) {
+    sum += static_cast<uint32_t>(data[i] << 8);
+  }
+  while (sum >> 16) {
+    sum = (sum & 0xffff) + (sum >> 16);
+  }
+  return static_cast<uint16_t>(~sum & 0xffff);
+}
+
+TEST(HeadersTest, ChecksumEqualsWordAtATimeReference) {
+  Rng rng(1071);
+  constexpr size_t kMaxLength = 1600;
+  constexpr size_t kMaxOffset = 7;
+  std::vector<uint8_t> random(kMaxLength + kMaxOffset);
+  for (auto& b : random) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  const std::vector<uint8_t> zeros(kMaxLength + kMaxOffset, 0x00);
+  const std::vector<uint8_t> ones(kMaxLength + kMaxOffset, 0xff);
+  const std::vector<uint8_t>* const buffers[] = {&random, &zeros, &ones};
+  for (size_t len = 0; len <= kMaxLength; ++len) {
+    for (size_t offset = 0; offset <= kMaxOffset; ++offset) {
+      const auto initial = static_cast<uint32_t>(rng.Next());
+      for (const std::vector<uint8_t>* buf : buffers) {
+        const std::span<const uint8_t> data(buf->data() + offset, len);
+        // Initial 0 is the one input whose folded sum can be 0 (all-zero data).
+        ASSERT_EQ(InternetChecksum(data, initial), WordChecksum(data, initial))
+            << "len " << len << " offset " << offset << " initial " << initial;
+        ASSERT_EQ(InternetChecksum(data), WordChecksum(data, 0))
+            << "len " << len << " offset " << offset;
+      }
+    }
+  }
+}
+
 TEST(HeadersTest, FormatHelpers) {
   EXPECT_EQ(FormatIpv4(MakeIpv4(192, 168, 1, 20)), "192.168.1.20");
   EXPECT_EQ(FormatMac({0xde, 0xad, 0xbe, 0xef, 0x00, 0x01}), "de:ad:be:ef:00:01");
