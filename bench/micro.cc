@@ -2,10 +2,14 @@
 // marshalling, framing, checksums, the event queue, histograms, and the
 // model checker. These gate the simulator's own performance (a simulated
 // second at 100 krps is ~10^6 events).
+#include <array>
+#include <cstdint>
+
 #include <benchmark/benchmark.h>
 
 #include "src/model/lauberhorn_spec.h"
 #include "src/net/headers.h"
+#include "src/nic/dispatch_line.h"
 #include "src/proto/marshal.h"
 #include "src/proto/rpc_message.h"
 #include "src/sim/random.h"
@@ -123,6 +127,42 @@ void BM_SimulatorScheduleStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_SimulatorScheduleStep);
+
+// A 120-byte capture: too big for Function's inline buffer, so every event
+// spills. After the first round the spill blocks come from the free list.
+void BM_ScheduleSpilledCapture(benchmark::State& state) {
+  Simulator sim;
+  std::array<uint64_t, 14> words{};
+  uint64_t sink = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < 1000; ++i) {
+      words[0] = static_cast<uint64_t>(i);
+      sim.Schedule(Nanoseconds(i), [words, &sink] { sink += words[0]; });
+    }
+    sim.RunUntilIdle();
+  }
+  static_assert(sizeof(words) + sizeof(&sink) == 120);
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_ScheduleSpilledCapture);
+
+// Encode + Decode of a full 128-byte dispatch line (84 inline argument bytes).
+void BM_DispatchLineRoundTrip(benchmark::State& state) {
+  constexpr size_t kLineSize = 128;
+  DispatchLine line;
+  line.kind = LineKind::kRpcDispatch;
+  line.request_id = 42;
+  line.arg_len = static_cast<uint32_t>(DispatchLine::InlineCapacity(kLineSize));
+  line.inline_args.assign(line.arg_len, 0x5a);
+  for (auto _ : state) {
+    const LineData encoded = line.Encode(kLineSize);
+    auto decoded = DispatchLine::Decode(encoded);
+    benchmark::DoNotOptimize(decoded);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(kLineSize));
+}
+BENCHMARK(BM_DispatchLineRoundTrip);
 
 void BM_HistogramRecord(benchmark::State& state) {
   Histogram h;

@@ -23,13 +23,17 @@ void CacheAgent::Load(uint64_t addr, size_t size, LoadFn on_done) {
 }
 
 void CacheAgent::Store(uint64_t addr, std::span<const uint8_t> data, StoreFn on_done) {
+  Store(addr, std::vector<uint8_t>(data.begin(), data.end()), std::move(on_done));
+}
+
+void CacheAgent::Store(uint64_t addr, std::vector<uint8_t>&& data, StoreFn on_done) {
   const size_t line_size = interconnect_.config().line_size;
   const LineAddr line_addr = interconnect_.AlignToLine(addr);
   assert(addr - line_addr + data.size() <= line_size && "store spans a cache line");
   Op op;
   op.is_store = true;
   op.addr = addr;
-  op.data.assign(data.begin(), data.end());
+  op.data = std::move(data);
   op.on_store = std::move(on_done);
   pending_[line_addr].ops.push_back(std::move(op));
   ProcessQueue(line_addr);
@@ -86,6 +90,10 @@ void CacheAgent::LoadThrough(uint64_t addr, size_t size, LoadFn on_done) {
         id_, line_addr, /*exclusive=*/false,
         [this, offset, size, on_done = std::move(on_done)](LineData data) mutable {
           ReleaseMshr();
+          if (offset == 0 && data.size() == size) {
+            on_done(std::move(data));
+            return;
+          }
           std::vector<uint8_t> out(size, 0);
           if (data.size() >= offset + size) {
             std::memcpy(out.data(), data.data() + offset, size);
@@ -178,7 +186,7 @@ void CacheAgent::ExecuteOp(LineAddr line_addr, Op op) {
     // The line was probed away between scheduling and execution; retry the
     // operation from scratch so it re-fetches.
     if (op.is_store) {
-      Store(op.addr, op.data, std::move(op.on_store));
+      Store(op.addr, std::move(op.data), std::move(op.on_store));
     } else {
       Load(op.addr, op.size, std::move(op.on_load));
     }

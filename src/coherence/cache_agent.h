@@ -45,6 +45,8 @@ class CacheAgent {
 
   // Stores bytes at `addr` (within one line); acquires ownership first.
   void Store(uint64_t addr, std::span<const uint8_t> data, StoreFn on_done = nullptr);
+  // As above, taking ownership of `data` instead of copying it.
+  void Store(uint64_t addr, std::vector<uint8_t>&& data, StoreFn on_done = nullptr);
 
   // Posted uncached write straight to the home agent (no caching, no reply):
   // the cheap CPU->NIC signalling path. Must not target lines this agent
@@ -55,7 +57,8 @@ class CacheAgent {
   // line locally (the directory gains no sharer). This models the
   // load-to-registers delivery of device-homed control lines (Ruzhanskaia et
   // al.): the device may defer the fill, and no stale copy can linger in the
-  // core's cache. One outstanding LoadThrough per line per agent.
+  // core's cache. One outstanding LoadThrough per line per agent. A
+  // full-line load (offset 0, `size` == the fill) hands over the fill itself.
   void LoadThrough(uint64_t addr, size_t size, LoadFn on_done);
 
   // Writes a dirty line back to its home and drops it. No-op if not held.

@@ -33,6 +33,11 @@ using LineAddr = uint64_t;
 // Contents of one cache line (config.line_size bytes).
 using LineData = std::vector<uint8_t>;
 
+// Largest supported cache line: Enzian's 128-byte ECI line. Line-sized
+// message fields (DispatchLine, ResponseLine) hold their bytes inline at
+// this capacity.
+inline constexpr size_t kMaxLineSize = 128;
+
 // MESI-without-E states tracked by cache agents. Exclusive-clean is folded
 // into Modified: every exclusive grant is treated as writable ownership,
 // which is the only distinction the modelled protocols care about.

@@ -11,7 +11,9 @@
 namespace lauberhorn {
 
 CoherentInterconnect::CoherentInterconnect(Simulator& sim, CoherenceConfig config)
-    : sim_(sim), config_(std::move(config)) {}
+    : sim_(sim), config_(std::move(config)) {
+  assert(config_.line_size <= kMaxLineSize && "line larger than kMaxLineSize");
+}
 
 AgentId CoherentInterconnect::RegisterCacheAgent(CacheAgent* agent) {
   cache_agents_.push_back(agent);

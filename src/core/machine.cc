@@ -378,6 +378,10 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
   C("client/cc_grants_received", client_->cc_grants_received());
   C("client/cc_shed_refunds", client_->cc_shed_refunds());
   H("client/rtt").Merge(client_->rtt());
+  // Every device DMA translates through the IOMMU, one lookup per page.
+  C("pcie/iotlb_hits", iommu_.iotlb_hits());
+  C("pcie/iotlb_misses", iommu_.iotlb_misses());
+  C("pcie/iommu_faults", iommu_.faults());
 
   C("machine/server_rpcs", server_rpcs_);
   G("machine/cycles_per_rpc", CyclesPerRpc());

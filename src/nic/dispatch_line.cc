@@ -30,7 +30,7 @@ LineData DispatchLine::Encode(size_t line_size) const {
 }
 
 std::optional<DispatchLine> DispatchLine::Decode(const LineData& line) {
-  if (line.size() < kDispatchHeaderSize) {
+  if (line.size() < kDispatchHeaderSize || line.size() > kMaxLineSize) {
     return std::nullopt;
   }
   DispatchLine d;
@@ -79,7 +79,7 @@ LineData ResponseLine::Encode(size_t line_size) const {
 }
 
 std::optional<ResponseLine> ResponseLine::Decode(const LineData& line) {
-  if (line.size() < kResponseHeaderSize) {
+  if (line.size() < kResponseHeaderSize || line.size() > kMaxLineSize) {
     return std::nullopt;
   }
   ResponseLine r;

@@ -1631,8 +1631,8 @@ void LauberhornNic::CollectResponse(Endpoint& ep, OutstandingRequest outstanding
   interconnect_.FetchExclusive(
       home_id_, ctrl, StoredLine(ctrl),
       [this, ep_id, ctrl, outstanding = std::move(outstanding)](LineData data) mutable {
-        StoredLine(ctrl) = data;
         const auto response_line = ResponseLine::Decode(data);
+        StoredLine(ctrl) = std::move(data);
         RpcMessage response;
         response.kind = MessageKind::kResponse;
         response.service_id = outstanding.request.service_id;
@@ -1659,12 +1659,12 @@ void LauberhornNic::CollectResponse(Endpoint& ep, OutstandingRequest outstanding
           return;
         }
 
-        response.payload = response_line->inline_payload;
-        const size_t remaining =
-            response_line->resp_len > response.payload.size()
-                ? response_line->resp_len - response.payload.size()
-                : 0;
+        const LineBytes& inline_payload = response_line->inline_payload;
+        const size_t remaining = response_line->resp_len > inline_payload.size()
+                                     ? response_line->resp_len - inline_payload.size()
+                                     : 0;
         if (remaining == 0) {
+          response.payload.assign(inline_payload.begin(), inline_payload.end());
           TransmitResponse(outstanding.request, std::move(response));
           return;
         }
@@ -1672,6 +1672,9 @@ void LauberhornNic::CollectResponse(Endpoint& ep, OutstandingRequest outstanding
         // device_fetch_window transactions in flight (the fetch engine's
         // parallelism bounds multi-line response bandwidth, §6).
         const size_t aux_count = (remaining + line_size() - 1) / line_size();
+        // Sized once for the inline bytes plus every AUX line.
+        response.payload.reserve(inline_payload.size() + aux_count * line_size());
+        response.payload.assign(inline_payload.begin(), inline_payload.end());
         auto payload_parts = std::make_shared<std::vector<LineData>>(aux_count);
         auto pending = std::make_shared<size_t>(aux_count);
         auto next_index = std::make_shared<size_t>(0);

@@ -8,6 +8,18 @@
 
 namespace lauberhorn {
 
+namespace {
+// The response header (no payload yet) a handler fills in for a request.
+RpcMessage ResponseHeader(uint32_t service_id, uint16_t method_id, uint64_t request_id) {
+  RpcMessage response;
+  response.kind = MessageKind::kResponse;
+  response.service_id = service_id;
+  response.method_id = method_id;
+  response.request_id = request_id;
+  return response;
+}
+}  // namespace
+
 LauberhornRuntime::LauberhornRuntime(Simulator& sim, Kernel& kernel, LauberhornNic& nic,
                                      MemoryHomeAgent& memory, Iommu& iommu,
                                      ServiceRegistry& services, Config config)
@@ -296,29 +308,33 @@ void LauberhornRuntime::LoopIter(EndpointRt& rt, Core& core) {
   });
 }
 
-void LauberhornRuntime::GatherArgs(
-    uint32_t line_owner_endpoint, Core& core, const DispatchLine& dispatch,
-    Function<void(std::vector<uint8_t>, Duration)> done) {
+void LauberhornRuntime::GatherArgs(uint32_t line_owner_endpoint, Core& core,
+                                   const DispatchLine& dispatch, ArgsFn done) {
   if (dispatch.via_dma) {
     // Arguments were DMA'd into the endpoint's host buffer; the handler reads
     // them from memory (charged as copy/touch cost).
-    std::vector<uint8_t> args = memory_.ReadBytes(dispatch.data_ptr, dispatch.arg_len);
-    done(std::move(args), kernel_.costs().CopyCost(dispatch.arg_len));
+    const std::vector<uint8_t> args = memory_.ReadBytes(dispatch.data_ptr, dispatch.arg_len);
+    done(args, kernel_.costs().CopyCost(dispatch.arg_len));
     return;
   }
-  std::vector<uint8_t> args = dispatch.inline_args;
   if (dispatch.aux_lines == 0) {
+    if (dispatch.arg_len <= dispatch.inline_args.size()) {
+      done(std::span<const uint8_t>(dispatch.inline_args.data(), dispatch.arg_len), 0);
+      return;
+    }
+    // A line that claims more bytes than it carries: zero-fill the rest.
+    std::vector<uint8_t> args(dispatch.inline_args.begin(), dispatch.inline_args.end());
     args.resize(dispatch.arg_len);
-    done(std::move(args), 0);
+    done(args, 0);
     return;
   }
   // Stream the AUX lines (issued back to back; they complete in parallel).
   const size_t aux_count = dispatch.aux_lines;
   auto parts = std::make_shared<std::vector<std::vector<uint8_t>>>(aux_count);
   auto pending = std::make_shared<size_t>(aux_count);
-  auto base = std::make_shared<std::vector<uint8_t>>(std::move(args));
-  auto cb = std::make_shared<Function<void(std::vector<uint8_t>, Duration)>>(
-      std::move(done));
+  auto base = std::make_shared<std::vector<uint8_t>>(dispatch.inline_args.begin(),
+                                                     dispatch.inline_args.end());
+  auto cb = std::make_shared<ArgsFn>(std::move(done));
   const uint32_t arg_len = dispatch.arg_len;
   for (size_t i = 0; i < aux_count; ++i) {
     core.cache().LoadThrough(
@@ -331,28 +347,22 @@ void LauberhornRuntime::GatherArgs(
               full.insert(full.end(), part.begin(), part.end());
             }
             full.resize(arg_len);
-            (*cb)(std::move(full), 0);
+            (*cb)(full, 0);
           }
         });
   }
 }
 
 void LauberhornRuntime::IssueNested(Core& core, const MethodDef& method,
-                                    const DispatchLine& dispatch,
-                                    std::vector<WireValue> values,
+                                    RpcMessage response, std::vector<WireValue> values,
                                     Function<void(RpcMessage, Duration)> done) {
   // Phase 1: the handler body up to the nested call.
   const Duration phase1 = config_.handler_entry + method.service_time(values);
-  core.Run(phase1, CoreMode::kUser, [this, &core, &method, dispatch,
+  core.Run(phase1, CoreMode::kUser, [this, &core, &method, response = std::move(response),
                                      values = std::move(values),
                                      done = std::move(done)]() mutable {
     const MethodDef::NestedCall call = method.nested_call(values);
     const auto continuation = nic_.AllocateContinuation();
-    RpcMessage response;
-    response.kind = MessageKind::kResponse;
-    response.service_id = dispatch.service_id;
-    response.method_id = dispatch.method_id;
-    response.request_id = dispatch.request_id;
     if (!continuation.has_value()) {
       ++nested_failed_;
       response.status = RpcStatus::kInternal;  // continuation pool exhausted
@@ -376,11 +386,11 @@ void LauberhornRuntime::IssueNested(Core& core, const MethodDef& method,
     // (move-only) continuation is shared across re-parks.
     auto done_sh = std::make_shared<Function<void(RpcMessage, Duration)>>(std::move(done));
     auto park = std::make_shared<Callback>();
-    *park = [this, &core, continuation, call, dispatch, values = std::move(values),
+    *park = [this, &core, continuation, call, values = std::move(values),
              response = std::move(response), done_sh, park]() mutable {
       core.BlockOnLoad(
           nic_.CtrlAddr(*continuation, 0), nic_.line_size(),
-          [this, &core, continuation, call, dispatch, values, response, done_sh,
+          [this, &core, continuation, call, values, response, done_sh,
            park](std::vector<uint8_t> data) mutable {
             const auto reply_line = DispatchLine::Decode(data);
             if (reply_line.has_value() && reply_line->kind == LineKind::kTryAgain) {
@@ -396,15 +406,15 @@ void LauberhornRuntime::IssueNested(Core& core, const MethodDef& method,
               return;
             }
             GatherArgs(*continuation, core, *reply_line,
-                       [this, continuation, call, values, response, done_sh,
-                        dispatch](std::vector<uint8_t> reply_bytes,
-                                  Duration extra) mutable {
+                       [this, continuation, call, values, response,
+                        done_sh](std::span<const uint8_t> reply_bytes,
+                                 Duration extra) mutable {
                          nic_.FreeContinuation(*continuation);
                          std::vector<WireValue> reply_values;
                          const MethodDef* method =
-                             services_.Find(dispatch.service_id) != nullptr
-                                 ? services_.Find(dispatch.service_id)
-                                       ->FindMethod(dispatch.method_id)
+                             services_.Find(response.service_id) != nullptr
+                                 ? services_.Find(response.service_id)
+                                       ->FindMethod(response.method_id)
                                  : nullptr;
                          if (!UnmarshalArgs(call.response_sig, reply_bytes,
                                             reply_values) ||
@@ -426,20 +436,17 @@ void LauberhornRuntime::IssueNested(Core& core, const MethodDef& method,
 }
 
 void LauberhornRuntime::HandleDispatch(EndpointRt& rt, Core& core,
-                                       DispatchLine dispatch) {
+                                       const DispatchLine& dispatch) {
+  // Only the ids travel on: the capture stays inside Function's inline buffer.
   GatherArgs(rt.endpoint, core, dispatch,
-             [this, &rt, &core, dispatch](std::vector<uint8_t> args,
-                                          Duration extra_cost) {
+             [this, &rt, &core, service_id = dispatch.service_id,
+              method_id = dispatch.method_id, request_id = dispatch.request_id](
+                 std::span<const uint8_t> args, Duration extra_cost) {
                if (spans_ != nullptr) {
-                 spans_->Record(dispatch.request_id, SpanStage::kHandlerStart,
-                                sim_.Now());
+                 spans_->Record(request_id, SpanStage::kHandlerStart, sim_.Now());
                }
-               const MethodDef* method = rt.service->FindMethod(dispatch.method_id);
-               RpcMessage response;
-               response.kind = MessageKind::kResponse;
-               response.service_id = dispatch.service_id;
-               response.method_id = dispatch.method_id;
-               response.request_id = dispatch.request_id;
+               const MethodDef* method = rt.service->FindMethod(method_id);
+               RpcMessage response = ResponseHeader(service_id, method_id, request_id);
                Duration user_cost = config_.handler_entry + extra_cost;
                if (method == nullptr) {
                  response.status = RpcStatus::kNoSuchMethod;
@@ -450,10 +457,10 @@ void LauberhornRuntime::HandleDispatch(EndpointRt& rt, Core& core,
                  if (!UnmarshalArgs(method->request_sig, args, values)) {
                    response.status = RpcStatus::kBadArguments;
                  } else if (method->has_nested_call()) {
-                   IssueNested(core, *method, dispatch, std::move(values),
-                               [this, &rt, &core, dispatch](RpcMessage nested_response,
-                                                            Duration finish_cost) {
-                                 WriteResponse(rt, core, dispatch,
+                   IssueNested(core, *method, std::move(response), std::move(values),
+                               [this, &rt, &core, request_id](RpcMessage nested_response,
+                                                              Duration finish_cost) {
+                                 WriteResponse(rt, core, request_id,
                                                std::move(nested_response), finish_cost);
                                });
                    return;
@@ -463,17 +470,16 @@ void LauberhornRuntime::HandleDispatch(EndpointRt& rt, Core& core,
                    MarshalArgs(method->response_sig, result, response.payload);
                  }
                }
-               WriteResponse(rt, core, dispatch, std::move(response), user_cost);
+               WriteResponse(rt, core, request_id, std::move(response), user_cost);
              });
 }
 
-void LauberhornRuntime::WriteResponse(EndpointRt& rt, Core& core,
-                                      const DispatchLine& dispatch, RpcMessage response,
-                                      Duration user_cost) {
-  core.Run(user_cost, CoreMode::kUser, [this, &rt, &core, dispatch,
+void LauberhornRuntime::WriteResponse(EndpointRt& rt, Core& core, uint64_t request_id,
+                                      RpcMessage response, Duration user_cost) {
+  core.Run(user_cost, CoreMode::kUser, [this, &rt, &core, request_id,
                                         response = std::move(response)]() mutable {
     if (spans_ != nullptr) {
-      spans_->Record(dispatch.request_id, SpanStage::kHandlerEnd, sim_.Now());
+      spans_->Record(request_id, SpanStage::kHandlerEnd, sim_.Now());
     }
     ResponseLine line;
     line.status = static_cast<uint16_t>(response.status);
@@ -567,7 +573,7 @@ void LauberhornRuntime::WriteResponse(EndpointRt& rt, Core& core,
       aux_bytes.resize(line_size, 0);
       cursor += chunk;
       remaining -= chunk;
-      core.cache().Store(nic_.AuxAddr(rt.endpoint, i), aux_bytes, on_store);
+      core.cache().Store(nic_.AuxAddr(rt.endpoint, i), std::move(aux_bytes), on_store);
     }
     core.cache().Store(ctrl, line.Encode(line_size), on_store);
     ++rpcs_hot_;
@@ -594,17 +600,17 @@ void LauberhornRuntime::DispatcherIter(size_t slot, Core& core) {
       return;
     }
     GatherArgs(d.channel, core, *dispatch,
-               [this, slot, &core, dispatch = *dispatch](std::vector<uint8_t> args,
+               [this, slot, &core, dispatch = *dispatch](std::span<const uint8_t> args,
                                                          Duration extra) {
-                 HandleColdDispatch(slot, core, dispatch, std::move(args));
+                 HandleColdDispatch(slot, core, dispatch, args);
                  (void)extra;
                });
   });
 }
 
 void LauberhornRuntime::HandleColdDispatch(size_t slot, Core& core,
-                                           DispatchLine dispatch,
-                                           std::vector<uint8_t> args) {
+                                           const DispatchLine& dispatch,
+                                           std::span<const uint8_t> args) {
   auto it = endpoints_.find(dispatch.endpoint_id);
   if (it == endpoints_.end()) {
     RpcMessage err;
@@ -621,18 +627,21 @@ void LauberhornRuntime::HandleColdDispatch(size_t slot, Core& core,
 
   // Kernel-side demux + context switch into the target process.
   core.Run(config_.cold_handling_overhead + costs.context_switch, CoreMode::kKernel,
-           [this, slot, &core, &rt, dispatch, args = std::move(args)]() mutable {
+           [this, slot, &core, &rt,
+            header = ResponseHeader(dispatch.service_id, dispatch.method_id,
+                                    dispatch.request_id),
+            args = std::vector<uint8_t>(args.begin(), args.end())]() mutable {
              core.set_loaded_pid(rt.process->pid);
              if (spans_ != nullptr) {
-               spans_->Record(dispatch.request_id, SpanStage::kHandlerStart,
+               spans_->Record(header.request_id, SpanStage::kHandlerStart,
                               sim_.Now());
              }
-             const MethodDef* method = rt.service->FindMethod(dispatch.method_id);
+             const MethodDef* method = rt.service->FindMethod(header.method_id);
              if (method != nullptr && method->has_nested_call()) {
                std::vector<WireValue> values;
                if (UnmarshalArgs(method->request_sig, args, values)) {
                  IssueNested(
-                     core, *method, dispatch, std::move(values),
+                     core, *method, std::move(header), std::move(values),
                      [this, slot, &core, &rt](RpcMessage nested_response,
                                               Duration finish_cost) {
                        core.Run(finish_cost, CoreMode::kUser,
@@ -657,11 +666,7 @@ void LauberhornRuntime::HandleColdDispatch(size_t slot, Core& core,
                  return;
                }
              }
-             RpcMessage response;
-             response.kind = MessageKind::kResponse;
-             response.service_id = dispatch.service_id;
-             response.method_id = dispatch.method_id;
-             response.request_id = dispatch.request_id;
+             RpcMessage response = std::move(header);
              Duration user_cost = config_.handler_entry;
              if (method == nullptr) {
                response.status = RpcStatus::kNoSuchMethod;

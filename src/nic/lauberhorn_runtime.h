@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -114,20 +115,21 @@ class LauberhornRuntime : public SchedStateListener {
   };
 
   void LoopIter(EndpointRt& rt, Core& core);
-  void HandleDispatch(EndpointRt& rt, Core& core, DispatchLine dispatch);
+  void HandleDispatch(EndpointRt& rt, Core& core, const DispatchLine& dispatch);
   // §6 nested RPC: runs the first handler phase, issues the nested call
   // through a continuation endpoint, parks on it for the reply, and hands the
   // combined response to `done` (with the finish phase's CPU cost to charge).
-  void IssueNested(Core& core, const MethodDef& method, const DispatchLine& dispatch,
+  // `response` arrives with the outer request's ids set and no payload.
+  void IssueNested(Core& core, const MethodDef& method, RpcMessage response,
                    std::vector<WireValue> values,
                    Function<void(RpcMessage, Duration)> done);
-  void WriteResponse(EndpointRt& rt, Core& core, const DispatchLine& dispatch,
+  void WriteResponse(EndpointRt& rt, Core& core, uint64_t request_id,
                      RpcMessage response, Duration user_cost);
   void ExitLoop(EndpointRt& rt, Core& core);
 
   void DispatcherIter(size_t slot, Core& core);
-  void HandleColdDispatch(size_t slot, Core& core, DispatchLine dispatch,
-                          std::vector<uint8_t> args);
+  void HandleColdDispatch(size_t slot, Core& core, const DispatchLine& dispatch,
+                          std::span<const uint8_t> args);
   void WakeDispatcher();
   void PolicyTick();
   // §1: the NIC asks the OS to reschedule in response to arriving packets:
@@ -137,8 +139,11 @@ class LauberhornRuntime : public SchedStateListener {
 
   // Builds the full marshalled args: inline + aux lines + DMA, with costs
   // charged on `core`, then invokes `done(args_bytes, extra_user_cost)`.
+  // The span is valid only during the call; args that fit inline are handed
+  // over straight from the line, without a copy.
+  using ArgsFn = Function<void(std::span<const uint8_t>, Duration)>;
   void GatherArgs(uint32_t line_owner_endpoint, Core& core, const DispatchLine& dispatch,
-                  Function<void(std::vector<uint8_t>, Duration)> done);
+                  ArgsFn done);
 
   Simulator& sim_;
   Kernel& kernel_;

@@ -50,7 +50,7 @@ std::optional<Iommu::Translation> Iommu::Translate(uint64_t iova, uint64_t size,
     ++iotlb_misses_;
     result.cost = config_.table_walk;
     if (iotlb_.size() >= config_.iotlb_entries) {
-      iotlb_.erase(iotlb_.begin());  // pseudo-random eviction
+      iotlb_.erase(iotlb_.begin());  // first in bucket order (see iommu.h)
     }
     iotlb_.insert(page);
   }

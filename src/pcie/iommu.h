@@ -65,7 +65,10 @@ class Iommu {
  private:
   Config config_;
   std::unordered_map<uint64_t, uint64_t> page_table_;  // iova page -> pa page
-  std::unordered_set<uint64_t> iotlb_;                 // cached iova pages (random-ish evict)
+  // Cached iova pages. A full IOTLB evicts iotlb_.begin(): whichever page
+  // comes first in the hash table's bucket order. That is neither LRU nor
+  // seeded-random; results depend on the standard library's bucket layout.
+  std::unordered_set<uint64_t> iotlb_;
   uint64_t faults_count_ = 0;
   uint64_t iotlb_hits_ = 0;
   uint64_t iotlb_misses_ = 0;

@@ -4,14 +4,17 @@
 // each capture beyond a couple of words costs a heap allocation and a
 // type-erasure indirection per event. Function<Sig> inlines captures up to
 // kInlineSize bytes (64 — two cache lines of slab slot stay intact) directly
-// in the object and only falls back to the heap for larger captures. It is
-// move-only, which also lets callbacks own move-only state (unique_ptr,
-// another Function) that std::function cannot hold.
+// in the object. Larger captures spill to a block taken from a thread-local
+// size-class free list (16-byte classes up to 512 bytes), so a continuation
+// that captures another Function — and therefore never fits inline — still
+// recycles memory instead of calling malloc per event. Only captures above
+// 512 bytes or over-aligned ones go to operator new. Function is move-only,
+// which also lets callbacks own move-only state (unique_ptr, another
+// Function) that std::function cannot hold.
 //
-// Callback is the scheduling currency: Simulator::Schedule takes one, and the
-// layers above (coherence, PCIe, OS, NIC) pass their continuations as
-// Function types so a capture travels from the call site into the event slab
-// without ever touching the allocator.
+// Callback is the scheduling currency: Simulator::Schedule constructs one
+// straight into its event slot (Function::Emplace), and the layers above
+// (coherence, PCIe, OS, NIC) pass their continuations as Function types.
 #ifndef SRC_SIM_CALLBACK_H_
 #define SRC_SIM_CALLBACK_H_
 
@@ -20,7 +23,94 @@
 #include <type_traits>
 #include <utility>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace lauberhorn {
+
+// Spill storage for captures too large for a Function's inline buffer.
+// Each thread keeps one free list per 16-byte size class; a released block
+// goes back on the list of the thread that releases it and is reused by that
+// thread's next spill of the same class. A thread's lists are returned to
+// operator delete when it exits. Under AddressSanitizer a free-listed block
+// is poisoned, so touching a destroyed capture is still reported.
+namespace spill {
+
+inline constexpr size_t kClassBytes = 16;
+inline constexpr size_t kMaxPooledBytes = 512;
+inline constexpr size_t kNumClasses = kMaxPooledBytes / kClassBytes;
+
+constexpr size_t ClassOf(size_t size) { return (size + kClassBytes - 1) / kClassBytes - 1; }
+constexpr size_t BytesOf(size_t size_class) { return (size_class + 1) * kClassBytes; }
+
+// A free-listed block is off limits to everything but the list itself.
+inline void Poison([[maybe_unused]] void* block, [[maybe_unused]] size_t size_class) {
+#if defined(__SANITIZE_ADDRESS__)
+  ASAN_POISON_MEMORY_REGION(block, BytesOf(size_class));
+#endif
+}
+inline void Unpoison([[maybe_unused]] void* block, [[maybe_unused]] size_t size_class) {
+#if defined(__SANITIZE_ADDRESS__)
+  ASAN_UNPOISON_MEMORY_REGION(block, BytesOf(size_class));
+#endif
+}
+
+struct FreeLists {
+  void* head[kNumClasses] = {};
+  bool registered = false;  // this thread's exit hook is installed
+  bool released = false;    // the exit hook ran; bypass the lists from now on
+};
+// Constant-initialized and trivially destructible: no TLS guard on access.
+inline thread_local FreeLists t_free_lists;
+
+// Returns every free-listed block of the calling thread to operator delete
+// when the thread exits.
+struct ExitHook {
+  ~ExitHook() {
+    FreeLists& lists = t_free_lists;
+    for (size_t c = 0; c < kNumClasses; ++c) {
+      while (void* block = lists.head[c]) {
+        Unpoison(block, c);
+        lists.head[c] = *static_cast<void**>(block);
+        ::operator delete(block);
+      }
+    }
+    lists.released = true;
+  }
+};
+
+inline void RegisterExitHook(FreeLists& lists) {
+  static thread_local ExitHook hook;
+  (void)hook;
+  lists.registered = true;
+}
+
+inline void* Allocate(size_t size_class) {
+  FreeLists& lists = t_free_lists;
+  if (void* block = lists.head[size_class]) {
+    Unpoison(block, size_class);
+    lists.head[size_class] = *static_cast<void**>(block);
+    return block;
+  }
+  return ::operator new(BytesOf(size_class));
+}
+
+inline void Release(void* block, size_t size_class) {
+  FreeLists& lists = t_free_lists;
+  if (lists.released) {
+    ::operator delete(block);
+    return;
+  }
+  if (!lists.registered) {
+    RegisterExitHook(lists);
+  }
+  *static_cast<void**>(block) = lists.head[size_class];
+  lists.head[size_class] = block;
+  Poison(block, size_class);
+}
+
+}  // namespace spill
 
 template <typename Sig>
 class Function;
@@ -41,13 +131,7 @@ class Function<R(Args...)> {
                                         !std::is_same_v<D, std::nullptr_t> &&
                                         std::is_invocable_r_v<R, D&, Args...>>>
   Function(F&& f) {  // NOLINT: implicit, mirrors std::function
-    if constexpr (kFitsInline<D>) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      *reinterpret_cast<D**>(storage_) = new D(std::forward<F>(f));
-      ops_ = &kHeapOps<D>;
-    }
+    Construct<D>(std::forward<F>(f));
   }
 
   Function(Function&& other) noexcept : ops_(other.ops_) {
@@ -78,6 +162,24 @@ class Function<R(Args...)> {
   Function& operator=(const Function&) = delete;
 
   ~Function() { Reset(); }
+
+  // Replaces the target with `f`, constructed in place: a callable is built
+  // directly in this object's storage (or its spill block) with no
+  // intermediate Function. An rvalue Function is moved in.
+  template <typename F>
+  void Emplace(F&& f) {
+    using D = std::decay_t<F>;
+    if constexpr (std::is_same_v<D, Function>) {
+      static_assert(!std::is_lvalue_reference_v<F>,
+                    "Function is move-only: pass std::move(fn)");
+      *this = std::move(f);
+    } else {
+      static_assert(std::is_invocable_r_v<R, D&, Args...>,
+                    "callable does not match the Function signature");
+      Reset();
+      Construct<D>(std::forward<F>(f));
+    }
+  }
 
   explicit operator bool() const { return ops_ != nullptr; }
 
@@ -111,6 +213,33 @@ class Function<R(Args...)> {
       sizeof(D) <= kInlineSize && alignof(D) <= alignof(std::max_align_t) &&
       std::is_nothrow_move_constructible_v<D>;
 
+  // Spilled captures of ordinary alignment up to 512 bytes use the pool.
+  template <typename D>
+  static constexpr bool kPooled = sizeof(D) <= spill::kMaxPooledBytes &&
+                                  alignof(D) <= alignof(std::max_align_t);
+
+  // Requires ops_ == nullptr.
+  template <typename D, typename F>
+  void Construct(F&& f) {
+    if constexpr (kFitsInline<D>) {
+      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
+      ops_ = &kInlineOps<D>;
+    } else if constexpr (kPooled<D>) {
+      constexpr size_t kClass = spill::ClassOf(sizeof(D));
+      void* block = spill::Allocate(kClass);
+      try {
+        *reinterpret_cast<D**>(storage_) = ::new (block) D(std::forward<F>(f));
+      } catch (...) {
+        spill::Release(block, kClass);
+        throw;
+      }
+      ops_ = &kHeapOps<D>;
+    } else {
+      *reinterpret_cast<D**>(storage_) = new D(std::forward<F>(f));
+      ops_ = &kHeapOps<D>;
+    }
+  }
+
   template <typename D>
   static constexpr Ops kInlineOps = {
       /*invoke=*/[](void* s, Args&&... args) -> R {
@@ -132,7 +261,15 @@ class Function<R(Args...)> {
       /*relocate=*/[](void* dst, void* src) {
         *reinterpret_cast<D**>(dst) = *std::launder(reinterpret_cast<D**>(src));
       },
-      /*destroy=*/[](void* s) { delete *std::launder(reinterpret_cast<D**>(s)); },
+      /*destroy=*/[](void* s) {
+        D* target = *std::launder(reinterpret_cast<D**>(s));
+        if constexpr (kPooled<D>) {
+          target->~D();
+          spill::Release(target, spill::ClassOf(sizeof(D)));
+        } else {
+          delete target;
+        }
+      },
   };
 
   alignas(std::max_align_t) unsigned char storage_[kInlineSize];

@@ -17,28 +17,21 @@ constexpr size_t Parent(size_t pos) { return (pos - 1) / kArity; }
 constexpr size_t FirstChild(size_t pos) { return kArity * pos + 1; }
 }  // namespace
 
-EventId Simulator::Schedule(Duration delay, Callback fn) {
-  if (delay < 0) {
-    delay = 0;
+uint32_t Simulator::AcquireSlot() {
+  if (!free_.empty()) {
+    const uint32_t index = free_.back();
+    free_.pop_back();
+    return index;
   }
-  return ScheduleAt(now_ + delay, std::move(fn));
+  slots_.emplace_back();
+  return static_cast<uint32_t>(slots_.size() - 1);
 }
 
-EventId Simulator::ScheduleAt(SimTime when, Callback fn) {
+EventId Simulator::Enqueue(SimTime when, uint32_t index) {
   if (when < now_) {
     when = now_;
   }
-  uint32_t index;
-  if (!free_.empty()) {
-    index = free_.back();
-    free_.pop_back();
-  } else {
-    index = static_cast<uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
   Slot& slot = slots_[index];
-  slot.fn = std::move(fn);
-
   heap_.push_back(HeapEntry{when, next_seq_++, index});
   slot.heap_index = static_cast<int32_t>(heap_.size() - 1);
   SiftUp(heap_.size() - 1);

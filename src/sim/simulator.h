@@ -13,13 +13,15 @@
 // (slot index in the low 32 bits, slot generation in the high 32), so
 // Cancel() is an O(1) liveness check plus an O(log4 n) heap removal — no
 // hash set, and no cancelled entries lingering in the queue. Callbacks are
-// small-buffer-optimized Function objects (src/sim/callback.h); captures up
-// to 64 bytes are stored inline in the slab slot, so the common
-// schedule→fire path performs no heap allocation at all.
+// small-buffer-optimized Function objects (src/sim/callback.h) constructed
+// in place in their slab slot; captures up to 64 bytes live inline in the
+// slot, larger ones in a recycled spill block, so schedule→fire does not
+// reach malloc once the slab and the spill free lists are warm.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/sim/callback.h"
@@ -46,10 +48,23 @@ class Simulator {
 
   // Schedules `fn` to run `delay` from now. Negative delays are clamped to 0
   // (the event still runs strictly after the current event completes).
-  EventId Schedule(Duration delay, Callback fn);
+  // `fn` is any nullary callable, or an rvalue Callback; it is constructed
+  // straight into its event slot.
+  template <typename F>
+  EventId Schedule(Duration delay, F&& fn) {
+    if (delay < 0) {
+      delay = 0;
+    }
+    return ScheduleAt(now_ + delay, std::forward<F>(fn));
+  }
 
   // Schedules `fn` at an absolute simulated time (>= Now()).
-  EventId ScheduleAt(SimTime when, Callback fn);
+  template <typename F>
+  EventId ScheduleAt(SimTime when, F&& fn) {
+    const uint32_t index = AcquireSlot();
+    slots_[index].fn.Emplace(std::forward<F>(fn));
+    return Enqueue(when, index);
+  }
 
   // Cancels a pending event. Returns true if the event existed and had not
   // yet fired. Cancelling an already-fired or invalid id is a no-op.
@@ -99,6 +114,11 @@ class Simulator {
     }
     return a.seq < b.seq;
   }
+
+  // Pops a recycled slot index, or grows the slab by one.
+  uint32_t AcquireSlot();
+  // Queues the (already filled) slot at `when` and returns its EventId.
+  EventId Enqueue(SimTime when, uint32_t index);
 
   void HeapPlace(size_t pos, const HeapEntry& entry) {
     heap_[pos] = entry;

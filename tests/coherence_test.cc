@@ -292,6 +292,38 @@ TEST_F(CoherenceTest, QueuedOpsOnSameLineCompleteInOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+TEST_F(CoherenceTest, FullLineAndOffsetLoadThroughMatchStoredLine) {
+  std::vector<uint8_t> line(128);
+  for (size_t i = 0; i < line.size(); ++i) {
+    line[i] = static_cast<uint8_t>(i * 3 + 5);
+  }
+  // Memory-homed line: the whole line, then a slice at an offset.
+  memory_.WriteBytes(0xc00, line);
+  std::vector<uint8_t> full;
+  std::vector<uint8_t> part;
+  cpu0_.LoadThrough(0xc00, 128, [&](std::vector<uint8_t> d) { full = std::move(d); });
+  cpu1_.LoadThrough(0xc00 + 40, 16, [&](std::vector<uint8_t> d) { part = std::move(d); });
+  sim_.RunUntilIdle();
+  EXPECT_EQ(full, line);
+  EXPECT_EQ(part, std::vector<uint8_t>(line.begin() + 40, line.begin() + 56));
+
+  // Device-homed line with a deferred fill: the same two shapes.
+  std::vector<uint8_t> dev_full;
+  std::vector<uint8_t> dev_part;
+  cpu0_.LoadThrough(kDevBase, 128, [&](std::vector<uint8_t> d) { dev_full = std::move(d); });
+  cpu1_.LoadThrough(kDevBase + 100, 28,
+                    [&](std::vector<uint8_t> d) { dev_part = std::move(d); });
+  sim_.RunUntil(sim_.Now() + Milliseconds(1));  // well inside the bus timeout
+  ASSERT_EQ(device_.reads.size(), 2u);
+  EXPECT_TRUE(dev_full.empty());
+  for (auto& read : device_.reads) {
+    read.fill(line);
+  }
+  sim_.RunUntilIdle();
+  EXPECT_EQ(dev_full, line);
+  EXPECT_EQ(dev_part, std::vector<uint8_t>(line.begin() + 100, line.end()));
+}
+
 TEST_F(CoherenceTest, DeviceLineSizeMatchesConfig) {
   EXPECT_EQ(interconnect_.AlignToLine(kDevBase + 127), kDevBase);
   EXPECT_EQ(interconnect_.AlignToLine(kDevBase + 128), kDevBase + 128);

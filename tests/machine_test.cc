@@ -164,6 +164,48 @@ TEST(MachineTest, ExportsNicDropAndDispatchCounters) {
   }
 }
 
+TEST(MachineTest, ExportsIommuTranslationCounters) {
+  // The Linux stack DMAs every frame, so its IOMMU is busy. Each successful
+  // translation is exactly one IOTLB hit or miss, and all three counters
+  // reach the registry.
+  MachineConfig config;
+  config.stack = StackKind::kLinux;
+  Machine machine(config);
+  const ServiceDef& echo = machine.AddService(ServiceRegistry::MakeEchoService(1, 7000));
+  machine.Start();
+  for (int i = 0; i < 20; ++i) {
+    machine.client().Call(echo, 0, std::vector<WireValue>{WireValue::Bytes({1, 2, 3})});
+  }
+  machine.sim().RunUntil(Milliseconds(10));
+
+  MetricsRegistry metrics;
+  machine.ExportMetrics(metrics);
+  Iommu& iommu = machine.iommu();
+  ASSERT_TRUE(metrics.HasCounter("pcie/iotlb_hits"));
+  ASSERT_TRUE(metrics.HasCounter("pcie/iotlb_misses"));
+  ASSERT_TRUE(metrics.HasCounter("pcie/iommu_faults"));
+  EXPECT_EQ(metrics.Counter("pcie/iotlb_hits"), iommu.iotlb_hits());
+  EXPECT_EQ(metrics.Counter("pcie/iotlb_misses"), iommu.iotlb_misses());
+  EXPECT_EQ(metrics.Counter("pcie/iommu_faults"), iommu.faults());
+  const uint64_t translations =
+      metrics.Counter("pcie/iotlb_hits") + metrics.Counter("pcie/iotlb_misses");
+  EXPECT_GT(translations, 0u);
+
+  // Two more translations of a fresh page (a miss, then a hit) and one
+  // unmapped access (a fault) move the exported counters by exactly that.
+  const uint64_t page = 0x7f00'0000'0000ULL;
+  iommu.Map(page, page, Iommu::kPageSize);
+  ASSERT_TRUE(iommu.Translate(page, 8, /*inject_faults=*/false).has_value());
+  ASSERT_TRUE(iommu.Translate(page + 64, 8, /*inject_faults=*/false).has_value());
+  EXPECT_FALSE(iommu.Translate(page + Iommu::kPageSize, 8, false).has_value());
+  MetricsRegistry after;
+  machine.ExportMetrics(after);
+  EXPECT_EQ(after.Counter("pcie/iotlb_hits") + after.Counter("pcie/iotlb_misses"),
+            translations + 2);
+  EXPECT_EQ(after.Counter("pcie/iotlb_misses"), metrics.Counter("pcie/iotlb_misses") + 1);
+  EXPECT_EQ(after.Counter("pcie/iommu_faults"), metrics.Counter("pcie/iommu_faults") + 1);
+}
+
 TEST(RpcClientTest, MatchesResponsesToRequests) {
   MachineConfig config;
   config.stack = StackKind::kLauberhorn;

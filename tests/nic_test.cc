@@ -108,7 +108,52 @@ TEST(ResponseLineTest, InlineTruncatedToRespLen) {
   line.inline_payload = {1, 2, 3, 4};
   const auto decoded = ResponseLine::Decode(line.Encode(128));
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->inline_payload, (std::vector<uint8_t>{1, 2, 3, 4}));
+  EXPECT_EQ(decoded->inline_payload, (LineBytes{1, 2, 3, 4}));
+}
+
+TEST(DispatchLineTest, LineLongerThanMaxRejected) {
+  const LineData too_long(kMaxLineSize + 1, 0);
+  EXPECT_FALSE(DispatchLine::Decode(too_long).has_value());
+  EXPECT_FALSE(ResponseLine::Decode(too_long).has_value());
+  EXPECT_TRUE(DispatchLine::Decode(LineData(kMaxLineSize, 0)).has_value());
+}
+
+TEST(DispatchLineTest, FullCapacityRoundTripAt64And128ByteLines) {
+  for (size_t line_size : {size_t{64}, size_t{128}}) {
+    DispatchLine line;
+    line.kind = LineKind::kRpcDispatch;
+    line.request_id = line_size;
+    line.arg_len = static_cast<uint32_t>(DispatchLine::InlineCapacity(line_size));
+    line.inline_args.resize(line.arg_len);
+    for (size_t i = 0; i < line.inline_args.size(); ++i) {
+      line.inline_args[i] = static_cast<uint8_t>(i * 7 + 1);
+    }
+    const LineData encoded = line.Encode(line_size);
+    ASSERT_EQ(encoded.size(), line_size);
+    const auto decoded = DispatchLine::Decode(encoded);
+    ASSERT_TRUE(decoded.has_value()) << line_size;
+    EXPECT_EQ(decoded->request_id, line_size);
+    EXPECT_EQ(decoded->arg_len, line.arg_len);
+    EXPECT_EQ(decoded->inline_args, line.inline_args) << line_size;
+  }
+}
+
+TEST(ResponseLineTest, FullCapacityRoundTripAt64And128ByteLines) {
+  for (size_t line_size : {size_t{64}, size_t{128}}) {
+    ResponseLine line;
+    line.request_id = line_size;
+    line.resp_len = static_cast<uint32_t>(ResponseLine::InlineCapacity(line_size));
+    line.inline_payload.resize(line.resp_len);
+    for (size_t i = 0; i < line.inline_payload.size(); ++i) {
+      line.inline_payload[i] = static_cast<uint8_t>(255 - i);
+    }
+    const LineData encoded = line.Encode(line_size);
+    ASSERT_EQ(encoded.size(), line_size);
+    const auto decoded = ResponseLine::Decode(encoded);
+    ASSERT_TRUE(decoded.has_value()) << line_size;
+    EXPECT_EQ(decoded->resp_len, line.resp_len);
+    EXPECT_EQ(decoded->inline_payload, line.inline_payload) << line_size;
+  }
 }
 
 // --- Platform cost models -------------------------------------------------------

@@ -1,6 +1,7 @@
 // Unit and property tests for the discrete-event simulation core.
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -324,6 +325,121 @@ TEST(CallbackTest, ArgumentsAndReturnValuesPassThrough) {
     return a + static_cast<int>(v.size());
   };
   EXPECT_EQ(f(10, {1, 2, 3}), 13);
+}
+
+// A capture padded to `kBytes` that counts its own destruction (moved-from
+// copies do not count) and its invocations.
+template <size_t kBytes>
+struct PaddedCapture {
+  int* destroyed;
+  int* ran;
+  std::array<uint8_t, kBytes> pad{};
+  PaddedCapture(int* d, int* r) : destroyed(d), ran(r) {}
+  PaddedCapture(PaddedCapture&& other) noexcept
+      : destroyed(other.destroyed), ran(other.ran), pad(other.pad) {
+    other.destroyed = nullptr;
+  }
+  ~PaddedCapture() {
+    if (destroyed != nullptr) {
+      ++*destroyed;
+    }
+  }
+  void operator()() const { ++*ran; }
+};
+
+template <size_t kBytes>
+void ExpectOneDestructionAcrossMovesAndScheduling() {
+  static_assert(sizeof(PaddedCapture<kBytes>) > Callback::kInlineSize);
+  int destroyed = 0;
+  int ran = 0;
+  {
+    Callback a = PaddedCapture<kBytes>(&destroyed, &ran);
+    Callback b = std::move(a);
+    Callback c;
+    c = std::move(b);
+    Simulator sim;
+    sim.Schedule(5, std::move(c));
+    sim.Schedule(6, PaddedCapture<kBytes>(&destroyed, &ran));
+    const EventId cancelled = sim.Schedule(7, PaddedCapture<kBytes>(&destroyed, &ran));
+    EXPECT_TRUE(sim.Cancel(cancelled));
+    EXPECT_EQ(destroyed, 1);  // the cancelled capture, at Cancel
+    sim.RunUntilIdle();
+  }
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(destroyed, 3);
+}
+
+TEST(CallbackTest, SpilledCapturesDestroyOnceAcrossMovesAndScheduling) {
+  // Three pooled size classes: just past inline, mid-range, near the top.
+  ExpectOneDestructionAcrossMovesAndScheduling<80>();
+  ExpectOneDestructionAcrossMovesAndScheduling<240>();
+  ExpectOneDestructionAcrossMovesAndScheduling<480>();
+}
+
+// Reports the address it lives at, i.e. the spill block holding it.
+template <size_t kBytes>
+struct AddressCapture {
+  std::array<uint8_t, kBytes> pad{};
+  const void* operator()() const { return this; }
+};
+
+TEST(CallbackTest, ReleasedSpillBlockIsReusedBySameClass) {
+  Function<const void*()> first = AddressCapture<100>{};
+  const void* block = first();
+  first.Reset();
+  Function<const void*()> second = AddressCapture<100>{};
+  EXPECT_EQ(second(), block);
+  // A different size class draws from its own list.
+  Function<const void*()> other = AddressCapture<300>{};
+  EXPECT_NE(other(), block);
+}
+
+TEST(CallbackTest, OverAlignedCaptureKeepsAlignment) {
+  struct alignas(64) Aligned {
+    uint8_t byte = 0;
+    uintptr_t operator()() const { return reinterpret_cast<uintptr_t>(this); }
+  };
+  Function<uintptr_t()> f = Aligned{};
+  EXPECT_EQ(f() % 64, 0u);
+  Function<uintptr_t()> moved = std::move(f);
+  EXPECT_EQ(moved() % 64, 0u);
+}
+
+TEST(CallbackTest, KibibyteCaptureStillWorks) {
+  std::array<uint8_t, 1024> big;
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<uint8_t>(i);
+  }
+  uint64_t sum = 0;
+  Simulator sim;
+  sim.Schedule(1, [big, &sum] {
+    for (uint8_t v : big) {
+      sum += v;
+    }
+  });
+  sim.RunUntilIdle();
+  uint64_t expected = 0;
+  for (size_t i = 0; i < big.size(); ++i) {
+    expected += static_cast<uint8_t>(i);
+  }
+  EXPECT_EQ(sum, expected);
+}
+
+TEST(SimulatorTest, ScheduleConstructsCallableInItsSlot) {
+  // An inline capture is moved once into its slab slot and once out of it
+  // when the event fires; there is no intermediate Callback.
+  struct MoveCounter {
+    int* moves;
+    explicit MoveCounter(int* m) : moves(m) {}
+    MoveCounter(MoveCounter&& other) noexcept : moves(other.moves) { ++*moves; }
+    void operator()() const {}
+  };
+  int moves = 0;
+  Simulator sim;
+  sim.Schedule(1, MoveCounter(&moves));
+  EXPECT_EQ(moves, 1);
+  sim.RunUntilIdle();
+  EXPECT_EQ(moves, 2);
 }
 
 // -- Cancellation & slab behaviour ---------------------------------------------
