@@ -253,10 +253,8 @@ CellResult RunCell(const CellParams& p) {
   result.p99 = d->rtt.P99();
   result.p999 = d->rtt.P999();
   result.timeouts = client.client().timeouts();
-  const auto& stats = server.lauberhorn_nic()->stats();
-  result.sheds = stats.requests_shed_queue + stats.requests_shed_quota +
-                 stats.requests_shed_sojourn + stats.requests_shed_vf_quota;
-  result.nic_resets = stats.nic_resets;
+  result.sheds = server.sheds().total();
+  result.nic_resets = server.lauberhorn_nic()->stats().nic_resets;
   for (const auto& [kind, ps] : server.lauberhorn_nic()->PolicyStatsSnapshot()) {
     if (kind == p.policy) {
       result.central_queued = ps.central_queued;

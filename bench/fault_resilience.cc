@@ -144,21 +144,16 @@ Cell Measure(StackKind stack, double intensity, uint64_t seed, bool smoke) {
   }
   cell.p50 = rtt.P50();
   cell.p99 = rtt.P99();
+  const RpcDedupCache::Stats& dedup = machine.server_dedup().stats();
+  cell.replays = dedup.duplicates_replayed;
+  cell.dup_drops = dedup.duplicates_in_flight;
   switch (stack) {
     case StackKind::kLinux:
-      cell.replays = machine.linux_stack()->dup_replays();
-      cell.dup_drops = machine.linux_stack()->dup_drops_in_flight();
-      cell.service_down_drops = machine.dma_nic()->rx_drops_service_down();
-      break;
     case StackKind::kBypass:
-      cell.replays = machine.bypass()->dup_replays();
-      cell.dup_drops = machine.bypass()->dup_drops_in_flight();
       cell.service_down_drops = machine.dma_nic()->rx_drops_service_down();
       break;
     case StackKind::kLauberhorn: {
       const auto& stats = machine.lauberhorn_nic()->stats();
-      cell.replays = stats.dup_replays;
-      cell.dup_drops = stats.dup_drops_in_flight;
       cell.degradations = stats.degradations;
       cell.service_down_drops = stats.drops_service_down;
       break;

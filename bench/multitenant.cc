@@ -178,14 +178,14 @@ CellResult RunCell(uint64_t seed, const double (&rates)[kTenants],
       }
     }
     const LauberhornNic::VfStats& vstats = nic.vf_stats(vfs[t]);
-    obs.sheds_vf_quota = vstats.sheds_vf_quota;
+    obs.sheds_vf_quota = vstats.sheds.vf_quota;
     obs.rss_steered = vstats.rss_steered;
     obs.rss_fallbacks = vstats.rss_fallbacks;
     obs.p99_us = ToMicroseconds(rtts[t].P99());
   }
   cell.host_dispatches = machine.lauberhorn_runtime()->rpcs_hot() +
                          machine.lauberhorn_runtime()->rpcs_cold();
-  cell.nic_sheds_vf_quota = nic.stats().requests_shed_vf_quota;
+  cell.nic_sheds_vf_quota = nic.stats().sheds.vf_quota;
   if (machine.nic_recovery() != nullptr) {
     cell.recoveries = machine.nic_recovery()->stats().recoveries;
     cell.replayed_vfs = machine.nic_recovery()->stats().replayed_vfs;
@@ -274,13 +274,13 @@ DedupCell RunDedupCell(uint64_t seed) {
   machine.sim().RunUntil(Milliseconds(2));
 
   DedupCell cell;
-  cell.cross_tenant_suppressions =
-      nic.stats().dup_drops_in_flight + nic.stats().dup_replays;
+  const RpcDedupCache::Stats& dedup = nic.dedup().stats();
+  cell.cross_tenant_suppressions = dedup.duplicates_in_flight + dedup.duplicates_replayed;
   // Control: the same key again at tenant A must be suppressed.
   nic.ReceivePacket(RawRequest(40000, 7000, 1000, 0));
   machine.sim().RunUntil(Milliseconds(3));
-  cell.intra_tenant_suppressions = nic.stats().dup_drops_in_flight +
-                                   nic.stats().dup_replays -
+  cell.intra_tenant_suppressions = dedup.duplicates_in_flight +
+                                   dedup.duplicates_replayed -
                                    cell.cross_tenant_suppressions;
   for (const auto& [s, count] : execs_a) {
     cell.execs_a += count;

@@ -319,8 +319,8 @@ ChaosCell MeasureChaos(uint64_t seed, bool smoke) {
     }
   }
   cell.spans_open = spans.open_count();
-  const auto& nic = machine.lauberhorn_nic()->stats();
-  cell.span_orphans_accounted = nic.dup_replays + nic.dup_drops_in_flight +
+  const RpcDedupCache::Stats& dedup = machine.server_dedup().stats();
+  cell.span_orphans_accounted = dedup.duplicates_replayed + dedup.duplicates_in_flight +
                                 spans.reopened() + spans.orphan_marks();
   return cell;
 }

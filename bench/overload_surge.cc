@@ -103,31 +103,12 @@ struct ShedCounters {
   uint64_t total() const { return queue + quota + sojourn; }
 };
 
-ShedCounters ReadSheds(Machine& machine, StackKind stack) {
-  ShedCounters c;
-  switch (stack) {
-    case StackKind::kLinux:
-      c.queue = machine.linux_stack()->sheds_queue();
-      c.quota = machine.linux_stack()->sheds_quota();
-      c.sojourn = machine.linux_stack()->sheds_sojourn();
-      c.cpu = machine.linux_stack()->shed_cpu_time();
-      break;
-    case StackKind::kBypass:
-      c.queue = machine.bypass()->sheds_queue();
-      c.quota = machine.bypass()->sheds_quota();
-      c.sojourn = machine.bypass()->sheds_sojourn();
-      c.cpu = machine.bypass()->shed_cpu_time();
-      break;
-    case StackKind::kLauberhorn: {
-      const auto& stats = machine.lauberhorn_nic()->stats();
-      c.queue = stats.requests_shed_queue;
-      c.quota = stats.requests_shed_quota;
-      c.sojourn = stats.requests_shed_sojourn;
-      c.cpu = 0;  // NIC-side shed: no host core ever sees the request
-      break;
-    }
-  }
-  return c;
+ShedCounters ReadSheds(Machine& machine) {
+  const ShedCounts& sheds = machine.sheds();
+  const SoftwareRpcServer* server = machine.software_server();
+  // A NIC-side shed costs no host CPU: no host core ever sees the request.
+  return {sheds.queue, sheds.quota, sheds.sojourn,
+          server != nullptr ? server->shed_cpu_time() : 0};
 }
 
 AdmissionConfig MakeAdmission(double capacity_rps) {
@@ -238,7 +219,7 @@ SurgeCell MeasureSurge(StackKind stack, double mult, double capacity_rps,
     *phase = kSurge;
     sent_at_surge_start = gen.sent();
     overloaded_at_surge_start = machine.client().overloaded();
-    sheds_at_surge_start = ReadSheds(machine, stack);
+    sheds_at_surge_start = ReadSheds(machine);
     gen.SetRate(mult * capacity_rps);
     gen.SetWeights({0.55, 0.15, 0.15, 0.15});  // flash crowd on service 1
   });
@@ -248,7 +229,7 @@ SurgeCell MeasureSurge(StackKind stack, double mult, double capacity_rps,
   machine.sim().ScheduleAt(surge_end, [&, phase]() {
     *phase = kRecovery;
     sent_at_surge_end = gen.sent();
-    const ShedCounters now = ReadSheds(machine, stack);
+    const ShedCounters now = ReadSheds(machine);
     cell.sheds.queue = now.queue - sheds_at_surge_start.queue;
     cell.sheds.quota = now.quota - sheds_at_surge_start.quota;
     cell.sheds.sojourn = now.sojourn - sheds_at_surge_start.sojourn;
@@ -404,7 +385,7 @@ FaultCell MeasureFaulted(StackKind stack, double capacity_rps, uint64_t seed,
   cell.breaker_openings = machine.client().breaker_openings();
   cell.suppressed_breaker = machine.client().retransmits_suppressed_breaker();
   cell.late = machine.client().late_responses();
-  cell.sheds = ReadSheds(machine, stack).total();
+  cell.sheds = ReadSheds(machine).total();
   for (const auto& [s, count] : execs) {
     if (count > 1) {
       ++cell.dup_execs;

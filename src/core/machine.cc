@@ -91,28 +91,24 @@ Machine::Machine(MachineConfig config, Simulator* shared_sim)
       driver_config.buffer_size = 64 * 1024;
       dma_driver_ = std::make_unique<DmaNicDriver>(*sim_, driver_config, *pcie_, iommu_,
                                                    *memory_);
+      const SoftwareRpcServer::Config server_config{
+          .encrypt_rpcs = config_.encrypt_rpcs,
+          .crypto_root_key = config_.crypto_root_key,
+          .dedup = config_.server_dedup,
+          .dedup_window = config_.server_dedup_window,
+          .admission = config_.admission,
+      };
       if (config_.stack == StackKind::kLinux) {
-        LinuxRpcStack::Config linux_config = config_.linux_stack;
-        linux_config.admission = config_.admission;
-        linux_config.encrypt_rpcs = config_.encrypt_rpcs;
-        linux_config.crypto_root_key = config_.crypto_root_key;
-        linux_config.dedup = config_.server_dedup;
-        linux_config.dedup_window = config_.server_dedup_window;
         linux_stack_ = std::make_unique<LinuxRpcStack>(*sim_, *kernel_, *dma_nic_,
                                                        *dma_driver_, *msix_, services_,
-                                                       linux_config);
+                                                       config_.linux_stack, server_config);
       } else {
         BypassRuntime::Config bypass_config;
         for (uint32_t q = 0; q < config_.nic_queues; ++q) {
           bypass_config.cores.push_back(static_cast<int>(q));
         }
-        bypass_config.admission = config_.admission;
-        bypass_config.encrypt_rpcs = config_.encrypt_rpcs;
-        bypass_config.crypto_root_key = config_.crypto_root_key;
-        bypass_config.dedup = config_.server_dedup;
-        bypass_config.dedup_window = config_.server_dedup_window;
         bypass_ = std::make_unique<BypassRuntime>(*sim_, *kernel_, *dma_driver_, services_,
-                                                  bypass_config);
+                                                  bypass_config, server_config);
       }
       break;
     }
@@ -337,6 +333,23 @@ std::vector<uint32_t> Machine::EndpointsOf(const ServiceDef& service) const {
   return it != service_endpoints_.end() ? it->second : std::vector<uint32_t>{};
 }
 
+const SoftwareRpcServer* Machine::software_server() const {
+  if (linux_stack_ != nullptr) {
+    return &linux_stack_->server();
+  }
+  return bypass_ != nullptr ? &bypass_->server() : nullptr;
+}
+
+const RpcDedupCache& Machine::server_dedup() const {
+  return lauberhorn_nic_ != nullptr ? lauberhorn_nic_->dedup()
+                                    : software_server()->dedup();
+}
+
+const ShedCounts& Machine::sheds() const {
+  return lauberhorn_nic_ != nullptr ? lauberhorn_nic_->stats().sheds
+                                    : software_server()->sheds();
+}
+
 double Machine::CyclesPerRpc() const {
   const uint64_t rpcs = server_rpcs_ - rpcs_at_reset_;
   if (rpcs == 0) {
@@ -421,15 +434,16 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
     C("nic/responses_sent", s.responses_sent);
     C("nic/dma_fallback_rx", s.dma_fallback_rx);
     C("nic/dma_fallback_tx", s.dma_fallback_tx);
-    C("nic/dup_drops_in_flight", s.dup_drops_in_flight);
-    C("nic/dup_replays", s.dup_replays);
+    const RpcDedupCache::Stats& dedup = lauberhorn_nic_->dedup().stats();
+    C("nic/dup_drops_in_flight", dedup.duplicates_in_flight);
+    C("nic/dup_replays", dedup.duplicates_replayed);
+    C("nic/dedup_evictions", dedup.evictions);
     C("nic/degradations", s.degradations);
     C("nic/grants_issued", s.grants_issued);
     C("nic/ecn_echoes", s.ecn_echoes);
     C("nic/drops_nic_down", s.drops_nic_down);
     C("nic/crashed_polls", s.crashed_polls);
     C("nic/resets", s.nic_resets);
-    C("nic/drops_queue_full", s.drops_queue_full);
     C("nic/drops_bad_frame", s.drops_bad_frame);
     C("nic/drops_no_endpoint", s.drops_no_endpoint);
     C("nic/drops_bad_args", s.drops_bad_args);
@@ -438,10 +452,10 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
     C("nic/wedged_polls", s.wedged_polls);
     C("nic/degraded_dispatches", s.degraded_dispatches);
     C("nic/dispatcher_wakeups", s.dispatcher_wakeups);
-    C("overload/sheds_queue", s.requests_shed_queue);
-    C("overload/sheds_quota", s.requests_shed_quota);
-    C("overload/sheds_sojourn", s.requests_shed_sojourn);
-    C("overload/sheds_vf_quota", s.requests_shed_vf_quota);
+    C("overload/sheds_queue", s.sheds.queue);
+    C("overload/sheds_quota", s.sheds.quota);
+    C("overload/sheds_sojourn", s.sheds.sojourn);
+    C("overload/sheds_vf_quota", s.sheds.vf_quota);
     // Per-core occupancy: where the NIC's dispatch decisions actually landed
     // (§18). busy_ns is delivered-to-collected time, queue_depth the live
     // private backlog of the endpoint active on that core.
@@ -473,10 +487,10 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
       const std::string base = "nic/vf" + std::to_string(vf) + "/";
       metrics.SetCounter(prefix + base + "rx_requests", v.rx_requests);
       metrics.SetCounter(prefix + base + "responses", v.responses);
-      metrics.SetCounter(prefix + base + "sheds_queue", v.sheds_queue);
-      metrics.SetCounter(prefix + base + "sheds_quota", v.sheds_quota);
-      metrics.SetCounter(prefix + base + "sheds_sojourn", v.sheds_sojourn);
-      metrics.SetCounter(prefix + base + "sheds_vf_quota", v.sheds_vf_quota);
+      metrics.SetCounter(prefix + base + "sheds_queue", v.sheds.queue);
+      metrics.SetCounter(prefix + base + "sheds_quota", v.sheds.quota);
+      metrics.SetCounter(prefix + base + "sheds_sojourn", v.sheds.sojourn);
+      metrics.SetCounter(prefix + base + "sheds_vf_quota", v.sheds.vf_quota);
       metrics.SetCounter(prefix + base + "rss_steered", v.rss_steered);
       metrics.SetCounter(prefix + base + "rss_fallbacks", v.rss_fallbacks);
       metrics.SetCounter(prefix + base + "endpoints", v.endpoints);
@@ -494,28 +508,11 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
     C("runtime/nested_issued", lauberhorn_runtime_->nested_issued());
     C("overload/scale_suppressed", lauberhorn_runtime_->scale_suppressed());
   }
-  if (linux_stack_ != nullptr) {
-    C("linux/rpcs_completed", linux_stack_->rpcs_completed());
-    C("linux/bad_requests", linux_stack_->bad_requests());
-    C("linux/dup_drops_in_flight", linux_stack_->dup_drops_in_flight());
-    C("linux/dup_replays", linux_stack_->dup_replays());
-    C("overload/sheds_queue", linux_stack_->sheds_queue());
-    C("overload/sheds_quota", linux_stack_->sheds_quota());
-    C("overload/sheds_sojourn", linux_stack_->sheds_sojourn());
-    G("overload/shed_cpu_us", static_cast<double>(linux_stack_->shed_cpu_time()) /
-                                  static_cast<double>(Microseconds(1)));
+  if (const SoftwareRpcServer* server = software_server()) {
+    server->ExportMetrics(metrics, prefix, ToString(config_.stack));
   }
   if (bypass_ != nullptr) {
-    C("bypass/rpcs_completed", bypass_->rpcs_completed());
-    C("bypass/bad_requests", bypass_->bad_requests());
     C("bypass/empty_polls", bypass_->empty_polls());
-    C("bypass/dup_drops_in_flight", bypass_->dup_drops_in_flight());
-    C("bypass/dup_replays", bypass_->dup_replays());
-    C("overload/sheds_queue", bypass_->sheds_queue());
-    C("overload/sheds_quota", bypass_->sheds_quota());
-    C("overload/sheds_sojourn", bypass_->sheds_sojourn());
-    G("overload/shed_cpu_us", static_cast<double>(bypass_->shed_cpu_time()) /
-                                  static_cast<double>(Microseconds(1)));
   }
   if (faults_ != nullptr) {
     const FaultInjector::Stats& f = faults_->stats();

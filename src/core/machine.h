@@ -173,6 +173,12 @@ class Machine {
   DmaNic* dma_nic() { return dma_nic_.get(); }
   LinuxRpcStack* linux_stack() { return linux_stack_.get(); }
   BypassRuntime* bypass() { return bypass_.get(); }
+  // The Linux or bypass stack's serving core (null on Lauberhorn).
+  const SoftwareRpcServer* software_server() const;
+  // The active stack's at-most-once table (its stats count the duplicates)
+  // and shed counts: one shape whichever stack runs.
+  const RpcDedupCache& server_dedup() const;
+  const ShedCounts& sheds() const;
   CoherentInterconnect& interconnect() { return *interconnect_; }
   PcieLink& pcie() { return *pcie_; }
   Iommu& iommu() { return iommu_; }

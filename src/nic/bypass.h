@@ -6,16 +6,14 @@
 #define SRC_NIC_BYPASS_H_
 
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
-#include "src/net/headers.h"
 #include "src/nic/dma_nic.h"
+#include "src/nic/software_server.h"
 #include "src/os/kernel.h"
 #include "src/overload/overload.h"
-#include "src/proto/cipher.h"
-#include "src/proto/dedup.h"
-#include "src/proto/rpc_message.h"
 #include "src/proto/service.h"
 #include "src/stats/span.h"
 
@@ -40,23 +38,16 @@ class BypassRuntime {
     Duration per_packet = Nanoseconds(300);
     // Userspace TX cost per packet.
     Duration tx_per_packet = Nanoseconds(200);
-    // Software transport crypto.
-    bool encrypt_rpcs = false;
-    uint64_t crypto_root_key = 0;
-    // At-most-once execution (software analog of the Lauberhorn NIC's dedup
-    // stage): duplicates of in-flight requests are dropped, completed ones
-    // replay the cached response.
-    bool dedup = true;
-    size_t dedup_window = 1024;
-    // Overload admission in the poll loop. Rings carry no timestamps, so the
-    // sojourn check runs on *estimated* delay: ring occupancy times the
-    // per-request processing estimate. Sheds cost user CPU on the polling
-    // core (cheaper than a full handler pass, but not free like Lauberhorn).
-    AdmissionConfig admission;
   };
 
+  // `server` configures the serving core (crypto, dedup, admission). Rings
+  // carry no timestamps, so the poll loop's sojourn check runs on *estimated*
+  // delay: ring occupancy times the per-request processing estimate. Sheds
+  // cost user CPU on the polling core (cheaper than a full handler pass, but
+  // not free like Lauberhorn).
   BypassRuntime(Simulator& sim, Kernel& kernel, DmaNicDriver& driver,
-                ServiceRegistry& services, Config config);
+                ServiceRegistry& services, Config config,
+                SoftwareRpcServer::Config server);
 
   // Occupies the dedicated cores and starts spinning.
   void Start();
@@ -65,24 +56,22 @@ class BypassRuntime {
   // Per-request span tracing: the poll loop stamps pickup + handler bounds.
   void set_span_collector(SpanCollector* spans) { spans_ = spans; }
 
-  uint64_t rpcs_completed() const { return rpcs_completed_; }
-  uint64_t bad_requests() const { return bad_requests_; }
+  // Requests, dedup, sheds and their counters.
+  const SoftwareRpcServer& server() const { return server_; }
   uint64_t empty_polls() const { return empty_polls_; }
-  uint64_t dup_drops_in_flight() const { return dup_drops_in_flight_; }
-  uint64_t dup_replays() const { return dup_replays_; }
-  // Overload sheds by reason and the user CPU charged for shedding.
-  uint64_t sheds_queue() const { return sheds_queue_; }
-  uint64_t sheds_quota() const { return sheds_quota_; }
-  uint64_t sheds_sojourn() const { return sheds_sojourn_; }
-  uint64_t sheds_total() const {
-    return sheds_queue_ + sheds_quota_ + sheds_sojourn_;
-  }
-  Duration shed_cpu_time() const { return shed_cpu_time_; }
 
  private:
+  // What serving one polled packet costs the polling core, and what it sends.
+  struct Step {
+    Duration work = 0;
+    std::optional<Packet> reply;
+    bool executed = false;  // a handler ran: counts as completed at TX
+    uint64_t request_id = 0;
+  };
+
   void Loop(uint32_t q, Core& core);
-  std::vector<uint64_t> empty_streak_;
   void ProcessBatch(uint32_t q, Core& core, std::vector<Packet> packets, size_t index);
+  Step ServePacket(uint32_t q, const Packet& packet, size_t batch_remaining);
   // Admission decision for one decoded request on queue `q`;
   // `batch_remaining` counts the packets already polled but not yet served.
   ShedReason AdmissionCheck(uint32_t q, uint32_t service_id, size_t batch_remaining);
@@ -92,19 +81,12 @@ class BypassRuntime {
   DmaNicDriver& driver_;
   ServiceRegistry& services_;
   Config config_;
+  SoftwareRpcServer server_;
   SpanCollector* spans_ = nullptr;
   Process* process_ = nullptr;  // the bypass application owns its data plane
-  RpcDedupCache dedup_;
   bool running_ = false;
-  uint64_t rpcs_completed_ = 0;
-  uint64_t bad_requests_ = 0;
   uint64_t empty_polls_ = 0;
-  uint64_t dup_drops_in_flight_ = 0;
-  uint64_t dup_replays_ = 0;
-  uint64_t sheds_queue_ = 0;
-  uint64_t sheds_quota_ = 0;
-  uint64_t sheds_sojourn_ = 0;
-  Duration shed_cpu_time_ = 0;
+  std::vector<uint64_t> empty_streak_;
   std::unordered_map<uint32_t, TokenBucket> service_quota_;
   std::vector<SojournGate> sojourn_;  // per queue
 };

@@ -532,11 +532,8 @@ void LauberhornNic::ReceivePacket(Packet packet) {
           break;
         case RpcDedupCache::Verdict::kInFlight:
           // The original is still executing; its response answers this copy.
-          ++stats_.dup_drops_in_flight;
           return;
         case RpcDedupCache::Verdict::kCompleted: {
-          ++stats_.dup_replays;
-          const RpcMessage* cached = dedup_.Lookup(flow, request->request_id);
           PreparedRequest replay;
           replay.endpoint = ep_id;
           replay.service_id = request->service_id;
@@ -546,17 +543,7 @@ void LauberhornNic::ReceivePacket(Packet packet) {
           replay.ip = frame->ip;
           replay.udp = frame->udp;
           replay.wire_arrival = 0;  // replays stay out of the latency histogram
-          RpcMessage response;
-          if (cached != nullptr) {
-            response = *cached;
-          } else {
-            response.kind = MessageKind::kResponse;
-            response.status = RpcStatus::kInternal;
-            response.service_id = request->service_id;
-            response.method_id = request->method_id;
-            response.request_id = request->request_id;
-          }
-          TransmitResponse(replay, std::move(response));
+          TransmitResponse(replay, dedup_.Replay(flow, *request));
           return;
         }
       }
@@ -1194,40 +1181,14 @@ ShedReason LauberhornNic::AdmissionCheck(Endpoint& ep, bool cold) {
 
 void LauberhornNic::Shed(Endpoint& ep, const PreparedRequest& request,
                          ShedReason reason) {
-  VfStats& vf_stats = vfs_[ep.vf].stats;
-  switch (reason) {
-    case ShedReason::kQueueFull:
-      ++stats_.requests_shed_queue;
-      ++stats_.drops_queue_full;
-      ++ep.shed_queue;
-      ++vf_stats.sheds_queue;
-      break;
-    case ShedReason::kQuota:
-      ++stats_.requests_shed_quota;
-      ++ep.shed_quota;
-      ++vf_stats.sheds_quota;
-      break;
-    case ShedReason::kSojourn:
-      ++stats_.requests_shed_sojourn;
-      ++ep.shed_sojourn;
-      ++vf_stats.sheds_sojourn;
-      break;
-    case ShedReason::kVfQuota:
-      ++stats_.requests_shed_vf_quota;
-      ++ep.shed_vf_quota;
-      ++vf_stats.sheds_vf_quota;
-      break;
-    case ShedReason::kNone:
-      break;
-  }
+  stats_.sheds.Count(reason);
+  ep.sheds.Count(reason);
+  vfs_[ep.vf].stats.sheds.Count(reason);
   trace_.Emit(sim_.Now(), TraceEvent::kDrop, ep.id,
               static_cast<uint32_t>(reason));
-  RpcMessage overload;
-  overload.kind = MessageKind::kResponse;
+  RpcMessage overload =
+      ResponseHeader(request.service_id, request.method_id, request.request_id);
   overload.status = RpcStatus::kOverloaded;
-  overload.service_id = request.service_id;
-  overload.method_id = request.method_id;
-  overload.request_id = request.request_id;
   // TransmitResponse aborts the dedup entry on kOverloaded, so a later
   // retransmit of this id may still execute (at most once).
   TransmitResponse(request, std::move(overload));
@@ -1633,11 +1594,9 @@ void LauberhornNic::CollectResponse(Endpoint& ep, OutstandingRequest outstanding
       [this, ep_id, ctrl, outstanding = std::move(outstanding)](LineData data) mutable {
         const auto response_line = ResponseLine::Decode(data);
         StoredLine(ctrl) = std::move(data);
-        RpcMessage response;
-        response.kind = MessageKind::kResponse;
-        response.service_id = outstanding.request.service_id;
-        response.method_id = outstanding.request.method_id;
-        response.request_id = outstanding.request.request_id;
+        RpcMessage response =
+            ResponseHeader(outstanding.request.service_id, outstanding.request.method_id,
+                           outstanding.request.request_id);
         if (!response_line.has_value() ||
             response_line->kind != LineKind::kResponse) {
           response.status = RpcStatus::kInternal;
@@ -1765,19 +1724,7 @@ void LauberhornNic::TransmitResponse(const PreparedRequest& meta, RpcMessage res
                                    response.request_id ^ 0x5a5a, response.payload);
     crypto_cost = config_.pipeline.CryptoCost(response.payload.size());
   }
-  EthernetHeader eth;
-  eth.dst = meta.eth.src;
-  eth.src = meta.eth.dst;
-  Ipv4Header ip;
-  ip.src = meta.ip.dst;
-  ip.dst = meta.ip.src;
-  // The response to an ECN-capable sender is itself ECT: fabric congestion
-  // on the return path is observable too.
-  ip.ecn = meta.ip.ecn != kEcnNotEct ? kEcnEct0 : kEcnNotEct;
-  UdpHeader udp;
-  udp.src_port = meta.udp.dst_port;
-  udp.dst_port = meta.udp.src_port;
-  Packet out = BuildRpcFrame(eth, ip, udp, response);
+  Packet out = ReplyFrame(meta.eth, meta.ip, meta.udp, response);
   trace_.Emit(sim_.Now(), TraceEvent::kWireTx, meta.endpoint,
               static_cast<uint32_t>(response.request_id));
   if (meta.wire_arrival > 0) {
@@ -1787,7 +1734,7 @@ void LauberhornNic::TransmitResponse(const PreparedRequest& meta, RpcMessage res
     }
     ep.latency->Record(sim_.Now() - meta.wire_arrival);
   }
-  if (ip.dst == config_.own_ip) {
+  if (meta.ip.src == config_.own_ip) {
     // Reply to a nested (hairpinned) request: back through the RX pipeline.
     sim_.Schedule(crypto_cost + config_.pipeline.tx_fixed + config_.hairpin_latency,
                   [this, out = std::move(out)]() mutable {
@@ -1931,12 +1878,6 @@ bool LauberhornNic::EndpointActive(uint32_t endpoint) const {
   return endpoints_[endpoint].active;
 }
 
-LauberhornNic::EndpointSheds LauberhornNic::endpoint_sheds(uint32_t endpoint) const {
-  const Endpoint& ep = endpoints_[endpoint];
-  return EndpointSheds{ep.shed_queue, ep.shed_quota, ep.shed_sojourn,
-                       ep.shed_vf_quota};
-}
-
 std::string LauberhornNic::DebugReport() {
   std::string out = "LauberhornNic endpoints:\n";
   char line[256];
@@ -1964,14 +1905,14 @@ std::string LauberhornNic::DebugReport() {
                 static_cast<unsigned long long>(stats_.responses_sent),
                 static_cast<unsigned long long>(
                     stats_.drops_bad_frame + stats_.drops_no_endpoint +
-                    stats_.drops_bad_args + stats_.drops_queue_full));
+                    stats_.drops_bad_args + stats_.sheds.queue));
   out += line;
   std::snprintf(line, sizeof(line),
                 "  sheds: queue=%llu quota=%llu sojourn=%llu vf_quota=%llu\n",
-                static_cast<unsigned long long>(stats_.requests_shed_queue),
-                static_cast<unsigned long long>(stats_.requests_shed_quota),
-                static_cast<unsigned long long>(stats_.requests_shed_sojourn),
-                static_cast<unsigned long long>(stats_.requests_shed_vf_quota));
+                static_cast<unsigned long long>(stats_.sheds.queue),
+                static_cast<unsigned long long>(stats_.sheds.quota),
+                static_cast<unsigned long long>(stats_.sheds.sojourn),
+                static_cast<unsigned long long>(stats_.sheds.vf_quota));
   out += line;
   for (size_t vf = 1; vf < vfs_.size(); ++vf) {
     const VfState& state = vfs_[vf];
@@ -1982,7 +1923,7 @@ std::string LauberhornNic::DebugReport() {
                   static_cast<unsigned long long>(state.stats.endpoints),
                   static_cast<unsigned long long>(state.stats.rx_requests),
                   static_cast<unsigned long long>(state.stats.responses),
-                  static_cast<unsigned long long>(state.stats.sheds_vf_quota),
+                  static_cast<unsigned long long>(state.stats.sheds.vf_quota),
                   static_cast<unsigned long long>(state.stats.rss_steered),
                   static_cast<unsigned long long>(state.stats.rss_fallbacks));
     out += line;

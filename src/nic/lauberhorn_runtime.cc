@@ -8,18 +8,6 @@
 
 namespace lauberhorn {
 
-namespace {
-// The response header (no payload yet) a handler fills in for a request.
-RpcMessage ResponseHeader(uint32_t service_id, uint16_t method_id, uint64_t request_id) {
-  RpcMessage response;
-  response.kind = MessageKind::kResponse;
-  response.service_id = service_id;
-  response.method_id = method_id;
-  response.request_id = request_id;
-  return response;
-}
-}  // namespace
-
 LauberhornRuntime::LauberhornRuntime(Simulator& sim, Kernel& kernel, LauberhornNic& nic,
                                      MemoryHomeAgent& memory, Iommu& iommu,
                                      ServiceRegistry& services, Config config)
@@ -447,29 +435,21 @@ void LauberhornRuntime::HandleDispatch(EndpointRt& rt, Core& core,
                }
                const MethodDef* method = rt.service->FindMethod(method_id);
                RpcMessage response = ResponseHeader(service_id, method_id, request_id);
-               Duration user_cost = config_.handler_entry + extra_cost;
-               if (method == nullptr) {
-                 response.status = RpcStatus::kNoSuchMethod;
-               } else {
-                 // The NIC already unmarshalled/validated: decoding here is
-                 // free (args arrive laid out in registers/cache lines).
-                 std::vector<WireValue> values;
-                 if (!UnmarshalArgs(method->request_sig, args, values)) {
-                   response.status = RpcStatus::kBadArguments;
-                 } else if (method->has_nested_call()) {
-                   IssueNested(core, *method, std::move(response), std::move(values),
-                               [this, &rt, &core, request_id](RpcMessage nested_response,
-                                                              Duration finish_cost) {
-                                 WriteResponse(rt, core, request_id,
-                                               std::move(nested_response), finish_cost);
-                               });
-                   return;
-                 } else {
-                   const std::vector<WireValue> result = method->handler(values);
-                   user_cost += method->service_time(values);
-                   MarshalArgs(method->response_sig, result, response.payload);
-                 }
+               std::vector<WireValue> values;
+               if (method != nullptr && method->has_nested_call() &&
+                   UnmarshalArgs(method->request_sig, args, values)) {
+                 IssueNested(core, *method, std::move(response), std::move(values),
+                             [this, &rt, &core, request_id](RpcMessage nested_response,
+                                                            Duration finish_cost) {
+                               WriteResponse(rt, core, request_id,
+                                             std::move(nested_response), finish_cost);
+                             });
+                 return;
                }
+               // The NIC already unmarshalled/validated: decoding here is
+               // free (args arrive laid out in registers/cache lines).
+               const Duration user_cost = config_.handler_entry + extra_cost +
+                                          InvokeMethod(method, args, response);
                WriteResponse(rt, core, request_id, std::move(response), user_cost);
              });
 }
@@ -637,69 +617,44 @@ void LauberhornRuntime::HandleColdDispatch(size_t slot, Core& core,
                               sim_.Now());
              }
              const MethodDef* method = rt.service->FindMethod(header.method_id);
-             if (method != nullptr && method->has_nested_call()) {
-               std::vector<WireValue> values;
-               if (UnmarshalArgs(method->request_sig, args, values)) {
-                 IssueNested(
-                     core, *method, std::move(header), std::move(values),
-                     [this, slot, &core, &rt](RpcMessage nested_response,
-                                              Duration finish_cost) {
-                       core.Run(finish_cost, CoreMode::kUser,
-                                [this, slot, &core, &rt,
-                                 nested_response = std::move(nested_response)]() mutable {
-                                  if (spans_ != nullptr) {
-                                    spans_->Record(nested_response.request_id,
-                                                   SpanStage::kHandlerEnd, sim_.Now());
-                                  }
-                                  nic_.SoftwareTransmit(nested_response.request_id,
-                                                        std::move(nested_response));
-                                  ++rpcs_cold_;
-                                  dispatchers_[slot].armed = false;
-                                  kernel_.scheduler().OnWorkDone(core);
-                                  if (nic_.DispatchBacklog(rt.endpoint) > 0 ||
-                                      nic_.ArrivalRate(rt.endpoint) >
-                                          config_.hot_rate_threshold_rps) {
-                                    StartUserLoop(rt.endpoint, core.index());
-                                  }
-                                });
-                     });
-                 return;
-               }
+             std::vector<WireValue> values;
+             if (method != nullptr && method->has_nested_call() &&
+                 UnmarshalArgs(method->request_sig, args, values)) {
+               IssueNested(core, *method, std::move(header), std::move(values),
+                           [this, slot, &core, &rt](RpcMessage nested_response,
+                                                    Duration finish_cost) {
+                             FinishColdDispatch(slot, core, rt, std::move(nested_response),
+                                                finish_cost);
+                           });
+               return;
              }
              RpcMessage response = std::move(header);
-             Duration user_cost = config_.handler_entry;
-             if (method == nullptr) {
-               response.status = RpcStatus::kNoSuchMethod;
-             } else {
-               std::vector<WireValue> values;
-               if (!UnmarshalArgs(method->request_sig, args, values)) {
-                 response.status = RpcStatus::kBadArguments;
-               } else {
-                 const std::vector<WireValue> result = method->handler(values);
-                 user_cost += method->service_time(values);
-                 MarshalArgs(method->response_sig, result, response.payload);
-               }
+             const Duration user_cost =
+                 config_.handler_entry + InvokeMethod(method, args, response);
+             FinishColdDispatch(slot, core, rt, std::move(response), user_cost);
+           });
+}
+
+void LauberhornRuntime::FinishColdDispatch(size_t slot, Core& core, EndpointRt& rt,
+                                           RpcMessage response, Duration user_cost) {
+  core.Run(user_cost, CoreMode::kUser,
+           [this, slot, &core, &rt, response = std::move(response)]() mutable {
+             if (spans_ != nullptr) {
+               spans_->Record(response.request_id, SpanStage::kHandlerEnd, sim_.Now());
              }
-             core.Run(user_cost, CoreMode::kUser, [this, slot, &core, &rt,
-                                                   response = std::move(response)]() mutable {
-               if (spans_ != nullptr) {
-                 spans_->Record(response.request_id, SpanStage::kHandlerEnd,
-                                sim_.Now());
-               }
-               nic_.SoftwareTransmit(response.request_id, std::move(response));
-               ++rpcs_cold_;
-               dispatchers_[slot].armed = false;
-               kernel_.scheduler().OnWorkDone(core);
-               // Fig. 5 (1): the core stays with the process in its user-mode
-               // loop — but only for endpoints that are actually hot; one-off
-               // invocations stay on the cold path (no churn).
-               // DispatchBacklog: central-queue work (c-FCFS / JBSQ) also
-               // justifies keeping the core in the hot loop (§18).
-               if (nic_.DispatchBacklog(rt.endpoint) > 0 ||
-                   nic_.ArrivalRate(rt.endpoint) > config_.hot_rate_threshold_rps) {
-                 StartUserLoop(rt.endpoint, core.index());
-               }
-             });
+             nic_.SoftwareTransmit(response.request_id, std::move(response));
+             ++rpcs_cold_;
+             dispatchers_[slot].armed = false;
+             kernel_.scheduler().OnWorkDone(core);
+             // Fig. 5 (1): the core stays with the process in its user-mode
+             // loop — but only for endpoints that are actually hot; one-off
+             // invocations stay on the cold path (no churn).
+             // DispatchBacklog: central-queue work (c-FCFS / JBSQ) also
+             // justifies keeping the core in the hot loop (§18).
+             if (nic_.DispatchBacklog(rt.endpoint) > 0 ||
+                 nic_.ArrivalRate(rt.endpoint) > config_.hot_rate_threshold_rps) {
+               StartUserLoop(rt.endpoint, core.index());
+             }
            });
 }
 

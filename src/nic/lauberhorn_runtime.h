@@ -130,6 +130,10 @@ class LauberhornRuntime : public SchedStateListener {
   void DispatcherIter(size_t slot, Core& core);
   void HandleColdDispatch(size_t slot, Core& core, const DispatchLine& dispatch,
                           std::span<const uint8_t> args);
+  // Charges the cold handler's `user_cost`, sends `response` through the
+  // kernel channel, and frees the dispatcher.
+  void FinishColdDispatch(size_t slot, Core& core, EndpointRt& rt, RpcMessage response,
+                          Duration user_cost);
   void WakeDispatcher();
   void PolicyTick();
   // §1: the NIC asks the OS to reschedule in response to arriving packets:

@@ -8,7 +8,7 @@ namespace lauberhorn {
 
 LinuxRpcStack::LinuxRpcStack(Simulator& sim, Kernel& kernel, DmaNic& nic,
                              DmaNicDriver& driver, Msix& msix, ServiceRegistry& services,
-                             Config config)
+                             Config config, SoftwareRpcServer::Config server)
     : sim_(sim),
       kernel_(kernel),
       nic_(nic),
@@ -16,7 +16,7 @@ LinuxRpcStack::LinuxRpcStack(Simulator& sim, Kernel& kernel, DmaNic& nic,
       msix_(msix),
       services_(services),
       config_(config),
-      dedup_(config.dedup_window) {}
+      server_(kernel.costs(), std::move(server)) {}
 
 void LinuxRpcStack::RegisterServiceProcess(const ServiceDef& service) {
   auto state = std::make_unique<ServiceState>();
@@ -27,9 +27,9 @@ void LinuxRpcStack::RegisterServiceProcess(const ServiceDef& service) {
         kernel_.AddThread(state->process, service.name + "-w" + std::to_string(i)));
   }
   state->socket = kernel_.CreateSocket(service.udp_port, state->workers[0]);
-  if (config_.admission.enabled && config_.admission.quota_rps > 0) {
-    state->quota =
-        TokenBucket(config_.admission.quota_rps, config_.admission.quota_burst);
+  const AdmissionConfig& admission = server_.config().admission;
+  if (admission.enabled && admission.quota_rps > 0) {
+    state->quota = TokenBucket(admission.quota_rps, admission.quota_burst);
   }
   by_port_[service.udp_port] = std::move(state);
 }
@@ -74,16 +74,16 @@ void LinuxRpcStack::NapiPoll(uint32_t q, Core& core) {
     for (Packet& packet : packets) {
       const auto frame = ParseUdpFrame(packet);
       if (!frame.has_value()) {
-        ++bad_requests_;
+        server_.CountBadRequest();
         continue;
       }
       auto it = by_port_.find(frame->udp.dst_port);
       if (it == by_port_.end()) {
-        ++bad_requests_;  // no socket bound: ICMP unreachable in real life
+        server_.CountBadRequest();  // no socket bound: ICMP unreachable in real life
         continue;
       }
       ServiceState& state = *it->second;
-      if (config_.admission.enabled) {
+      if (server_.config().admission.enabled) {
         const ShedReason reason = AdmissionCheck(state);
         if (reason != ShedReason::kNone) {
           // Unlike the Lauberhorn NIC, saying "no" here still burns kernel
@@ -131,10 +131,11 @@ void LinuxRpcStack::NapiPoll(uint32_t q, Core& core) {
 }
 
 ShedReason LinuxRpcStack::AdmissionCheck(ServiceState& state) {
+  const AdmissionConfig& admission = server_.config().admission;
   const SimTime now = sim_.Now();
   size_t depth_limit = state.socket->max_depth();
-  if (config_.admission.queue_depth_limit > 0) {
-    depth_limit = std::min(depth_limit, config_.admission.queue_depth_limit);
+  if (admission.queue_depth_limit > 0) {
+    depth_limit = std::min(depth_limit, admission.queue_depth_limit);
   }
   if (state.socket->depth() >= depth_limit) {
     return ShedReason::kQueueFull;
@@ -142,8 +143,7 @@ ShedReason LinuxRpcStack::AdmissionCheck(ServiceState& state) {
   if (state.quota.metered() && !state.quota.TryTake(now)) {
     return ShedReason::kQuota;
   }
-  if (state.sojourn.ShouldShed(now, state.socket->OldestAge(now),
-                               config_.admission.sojourn)) {
+  if (state.sojourn.ShouldShed(now, state.socket->OldestAge(now), admission.sojourn)) {
     return ShedReason::kSojourn;
   }
   return ShedReason::kNone;
@@ -156,48 +156,11 @@ Duration LinuxRpcStack::ShedFrame(uint32_t q, const ParsedFrame& frame,
   // dropped without a reply (same as the worker path would).
   const auto request = DecodeRpcMessage(frame.payload);
   if (!request.has_value() || request->kind != MessageKind::kRequest) {
-    ++bad_requests_;
+    server_.CountBadRequest();
     return costs.protocol_processing;
   }
-  switch (reason) {
-    case ShedReason::kQueueFull:
-      ++sheds_queue_;
-      break;
-    case ShedReason::kQuota:
-      ++sheds_quota_;
-      break;
-    case ShedReason::kSojourn:
-      ++sheds_sojourn_;
-      break;
-    case ShedReason::kVfQuota:  // per-VF quotas exist only on the Lauberhorn NIC
-    case ShedReason::kNone:
-      break;
-  }
-  RpcMessage overload;
-  overload.kind = MessageKind::kResponse;
-  overload.status = RpcStatus::kOverloaded;
-  overload.service_id = request->service_id;
-  overload.method_id = request->method_id;
-  overload.request_id = request->request_id;
-  if (frame.ip.ecn == kEcnCe) {
-    // Host-side DCTCP fallback (§15): no grants here, but the CE mark the
-    // request picked up in the fabric is still echoed to the sender.
-    overload.flags |= kLrpcFlagEcnEcho;
-  }
-  EthernetHeader eth;
-  eth.dst = frame.eth.src;
-  eth.src = frame.eth.dst;
-  Ipv4Header ip;
-  ip.src = frame.ip.dst;
-  ip.dst = frame.ip.src;
-  ip.ecn = frame.ip.ecn != kEcnNotEct ? kEcnEct0 : kEcnNotEct;
-  UdpHeader udp;
-  udp.src_port = frame.udp.dst_port;
-  udp.dst_port = frame.udp.src_port;
-  const Packet out = BuildRpcFrame(eth, ip, udp, overload);
-  driver_.Transmit(q, out.bytes);
   const Duration cost = costs.protocol_processing + costs.driver_tx_per_packet;
-  shed_cpu_time_ += cost;
+  driver_.Transmit(q, server_.Shed(frame, *request, reason, cost).bytes);
   return cost;
 }
 
@@ -228,11 +191,11 @@ void LinuxRpcStack::WorkerStep(ServiceState& state, Core& core) {
   packet.bytes = std::move(frame_bytes);
   const auto frame = ParseUdpFrame(packet);
   if (!frame.has_value()) {
-    ++bad_requests_;
+    server_.CountBadRequest();
     kernel_.scheduler().OnWorkDone(core);
     return;
   }
-  const auto request = DecodeRpcMessage(frame->payload);
+  auto request = DecodeRpcMessage(frame->payload);
   if (spans_ != nullptr && request.has_value() &&
       request->kind == MessageKind::kRequest) {
     spans_->Record(request->request_id, SpanStage::kDelivered, sim_.Now());
@@ -246,127 +209,50 @@ void LinuxRpcStack::WorkerStep(ServiceState& state, Core& core) {
   const Ipv4Header req_ip = frame->ip;
   const UdpHeader req_udp = frame->udp;
 
-  core.Run(recv_cost, CoreMode::kKernel, [this, &state, &core, request, req_eth, req_ip,
-                                          req_udp]() {
-    const OsCostModel& costs = kernel_.costs();
+  core.Run(recv_cost, CoreMode::kKernel, [this, &state, &core, request = std::move(request),
+                                          req_eth, req_ip, req_udp]() mutable {
     if (!request.has_value() || request->kind != MessageKind::kRequest) {
-      ++bad_requests_;
+      server_.CountBadRequest();
       kernel_.scheduler().OnWorkDone(core);
       return;
     }
-    // Software transport decryption (charged below as user time).
-    RpcMessage plain = *request;
+    // Software transport decryption, charged below as user time. A failed
+    // attempt is dropped before any user time is charged.
     Duration crypto_cost = 0;
-    if (config_.encrypt_rpcs) {
-      auto opened = OpenPayload(
-          DeriveKey(config_.crypto_root_key, state.def->service_id), plain.payload);
-      crypto_cost += costs.SwCryptoCost(plain.payload.size());
-      if (!opened.has_value()) {
-        ++bad_requests_;
-        kernel_.scheduler().OnWorkDone(core);
-        return;
-      }
-      plain.payload = std::move(*opened);
+    if (!server_.Open(state.def->service_id, *request, crypto_cost)) {
+      server_.CountBadRequest();
+      kernel_.scheduler().OnWorkDone(core);
+      return;
     }
-    RpcMessage response;
-    response.kind = MessageKind::kResponse;
-    response.service_id = plain.service_id;
-    response.method_id = plain.method_id;
-    response.request_id = plain.request_id;
-    Duration user_cost = crypto_cost;
-
-    // At-most-once admission, after decryption validated the request (a
-    // corrupted copy must not park an in-flight entry forever).
-    bool replay = false;
-    uint64_t flow = 0;
-    if (config_.dedup) {
-      flow = DedupFlowKey(req_ip.src, req_udp.src_port);
-      switch (dedup_.Admit(flow, plain.request_id)) {
-        case RpcDedupCache::Verdict::kNew:
-          break;
-        case RpcDedupCache::Verdict::kInFlight:
-          ++dup_drops_in_flight_;
-          kernel_.scheduler().OnWorkDone(core);
-          return;
-        case RpcDedupCache::Verdict::kCompleted: {
-          ++dup_replays_;
-          const RpcMessage* cached = dedup_.Lookup(flow, plain.request_id);
-          if (cached != nullptr) {
-            response = *cached;  // already sealed; resend as-is
-          } else {
-            response.status = RpcStatus::kInternal;
-          }
-          replay = true;
-          break;
-        }
-      }
+    SoftwareRpcServer::Result served = server_.Serve(state.def, req_ip, req_udp, *request);
+    if (served.outcome == SoftwareRpcServer::Outcome::kDropped) {
+      kernel_.scheduler().OnWorkDone(core);
+      return;
+    }
+    const bool replay = served.outcome == SoftwareRpcServer::Outcome::kReplayed;
+    if (spans_ != nullptr && !replay) {
+      spans_->Record(request->request_id, SpanStage::kHandlerStart, sim_.Now());
     }
 
-    if (!replay) {
-      if (spans_ != nullptr) {
-        spans_->Record(plain.request_id, SpanStage::kHandlerStart, sim_.Now());
-      }
-      const MethodDef* method = state.def->FindMethod(plain.method_id);
-      if (method == nullptr) {
-        response.status = RpcStatus::kNoSuchMethod;
-      } else {
-        std::vector<WireValue> args;
-        if (!UnmarshalArgs(method->request_sig, plain.payload, args)) {
-          response.status = RpcStatus::kBadArguments;
-          user_cost += costs.SwMarshalCost(plain.payload.size());
-        } else {
-          // Software unmarshal + handler + software marshal.
-          user_cost += costs.SwMarshalCost(plain.payload.size());
-          const std::vector<WireValue> result = method->handler(args);
-          user_cost += method->service_time(args);
-          MarshalArgs(method->response_sig, result, response.payload);
-          user_cost += costs.SwMarshalCost(response.payload.size());
-        }
-      }
-      if (config_.encrypt_rpcs && !response.payload.empty()) {
-        user_cost += costs.SwCryptoCost(response.payload.size());
-        response.payload =
-            SealPayload(DeriveKey(config_.crypto_root_key, state.def->service_id),
-                        response.request_id ^ 0x5a5a, response.payload);
-      }
-      if (config_.dedup) {
-        dedup_.Complete(flow, response.request_id, response);
-      }
-    }
-
-    core.Run(user_cost, CoreMode::kUser, [this, &state, &core, response, replay, req_eth,
-                                          req_ip, req_udp]() mutable {
+    core.Run(crypto_cost + served.cost, CoreMode::kUser,
+             [this, &state, &core, response = std::move(served.response), replay, req_eth,
+              req_ip, req_udp]() mutable {
       if (spans_ != nullptr && !replay) {
         spans_->Record(response.request_id, SpanStage::kHandlerEnd, sim_.Now());
       }
       // Step 3: sendmsg syscall + copyin + driver TX.
-      if (req_ip.ecn == kEcnCe) {
-        // Host-side DCTCP fallback (§15): echo the fabric's CE mark. No
-        // grants — the kernel has no NIC-resident queue-headroom view.
-        response.flags |= kLrpcFlagEcnEcho;
-      }
-      EthernetHeader eth;
-      eth.dst = req_eth.src;
-      eth.src = req_eth.dst;
-      Ipv4Header ip;
-      ip.src = req_ip.dst;
-      ip.dst = req_ip.src;
-      ip.ecn = req_ip.ecn != kEcnNotEct ? kEcnEct0 : kEcnNotEct;
-      UdpHeader udp;
-      udp.src_port = req_udp.dst_port;
-      udp.dst_port = req_udp.src_port;
-      Packet out = BuildRpcFrame(eth, ip, udp, response);
-      const OsCostModel& costs2 = kernel_.costs();
-      const Duration send_cost = costs2.syscall + costs2.socket_syscall_path +
-                                 costs2.CopyCost(response.WireSize()) +
-                                 costs2.driver_tx_per_packet;
+      const OsCostModel& costs = kernel_.costs();
+      const Duration send_cost = costs.syscall + costs.socket_syscall_path +
+                                 costs.CopyCost(response.WireSize()) +
+                                 costs.driver_tx_per_packet;
+      Packet out = SoftwareRpcServer::Reply(req_eth, req_ip, req_udp, std::move(response));
       core.Run(send_cost, CoreMode::kKernel,
                [this, &state, &core, out = std::move(out), replay]() {
         const uint32_t txq =
             static_cast<uint32_t>(core.index()) % driver_.num_queues();
         driver_.Transmit(txq, out.bytes);
         if (!replay) {
-          ++rpcs_completed_;
+          server_.CountCompleted();
         }
         // More messages? Re-arm this worker before yielding.
         Thread* self = core.current_thread();

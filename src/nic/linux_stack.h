@@ -17,11 +17,9 @@
 
 #include "src/net/headers.h"
 #include "src/nic/dma_nic.h"
+#include "src/nic/software_server.h"
 #include "src/os/kernel.h"
 #include "src/overload/overload.h"
-#include "src/proto/cipher.h"
-#include "src/proto/dedup.h"
-#include "src/proto/rpc_message.h"
 #include "src/proto/service.h"
 #include "src/stats/span.h"
 
@@ -32,23 +30,14 @@ class LinuxRpcStack {
   struct Config {
     size_t napi_budget = 64;
     int worker_threads_per_service = 1;
-    // Software transport crypto (no NIC offload on the Fig. 1 device).
-    bool encrypt_rpcs = false;
-    uint64_t crypto_root_key = 0;
-    // At-most-once execution: drop/replay duplicate (flow, request id) pairs
-    // instead of running the handler twice (software analog of the
-    // Lauberhorn NIC's dedup stage, so the comparison is apples-to-apples).
-    bool dedup = true;
-    size_t dedup_window = 1024;
-    // Overload admission at the softirq/socket boundary: the same policy the
-    // Lauberhorn NIC runs in hardware, but every shed (decode + reply TX)
-    // costs kernel CPU on the softirq core — that cost difference is the
-    // point of the three-way comparison.
-    AdmissionConfig admission;
   };
 
+  // `server` configures the serving core (crypto, dedup, admission). Its
+  // admission runs at the softirq/socket boundary, and every shed (decode +
+  // reply TX) costs kernel CPU on the softirq core.
   LinuxRpcStack(Simulator& sim, Kernel& kernel, DmaNic& nic, DmaNicDriver& driver,
-                Msix& msix, ServiceRegistry& services, Config config);
+                Msix& msix, ServiceRegistry& services, Config config,
+                SoftwareRpcServer::Config server);
 
   // Creates the process, worker thread(s), and socket for a service.
   void RegisterServiceProcess(const ServiceDef& service);
@@ -59,19 +48,8 @@ class LinuxRpcStack {
   // Per-request span tracing: socket enqueue/dequeue and handler start/end.
   void set_span_collector(SpanCollector* spans) { spans_ = spans; }
 
-  uint64_t rpcs_completed() const { return rpcs_completed_; }
-  uint64_t bad_requests() const { return bad_requests_; }
-  uint64_t dup_drops_in_flight() const { return dup_drops_in_flight_; }
-  uint64_t dup_replays() const { return dup_replays_; }
-  // Overload sheds by reason, and the kernel CPU charged for shedding
-  // (decode + kOverloaded reply TX on the softirq core).
-  uint64_t sheds_queue() const { return sheds_queue_; }
-  uint64_t sheds_quota() const { return sheds_quota_; }
-  uint64_t sheds_sojourn() const { return sheds_sojourn_; }
-  uint64_t sheds_total() const {
-    return sheds_queue_ + sheds_quota_ + sheds_sojourn_;
-  }
-  Duration shed_cpu_time() const { return shed_cpu_time_; }
+  // Requests, dedup, sheds and their counters.
+  const SoftwareRpcServer& server() const { return server_; }
 
  private:
   struct ServiceState {
@@ -94,8 +72,8 @@ class LinuxRpcStack {
   // the softirq is bounded by the device ring/FIFO sizes, where a commodity
   // NIC can only tail-drop silently.
   ShedReason AdmissionCheck(ServiceState& state);
-  // Builds and transmits the kOverloaded reply for a shed frame; returns the
-  // kernel CPU cost to charge on the softirq core.
+  // Transmits the kOverloaded reply for a shed frame; returns the kernel CPU
+  // cost to charge on the softirq core.
   Duration ShedFrame(uint32_t q, const ParsedFrame& frame, ShedReason reason);
 
   Simulator& sim_;
@@ -105,18 +83,10 @@ class LinuxRpcStack {
   Msix& msix_;
   ServiceRegistry& services_;
   Config config_;
+  SoftwareRpcServer server_;
   SpanCollector* spans_ = nullptr;
   std::vector<Thread*> softirq_threads_;  // one per queue
   std::unordered_map<uint16_t, std::unique_ptr<ServiceState>> by_port_;
-  RpcDedupCache dedup_;
-  uint64_t rpcs_completed_ = 0;
-  uint64_t bad_requests_ = 0;
-  uint64_t dup_drops_in_flight_ = 0;
-  uint64_t dup_replays_ = 0;
-  uint64_t sheds_queue_ = 0;
-  uint64_t sheds_quota_ = 0;
-  uint64_t sheds_sojourn_ = 0;
-  Duration shed_cpu_time_ = 0;
 };
 
 }  // namespace lauberhorn

@@ -21,6 +21,25 @@ std::string ToString(ShedReason reason) {
   return "unknown";
 }
 
+void ShedCounts::Count(ShedReason reason) {
+  switch (reason) {
+    case ShedReason::kQueueFull:
+      ++queue;
+      break;
+    case ShedReason::kQuota:
+      ++quota;
+      break;
+    case ShedReason::kSojourn:
+      ++sojourn;
+      break;
+    case ShedReason::kVfQuota:
+      ++vf_quota;
+      break;
+    case ShedReason::kNone:
+      break;
+  }
+}
+
 TokenBucket::TokenBucket(double rate_per_sec, double burst)
     : rate_per_sec_(rate_per_sec),
       burst_(std::max(burst, 1.0)),

@@ -35,6 +35,19 @@ enum class ShedReason : uint32_t {
 
 std::string ToString(ShedReason reason);
 
+// Sheds by reason: the one counter set kept wherever sheds are attributed
+// (the NIC as a whole, each VF, each endpoint, and the software stacks).
+struct ShedCounts {
+  uint64_t queue = 0;
+  uint64_t quota = 0;
+  uint64_t sojourn = 0;
+  uint64_t vf_quota = 0;
+
+  // Counts one shed; kNone counts nothing.
+  void Count(ShedReason reason);
+  uint64_t total() const { return queue + quota + sojourn + vf_quota; }
+};
+
 // Refill-on-demand token bucket. Unmetered (rate <= 0) buckets always admit,
 // so a default-constructed bucket is a no-op and stacks can keep one per
 // service unconditionally.

@@ -62,6 +62,16 @@ const RpcMessage* RpcDedupCache::Lookup(uint64_t flow, uint64_t request_id) cons
   return &it->second.response;
 }
 
+RpcMessage RpcDedupCache::Replay(uint64_t flow, const RpcMessage& request) const {
+  if (const RpcMessage* cached = Lookup(flow, request.request_id)) {
+    return *cached;
+  }
+  RpcMessage response =
+      ResponseHeader(request.service_id, request.method_id, request.request_id);
+  response.status = RpcStatus::kInternal;
+  return response;
+}
+
 RpcDedupCache::ReplayCounts RpcDedupCache::ReplayAfterCrash() {
   ReplayCounts counts;
   std::vector<Key> unanswered;  // pinned by the previous replay

@@ -93,6 +93,11 @@ class RpcDedupCache {
   // The cached response for a kCompleted verdict.
   const RpcMessage* Lookup(uint64_t flow, uint64_t request_id) const;
 
+  // The answer to a kCompleted duplicate of `request`: a copy of the cached
+  // response, or a kInternal header with the request's ids when none is
+  // cached.
+  RpcMessage Replay(uint64_t flow, const RpcMessage& request) const;
+
   // Applies the crash-replay rules above. Completed entries keep their
   // completion order; the synthetic terminals are appended in (flow, id)
   // order, so the result never depends on hash-table iteration order.

@@ -4,6 +4,15 @@
 
 namespace lauberhorn {
 
+RpcMessage ResponseHeader(uint32_t service_id, uint16_t method_id, uint64_t request_id) {
+  RpcMessage response;
+  response.kind = MessageKind::kResponse;
+  response.service_id = service_id;
+  response.method_id = method_id;
+  response.request_id = request_id;
+  return response;
+}
+
 void EncodeRpcMessage(const RpcMessage& msg, std::vector<uint8_t>& out) {
   // The header is assembled on the stack and appended with the payload in
   // two bulk copies; `out` grows at most once.
@@ -36,6 +45,21 @@ Packet BuildRpcFrame(const EthernetHeader& eth, const Ipv4Header& ip,
   EncodeRpcMessage(msg, packet.bytes);
   WriteUdpHeaders(eth, ip, udp, packet.bytes);
   return packet;
+}
+
+Packet ReplyFrame(const EthernetHeader& eth, const Ipv4Header& ip, const UdpHeader& udp,
+                  const RpcMessage& response) {
+  EthernetHeader reply_eth;
+  reply_eth.dst = eth.src;
+  reply_eth.src = eth.dst;
+  Ipv4Header reply_ip;
+  reply_ip.src = ip.dst;
+  reply_ip.dst = ip.src;
+  reply_ip.ecn = ip.ecn != kEcnNotEct ? kEcnEct0 : kEcnNotEct;
+  UdpHeader reply_udp;
+  reply_udp.src_port = udp.dst_port;
+  reply_udp.dst_port = udp.src_port;
+  return BuildRpcFrame(reply_eth, reply_ip, reply_udp, response);
 }
 
 namespace {

@@ -71,6 +71,10 @@ struct RpcMessage {
   size_t WireSize() const { return kLrpcHeaderSize + payload.size(); }
 };
 
+// The response to a request, before its handler runs: kind kResponse, the
+// request's ids, status kOk and no payload.
+RpcMessage ResponseHeader(uint32_t service_id, uint16_t method_id, uint64_t request_id);
+
 // Appends the encoded message to `out`.
 void EncodeRpcMessage(const RpcMessage& msg, std::vector<uint8_t>& out);
 
@@ -80,6 +84,13 @@ void EncodeRpcMessage(const RpcMessage& msg, std::vector<uint8_t>& out);
 // bytes equal BuildUdpFrame(eth, ip, udp, <EncodeRpcMessage(msg)>).
 Packet BuildRpcFrame(const EthernetHeader& eth, const Ipv4Header& ip,
                      const UdpHeader& udp, const RpcMessage& msg);
+
+// The frame carrying `response` back to the sender of a request that arrived
+// with `eth`/`ip`/`udp`: MAC addresses, IP addresses and UDP ports swapped,
+// and ECT(0) exactly when the request was ECN-capable, so congestion on the
+// return path is observable too.
+Packet ReplyFrame(const EthernetHeader& eth, const Ipv4Header& ip, const UdpHeader& udp,
+                  const RpcMessage& response);
 
 // Decodes one message from `in`; returns nullopt on malformed framing.
 std::optional<RpcMessage> DecodeRpcMessage(std::span<const uint8_t> in);

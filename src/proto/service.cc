@@ -5,6 +5,23 @@
 
 namespace lauberhorn {
 
+Duration InvokeMethod(const MethodDef* method, std::span<const uint8_t> args,
+                      RpcMessage& response) {
+  if (method == nullptr) {
+    response.status = RpcStatus::kNoSuchMethod;
+    return 0;
+  }
+  std::vector<WireValue> values;
+  if (!UnmarshalArgs(method->request_sig, args, values)) {
+    response.status = RpcStatus::kBadArguments;
+    return 0;
+  }
+  const std::vector<WireValue> result = method->handler(values);
+  const Duration service_time = method->service_time(values);
+  MarshalArgs(method->response_sig, result, response.payload);
+  return service_time;
+}
+
 ServiceDef* ServiceRegistry::Add(ServiceDef def) {
   assert(by_id_.find(def.service_id) == by_id_.end() && "duplicate service id");
   assert(by_port_.find(def.udp_port) == by_port_.end() && "duplicate service port");

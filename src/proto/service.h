@@ -13,12 +13,14 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/nic/dispatch_policy/dispatch_policy.h"
 #include "src/proto/marshal.h"
+#include "src/proto/rpc_message.h"
 #include "src/sim/time.h"
 
 namespace lauberhorn {
@@ -78,6 +80,15 @@ struct ServiceDef {
     return it != methods.end() ? &it->second : nullptr;
   }
 };
+
+// Runs `method` on the marshalled `args` and fills `response`: the one
+// handler call every stack makes. An unknown method (null) sets
+// kNoSuchMethod; arguments that do not unmarshal set kBadArguments. Either
+// way the payload stays empty and the result is 0. On success the handler's
+// result is marshalled into the payload and the result is the method's
+// modelled service time. Nested calls are the caller's business.
+Duration InvokeMethod(const MethodDef* method, std::span<const uint8_t> args,
+                      RpcMessage& response);
 
 class ServiceRegistry {
  public:

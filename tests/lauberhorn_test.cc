@@ -202,7 +202,7 @@ TEST(LauberhornNicTest, OverloadedEndpointSendsOverloadStatus) {
   machine.sim().RunUntil(Milliseconds(200));
   EXPECT_GT(overloaded, 0) << "queue overflow must be signalled, not dropped";
   EXPECT_GT(ok, 0);
-  EXPECT_EQ(machine.lauberhorn_nic()->stats().drops_queue_full,
+  EXPECT_EQ(machine.lauberhorn_nic()->stats().sheds.queue,
             static_cast<uint64_t>(overloaded));
 }
 

@@ -35,7 +35,7 @@ TEST(LinuxStackTest, BurstIsBatchedByNapi) {
   }
   machine.sim().RunUntil(Milliseconds(100));
   EXPECT_EQ(done, 30);
-  EXPECT_EQ(machine.linux_stack()->rpcs_completed(), 30u);
+  EXPECT_EQ(machine.linux_stack()->server().rpcs_completed(), 30u);
 }
 
 TEST(LinuxStackTest, MoreWorkersIncreaseServiceThroughput) {
@@ -138,7 +138,7 @@ TEST(LinuxStackTest, UnknownPortCountsBadRequest) {
   machine.sim().RunUntil(Milliseconds(1));
   machine.client().CallRaw(9999, 1, 0, {});  // nobody listens on 9999
   machine.sim().RunUntil(Milliseconds(20));
-  EXPECT_EQ(machine.linux_stack()->bad_requests(), 1u);
+  EXPECT_EQ(machine.linux_stack()->server().bad_requests(), 1u);
   EXPECT_EQ(machine.client().completed(), 0u);
 }
 

@@ -148,7 +148,7 @@ TEST(MachineTest, ExportsNicDropAndDispatchCounters) {
   machine.ExportMetrics(metrics);
   const LauberhornNic::Stats& s = machine.lauberhorn_nic()->stats();
   const std::pair<const char*, uint64_t> expected[] = {
-      {"nic/drops_queue_full", s.drops_queue_full},
+      {"overload/sheds_queue", s.sheds.queue},
       {"nic/drops_bad_frame", s.drops_bad_frame},
       {"nic/drops_no_endpoint", s.drops_no_endpoint},
       {"nic/drops_bad_args", s.drops_bad_args},
@@ -335,6 +335,42 @@ TEST(RpcClientTest, TimeoutReportedWhenServerUnreachable) {
   EXPECT_EQ(machine.client().timeouts(), 1u);
   EXPECT_EQ(machine.client().retransmits(), 2u);
   EXPECT_EQ(machine.client().outstanding(), 0u);
+}
+
+// FIFO eviction from the completed window is the root cause of the
+// retransmit-after-eviction duplicate, so every stack exports its count.
+class DedupEvictionExportTest : public ::testing::TestWithParam<StackKind> {};
+
+INSTANTIATE_TEST_SUITE_P(AllStacks, DedupEvictionExportTest,
+                         ::testing::Values(StackKind::kLinux, StackKind::kBypass,
+                                           StackKind::kLauberhorn),
+                         [](const auto& info) { return ToString(info.param); });
+
+TEST_P(DedupEvictionExportTest, SequentialCallsEvictPastTheWindow) {
+  MachineConfig config;
+  config.stack = GetParam();
+  config.server_dedup_window = 4;
+  Machine machine(config);
+  const ServiceDef& echo = machine.AddService(ServiceRegistry::MakeEchoService(1, 7000));
+  machine.Start();
+  machine.sim().RunUntil(Milliseconds(1));
+  int ok = 0;
+  for (int i = 0; i < 10; ++i) {
+    machine.client().Call(echo, 0, std::vector<WireValue>{WireValue::Bytes({1})},
+                          [&ok](const RpcMessage& r, Duration) {
+                            ok += r.status == RpcStatus::kOk;
+                          });
+    machine.sim().RunUntil(machine.sim().Now() + Milliseconds(1));
+  }
+  ASSERT_EQ(ok, 10);
+
+  // Ten completions through a window of four: the six oldest are evicted.
+  MetricsRegistry metrics;
+  machine.ExportMetrics(metrics);
+  const std::string prefix = GetParam() == StackKind::kLauberhorn ? "nic" : ToString(GetParam());
+  ASSERT_TRUE(metrics.HasCounter(prefix + "/dedup_evictions"));
+  EXPECT_EQ(metrics.Counter(prefix + "/dedup_evictions"), 6u);
+  EXPECT_EQ(machine.server_dedup().stats().evictions, 6u);
 }
 
 }  // namespace

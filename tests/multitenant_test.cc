@@ -144,19 +144,18 @@ TEST(VfTest, VfQuotaShedsOnNicWithDedicatedReason) {
   EXPECT_GT(ok, 0u);
   EXPECT_GT(overloaded, 0u);
   EXPECT_EQ(ok + overloaded, 20u);
-  EXPECT_GT(stats.requests_shed_vf_quota, 0u);
-  EXPECT_EQ(stats.requests_shed_quota, 0u);
-  EXPECT_EQ(machine.lauberhorn_nic()->vf_stats(id).sheds_vf_quota,
-            stats.requests_shed_vf_quota);
+  EXPECT_GT(stats.sheds.vf_quota, 0u);
+  EXPECT_EQ(stats.sheds.quota, 0u);
+  EXPECT_EQ(machine.lauberhorn_nic()->vf_stats(id).sheds.vf_quota,
+            stats.sheds.vf_quota);
   // Shed requests never reached a handler.
   EXPECT_EQ(execs.size(), ok);
 
   MetricsRegistry metrics;
   machine.ExportMetrics(metrics);
-  EXPECT_EQ(metrics.Counter("overload/sheds_vf_quota"),
-            stats.requests_shed_vf_quota);
+  EXPECT_EQ(metrics.Counter("overload/sheds_vf_quota"), stats.sheds.vf_quota);
   EXPECT_EQ(metrics.Counter("nic/vf" + std::to_string(id) + "/sheds_vf_quota"),
-            stats.requests_shed_vf_quota);
+            stats.sheds.vf_quota);
 }
 
 TEST(VfTest, DedupNamespacesIsolateTenants) {
@@ -186,14 +185,16 @@ TEST(VfTest, DedupNamespacesIsolateTenants) {
   // side channel: tenant B could probe A's request ids).
   EXPECT_EQ(execs_a[1], 1u);
   EXPECT_EQ(execs_b[2], 1u);
-  EXPECT_EQ(nic.stats().dup_drops_in_flight, 0u);
-  EXPECT_EQ(nic.stats().dup_replays, 0u);
+  EXPECT_EQ(nic.dedup().stats().duplicates_in_flight, 0u);
+  EXPECT_EQ(nic.dedup().stats().duplicates_replayed, 0u);
 
   // Control: *within* one tenant the same key still dedups.
   nic.ReceivePacket(RawRequest(src_ip, 40000, 7000, 77, 1));
   machine.sim().RunUntil(Milliseconds(2));
   EXPECT_EQ(execs_a[1], 1u);
-  EXPECT_EQ(nic.stats().dup_drops_in_flight + nic.stats().dup_replays, 1u);
+  EXPECT_EQ(nic.dedup().stats().duplicates_in_flight +
+                nic.dedup().stats().duplicates_replayed,
+            1u);
 }
 
 TEST(VfTest, ToeplitzRssSteersVfFlowsAcrossEndpoints) {

@@ -21,6 +21,27 @@ namespace {
 
 // --- TokenBucket -------------------------------------------------------------
 
+TEST(ShedCountsTest, CountsEachReasonInItsOwnField) {
+  ShedCounts sheds;
+  sheds.Count(ShedReason::kNone);
+  EXPECT_EQ(sheds.total(), 0u);
+  sheds.Count(ShedReason::kQueueFull);
+  sheds.Count(ShedReason::kQuota);
+  sheds.Count(ShedReason::kQuota);
+  sheds.Count(ShedReason::kSojourn);
+  sheds.Count(ShedReason::kSojourn);
+  sheds.Count(ShedReason::kSojourn);
+  sheds.Count(ShedReason::kVfQuota);
+  sheds.Count(ShedReason::kVfQuota);
+  sheds.Count(ShedReason::kVfQuota);
+  sheds.Count(ShedReason::kVfQuota);
+  EXPECT_EQ(sheds.queue, 1u);
+  EXPECT_EQ(sheds.quota, 2u);
+  EXPECT_EQ(sheds.sojourn, 3u);
+  EXPECT_EQ(sheds.vf_quota, 4u);
+  EXPECT_EQ(sheds.total(), 10u);
+}
+
 TEST(TokenBucketTest, UnmeteredAlwaysAdmits) {
   TokenBucket bucket;  // default: rate 0 = unmetered
   EXPECT_FALSE(bucket.metered());
@@ -262,21 +283,6 @@ class OverloadHarness {
   uint64_t ok_ = 0;
 };
 
-uint64_t TotalSheds(Machine& machine) {
-  switch (machine.config().stack) {
-    case StackKind::kLinux:
-      return machine.linux_stack()->sheds_total();
-    case StackKind::kBypass:
-      return machine.bypass()->sheds_total();
-    case StackKind::kLauberhorn: {
-      const auto& stats = machine.lauberhorn_nic()->stats();
-      return stats.requests_shed_queue + stats.requests_shed_quota +
-             stats.requests_shed_sojourn;
-    }
-  }
-  return 0;
-}
-
 MachineConfig OverloadedConfig(StackKind stack) {
   MachineConfig config;
   config.stack = stack;
@@ -303,7 +309,7 @@ TEST_P(OverloadE2eTest, DisabledByDefaultPreservesSeedBehavior) {
   ASSERT_FALSE(config.admission.enabled);
   OverloadHarness harness(config, /*service_time=*/Microseconds(1));
   harness.Flood(50, Microseconds(5));
-  EXPECT_EQ(TotalSheds(harness.machine()), 0u);
+  EXPECT_EQ(harness.machine().sheds().total(), 0u);
   EXPECT_EQ(harness.machine().client().overloaded(), 0u);
   EXPECT_EQ(harness.ok(), harness.sent());
 }
@@ -313,7 +319,7 @@ TEST_P(OverloadE2eTest, QuotaShedsAnswerWithOverloadedReplies) {
   harness.Flood(300, Microseconds(1));
   Machine& m = harness.machine();
 
-  EXPECT_GT(TotalSheds(m), 0u);
+  EXPECT_GT(m.sheds().total(), 0u);
   // Every shed is an explicit kOverloaded reply, never silence or an error:
   // the client can tell push-back from loss.
   EXPECT_GT(m.client().overloaded(), 0u);
@@ -327,18 +333,9 @@ TEST_P(OverloadE2eTest, QuotaShedsAnswerWithOverloadedReplies) {
   // The cost asymmetry that motivates NIC-side admission: Linux and bypass
   // burn host CPU to say "no" (decode + reply TX on a host core); the
   // Lauberhorn NIC sheds before any host core is disturbed.
-  switch (GetParam()) {
-    case StackKind::kLinux:
-      EXPECT_GT(m.linux_stack()->sheds_quota(), 0u);
-      EXPECT_GT(m.linux_stack()->shed_cpu_time(), 0);
-      break;
-    case StackKind::kBypass:
-      EXPECT_GT(m.bypass()->sheds_quota(), 0u);
-      EXPECT_GT(m.bypass()->shed_cpu_time(), 0);
-      break;
-    case StackKind::kLauberhorn:
-      EXPECT_GT(m.lauberhorn_nic()->stats().requests_shed_quota, 0u);
-      break;
+  EXPECT_GT(m.sheds().quota, 0u);
+  if (GetParam() != StackKind::kLauberhorn) {
+    EXPECT_GT(m.software_server()->shed_cpu_time(), 0);
   }
 }
 
@@ -375,15 +372,15 @@ TEST(OverloadLauberhornTest, PerEndpointShedCountersSumToTotals) {
   uint64_t quota = 0;
   uint64_t sojourn = 0;
   for (uint32_t ep : m.EndpointsOf(harness.service())) {
-    const auto sheds = m.lauberhorn_nic()->endpoint_sheds(ep);
+    const ShedCounts& sheds = m.lauberhorn_nic()->endpoint_sheds(ep);
     queue += sheds.queue;
     quota += sheds.quota;
     sojourn += sheds.sojourn;
   }
   const auto& stats = m.lauberhorn_nic()->stats();
-  EXPECT_EQ(queue, stats.requests_shed_queue);
-  EXPECT_EQ(quota, stats.requests_shed_quota);
-  EXPECT_EQ(sojourn, stats.requests_shed_sojourn);
+  EXPECT_EQ(queue, stats.sheds.queue);
+  EXPECT_EQ(quota, stats.sheds.quota);
+  EXPECT_EQ(sojourn, stats.sheds.sojourn);
   EXPECT_GT(queue + quota + sojourn, 0u);
 }
 
@@ -395,7 +392,7 @@ TEST(OverloadLauberhornTest, QueueDepthLimitTripsQueueFullSheds) {
   config.admission.queue_depth_limit = 2;  // no quota: depth only
   OverloadHarness harness(std::move(config), /*service_time=*/Microseconds(20));
   harness.Flood(100, Microseconds(1));
-  EXPECT_GT(harness.machine().lauberhorn_nic()->stats().requests_shed_queue, 0u);
+  EXPECT_GT(harness.machine().lauberhorn_nic()->stats().sheds.queue, 0u);
   EXPECT_EQ(harness.machine().client().errors(), 0u);
 }
 
@@ -486,7 +483,7 @@ TEST_P(OverloadFaultComposeTest, ZeroDuplicateExecutionsWhileShedding) {
   // kOverloaded reply re-opens the id for a retransmit, but no id ever
   // executes twice.
   EXPECT_EQ(harness.DuplicateExecutions(), 0u);
-  EXPECT_GT(TotalSheds(m), 0u);
+  EXPECT_GT(m.sheds().total(), 0u);
   EXPECT_GT(m.client().overloaded(), 0u);
   EXPECT_GT(harness.ok(), 0u);  // shedding degrades, it does not blackhole
 }

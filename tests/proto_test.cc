@@ -1,4 +1,5 @@
-// Tests for argument marshalling and LRPC message framing.
+// Tests for argument marshalling, LRPC message framing, reply addressing, and
+// the handler call every stack shares.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -8,6 +9,7 @@
 #include "src/net/headers.h"
 #include "src/proto/marshal.h"
 #include "src/proto/rpc_message.h"
+#include "src/proto/service.h"
 #include "src/sim/random.h"
 
 namespace lauberhorn {
@@ -402,6 +404,78 @@ TEST(RpcFrameTest, EqualsEncodeThenFrameAndRoundTrips) {
       }
     }
   }
+}
+
+// --- ReplyFrame and InvokeMethod: shared by every stack ----------------------
+
+TEST(ReplyFrameTest, SwapsAddressingAndAnswersEcnCapableRequestsWithEct0) {
+  constexpr uint8_t kEcnEct1 = 0b01;
+  for (uint8_t ecn : {kEcnNotEct, kEcnEct1, kEcnEct0, kEcnCe}) {
+    SCOPED_TRACE("request ecn " + std::to_string(ecn));
+    const FrameCase request = MakeFrameCase(MessageKind::kRequest, ecn, 0, 4);
+    RpcMessage response =
+        ResponseHeader(request.msg.service_id, request.msg.method_id,
+                       request.msg.request_id);
+    response.payload = {9, 8, 7};
+    const Packet reply = ReplyFrame(request.eth, request.ip, request.udp, response);
+    const auto parsed = ParseUdpFrame(reply);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(parsed->eth.dst, request.eth.src);
+    EXPECT_EQ(parsed->eth.src, request.eth.dst);
+    EXPECT_EQ(parsed->ip.dst, request.ip.src);
+    EXPECT_EQ(parsed->ip.src, request.ip.dst);
+    EXPECT_EQ(parsed->udp.dst_port, request.udp.src_port);
+    EXPECT_EQ(parsed->udp.src_port, request.udp.dst_port);
+    EXPECT_EQ(parsed->ip.ecn, ecn != kEcnNotEct ? kEcnEct0 : kEcnNotEct);
+    const auto decoded = DecodeRpcMessage(parsed->payload);
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded->kind, MessageKind::kResponse);
+    EXPECT_EQ(decoded->service_id, request.msg.service_id);
+    EXPECT_EQ(decoded->method_id, request.msg.method_id);
+    EXPECT_EQ(decoded->request_id, request.msg.request_id);
+    EXPECT_EQ(decoded->status, RpcStatus::kOk);
+    EXPECT_EQ(decoded->flags, 0);  // the echo is the caller's decision
+    EXPECT_EQ(decoded->payload, response.payload);
+  }
+}
+
+TEST(InvokeMethodTest, UnknownMethodIsNoSuchMethod) {
+  RpcMessage response = ResponseHeader(1, 3, 42);
+  EXPECT_EQ(InvokeMethod(nullptr, {}, response), 0);
+  EXPECT_EQ(response.status, RpcStatus::kNoSuchMethod);
+  EXPECT_TRUE(response.payload.empty());
+}
+
+TEST(InvokeMethodTest, MalformedArgumentsAreBadArgumentsWithEmptyPayload) {
+  const ServiceDef echo = ServiceRegistry::MakeEchoService(1, 7000, Microseconds(3));
+  bool ran = false;
+  MethodDef method = echo.methods.at(0);
+  method.handler = [&ran](const std::vector<WireValue>& args) {
+    ran = true;
+    return args;
+  };
+  const std::vector<uint8_t> malformed = {0xff, 0xff};  // length prefix overruns
+  RpcMessage response = ResponseHeader(1, 0, 42);
+  EXPECT_EQ(InvokeMethod(&method, malformed, response), 0);
+  EXPECT_EQ(response.status, RpcStatus::kBadArguments);
+  EXPECT_TRUE(response.payload.empty());
+  EXPECT_FALSE(ran);
+}
+
+TEST(InvokeMethodTest, SuccessMarshalsResultAndReturnsServiceTime) {
+  const ServiceDef echo = ServiceRegistry::MakeEchoService(1, 7000, Microseconds(3));
+  const MethodDef& method = echo.methods.at(0);
+  const std::vector<WireValue> args = {WireValue::Bytes({1, 2, 3})};
+  std::vector<uint8_t> request;
+  ASSERT_TRUE(MarshalArgs(method.request_sig, args, request));
+  std::vector<uint8_t> expected;
+  ASSERT_TRUE(MarshalArgs(method.response_sig, args, expected));
+
+  RpcMessage response = ResponseHeader(1, 0, 42);
+  EXPECT_EQ(InvokeMethod(&method, request, response), Microseconds(3));
+  EXPECT_EQ(response.status, RpcStatus::kOk);
+  EXPECT_EQ(response.payload, expected);
+  EXPECT_EQ(response.request_id, 42u);
 }
 
 }  // namespace

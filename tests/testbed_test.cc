@@ -199,7 +199,7 @@ TEST(TestbedTest, MixedStacksInteroperate) {
                               });
   testbed.sim().RunUntil(Milliseconds(100));
   EXPECT_EQ(result, 22u);
-  EXPECT_GE(back_machine.linux_stack()->rpcs_completed(), 1u);
+  EXPECT_GE(back_machine.linux_stack()->server().rpcs_completed(), 1u);
 }
 
 TEST(TestbedTest, SwitchDropsUnroutableFrames) {
