@@ -469,17 +469,7 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
     }
     // Per-discipline dispatch counters, keyed by policy name.
     for (const auto& [kind, ps] : lauberhorn_nic_->PolicyStatsSnapshot()) {
-      const std::string base = std::string("dispatch/") + ToString(kind) + "/";
-      metrics.SetCounter(prefix + base + "hot_dispatches", ps.hot_dispatches);
-      metrics.SetCounter(prefix + base + "local_queued", ps.local_queued);
-      metrics.SetCounter(prefix + base + "central_queued", ps.central_queued);
-      metrics.SetCounter(prefix + base + "central_pulled", ps.central_pulled);
-      metrics.SetCounter(prefix + base + "jbsq_replenished",
-                         ps.jbsq_replenished);
-      metrics.SetCounter(prefix + base + "retargets", ps.retargets);
-      metrics.SetCounter(prefix + base + "returned_on_retire",
-                         ps.returned_on_retire);
-      metrics.SetCounter(prefix + base + "drained_cold", ps.drained_cold);
+      ExportDispatchPolicyStats(metrics, prefix, kind, ps);
     }
     // Per-tenant (VF) slices; VF 0 is the PF and carries no tenant quota.
     for (uint32_t vf = 1; vf < lauberhorn_nic_->NumVfs(); ++vf) {

@@ -124,11 +124,10 @@ BypassRuntime::Step BypassRuntime::ServePacket(uint32_t q, const Packet& packet,
   if (spans_ != nullptr && step.executed) {
     // Run-to-completion: admission, dispatch, pickup, and handler entry
     // all collapse into this single poll-loop decision point.
-    spans_->Record(step.request_id, SpanStage::kAdmitted, sim_.Now());
-    spans_->Record(step.request_id, SpanStage::kDispatched, sim_.Now());
+    spans_->RecordDispatch(step.request_id, SpanDispatch::kPolled, q,
+                           sim_.Now());
     spans_->Record(step.request_id, SpanStage::kDelivered, sim_.Now());
     spans_->Record(step.request_id, SpanStage::kHandlerStart, sim_.Now());
-    spans_->Annotate(step.request_id, SpanDispatch::kPolled, q);
   }
   step.work += served.cost + config_.tx_per_packet;
   step.reply =

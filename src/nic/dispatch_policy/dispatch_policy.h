@@ -29,6 +29,7 @@
 #define SRC_NIC_DISPATCH_POLICY_DISPATCH_POLICY_H_
 
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <string>
 
@@ -66,6 +67,34 @@ struct DispatchPolicyStats {
   uint64_t returned_on_retire = 0;  // local credits pushed back to central
   uint64_t drained_cold = 0;        // central backlog drained via kernel path
 };
+
+// The one list of DispatchPolicyStats fields, in export order. Both the
+// per-policy sum and the dispatch/<policy>/<name> export walk it.
+struct DispatchPolicyStatsField {
+  const char* name;
+  uint64_t DispatchPolicyStats::*value;
+};
+inline constexpr DispatchPolicyStatsField kDispatchPolicyStatsFields[] = {
+    {"hot_dispatches", &DispatchPolicyStats::hot_dispatches},
+    {"local_queued", &DispatchPolicyStats::local_queued},
+    {"central_queued", &DispatchPolicyStats::central_queued},
+    {"central_pulled", &DispatchPolicyStats::central_pulled},
+    {"jbsq_replenished", &DispatchPolicyStats::jbsq_replenished},
+    {"retargets", &DispatchPolicyStats::retargets},
+    {"returned_on_retire", &DispatchPolicyStats::returned_on_retire},
+    {"drained_cold", &DispatchPolicyStats::drained_cold},
+};
+static_assert(std::size(kDispatchPolicyStatsFields) * sizeof(uint64_t) ==
+                  sizeof(DispatchPolicyStats),
+              "every DispatchPolicyStats field is listed once");
+
+class MetricsRegistry;
+
+// Sets <prefix>dispatch/<kind>/<field> for every field of `stats`.
+void ExportDispatchPolicyStats(MetricsRegistry& metrics,
+                               const std::string& prefix,
+                               DispatchPolicyKind kind,
+                               const DispatchPolicyStats& stats);
 
 const char* ToString(DispatchPolicyKind kind);
 std::optional<DispatchPolicyKind> ParseDispatchPolicyKind(

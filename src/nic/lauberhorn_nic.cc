@@ -19,25 +19,11 @@ LauberhornNic::LauberhornNic(Simulator& sim, CoherentInterconnect& interconnect,
       services_(services),
       config_(config),
       dedup_(config.dedup_window) {
-  const size_t first_continuation = config_.num_kernel_channels + config_.num_endpoints;
-  const size_t total = first_continuation + config_.num_continuations;
-  endpoints_.resize(total);
-  for (size_t i = 0; i < total; ++i) {
-    endpoints_[i].id = static_cast<uint32_t>(i);
-    endpoints_[i].is_kernel = i < config_.num_kernel_channels;
-  }
-  for (size_t i = first_continuation; i < total; ++i) {
-    Endpoint& ep = endpoints_[i];
-    ep.is_continuation = true;
-    const auto port = static_cast<uint16_t>(config_.continuation_port_base +
-                                            (i - first_continuation));
-    port_to_endpoints_[port].push_back(ep.id);
-    free_continuations_.push_back(ep.id);
-  }
-  const uint64_t homed_bytes = total * EndpointStrideLines() * line_size();
+  endpoints_.resize(FirstContinuation() + config_.num_continuations);
+  WipeVolatileState();
+  const uint64_t homed_bytes = endpoints_.size() * EndpointStrideLines() * line_size();
   home_id_ = interconnect_.RegisterHomeAgent(this, config_.base, homed_bytes,
                                              /*is_device=*/true);
-  vfs_.resize(1);  // slot 0: the physical function
 }
 
 uint32_t LauberhornNic::CreateVf(VfConfig config) {
@@ -108,10 +94,6 @@ void LauberhornNic::ClientTransmit(uint32_t continuation, uint32_t dst_ip,
     request.payload = SealPayload(DeriveKey(config_.crypto_root_key, service_id),
                                   request.request_id, request.payload);
   }
-  const size_t first_continuation =
-      config_.num_kernel_channels + config_.num_endpoints;
-  const auto src_port = static_cast<uint16_t>(config_.continuation_port_base +
-                                              (continuation - first_continuation));
   EthernetHeader eth;
   eth.src = {0x02, 0, 0, 0, 0, 0x02};
   eth.dst = {0x02, 0, 0, 0, 0, 0x02};
@@ -119,7 +101,7 @@ void LauberhornNic::ClientTransmit(uint32_t continuation, uint32_t dst_ip,
   ip.src = config_.own_ip;
   ip.dst = local ? config_.own_ip : dst_ip;
   UdpHeader udp;
-  udp.src_port = src_port;
+  udp.src_port = ContinuationPort(continuation);
   udp.dst_port = dst_port;
   Packet out = BuildRpcFrame(eth, ip, udp, request);
   if (local) {
@@ -157,33 +139,7 @@ LineData& LauberhornNic::StoredLine(LineAddr addr) {
   return line;
 }
 
-LauberhornNic::LineRole LauberhornNic::Decode(LineAddr addr) {
-  LineRole role;
-  const uint64_t offset_lines = (addr - config_.base) / line_size();
-  const uint64_t index = offset_lines / EndpointStrideLines();
-  const uint64_t within = offset_lines % EndpointStrideLines();
-  if (index >= endpoints_.size()) {
-    return role;
-  }
-  role.endpoint = &endpoints_[index];
-  if (within < 2) {
-    role.is_ctrl = true;
-    role.parity = static_cast<int>(within);
-  } else {
-    role.aux_index = within - 2;
-  }
-  return role;
-}
-
 // -- Host-facing control interface ---------------------------------------------
-
-uint32_t LauberhornNic::AllocateEndpoint(uint32_t service_id, Pid pid, uint64_t code_ptr,
-                                         uint64_t data_ptr, uint64_t dma_buffer_iova) {
-  const auto id = AllocateEndpointOnVf(0, service_id, pid, code_ptr, data_ptr,
-                                       dma_buffer_iova);
-  assert(id.has_value() && "out of endpoints");
-  return *id;
-}
 
 std::optional<uint32_t> LauberhornNic::AllocateEndpointOnVf(
     uint32_t vf, uint32_t service_id, Pid pid, uint64_t code_ptr,
@@ -198,20 +154,8 @@ std::optional<uint32_t> LauberhornNic::AllocateEndpointOnVf(
     return std::nullopt;  // the tenant's slice is full; it cannot spill over
   }
   const uint32_t id =
-      static_cast<uint32_t>(config_.num_kernel_channels) + next_service_endpoint_++;
-  Endpoint& ep = endpoints_[id];
-  ep.in_use = true;
-  ep.service_id = service_id;
-  ep.vf = vf;
-  ep.pid = pid;
-  ep.code_ptr = code_ptr;
-  ep.data_ptr = data_ptr;
-  ep.dma_buffer_iova = dma_buffer_iova;
-  ++owner.stats.endpoints;
-  ep.pending.Bind(&service_backlog_[service_id]);
-  const ServiceDef* service = services_.Find(service_id);
-  assert(service != nullptr && "endpoint for unknown service");
-  port_to_endpoints_[service->udp_port].push_back(id);
+      static_cast<uint32_t>(config_.num_kernel_channels) + next_service_endpoint_;
+  RestoreEndpoint(id, service_id, pid, code_ptr, data_ptr, dma_buffer_iova, vf);
   if (shadow_ != nullptr) {
     shadow_->RecordEndpoint({id, service_id, pid, code_ptr, data_ptr,
                              dma_buffer_iova, vf});
@@ -250,30 +194,26 @@ void LauberhornNic::CrashNow() {
       FillWaiting(ep, LineKind::kTryAgain);
     }
   }
-  // Volatile device state dies with the firmware. Structural identity (line
-  // addresses, continuation ports) is part of the address map and survives.
-  for (Endpoint& ep : endpoints_) {
+  WipeVolatileState();
+}
+
+void LauberhornNic::WipeVolatileState() {
+  for (size_t i = 0; i < endpoints_.size(); ++i) {
+    Endpoint& ep = endpoints_[i];
     ep.pending.TakeAll();
-    const uint32_t id = ep.id;
-    const bool is_kernel = ep.is_kernel;
-    const bool is_continuation = ep.is_continuation;
     ep = Endpoint{};
-    ep.id = id;
-    ep.is_kernel = is_kernel;
-    ep.is_continuation = is_continuation;
+    ep.id = static_cast<uint32_t>(i);
+    ep.is_kernel = i < config_.num_kernel_channels;
+    ep.is_continuation = i >= FirstContinuation();
   }
   port_to_endpoints_.clear();
   free_continuations_.clear();
-  const size_t first_continuation =
-      config_.num_kernel_channels + config_.num_endpoints;
-  for (size_t i = first_continuation; i < endpoints_.size(); ++i) {
-    const auto port = static_cast<uint16_t>(config_.continuation_port_base +
-                                            (i - first_continuation));
-    port_to_endpoints_[port].push_back(endpoints_[i].id);
-    free_continuations_.push_back(endpoints_[i].id);
+  for (uint32_t id = FirstContinuation(); id < endpoints_.size(); ++id) {
+    port_to_endpoints_[ContinuationPort(id)].push_back(id);
+    free_continuations_.push_back(id);
   }
   line_store_.clear();
-  cold_queue_.clear();
+  cold_queue_.TakeAll();
   cold_inflight_.clear();
   next_service_endpoint_ = 0;
   next_kernel_channel_ = 0;
@@ -284,7 +224,7 @@ void LauberhornNic::CrashNow() {
   // use after replay, and the counters persist like stats_.
   for (auto& [service_id, group] : groups_) {
     group.central.TakeAll();
-    group.sojourn = SojournGate{};
+    group.central.ResetGate();
   }
   for (const auto& [service_id, backlog] : service_backlog_) {
     assert(backlog == 0 && "backlog register drifted from its queues");
@@ -292,7 +232,8 @@ void LauberhornNic::CrashNow() {
   grant_ramp_until_ = 0;
   // VF partitions are device state too: the firmware that knew them is gone.
   // The shadow replays RestoreVf before any endpoint, so tenants come back
-  // with their slice caps and quotas (buckets restart full).
+  // with their slice caps and quotas (buckets restart full). Slot 0 is the
+  // physical function.
   vfs_.clear();
   vfs_.resize(1);
 }
@@ -310,7 +251,7 @@ void LauberhornNic::RestoreEndpoint(uint32_t id, uint32_t service_id, Pid pid,
   Endpoint& ep = endpoints_[id];
   ep.in_use = true;
   ep.service_id = service_id;
-  assert(vf < vfs_.size() && "endpoint replayed before its VF");
+  assert(vf < vfs_.size() && "endpoint bound before its VF");
   ep.vf = vf;
   ++vfs_[vf].stats.endpoints;
   ep.pid = pid;
@@ -319,7 +260,7 @@ void LauberhornNic::RestoreEndpoint(uint32_t id, uint32_t service_id, Pid pid,
   ep.dma_buffer_iova = dma_buffer_iova;
   ep.pending.Bind(&service_backlog_[service_id]);
   const ServiceDef* service = services_.Find(service_id);
-  assert(service != nullptr && "replayed endpoint for unknown service");
+  assert(service != nullptr && "endpoint for unknown service");
   port_to_endpoints_[service->udp_port].push_back(id);
   const uint32_t index = id - static_cast<uint32_t>(config_.num_kernel_channels);
   next_service_endpoint_ = std::max(next_service_endpoint_, index + 1);
@@ -356,11 +297,7 @@ void LauberhornNic::ActivateEndpoint(uint32_t endpoint, int core) {
 
 void LauberhornNic::DeactivateEndpoint(uint32_t endpoint) {
   sim_.Schedule(interconnect_.config().cpu_device_hop, [this, endpoint]() {
-    Endpoint& ep = endpoints_[endpoint];
-    ep.active = false;
-    ep.active_core = -1;
-    ReturnLocalQueue(ep);
-    MaybeRestartCold(ep);
+    ReleaseCore(endpoints_[endpoint]);
   });
 }
 
@@ -380,10 +317,7 @@ void LauberhornNic::RequestRetire(uint32_t endpoint) {
     Endpoint& ep = endpoints_[endpoint];
     if (ep.waiting.has_value()) {
       FillWaiting(ep, LineKind::kRetire);
-      ep.active = false;
-      ep.active_core = -1;
-      ReturnLocalQueue(ep);
-      MaybeRestartCold(ep);
+      ReleaseCore(ep);
     } else {
       ep.retire_requested = true;
     }
@@ -454,126 +388,94 @@ void LauberhornNic::ReceivePacket(Packet packet) {
       ++stats_.drops_bad_frame;
       return;
     }
-    if (ep.is_continuation) {
-      // A nested RPC's reply (§6): deliver the response payload to whoever
-      // parks on the continuation's control line. No service/method demux.
-      if (request->kind != MessageKind::kResponse || !ep.in_use) {
-        ++stats_.drops_no_endpoint;
-        return;
-      }
-      PreparedRequest reply;
-      reply.endpoint = ep_id;
-      reply.service_id = request->service_id;
-      reply.method_id = request->method_id;
-      reply.request_id = request->request_id;
-      reply.args = std::move(request->payload);
-      if (config_.crypto && !reply.args.empty()) {
-        auto opened = OpenPayload(
-            DeriveKey(config_.crypto_root_key, request->service_id), reply.args);
-        if (!opened.has_value()) {
-          ++stats_.crypto_failures;
-          return;
-        }
-        reply.args = std::move(*opened);
-      }
-      reply.eth = frame->eth;
-      reply.ip = frame->ip;
-      reply.udp = frame->udp;
-      reply.wire_arrival = arrival;
-      const Duration tail = config_.pipeline.UnmarshalCost(reply.args.size()) +
-                            config_.pipeline.dispatch_decide;
-      sim_.Schedule(tail, [this, reply = std::move(reply)]() mutable {
-        DispatchPrepared(std::move(reply));
-      });
-      return;
-    }
-    if (request->kind != MessageKind::kRequest) {
-      ++stats_.drops_bad_frame;
-      return;
-    }
-    ++vfs_[ep.vf].stats.rx_requests;
-    const ServiceDef* service = services_.Find(ep.service_id);
-    const MethodDef* method =
-        service != nullptr ? service->FindMethod(request->method_id) : nullptr;
-    if (method == nullptr) {
-      ++stats_.drops_no_endpoint;
-      return;
-    }
-    // Inline crypto engine: open the sealed payload (§6). Without it the
-    // decoded payload is the plaintext and moves on as it is.
-    std::vector<uint8_t> plaintext;
-    Duration crypto_cost = 0;
-    if (config_.crypto) {
-      auto opened = OpenPayload(DeriveKey(config_.crypto_root_key, ep.service_id),
-                                request->payload);
-      if (!opened.has_value()) {
-        ++stats_.crypto_failures;
-        return;
-      }
-      plaintext = std::move(*opened);
-      crypto_cost = config_.pipeline.CryptoCost(request->payload.size());
-    } else {
-      plaintext = std::move(request->payload);
-    }
-
-    // NIC-side unmarshal/validation (the deserialization accelerator).
-    if (!ValidateArgs(method->request_sig, plaintext)) {
-      ++stats_.drops_bad_args;
-      return;
-    }
-
-    // At-most-once admission, after every validation step that can drop the
-    // request (an entry only becomes in-flight once the request is certain
-    // to reach a handler or an explicit overload response).
-    if (config_.dedup) {
-      const uint64_t flow = VfFlowKey(ep_id, frame->ip.src, frame->udp.src_port);
-      switch (dedup_.Admit(flow, request->request_id)) {
-        case RpcDedupCache::Verdict::kNew:
-          break;
-        case RpcDedupCache::Verdict::kInFlight:
-          // The original is still executing; its response answers this copy.
-          return;
-        case RpcDedupCache::Verdict::kCompleted: {
-          PreparedRequest replay;
-          replay.endpoint = ep_id;
-          replay.service_id = request->service_id;
-          replay.method_id = request->method_id;
-          replay.request_id = request->request_id;
-          replay.eth = frame->eth;
-          replay.ip = frame->ip;
-          replay.udp = frame->udp;
-          replay.wire_arrival = 0;  // replays stay out of the latency histogram
-          TransmitResponse(replay, dedup_.Replay(flow, *request));
-          return;
-        }
-      }
-    }
-
     PreparedRequest prepared;
     prepared.endpoint = ep_id;
     prepared.service_id = request->service_id;
     prepared.method_id = request->method_id;
     prepared.request_id = request->request_id;
-    prepared.args = std::move(plaintext);
+    prepared.args = std::move(request->payload);
     prepared.eth = frame->eth;
     prepared.ip = frame->ip;
     prepared.udp = frame->udp;
     prepared.wire_arrival = arrival;
-
-    // ECN-capable sender: remember it for the grant denominator (§15).
-    if (frame->ip.ecn != kEcnNotEct) {
-      cc_senders_[frame->ip.src] = sim_.Now();
-    }
-
-    // Arrival-rate EWMA for the scaling policy (§5.2).
-    if (ep.arrivals > 0) {
-      const Duration gap = sim_.Now() - ep.last_arrival;
-      if (gap > 0) {
-        ep.arrival_rate.Update(static_cast<double>(kSecond) / static_cast<double>(gap));
+    // A continuation receives a nested RPC's reply (§6): its payload goes to
+    // whoever parks on the continuation's control line, with no
+    // service/method demux.
+    const bool reply = ep.is_continuation;
+    const MethodDef* method = nullptr;
+    if (reply) {
+      if (request->kind != MessageKind::kResponse || !ep.in_use) {
+        ++stats_.drops_no_endpoint;
+        return;
+      }
+    } else {
+      if (request->kind != MessageKind::kRequest) {
+        ++stats_.drops_bad_frame;
+        return;
+      }
+      ++vfs_[ep.vf].stats.rx_requests;
+      const ServiceDef* service = services_.Find(ep.service_id);
+      method = service != nullptr ? service->FindMethod(request->method_id) : nullptr;
+      if (method == nullptr) {
+        ++stats_.drops_no_endpoint;
+        return;
       }
     }
-    ep.last_arrival = sim_.Now();
-    ++ep.arrivals;
+    // Inline crypto engine: open the sealed payload (§6) under the service's
+    // key; a reply may carry no payload at all. Without it the decoded
+    // payload is the plaintext and moves on as it is.
+    Duration crypto_cost = 0;
+    if (config_.crypto && !(reply && prepared.args.empty())) {
+      auto opened = OpenPayload(
+          DeriveKey(config_.crypto_root_key, reply ? request->service_id : ep.service_id),
+          prepared.args);
+      if (!opened.has_value()) {
+        ++stats_.crypto_failures;
+        return;
+      }
+      if (!reply) {
+        crypto_cost = config_.pipeline.CryptoCost(prepared.args.size());
+      }
+      prepared.args = std::move(*opened);
+    }
+
+    if (!reply) {
+      // NIC-side unmarshal/validation (the deserialization accelerator).
+      if (!ValidateArgs(method->request_sig, prepared.args)) {
+        ++stats_.drops_bad_args;
+        return;
+      }
+      // At-most-once admission, after every validation step that can drop
+      // the request (an entry only becomes in-flight once the request is
+      // certain to reach a handler or an explicit overload response).
+      if (config_.dedup) {
+        const uint64_t flow = VfFlowKey(ep_id, frame->ip.src, frame->udp.src_port);
+        switch (dedup_.Admit(flow, request->request_id)) {
+          case RpcDedupCache::Verdict::kNew:
+            break;
+          case RpcDedupCache::Verdict::kInFlight:
+            // The original is still executing; its response answers this copy.
+            return;
+          case RpcDedupCache::Verdict::kCompleted:
+            prepared.wire_arrival = 0;  // replays stay out of the latency histogram
+            TransmitResponse(prepared, dedup_.Replay(flow, *request));
+            return;
+        }
+      }
+      // ECN-capable sender: remember it for the grant denominator (§15).
+      if (frame->ip.ecn != kEcnNotEct) {
+        cc_senders_[frame->ip.src] = sim_.Now();
+      }
+      // Arrival-rate EWMA for the scaling policy (§5.2).
+      if (ep.arrivals > 0) {
+        const Duration gap = sim_.Now() - ep.last_arrival;
+        if (gap > 0) {
+          ep.arrival_rate.Update(static_cast<double>(kSecond) / static_cast<double>(gap));
+        }
+      }
+      ep.last_arrival = sim_.Now();
+      ++ep.arrivals;
+    }
 
     const Duration tail_cost = crypto_cost +
                                config_.pipeline.UnmarshalCost(prepared.args.size()) +
@@ -599,43 +501,34 @@ uint32_t LauberhornNic::PickEndpoint(const std::vector<uint32_t>& candidates,
     return candidates[0];
   }
   const Endpoint& first = endpoints_[candidates[0]];
-  if (!first.is_continuation && !first.is_kernel) {
-    const DispatchPolicyConfig policy = EnsureGroup(first).config;
-    if (policy.kind != DispatchPolicyKind::kLegacy) {
-      // d-FCFS (§18): the hash *is* the discipline — one flow, one core, no
-      // migration and no saturation fallback; head-of-line blocking behind
-      // a long request is exactly the behavior under measurement. Central
-      // disciplines hash too, but only to attribute the arrival (EWMA,
-      // admission): real placement happens at dispatch time.
-      const uint32_t hash = ToeplitzHash4Tuple(config_.rss_key, ip.src, ip.dst,
-                                               udp.src_port, udp.dst_port);
-      const uint32_t chosen = candidates[hash % candidates.size()];
-      const uint32_t vf = endpoints_[chosen].vf;
-      if (vf != 0) {
-        ++vfs_[vf].stats.rss_steered;
-      }
-      return chosen;
-    }
-  }
-  // Tenant slice (§17): Toeplitz RSS over the flow's 4-tuple picks the
-  // polling core — one flow keeps cache/core affinity while the tenant's
-  // flows spread across its slice. Fall back to the legacy picker when the
-  // hashed endpoint cannot absorb the request (degraded, or queue already at
-  // the spillover threshold): isolation must not cost availability inside
-  // the slice.
-  const uint32_t vf = endpoints_[candidates[0]].vf;
-  if (vf != 0) {
+  // d-FCFS (§18): the hash *is* the discipline — one flow, one core, no
+  // migration and no saturation fallback; head-of-line blocking behind a
+  // long request is exactly the behavior under measurement. Central
+  // disciplines hash too, but only to attribute the arrival (EWMA,
+  // admission): real placement happens at dispatch time.
+  const bool policy_hash = !first.is_continuation && !first.is_kernel &&
+                           EnsureGroup(first).config.kind != DispatchPolicyKind::kLegacy;
+  // Tenant slice (§17): under the legacy discipline, Toeplitz RSS over the
+  // flow's 4-tuple picks the polling core — one flow keeps cache/core
+  // affinity while the tenant's flows spread across its slice. Fall back to
+  // the legacy picker when the hashed endpoint cannot absorb the request
+  // (degraded, or queue already at the spillover threshold): isolation must
+  // not cost availability inside the slice.
+  if (policy_hash || first.vf != 0) {
     const uint32_t hash = ToeplitzHash4Tuple(config_.rss_key, ip.src, ip.dst,
                                              udp.src_port, udp.dst_port);
     const uint32_t chosen = candidates[hash % candidates.size()];
     const Endpoint& ep = endpoints_[chosen];
-    const bool saturated = ep.degraded_until > sim_.Now() ||
-                           ep.pending.size() >= config_.params.spillover_queue_depth;
+    const bool saturated = !policy_hash &&
+                           (ep.degraded_until > sim_.Now() ||
+                            ep.pending.size() >= config_.params.spillover_queue_depth);
     if (!saturated) {
-      ++vfs_[vf].stats.rss_steered;
+      if (ep.vf != 0) {
+        ++vfs_[ep.vf].stats.rss_steered;
+      }
       return chosen;
     }
-    ++vfs_[vf].stats.rss_fallbacks;
+    ++vfs_[first.vf].stats.rss_fallbacks;
   }
   // PF / fallback: prefer a stalled core (zero-latency dispatch), then the
   // active endpoint with the shortest NIC-side queue. If even that queue is
@@ -687,11 +580,26 @@ void LauberhornNic::MaybeRestartCold(Endpoint& ep) {
   if (!ep.active && !ep.cold_dispatch_inflight && !ep.pending.empty()) {
     RouteCold(ep.pending.Pop());
   }
-  if (!ep.is_kernel && !ep.is_continuation && ep.in_use) {
-    // Central disciplines: if this endpoint was the group's last usable
-    // core, the central queue must drain through the kernel path now.
-    MaybeDrainCentral(ep.service_id);
+  // Central disciplines: if this endpoint was the group's last usable core,
+  // the central queue must drain through the kernel path now.
+  DispatchGroup* group = ep.in_use ? CentralGroup(ep) : nullptr;
+  if (group == nullptr || group->central.empty() ||
+      AnyUsable(GroupMembers(ep))) {
+    return;
   }
+  while (!group->central.empty()) {
+    ++group->stats.drained_cold;
+    RouteCold(group->central.Pop());
+  }
+}
+
+void LauberhornNic::ReleaseCore(Endpoint& ep) {
+  ep.active = false;
+  ep.active_core = -1;
+  // A released core must not keep requests hostage: unspent JBSQ / c-FCFS
+  // credits go back to the central queue for the surviving cores.
+  ReturnLocalQueue(ep);
+  MaybeRestartCold(ep);
 }
 
 // -- Dispatch disciplines (§18) -------------------------------------------------
@@ -723,43 +631,24 @@ const std::vector<uint32_t>& LauberhornNic::GroupMembers(const Endpoint& ep) {
   return it != port_to_endpoints_.end() ? it->second : kNoMembers;
 }
 
-bool LauberhornNic::EndpointUsable(const Endpoint& ep) const {
-  return ep.in_use && ep.degraded_until <= sim_.Now() &&
-         !ep.retire_requested &&
-         (ep.active || ep.waiting.has_value() || ep.cold_dispatch_inflight ||
-          ep.outstanding.has_value());
+const LauberhornNic::DispatchGroup* LauberhornNic::CentralGroup(
+    const Endpoint& ep) const {
+  if (ep.is_kernel || ep.is_continuation) {
+    return nullptr;
+  }
+  auto it = groups_.find(ep.service_id);
+  return it != groups_.end() && IsCentral(it->second.config) ? &it->second
+                                                             : nullptr;
 }
 
-ShedReason LauberhornNic::CentralAdmissionCheck(Endpoint& ep,
-                                                DispatchGroup& group) {
+bool LauberhornNic::AnyUsable(const std::vector<uint32_t>& members) const {
   const SimTime now = sim_.Now();
-  const ShedReason vf_reason = VfQuotaCheck(ep);
-  if (vf_reason != ShedReason::kNone) {
-    return vf_reason;
-  }
-  if (config_.admission.enabled && config_.admission.quota_rps > 0) {
-    TokenBucket& bucket =
-        service_quota_
-            .try_emplace(ep.service_id, config_.admission.quota_rps,
-                         config_.admission.quota_burst)
-            .first->second;
-    if (!bucket.TryTake(now)) {
-      return ShedReason::kQuota;
-    }
-  }
-  // The sojourn gate must watch the queue this request would actually join:
-  // under c-FCFS / JBSQ that is the service's central queue, not the
-  // (empty by design) per-endpoint queue.
-  const AdmissionConfig& adm =
-      (ep.vf != 0 && vfs_[ep.vf].config.admission.enabled)
-          ? vfs_[ep.vf].config.admission
-          : config_.admission;
-  const Duration oldest =
-      group.central.empty() ? 0 : now - group.central.front().wire_arrival;
-  if (group.sojourn.ShouldShed(now, oldest, adm.sojourn)) {
-    return ShedReason::kSojourn;
-  }
-  return ShedReason::kNone;
+  return std::any_of(members.begin(), members.end(), [&](uint32_t id) {
+    const Endpoint& ep = endpoints_[id];
+    return ep.in_use && ep.degraded_until <= now && !ep.retire_requested &&
+           (ep.active || ep.waiting.has_value() || ep.cold_dispatch_inflight ||
+            ep.outstanding.has_value());
+  });
 }
 
 bool LauberhornNic::CentralDispatch(Endpoint& ep, DispatchGroup& group,
@@ -780,28 +669,9 @@ bool LauberhornNic::CentralDispatch(Endpoint& ep, DispatchGroup& group,
   }
   if (parked != UINT32_MAX) {
     Endpoint& target = endpoints_[parked];
-    // Overload gates never fire on the hot path (a parked core means
-    // headroom), but the tenant's rate contract still binds.
-    const ShedReason vf_reason = VfQuotaCheck(target);
-    if (vf_reason != ShedReason::kNone) {
-      Shed(target, request, vf_reason);
-      return true;
+    if (DispatchHot(target, &group, std::move(request))) {
+      ReplenishJbsq(target);  // top the core's runway back up to k
     }
-    if (request.endpoint != parked) {
-      ++group.stats.retargets;
-      request.endpoint = parked;
-    }
-    ++stats_.hot_dispatches;
-    ++group.stats.hot_dispatches;
-    trace_.Emit(now, TraceEvent::kDispatchHot, target.id,
-                static_cast<uint32_t>(request.request_id));
-    if (spans_ != nullptr) {
-      spans_->Record(request.request_id, SpanStage::kAdmitted, now);
-      spans_->Record(request.request_id, SpanStage::kDispatched, now);
-      spans_->Annotate(request.request_id, SpanDispatch::kHot, target.id);
-    }
-    DeliverToWaiting(target, std::move(request));
-    ReplenishJbsq(target);  // top the core's runway back up to k
     return true;
   }
   // JBSQ(k): a busy core with spare credit takes the request onto its
@@ -825,154 +695,50 @@ bool LauberhornNic::CentralDispatch(Endpoint& ep, DispatchGroup& group,
     }
     if (best != UINT32_MAX) {
       Endpoint& target = endpoints_[best];
-      const size_t depth_limit =
-          EffectiveDepthLimit(target, config_.params.endpoint_queue_depth);
-      if (target.pending.size() >= depth_limit) {
-        Shed(target, request, ShedReason::kQueueFull);
-        return true;
-      }
-      if (AdmissionActive(target)) {
-        const ShedReason reason = AdmissionCheck(target, /*cold=*/false);
-        if (reason != ShedReason::kNone) {
-          Shed(target, request, reason);
-          return true;
-        }
-      }
-      if (request.endpoint != best) {
-        ++group.stats.retargets;
-        request.endpoint = best;
-      }
-      ++stats_.queued_dispatches;
-      ++group.stats.local_queued;
-      trace_.Emit(now, TraceEvent::kDispatchQueued, target.id,
-                  static_cast<uint32_t>(request.request_id));
-      if (spans_ != nullptr) {
-        spans_->Record(request.request_id, SpanStage::kAdmitted, now);
-        spans_->Record(request.request_id, SpanStage::kDispatched, now);
-        spans_->Annotate(request.request_id, SpanDispatch::kQueued, target.id);
-      }
-      target.pending.Push(std::move(request));
+      Enqueue(target, group, target.pending, EffectiveDepthLimit(target),
+              group.stats.local_queued, std::move(request));
       return true;
     }
   }
   // Central queue, as long as someone in the group holds (or is acquiring)
   // a core. Nobody attached → the caller routes cold, which recruits one.
-  bool attached = false;
-  for (uint32_t id : members) {
-    if (EndpointUsable(endpoints_[id])) {
-      attached = true;
-      break;
-    }
-  }
-  if (!attached) {
+  if (!AnyUsable(members)) {
     return false;
   }
   // The shared queue absorbs what the per-endpoint queues would have held
   // jointly: one endpoint budget per member.
-  const size_t limit =
-      EffectiveDepthLimit(ep, config_.params.endpoint_queue_depth) *
-      std::max<size_t>(1, members.size());
-  if (group.central.size() >= limit) {
-    Shed(ep, request, ShedReason::kQueueFull);
-    return true;
-  }
-  if (AdmissionActive(ep)) {
-    const ShedReason reason = CentralAdmissionCheck(ep, group);
-    if (reason != ShedReason::kNone) {
-      Shed(ep, request, reason);
-      return true;
-    }
-  }
-  ++stats_.queued_dispatches;
-  ++group.stats.central_queued;
-  trace_.Emit(now, TraceEvent::kDispatchQueued, ep.id,
-              static_cast<uint32_t>(request.request_id));
-  if (spans_ != nullptr) {
-    spans_->Record(request.request_id, SpanStage::kAdmitted, now);
-    spans_->Record(request.request_id, SpanStage::kDispatched, now);
-    spans_->Annotate(request.request_id, SpanDispatch::kQueued, ep.id);
-  }
-  group.central.Push(std::move(request));
+  Enqueue(ep, group, group.central,
+          EffectiveDepthLimit(ep) * std::max<size_t>(1, members.size()),
+          group.stats.central_queued, std::move(request));
   return true;
 }
 
 void LauberhornNic::ReplenishJbsq(Endpoint& ep) {
-  if (ep.is_kernel || ep.is_continuation) {
+  DispatchGroup* group = CentralGroup(ep);
+  if (group == nullptr || group->config.kind != DispatchPolicyKind::kJbsq ||
+      !ep.active || ep.retire_requested || ep.degraded_until > sim_.Now()) {
     return;
   }
-  auto it = groups_.find(ep.service_id);
-  if (it == groups_.end() ||
-      it->second.config.kind != DispatchPolicyKind::kJbsq) {
-    return;
-  }
-  DispatchGroup& group = it->second;
-  if (!ep.active || ep.retire_requested || ep.degraded_until > sim_.Now()) {
-    return;
-  }
-  while (Resident(ep) < group.config.jbsq_k && !group.central.empty()) {
-    PreparedRequest request = group.central.Pop();
-    if (request.endpoint != ep.id) {
-      ++group.stats.retargets;
-      request.endpoint = ep.id;
-    }
-    ++group.stats.jbsq_replenished;
+  while (Resident(ep) < group->config.jbsq_k && !group->central.empty()) {
+    PreparedRequest request = group->central.Pop();
+    group->Retarget(request, ep.id);
+    ++group->stats.jbsq_replenished;
     ep.pending.Push(std::move(request));
   }
 }
 
 void LauberhornNic::ReturnLocalQueue(Endpoint& ep) {
-  if (ep.is_kernel || ep.is_continuation || ep.pending.empty()) {
-    return;
-  }
-  auto it = groups_.find(ep.service_id);
-  if (it == groups_.end() || !IsCentral(it->second.config)) {
+  DispatchGroup* group = CentralGroup(ep);
+  if (group == nullptr || ep.pending.empty()) {
     return;
   }
   // The unspent credits go back to the *front* of the central queue in
   // their original order: they are older than anything queued behind them,
   // and FCFS across the group is the discipline's whole contract.
-  DispatchGroup& group = it->second;
-  group.stats.returned_on_retire += ep.pending.size();
+  group->stats.returned_on_retire += ep.pending.size();
   while (!ep.pending.empty()) {
-    group.central.Push(ep.pending.Pop(/*from_front=*/false), /*at_front=*/true);
+    group->central.Push(ep.pending.Pop(/*from_front=*/false), /*at_front=*/true);
   }
-}
-
-void LauberhornNic::MaybeDrainCentral(uint32_t service_id) {
-  auto it = groups_.find(service_id);
-  if (it == groups_.end() || it->second.central.empty()) {
-    return;
-  }
-  DispatchGroup& group = it->second;
-  const ServiceDef* service = services_.Find(service_id);
-  if (service != nullptr) {
-    auto members = port_to_endpoints_.find(service->udp_port);
-    if (members != port_to_endpoints_.end()) {
-      for (uint32_t id : members->second) {
-        if (EndpointUsable(endpoints_[id])) {
-          return;  // a live core will poll and pull the queue
-        }
-      }
-    }
-  }
-  // Every member retired or degraded: the central queue would strand behind
-  // cores that will never poll again. Drain it through the kernel path.
-  while (!group.central.empty()) {
-    ++group.stats.drained_cold;
-    RouteCold(group.central.Pop());
-  }
-}
-
-bool LauberhornNic::HasBacklog(Endpoint& ep) {
-  if (!ep.pending.empty()) {
-    return true;
-  }
-  if (ep.is_kernel || ep.is_continuation) {
-    return false;
-  }
-  auto it = groups_.find(ep.service_id);
-  return it != groups_.end() && IsCentral(it->second.config) &&
-         !it->second.central.empty();
 }
 
 void LauberhornNic::DispatchPrepared(PreparedRequest request) {
@@ -988,125 +754,90 @@ void LauberhornNic::DispatchPrepared(PreparedRequest request) {
     // One-shot reply delivery: fill the parked load, or hold until the core
     // parks (the reply can race the park by a few hops). Never cold.
     if (ep.waiting.has_value()) {
-      ++stats_.hot_dispatches;
-      trace_.Emit(sim_.Now(), TraceEvent::kDispatchHot, ep.id,
-                  static_cast<uint32_t>(request.request_id));
-      DeliverToWaiting(ep, std::move(request));
+      DispatchHot(ep, /*group=*/nullptr, std::move(request));
     } else {
       ep.pending.Push(std::move(request));
     }
     return;
   }
-  DispatchGroup* dfcfs = nullptr;
-  if (!ep.is_kernel) {
-    DispatchGroup& group = EnsureGroup(ep);
-    if (IsCentral(group.config)) {
-      if (CentralDispatch(ep, group, request)) {
-        return;
-      }
-      // No group endpoint holds (or is acquiring) a core: recruit one
-      // through the kernel path, exactly like the per-endpoint bootstrap.
-      if (AdmissionActive(ep)) {
-        const ShedReason reason = AdmissionCheck(ep, /*cold=*/true);
-        if (reason != ShedReason::kNone) {
-          Shed(ep, request, reason);
-          return;
-        }
-      }
-      RouteCold(std::move(request));
+  DispatchGroup& group = EnsureGroup(ep);
+  if (IsCentral(group.config)) {
+    if (CentralDispatch(ep, group, request)) {
       return;
     }
-    if (group.config.kind == DispatchPolicyKind::kDFcfs) {
-      // d-FCFS rides the per-endpoint path below; tag its group so the
-      // policy counters attribute the traffic to the discipline.
-      dfcfs = &group;
-    }
-  }
-  if (ep.degraded_until > sim_.Now()) {
+    // No group endpoint holds (or is acquiring) a core: recruit one
+    // through the kernel path, exactly like the per-endpoint bootstrap.
+  } else if (ep.degraded_until > sim_.Now()) {
     // Demoted: the hot path was not making progress, so bypass it entirely
     // and let the kernel channels carry this request.
     ++stats_.degraded_dispatches;
-    if (AdmissionActive(ep)) {
-      const ShedReason reason = AdmissionCheck(ep, /*cold=*/true);
-      if (reason != ShedReason::kNone) {
-        Shed(ep, request, reason);
-        return;
-      }
-    }
+  } else if (ep.waiting.has_value() &&
+             !(faults_ != nullptr && faults_->NicEndpointWedgedNow(ep.id))) {
+    DispatchHot(ep, &group, std::move(request));
+    return;
+  } else if (ep.active || ep.outstanding.has_value() || !ep.pending.empty() ||
+             ep.cold_dispatch_inflight || ep.waiting.has_value()) {
+    Enqueue(ep, group, ep.pending, EffectiveDepthLimit(ep),
+            group.stats.local_queued, std::move(request));
+    return;
+  }
+  if (Admit(ep, request, cold_queue_, config_.admission.sojourn)) {
     RouteCold(std::move(request));
-    return;
   }
-  const bool wedged = faults_ != nullptr && faults_->NicEndpointWedgedNow(ep.id);
-  if (ep.waiting.has_value() && !wedged) {
-    // The overload gates never fire here — a parked core means the system
-    // has headroom — but the tenant's rate contract still binds: a VF whose
-    // cores happen to be idle must not dispatch above its quota.
-    const ShedReason vf_reason = VfQuotaCheck(ep);
-    if (vf_reason != ShedReason::kNone) {
-      Shed(ep, request, vf_reason);
-      return;
-    }
-    ++stats_.hot_dispatches;
-    if (dfcfs != nullptr) {
-      ++dfcfs->stats.hot_dispatches;
-    }
-    trace_.Emit(sim_.Now(), TraceEvent::kDispatchHot, ep.id,
-                static_cast<uint32_t>(request.request_id));
-    if (spans_ != nullptr) {
-      spans_->Record(request.request_id, SpanStage::kAdmitted, sim_.Now());
-      spans_->Record(request.request_id, SpanStage::kDispatched, sim_.Now());
-      spans_->Annotate(request.request_id, SpanDispatch::kHot, ep.id);
-    }
-    DeliverToWaiting(ep, std::move(request));
-    return;
-  }
-  if (ep.active || ep.outstanding.has_value() || !ep.pending.empty() ||
-      ep.cold_dispatch_inflight || ep.waiting.has_value()) {
-    const size_t depth_limit =
-        EffectiveDepthLimit(ep, config_.params.endpoint_queue_depth);
-    if (ep.pending.size() >= depth_limit) {
-      Shed(ep, request, ShedReason::kQueueFull);
-      return;
-    }
-    if (AdmissionActive(ep)) {
-      const ShedReason reason = AdmissionCheck(ep, /*cold=*/false);
-      if (reason != ShedReason::kNone) {
-        Shed(ep, request, reason);
-        return;
-      }
-    }
-    ++stats_.queued_dispatches;
-    if (dfcfs != nullptr) {
-      ++dfcfs->stats.local_queued;
-    }
-    trace_.Emit(sim_.Now(), TraceEvent::kDispatchQueued, ep.id,
-                static_cast<uint32_t>(request.request_id));
-    if (spans_ != nullptr) {
-      spans_->Record(request.request_id, SpanStage::kAdmitted, sim_.Now());
-      spans_->Record(request.request_id, SpanStage::kDispatched, sim_.Now());
-      spans_->Annotate(request.request_id, SpanDispatch::kQueued, ep.id);
-    }
-    ep.pending.Push(std::move(request));
-    return;
-  }
-  if (AdmissionActive(ep)) {
-    const ShedReason reason = AdmissionCheck(ep, /*cold=*/true);
-    if (reason != ShedReason::kNone) {
-      Shed(ep, request, reason);
-      return;
-    }
-  }
-  RouteCold(std::move(request));
 }
 
-bool LauberhornNic::AdmissionActive(const Endpoint& ep) const {
-  return config_.admission.enabled ||
-         (ep.vf != 0 && vfs_[ep.vf].config.admission.enabled);
+bool LauberhornNic::DispatchHot(Endpoint& target, DispatchGroup* group,
+                                PreparedRequest request) {
+  const ShedReason vf_reason = VfQuotaCheck(target);
+  if (vf_reason != ShedReason::kNone) {
+    Shed(target, request, vf_reason);
+    return false;
+  }
+  ++stats_.hot_dispatches;
+  if (group != nullptr) {
+    group->Retarget(request, target.id);
+    ++group->stats.hot_dispatches;
+  }
+  trace_.Emit(sim_.Now(), TraceEvent::kDispatchHot, target.id,
+              static_cast<uint32_t>(request.request_id));
+  if (spans_ != nullptr && !target.is_continuation) {
+    spans_->RecordDispatch(request.request_id, SpanDispatch::kHot, target.id,
+                           sim_.Now());
+  }
+  DeliverToWaiting(target, std::move(request));
+  return true;
 }
 
-size_t LauberhornNic::EffectiveDepthLimit(const Endpoint& ep,
-                                          size_t base) const {
-  size_t limit = base;
+void LauberhornNic::Enqueue(Endpoint& ep, DispatchGroup& group,
+                            BacklogQueue& queue, size_t limit,
+                            uint64_t& counter, PreparedRequest request) {
+  if (queue.size() >= limit) {
+    Shed(ep, request, ShedReason::kQueueFull);
+    return;
+  }
+  // A VF endpoint's gate runs with the tenant's own sojourn targets; PF
+  // endpoints keep the device-wide config.
+  const AdmissionConfig& adm =
+      (ep.vf != 0 && vfs_[ep.vf].config.admission.enabled)
+          ? vfs_[ep.vf].config.admission
+          : config_.admission;
+  if (!Admit(ep, request, queue, adm.sojourn)) {
+    return;
+  }
+  group.Retarget(request, ep.id);
+  ++stats_.queued_dispatches;
+  ++counter;
+  trace_.Emit(sim_.Now(), TraceEvent::kDispatchQueued, ep.id,
+              static_cast<uint32_t>(request.request_id));
+  if (spans_ != nullptr) {
+    spans_->RecordDispatch(request.request_id, SpanDispatch::kQueued, ep.id,
+                           sim_.Now());
+  }
+  queue.Push(std::move(request));
+}
+
+size_t LauberhornNic::EffectiveDepthLimit(const Endpoint& ep) const {
+  size_t limit = config_.params.endpoint_queue_depth;
   if (config_.admission.enabled && config_.admission.queue_depth_limit > 0) {
     limit = std::min(limit, config_.admission.queue_depth_limit);
   }
@@ -1138,45 +869,34 @@ ShedReason LauberhornNic::VfQuotaCheck(Endpoint& ep) {
   return ShedReason::kNone;
 }
 
-ShedReason LauberhornNic::AdmissionCheck(Endpoint& ep, bool cold) {
-  const SimTime now = sim_.Now();
-  const ShedReason vf_reason = VfQuotaCheck(ep);
-  if (vf_reason != ShedReason::kNone) {
-    return vf_reason;
+bool LauberhornNic::Admit(Endpoint& ep, const PreparedRequest& request,
+                          BacklogQueue& queue, const SojournConfig& sojourn) {
+  if (!config_.admission.enabled &&
+      !(ep.vf != 0 && vfs_[ep.vf].config.admission.enabled)) {
+    return true;
   }
-  if (config_.admission.enabled && config_.admission.quota_rps > 0) {
+  const SimTime now = sim_.Now();
+  ShedReason reason = VfQuotaCheck(ep);
+  if (reason == ShedReason::kNone && config_.admission.enabled &&
+      config_.admission.quota_rps > 0) {
     TokenBucket& bucket =
         service_quota_
             .try_emplace(ep.service_id, config_.admission.quota_rps,
                          config_.admission.quota_burst)
             .first->second;
     if (!bucket.TryTake(now)) {
-      return ShedReason::kQuota;
+      reason = ShedReason::kQuota;
     }
   }
-  // CoDel-style check over the queue this request would join: sojourn time
-  // of the queue head (wire arrival to now), gated per endpoint for the
-  // NIC-side pending queue and globally for the shared cold queue.
-  if (cold) {
-    const Duration oldest =
-        cold_queue_.empty() ? 0 : now - cold_queue_.front().wire_arrival;
-    if (cold_sojourn_.ShouldShed(now, oldest, config_.admission.sojourn)) {
-      return ShedReason::kSojourn;
-    }
-  } else {
-    // A VF endpoint's gate runs with the tenant's own sojourn targets; PF
-    // endpoints keep the device-wide config.
-    const AdmissionConfig& adm =
-        (ep.vf != 0 && vfs_[ep.vf].config.admission.enabled)
-            ? vfs_[ep.vf].config.admission
-            : config_.admission;
-    const Duration oldest =
-        ep.pending.empty() ? 0 : now - ep.pending.front().wire_arrival;
-    if (ep.sojourn_gate.ShouldShed(now, oldest, adm.sojourn)) {
-      return ShedReason::kSojourn;
-    }
+  // CoDel-style check over the queue this request would join.
+  if (reason == ShedReason::kNone && queue.ShouldShed(now, sojourn)) {
+    reason = ShedReason::kSojourn;
   }
-  return ShedReason::kNone;
+  if (reason == ShedReason::kNone) {
+    return true;
+  }
+  Shed(ep, request, reason);
+  return false;
 }
 
 void LauberhornNic::Shed(Endpoint& ep, const PreparedRequest& request,
@@ -1208,18 +928,11 @@ uint16_t LauberhornNic::ComputeGrant(const Endpoint& ep) {
       ++it;
     }
   }
-  const size_t limit =
-      EffectiveDepthLimit(ep, config_.params.endpoint_queue_depth);
+  const size_t limit = EffectiveDepthLimit(ep);
   // Under a central discipline the backlog a new sender would join lives in
-  // the service's shared queue, so grants must see it (DispatchBacklog);
-  // per-endpoint disciplines keep the private-queue depth.
-  size_t depth = ep.pending.size();
-  if (!ep.is_kernel && !ep.is_continuation) {
-    auto group = groups_.find(ep.service_id);
-    if (group != groups_.end() && IsCentral(group->second.config)) {
-      depth += group->second.central.size();
-    }
-  }
+  // the service's shared queue, so grants must see it; per-endpoint
+  // disciplines keep the private-queue depth.
+  const size_t depth = DispatchBacklog(ep.id);
   const size_t headroom = depth >= limit ? 0 : limit - depth;
   size_t share = headroom / std::max<size_t>(1, active);
   if (grant_ramp_until_ > now) {
@@ -1238,9 +951,8 @@ void LauberhornNic::RouteCold(PreparedRequest request) {
   if (spans_ != nullptr) {
     // First-write-wins keeps the original stamps when a queued request is
     // drained here after a degradation or a core retire.
-    spans_->Record(request.request_id, SpanStage::kAdmitted, sim_.Now());
-    spans_->Record(request.request_id, SpanStage::kDispatched, sim_.Now());
-    spans_->Annotate(request.request_id, SpanDispatch::kCold, ep.id);
+    spans_->RecordDispatch(request.request_id, SpanDispatch::kCold, ep.id,
+                           sim_.Now());
   }
   for (size_t i = 0; i < config_.num_kernel_channels; ++i) {
     Endpoint& channel = endpoints_[i];
@@ -1249,7 +961,7 @@ void LauberhornNic::RouteCold(PreparedRequest request) {
       trace_.Emit(sim_.Now(), TraceEvent::kDispatchCold, ep.id,
                   static_cast<uint32_t>(request.request_id));
       ++stats_.cold_dispatches;
-      DeliverToKernelChannel(channel, std::move(request));
+      DeliverToWaiting(channel, std::move(request));
       return;
     }
   }
@@ -1270,7 +982,7 @@ void LauberhornNic::RouteCold(PreparedRequest request) {
   trace_.Emit(sim_.Now(), TraceEvent::kDispatchCold, ep.id,
               static_cast<uint32_t>(request.request_id));
   ++stats_.cold_queued;
-  cold_queue_.push_back(std::move(request));
+  cold_queue_.Push(std::move(request));
   if (on_need_dispatcher) {
     ++stats_.dispatcher_wakeups;
     on_need_dispatcher();
@@ -1338,7 +1050,6 @@ DispatchLine LauberhornNic::BuildDispatch(const Endpoint& ep,
 }
 
 void LauberhornNic::DeliverToWaiting(Endpoint& ep, PreparedRequest request) {
-  assert(ep.waiting.has_value());
   if (spans_ != nullptr && !ep.is_continuation) {
     spans_->Record(request.request_id, SpanStage::kDelivered, sim_.Now());
   }
@@ -1350,25 +1061,28 @@ void LauberhornNic::DeliverToWaiting(Endpoint& ep, PreparedRequest request) {
         request.request_id);
   }
   ep.tryagain_streak = 0;  // the hot path is making progress
-  WaitingLoad waiting = std::move(*ep.waiting);
-  ep.waiting.reset();
-  if (waiting.tryagain_event != kInvalidEventId) {
-    sim_.Cancel(waiting.tryagain_event);
-  }
-  const DispatchLine dispatch = BuildDispatch(ep, request, /*kernel_channel=*/false);
+  WaitingLoad waiting = TakeWaiting(ep);
+  const DispatchLine dispatch = BuildDispatch(ep, request, ep.is_kernel);
   LineData line = dispatch.Encode(line_size());
   StoredLine(CtrlAddr(ep.id, waiting.parity)) = line;
-  const int core = static_cast<int>(waiting.requester);
-  if (!ep.is_continuation) {
-    ++core_stats_[core].dispatches;
+  const std::vector<uint8_t>* args = nullptr;
+  if (ep.is_kernel) {
+    PreparedRequest& inflight = cold_inflight_[request.request_id];
+    inflight = std::move(request);
+    args = &inflight.args;
+  } else {
+    const int core = static_cast<int>(waiting.requester);
+    if (!ep.is_continuation) {
+      ++core_stats_[core].dispatches;
+    }
+    ep.outstanding =
+        OutstandingRequest{waiting.parity, std::move(request), sim_.Now(), core};
+    args = &ep.outstanding->request.args;
   }
-  ep.outstanding =
-      OutstandingRequest{waiting.parity, std::move(request), sim_.Now(), core};
-
   if (dispatch.via_dma) {
     ++stats_.dma_fallback_rx;
     // Push the args into host memory before releasing the core.
-    pcie_.DeviceDmaWrite(dispatch.data_ptr, ep.outstanding->request.args,
+    pcie_.DeviceDmaWrite(dispatch.data_ptr, *args,
                          [fill = std::move(waiting.fill), line = std::move(line)]() mutable {
                            fill(std::move(line));
                          });
@@ -1377,47 +1091,18 @@ void LauberhornNic::DeliverToWaiting(Endpoint& ep, PreparedRequest request) {
   waiting.fill(std::move(line));
 }
 
-void LauberhornNic::DeliverToKernelChannel(Endpoint& channel, PreparedRequest request) {
-  assert(channel.waiting.has_value());
-  if (spans_ != nullptr) {
-    spans_->Record(request.request_id, SpanStage::kDelivered, sim_.Now());
-  }
-  if (config_.dedup) {
-    dedup_.MarkDelivered(
-        VfFlowKey(request.endpoint, request.ip.src, request.udp.src_port),
-        request.request_id);
-  }
-  WaitingLoad waiting = std::move(*channel.waiting);
-  channel.waiting.reset();
-  if (waiting.tryagain_event != kInvalidEventId) {
-    sim_.Cancel(waiting.tryagain_event);
-  }
-  const DispatchLine dispatch = BuildDispatch(channel, request, /*kernel_channel=*/true);
-  LineData line = dispatch.Encode(line_size());
-  StoredLine(CtrlAddr(channel.id, waiting.parity)) = line;
-  const uint64_t request_id = request.request_id;
-  const uint64_t dma_iova = dispatch.data_ptr;
-  std::vector<uint8_t> args = request.args;
-  cold_inflight_[request_id] = std::move(request);
-
-  if (dispatch.via_dma) {
-    ++stats_.dma_fallback_rx;
-    pcie_.DeviceDmaWrite(dma_iova, args,
-                         [fill = std::move(waiting.fill), line = std::move(line)]() mutable {
-                           fill(std::move(line));
-                         });
-    return;
-  }
-  waiting.fill(std::move(line));
-}
-
-void LauberhornNic::FillWaiting(Endpoint& ep, LineKind kind) {
+LauberhornNic::WaitingLoad LauberhornNic::TakeWaiting(Endpoint& ep) {
   assert(ep.waiting.has_value());
   WaitingLoad waiting = std::move(*ep.waiting);
   ep.waiting.reset();
   if (waiting.tryagain_event != kInvalidEventId) {
     sim_.Cancel(waiting.tryagain_event);
   }
+  return waiting;
+}
+
+void LauberhornNic::FillWaiting(Endpoint& ep, LineKind kind) {
+  WaitingLoad waiting = TakeWaiting(ep);
   DispatchLine line;
   line.kind = kind;
   line.endpoint_id = static_cast<uint16_t>(ep.id);
@@ -1443,7 +1128,7 @@ void LauberhornNic::ArmTryagain(Endpoint& ep) {
     }
     endpoint.waiting->tryagain_event = kInvalidEventId;
     if (!endpoint.is_kernel) {
-      if (HasBacklog(endpoint)) {
+      if (DispatchBacklog(ep_id) > 0) {
         // TRYAGAIN with work queued — on the endpoint's own queue or (for
         // c-FCFS / JBSQ) the service's central queue: the hot path is not
         // delivering (the wedge signature). Consecutive occurrences demote
@@ -1479,26 +1164,27 @@ void LauberhornNic::DegradeEndpoint(Endpoint& ep) {
   for (PreparedRequest& request : ep.pending.TakeAll()) {
     RouteCold(std::move(request));
   }
-  if (!ep.is_kernel && !ep.is_continuation && ep.in_use) {
-    MaybeDrainCentral(ep.service_id);
-  }
+  MaybeRestartCold(ep);
 }
 
 // -- Coherence-side (home agent) --------------------------------------------------
 
 void LauberhornNic::OnHomeRead(AgentId requester, LineAddr addr, bool exclusive,
                                FillFn fill) {
-  LineRole role = Decode(addr);
-  if (role.endpoint == nullptr) {
+  const uint64_t offset_lines = (addr - config_.base) / line_size();
+  const uint64_t index = offset_lines / EndpointStrideLines();
+  const uint64_t within = offset_lines % EndpointStrideLines();  // 0, 1: CONTROL
+  if (index >= endpoints_.size()) {
     fill(LineData(line_size(), 0));
     return;
   }
-  if (exclusive || !role.is_ctrl) {
+  if (exclusive || within >= 2) {
     // RFO for a response write, or an AUX-line read: answer from the store.
     fill(StoredLine(addr));
     return;
   }
-  HandleCtrlPoll(*role.endpoint, role.parity, requester, std::move(fill));
+  HandleCtrlPoll(endpoints_[index], static_cast<int>(within), requester,
+                 std::move(fill));
 }
 
 void LauberhornNic::HandleCtrlPoll(Endpoint& ep, int parity, AgentId requester,
@@ -1528,12 +1214,7 @@ void LauberhornNic::HandleCtrlPoll(Endpoint& ep, int parity, AgentId requester,
     ep.retire_requested = false;
     ep.waiting = WaitingLoad{std::move(fill), requester, parity, kInvalidEventId};
     FillWaiting(ep, LineKind::kRetire);
-    ep.active = false;
-    ep.active_core = -1;
-    // A retired core must not keep requests hostage: unspent JBSQ / c-FCFS
-    // credits go back to the central queue for the surviving cores.
-    ReturnLocalQueue(ep);
-    MaybeRestartCold(ep);
+    ReleaseCore(ep);
     return;
   }
   // The NIC can infer from the load that this core is polling here (§4).
@@ -1543,10 +1224,8 @@ void LauberhornNic::HandleCtrlPoll(Endpoint& ep, int parity, AgentId requester,
   ep.waiting = WaitingLoad{std::move(fill), requester, parity, kInvalidEventId};
   if (ep.is_kernel) {
     if (!cold_queue_.empty()) {
-      PreparedRequest request = std::move(cold_queue_.front());
-      cold_queue_.pop_front();
       ++stats_.cold_dispatches;
-      DeliverToKernelChannel(ep, std::move(request));
+      DeliverToWaiting(ep, cold_queue_.Pop());
       return;
     }
   } else if (faults_ != nullptr && faults_->NicEndpointWedged(ep.id)) {
@@ -1564,23 +1243,17 @@ void LauberhornNic::HandleCtrlPoll(Endpoint& ep, int parity, AgentId requester,
       DeliverToWaiting(ep, ep.pending.Pop());
       return;
     }
-    if (!ep.is_continuation) {
-      // c-FCFS / JBSQ: an idle parked core pulls the central head directly.
-      auto it = groups_.find(ep.service_id);
-      if (it != groups_.end() && IsCentral(it->second.config) &&
-          !it->second.central.empty() && ep.degraded_until <= sim_.Now()) {
-        DispatchGroup& group = it->second;
-        PreparedRequest request = group.central.Pop();
-        if (request.endpoint != ep.id) {
-          ++group.stats.retargets;
-          request.endpoint = ep.id;
-        }
-        ++group.stats.central_pulled;
-        ++stats_.hot_dispatches;
-        DeliverToWaiting(ep, std::move(request));
-        ReplenishJbsq(ep);
-        return;
-      }
+    // c-FCFS / JBSQ: an idle parked core pulls the central head directly.
+    DispatchGroup* group = CentralGroup(ep);
+    if (group != nullptr && !group->central.empty() &&
+        ep.degraded_until <= sim_.Now()) {
+      PreparedRequest request = group->central.Pop();
+      group->Retarget(request, ep.id);
+      ++group->stats.central_pulled;
+      ++stats_.hot_dispatches;
+      DeliverToWaiting(ep, std::move(request));
+      ReplenishJbsq(ep);
+      return;
     }
   }
   ArmTryagain(ep);
@@ -1804,20 +1477,20 @@ std::deque<LauberhornNic::PreparedRequest> LauberhornNic::BacklogQueue::TakeAll(
   return std::exchange(items_, {});
 }
 
+bool LauberhornNic::BacklogQueue::ShouldShed(SimTime now,
+                                             const SojournConfig& config) {
+  const Duration oldest = items_.empty() ? 0 : now - items_.front().wire_arrival;
+  return gate_.ShouldShed(now, oldest, config);
+}
+
 size_t LauberhornNic::QueueDepth(uint32_t endpoint) const {
   return endpoints_[endpoint].pending.size();
 }
 
 size_t LauberhornNic::DispatchBacklog(uint32_t endpoint) const {
   const Endpoint& ep = endpoints_[endpoint];
-  size_t depth = ep.pending.size();
-  if (!ep.is_kernel && !ep.is_continuation) {
-    auto it = groups_.find(ep.service_id);
-    if (it != groups_.end() && IsCentral(it->second.config)) {
-      depth += it->second.central.size();
-    }
-  }
-  return depth;
+  const DispatchGroup* group = CentralGroup(ep);
+  return ep.pending.size() + (group != nullptr ? group->central.size() : 0);
 }
 
 size_t LauberhornNic::CentralQueueDepth(uint32_t service_id) const {
@@ -1847,14 +1520,9 @@ LauberhornNic::PolicyStatsSnapshot() const {
   std::map<DispatchPolicyKind, DispatchPolicyStats> by_kind;
   for (const auto& [service_id, group] : groups_) {
     DispatchPolicyStats& agg = by_kind[group.config.kind];
-    agg.hot_dispatches += group.stats.hot_dispatches;
-    agg.local_queued += group.stats.local_queued;
-    agg.central_queued += group.stats.central_queued;
-    agg.central_pulled += group.stats.central_pulled;
-    agg.jbsq_replenished += group.stats.jbsq_replenished;
-    agg.retargets += group.stats.retargets;
-    agg.returned_on_retire += group.stats.returned_on_retire;
-    agg.drained_cold += group.stats.drained_cold;
+    for (const DispatchPolicyStatsField& field : kDispatchPolicyStatsFields) {
+      agg.*field.value += group.stats.*field.value;
+    }
   }
   return {by_kind.begin(), by_kind.end()};
 }

@@ -246,15 +246,12 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   const VfConfig& vf_config(uint32_t vf) const { return vfs_[vf].config; }
   const VfStats& vf_stats(uint32_t vf) const { return vfs_[vf].stats; }
 
-  // Binds a service endpoint. `dma_buffer_iova` is a host buffer (mapped in
-  // the IOMMU by the runtime) for large-payload fallback; 0 disables DMA.
-  // Returns the endpoint id.
-  uint32_t AllocateEndpoint(uint32_t service_id, Pid pid, uint64_t code_ptr,
-                            uint64_t data_ptr, uint64_t dma_buffer_iova);
-
-  // Same, but inside a VF's endpoint-table slice; refuses (nullopt) when the
-  // VF's slice cap or the global table is exhausted — a tenant cannot grow
-  // past its partition, only fail loudly at its own allocation.
+  // Binds a service endpoint inside a VF's endpoint-table slice (VF 0 is the
+  // PF). `dma_buffer_iova` is a host buffer (mapped in the IOMMU by the
+  // runtime) for large-payload fallback; 0 disables DMA. Returns the
+  // endpoint id, or nullopt when the VF's slice cap or the global table is
+  // exhausted — a tenant cannot grow past its partition, only fail loudly at
+  // its own allocation.
   std::optional<uint32_t> AllocateEndpointOnVf(uint32_t vf, uint32_t service_id,
                                                Pid pid, uint64_t code_ptr,
                                                uint64_t data_ptr,
@@ -349,7 +346,8 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // VF's default, then legacy).
   DispatchPolicyConfig ServicePolicy(uint32_t service_id);
   // Per-policy counters summed over the services running each discipline,
-  // exported as dispatch/<policy>/* (only disciplines with traffic appear).
+  // exported as dispatch/<policy>/*. Every discipline some service has
+  // resolved to appears, with or without traffic.
   std::vector<std::pair<DispatchPolicyKind, DispatchPolicyStats>>
   PolicyStatsSnapshot() const;
   // Per-core occupancy (§18 satellite): dispatches delivered to the core,
@@ -388,25 +386,31 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     SimTime wire_arrival = 0;
   };
 
-  // A NIC-side request queue mirrored into a service backlog register. Its
-  // mutators are the only way requests enter or leave a service endpoint's
-  // private queue or a central queue, so the register cannot drift from the
-  // queues it sums. An unbound queue (kernel channel, continuation) is not
-  // counted.
+  // A NIC-side request queue, with the CoDel-style gate over its head, and
+  // optionally mirrored into a service backlog register. Its mutators are
+  // the only way requests enter or leave a service endpoint's private queue
+  // or a central queue, so the register cannot drift from the queues it
+  // sums. An unbound queue (the cold queue, kernel channels, continuations)
+  // is not counted.
   class BacklogQueue {
    public:
     void Bind(size_t* backlog);
     bool empty() const { return items_.empty(); }
     size_t size() const { return items_.size(); }
-    const PreparedRequest& front() const { return items_.front(); }
     void Push(PreparedRequest request, bool at_front = false);
     PreparedRequest Pop(bool from_front = true);
-    // Removes every request at once (degradation drain, crash wipe).
+    // Removes every request at once (degradation drain, crash wipe). The
+    // gate keeps its state.
     std::deque<PreparedRequest> TakeAll();
+    // Sojourn check for an arrival that would join this queue: the age of
+    // its head (wire arrival to now) against `config`. True = shed.
+    bool ShouldShed(SimTime now, const SojournConfig& config);
+    void ResetGate() { gate_ = SojournGate{}; }
 
    private:
     std::deque<PreparedRequest> items_;
     size_t* backlog_ = nullptr;
+    SojournGate gate_;
   };
 
   struct WaitingLoad {
@@ -456,10 +460,7 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     // Per-endpoint end-system latency (§6 statistics): wire arrival to
     // response transmission, kept by the NIC itself. Lazily allocated.
     std::unique_ptr<Histogram> latency;
-    // Overload control: CoDel-style gate over this endpoint's pending queue,
-    // and shed attribution.
-    SojournGate sojourn_gate;
-    ShedCounts sheds;
+    ShedCounts sheds;  // overload sheds attributed to this endpoint
   };
 
   // Per-VF runtime state. The config is control-plane (shadowed, replayed);
@@ -476,24 +477,29 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // wipe the queue contents. Counters persist across resets like stats_.
   struct DispatchGroup {
     DispatchPolicyConfig config;
-    BacklogQueue central;                 // c-FCFS / JBSQ shared queue
-    SojournGate sojourn;                  // CoDel gate over `central`
+    BacklogQueue central;  // c-FCFS / JBSQ shared queue
     DispatchPolicyStats stats;
+
+    // The group hands `request` to endpoint `id`, counting a retarget when
+    // the demux had attributed it elsewhere.
+    void Retarget(PreparedRequest& request, uint32_t id) {
+      if (request.endpoint != id) {
+        ++stats.retargets;
+        request.endpoint = id;
+      }
+    }
   };
 
-  // Address decode.
-  struct LineRole {
-    Endpoint* endpoint = nullptr;
-    bool is_ctrl = false;
-    int parity = 0;      // for ctrl lines
-    size_t aux_index = 0;  // for aux lines
-  };
-  LineRole Decode(LineAddr addr);
   LineData& StoredLine(LineAddr addr);
 
   void HandleCtrlPoll(Endpoint& ep, int parity, AgentId requester, FillFn fill);
+  // Delivers `request` to the load parked on `ep`: a service or
+  // continuation endpoint runs it as an RPC dispatch (it becomes the
+  // outstanding request), a kernel channel as a cold dispatch (it waits in
+  // cold_inflight_ for SoftwareTransmit).
   void DeliverToWaiting(Endpoint& ep, PreparedRequest request);
-  void DeliverToKernelChannel(Endpoint& channel, PreparedRequest request);
+  // Removes ep's parked load, cancelling its TRYAGAIN deadline.
+  WaitingLoad TakeWaiting(Endpoint& ep);
   void FillWaiting(Endpoint& ep, LineKind kind);  // TRYAGAIN / RETIRE
   void ArmTryagain(Endpoint& ep);
   void CollectResponse(Endpoint& ep, OutstandingRequest outstanding);
@@ -502,23 +508,33 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // and drains its NIC-side backlog through the kernel channels.
   void DegradeEndpoint(Endpoint& ep);
   void DispatchPrepared(PreparedRequest request);
+  // Hot delivery to the load parked on `target`. The overload gates never
+  // fire here — a parked core means the system has headroom — but the
+  // tenant's rate contract still binds. `group` (null for a continuation)
+  // takes the request and counts the dispatch. False when the VF quota shed
+  // the request instead.
+  bool DispatchHot(Endpoint& target, DispatchGroup* group,
+                   PreparedRequest request);
+  // Admit-and-enqueue onto `queue` (ep's private queue or the central
+  // queue): sheds at `limit` entries or on an admission refusal, otherwise
+  // hands the request to `ep`, counts it in `counter` and queues it.
+  void Enqueue(Endpoint& ep, DispatchGroup& group, BacklogQueue& queue,
+               size_t limit, uint64_t& counter, PreparedRequest request);
   void RouteCold(PreparedRequest request);
   // Sheds `request` with a NIC-generated kOverloaded reply: bumps the global
   // and per-endpoint counters and emits exactly one kDrop trace entry
   // (a = endpoint, b = reason) before handing off to TransmitResponse (which
   // aborts the dedup entry so a retransmit may run later).
   void Shed(Endpoint& ep, const PreparedRequest& request, ShedReason reason);
-  // True when any admission gate applies to this endpoint: the device-wide
-  // config, or the owning VF's own AdmissionConfig.
-  bool AdmissionActive(const Endpoint& ep) const;
-  // Tightest queue-depth bound over `base`: device-wide admission limit,
-  // then the owning VF's limit.
-  size_t EffectiveDepthLimit(const Endpoint& ep, size_t base) const;
-  // Admission policy: per-VF tenant quota first (the outer trust boundary),
-  // then per-service quota, then the sojourn gate over the queue this
-  // request would join (endpoint pending queue, or the shared cold queue
-  // when `cold`). kNone = admit.
-  ShedReason AdmissionCheck(Endpoint& ep, bool cold);
+  // Tightest bound on an endpoint queue: endpoint_queue_depth, then the
+  // device-wide admission limit, then the owning VF's limit.
+  size_t EffectiveDepthLimit(const Endpoint& ep) const;
+  // Admission policy, when any gate applies to ep (the device-wide config or
+  // the owning VF's): per-VF tenant quota first (the outer trust boundary),
+  // then per-service quota, then `sojourn` over the head of `queue`, the
+  // queue this request would join. A refusal sheds the request: false.
+  bool Admit(Endpoint& ep, const PreparedRequest& request, BacklogQueue& queue,
+             const SojournConfig& sojourn);
   // The VF tenant bucket alone. Unlike the overload gates, this is a rate
   // contract: it also meters the hot path, where a parked core would
   // otherwise let a surging tenant dispatch for free. kNone = admit.
@@ -544,17 +560,21 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     return config.kind == DispatchPolicyKind::kCFcfs ||
            config.kind == DispatchPolicyKind::kJbsq;
   }
+  // The group of a service endpoint whose service runs a central discipline,
+  // if that group has been resolved; null otherwise.
+  const DispatchGroup* CentralGroup(const Endpoint& ep) const;
+  DispatchGroup* CentralGroup(const Endpoint& ep) {
+    return const_cast<DispatchGroup*>(std::as_const(*this).CentralGroup(ep));
+  }
   // All service endpoints sharing ep's service (the demux candidates).
   const std::vector<uint32_t>& GroupMembers(const Endpoint& ep);
   // Requests resident at an endpoint's core: in-flight + private queue.
   static size_t Resident(const Endpoint& ep) {
     return (ep.outstanding.has_value() ? 1 : 0) + ep.pending.size();
   }
-  // True when the endpoint can make forward progress on new work.
-  bool EndpointUsable(const Endpoint& ep) const;
-  // Central-queue admission: VF quota, service quota, then the group's
-  // sojourn gate over the central head. kNone = admit.
-  ShedReason CentralAdmissionCheck(Endpoint& ep, DispatchGroup& group);
+  // True when some member holds (or is acquiring) a core and can make
+  // forward progress on new work.
+  bool AnyUsable(const std::vector<uint32_t>& members) const;
   // c-FCFS / JBSQ dispatch of a prepared request. Returns false (leaving
   // `request` untouched) when the group has no usable endpoint at all, in
   // which case the caller falls back to the cold path (which recruits a
@@ -567,15 +587,13 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // A retired/deactivated core returns its private queue (its unspent JBSQ
   // credits) to the *front* of the central queue, preserving FCFS order.
   void ReturnLocalQueue(Endpoint& ep);
-  // When no group endpoint can serve the central queue (all retired or
-  // degraded), its contents drain through the kernel path instead of
-  // stranding behind cores that will never poll again.
-  void MaybeDrainCentral(uint32_t service_id);
-  // Policy-aware backlog test used by the wedge detector: private queue or
-  // (for central disciplines) the service's central queue.
-  bool HasBacklog(Endpoint& ep);
-  // After an endpoint loses its core, queued work must not strand: restart
-  // via the cold path.
+  // The core left ep's loop (deactivated or retired): hand back its queue.
+  void ReleaseCore(Endpoint& ep);
+  // After an endpoint loses its core, queued work must not strand: its
+  // private queue restarts via the cold path, and when no group endpoint can
+  // serve the central queue (all retired or degraded), its contents drain
+  // through the kernel path instead of stranding behind cores that will
+  // never poll again.
   void MaybeRestartCold(Endpoint& ep);
   // Writes args into line_store aux lines / DMA buffer; returns the
   // DispatchLine describing the delivery.
@@ -590,10 +608,23 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   bool CheckDeviceUp();
   // The firmware died: answer every parked load with TRYAGAIN (the
   // bus-timeout model keeps cores from stranding), then wipe all volatile
-  // state — endpoint table, line store, queues, admission buckets, grant
-  // state — exactly what the shadow exists to rebuild. The dedup table is
-  // host-owned memory and survives.
+  // state. The dedup table is host-owned memory and survives.
   void CrashNow();
+  // The device's volatile state as at power-on: endpoint table, line store,
+  // queues, admission buckets, grant state, VF partitions — exactly what the
+  // shadow exists to rebuild. Structural identity (line addresses,
+  // continuation ports) is part of the address map and is laid out again.
+  void WipeVolatileState();
+  // Continuation endpoints follow the service endpoints; each owns a fixed
+  // reply port.
+  uint32_t FirstContinuation() const {
+    return static_cast<uint32_t>(config_.num_kernel_channels +
+                                 config_.num_endpoints);
+  }
+  uint16_t ContinuationPort(uint32_t id) const {
+    return static_cast<uint16_t>(config_.continuation_port_base +
+                                 (id - FirstContinuation()));
+  }
 
   Simulator& sim_;
   CoherentInterconnect& interconnect_;
@@ -617,16 +648,16 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // demux stage picks among them per packet.
   std::unordered_map<uint16_t, std::vector<uint32_t>> port_to_endpoints_;
   std::unordered_map<LineAddr, LineData> line_store_;
-  std::deque<PreparedRequest> cold_queue_;
+  // Shared spillover queue of the cold path, gated device-wide.
+  BacklogQueue cold_queue_;
   // Cold requests handed to a dispatcher, awaiting SoftwareTransmit.
   std::unordered_map<uint64_t, PreparedRequest> cold_inflight_;
   uint32_t next_service_endpoint_ = 0;
   uint32_t next_kernel_channel_ = 0;
   std::vector<uint32_t> free_continuations_;
   // Overload control: per-service quota buckets (lazily created from
-  // config_.admission) and a sojourn gate over the shared cold queue.
+  // config_.admission).
   std::unordered_map<uint32_t, TokenBucket> service_quota_;
-  SojournGate cold_sojourn_;
   // VF partitions; slot 0 is the PF. Configs are control-plane state
   // (rebuilt by shadow replay); buckets/stats are volatile.
   std::vector<VfState> vfs_;

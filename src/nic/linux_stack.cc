@@ -99,9 +99,8 @@ void LinuxRpcStack::NapiPoll(uint32_t q, Core& core) {
         // admission verdict and dispatch decision in one step.
         const auto msg = DecodeRpcMessage(frame->payload);
         if (msg.has_value() && msg->kind == MessageKind::kRequest) {
-          spans_->Record(msg->request_id, SpanStage::kAdmitted, sim_.Now());
-          spans_->Record(msg->request_id, SpanStage::kDispatched, sim_.Now());
-          spans_->Annotate(msg->request_id, SpanDispatch::kWorker, q);
+          spans_->RecordDispatch(msg->request_id, SpanDispatch::kWorker, q,
+                                 sim_.Now());
         }
       }
       // Deliver the whole frame so the worker can address the response.

@@ -112,6 +112,13 @@ void SpanCollector::Annotate(uint64_t request_id, SpanDispatch dispatch,
   }
 }
 
+void SpanCollector::RecordDispatch(uint64_t request_id, SpanDispatch dispatch,
+                                   uint32_t endpoint, SimTime at) {
+  Record(request_id, SpanStage::kAdmitted, at);
+  Record(request_id, SpanStage::kDispatched, at);
+  Annotate(request_id, dispatch, endpoint);
+}
+
 void SpanCollector::Clear() {
   open_.clear();
   completed_.clear();

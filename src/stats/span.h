@@ -134,6 +134,10 @@ class SpanCollector {
   void Record(uint64_t request_id, SpanStage stage, SimTime at);
   // Attaches the dispatch outcome and serving endpoint/queue to an open span.
   void Annotate(uint64_t request_id, SpanDispatch dispatch, uint32_t endpoint);
+  // The admission verdict and dispatch decision taken in one step at `at`:
+  // stamps kAdmitted and kDispatched, then annotates the outcome.
+  void RecordDispatch(uint64_t request_id, SpanDispatch dispatch,
+                      uint32_t endpoint, SimTime at);
 
   const std::deque<RequestSpan>& completed() const { return completed_; }
   size_t open_count() const { return open_.size(); }

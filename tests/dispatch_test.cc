@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -38,6 +41,31 @@ TEST(DispatchPolicyKindTest, ToStringParseRoundTrip) {
   EXPECT_EQ(ParseDispatchPolicyKind("dfcfs"), DispatchPolicyKind::kDFcfs);
   EXPECT_EQ(ParseDispatchPolicyKind("cfcfs"), DispatchPolicyKind::kCFcfs);
   EXPECT_FALSE(ParseDispatchPolicyKind("bogus").has_value());
+}
+
+TEST(DispatchPolicyStatsTest, EveryFieldExportsUnderItsPolicy) {
+  DispatchPolicyStats stats;
+  stats.hot_dispatches = 101;
+  stats.local_queued = 102;
+  stats.central_queued = 103;
+  stats.central_pulled = 104;
+  stats.jbsq_replenished = 105;
+  stats.retargets = 106;
+  stats.returned_on_retire = 107;
+  stats.drained_cold = 108;
+  MetricsRegistry metrics;
+  ExportDispatchPolicyStats(metrics, "m0/", DispatchPolicyKind::kJbsq, stats);
+  const std::map<std::string, uint64_t> expected = {
+      {"m0/dispatch/jbsq/hot_dispatches", 101},
+      {"m0/dispatch/jbsq/local_queued", 102},
+      {"m0/dispatch/jbsq/central_queued", 103},
+      {"m0/dispatch/jbsq/central_pulled", 104},
+      {"m0/dispatch/jbsq/jbsq_replenished", 105},
+      {"m0/dispatch/jbsq/retargets", 106},
+      {"m0/dispatch/jbsq/returned_on_retire", 107},
+      {"m0/dispatch/jbsq/drained_cold", 108},
+  };
+  EXPECT_EQ(metrics.counters(), expected);
 }
 
 // --- Service-time distributions ----------------------------------------------
@@ -138,8 +166,11 @@ TEST(ServiceTimeDistTest, BoundedParetoStaysInSupport) {
 // at-most-once alongside completion accounting.
 class DispatchHarness {
  public:
+  // With `vf` set, the service's endpoints live on a virtual function
+  // carved with that config; otherwise on the physical function.
   DispatchHarness(MachineConfig config, DispatchPolicyConfig policy,
-                  ServiceTimeSpec service_time, int max_cores = 3)
+                  ServiceTimeSpec service_time, int max_cores = 3,
+                  std::optional<LauberhornNic::VfConfig> vf = std::nullopt)
       : machine_(std::move(config)) {
     ServiceDef def;
     def.service_id = 1;
@@ -157,7 +188,9 @@ class DispatchHarness {
     };
     method.service_time = MakeServiceTimeFn(service_time);
     def.methods[0] = std::move(method);
-    service_ = &machine_.AddService(std::move(def), max_cores);
+    const uint32_t vf_id =
+        vf.has_value() ? machine_.CreateVf(std::move(*vf)) : 0;
+    service_ = &machine_.AddService(std::move(def), max_cores, vf_id);
     machine_.Start();
     machine_.StartHotLoop(*service_);
     machine_.sim().RunUntil(Microseconds(100));
@@ -561,6 +594,261 @@ TEST(DispatchMetricsTest, PerCoreOccupancyTracksDeliveries) {
     }
   }
   EXPECT_TRUE(any_core_metric);
+}
+
+// --- Dispatch outcomes, pinned exactly ---------------------------------------
+
+// One overloaded cell per dispatch path: the device-wide admission gate
+// (service quota, sojourn gate, depth limit) is on everywhere, the VF cell
+// adds the tenant's own gate, and one endpoint retires mid-run. The wedge
+// cells stall CONTROL fills until endpoints degrade to the kernel path.
+struct OutcomeCell {
+  DispatchPolicyKind kind;
+  bool on_vf;
+  bool wedge;
+  const char* name;
+};
+
+void PrintTo(const OutcomeCell& cell, std::ostream* os) { *os << cell.name; }
+
+using Outcome = std::map<std::string, uint64_t>;
+
+// Nonzero values only: the count of each NIC trace event kind ("trace/..."),
+// of each span dispatch annotation ("span/..."), and every nic/*,
+// overload/sheds_* and dispatch/* counter the machine exports.
+Outcome RunOutcomeCell(const OutcomeCell& cell) {
+  MachineConfig config = DispatchConfig();
+  config.enable_spans = true;
+  config.admission.enabled = true;
+  config.admission.quota_rps = 700'000;
+  config.admission.quota_burst = 32;
+  config.admission.sojourn.target = Microseconds(10);
+  config.admission.sojourn.interval = Microseconds(40);
+  config.admission.queue_depth_limit = 8;
+  if (cell.wedge) {
+    config.faults.nic.wedge_probability = 0.05;
+    config.faults.nic.wedge_duration = Microseconds(100);
+    LauberhornParams params = config.platform.lauberhorn;
+    params.tryagain_timeout = Microseconds(20);
+    params.degrade_tryagain_threshold = 2;
+    params.degrade_backoff = Microseconds(100);
+    config.lauberhorn_params = params;
+  }
+  std::optional<LauberhornNic::VfConfig> vf;
+  if (cell.on_vf) {
+    vf.emplace();
+    vf->name = "tenant";
+    vf->admission.enabled = true;
+    vf->admission.quota_rps = 600'000;
+    vf->admission.quota_burst = 16;
+    vf->admission.sojourn.target = Microseconds(8);
+    vf->admission.sojourn.interval = Microseconds(30);
+    vf->admission.queue_depth_limit = 6;
+  }
+  ServiceTimeSpec service_time;
+  service_time.dist = ServiceTimeDist::kExponential;
+  service_time.mean = Microseconds(5);
+  DispatchHarness harness(std::move(config), Policy(cell.kind),
+                          service_time, /*max_cores=*/3, std::move(vf));
+  LauberhornNic& nic = harness.nic();
+  const auto endpoints = harness.machine().EndpointsOf(harness.service());
+  harness.machine().sim().Schedule(Microseconds(150), [&]() {
+    nic.RequestRetire(endpoints[0]);
+  });
+  harness.Flood(400, Microseconds(1), /*drain=*/Milliseconds(2));
+  EXPECT_EQ(nic.trace().dropped(), 0u) << "trace ring too small for the run";
+  EXPECT_EQ(harness.DuplicateExecutions(), 0u);
+
+  Outcome observed;
+  for (const TraceRing::Entry& entry : nic.trace().Snapshot()) {
+    ++observed["trace/" + ToString(entry.event)];
+  }
+  const SpanCollector& spans = *harness.machine().spans();
+  for (const RequestSpan& span : spans.completed()) {
+    ++observed["span/" + ToString(span.dispatch)];
+  }
+  observed["span/open"] = spans.open_count();
+  MetricsRegistry metrics;
+  harness.machine().ExportMetrics(metrics, "");
+  for (const auto& [name, value] : metrics.counters()) {
+    if (name.rfind("nic/", 0) == 0 || name.rfind("overload/sheds_", 0) == 0 ||
+        name.rfind("dispatch/", 0) == 0) {
+      observed[name] = value;
+    }
+  }
+  std::erase_if(observed, [](const auto& item) { return item.second == 0; });
+  return observed;
+}
+
+const std::map<std::string, Outcome>& ExpectedOutcomes() {
+  static const auto* expected = new std::map<std::string, Outcome>{
+      {"LegacyPf",
+       {{"dispatch/legacy/hot_dispatches", 2},
+        {"dispatch/legacy/local_queued", 182},
+        {"nic/cold_dispatches", 4}, {"nic/cold_queued", 4},
+        {"nic/core0/busy_ns", 151394}, {"nic/core0/dispatches", 23},
+        {"nic/core1/busy_ns", 419787}, {"nic/core1/dispatches", 66},
+        {"nic/core2/busy_ns", 395738}, {"nic/core2/dispatches", 58},
+        {"nic/core3/busy_ns", 253039}, {"nic/core3/dispatches", 34},
+        {"nic/dispatcher_wakeups", 4}, {"nic/hot_dispatches", 181},
+        {"nic/queued_dispatches", 182}, {"nic/responses_sent", 400},
+        {"nic/retires", 2}, {"overload/sheds_queue", 14},
+        {"overload/sheds_quota", 75}, {"overload/sheds_sojourn", 126},
+        {"span/cold", 1}, {"span/hot", 2}, {"span/queued", 182},
+        {"span/unknown", 215}, {"trace/dispatch-cold", 4},
+        {"trace/dispatch-hot", 2}, {"trace/dispatch-queued", 182},
+        {"trace/drop", 215}, {"trace/loop-enter", 5}, {"trace/loop-exit", 2},
+        {"trace/retire", 2}, {"trace/wire-rx", 400}, {"trace/wire-tx", 400}}},
+      {"LegacyVf",
+       {{"dispatch/legacy/hot_dispatches", 8},
+        {"dispatch/legacy/local_queued", 188},
+        {"nic/cold_dispatches", 4}, {"nic/cold_queued", 4},
+        {"nic/core0/busy_ns", 153801}, {"nic/core0/dispatches", 22},
+        {"nic/core1/busy_ns", 409043}, {"nic/core1/dispatches", 73},
+        {"nic/core2/busy_ns", 393766}, {"nic/core2/dispatches", 58},
+        {"nic/core3/busy_ns", 267673}, {"nic/core3/dispatches", 40},
+        {"nic/dispatcher_wakeups", 4}, {"nic/hot_dispatches", 193},
+        {"nic/queued_dispatches", 188}, {"nic/responses_sent", 400},
+        {"nic/retires", 2}, {"nic/vf1/endpoints", 3},
+        {"nic/vf1/responses", 400}, {"nic/vf1/rss_fallbacks", 97},
+        {"nic/vf1/rss_steered", 303}, {"nic/vf1/rx_requests", 400},
+        {"nic/vf1/sheds_sojourn", 58}, {"nic/vf1/sheds_vf_quota", 145},
+        {"overload/sheds_sojourn", 58}, {"overload/sheds_vf_quota", 145},
+        {"span/cold", 1}, {"span/hot", 8}, {"span/queued", 188},
+        {"span/unknown", 203}, {"trace/dispatch-cold", 4},
+        {"trace/dispatch-hot", 8}, {"trace/dispatch-queued", 188},
+        {"trace/drop", 203}, {"trace/loop-enter", 5}, {"trace/loop-exit", 2},
+        {"trace/retire", 2}, {"trace/wire-rx", 400}, {"trace/wire-tx", 400}}},
+      {"dFcfs",
+       {{"dispatch/d-fcfs/hot_dispatches", 7},
+        {"dispatch/d-fcfs/local_queued", 182}, {"nic/cold_dispatches", 4},
+        {"nic/cold_queued", 4}, {"nic/core0/busy_ns", 150366},
+        {"nic/core0/dispatches", 17}, {"nic/core1/busy_ns", 425147},
+        {"nic/core1/dispatches", 71}, {"nic/core2/busy_ns", 402064},
+        {"nic/core2/dispatches", 61}, {"nic/core3/busy_ns", 279148},
+        {"nic/core3/dispatches", 37}, {"nic/dispatcher_wakeups", 4},
+        {"nic/hot_dispatches", 186}, {"nic/queued_dispatches", 182},
+        {"nic/responses_sent", 400}, {"nic/retires", 2},
+        {"overload/sheds_queue", 71}, {"overload/sheds_quota", 12},
+        {"overload/sheds_sojourn", 127}, {"span/cold", 1}, {"span/hot", 7},
+        {"span/queued", 182}, {"span/unknown", 210},
+        {"trace/dispatch-cold", 4}, {"trace/dispatch-hot", 7},
+        {"trace/dispatch-queued", 182}, {"trace/drop", 210},
+        {"trace/loop-enter", 5}, {"trace/loop-exit", 2}, {"trace/retire", 2},
+        {"trace/wire-rx", 400}, {"trace/wire-tx", 400}}},
+      {"cFcfs",
+       {{"dispatch/c-fcfs/central_pulled", 151},
+        {"dispatch/c-fcfs/central_queued", 151},
+        {"dispatch/c-fcfs/hot_dispatches", 5},
+        {"dispatch/c-fcfs/retargets", 105}, {"nic/core0/busy_ns", 366027},
+        {"nic/core0/dispatches", 47}, {"nic/core1/busy_ns", 407653},
+        {"nic/core1/dispatches", 66}, {"nic/core2/busy_ns", 317226},
+        {"nic/core2/dispatches", 43}, {"nic/hot_dispatches", 156},
+        {"nic/queued_dispatches", 151}, {"nic/responses_sent", 400},
+        {"nic/retires", 2}, {"overload/sheds_queue", 14},
+        {"overload/sheds_quota", 72}, {"overload/sheds_sojourn", 158},
+        {"span/hot", 5}, {"span/queued", 151}, {"span/unknown", 244},
+        {"trace/dispatch-hot", 5}, {"trace/dispatch-queued", 151},
+        {"trace/drop", 244}, {"trace/loop-enter", 5}, {"trace/loop-exit", 2},
+        {"trace/retire", 2}, {"trace/wire-rx", 400}, {"trace/wire-tx", 400}}},
+      {"Jbsq2",
+       {{"dispatch/jbsq/central_queued", 156},
+        {"dispatch/jbsq/hot_dispatches", 3},
+        {"dispatch/jbsq/jbsq_replenished", 157},
+        {"dispatch/jbsq/local_queued", 6}, {"dispatch/jbsq/retargets", 106},
+        {"dispatch/jbsq/returned_on_retire", 1},
+        {"nic/core0/busy_ns", 387683}, {"nic/core0/dispatches", 64},
+        {"nic/core1/busy_ns", 434268}, {"nic/core1/dispatches", 57},
+        {"nic/core2/busy_ns", 337571}, {"nic/core2/dispatches", 44},
+        {"nic/hot_dispatches", 165}, {"nic/queued_dispatches", 162},
+        {"nic/responses_sent", 400}, {"nic/retires", 2},
+        {"overload/sheds_queue", 21}, {"overload/sheds_quota", 67},
+        {"overload/sheds_sojourn", 147}, {"span/hot", 3},
+        {"span/queued", 162}, {"span/unknown", 235},
+        {"trace/dispatch-hot", 3}, {"trace/dispatch-queued", 162},
+        {"trace/drop", 235}, {"trace/loop-enter", 5}, {"trace/loop-exit", 2},
+        {"trace/retire", 2}, {"trace/wire-rx", 400}, {"trace/wire-tx", 400}}},
+      {"LegacyWedge",
+       {{"dispatch/legacy/hot_dispatches", 4},
+        {"dispatch/legacy/local_queued", 56},
+        {"nic/cold_dispatches", 20}, {"nic/cold_queued", 20},
+        {"nic/core0/busy_ns", 23739}, {"nic/core0/dispatches", 5},
+        {"nic/core1/busy_ns", 264041}, {"nic/core1/dispatches", 40},
+        {"nic/degradations", 3}, {"nic/degraded_dispatches", 100},
+        {"nic/dispatcher_wakeups", 20}, {"nic/hot_dispatches", 45},
+        {"nic/queued_dispatches", 56}, {"nic/responses_sent", 400},
+        {"nic/retires", 7}, {"nic/tryagains", 115}, {"nic/wedged_polls", 34},
+        {"overload/sheds_queue", 73}, {"overload/sheds_quota", 69},
+        {"overload/sheds_sojourn", 193}, {"span/cold", 41}, {"span/hot", 4},
+        {"span/queued", 56}, {"span/unknown", 299}, {"trace/degrade", 3},
+        {"trace/dispatch-cold", 20}, {"trace/dispatch-hot", 4},
+        {"trace/dispatch-queued", 56}, {"trace/drop", 335},
+        {"trace/loop-enter", 9}, {"trace/loop-exit", 8}, {"trace/retire", 7},
+        {"trace/tryagain", 115}, {"trace/wire-rx", 400},
+        {"trace/wire-tx", 400}}},
+      {"Jbsq2Wedge",
+       {{"dispatch/jbsq/central_queued", 74},
+        {"dispatch/jbsq/drained_cold", 8},
+        {"dispatch/jbsq/hot_dispatches", 3},
+        {"dispatch/jbsq/jbsq_replenished", 73},
+        {"dispatch/jbsq/local_queued", 5}, {"dispatch/jbsq/retargets", 55},
+        {"dispatch/jbsq/returned_on_retire", 7}, {"nic/cold_dispatches", 19},
+        {"nic/cold_queued", 19}, {"nic/core0/busy_ns", 129688},
+        {"nic/core0/dispatches", 28}, {"nic/core1/busy_ns", 215394},
+        {"nic/core1/dispatches", 33}, {"nic/core2/busy_ns", 99027},
+        {"nic/core2/dispatches", 13}, {"nic/degradations", 9},
+        {"nic/dispatcher_wakeups", 19}, {"nic/hot_dispatches", 74},
+        {"nic/queued_dispatches", 79}, {"nic/responses_sent", 400},
+        {"nic/retires", 8}, {"nic/tryagains", 323}, {"nic/wedged_polls", 78},
+        {"overload/sheds_queue", 58}, {"overload/sheds_quota", 54},
+        {"overload/sheds_sojourn", 195}, {"span/cold", 28}, {"span/hot", 3},
+        {"span/queued", 79}, {"span/unknown", 290}, {"trace/degrade", 9},
+        {"trace/dispatch-cold", 19}, {"trace/dispatch-hot", 3},
+        {"trace/dispatch-queued", 79}, {"trace/drop", 307},
+        {"trace/loop-enter", 11}, {"trace/loop-exit", 8},
+        {"trace/retire", 8}, {"trace/tryagain", 323}, {"trace/wire-rx", 400},
+        {"trace/wire-tx", 400}}},
+  };
+  return *expected;
+}
+
+class DispatchOutcomeTest : public ::testing::TestWithParam<OutcomeCell> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Cells, DispatchOutcomeTest,
+    ::testing::Values(
+        OutcomeCell{DispatchPolicyKind::kLegacy, false, false, "LegacyPf"},
+        OutcomeCell{DispatchPolicyKind::kLegacy, true, false, "LegacyVf"},
+        OutcomeCell{DispatchPolicyKind::kDFcfs, false, false, "dFcfs"},
+        OutcomeCell{DispatchPolicyKind::kCFcfs, false, false, "cFcfs"},
+        OutcomeCell{DispatchPolicyKind::kJbsq, false, false, "Jbsq2"},
+        OutcomeCell{DispatchPolicyKind::kLegacy, false, true, "LegacyWedge"},
+        OutcomeCell{DispatchPolicyKind::kJbsq, false, true, "Jbsq2Wedge"}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST_P(DispatchOutcomeTest, MatchesPinnedCounts) {
+  const Outcome observed = RunOutcomeCell(GetParam());
+  const auto cell = ExpectedOutcomes().find(GetParam().name);
+  ASSERT_NE(cell, ExpectedOutcomes().end());
+  const Outcome& expected = cell->second;
+  for (const auto& [name, value] : expected) {
+    const auto it = observed.find(name);
+    EXPECT_EQ(it == observed.end() ? 0 : it->second, value) << name;
+  }
+  for (const auto& [name, value] : observed) {
+    EXPECT_TRUE(expected.count(name) != 0) << name << " = " << value;
+  }
+  // Per-endpoint disciplines, legacy included, count every traced hot and
+  // queued dispatch in the service's group.
+  if (GetParam().kind == DispatchPolicyKind::kLegacy ||
+      GetParam().kind == DispatchPolicyKind::kDFcfs) {
+    const std::string base =
+        std::string("dispatch/") + ToString(GetParam().kind) + "/";
+    EXPECT_EQ(expected.at(base + "hot_dispatches"),
+              expected.at("trace/dispatch-hot"));
+    EXPECT_EQ(expected.at(base + "local_queued"),
+              expected.at("trace/dispatch-queued"));
+  }
 }
 
 }  // namespace
