@@ -106,10 +106,10 @@ Duration MeasureDmaRtt(const PlatformSpec& platform, bool polling) {
         : sim_(sim), pcie_(pcie), msix_(msix), cmd_desc_(cmd_desc), rsp_buf_(rsp_buf),
           rsp_desc_(rsp_desc) {}
     void OnMmioWrite(uint64_t, uint64_t) override {
-      pcie_.DeviceDmaRead(cmd_desc_, kDescriptorSize, [this](std::vector<uint8_t> raw) {
+      pcie_.DeviceDmaRead(cmd_desc_, kDescriptorSize, [this](std::span<const uint8_t> raw) {
         const Descriptor desc = Descriptor::Decode(raw);
         pcie_.DeviceDmaRead(desc.buffer_iova, desc.length,
-                            [this](std::vector<uint8_t> payload) {
+                            [this](std::span<const uint8_t> payload) {
                               // Echo the payload back and complete.
                               pcie_.DeviceDmaWrite(rsp_buf_, payload, [this]() {
                                 Descriptor done;

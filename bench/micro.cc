@@ -1,15 +1,20 @@
 // MICRO — google-benchmark microbenchmarks of the substrate hot paths:
-// marshalling, framing, checksums, the event queue, histograms, and the
-// model checker. These gate the simulator's own performance (a simulated
+// marshalling, framing, checksums, the event queue, the DMA path (IOMMU,
+// descriptor rings, DMA transfers), histograms, and the model checker. These gate the simulator's own performance (a simulated
 // second at 100 krps is ~10^6 events).
 #include <array>
 #include <cstdint>
 
 #include <benchmark/benchmark.h>
 
+#include "src/coherence/interconnect.h"
+#include "src/coherence/memory_home.h"
 #include "src/model/lauberhorn_spec.h"
 #include "src/net/headers.h"
 #include "src/nic/dispatch_line.h"
+#include "src/pcie/iommu.h"
+#include "src/pcie/pcie_link.h"
+#include "src/pcie/ring.h"
 #include "src/proto/marshal.h"
 #include "src/proto/rpc_message.h"
 #include "src/sim/random.h"
@@ -163,6 +168,73 @@ void BM_DispatchLineRoundTrip(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(kLineSize));
 }
 BENCHMARK(BM_DispatchLineRoundTrip);
+
+// Translations of random pages from a working set of range(0) pages in one
+// identity-mapped extent, through the default 64-entry IOTLB: 16 pages is
+// hit-heavy, 1024 miss-heavy (each miss evicts and inserts an IOTLB node).
+void BM_IommuTranslate(benchmark::State& state) {
+  const uint64_t pages = static_cast<uint64_t>(state.range(0));
+  Iommu iommu;
+  iommu.Map(0, 0, pages * Iommu::kPageSize);
+  Rng rng(5);
+  std::vector<uint64_t> iovas(4096);
+  for (uint64_t& iova : iovas) {
+    iova = rng.UniformInt(0, pages - 1) * Iommu::kPageSize + 64;
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(iommu.Translate(iovas[i++ % iovas.size()], 16));
+  }
+  state.SetLabel(pages <= 64 ? "hit-heavy" : "miss-heavy");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_IommuTranslate)->Arg(16)->Arg(1024);
+
+// One descriptor write and read-back through host memory per iteration.
+void BM_RingViewReadWrite(benchmark::State& state) {
+  Simulator sim;
+  CoherentInterconnect interconnect(sim, CoherenceConfig{});
+  MemoryHomeAgent memory(sim, interconnect, 0, 1 << 20);
+  RingView ring(memory, 0x1000, 256);
+  Descriptor desc;
+  desc.length = 2048;
+  desc.flags = kDescReady;
+  uint32_t index = 0;
+  for (auto _ : state) {
+    desc.buffer_iova = 0x10000 + index * 2048;
+    ring.Write(index, desc);
+    benchmark::DoNotOptimize(ring.Read(index));
+    ++index;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RingViewReadWrite);
+
+// A device DMA write of range(0) bytes into one of 64 2 KiB buffers, then a
+// DMA read of it back, each run to completion: translation, staging, the
+// event, and the host-memory copy.
+void BM_DmaReadWrite(benchmark::State& state) {
+  const size_t bytes = static_cast<size_t>(state.range(0));
+  Simulator sim;
+  CoherentInterconnect interconnect(sim, CoherenceConfig{});
+  MemoryHomeAgent memory(sim, interconnect, 0, 1 << 20);
+  Iommu iommu;
+  iommu.Map(0, 0, 1 << 20);
+  PcieLink link(sim, PcieConfig{}, memory, iommu);
+  const std::vector<uint8_t> payload(bytes, 0x5a);
+  uint64_t checksum = 0;
+  uint64_t index = 0;
+  for (auto _ : state) {
+    const uint64_t iova = (index++ % 64) * 2048;
+    link.DeviceDmaWrite(iova, payload);
+    link.DeviceDmaRead(iova, bytes,
+                       [&checksum](std::span<const uint8_t> data) { checksum += data[0]; });
+    sim.RunUntilIdle();
+  }
+  benchmark::DoNotOptimize(checksum);
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(2 * bytes));
+}
+BENCHMARK(BM_DmaReadWrite)->Arg(16)->Arg(1500);
 
 void BM_HistogramRecord(benchmark::State& state) {
   Histogram h;

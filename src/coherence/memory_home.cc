@@ -43,7 +43,7 @@ void MemoryHomeAgent::OnHomeUncachedWrite(AgentId /*from*/, LineAddr addr, size_
   std::memcpy(line.data() + offset, data.data(), data.size());
 }
 
-void MemoryHomeAgent::WriteBytes(uint64_t addr, const std::vector<uint8_t>& data) {
+void MemoryHomeAgent::WriteBytes(uint64_t addr, std::span<const uint8_t> data) {
   const size_t line_size = interconnect_.config().line_size;
   size_t written = 0;
   while (written < data.size()) {
@@ -57,21 +57,27 @@ void MemoryHomeAgent::WriteBytes(uint64_t addr, const std::vector<uint8_t>& data
   }
 }
 
-std::vector<uint8_t> MemoryHomeAgent::ReadBytes(uint64_t addr, size_t size) const {
+void MemoryHomeAgent::ReadInto(uint64_t addr, std::span<uint8_t> out) const {
   const size_t line_size = interconnect_.config().line_size;
-  std::vector<uint8_t> out(size, 0);
   size_t read = 0;
-  while (read < size) {
+  while (read < out.size()) {
     const uint64_t a = addr + read;
     const LineAddr line_addr = a & ~static_cast<LineAddr>(line_size - 1);
     const size_t offset = a - line_addr;
-    const size_t chunk = std::min(line_size - offset, size - read);
+    const size_t chunk = std::min(line_size - offset, out.size() - read);
     auto it = lines_.find(line_addr);
     if (it != lines_.end()) {
       std::memcpy(out.data() + read, it->second.data() + offset, chunk);
+    } else {
+      std::memset(out.data() + read, 0, chunk);
     }
     read += chunk;
   }
+}
+
+std::vector<uint8_t> MemoryHomeAgent::ReadBytes(uint64_t addr, size_t size) const {
+  std::vector<uint8_t> out(size);
+  ReadInto(addr, out);
   return out;
 }
 

@@ -5,6 +5,7 @@
 #define SRC_COHERENCE_MEMORY_HOME_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -31,7 +32,9 @@ class MemoryHomeAgent : public HomeAgent {
   // Direct backdoor access for DMA engines and tests (no coherence traffic;
   // a real IOMMU-protected DMA write is snooped, which we approximate by
   // having DMA targets be uncached buffers).
-  void WriteBytes(uint64_t addr, const std::vector<uint8_t>& data);
+  void WriteBytes(uint64_t addr, std::span<const uint8_t> data);
+  // Fills `out` with the bytes at `addr`; never-written bytes read as zero.
+  void ReadInto(uint64_t addr, std::span<uint8_t> out) const;
   std::vector<uint8_t> ReadBytes(uint64_t addr, size_t size) const;
 
  private:

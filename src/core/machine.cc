@@ -395,6 +395,11 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
   C("pcie/iotlb_hits", iommu_.iotlb_hits());
   C("pcie/iotlb_misses", iommu_.iotlb_misses());
   C("pcie/iommu_faults", iommu_.faults());
+  C("pcie/mmio_reads", pcie_->mmio_reads());
+  C("pcie/mmio_writes", pcie_->mmio_writes());
+  C("pcie/dma_read_bytes", pcie_->dma_read_bytes());
+  C("pcie/dma_write_bytes", pcie_->dma_write_bytes());
+  C("pcie/dma_errors", pcie_->dma_errors());
 
   C("machine/server_rpcs", server_rpcs_);
   G("machine/cycles_per_rpc", CyclesPerRpc());
@@ -487,6 +492,12 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
     }
   }
   if (dma_nic_ != nullptr) {
+    C("dmanic/rx_packets", dma_nic_->rx_packets());
+    C("dmanic/tx_packets", dma_nic_->tx_packets());
+    C("dmanic/rx_drops_no_desc", dma_nic_->rx_drops_no_desc());
+    C("dmanic/rx_drops_bad_frame", dma_nic_->rx_drops_bad_frame());
+    C("dmanic/rx_drops_service_down", dma_nic_->rx_drops_service_down());
+    C("dmanic/tx_ring_full", dma_driver_->tx_ring_full());
     C("dmanic/rx_rebinds", dma_nic_->rx_rebinds());
     G("dmanic/bound_ports", static_cast<double>(dma_nic_->BoundPorts()));
   }

@@ -171,6 +171,7 @@ class Machine {
   LauberhornNic* lauberhorn_nic() { return lauberhorn_nic_.get(); }
   LauberhornRuntime* lauberhorn_runtime() { return lauberhorn_runtime_.get(); }
   DmaNic* dma_nic() { return dma_nic_.get(); }
+  DmaNicDriver* dma_driver() { return dma_driver_.get(); }
   LinuxRpcStack* linux_stack() { return linux_stack_.get(); }
   BypassRuntime* bypass() { return bypass_.get(); }
   // The Linux or bypass stack's serving core (null on Lauberhorn).

@@ -70,7 +70,7 @@ void BypassRuntime::ProcessBatch(uint32_t q, Core& core, std::vector<Packet> pac
                spans_->Record(step.request_id, SpanStage::kHandlerEnd, sim_.Now());
              }
              if (step.reply.has_value()) {
-               driver_.Transmit(q, step.reply->bytes);
+               driver_.Transmit(q, step.reply->bytes);  // a full TX ring drops it
              }
              if (step.executed) {
                server_.CountCompleted();

@@ -109,7 +109,7 @@ void DmaNic::DeliverOne(uint32_t q, Packet packet) {
   // reset), not a recoverable per-packet error.
   pcie_.DeviceDmaRead(
       desc_iova, kDescriptorSize,
-      [this, q, desc_iova, packet = std::move(packet)](std::vector<uint8_t> raw) mutable {
+      [this, q, desc_iova, packet = std::move(packet)](std::span<const uint8_t> raw) mutable {
     Queue& queue = queues_[q];
     if (raw.empty()) {
       ++rx_drops_no_desc_;  // IOMMU fault on the ring
@@ -177,7 +177,7 @@ void DmaNic::StartTx(uint32_t q) {
   const uint64_t desc_iova = queue.tx_base + index * kDescriptorSize;
   pcie_.DeviceDmaRead(
       desc_iova, kDescriptorSize,
-      [this, q, desc_iova](std::vector<uint8_t> raw) {
+      [this, q, desc_iova](std::span<const uint8_t> raw) {
     Queue& queue = queues_[q];
     if (raw.empty()) {
       queue.tx_busy = false;
@@ -189,12 +189,13 @@ void DmaNic::StartTx(uint32_t q) {
       return;
     }
     pcie_.DeviceDmaRead(desc.buffer_iova, desc.length, [this, q, desc_iova, desc](
-                                                           std::vector<uint8_t> bytes) {
-      sim_.Schedule(config_.pipeline.tx_fixed, [this, q, desc_iova, desc,
-                                                bytes = std::move(bytes)]() mutable {
+                                                           std::span<const uint8_t> bytes) {
+      sim_.Schedule(config_.pipeline.tx_fixed,
+                    [this, q, desc_iova, desc,
+                     frame = std::vector<uint8_t>(bytes.begin(), bytes.end())]() mutable {
         if (tx_wire_ != nullptr) {
           Packet out;
-          out.bytes = std::move(bytes);
+          out.bytes = std::move(frame);
           if (on_wire_tx) {
             on_wire_tx(out);
           }
@@ -369,19 +370,25 @@ std::vector<Packet> DmaNicDriver::Poll(uint32_t q, size_t budget) {
   return out;
 }
 
-bool DmaNicDriver::Transmit(uint32_t q, const std::vector<uint8_t>& bytes) {
+bool DmaNicDriver::Transmit(uint32_t q, std::span<const uint8_t> bytes) {
   QueueState& queue = queues_[q];
   if (bytes.size() > config_.buffer_size) {
     return false;
   }
   const uint32_t index = queue.tx_tail % config_.ring_entries;
+  RingView ring(memory_, queue.tx_ring_base, config_.ring_entries);
+  if ((ring.Read(index).flags & kDescReady) != 0) {
+    // The device has not completed this slot yet: the ring is full, and
+    // overwriting the slot would lose its frame.
+    ++tx_ring_full_;
+    return false;
+  }
   const uint64_t buffer = queue.tx_buffers + index * config_.buffer_size;
   memory_.WriteBytes(buffer, bytes);
   Descriptor desc;
   desc.buffer_iova = buffer;
   desc.length = static_cast<uint32_t>(bytes.size());
   desc.flags = kDescReady;
-  RingView ring(memory_, queue.tx_ring_base, config_.ring_entries);
   ring.Write(index, desc);
   ++queue.tx_tail;
   pcie_.HostMmioWrite(q * kRegQueueStride + kRegTxTail, queue.tx_tail);

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -167,10 +168,13 @@ class DmaNicDriver {
   size_t RxOccupancy(uint32_t q);
 
   // Copies `bytes` into a TX buffer, writes the descriptor, rings the doorbell.
-  // Returns false if the TX ring is full.
-  bool Transmit(uint32_t q, const std::vector<uint8_t>& bytes);
+  // Returns false, sending nothing, if `bytes` exceeds a buffer or the TX
+  // ring is full (the next slot's descriptor is still owned by the device).
+  bool Transmit(uint32_t q, std::span<const uint8_t> bytes);
 
   uint32_t num_queues() const { return config_.num_queues; }
+  // Transmits refused because the TX ring was full.
+  uint64_t tx_ring_full() const { return tx_ring_full_; }
 
  private:
   struct QueueState {
@@ -191,6 +195,7 @@ class DmaNicDriver {
   Iommu& iommu_;
   MemoryHomeAgent& memory_;
   std::vector<QueueState> queues_;
+  uint64_t tx_ring_full_ = 0;
 };
 
 }  // namespace lauberhorn

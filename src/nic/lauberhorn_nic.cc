@@ -1284,8 +1284,8 @@ void LauberhornNic::CollectResponse(Endpoint& ep, OutstandingRequest outstanding
           pcie_.DeviceDmaRead(
               ep2.dma_buffer_iova + kDmaBufferRespOffset, response_line->resp_len,
               [this, outstanding = std::move(outstanding),
-               response = std::move(response)](std::vector<uint8_t> payload) mutable {
-                response.payload = std::move(payload);
+               response = std::move(response)](std::span<const uint8_t> payload) mutable {
+                response.payload.assign(payload.begin(), payload.end());
                 TransmitResponse(outstanding.request, std::move(response));
               });
           return;

@@ -159,6 +159,7 @@ Duration LinuxRpcStack::ShedFrame(uint32_t q, const ParsedFrame& frame,
     return costs.protocol_processing;
   }
   const Duration cost = costs.protocol_processing + costs.driver_tx_per_packet;
+  // A full TX ring drops the shed reply (DmaNicDriver::tx_ring_full).
   driver_.Transmit(q, server_.Shed(frame, *request, reason, cost).bytes);
   return cost;
 }
@@ -249,7 +250,7 @@ void LinuxRpcStack::WorkerStep(ServiceState& state, Core& core) {
                [this, &state, &core, out = std::move(out), replay]() {
         const uint32_t txq =
             static_cast<uint32_t>(core.index()) % driver_.num_queues();
-        driver_.Transmit(txq, out.bytes);
+        driver_.Transmit(txq, out.bytes);  // a full TX ring drops the reply
         if (!replay) {
           server_.CountCompleted();
         }

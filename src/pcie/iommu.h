@@ -7,9 +7,10 @@
 #define SRC_PCIE_IOMMU_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "src/sim/callback.h"
 #include "src/sim/time.h"
@@ -31,8 +32,12 @@ class Iommu {
   Iommu();  // default config
   explicit Iommu(Config config) : config_(config) {}
 
-  // Maps [iova, iova+size) -> [pa, pa+size); both must be page-aligned.
+  // Maps [iova, iova+size) -> [pa, pa+size); both must be page-aligned. A
+  // size that is not a page multiple covers its last partial page. Pages
+  // already mapped are remapped: the last Map of a page wins.
   void Map(uint64_t iova, uint64_t pa, uint64_t size);
+  // Unmaps the pages of [iova, iova+size) (iova page-aligned) and drops them
+  // from the IOTLB. Unmapped pages in the range are ignored.
   void Unmap(uint64_t iova, uint64_t size);
 
   struct Translation {
@@ -63,12 +68,31 @@ class Iommu {
   void set_fault_injector(FaultInjector* faults) { faults_ = faults; }
 
  private:
+  // A run of mapped pages: [iova, iova + size) -> [pa, pa + size).
+  struct Extent {
+    uint64_t iova = 0;
+    uint64_t size = 0;  // a page multiple
+    uint64_t pa = 0;
+    uint64_t end() const { return iova + size; }
+  };
+
+  // Removes [begin, end) (page-aligned) from the table, trimming or splitting
+  // the extents that straddle its edges.
+  void Erase(uint64_t begin, uint64_t end);
+
   Config config_;
-  std::unordered_map<uint64_t, uint64_t> page_table_;  // iova page -> pa page
+  // The page table: disjoint extents sorted by iova, with neighbours that
+  // are contiguous in both iova and pa merged, so an identity-mapped region
+  // is one extent. A lookup is a binary search.
+  std::vector<Extent> extents_;
   // Cached iova pages. A full IOTLB evicts iotlb_.begin(): whichever page
   // comes first in the hash table's bucket order. That is neither LRU nor
-  // seeded-random; results depend on the standard library's bucket layout.
-  std::unordered_set<uint64_t> iotlb_;
+  // seeded-random; results depend on the standard library's bucket layout,
+  // which depends on hashes and insertion order but not on node addresses,
+  // so the nodes come from the spill free lists instead of malloc.
+  std::unordered_set<uint64_t, std::hash<uint64_t>, std::equal_to<uint64_t>,
+                     spill::Allocator<uint64_t>>
+      iotlb_;
   uint64_t faults_count_ = 0;
   uint64_t iotlb_hits_ = 0;
   uint64_t iotlb_misses_ = 0;

@@ -21,8 +21,20 @@ Duration PcieLink::ClaimBandwidth(size_t bytes) {
   return (start - sim_.Now()) + wire;
 }
 
-bool PcieLink::TranslateRange(uint64_t iova, size_t size, std::vector<Chunk>& chunks,
-                              bool fault_eligible) {
+void PcieLink::Chunks::Append(uint64_t pa, size_t size) {
+  Chunk& last = rest_.empty() ? first_ : rest_.back();
+  if (last.size == 0) {
+    last = Chunk{pa, size};
+  } else if (last.pa + last.size == pa) {
+    last.size += size;
+  } else {
+    rest_.push_back(Chunk{pa, size});
+  }
+}
+
+std::optional<Duration> PcieLink::TranslateRange(uint64_t iova, size_t size,
+                                                 Chunks& chunks, bool fault_eligible) {
+  Duration cost = 0;
   size_t done = 0;
   while (done < size) {
     const uint64_t addr = iova + done;
@@ -30,12 +42,13 @@ bool PcieLink::TranslateRange(uint64_t iova, size_t size, std::vector<Chunk>& ch
     const size_t chunk_size = std::min<size_t>(size - done, page_end - addr);
     const auto t = iommu_.Translate(addr, chunk_size, fault_eligible);
     if (!t.has_value()) {
-      return false;
+      return std::nullopt;
     }
-    chunks.push_back(Chunk{t->pa, chunk_size, t->cost});
+    chunks.Append(t->pa, chunk_size);
+    cost += t->cost;
     done += chunk_size;
   }
-  return true;
+  return cost;
 }
 
 void PcieLink::HostMmioWrite(uint64_t offset, uint64_t value) {
@@ -59,75 +72,74 @@ void PcieLink::HostMmioRead(uint64_t offset, Function<void(uint64_t)> on_done) {
 }
 
 void PcieLink::DeviceDmaRead(uint64_t iova, size_t size,
-                             Function<void(std::vector<uint8_t>)> on_done,
+                             Function<void(std::span<const uint8_t>)> on_done,
                              bool fault_eligible) {
-  std::vector<Chunk> chunks;
+  const auto fail = [&] {
+    sim_.Schedule(config_.dma_read_latency,
+                  [on_done = std::move(on_done)]() { on_done({}); });
+  };
   if (fault_eligible && faults_ != nullptr && faults_->DmaShouldFail()) {
     ++dma_errors_;
-    sim_.Schedule(config_.dma_read_latency,
-                  [on_done = std::move(on_done)]() { on_done({}); });
+    fail();
     return;
   }
-  if (!TranslateRange(iova, size, chunks, fault_eligible)) {
-    sim_.Schedule(config_.dma_read_latency,
-                  [on_done = std::move(on_done)]() { on_done({}); });
+  Chunks chunks;
+  const std::optional<Duration> translate_cost =
+      TranslateRange(iova, size, chunks, fault_eligible);
+  if (!translate_cost.has_value()) {
+    fail();
     return;
-  }
-  Duration translate_cost = 0;
-  for (const Chunk& c : chunks) {
-    translate_cost += c.cost;
   }
   dma_read_bytes_ += size;
-  const Duration total = config_.dma_read_latency + translate_cost + ClaimBandwidth(size);
+  const Duration total = config_.dma_read_latency + *translate_cost + ClaimBandwidth(size);
   sim_.Schedule(total, [this, chunks = std::move(chunks), size,
                         on_done = std::move(on_done)]() {
-    std::vector<uint8_t> data;
-    data.reserve(size);
-    for (const Chunk& c : chunks) {
-      const auto part = host_memory_.ReadBytes(c.pa, c.size);
-      data.insert(data.end(), part.begin(), part.end());
-    }
-    on_done(std::move(data));
+    read_buffer_.resize(size);
+    const std::span<uint8_t> data(read_buffer_);
+    size_t off = 0;
+    chunks.ForEach([&](const Chunk& c) {
+      host_memory_.ReadInto(c.pa, data.subspan(off, c.size));
+      off += c.size;
+    });
+    on_done(data);
   });
 }
 
-void PcieLink::DeviceDmaWrite(uint64_t iova, std::vector<uint8_t> data,
+void PcieLink::DeviceDmaWrite(uint64_t iova, std::span<const uint8_t> data,
                               Callback on_done, bool fault_eligible) {
-  std::vector<Chunk> chunks;
+  // A failed write TLP is still acknowledged: its payload is lost but the
+  // completion fires, so descriptor/fill chains that wait on it make progress
+  // (matters under transient injected IOMMU faults).
+  const auto lost = [&] {
+    if (on_done) {
+      sim_.Schedule(config_.dma_write_latency, std::move(on_done));
+    }
+  };
   if (fault_eligible && faults_ != nullptr && faults_->DmaShouldFail()) {
-    // The write TLP is acknowledged but its payload is lost; completion still
-    // fires so descriptor/fill chains that wait on it make progress.
     ++dma_errors_;
-    if (on_done) {
-      sim_.Schedule(config_.dma_write_latency, std::move(on_done));
-    }
+    lost();
     return;
   }
-  if (!TranslateRange(iova, data.size(), chunks, fault_eligible)) {
-    // Faulted; the fault handler was already notified via the IOMMU. The
-    // payload is lost but the posted write still "completes" from the
-    // device's perspective, so descriptor/fill chains keep making progress
-    // (matters under transient injected IOMMU faults).
-    if (on_done) {
-      sim_.Schedule(config_.dma_write_latency, std::move(on_done));
-    }
+  Chunks chunks;
+  const std::optional<Duration> translate_cost =
+      TranslateRange(iova, data.size(), chunks, fault_eligible);
+  if (!translate_cost.has_value()) {
+    lost();  // the IOMMU already notified its fault handler
     return;
-  }
-  Duration translate_cost = 0;
-  for (const Chunk& c : chunks) {
-    translate_cost += c.cost;
   }
   dma_write_bytes_ += data.size();
   const Duration total =
-      config_.dma_write_latency + translate_cost + ClaimBandwidth(data.size());
-  sim_.Schedule(total, [this, chunks = std::move(chunks), data = std::move(data),
+      config_.dma_write_latency + *translate_cost + ClaimBandwidth(data.size());
+  // The payload waits in a pooled block, not a malloc'd one, until it lands.
+  using StagedBytes = std::vector<uint8_t, spill::Allocator<uint8_t>>;
+  sim_.Schedule(total, [this, chunks = std::move(chunks),
+                        staged = StagedBytes(data.begin(), data.end()),
                         on_done = std::move(on_done)]() {
     size_t off = 0;
-    for (const Chunk& c : chunks) {
-      host_memory_.WriteBytes(
-          c.pa, std::vector<uint8_t>(data.begin() + off, data.begin() + off + c.size));
+    chunks.ForEach([&](const Chunk& c) {
+      host_memory_.WriteBytes(c.pa, std::span(staged).subspan(off, c.size));
       off += c.size;
-    }
+    });
     if (on_done) {
       on_done();
     }

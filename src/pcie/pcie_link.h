@@ -9,6 +9,8 @@
 #define SRC_PCIE_PCIE_LINK_H_
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "src/coherence/memory_home.h"
@@ -58,18 +60,21 @@ class PcieLink {
 
   // -- Device-initiated (DMA through the IOMMU) ---------------------------
 
-  // Reads `size` bytes at `iova` from host memory. On an IOMMU fault the
-  // callback receives an empty vector. `fault_eligible` false exempts the
-  // transfer from *injected* faults (completion errors and transient IOMMU
-  // faults) — NICs use it for descriptor-ring accesses, which a real device
-  // cannot survive losing (it would enter a fatal error state and be reset).
+  // Reads `size` bytes at `iova` from host memory, as they are when the read
+  // completes. The callback receives them in a span that is valid only
+  // during the call, or an empty span on an IOMMU fault or completion error.
+  // `fault_eligible` false exempts the transfer from *injected* faults
+  // (completion errors and transient IOMMU faults) — NICs use it for
+  // descriptor-ring accesses, which a real device cannot survive losing (it
+  // would enter a fatal error state and be reset).
   void DeviceDmaRead(uint64_t iova, size_t size,
-                     Function<void(std::vector<uint8_t>)> on_done,
+                     Function<void(std::span<const uint8_t>)> on_done,
                      bool fault_eligible = true);
 
-  // Posted write of `data` to host memory at `iova`. `on_done` (optional)
-  // runs once the write is globally visible.
-  void DeviceDmaWrite(uint64_t iova, std::vector<uint8_t> data,
+  // Posted write of `data` to host memory at `iova`. The bytes are copied
+  // when the write is posted and land in host memory when it completes;
+  // `on_done` (optional) runs then, once the write is globally visible.
+  void DeviceDmaWrite(uint64_t iova, std::span<const uint8_t> data,
                       Callback on_done = nullptr, bool fault_eligible = true);
 
   // -- Stats ---------------------------------------------------------------
@@ -84,15 +89,36 @@ class PcieLink {
   // Serializes a transfer on the shared link; returns its completion time
   // contribution (queuing + wire time for `bytes`).
   Duration ClaimBandwidth(size_t bytes);
-  // Splits [iova, iova+size) into page-bounded chunks and translates each;
-  // returns false (and leaves `chunks` partial) on a fault.
   struct Chunk {
     uint64_t pa = 0;
     size_t size = 0;
-    Duration cost = 0;
   };
-  bool TranslateRange(uint64_t iova, size_t size, std::vector<Chunk>& chunks,
-                      bool fault_eligible);
+  // The host-physical pieces of one transfer, in order. A page-bounded chunk
+  // that continues the previous one physically is merged into it, and the
+  // first chunk is held inline: a transfer inside one page (every descriptor,
+  // every 2 KiB buffer) or across physically adjacent pages (the drivers'
+  // identity-mapped regions) allocates nothing.
+  class Chunks {
+   public:
+    void Append(uint64_t pa, size_t size);
+    template <typename F>
+    void ForEach(F&& f) const {
+      if (first_.size != 0) {
+        f(first_);
+      }
+      for (const Chunk& c : rest_) {
+        f(c);
+      }
+    }
+
+   private:
+    Chunk first_;
+    std::vector<Chunk> rest_;
+  };
+  // Splits [iova, iova+size) into page-bounded chunks and translates each
+  // into `chunks`. Returns the summed translation cost, or nullopt on a fault.
+  std::optional<Duration> TranslateRange(uint64_t iova, size_t size, Chunks& chunks,
+                                         bool fault_eligible);
 
   Simulator& sim_;
   PcieConfig config_;
@@ -106,6 +132,9 @@ class PcieLink {
   uint64_t dma_read_bytes_ = 0;
   uint64_t dma_write_bytes_ = 0;
   uint64_t dma_errors_ = 0;
+  // Where each DMA read completion lands before its callback runs; reused,
+  // so it grows to the largest read once.
+  std::vector<uint8_t> read_buffer_;
 };
 
 // MSI-X interrupt delivery: vectors fan out to registered handlers after the

@@ -4,23 +4,25 @@
 
 namespace lauberhorn {
 
-std::vector<uint8_t> Descriptor::Encode() const {
-  std::vector<uint8_t> out;
-  out.reserve(kDescriptorSize);
-  PutU64Le(out, buffer_iova);
-  PutU32Le(out, length);
-  PutU16Le(out, flags);
-  PutU16Le(out, 0);
+DescriptorBytes Descriptor::Encode() const {
+  DescriptorBytes out{};  // the reserved field stays zero
+  const auto put = [&out](size_t off, uint64_t value, size_t width) {
+    for (size_t i = 0; i < width; ++i) {
+      out[off + i] = static_cast<uint8_t>(value >> (8 * i));
+    }
+  };
+  put(0, buffer_iova, 8);
+  put(8, length, 4);
+  put(12, flags, 2);
   return out;
 }
 
-Descriptor Descriptor::Decode(const std::vector<uint8_t>& bytes) {
+Descriptor Descriptor::Decode(std::span<const uint8_t> bytes) {
   Descriptor d;
   size_t off = 0;
-  std::span<const uint8_t> in(bytes);
-  GetU64Le(in, off, d.buffer_iova);
-  GetU32Le(in, off, d.length);
-  GetU16Le(in, off, d.flags);
+  GetU64Le(bytes, off, d.buffer_iova);
+  GetU32Le(bytes, off, d.length);
+  GetU16Le(bytes, off, d.flags);
   return d;
 }
 
@@ -32,7 +34,9 @@ void RingView::Write(uint32_t index, const Descriptor& desc) {
 }
 
 Descriptor RingView::Read(uint32_t index) const {
-  return Descriptor::Decode(memory_.ReadBytes(DescAddr(index), kDescriptorSize));
+  DescriptorBytes raw;
+  memory_.ReadInto(DescAddr(index), raw);
+  return Descriptor::Decode(raw);
 }
 
 }  // namespace lauberhorn

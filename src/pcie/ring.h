@@ -13,8 +13,9 @@
 #ifndef SRC_PCIE_RING_H_
 #define SRC_PCIE_RING_H_
 
+#include <array>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "src/coherence/memory_home.h"
 
@@ -24,13 +25,17 @@ inline constexpr size_t kDescriptorSize = 16;
 inline constexpr uint16_t kDescReady = 1 << 0;  // owned by device
 inline constexpr uint16_t kDescDone = 1 << 1;   // completed by device
 
+// A descriptor's wire image.
+using DescriptorBytes = std::array<uint8_t, kDescriptorSize>;
+
 struct Descriptor {
   uint64_t buffer_iova = 0;
   uint32_t length = 0;
   uint16_t flags = 0;
 
-  std::vector<uint8_t> Encode() const;
-  static Descriptor Decode(const std::vector<uint8_t>& bytes);
+  DescriptorBytes Encode() const;
+  // A field that `bytes` does not hold in full decodes as zero.
+  static Descriptor Decode(std::span<const uint8_t> bytes);
 };
 
 // Host-side view of a descriptor ring at `base` with `num_entries` slots.

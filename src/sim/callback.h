@@ -29,7 +29,8 @@
 
 namespace lauberhorn {
 
-// Spill storage for captures too large for a Function's inline buffer.
+// Spill storage for captures too large for a Function's inline buffer, and
+// (through Allocator) for small per-event container allocations.
 // Each thread keeps one free list per 16-byte size class; a released block
 // goes back on the list of the thread that releases it and is reused by that
 // thread's next spill of the same class. A thread's lists are returned to
@@ -109,6 +110,41 @@ inline void Release(void* block, size_t size_class) {
   lists.head[size_class] = block;
   Poison(block, size_class);
 }
+
+// A standard allocator over the free lists, for containers whose small
+// allocations come and go per simulated event (hash-set nodes, staged DMA
+// payloads). Requests up to kMaxPooledBytes are pooled; larger ones use
+// operator new. Stateless: every instance can free what another allocated.
+template <typename T>
+struct Allocator {
+  static_assert(alignof(T) <= alignof(std::max_align_t), "over-aligned type");
+  using value_type = T;
+
+  Allocator() = default;
+  template <typename U>
+  Allocator(const Allocator<U>&) noexcept {}  // NOLINT: rebinding is implicit
+
+  T* allocate(size_t n) {
+    const size_t bytes = n * sizeof(T);
+    if (bytes == 0 || bytes > kMaxPooledBytes) {
+      return static_cast<T*>(::operator new(bytes));
+    }
+    return static_cast<T*>(spill::Allocate(ClassOf(bytes)));
+  }
+  void deallocate(T* block, size_t n) noexcept {
+    const size_t bytes = n * sizeof(T);
+    if (bytes == 0 || bytes > kMaxPooledBytes) {
+      ::operator delete(block);
+    } else {
+      spill::Release(block, ClassOf(bytes));
+    }
+  }
+
+  template <typename U>
+  friend bool operator==(const Allocator&, const Allocator<U>&) {
+    return true;
+  }
+};
 
 }  // namespace spill
 

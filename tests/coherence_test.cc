@@ -81,7 +81,7 @@ class CoherenceTest : public ::testing::Test {
 };
 
 TEST_F(CoherenceTest, MemoryLoadMissReturnsData) {
-  memory_.WriteBytes(0x200, {1, 2, 3, 4});
+  memory_.WriteBytes(0x200, std::vector<uint8_t>{1, 2, 3, 4});
   std::vector<uint8_t> got;
   cpu0_.Load(0x200, 4, [&](std::vector<uint8_t> data) { got = std::move(data); });
   sim_.RunUntilIdle();
@@ -92,7 +92,7 @@ TEST_F(CoherenceTest, MemoryLoadMissReturnsData) {
 }
 
 TEST_F(CoherenceTest, SecondLoadHitsInCache) {
-  memory_.WriteBytes(0x200, {42});
+  memory_.WriteBytes(0x200, std::vector<uint8_t>{42});
   cpu0_.Load(0x200, 1, [](std::vector<uint8_t>) {});
   sim_.RunUntilIdle();
   const SimTime after_miss = sim_.Now();
@@ -126,7 +126,7 @@ TEST_F(CoherenceTest, LoadAfterRemoteStoreSeesLatestData) {
 }
 
 TEST_F(CoherenceTest, ExclusiveRequestInvalidatesSharers) {
-  memory_.WriteBytes(0x600, {1});
+  memory_.WriteBytes(0x600, std::vector<uint8_t>{1});
   cpu0_.Load(0x600, 1, [](std::vector<uint8_t>) {});
   cpu1_.Load(0x600, 1, [](std::vector<uint8_t>) {});
   sim_.RunUntilIdle();
@@ -260,7 +260,7 @@ TEST_F(CoherenceTest, NoBusErrorWhenDeviceAnswersInTime) {
 
 TEST_F(CoherenceTest, StatsCountMessages) {
   interconnect_.ResetStats();
-  memory_.WriteBytes(0x800, {1});
+  memory_.WriteBytes(0x800, std::vector<uint8_t>{1});
   cpu0_.Load(0x800, 1, [](std::vector<uint8_t>) {});
   sim_.RunUntilIdle();
   const CoherenceStats& s = interconnect_.stats();
@@ -280,7 +280,7 @@ TEST_F(CoherenceTest, FlushWritesDirtyLineToHome) {
 }
 
 TEST_F(CoherenceTest, QueuedOpsOnSameLineCompleteInOrder) {
-  memory_.WriteBytes(0xa00, {0});
+  memory_.WriteBytes(0xa00, std::vector<uint8_t>{0});
   std::vector<int> order;
   cpu0_.Load(0xa00, 1, [&](std::vector<uint8_t>) { order.push_back(1); });
   cpu0_.Store(0xa00, std::vector<uint8_t>{9}, [&] { order.push_back(2); });

@@ -2,6 +2,9 @@
 // and rarely-hit branches not covered by the per-module suites.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "src/coherence/interconnect.h"
 #include "src/coherence/memory_home.h"
 #include "src/core/machine.h"
@@ -137,6 +140,71 @@ TEST(IommuEdgeTest, IotlbEvictionUnderPressure) {
   // All misses: every page was new and the IOTLB only holds 4.
   EXPECT_EQ(iommu.iotlb_misses(), 64u);
   EXPECT_EQ(iommu.faults(), 0u);
+}
+
+TEST(IommuEdgeTest, IotlbVictimSequencePinned) {
+  // A 4-entry IOTLB over a reused working set of 8 pages: which page a miss
+  // evicts decides every later hit or miss, so this sequence pins the
+  // victim (first page in the hash set's bucket order). LRU would give
+  // "MMMMMMMMMHMMMHMMMMMMMMHMMMMM" and FIFO "MMMMMMMMMHMHMMMMMMMMMMHMMMMM".
+  // Changing the victim is a result-changing decision: re-baseline here.
+  Iommu::Config config;
+  config.iotlb_entries = 4;
+  Iommu iommu(config);
+  iommu.Map(0, 0, 64 * Iommu::kPageSize);
+  const uint64_t pages[] = {0, 1, 2, 3, 4, 0, 1, 5, 2, 0, 6, 1, 3, 0,
+                            7, 2, 4, 1, 0, 5, 3, 6, 0, 2, 7, 1, 4, 0};
+  std::string sequence;
+  for (uint64_t page : pages) {
+    const uint64_t hits = iommu.iotlb_hits();
+    ASSERT_TRUE(iommu.Translate(page * Iommu::kPageSize + 8, 8).has_value());
+    sequence += iommu.iotlb_hits() > hits ? 'H' : 'M';
+  }
+  EXPECT_EQ(sequence, "MMMMMHHMHHMHMHMHMHHMMMHHMHMH");
+}
+
+TEST(IommuEdgeTest, ExtentTableMatchesPerPageReference) {
+  // Random Map/Unmap sequences against a per-page reference table: overlaps,
+  // remaps to a different pa, partial unmaps that split an extent, and sizes
+  // that are not page multiples (a partial last page is mapped).
+  constexpr uint64_t kPage = Iommu::kPageSize;
+  constexpr uint64_t kPages = 48;
+  Rng rng(7);
+  Iommu iommu;
+  std::map<uint64_t, uint64_t> reference;  // iova page -> pa page
+  uint64_t expected_faults = 0;
+  for (int op = 0; op < 400; ++op) {
+    const uint64_t first = rng.UniformInt(0, kPages - 1);
+    const uint64_t size = rng.UniformInt(1, 10 * kPage);
+    const uint64_t count = (size + kPage - 1) / kPage;
+    if (rng.Bernoulli(0.6)) {
+      // Half the maps continue a neighbour's pa, so extents also coalesce.
+      const uint64_t pa = rng.Bernoulli(0.5) ? first * kPage + (1 << 20)
+                                             : rng.UniformInt(0, 4096) * kPage;
+      iommu.Map(first * kPage, pa, size);
+      for (uint64_t i = 0; i < count; ++i) {
+        reference[(first + i) * kPage] = pa + i * kPage;
+      }
+    } else {
+      iommu.Unmap(first * kPage, size);
+      for (uint64_t i = 0; i < count; ++i) {
+        reference.erase((first + i) * kPage);
+      }
+    }
+    for (uint64_t page = 0; page < kPages + 12; ++page) {
+      const uint64_t offset = rng.UniformInt(0, kPage - 8);
+      const auto t = iommu.Translate(page * kPage + offset, 8);
+      const auto it = reference.find(page * kPage);
+      if (it == reference.end()) {
+        ++expected_faults;
+        EXPECT_FALSE(t.has_value()) << "op " << op << " page " << page;
+      } else {
+        ASSERT_TRUE(t.has_value()) << "op " << op << " page " << page;
+        EXPECT_EQ(t->pa, it->second + offset) << "op " << op << " page " << page;
+      }
+    }
+    ASSERT_EQ(iommu.faults(), expected_faults) << "op " << op;
+  }
 }
 
 // --- Service registry ----------------------------------------------------------

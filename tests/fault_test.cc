@@ -472,7 +472,7 @@ TEST_F(CoherenceFaultTest, DelayedFillStillCompletes) {
   FaultInjector faults(sim_, plan);
   interconnect.set_fault_injector(&faults);
 
-  memory.WriteBytes(0x400, {5, 6, 7});
+  memory.WriteBytes(0x400, std::vector<uint8_t>{5, 6, 7});
   std::vector<uint8_t> got;
   cpu.Load(0x400, 3, [&](std::vector<uint8_t> data) { got = std::move(data); });
   sim_.RunUntilIdle();

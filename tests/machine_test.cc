@@ -206,6 +206,45 @@ TEST(MachineTest, ExportsIommuTranslationCounters) {
   EXPECT_EQ(after.Counter("pcie/iommu_faults"), metrics.Counter("pcie/iommu_faults") + 1);
 }
 
+TEST(MachineTest, ExportsDmaPathCounters) {
+  // Every DMA NIC and PCIe link counter reaches the registry under dmanic/
+  // and pcie/, equal to its accessor.
+  MachineConfig config;
+  config.stack = StackKind::kLinux;
+  Machine machine(config);
+  const ServiceDef& echo = machine.AddService(ServiceRegistry::MakeEchoService(1, 7000));
+  machine.Start();
+  for (int i = 0; i < 20; ++i) {
+    machine.client().Call(echo, 0, std::vector<WireValue>{WireValue::Bytes({1, 2, 3})});
+  }
+  machine.sim().RunUntil(Milliseconds(10));
+
+  MetricsRegistry metrics;
+  machine.ExportMetrics(metrics);
+  const DmaNic& nic = *machine.dma_nic();
+  const PcieLink& pcie = machine.pcie();
+  const std::pair<const char*, uint64_t> expected[] = {
+      {"dmanic/rx_packets", nic.rx_packets()},
+      {"dmanic/tx_packets", nic.tx_packets()},
+      {"dmanic/rx_drops_no_desc", nic.rx_drops_no_desc()},
+      {"dmanic/rx_drops_bad_frame", nic.rx_drops_bad_frame()},
+      {"dmanic/rx_drops_service_down", nic.rx_drops_service_down()},
+      {"dmanic/tx_ring_full", machine.dma_driver()->tx_ring_full()},
+      {"pcie/mmio_reads", pcie.mmio_reads()},
+      {"pcie/mmio_writes", pcie.mmio_writes()},
+      {"pcie/dma_read_bytes", pcie.dma_read_bytes()},
+      {"pcie/dma_write_bytes", pcie.dma_write_bytes()},
+      {"pcie/dma_errors", pcie.dma_errors()},
+  };
+  for (const auto& [key, value] : expected) {
+    ASSERT_TRUE(metrics.HasCounter(key)) << key;
+    EXPECT_EQ(metrics.Counter(key), value) << key;
+  }
+  EXPECT_EQ(metrics.Counter("dmanic/rx_packets"), 20u);
+  EXPECT_EQ(metrics.Counter("dmanic/tx_packets"), 20u);
+  EXPECT_GT(metrics.Counter("pcie/dma_write_bytes"), 0u);
+}
+
 TEST(RpcClientTest, MatchesResponsesToRequests) {
   MachineConfig config;
   config.stack = StackKind::kLauberhorn;

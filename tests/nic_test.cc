@@ -446,6 +446,45 @@ TEST_F(DmaNicTest, TxPathDeliversToWire) {
   EXPECT_EQ(nic_->tx_packets(), 1u);
 }
 
+TEST_F(DmaNicTest, TxRingFullRefusesAndRecovers) {
+  DmaNic::Config config;
+  config.num_queues = 1;
+  Build(config, /*ring_entries=*/4);
+  class Sink : public PacketSink {
+   public:
+    void ReceivePacket(Packet packet) override { packets.push_back(std::move(packet)); }
+    std::vector<Packet> packets;
+  };
+  Sink sink;
+  wire_.b_to_a().set_sink(&sink);
+  nic_->set_tx_wire(&wire_.b_to_a());
+
+  // Ten back-to-back frames into a 4-entry ring: the device has completed
+  // none of them yet, so only the first four fit and the rest are refused
+  // instead of overwriting slots the device still owns.
+  std::vector<Packet> frames;
+  for (uint16_t i = 0; i < 10; ++i) {
+    frames.push_back(MakeRequest(static_cast<uint16_t>(100 + i), 6));
+  }
+  for (size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(driver_->Transmit(0, frames[i].bytes), i < 4) << "frame " << i;
+  }
+  EXPECT_EQ(driver_->tx_ring_full(), 6u);
+  sim_.RunUntilIdle();
+  ASSERT_EQ(sink.packets.size(), 4u);
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(sink.packets[i].bytes, frames[i].bytes) << "frame " << i;
+  }
+
+  // Completed slots are reusable: the queue keeps sending.
+  EXPECT_TRUE(driver_->Transmit(0, frames[9].bytes));
+  sim_.RunUntilIdle();
+  ASSERT_EQ(sink.packets.size(), 5u);
+  EXPECT_EQ(sink.packets[4].bytes, frames[9].bytes);
+  EXPECT_EQ(nic_->tx_packets(), 5u);
+  EXPECT_EQ(driver_->tx_ring_full(), 6u);
+}
+
 TEST_F(DmaNicTest, TxRejectsOversizedPayload) {
   DmaNic::Config config;
   Build(config);

@@ -71,7 +71,7 @@ TEST_F(PcieTest, DmaWriteThenReadRoundTrip) {
   EXPECT_EQ(memory_.ReadBytes(0x1000, 8), data);
 
   std::vector<uint8_t> got;
-  link_.DeviceDmaRead(0x1000, 8, [&](std::vector<uint8_t> d) { got = std::move(d); });
+  link_.DeviceDmaRead(0x1000, 8, [&](std::span<const uint8_t> d) { got.assign(d.begin(), d.end()); });
   sim_.RunUntilIdle();
   EXPECT_EQ(got, data);
 }
@@ -91,7 +91,7 @@ TEST_F(PcieTest, UnmappedDmaReadFaults) {
   uint64_t faulted_iova = 0;
   iommu_.set_fault_handler([&](uint64_t iova) { faulted_iova = iova; });
   std::vector<uint8_t> got = {1};
-  link_.DeviceDmaRead(64 << 20, 8, [&](std::vector<uint8_t> d) { got = std::move(d); });
+  link_.DeviceDmaRead(64 << 20, 8, [&](std::span<const uint8_t> d) { got.assign(d.begin(), d.end()); });
   sim_.RunUntilIdle();
   EXPECT_TRUE(got.empty()) << "faulted read must return no data";
   EXPECT_EQ(faulted_iova, uint64_t{64} << 20);
@@ -100,17 +100,17 @@ TEST_F(PcieTest, UnmappedDmaReadFaults) {
 
 TEST_F(PcieTest, UnmapRevokesAccess) {
   iommu_.Unmap(0x2000, Iommu::kPageSize);
-  link_.DeviceDmaWrite(0x2000, {1, 2, 3});
+  link_.DeviceDmaWrite(0x2000, std::vector<uint8_t>{1, 2, 3});
   sim_.RunUntilIdle();
   EXPECT_EQ(iommu_.faults(), 1u);
   EXPECT_EQ(memory_.ReadBytes(0x2000, 3), (std::vector<uint8_t>{0, 0, 0}));
 }
 
 TEST_F(PcieTest, IotlbHitsAfterFirstAccess) {
-  link_.DeviceDmaRead(0x3000, 4, [](std::vector<uint8_t>) {});
+  link_.DeviceDmaRead(0x3000, 4, [](std::span<const uint8_t>) {});
   sim_.RunUntilIdle();
   EXPECT_EQ(iommu_.iotlb_misses(), 1u);
-  link_.DeviceDmaRead(0x3010, 4, [](std::vector<uint8_t>) {});
+  link_.DeviceDmaRead(0x3010, 4, [](std::span<const uint8_t>) {});
   sim_.RunUntilIdle();
   EXPECT_EQ(iommu_.iotlb_hits(), 1u);
 }
@@ -118,20 +118,20 @@ TEST_F(PcieTest, IotlbHitsAfterFirstAccess) {
 TEST_F(PcieTest, BandwidthSerializesLargeTransfers) {
   // Two 64 KiB reads must take longer than one (shared link).
   SimTime t_one = 0;
-  link_.DeviceDmaRead(0x4000, 4096, [&](std::vector<uint8_t>) { t_one = sim_.Now(); });
+  link_.DeviceDmaRead(0x4000, 4096, [&](std::span<const uint8_t>) { t_one = sim_.Now(); });
   sim_.RunUntilIdle();
   const SimTime start2 = sim_.Now();
   SimTime t_a = 0;
   SimTime t_b = 0;
-  link_.DeviceDmaRead(0x4000, 4096, [&](std::vector<uint8_t>) { t_a = sim_.Now(); });
-  link_.DeviceDmaRead(0x5000, 4096, [&](std::vector<uint8_t>) { t_b = sim_.Now(); });
+  link_.DeviceDmaRead(0x4000, 4096, [&](std::span<const uint8_t>) { t_a = sim_.Now(); });
+  link_.DeviceDmaRead(0x5000, 4096, [&](std::span<const uint8_t>) { t_b = sim_.Now(); });
   sim_.RunUntilIdle();
   EXPECT_GT(std::max(t_a, t_b) - start2, t_one) << "concurrent DMA must queue";
 }
 
 TEST_F(PcieTest, DmaStatsAccumulate) {
   link_.DeviceDmaWrite(0x6000, std::vector<uint8_t>(128, 0));
-  link_.DeviceDmaRead(0x6000, 64, [](std::vector<uint8_t>) {});
+  link_.DeviceDmaRead(0x6000, 64, [](std::span<const uint8_t>) {});
   sim_.RunUntilIdle();
   EXPECT_EQ(link_.dma_write_bytes(), 128u);
   EXPECT_EQ(link_.dma_read_bytes(), 64u);
@@ -215,15 +215,15 @@ TEST_F(PcieTest, InjectedDmaErrorsCompleteWithNoData) {
   FaultInjector faults(sim_, plan);
   link_.set_fault_injector(&faults);
 
-  memory_.WriteBytes(0x7000, {9, 9, 9, 9});
+  memory_.WriteBytes(0x7000, std::vector<uint8_t>{9, 9, 9, 9});
   bool read_done = false;
   std::vector<uint8_t> got = {1};
-  link_.DeviceDmaRead(0x7000, 4, [&](std::vector<uint8_t> d) {
+  link_.DeviceDmaRead(0x7000, 4, [&](std::span<const uint8_t> d) {
     read_done = true;
-    got = std::move(d);
+    got.assign(d.begin(), d.end());
   });
   bool write_done = false;
-  link_.DeviceDmaWrite(0x8000, {5, 5, 5}, [&] { write_done = true; });
+  link_.DeviceDmaWrite(0x8000, std::vector<uint8_t>{5, 5, 5}, [&] { write_done = true; });
   sim_.RunUntilIdle();
 
   // Completion still fires (descriptor chains must keep moving); the payload
