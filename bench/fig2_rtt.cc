@@ -32,9 +32,10 @@ class EciEchoDevice : public HomeAgent {
     pending_fill_ = std::move(fill);
     TryRespond();
   }
-  void OnHomeWriteBack(AgentId, LineAddr, LineData) override {}
-  void OnHomeUncachedWrite(AgentId, LineAddr, size_t, std::vector<uint8_t> data) override {
-    command_ = std::move(data);
+  void OnHomeWriteBack(AgentId, LineAddr, const LineData&) override {}
+  void OnHomeUncachedWrite(AgentId, LineAddr, size_t,
+                           std::span<const uint8_t> data) override {
+    command_.assign(data.begin(), data.end());
     TryRespond();
   }
 
@@ -48,11 +49,11 @@ class EciEchoDevice : public HomeAgent {
     auto fill = std::move(pending_fill_);
     pending_fill_ = nullptr;
     command_.clear();
-    fill(std::move(line));
+    fill(line);
   }
 
   FillFn pending_fill_;
-  std::vector<uint8_t> command_;
+  LineData command_;
 };
 
 // One coherent ping-pong: issue the (deferred) response load, push the
@@ -70,7 +71,7 @@ Duration MeasureEciRtt(const PlatformSpec& platform) {
   for (int i = 0; i < kIterations; ++i) {
     const SimTime start = sim.Now();
     bool done = false;
-    cpu.LoadThrough(base, kMessageBytes, [&](std::vector<uint8_t>) { done = true; });
+    cpu.LoadThrough(base, kMessageBytes, [&](std::span<const uint8_t>) { done = true; });
     cpu.StoreThrough(base + 128, command);
     sim.RunUntilIdle();
     if (done) {

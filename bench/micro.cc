@@ -1,6 +1,7 @@
 // MICRO — google-benchmark microbenchmarks of the substrate hot paths:
 // marshalling, framing, checksums, the event queue, the DMA path (IOMMU,
-// descriptor rings, DMA transfers), histograms, and the model checker. These gate the simulator's own performance (a simulated
+// descriptor rings, DMA transfers), the coherence line cycle, histograms, and
+// the model checker. These gate the simulator's own performance (a simulated
 // second at 100 krps is ~10^6 events).
 #include <array>
 #include <cstdint>
@@ -20,6 +21,7 @@
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 #include "src/stats/histogram.h"
+#include "tests/control_line_cycle.h"
 
 namespace lauberhorn {
 namespace {
@@ -168,6 +170,20 @@ void BM_DispatchLineRoundTrip(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(kLineSize));
 }
 BENCHMARK(BM_DispatchLineRoundTrip);
+
+// One CONTROL-line cycle on a device home: deferred LoadThrough fill,
+// response store (RFO), fetch-exclusive, invalidate. Allocation-free once
+// warm (tests/alloc_test.cc).
+void BM_CoherenceLineCycle(benchmark::State& state) {
+  ControlLineCycle cycle;
+  cycle.Run(0);
+  uint8_t tag = 0;
+  for (auto _ : state) {
+    cycle.Run(++tag);
+  }
+  benchmark::DoNotOptimize(cycle.line());
+}
+BENCHMARK(BM_CoherenceLineCycle);
 
 // Translations of random pages from a working set of range(0) pages in one
 // identity-mapped extent, through the default 64-entry IOTLB: 16 pages is

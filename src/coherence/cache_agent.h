@@ -23,14 +23,9 @@ namespace lauberhorn {
 
 class CacheAgent {
  public:
-  using LoadFn = Function<void(std::vector<uint8_t>)>;
+  // Receives the loaded bytes, borrowed for the call.
+  using LoadFn = Function<void(std::span<const uint8_t>)>;
   using StoreFn = Callback;
-
-  struct ProbeResult {
-    bool had = false;
-    bool dirty = false;
-    LineData data;
-  };
 
   explicit CacheAgent(CoherentInterconnect& interconnect);
   CacheAgent(const CacheAgent&) = delete;
@@ -45,8 +40,6 @@ class CacheAgent {
 
   // Stores bytes at `addr` (within one line); acquires ownership first.
   void Store(uint64_t addr, std::span<const uint8_t> data, StoreFn on_done = nullptr);
-  // As above, taking ownership of `data` instead of copying it.
-  void Store(uint64_t addr, std::vector<uint8_t>&& data, StoreFn on_done = nullptr);
 
   // Posted uncached write straight to the home agent (no caching, no reply):
   // the cheap CPU->NIC signalling path. Must not target lines this agent
@@ -80,8 +73,8 @@ class CacheAgent {
     bool is_store = false;
     bool counted = false;  // hit/miss already attributed
     uint64_t addr = 0;
-    size_t size = 0;                // loads
-    std::vector<uint8_t> data;      // stores
+    size_t size = 0;  // loads
+    LineData data;    // stores
     LoadFn on_load;
     StoreFn on_store;
   };
@@ -89,11 +82,23 @@ class CacheAgent {
     LineState state = LineState::kInvalid;
     LineData data;
   };
+  // The line's FIFO of ops: ops[head..] are pending. The entry and the
+  // vector's storage outlive draining, so a steady stream of ops on a line
+  // allocates nothing.
   struct PendingLine {
-    std::deque<Op> ops;
+    std::vector<Op> ops;
+    size_t head = 0;
     bool request_in_flight = false;
+
+    bool empty() const { return head == ops.size(); }
+    Op& front() { return ops[head]; }
+    Op PopFront();
   };
 
+  static bool Satisfies(const Op& op, LineState state) {
+    return op.is_store ? state == LineState::kModified : state != LineState::kInvalid;
+  }
+  void Enqueue(LineAddr line_addr, Op op);
   void ProcessQueue(LineAddr line_addr);
   void ExecuteOp(LineAddr line_addr, Op op);
   // MSHR throttling: at most config.mshrs_per_agent line transactions in
@@ -103,6 +108,7 @@ class CacheAgent {
 
   CoherentInterconnect& interconnect_;
   AgentId id_;
+  // Flushed and probed-away lines keep their entry, as kInvalid.
   std::unordered_map<LineAddr, Line> lines_;
   std::unordered_map<LineAddr, PendingLine> pending_;
   uint64_t hits_ = 0;

@@ -15,8 +15,14 @@
 #ifndef SRC_COHERENCE_COHERENCE_H_
 #define SRC_COHERENCE_COHERENCE_H_
 
+#include <algorithm>
+#include <array>
+#include <cassert>
 #include <cstdint>
-#include <vector>
+#include <initializer_list>
+#include <iterator>
+#include <span>
+#include <type_traits>
 
 #include "src/sim/callback.h"
 #include "src/sim/time.h"
@@ -30,13 +36,68 @@ inline constexpr AgentId kNoAgent = ~0u;
 // Cache-line-aligned physical address.
 using LineAddr = uint64_t;
 
-// Contents of one cache line (config.line_size bytes).
-using LineData = std::vector<uint8_t>;
-
-// Largest supported cache line: Enzian's 128-byte ECI line. Line-sized
-// message fields (DispatchLine, ResponseLine) hold their bytes inline at
-// this capacity.
+// Largest supported cache line: Enzian's 128-byte ECI line.
 inline constexpr size_t kMaxLineSize = 128;
+
+// Up to one cache line of bytes, held inline: the contents of a line (the
+// config.line_size bytes a fill, probe or writeback carries) and the argument
+// or payload bytes of a line message. Copying one is a fixed-size copy, never
+// an allocation.
+class LineData {
+ public:
+  using value_type = uint8_t;
+  using iterator = uint8_t*;
+  using const_iterator = const uint8_t*;
+
+  LineData() = default;
+  explicit LineData(size_t n, uint8_t value = 0) { assign(n, value); }
+  explicit LineData(std::span<const uint8_t> bytes) { assign(bytes.begin(), bytes.end()); }
+  LineData(std::initializer_list<uint8_t> bytes) { assign(bytes.begin(), bytes.end()); }
+
+  static constexpr size_t capacity() { return kMaxLineSize; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  uint8_t* data() { return bytes_.data(); }
+  const uint8_t* data() const { return bytes_.data(); }
+  uint8_t* begin() { return data(); }
+  uint8_t* end() { return data() + size_; }
+  const uint8_t* begin() const { return data(); }
+  const uint8_t* end() const { return data() + size_; }
+  uint8_t& operator[](size_t i) { return bytes_[i]; }
+  const uint8_t& operator[](size_t i) const { return bytes_[i]; }
+
+  template <typename It>
+    requires(!std::is_integral_v<It>)
+  void assign(It first, It last) {
+    const auto n = static_cast<size_t>(std::distance(first, last));
+    assert(n <= capacity());
+    std::copy(first, last, bytes_.begin());
+    size_ = static_cast<uint16_t>(n);
+  }
+  void assign(size_t n, uint8_t value) {
+    assert(n <= capacity());
+    std::fill_n(bytes_.begin(), n, value);
+    size_ = static_cast<uint16_t>(n);
+  }
+  void clear() { size_ = 0; }
+  // Grows with zero bytes or truncates, like std::vector::resize.
+  void resize(size_t n) {
+    assert(n <= capacity());
+    if (n > size_) {
+      std::fill(bytes_.begin() + size_, bytes_.begin() + n, 0);
+    }
+    size_ = static_cast<uint16_t>(n);
+  }
+
+  friend bool operator==(const LineData& a, const LineData& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  uint16_t size_ = 0;
+  std::array<uint8_t, kMaxLineSize> bytes_{};
+};
 
 // MESI-without-E states tracked by cache agents. Exclusive-clean is folded
 // into Modified: every exclusive grant is treated as writable ownership,
@@ -57,6 +118,11 @@ enum class CoherenceMsgType : uint8_t {
   kUncachedWrite,   // cache -> home: posted write-through signal
 };
 inline constexpr int kNumCoherenceMsgTypes = 7;
+// Metric names of the message types, indexed by CoherenceMsgType.
+inline constexpr const char* kCoherenceMsgTypeNames[kNumCoherenceMsgTypes] = {
+    "read_shared", "read_exclusive", "fill",          "probe_fetch",
+    "probe_ack",   "write_back",     "uncached_write",
+};
 
 struct CoherenceConfig {
   size_t line_size = 128;  // bytes; 128 on Enzian (ECI), 64 on x86
@@ -85,10 +151,17 @@ struct CoherenceConfig {
   size_t device_fetch_window = 8;
 };
 
+// What a probe (fetch + invalidate) finds in a cache agent.
+struct ProbeResult {
+  bool had = false;
+  bool dirty = false;
+  LineData data;
+};
+
 // Invoked by a home agent to answer a read request. Must be called exactly
 // once per request; calling after the bus timeout has fired is ignored (the
-// machine is already considered wedged).
-using FillFn = Function<void(LineData)>;
+// machine is already considered wedged). The line is borrowed for the call.
+using FillFn = Function<void(const LineData&)>;
 
 // A home agent owns a range of line addresses and answers requests for them.
 class HomeAgent {
@@ -102,12 +175,12 @@ class HomeAgent {
                           FillFn fill) = 0;
 
   // A dirty line is written back (eviction or probe result).
-  virtual void OnHomeWriteBack(AgentId from, LineAddr addr, LineData data) = 0;
+  virtual void OnHomeWriteBack(AgentId from, LineAddr addr, const LineData& data) = 0;
 
   // A posted, uncached write-through aimed at this home (the cheap
   // CPU->device signalling path: scheduling-state pushes, doorbells).
   virtual void OnHomeUncachedWrite(AgentId from, LineAddr addr, size_t offset,
-                                   std::vector<uint8_t> data) = 0;
+                                   std::span<const uint8_t> data) = 0;
 };
 
 // Per-message-type counters; the ENERGY experiment reads these.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
 #include <utility>
 
 #include "src/coherence/cache_agent.h"
@@ -48,6 +47,13 @@ void CoherentInterconnect::Count(CoherenceMsgType type, bool with_data) {
   }
 }
 
+ProbeResult CoherentInterconnect::Probe(AgentId holder, LineAddr addr) {
+  if (probe_observer_) {
+    probe_observer_(holder, addr);
+  }
+  return cache_agents_[holder]->HandleProbe(addr);
+}
+
 void CoherentInterconnect::SendRead(AgentId requester, LineAddr addr, bool exclusive,
                                     FillFn on_fill, bool install) {
   const AgentId home_id = HomeOf(addr);
@@ -64,8 +70,7 @@ void CoherentInterconnect::SendRead(AgentId requester, LineAddr addr, bool exclu
     DirEntry& entry = Dir(addr);
     Duration recall_extra = 0;
     if (entry.owner != kNoAgent && entry.owner != requester) {
-      CacheAgent* holder = cache_agents_[entry.owner];
-      const CacheAgent::ProbeResult result = holder->HandleProbe(addr);
+      const ProbeResult result = Probe(entry.owner, addr);
       Count(CoherenceMsgType::kProbeFetch, false);
       Count(CoherenceMsgType::kProbeAck, result.dirty);
       if (result.had && result.dirty) {
@@ -75,42 +80,38 @@ void CoherentInterconnect::SendRead(AgentId requester, LineAddr addr, bool exclu
       recall_extra = 2 * config_.cpu_mem_hop;  // probe there and back
     }
     if (exclusive) {
-      for (AgentId sharer : entry.sharers) {
+      entry.sharers.ForEach([&](AgentId sharer) {
         if (sharer == requester) {
-          continue;
+          return;
         }
-        cache_agents_[sharer]->HandleProbe(addr);
+        Probe(sharer, addr);
         Count(CoherenceMsgType::kProbeFetch, false);
         Count(CoherenceMsgType::kProbeAck, false);
         recall_extra = std::max(recall_extra, 2 * config_.cpu_mem_hop);
-      }
+      });
       entry.sharers.clear();
     }
 
-    // Arm the bus-timeout watchdog for this fill.
-    const uint64_t token = next_fill_token_++;
-    outstanding_fills_.insert(token);
-    const EventId watchdog = sim_.Schedule(config_.bus_timeout, [this, token, addr]() {
-      if (outstanding_fills_.erase(token) != 0) {
-        ++stats_.bus_errors;
-        if (bus_error_handler_) {
-          bus_error_handler_(addr);
-        }
+    // Arm the bus-timeout watchdog for this fill. It fires only if the fill
+    // has not cancelled it first.
+    const EventId watchdog = sim_.Schedule(config_.bus_timeout, [this, addr]() {
+      ++stats_.bus_errors;
+      if (bus_error_handler_) {
+        bus_error_handler_(addr);
       }
     });
 
     FillFn respond = [this, requester, addr, exclusive, install,
-                      on_fill = std::move(on_fill), hop, token, watchdog,
-                      recall_extra](LineData data) mutable {
+                      on_fill = std::move(on_fill), hop, watchdog,
+                      recall_extra](const LineData& data) mutable {
       if (faults_ != nullptr && faults_->CoherenceShouldDropFill()) {
-        // Swallow the fill message: the token stays outstanding, so the
-        // watchdog armed above fires and raises a bus error.
+        // Swallow the fill message: the watchdog armed above stays pending,
+        // fires, and raises a bus error.
         return;
       }
-      if (outstanding_fills_.erase(token) == 0) {
+      if (!sim_.Cancel(watchdog)) {
         return;  // bus error already raised; machine considered wedged
       }
-      sim_.Cancel(watchdog);
       Count(CoherenceMsgType::kFill, true);
       if (install) {
         DirEntry& e = Dir(addr);
@@ -126,77 +127,70 @@ void CoherentInterconnect::SendRead(AgentId requester, LineAddr addr, bool exclu
         fault_delay = faults_->CoherenceFillDelay();
       }
       sim_.Schedule(hop + config_.data_beat + recall_extra + fault_delay,
-                    [on_fill = std::move(on_fill), data = std::move(data)]() mutable {
-                      on_fill(std::move(data));
-                    });
+                    [on_fill = std::move(on_fill), data]() mutable { on_fill(data); });
     };
     home->OnHomeRead(requester, addr, exclusive, std::move(respond));
   });
 }
 
-void CoherentInterconnect::SendWriteBack(AgentId from, LineAddr addr, LineData data) {
+void CoherentInterconnect::SendWriteBack(AgentId from, LineAddr addr,
+                                         const LineData& data) {
   const AgentId home_id = HomeOf(addr);
   assert(home_id != kNoAgent && "writeback to unhomed address");
   HomeAgent* home = homes_[home_id - kHomeAgentBase].agent;
   Count(CoherenceMsgType::kWriteBack, true);
   sim_.Schedule(HopLatency(home_id) + config_.data_beat,
-                [this, from, addr, home, data = std::move(data)]() mutable {
+                [this, from, addr, home, data]() {
                   DirEntry& entry = Dir(addr);
                   if (entry.owner == from) {
                     entry.owner = kNoAgent;
                   }
-                  home->OnHomeWriteBack(from, addr, std::move(data));
+                  home->OnHomeWriteBack(from, addr, data);
                 });
 }
 
 void CoherentInterconnect::SendUncachedWrite(AgentId from, LineAddr addr, size_t offset,
-                                             std::vector<uint8_t> data) {
+                                             std::span<const uint8_t> data) {
   const AgentId home_id = HomeOf(addr);
   assert(home_id != kNoAgent && "uncached write to unhomed address");
   HomeAgent* home = homes_[home_id - kHomeAgentBase].agent;
   Count(CoherenceMsgType::kUncachedWrite, !data.empty());
   sim_.Schedule(HopLatency(home_id),
-                [from, addr, offset, home, data = std::move(data)]() mutable {
-                  home->OnHomeUncachedWrite(from, addr, offset, std::move(data));
+                [from, addr, offset, home, bytes = LineData(data)]() {
+                  home->OnHomeUncachedWrite(from, addr, offset, bytes);
                 });
 }
 
-void CoherentInterconnect::FetchExclusive(AgentId home, LineAddr addr, LineData fallback,
-                                          Function<void(LineData)> done) {
+void CoherentInterconnect::FetchExclusive(AgentId home, LineAddr addr,
+                                          const LineData& fallback, FillFn done) {
   const Duration hop = HopLatency(home);
   auto it = directory_.find(addr);
   const AgentId owner = it != directory_.end() ? it->second.owner : kNoAgent;
 
   // Invalidate any shared copies (no data flows back for those).
   if (it != directory_.end()) {
-    for (AgentId sharer : it->second.sharers) {
+    it->second.sharers.ForEach([&](AgentId sharer) {
       Count(CoherenceMsgType::kProbeFetch, false);
       Count(CoherenceMsgType::kProbeAck, false);
-      sim_.Schedule(hop, [this, sharer, addr]() {
-        cache_agents_[sharer]->HandleProbe(addr);
-      });
-    }
+      sim_.Schedule(hop, [this, sharer, addr]() { Probe(sharer, addr); });
+    });
     it->second.sharers.clear();
   }
 
   if (owner == kNoAgent) {
     // Nothing cached elsewhere: the home's own copy is current.
-    sim_.Schedule(0, [done = std::move(done), fb = std::move(fallback)]() mutable {
-      done(std::move(fb));
-    });
+    sim_.Schedule(0, [done = std::move(done), fallback]() mutable { done(fallback); });
     return;
   }
 
   Count(CoherenceMsgType::kProbeFetch, false);
   Dir(addr).owner = kNoAgent;
-  sim_.Schedule(hop, [this, owner, addr, hop, fb = std::move(fallback),
-                      done = std::move(done)]() mutable {
-    CacheAgent::ProbeResult result = cache_agents_[owner]->HandleProbe(addr);
+  sim_.Schedule(hop, [this, owner, addr, hop, fallback, done = std::move(done)]() mutable {
+    const ProbeResult result = Probe(owner, addr);
     Count(CoherenceMsgType::kProbeAck, result.had);
-    LineData data = result.had ? std::move(result.data) : std::move(fb);
     sim_.Schedule(hop + config_.data_beat,
-                  [done = std::move(done), data = std::move(data)]() mutable {
-                    done(std::move(data));
+                  [done = std::move(done), data = result.had ? result.data : fallback]() mutable {
+                    done(data);
                   });
   });
 }
@@ -207,17 +201,16 @@ void CoherentInterconnect::Invalidate(AgentId home, LineAddr addr,
   auto it = directory_.find(addr);
   Duration longest = 0;
   if (it != directory_.end()) {
-    std::vector<AgentId> holders(it->second.sharers.begin(), it->second.sharers.end());
-    if (it->second.owner != kNoAgent) {
-      holders.push_back(it->second.owner);
-    }
-    for (AgentId holder : holders) {
+    // Sharers in ascending order, then the owner.
+    const auto probe = [&](AgentId holder) {
       Count(CoherenceMsgType::kProbeFetch, false);
       Count(CoherenceMsgType::kProbeAck, false);
-      sim_.Schedule(hop, [this, holder, addr]() {
-        cache_agents_[holder]->HandleProbe(addr);
-      });
+      sim_.Schedule(hop, [this, holder, addr]() { Probe(holder, addr); });
       longest = 2 * hop;
+    };
+    it->second.sharers.ForEach(probe);
+    if (it->second.owner != kNoAgent) {
+      probe(it->second.owner);
     }
     it->second.sharers.clear();
     it->second.owner = kNoAgent;
@@ -234,10 +227,11 @@ AgentId CoherentInterconnect::OwnerOf(LineAddr addr) const {
 
 std::vector<AgentId> CoherentInterconnect::SharersOf(LineAddr addr) const {
   auto it = directory_.find(addr);
-  if (it == directory_.end()) {
-    return {};
+  std::vector<AgentId> sharers;
+  if (it != directory_.end()) {
+    it->second.sharers.ForEach([&](AgentId id) { sharers.push_back(id); });
   }
-  return {it->second.sharers.begin(), it->second.sharers.end()};
+  return sharers;
 }
 
 }  // namespace lauberhorn

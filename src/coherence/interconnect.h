@@ -4,8 +4,10 @@
 #ifndef SRC_COHERENCE_INTERCONNECT_H_
 #define SRC_COHERENCE_INTERCONNECT_H_
 
-#include <map>
-#include <set>
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -16,6 +18,46 @@ namespace lauberhorn {
 
 class CacheAgent;
 class FaultInjector;
+
+// A set of cache agents, iterated in ascending AgentId order. Ids below 64
+// live in one inline word; higher ids go to overflow words, which clear()
+// zeroes but keeps.
+class AgentSet {
+ public:
+  void insert(AgentId id) {
+    if (id < 64) {
+      low_ |= uint64_t{1} << id;
+      return;
+    }
+    const size_t word = id / 64 - 1;
+    if (word >= high_.size()) {
+      high_.resize(word + 1, 0);
+    }
+    high_[word] |= uint64_t{1} << (id % 64);
+  }
+  void clear() {
+    low_ = 0;
+    std::fill(high_.begin(), high_.end(), 0);
+  }
+  template <typename F>
+  void ForEach(F&& f) const {
+    ForEachIn(low_, 0, f);
+    for (size_t i = 0; i < high_.size(); ++i) {
+      ForEachIn(high_[i], static_cast<AgentId>((i + 1) * 64), f);
+    }
+  }
+
+ private:
+  template <typename F>
+  static void ForEachIn(uint64_t word, AgentId base, F& f) {
+    for (; word != 0; word &= word - 1) {
+      f(base + static_cast<AgentId>(std::countr_zero(word)));
+    }
+  }
+
+  uint64_t low_ = 0;
+  std::vector<uint64_t> high_;
+};
 
 class CoherentInterconnect {
  public:
@@ -49,12 +91,12 @@ class CoherentInterconnect {
                 bool install = true);
 
   // Dirty eviction.
-  void SendWriteBack(AgentId from, LineAddr addr, LineData data);
+  void SendWriteBack(AgentId from, LineAddr addr, const LineData& data);
 
-  // Posted uncached write (device signalling). Completes at the home after
-  // one hop; no response message.
+  // Posted uncached write (device signalling) of at most one line. Completes
+  // at the home after one hop; no response message.
   void SendUncachedWrite(AgentId from, LineAddr addr, size_t offset,
-                         std::vector<uint8_t> data);
+                         std::span<const uint8_t> data);
 
   // -- Home-agent-initiated traffic --------------------------------------
 
@@ -62,8 +104,8 @@ class CoherentInterconnect {
   // invalidates all cached copies. If a cache holds it Modified, the dirty
   // data flows back; otherwise the home's own copy (supplied via `fallback`)
   // is returned. `done` runs at the home side.
-  void FetchExclusive(AgentId home, LineAddr addr, LineData fallback,
-                      Function<void(LineData)> done);
+  void FetchExclusive(AgentId home, LineAddr addr, const LineData& fallback,
+                      FillFn done);
 
   // Invalidates all cached copies without returning data (used by the NIC to
   // re-arm a control line so the next CPU load misses and reaches the NIC).
@@ -83,6 +125,11 @@ class CoherentInterconnect {
     bus_error_handler_ = std::move(handler);
   }
 
+  // Test hook invoked each time a probe reaches a cache agent.
+  void set_probe_observer(Function<void(AgentId, LineAddr)> observer) {
+    probe_observer_ = std::move(observer);
+  }
+
   // Optional fault injection (src/fault): fills can be delayed or dropped;
   // a dropped fill is exactly what the bus-timeout watchdog catches.
   void set_fault_injector(FaultInjector* faults) { faults_ = faults; }
@@ -95,13 +142,15 @@ class CoherentInterconnect {
     bool is_device = false;
   };
   struct DirEntry {
-    AgentId owner = kNoAgent;     // exclusive/modified holder
-    std::set<AgentId> sharers;    // shared holders
+    AgentId owner = kNoAgent;  // exclusive/modified holder
+    AgentSet sharers;          // shared holders
   };
 
   Duration HopLatency(AgentId home) const;
   void Count(CoherenceMsgType type, bool with_data);
   DirEntry& Dir(LineAddr addr) { return directory_[addr]; }
+  // Delivers a probe (fetch + invalidate) to a cache agent.
+  ProbeResult Probe(AgentId holder, LineAddr addr);
 
   Simulator& sim_;
   CoherenceConfig config_;
@@ -110,9 +159,8 @@ class CoherentInterconnect {
   std::unordered_map<LineAddr, DirEntry> directory_;
   CoherenceStats stats_;
   Function<void(LineAddr)> bus_error_handler_;
+  Function<void(AgentId, LineAddr)> probe_observer_;
   FaultInjector* faults_ = nullptr;
-  uint64_t next_fill_token_ = 1;
-  std::set<uint64_t> outstanding_fills_;  // tokens with a pending watchdog
 
   static constexpr AgentId kHomeAgentBase = 0x1000;
 };

@@ -17,27 +17,26 @@ MemoryHomeAgent::MemoryHomeAgent(Simulator& sim, CoherentInterconnect& interconn
 LineData& MemoryHomeAgent::LineAt(LineAddr addr) {
   LineData& line = lines_[addr];
   if (line.empty()) {
-    line.resize(interconnect_.config().line_size, 0);
+    line.resize(interconnect_.config().line_size);
   }
   return line;
 }
 
 void MemoryHomeAgent::OnHomeRead(AgentId /*requester*/, LineAddr addr, bool /*exclusive*/,
                                  FillFn fill) {
-  LineData copy = LineAt(addr);
   sim_.Schedule(interconnect_.config().memory_latency,
-                [fill = std::move(fill), copy = std::move(copy)]() mutable {
-                  fill(std::move(copy));
-                });
+                [fill = std::move(fill), copy = LineAt(addr)]() mutable { fill(copy); });
 }
 
-void MemoryHomeAgent::OnHomeWriteBack(AgentId /*from*/, LineAddr addr, LineData data) {
-  data.resize(interconnect_.config().line_size);
-  lines_[addr] = std::move(data);
+void MemoryHomeAgent::OnHomeWriteBack(AgentId /*from*/, LineAddr addr,
+                                      const LineData& data) {
+  LineData& line = lines_[addr];
+  line = data;
+  line.resize(interconnect_.config().line_size);
 }
 
 void MemoryHomeAgent::OnHomeUncachedWrite(AgentId /*from*/, LineAddr addr, size_t offset,
-                                          std::vector<uint8_t> data) {
+                                          std::span<const uint8_t> data) {
   LineData& line = LineAt(addr);
   assert(offset + data.size() <= line.size());
   std::memcpy(line.data() + offset, data.data(), data.size());

@@ -25,9 +25,9 @@ class MemoryHomeAgent : public HomeAgent {
 
   // HomeAgent:
   void OnHomeRead(AgentId requester, LineAddr addr, bool exclusive, FillFn fill) override;
-  void OnHomeWriteBack(AgentId from, LineAddr addr, LineData data) override;
+  void OnHomeWriteBack(AgentId from, LineAddr addr, const LineData& data) override;
   void OnHomeUncachedWrite(AgentId from, LineAddr addr, size_t offset,
-                           std::vector<uint8_t> data) override;
+                           std::span<const uint8_t> data) override;
 
   // Direct backdoor access for DMA engines and tests (no coherence traffic;
   // a real IOMMU-protected DMA write is snooped, which we approximate by

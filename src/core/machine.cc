@@ -400,6 +400,28 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
   C("pcie/dma_read_bytes", pcie_->dma_read_bytes());
   C("pcie/dma_write_bytes", pcie_->dma_write_bytes());
   C("pcie/dma_errors", pcie_->dma_errors());
+  // Coherence traffic by message type, and the cores' cache accesses.
+  const CoherenceStats& coherence = interconnect_->stats();
+  for (int type = 0; type < kNumCoherenceMsgTypes; ++type) {
+    metrics.SetCounter(prefix + "coherence/msgs_" + kCoherenceMsgTypeNames[type],
+                       coherence.messages[type]);
+  }
+  // Not "coherence/data_messages": perfbench adds that key from the
+  // interconnect itself, and would count an exported one twice.
+  C("coherence/data_msgs", coherence.data_messages);
+  C("coherence/bus_errors", coherence.bus_errors);
+  uint64_t cache_hits = 0;
+  uint64_t cache_misses = 0;
+  uint64_t loads_through = 0;
+  for (size_t i = 0; i < kernel_->num_cores(); ++i) {
+    const CacheAgent& cache = kernel_->core(i).cache();
+    cache_hits += cache.hits();
+    cache_misses += cache.misses();
+    loads_through += cache.loads_through();
+  }
+  C("coherence/cache_hits", cache_hits);
+  C("coherence/cache_misses", cache_misses);
+  C("coherence/loads_through", loads_through);
 
   C("machine/server_rpcs", server_rpcs_);
   G("machine/cycles_per_rpc", CyclesPerRpc());

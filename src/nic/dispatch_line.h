@@ -8,73 +8,13 @@
 #ifndef SRC_NIC_DISPATCH_LINE_H_
 #define SRC_NIC_DISPATCH_LINE_H_
 
-#include <algorithm>
-#include <array>
-#include <cassert>
 #include <cstdint>
-#include <initializer_list>
-#include <iterator>
 #include <optional>
-#include <type_traits>
+#include <span>
 
 #include "src/coherence/coherence.h"
 
 namespace lauberhorn {
-
-// Up to one line of bytes, held inline (no heap): the argument or payload
-// bytes carried in a DispatchLine or ResponseLine. Copying a line message is
-// therefore a fixed-size copy, never an allocation.
-class LineBytes {
- public:
-  using value_type = uint8_t;
-  using iterator = uint8_t*;
-  using const_iterator = const uint8_t*;
-
-  LineBytes() = default;
-  LineBytes(std::initializer_list<uint8_t> bytes) { assign(bytes.begin(), bytes.end()); }
-
-  static constexpr size_t capacity() { return kMaxLineSize; }
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
-  uint8_t* data() { return bytes_.data(); }
-  const uint8_t* data() const { return bytes_.data(); }
-  uint8_t* begin() { return data(); }
-  uint8_t* end() { return data() + size_; }
-  const uint8_t* begin() const { return data(); }
-  const uint8_t* end() const { return data() + size_; }
-  uint8_t& operator[](size_t i) { return bytes_[i]; }
-
-  template <typename It>
-    requires(!std::is_integral_v<It>)
-  void assign(It first, It last) {
-    const auto n = static_cast<size_t>(std::distance(first, last));
-    assert(n <= capacity());
-    std::copy(first, last, bytes_.begin());
-    size_ = static_cast<uint16_t>(n);
-  }
-  void assign(size_t n, uint8_t value) {
-    assert(n <= capacity());
-    std::fill_n(bytes_.begin(), n, value);
-    size_ = static_cast<uint16_t>(n);
-  }
-  // Grows with zero bytes or truncates, like std::vector::resize.
-  void resize(size_t n) {
-    assert(n <= capacity());
-    if (n > size_) {
-      std::fill(bytes_.begin() + size_, bytes_.begin() + n, 0);
-    }
-    size_ = static_cast<uint16_t>(n);
-  }
-
-  friend bool operator==(const LineBytes& a, const LineBytes& b) {
-    return std::equal(a.begin(), a.end(), b.begin(), b.end());
-  }
-
- private:
-  uint16_t size_ = 0;
-  std::array<uint8_t, kMaxLineSize> bytes_{};
-};
 
 enum class LineKind : uint8_t {
   kEmpty = 0,
@@ -102,12 +42,12 @@ struct DispatchLine {
   bool via_dma = false;    // args are in host memory, not inline/AUX
   uint16_t endpoint_id = 0;  // kKernelDispatch: target endpoint
   uint32_t pid = 0;          // kKernelDispatch: target process
-  LineBytes inline_args;     // bytes that fit in this line
+  LineData inline_args;      // bytes that fit in this line
 
   // Serializes into exactly `line_size` bytes (inline_args must fit).
   LineData Encode(size_t line_size) const;
   // Rejects lines shorter than the header or longer than kMaxLineSize.
-  static std::optional<DispatchLine> Decode(const LineData& line);
+  static std::optional<DispatchLine> Decode(std::span<const uint8_t> line);
 
   static size_t InlineCapacity(size_t line_size) {
     return line_size - kDispatchHeaderSize;
@@ -121,11 +61,11 @@ struct ResponseLine {
   uint32_t resp_len = 0;    // total marshalled response bytes
   uint64_t request_id = 0;
   bool via_dma = false;     // payload in host memory
-  LineBytes inline_payload;
+  LineData inline_payload;
 
   LineData Encode(size_t line_size) const;
   // Rejects lines shorter than the header or longer than kMaxLineSize.
-  static std::optional<ResponseLine> Decode(const LineData& line);
+  static std::optional<ResponseLine> Decode(std::span<const uint8_t> line);
 
   static size_t InlineCapacity(size_t line_size) {
     return line_size - kResponseHeaderSize;

@@ -134,7 +134,7 @@ LineAddr LauberhornNic::AuxAddr(uint32_t endpoint, size_t index) const {
 LineData& LauberhornNic::StoredLine(LineAddr addr) {
   LineData& line = line_store_[addr];
   if (line.empty()) {
-    line.resize(line_size(), 0);
+    line.resize(line_size());
   }
   return line;
 }
@@ -1063,8 +1063,8 @@ void LauberhornNic::DeliverToWaiting(Endpoint& ep, PreparedRequest request) {
   ep.tryagain_streak = 0;  // the hot path is making progress
   WaitingLoad waiting = TakeWaiting(ep);
   const DispatchLine dispatch = BuildDispatch(ep, request, ep.is_kernel);
-  LineData line = dispatch.Encode(line_size());
-  StoredLine(CtrlAddr(ep.id, waiting.parity)) = line;
+  const LineData& line = StoredLine(CtrlAddr(ep.id, waiting.parity)) =
+      dispatch.Encode(line_size());
   const std::vector<uint8_t>* args = nullptr;
   if (ep.is_kernel) {
     PreparedRequest& inflight = cold_inflight_[request.request_id];
@@ -1083,12 +1083,10 @@ void LauberhornNic::DeliverToWaiting(Endpoint& ep, PreparedRequest request) {
     ++stats_.dma_fallback_rx;
     // Push the args into host memory before releasing the core.
     pcie_.DeviceDmaWrite(dispatch.data_ptr, *args,
-                         [fill = std::move(waiting.fill), line = std::move(line)]() mutable {
-                           fill(std::move(line));
-                         });
+                         [fill = std::move(waiting.fill), line]() mutable { fill(line); });
     return;
   }
-  waiting.fill(std::move(line));
+  waiting.fill(line);
 }
 
 LauberhornNic::WaitingLoad LauberhornNic::TakeWaiting(Endpoint& ep) {
@@ -1264,9 +1262,9 @@ void LauberhornNic::CollectResponse(Endpoint& ep, OutstandingRequest outstanding
   const uint32_t ep_id = ep.id;
   interconnect_.FetchExclusive(
       home_id_, ctrl, StoredLine(ctrl),
-      [this, ep_id, ctrl, outstanding = std::move(outstanding)](LineData data) mutable {
+      [this, ep_id, ctrl, outstanding = std::move(outstanding)](const LineData& data) mutable {
         const auto response_line = ResponseLine::Decode(data);
-        StoredLine(ctrl) = std::move(data);
+        StoredLine(ctrl) = data;
         RpcMessage response =
             ResponseHeader(outstanding.request.service_id, outstanding.request.method_id,
                            outstanding.request.request_id);
@@ -1291,7 +1289,7 @@ void LauberhornNic::CollectResponse(Endpoint& ep, OutstandingRequest outstanding
           return;
         }
 
-        const LineBytes& inline_payload = response_line->inline_payload;
+        const LineData& inline_payload = response_line->inline_payload;
         const size_t remaining = response_line->resp_len > inline_payload.size()
                                      ? response_line->resp_len - inline_payload.size()
                                      : 0;
@@ -1324,9 +1322,9 @@ void LauberhornNic::CollectResponse(Endpoint& ep, OutstandingRequest outstanding
           interconnect_.FetchExclusive(
               home_id_, aux_addr, StoredLine(aux_addr),
               [this, i, payload_parts, pending, meta, resp, resp_len, aux_addr,
-               issue](LineData aux_data) {
+               issue](const LineData& aux_data) {
                 StoredLine(aux_addr) = aux_data;
-                (*payload_parts)[i] = std::move(aux_data);
+                (*payload_parts)[i] = aux_data;
                 if (--*pending == 0) {
                   for (const LineData& part : *payload_parts) {
                     resp->payload.insert(resp->payload.end(), part.begin(), part.end());
@@ -1428,13 +1426,15 @@ void LauberhornNic::TransmitResponse(const PreparedRequest& meta, RpcMessage res
   });
 }
 
-void LauberhornNic::OnHomeWriteBack(AgentId /*from*/, LineAddr addr, LineData data) {
-  data.resize(line_size());
-  line_store_[addr] = std::move(data);
+void LauberhornNic::OnHomeWriteBack(AgentId /*from*/, LineAddr addr,
+                                    const LineData& data) {
+  LineData& line = line_store_[addr];
+  line = data;
+  line.resize(line_size());
 }
 
 void LauberhornNic::OnHomeUncachedWrite(AgentId /*from*/, LineAddr addr, size_t offset,
-                                        std::vector<uint8_t> data) {
+                                        std::span<const uint8_t> data) {
   LineData& line = StoredLine(addr);
   assert(offset + data.size() <= line.size());
   std::copy(data.begin(), data.end(), line.begin() + static_cast<long>(offset));

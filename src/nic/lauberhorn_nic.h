@@ -307,9 +307,9 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   void ReceivePacket(Packet packet) override;  // wire RX
 
   void OnHomeRead(AgentId requester, LineAddr addr, bool exclusive, FillFn fill) override;
-  void OnHomeWriteBack(AgentId from, LineAddr addr, LineData data) override;
+  void OnHomeWriteBack(AgentId from, LineAddr addr, const LineData& data) override;
   void OnHomeUncachedWrite(AgentId from, LineAddr addr, size_t offset,
-                           std::vector<uint8_t> data) override;
+                           std::span<const uint8_t> data) override;
 
   // -- Introspection -------------------------------------------------------------
 

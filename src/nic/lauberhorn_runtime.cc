@@ -267,7 +267,7 @@ void LauberhornRuntime::ExitLoop(EndpointRt& rt, Core& core) {
 
 void LauberhornRuntime::LoopIter(EndpointRt& rt, Core& core) {
   const LineAddr ctrl = nic_.CtrlAddr(rt.endpoint, rt.parity);
-  core.BlockOnLoad(ctrl, nic_.line_size(), [this, &rt, &core](std::vector<uint8_t> data) {
+  core.BlockOnLoad(ctrl, nic_.line_size(), [this, &rt, &core](std::span<const uint8_t> data) {
     const auto dispatch = DispatchLine::Decode(data);
     if (!dispatch.has_value()) {
       ExitLoop(rt, core);
@@ -327,8 +327,8 @@ void LauberhornRuntime::GatherArgs(uint32_t line_owner_endpoint, Core& core,
   for (size_t i = 0; i < aux_count; ++i) {
     core.cache().LoadThrough(
         nic_.AuxAddr(line_owner_endpoint, i), nic_.line_size(),
-        [i, parts, pending, base, cb, arg_len](std::vector<uint8_t> line) {
-          (*parts)[i] = std::move(line);
+        [i, parts, pending, base, cb, arg_len](std::span<const uint8_t> line) {
+          (*parts)[i].assign(line.begin(), line.end());
           if (--*pending == 0) {
             std::vector<uint8_t> full = std::move(*base);
             for (auto& part : *parts) {
@@ -379,7 +379,7 @@ void LauberhornRuntime::IssueNested(Core& core, const MethodDef& method,
       core.BlockOnLoad(
           nic_.CtrlAddr(*continuation, 0), nic_.line_size(),
           [this, &core, continuation, call, values, response, done_sh,
-           park](std::vector<uint8_t> data) mutable {
+           park](std::span<const uint8_t> data) mutable {
             const auto reply_line = DispatchLine::Decode(data);
             if (reply_line.has_value() && reply_line->kind == LineKind::kTryAgain) {
               (*park)();
@@ -519,14 +519,14 @@ void LauberhornRuntime::WriteResponse(EndpointRt& rt, Core& core, uint64_t reque
       // Ablation: push the response with posted uncached writes; the NIC's
       // later fetch finds no cached copy and uses its own (just-written)
       // line store — no RFO, no probe.
+      const std::span<const uint8_t> payload = response.payload;
       size_t cursor = inline_bytes;
       for (size_t i = 0; i < aux_count; ++i) {
         const size_t chunk = std::min(remaining, line_size);
-        std::vector<uint8_t> aux_bytes(response.payload.begin() + cursor,
-                                       response.payload.begin() + cursor + chunk);
+        core.cache().StoreThrough(nic_.AuxAddr(rt.endpoint, i),
+                                  payload.subspan(cursor, chunk));
         cursor += chunk;
         remaining -= chunk;
-        core.cache().StoreThrough(nic_.AuxAddr(rt.endpoint, i), aux_bytes);
       }
       core.cache().StoreThrough(ctrl, line.Encode(line_size));
       const Duration cpu_cost =
@@ -539,21 +539,20 @@ void LauberhornRuntime::WriteResponse(EndpointRt& rt, Core& core, uint64_t reque
     // Fig. 4 path: cached stores the NIC pulls back with fetch-exclusive.
     // Issue all stores back to back (they proceed in parallel on distinct
     // lines); continue once every store has completed.
-    auto pending = std::make_shared<size_t>(1 + aux_count);
-    auto on_store = [pending, continue_loop]() {
-      if (--*pending == 0) {
+    rt.stores_pending = 1 + aux_count;
+    auto on_store = [&rt, continue_loop]() {
+      if (--rt.stores_pending == 0) {
         continue_loop();
       }
     };
     size_t cursor = inline_bytes;
     for (size_t i = 0; i < aux_count; ++i) {
       const size_t chunk = std::min(remaining, line_size);
-      std::vector<uint8_t> aux_bytes(response.payload.begin() + cursor,
-                                     response.payload.begin() + cursor + chunk);
-      aux_bytes.resize(line_size, 0);
+      LineData aux(line_size, 0);
+      std::copy_n(response.payload.begin() + cursor, chunk, aux.begin());
       cursor += chunk;
       remaining -= chunk;
-      core.cache().Store(nic_.AuxAddr(rt.endpoint, i), std::move(aux_bytes), on_store);
+      core.cache().Store(nic_.AuxAddr(rt.endpoint, i), aux, on_store);
     }
     core.cache().Store(ctrl, line.Encode(line_size), on_store);
     ++rpcs_hot_;
@@ -563,7 +562,7 @@ void LauberhornRuntime::WriteResponse(EndpointRt& rt, Core& core, uint64_t reque
 void LauberhornRuntime::DispatcherIter(size_t slot, Core& core) {
   DispatcherRt& d = dispatchers_[slot];
   const LineAddr ctrl = nic_.CtrlAddr(d.channel, 0);
-  core.BlockOnLoad(ctrl, nic_.line_size(), [this, slot, &core](std::vector<uint8_t> data) {
+  core.BlockOnLoad(ctrl, nic_.line_size(), [this, slot, &core](std::span<const uint8_t> data) {
     DispatcherRt& d = dispatchers_[slot];
     const auto dispatch = DispatchLine::Decode(data);
     if (!dispatch.has_value() || dispatch->kind == LineKind::kTryAgain ||

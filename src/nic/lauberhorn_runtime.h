@@ -112,6 +112,7 @@ class LauberhornRuntime : public SchedStateListener {
     int parity = 0;
     bool in_loop = false;
     bool stop_requested = false;
+    size_t stores_pending = 0;  // response-line stores still in flight
   };
 
   void LoopIter(EndpointRt& rt, Core& core);

@@ -75,26 +75,25 @@ void Core::FinishChunk() {
   run.then();
 }
 
-void Core::BlockOnLoad(uint64_t addr, size_t size,
-                       Function<void(std::vector<uint8_t>)> then) {
+void Core::BlockOnLoad(uint64_t addr, size_t size, CacheAgent::LoadFn then) {
   assert(!active_run_.has_value() && "cannot block while running");
   assert(mode_ != CoreMode::kBlockedOnLoad && "already blocked");
   SwitchMode(CoreMode::kBlockedOnLoad);
   // Control-line loads are non-caching (load-to-registers): the home always
   // sees them and no stale copy can linger locally.
   cache_.LoadThrough(addr, size,
-                     [this, then = std::move(then)](std::vector<uint8_t> data) mutable {
+                     [this, then = std::move(then)](std::span<const uint8_t> data) mutable {
     SwitchMode(CoreMode::kIdle);
     if (pending_irqs_.empty()) {
-      then(std::move(data));
+      then(data);
       return;
     }
     // The stalled load has retired; the core takes the queued interrupt(s)
     // before user software sees the data. The continuation runs after the
     // IRQ queue drains.
     assert(!after_irq_hook_ && "continuation already pending");
-    after_irq_hook_ = [then = std::move(then), data = std::move(data)]() mutable {
-      then(std::move(data));
+    after_irq_hook_ = [then = std::move(then), data = LineData(data)]() mutable {
+      then(data);
     };
     auto irq = std::move(pending_irqs_.front());
     pending_irqs_.pop_front();

@@ -63,9 +63,9 @@ class Core {
   // Issues a blocking load: the core stalls (kBlockedOnLoad) until the fill
   // arrives. Pending interrupts are delivered after unblocking, before
   // `then` — matching a stalled core that takes the IRQ when the load
-  // retires (§5.1's preemption dance relies on this).
-  void BlockOnLoad(uint64_t addr, size_t size,
-                   Function<void(std::vector<uint8_t>)> then);
+  // retires (§5.1's preemption dance relies on this). `then` borrows the
+  // loaded bytes for the call.
+  void BlockOnLoad(uint64_t addr, size_t size, CacheAgent::LoadFn then);
   bool blocked_on_load() const { return mode_ == CoreMode::kBlockedOnLoad; }
 
   // Delivers an interrupt. Running work is paused (resumed afterwards),

@@ -149,11 +149,4 @@ void Simulator::FreeSlot(uint32_t index) {
   free_.push_back(index);
 }
 
-void Simulator::CheckInvariants() const {
-  // Every slot is either in the heap or on the free list; pending_events()
-  // and the queue's physical size cannot diverge (the old lazy-deletion
-  // engine's failure mode under Cancel() churn).
-  assert(heap_.size() + free_.size() == slots_.size());
-}
-
 }  // namespace lauberhorn

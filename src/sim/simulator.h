@@ -20,6 +20,7 @@
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
+#include <cassert>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -131,7 +132,11 @@ class Simulator {
   void HeapRemoveAt(size_t pos);
   // Returns the slot to the free list with a bumped generation.
   void FreeSlot(uint32_t slot_index);
-  void CheckInvariants() const;
+  // Every slot is either in the heap or on the free list; pending_events()
+  // and the queue's physical size cannot diverge (the old lazy-deletion
+  // engine's failure mode under Cancel() churn). Inline, so it compiles away
+  // under NDEBUG.
+  void CheckInvariants() const { assert(heap_.size() + free_.size() == slots_.size()); }
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 1;

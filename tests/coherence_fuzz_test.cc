@@ -56,7 +56,7 @@ TEST_P(CoherenceFuzzTest, SerializedRandomOpsMatchReferenceModel) {
       }
       case 1: {  // cached load
         std::vector<uint8_t> got;
-        agent.Load(addr, 3, [&](std::vector<uint8_t> d) { got = std::move(d); });
+        agent.Load(addr, 3, [&](std::span<const uint8_t> d) { got.assign(d.begin(), d.end()); });
         sim.RunUntilIdle();
         ASSERT_EQ(got.size(), 3u);
         for (uint64_t i = 0; i < 3; ++i) {
@@ -69,7 +69,8 @@ TEST_P(CoherenceFuzzTest, SerializedRandomOpsMatchReferenceModel) {
       }
       case 2: {  // non-caching load
         std::vector<uint8_t> got;
-        agent.LoadThrough(addr, 3, [&](std::vector<uint8_t> d) { got = std::move(d); });
+        agent.LoadThrough(addr, 3,
+                          [&](std::span<const uint8_t> d) { got.assign(d.begin(), d.end()); });
         sim.RunUntilIdle();
         ASSERT_EQ(got.size(), 3u);
         for (uint64_t i = 0; i < 3; ++i) {
@@ -147,7 +148,7 @@ TEST_P(CoherenceConcurrentTest, ConcurrentTrafficTerminatesWithoutBusErrors) {
       agent.Store(line, std::vector<uint8_t>{value}, [&] { ++completions; });
     } else {
       ++issued;
-      agent.Load(line, 1, [&](std::vector<uint8_t>) { ++completions; });
+      agent.Load(line, 1, [&](std::span<const uint8_t>) { ++completions; });
     }
     // Occasionally let some traffic drain, otherwise pile it up.
     if (rng.Bernoulli(0.2)) {

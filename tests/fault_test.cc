@@ -453,7 +453,7 @@ TEST_F(CoherenceFaultTest, DroppedFillTripsWatchdog) {
   LineAddr errored = 0;
   interconnect.set_bus_error_handler([&](LineAddr a) { errored = a; });
   bool filled = false;
-  cpu.Load(0x400, 4, [&](std::vector<uint8_t>) { filled = true; });
+  cpu.Load(0x400, 4, [&](std::span<const uint8_t>) { filled = true; });
   sim_.RunUntilIdle();
 
   EXPECT_FALSE(filled);  // the fill was swallowed
@@ -474,7 +474,7 @@ TEST_F(CoherenceFaultTest, DelayedFillStillCompletes) {
 
   memory.WriteBytes(0x400, std::vector<uint8_t>{5, 6, 7});
   std::vector<uint8_t> got;
-  cpu.Load(0x400, 3, [&](std::vector<uint8_t> data) { got = std::move(data); });
+  cpu.Load(0x400, 3, [&](std::span<const uint8_t> data) { got.assign(data.begin(), data.end()); });
   sim_.RunUntilIdle();
 
   EXPECT_EQ(got, (std::vector<uint8_t>{5, 6, 7}));

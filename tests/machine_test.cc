@@ -245,6 +245,51 @@ TEST(MachineTest, ExportsDmaPathCounters) {
   EXPECT_GT(metrics.Counter("pcie/dma_write_bytes"), 0u);
 }
 
+TEST(MachineTest, ExportsCoherenceCounters) {
+  // Every coherence message counter and the cores' summed cache counters
+  // reach the registry under coherence/, equal to their accessors.
+  MachineConfig config;
+  config.stack = StackKind::kLauberhorn;
+  Machine machine(config);
+  const ServiceDef& echo = machine.AddService(ServiceRegistry::MakeEchoService(1, 7000));
+  machine.Start();
+  for (int i = 0; i < 20; ++i) {
+    machine.client().Call(echo, 0, std::vector<WireValue>{WireValue::Bytes({1, 2, 3})});
+  }
+  machine.sim().RunUntil(Milliseconds(10));
+
+  MetricsRegistry metrics;
+  machine.ExportMetrics(metrics);
+  const CoherenceStats& stats = machine.interconnect().stats();
+  std::vector<std::pair<std::string, uint64_t>> expected = {
+      {"coherence/data_msgs", stats.data_messages},
+      {"coherence/bus_errors", stats.bus_errors},
+  };
+  for (int type = 0; type < kNumCoherenceMsgTypes; ++type) {
+    expected.emplace_back(std::string("coherence/msgs_") + kCoherenceMsgTypeNames[type],
+                          stats.messages[type]);
+  }
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t loads_through = 0;
+  for (size_t i = 0; i < machine.kernel().num_cores(); ++i) {
+    const CacheAgent& cache = machine.kernel().core(i).cache();
+    hits += cache.hits();
+    misses += cache.misses();
+    loads_through += cache.loads_through();
+  }
+  expected.emplace_back("coherence/cache_hits", hits);
+  expected.emplace_back("coherence/cache_misses", misses);
+  expected.emplace_back("coherence/loads_through", loads_through);
+  for (const auto& [key, value] : expected) {
+    ASSERT_TRUE(metrics.HasCounter(key)) << key;
+    EXPECT_EQ(metrics.Counter(key), value) << key;
+  }
+  EXPECT_GT(metrics.Counter("coherence/msgs_fill"), 0u);
+  EXPECT_GT(metrics.Counter("coherence/loads_through"), 0u);
+  EXPECT_GT(metrics.Counter("coherence/cache_misses"), 0u);
+}
+
 TEST(RpcClientTest, MatchesResponsesToRequests) {
   MachineConfig config;
   config.stack = StackKind::kLauberhorn;

@@ -66,7 +66,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(DispatchLineFuzzTest, RandomBytesNeverCrashDecode) {
   Rng rng(404);
   for (int i = 0; i < 5000; ++i) {
-    LineData line(rng.UniformInt(0, 256));
+    std::vector<uint8_t> line(rng.UniformInt(0, 256));
     for (auto& b : line) {
       b = static_cast<uint8_t>(rng.Next());
     }

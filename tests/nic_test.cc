@@ -108,11 +108,11 @@ TEST(ResponseLineTest, InlineTruncatedToRespLen) {
   line.inline_payload = {1, 2, 3, 4};
   const auto decoded = ResponseLine::Decode(line.Encode(128));
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->inline_payload, (LineBytes{1, 2, 3, 4}));
+  EXPECT_EQ(decoded->inline_payload, (LineData{1, 2, 3, 4}));
 }
 
 TEST(DispatchLineTest, LineLongerThanMaxRejected) {
-  const LineData too_long(kMaxLineSize + 1, 0);
+  const std::vector<uint8_t> too_long(kMaxLineSize + 1, 0);
   EXPECT_FALSE(DispatchLine::Decode(too_long).has_value());
   EXPECT_FALSE(ResponseLine::Decode(too_long).has_value());
   EXPECT_TRUE(DispatchLine::Decode(LineData(kMaxLineSize, 0)).has_value());

@@ -18,8 +18,8 @@ class StubDevice : public HomeAgent {
   void OnHomeRead(AgentId requester, LineAddr addr, bool exclusive, FillFn fill) override {
     reads.push_back({requester, addr, exclusive, std::move(fill)});
   }
-  void OnHomeWriteBack(AgentId, LineAddr, LineData) override {}
-  void OnHomeUncachedWrite(AgentId, LineAddr, size_t, std::vector<uint8_t>) override {}
+  void OnHomeWriteBack(AgentId, LineAddr, const LineData&) override {}
+  void OnHomeUncachedWrite(AgentId, LineAddr, size_t, std::span<const uint8_t>) override {}
 
   struct Read {
     AgentId requester;
@@ -120,7 +120,8 @@ TEST_F(OsTest, NestedIrqsQueueAndDrain) {
 TEST_F(OsTest, BlockOnLoadStallsUntilDeviceFills) {
   Core& core = kernel_.core(0);
   std::vector<uint8_t> got;
-  core.BlockOnLoad(kDevBase, 8, [&](std::vector<uint8_t> d) { got = std::move(d); });
+  core.BlockOnLoad(kDevBase, 8,
+                   [&](std::span<const uint8_t> d) { got.assign(d.begin(), d.end()); });
   sim_.RunUntil(Milliseconds(1));
   EXPECT_TRUE(core.blocked_on_load());
   EXPECT_TRUE(got.empty());
@@ -141,7 +142,7 @@ TEST_F(OsTest, BlockOnLoadStallsUntilDeviceFills) {
 TEST_F(OsTest, IrqDuringBlockedLoadDeliveredAfterUnblock) {
   Core& core = kernel_.core(0);
   std::vector<std::string> order;
-  core.BlockOnLoad(kDevBase, 8, [&](std::vector<uint8_t>) { order.push_back("load"); });
+  core.BlockOnLoad(kDevBase, 8, [&](std::span<const uint8_t>) { order.push_back("load"); });
   sim_.RunUntil(Microseconds(10));
   core.RaiseIrq([&] { order.push_back("irq"); }, Nanoseconds(300));
   sim_.RunUntil(Microseconds(20));
