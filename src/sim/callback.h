@@ -3,18 +3,20 @@
 // Every event the Simulator executes carries a callback; with std::function
 // each capture beyond a couple of words costs a heap allocation and a
 // type-erasure indirection per event. Function<Sig> inlines captures up to
-// kInlineSize bytes (64 — two cache lines of slab slot stay intact) directly
-// in the object. Larger captures spill to a block taken from a thread-local
-// size-class free list (16-byte classes up to 512 bytes), so a continuation
-// that captures another Function — and therefore never fits inline — still
-// recycles memory instead of calling malloc per event. Only captures above
-// 512 bytes or over-aligned ones go to operator new. Function is move-only,
-// which also lets callbacks own move-only state (unique_ptr, another
-// Function) that std::function cannot hold.
+// kInlineSize (64) bytes directly in the object. Larger captures spill to a
+// block taken from a thread-local size-class free list (16-byte classes up
+// to 512 bytes), so a continuation that captures another Function — and
+// therefore never fits inline — still recycles memory instead of calling
+// malloc per event. Only captures above 512 bytes or over-aligned ones go to
+// operator new. Function is move-only, which also lets callbacks own
+// move-only state (unique_ptr, another Function) that std::function cannot
+// hold.
 //
 // Callback is the scheduling currency: Simulator::Schedule constructs one
-// straight into its event slot (Function::Emplace), and the layers above
-// (coherence, PCIe, OS, NIC) pass their continuations as Function types.
+// straight into its event slot (Function::Emplace), and the event fires
+// there — slab slots never move, so a callback is not relocated between
+// schedule and fire. The layers above (coherence, PCIe, OS, NIC) pass their
+// continuations as Function types.
 #ifndef SRC_SIM_CALLBACK_H_
 #define SRC_SIM_CALLBACK_H_
 
@@ -154,8 +156,8 @@ class Function;
 template <typename R, typename... Args>
 class Function<R(Args...)> {
  public:
-  // Inline capture budget. Chosen so a Simulator event slot (timestamps +
-  // heap bookkeeping + callback) spans exactly two cache lines.
+  // Inline capture budget, eight words. A Simulator event slot
+  // (generation, heap position, callback) is then 96 bytes.
   static constexpr size_t kInlineSize = 64;
 
   Function() = default;

@@ -2,7 +2,10 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -426,8 +429,8 @@ TEST(CallbackTest, KibibyteCaptureStillWorks) {
 }
 
 TEST(SimulatorTest, ScheduleConstructsCallableInItsSlot) {
-  // An inline capture is moved once into its slab slot and once out of it
-  // when the event fires; there is no intermediate Callback.
+  // An inline capture is moved once into its slab slot and fires there:
+  // there is no intermediate Callback and no move out of the slot.
   struct MoveCounter {
     int* moves;
     explicit MoveCounter(int* m) : moves(m) {}
@@ -439,7 +442,7 @@ TEST(SimulatorTest, ScheduleConstructsCallableInItsSlot) {
   sim.Schedule(1, MoveCounter(&moves));
   EXPECT_EQ(moves, 1);
   sim.RunUntilIdle();
-  EXPECT_EQ(moves, 2);
+  EXPECT_EQ(moves, 1);
 }
 
 // -- Cancellation & slab behaviour ---------------------------------------------
@@ -571,6 +574,179 @@ TEST(SimulatorTest, FifoTieBreakAcrossRecycledSlots) {
   sim.RunUntilIdle();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
+
+// -- Firing in place -----------------------------------------------------------
+
+// Differential check against a reference queue: an ordered set of
+// (when, seq), where seq is the test's own schedule counter. Random
+// schedules, cancels (live and stale) and steps are made both between events
+// and from inside running callbacks; each firing must be the reference's
+// minimum and pending_events() must equal the reference's size throughout.
+class SimulatorDifferential {
+ public:
+  explicit SimulatorDifferential(uint64_t seed) : rng_(seed) {}
+
+  void Run() {
+    while (schedule_budget_ > 0 || !reference_.empty()) {
+      switch (rng_.UniformInt(0, 4)) {
+        case 0:
+        case 1:
+          Schedule();
+          break;
+        case 2:
+          CancelSome();
+          break;
+        default: {
+          const bool any = !reference_.empty();
+          ASSERT_EQ(sim_.Step(), any);
+          break;
+        }
+      }
+      ASSERT_EQ(sim_.pending_events(), reference_.size());
+    }
+    EXPECT_FALSE(sim_.Step());
+    EXPECT_EQ(sim_.events_executed(), fired_);
+    EXPECT_GT(fired_, 1000u);
+    EXPECT_GT(cancelled_, 1000u);
+  }
+
+ private:
+  void Schedule() {
+    if (schedule_budget_ == 0) {
+      return;
+    }
+    --schedule_budget_;
+    // A quarter of the events land on the current instant, so FIFO ties
+    // (including with the running event's own time) are common.
+    const Duration delay = rng_.UniformInt(0, 3) == 0
+                               ? 0
+                               : static_cast<Duration>(rng_.UniformInt(1, 500));
+    const uint64_t seq = next_seq_++;
+    const EventId id = sim_.Schedule(delay, [this, seq] { Fire(seq); });
+    reference_.emplace(sim_.Now() + delay, seq);
+    ids_.push_back(id);
+  }
+
+  // Cancels a random live event, and tries a random dead id, which must fail.
+  void CancelSome() {
+    if (!reference_.empty()) {
+      auto victim = reference_.begin();
+      std::advance(victim, static_cast<ptrdiff_t>(rng_.UniformInt(0, reference_.size() - 1)));
+      ASSERT_TRUE(sim_.Cancel(ids_[victim->second]));
+      dead_.push_back(ids_[victim->second]);
+      reference_.erase(victim);
+      ++cancelled_;
+    }
+    if (!dead_.empty()) {
+      EXPECT_FALSE(sim_.Cancel(dead_[rng_.UniformInt(0, dead_.size() - 1)]));
+    }
+  }
+
+  void Fire(uint64_t seq) {
+    ASSERT_FALSE(reference_.empty());
+    ASSERT_EQ(*reference_.begin(), std::make_pair(sim_.Now(), seq));
+    reference_.erase(reference_.begin());
+    ++fired_;
+    EXPECT_EQ(sim_.pending_events(), reference_.size());
+    EXPECT_FALSE(sim_.Cancel(ids_[seq]));  // the running event's own id
+    const uint64_t ops = rng_.UniformInt(0, 3);
+    for (uint64_t i = 0; i < ops; ++i) {
+      if (rng_.UniformInt(0, 2) == 0) {
+        CancelSome();
+      } else {
+        Schedule();
+      }
+      EXPECT_EQ(sim_.pending_events(), reference_.size());
+    }
+    dead_.push_back(ids_[seq]);
+  }
+
+  Simulator sim_;
+  Rng rng_;
+  std::set<std::pair<SimTime, uint64_t>> reference_;
+  std::vector<EventId> ids_;   // by seq
+  std::vector<EventId> dead_;  // fired or cancelled
+  uint64_t next_seq_ = 0;
+  uint64_t schedule_budget_ = 20000;
+  uint64_t fired_ = 0;
+  uint64_t cancelled_ = 0;
+};
+
+class SimulatorDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SimulatorDifferentialTest, MatchesReferenceQueue) {
+  SimulatorDifferential(GetParam()).Run();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorDifferentialTest, ::testing::Values(1, 7, 2024));
+
+TEST(SimulatorTest, CallbackGrowingTheSlabKeepsRunningInPlace) {
+  // The callback schedules enough events to add several slab chunks, then
+  // reads its own inline captures: slots never move, so they are intact.
+  // (Under AddressSanitizer a relocated slot would be a use-after-free.)
+  constexpr uint32_t kEvents = 4 * Simulator::kSlabChunkSlots;
+  Simulator sim;
+  const std::array<uint64_t, 6> words = {1, 2, 3, 4, 5, 6};
+  uint64_t sum = 0;
+  uint32_t fired = 0;
+  sim.Schedule(1, [&sim, &sum, &fired, words] {
+    for (uint32_t i = 0; i < kEvents; ++i) {
+      sim.Schedule(1, [&fired] { ++fired; });
+    }
+    for (const uint64_t w : words) {
+      sum += w;
+    }
+  });
+  sim.RunUntilIdle();
+  EXPECT_EQ(sum, 21u);
+  EXPECT_EQ(fired, kEvents);
+  EXPECT_GT(sim.slab_capacity(), kEvents);
+}
+
+TEST(SimulatorTest, CancelOfRunningEventReturnsFalse) {
+  Simulator sim;
+  EventId self = kInvalidEventId;
+  bool cancelled = true;
+  int fired = 0;
+  self = sim.Schedule(5, [&] {
+    ++fired;
+    cancelled = sim.Cancel(self);
+  });
+  sim.RunUntilIdle();
+  EXPECT_FALSE(cancelled);
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(sim.Cancel(self));
+}
+
+TEST(SimulatorTest, PendingEventsInsideCallbackExcludesRunningEvent) {
+  Simulator sim;
+  size_t before = 0;
+  size_t after_schedule = 0;
+  sim.Schedule(1, [&] {
+    before = sim.pending_events();
+    sim.Schedule(0, [] {});
+    after_schedule = sim.pending_events();
+  });
+  sim.Schedule(2, [] {});
+  sim.RunUntilIdle();
+  EXPECT_EQ(before, 1u);
+  EXPECT_EQ(after_schedule, 2u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+#ifndef NDEBUG
+TEST(SimulatorDeathTest, ReentrantStepAborts) {
+  Simulator sim;
+  sim.Schedule(1, [&sim] { sim.Step(); });
+  EXPECT_DEATH(sim.RunUntilIdle(), "inside an event callback");
+}
+
+TEST(SimulatorDeathTest, ReentrantRunUntilAborts) {
+  Simulator sim;
+  sim.Schedule(1, [&sim] { sim.RunUntil(sim.Now() + 10); });
+  EXPECT_DEATH(sim.RunUntilIdle(), "inside an event callback");
+}
+#endif
 
 // -- Golden event order --------------------------------------------------------
 
