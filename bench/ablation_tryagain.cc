@@ -1,8 +1,8 @@
 // ABL-TRYAGAIN — ablation of the §5.1 TRYAGAIN deadline. The paper picks
 // 15 ms; shorter deadlines raise the idle interconnect traffic of every
 // parked endpoint (two messages per period), longer ones push against the
-// platform's coherence bus timeout and slow the cooperative-yield path
-// (yield_on_tryagain loops give their core back only at the next deadline).
+// platform's coherence bus timeout. Reclaiming the core does not wait for the
+// deadline: RETIRE answers the held load directly.
 #include "bench/common.h"
 
 namespace lauberhorn {

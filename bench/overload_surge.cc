@@ -159,8 +159,8 @@ SurgeCell MeasureSurge(StackKind stack, double mult, double capacity_rps,
   config.nic_rx_fifo_depth = 8;
   // Harden the Lauberhorn scale-up/RETIRE loop against churn during the
   // flash crowd (no-ops for the other stacks).
-  config.runtime.scale_cooldown = Microseconds(100);
-  config.runtime.scale_down_ticks = 3;
+  config.runtime.scale.cooldown = Microseconds(100);
+  config.runtime.scale.down_ticks = 3;
   Machine machine(std::move(config));
   std::vector<const ServiceDef*> services;
   AddEchoServices(machine, services);
@@ -325,8 +325,8 @@ FaultCell MeasureFaulted(StackKind stack, double capacity_rps, uint64_t seed,
   config.admission = MakeAdmission(capacity_rps);
   config.nic_ring_entries = 16;
   config.nic_rx_fifo_depth = 8;
-  config.runtime.scale_cooldown = Microseconds(200);
-  config.runtime.scale_down_ticks = 3;
+  config.runtime.scale.cooldown = Microseconds(200);
+  config.runtime.scale.down_ticks = 3;
   config.client_retransmit_timeout = Microseconds(300);
   config.client_max_retransmits = 8;
   config.client_backoff_multiplier = 2.0;

@@ -101,7 +101,7 @@ void ClusterClient::OnOutcome(CallCtx* ctx, size_t replica_index,
       directory_.MarkDown(ctx->service_id, replica_index,
                           sim_.Now() + config_.down_duration);
     }
-    if (config_.failover_on_timeout && ctx->attempts_left > 0) {
+    if (ctx->attempts_left > 0) {
       ++stats_.failovers;
       retry = true;
     } else {
@@ -110,7 +110,7 @@ void ClusterClient::OnOutcome(CallCtx* ctx, size_t replica_index,
   } else if (response.status == RpcStatus::kOverloaded) {
     ++replica.overloaded;
     BumpOverloadScore(replica, 1.0);
-    if (config_.divert_on_overload && ctx->attempts_left > 0) {
+    if (ctx->attempts_left > 0) {
       ++stats_.diverts;
       retry = true;
     } else {

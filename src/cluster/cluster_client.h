@@ -40,8 +40,6 @@ class ClusterClient {
     uint32_t down_after_timeouts = 2;
     // ...for this long (then probe-eligible again).
     Duration down_duration = Milliseconds(2);
-    bool failover_on_timeout = true;
-    bool divert_on_overload = true;
     // Half-life of the per-replica kOverloaded score LeastLoaded reads.
     Duration overload_decay = Microseconds(200);
     // Tenant this edge belongs to: resolution only sees replicas owned by

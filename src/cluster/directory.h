@@ -108,9 +108,6 @@ class ServiceDirectory {
   // Registers a replica; returns its index within the service's replica set.
   size_t AddReplica(uint32_t service_id, ReplicaInfo info);
 
-  bool HasService(uint32_t service_id) const {
-    return services_.count(service_id) != 0;
-  }
   size_t NumReplicas(uint32_t service_id) const;
   const Replica& replica(uint32_t service_id, size_t index) const;
   Replica& replica(uint32_t service_id, size_t index);

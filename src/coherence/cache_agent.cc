@@ -116,8 +116,6 @@ void CacheAgent::Flush(LineAddr addr) {
   it->second.state = LineState::kInvalid;
 }
 
-void CacheAgent::Drop(LineAddr addr) { lines_.erase(addr); }
-
 void CacheAgent::ProcessQueue(LineAddr line_addr) {
   auto pit = pending_.find(line_addr);
   if (pit == pending_.end()) {

@@ -56,8 +56,6 @@ class CacheAgent {
 
   // Writes a dirty line back to its home and drops it. No-op if not held.
   void Flush(LineAddr addr);
-  // Drops a clean line without writeback (test helper).
-  void Drop(LineAddr addr);
 
   // Interconnect-side: probe (fetch+invalidate). Returns held data.
   ProbeResult HandleProbe(LineAddr addr);

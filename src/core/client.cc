@@ -346,14 +346,11 @@ void RpcClient::OnTimeout(uint64_t request_id) {
 }
 
 void RpcClient::RetireId(uint64_t request_id) {
-  if (config_.retired_window == 0) {
-    return;
-  }
   if (!retired_.insert(request_id).second) {
     return;
   }
   retired_order_.push_back(request_id);
-  while (retired_order_.size() > config_.retired_window) {
+  while (retired_order_.size() > kRetiredWindow) {
     retired_.erase(retired_order_.front());
     retired_order_.pop_front();
   }

@@ -58,9 +58,6 @@ class RpcClient : public PacketSink {
     // timer still backs off, so the request can still expire). 0 = unmetered.
     double retry_budget_per_sec = 0.0;
     double retry_budget_burst = 16.0;
-    // How many completed/expired request ids to remember for late-response
-    // accounting.
-    size_t retired_window = 4096;
     uint64_t seed = 0x5eed;  // jitter stream
     // Transport encryption (§6): seal request payloads / open responses with
     // per-service keys derived from root_key.
@@ -213,6 +210,9 @@ class RpcClient : public PacketSink {
   Rng rng_;
   uint64_t next_request_id_ = 1;
   std::unordered_map<uint64_t, Pending> pending_;
+  // The last kRetiredWindow completed or expired request ids, remembered for
+  // late-response accounting.
+  static constexpr size_t kRetiredWindow = 4096;
   std::unordered_set<uint64_t> retired_;
   std::deque<uint64_t> retired_order_;
   double retry_tokens_ = 0.0;

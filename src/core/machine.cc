@@ -64,6 +64,14 @@ Machine::Machine(MachineConfig config, Simulator* shared_sim)
     pcie_->set_fault_injector(faults_.get());
   }
 
+  // Crypto, dedup and admission: the same policy on every stack.
+  const RpcServeConfig serve_config{
+      .crypto = config_.encrypt_rpcs,
+      .crypto_root_key = config_.crypto_root_key,
+      .dedup = config_.server_dedup,
+      .dedup_window = config_.server_dedup_window,
+      .admission = config_.admission,
+  };
   switch (config_.stack) {
     case StackKind::kLinux:
     case StackKind::kBypass: {
@@ -91,24 +99,17 @@ Machine::Machine(MachineConfig config, Simulator* shared_sim)
       driver_config.buffer_size = 64 * 1024;
       dma_driver_ = std::make_unique<DmaNicDriver>(*sim_, driver_config, *pcie_, iommu_,
                                                    *memory_);
-      const SoftwareRpcServer::Config server_config{
-          .encrypt_rpcs = config_.encrypt_rpcs,
-          .crypto_root_key = config_.crypto_root_key,
-          .dedup = config_.server_dedup,
-          .dedup_window = config_.server_dedup_window,
-          .admission = config_.admission,
-      };
       if (config_.stack == StackKind::kLinux) {
         linux_stack_ = std::make_unique<LinuxRpcStack>(*sim_, *kernel_, *dma_nic_,
                                                        *dma_driver_, *msix_, services_,
-                                                       config_.linux_stack, server_config);
+                                                       config_.linux_stack, serve_config);
       } else {
         BypassRuntime::Config bypass_config;
         for (uint32_t q = 0; q < config_.nic_queues; ++q) {
           bypass_config.cores.push_back(static_cast<int>(q));
         }
         bypass_ = std::make_unique<BypassRuntime>(*sim_, *kernel_, *dma_driver_, services_,
-                                                  bypass_config, server_config);
+                                                  bypass_config, serve_config);
       }
       break;
     }
@@ -119,13 +120,9 @@ Machine::Machine(MachineConfig config, Simulator* shared_sim)
       nic_config.num_kernel_channels = static_cast<size_t>(config_.num_cores);
       nic_config.pipeline = platform.pipeline;
       nic_config.params = config_.lauberhorn_params.value_or(platform.lauberhorn);
-      nic_config.admission = config_.admission;
+      nic_config.serve = serve_config;
       nic_config.large_policy = config_.large_policy;
-      nic_config.crypto = config_.encrypt_rpcs;
-      nic_config.crypto_root_key = config_.crypto_root_key;
       nic_config.own_ip = config_.server_ip;
-      nic_config.dedup = config_.server_dedup;
-      nic_config.dedup_window = config_.server_dedup_window;
       lauberhorn_nic_ = std::make_unique<LauberhornNic>(*sim_, *interconnect_, *pcie_,
                                                         services_, nic_config);
       if (faults_ != nullptr) {
@@ -136,19 +133,14 @@ Machine::Machine(MachineConfig config, Simulator* shared_sim)
 
       // §16: the OS's authoritative shadow of the NIC's control-plane state,
       // written through on every mutation. The watchdog (heartbeat + reset +
-      // replay) runs only when a crash can actually happen (or is forced).
+      // replay) runs only when a crash can actually happen.
       nic_shadow_ = std::make_unique<NicShadow>();
-      nic_shadow_->RecordAdmission(nic_config.admission);
+      nic_shadow_->RecordAdmission(serve_config.admission);
       lauberhorn_nic_->set_shadow(nic_shadow_.get());
-      if ((faults_ != nullptr && config_.faults.nic_crash.Any()) ||
-          config_.nic_recovery_watchdog) {
-        NicRecoveryManager::Config recovery_config;
-        recovery_config.heartbeat_period = config_.nic_watchdog_period;
-        recovery_config.miss_threshold = config_.nic_watchdog_miss_threshold;
-        recovery_config.wedged_poll_threshold = config_.nic_watchdog_wedged_polls;
+      if (faults_ != nullptr && config_.faults.nic_crash.Any()) {
         nic_recovery_ = std::make_unique<NicRecoveryManager>(
             *sim_, *lauberhorn_nic_, *nic_shadow_, faults_.get(),
-            recovery_config);
+            NicRecoveryManager::Config{});
       }
 
       LauberhornRuntime::Config runtime_config = config_.runtime;

@@ -114,14 +114,6 @@ struct MachineConfig {
   // the injector is wired into the wire, interconnect, IOMMU, PCIe, and the
   // active NIC, with per-layer forked random streams.
   FaultPlan faults;
-  // NIC hot recovery (src/nic/shadow, DESIGN.md §16). On the Lauberhorn
-  // stack the OS always keeps a write-through NicShadow; the watchdog
-  // manager (heartbeats + reset + shadow replay) additionally runs when the
-  // fault plan schedules NIC crashes, or when forced on here.
-  bool nic_recovery_watchdog = false;
-  Duration nic_watchdog_period = Microseconds(20);
-  int nic_watchdog_miss_threshold = 2;
-  uint64_t nic_watchdog_wedged_polls = 16;
   // Per-request span tracing (src/stats/span): every stack stamps the same
   // eight stages, stitched by request id. Off by default — benches that
   // measure raw throughput stay unaffected.
@@ -189,8 +181,9 @@ class Machine {
   // Null unless config.enable_spans.
   SpanCollector* spans() { return spans_.get(); }
   // Lauberhorn only: the OS's write-through NIC shadow (always present) and
-  // the watchdog recovery manager (null unless a NIC-crash plan is active or
-  // config.nic_recovery_watchdog forces it on).
+  // the watchdog recovery manager (heartbeats + reset + shadow replay, with
+  // NicRecoveryManager::Config's defaults; null unless the fault plan
+  // schedules NIC crashes).
   NicShadow* nic_shadow() { return nic_shadow_.get(); }
   NicRecoveryManager* nic_recovery() { return nic_recovery_.get(); }
 

@@ -183,8 +183,8 @@ class FaultInjector {
 
   // --- net (one call per packet, in this order) ---
   bool NetShouldDrop();       // advances the Gilbert–Elliott chain
-  bool NetShouldDuplicate();
   bool NetShouldCorrupt();
+  bool NetShouldDuplicate();
   // Returns 0 (deliver in order) or an extra delay to apply to this packet.
   Duration NetReorderDelay();
   bool net_in_burst() const { return net_bad_state_; }

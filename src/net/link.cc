@@ -80,29 +80,18 @@ void LinkDirection::Send(Packet packet) {
     ++packets_dropped_;
     return;
   }
-  bool corrupt =
-      config_.corrupt_probability > 0.0 && rng_.Bernoulli(config_.corrupt_probability);
-  if (faults_ != nullptr && faults_->NetShouldCorrupt()) {
-    corrupt = true;
+  if (faults_ == nullptr) {
+    Transmit(std::move(packet), 0);
+    return;
   }
-  if (corrupt && !packet.bytes.empty()) {
+  if (faults_->NetShouldCorrupt() && !packet.bytes.empty()) {
     const size_t byte_index = rng_.UniformInt(0, packet.bytes.size() - 1);
     const auto bit = static_cast<uint8_t>(1u << rng_.UniformInt(0, 7));
     packet.bytes[byte_index] ^= bit;
     ++packets_corrupted_;
   }
-  bool duplicate = config_.duplicate_probability > 0.0 &&
-                   rng_.Bernoulli(config_.duplicate_probability);
-  if (faults_ != nullptr && faults_->NetShouldDuplicate()) {
-    duplicate = true;
-  }
-  Duration extra = 0;
-  if (config_.reorder_probability > 0.0 && rng_.Bernoulli(config_.reorder_probability)) {
-    extra = config_.reorder_extra_delay;
-  }
-  if (faults_ != nullptr && extra == 0) {
-    extra = faults_->NetReorderDelay();
-  }
+  const bool duplicate = faults_->NetShouldDuplicate();
+  const Duration extra = faults_->NetReorderDelay();
   if (extra > 0) {
     ++packets_reordered_;
   }

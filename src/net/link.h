@@ -1,6 +1,7 @@
 // Point-to-point full-duplex link model with serialization delay, propagation
-// delay, and optional fault injection (loss / bit corruption / duplication /
-// reordering), plus hooks for the cross-layer FaultInjector (src/fault).
+// delay and optional independent loss. Burst loss, bit corruption,
+// duplication and reordering come from the cross-layer FaultInjector
+// (src/fault, NetFaultPlan).
 #ifndef SRC_NET_LINK_H_
 #define SRC_NET_LINK_H_
 
@@ -29,11 +30,6 @@ struct LinkConfig {
   double bandwidth_gbps = 100.0;           // serialization rate
   Duration propagation = Nanoseconds(500);  // one-way wire + switch latency
   double loss_probability = 0.0;            // silently drop
-  double corrupt_probability = 0.0;         // flip one payload bit
-  double duplicate_probability = 0.0;       // transmit the packet twice
-  double reorder_probability = 0.0;         // delay past later packets
-  Duration reorder_extra_delay = Microseconds(3);  // how far a reordered
-                                                   // packet slips
   // Finite egress buffer, in packets awaiting or under serialization. A
   // packet arriving at a full buffer is dropped and counted in
   // queue_drops(). 0 = unbounded (the seed behavior; machine wires keep it).
@@ -44,7 +40,7 @@ struct LinkConfig {
   // traffic is never rewritten, so enabling a threshold is behavior-neutral
   // until a sender opts in.
   size_t ecn_threshold = 0;
-  uint64_t seed = 1;                        // fault-injection stream
+  uint64_t seed = 1;  // loss draws and the bit a corruption flips
 };
 
 // One direction of a link. Packets serialize back to back: a packet starts
@@ -53,15 +49,15 @@ struct LinkConfig {
 //
 // A duplicated packet occupies the wire twice (back-to-back copies, as a
 // misbehaving switch would emit). A reordered packet keeps its serialization
-// slot but its delivery slips by reorder_extra_delay, letting later packets
-// overtake it in arrival order.
+// slot but its delivery slips by NetFaultPlan::reorder_extra_delay, letting
+// later packets overtake it in arrival order.
 class LinkDirection {
  public:
   LinkDirection(Simulator& sim, const LinkConfig& config, uint64_t seed);
 
   void set_sink(PacketSink* sink) { sink_ = sink; }
-  // Optional cross-layer injector consulted per packet in addition to the
-  // LinkConfig knobs (Gilbert–Elliott burst loss lives there).
+  // Optional cross-layer injector consulted per packet after the LinkConfig
+  // loss draw: burst loss, corruption, duplication and reordering.
   void set_fault_injector(FaultInjector* faults) { faults_ = faults; }
 
   // Hands a packet to the wire.

@@ -7,7 +7,7 @@ namespace lauberhorn {
 
 BypassRuntime::BypassRuntime(Simulator& sim, Kernel& kernel, DmaNicDriver& driver,
                              ServiceRegistry& services, Config config,
-                             SoftwareRpcServer::Config server)
+                             RpcServeConfig server)
     : sim_(sim),
       kernel_(kernel),
       driver_(driver),

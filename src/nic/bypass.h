@@ -47,7 +47,7 @@ class BypassRuntime {
   // not free like Lauberhorn).
   BypassRuntime(Simulator& sim, Kernel& kernel, DmaNicDriver& driver,
                 ServiceRegistry& services, Config config,
-                SoftwareRpcServer::Config server);
+                RpcServeConfig server);
 
   // Occupies the dedicated cores and starts spinning.
   void Start();

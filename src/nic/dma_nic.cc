@@ -42,9 +42,7 @@ uint32_t DmaNic::RssQueue(const Packet& packet) const {
   if (auto it = port_bindings_.find(dst_port); it != port_bindings_.end()) {
     return it->second % config_.num_queues;
   }
-  const uint8_t* begin = config_.steer_by_dst_port ? tuple + 10 : tuple;
-  const size_t len = config_.steer_by_dst_port ? 2 : 12;
-  return ToeplitzHash(config_.rss_key, begin, len) % config_.num_queues;
+  return ToeplitzHash(config_.rss_key, tuple, 12) % config_.num_queues;
 }
 
 void DmaNic::ReceivePacket(Packet packet) {
@@ -155,14 +153,10 @@ void DmaNic::MaybeInterrupt(uint32_t q) {
   if (queue.irq_scheduled) {
     return;  // will fire and cover this packet
   }
-  const Duration since =
-      queue.last_irq < 0 ? config_.interrupt_moderation : sim_.Now() - queue.last_irq;
-  const Duration wait = std::max<Duration>(0, config_.interrupt_moderation - since);
+  // One interrupt covers every packet delivered before it fires.
   queue.irq_scheduled = true;
-  sim_.Schedule(wait, [this, q]() {
-    Queue& queue = queues_[q];
-    queue.irq_scheduled = false;
-    queue.last_irq = sim_.Now();
+  sim_.Schedule(0, [this, q]() {
+    queues_[q].irq_scheduled = false;
     msix_.Trigger(q);
   });
 }

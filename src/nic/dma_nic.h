@@ -36,12 +36,6 @@ class DmaNic : public PacketSink, public MmioDevice {
   struct Config {
     uint32_t num_queues = 1;
     bool interrupts_enabled = true;
-    // Minimum gap between interrupts per queue (ITR); 0 = interrupt per packet.
-    Duration interrupt_moderation = 0;
-    // Steer by destination port only (application->queue binding, as
-    // kernel-bypass runtimes configure) instead of 5-tuple RSS. This is the
-    // static assignment whose rigidity §2 criticizes.
-    bool steer_by_dst_port = false;
     // Secret key for the Toeplitz RSS hash (default = the NDIS verification
     // key so placement is reproducible).
     ToeplitzKey rss_key = kDefaultToeplitzKey;
@@ -56,7 +50,6 @@ class DmaNic : public PacketSink, public MmioDevice {
   DmaNic(Simulator& sim, Config config, PcieLink& pcie, Msix& msix);
 
   void set_tx_wire(LinkDirection* wire) { tx_wire_ = wire; }
-  void set_steer_by_dst_port(bool on) { config_.steer_by_dst_port = on; }
   // Optional fault injection (src/fault): OS crash windows blackhole RX —
   // nothing above the device consumes descriptors while the stack restarts.
   void set_fault_injector(FaultInjector* faults) { faults_ = faults; }
@@ -71,8 +64,7 @@ class DmaNic : public PacketSink, public MmioDevice {
   size_t BoundPorts() const { return port_bindings_.size(); }
 
   // Queue selection for an arriving frame: explicit binding, else Toeplitz
-  // RSS over the IPv4 4-tuple (or the dst port alone under
-  // steer_by_dst_port). Exposed for tests.
+  // RSS over the IPv4 4-tuple. Exposed for tests.
   uint32_t RssQueue(const Packet& packet) const;
 
   // PacketSink: a frame arrived from the wire.
@@ -86,10 +78,6 @@ class DmaNic : public PacketSink, public MmioDevice {
   // arrives from / departs to the wire (before any queueing).
   Function<void(const Packet&)> on_wire_rx;
   Function<void(const Packet&)> on_wire_tx;
-
-  // Depth of the device-side FIFO for queue `q` (parsed packets awaiting
-  // descriptors/DMA) — the congestion signal in front of the ring.
-  size_t RxBacklog(uint32_t q) const { return queues_[q].rx_backlog.size(); }
 
   uint64_t rx_packets() const { return rx_packets_; }
   uint64_t rx_drops_no_desc() const { return rx_drops_no_desc_; }
@@ -110,7 +98,6 @@ class DmaNic : public PacketSink, public MmioDevice {
     uint32_t tx_tail = 0;
     bool rx_busy = false;            // an RX DMA chain is in flight
     std::deque<Packet> rx_backlog;   // parsed packets awaiting descriptors/DMA
-    SimTime last_irq = -1;
     bool irq_scheduled = false;
     bool tx_busy = false;
   };

@@ -18,7 +18,7 @@ LauberhornNic::LauberhornNic(Simulator& sim, CoherentInterconnect& interconnect,
       pcie_(pcie),
       services_(services),
       config_(config),
-      dedup_(config.dedup_window) {
+      dedup_(config.serve.dedup_window) {
   endpoints_.resize(FirstContinuation() + config_.num_continuations);
   WipeVolatileState();
   const uint64_t homed_bytes = endpoints_.size() * EndpointStrideLines() * line_size();
@@ -82,7 +82,7 @@ void LauberhornNic::ClientTransmit(uint32_t continuation, uint32_t dst_ip,
   const Endpoint& cont = endpoints_[continuation];
   assert(cont.is_continuation && cont.in_use);
   const bool local = dst_ip == 0 || dst_ip == config_.own_ip;
-  if (config_.crypto) {
+  if (config_.serve.crypto) {
     uint32_t service_id = request.service_id;  // remote: caller-provided
     if (local) {
       const auto target = port_to_endpoints_.find(dst_port);
@@ -91,7 +91,7 @@ void LauberhornNic::ClientTransmit(uint32_t continuation, uint32_t dst_ip,
       }
     }
     request.service_id = service_id;
-    request.payload = SealPayload(DeriveKey(config_.crypto_root_key, service_id),
+    request.payload = SealPayload(DeriveKey(config_.serve.crypto_root_key, service_id),
                                   request.request_id, request.payload);
   }
   EthernetHeader eth;
@@ -279,7 +279,7 @@ void LauberhornNic::RestoreContinuation(uint32_t id) {
 }
 
 void LauberhornNic::RestoreAdmission(const AdmissionConfig& admission) {
-  config_.admission = admission;
+  config_.serve.admission = admission;
 }
 
 RpcDedupCache::ReplayCounts LauberhornNic::ReplayDedup() {
@@ -425,9 +425,9 @@ void LauberhornNic::ReceivePacket(Packet packet) {
     // key; a reply may carry no payload at all. Without it the decoded
     // payload is the plaintext and moves on as it is.
     Duration crypto_cost = 0;
-    if (config_.crypto && !(reply && prepared.args.empty())) {
+    if (config_.serve.crypto && !(reply && prepared.args.empty())) {
       auto opened = OpenPayload(
-          DeriveKey(config_.crypto_root_key, reply ? request->service_id : ep.service_id),
+          DeriveKey(config_.serve.crypto_root_key, reply ? request->service_id : ep.service_id),
           prepared.args);
       if (!opened.has_value()) {
         ++stats_.crypto_failures;
@@ -448,7 +448,7 @@ void LauberhornNic::ReceivePacket(Packet packet) {
       // At-most-once admission, after every validation step that can drop
       // the request (an entry only becomes in-flight once the request is
       // certain to reach a handler or an explicit overload response).
-      if (config_.dedup) {
+      if (config_.serve.dedup) {
         const uint64_t flow = VfFlowKey(ep_id, frame->ip.src, frame->udp.src_port);
         switch (dedup_.Admit(flow, request->request_id)) {
           case RpcDedupCache::Verdict::kNew:
@@ -781,7 +781,7 @@ void LauberhornNic::DispatchPrepared(PreparedRequest request) {
             group.stats.local_queued, std::move(request));
     return;
   }
-  if (Admit(ep, request, cold_queue_, config_.admission.sojourn)) {
+  if (Admit(ep, request, cold_queue_, config_.serve.admission.sojourn)) {
     RouteCold(std::move(request));
   }
 }
@@ -820,7 +820,7 @@ void LauberhornNic::Enqueue(Endpoint& ep, DispatchGroup& group,
   const AdmissionConfig& adm =
       (ep.vf != 0 && vfs_[ep.vf].config.admission.enabled)
           ? vfs_[ep.vf].config.admission
-          : config_.admission;
+          : config_.serve.admission;
   if (!Admit(ep, request, queue, adm.sojourn)) {
     return;
   }
@@ -838,8 +838,8 @@ void LauberhornNic::Enqueue(Endpoint& ep, DispatchGroup& group,
 
 size_t LauberhornNic::EffectiveDepthLimit(const Endpoint& ep) const {
   size_t limit = config_.params.endpoint_queue_depth;
-  if (config_.admission.enabled && config_.admission.queue_depth_limit > 0) {
-    limit = std::min(limit, config_.admission.queue_depth_limit);
+  if (config_.serve.admission.enabled && config_.serve.admission.queue_depth_limit > 0) {
+    limit = std::min(limit, config_.serve.admission.queue_depth_limit);
   }
   if (ep.vf != 0) {
     const AdmissionConfig& adm = vfs_[ep.vf].config.admission;
@@ -871,18 +871,18 @@ ShedReason LauberhornNic::VfQuotaCheck(Endpoint& ep) {
 
 bool LauberhornNic::Admit(Endpoint& ep, const PreparedRequest& request,
                           BacklogQueue& queue, const SojournConfig& sojourn) {
-  if (!config_.admission.enabled &&
+  if (!config_.serve.admission.enabled &&
       !(ep.vf != 0 && vfs_[ep.vf].config.admission.enabled)) {
     return true;
   }
   const SimTime now = sim_.Now();
   ShedReason reason = VfQuotaCheck(ep);
-  if (reason == ShedReason::kNone && config_.admission.enabled &&
-      config_.admission.quota_rps > 0) {
+  if (reason == ShedReason::kNone && config_.serve.admission.enabled &&
+      config_.serve.admission.quota_rps > 0) {
     TokenBucket& bucket =
         service_quota_
-            .try_emplace(ep.service_id, config_.admission.quota_rps,
-                         config_.admission.quota_burst)
+            .try_emplace(ep.service_id, config_.serve.admission.quota_rps,
+                         config_.serve.admission.quota_burst)
             .first->second;
     if (!bucket.TryTake(now)) {
       reason = ShedReason::kQuota;
@@ -971,8 +971,8 @@ void LauberhornNic::RouteCold(PreparedRequest request) {
   // limit applies here too — a request admitted into a long cold queue still
   // pays its full drain time, which no later gate can undo.
   size_t cold_limit = config_.params.cold_queue_depth;
-  if (config_.admission.enabled && config_.admission.queue_depth_limit > 0) {
-    cold_limit = std::min(cold_limit, config_.admission.queue_depth_limit);
+  if (config_.serve.admission.enabled && config_.serve.admission.queue_depth_limit > 0) {
+    cold_limit = std::min(cold_limit, config_.serve.admission.queue_depth_limit);
   }
   if (cold_queue_.size() >= cold_limit) {
     Shed(ep, request, ShedReason::kQueueFull);
@@ -1053,7 +1053,7 @@ void LauberhornNic::DeliverToWaiting(Endpoint& ep, PreparedRequest request) {
   if (spans_ != nullptr && !ep.is_continuation) {
     spans_->Record(request.request_id, SpanStage::kDelivered, sim_.Now());
   }
-  if (config_.dedup && !ep.is_continuation) {
+  if (config_.serve.dedup && !ep.is_continuation) {
     // The request is about to reach a handler: from here on a crash must
     // pin it in flight (executed-but-response-lost), never re-run it.
     dedup_.MarkDelivered(
@@ -1356,7 +1356,7 @@ void LauberhornNic::TransmitResponse(const PreparedRequest& meta, RpcMessage res
       response.kind == MessageKind::kResponse) {
     ++vfs_[endpoints_[meta.endpoint].vf].stats.responses;
   }
-  if (config_.dedup && !endpoints_[meta.endpoint].is_continuation &&
+  if (config_.serve.dedup && !endpoints_[meta.endpoint].is_continuation &&
       response.kind == MessageKind::kResponse) {
     const uint64_t flow = VfFlowKey(meta.endpoint, meta.ip.src, meta.udp.src_port);
     if (response.status == RpcStatus::kOverloaded) {
@@ -1378,7 +1378,7 @@ void LauberhornNic::TransmitResponse(const PreparedRequest& meta, RpcMessage res
       response.flags |= kLrpcFlagEcnEcho;
       ++stats_.ecn_echoes;
     }
-    if (config_.grants_enabled && response.status != RpcStatus::kOverloaded) {
+    if (response.status != RpcStatus::kOverloaded) {
       // A shed is push-back, not an invitation: grants ride only on
       // successful responses.
       response.flags |= kLrpcFlagGrant;
@@ -1387,11 +1387,11 @@ void LauberhornNic::TransmitResponse(const PreparedRequest& meta, RpcMessage res
     }
   }
   Duration crypto_cost = 0;
-  if (config_.crypto && !response.payload.empty()) {
+  if (config_.serve.crypto && !response.payload.empty()) {
     const uint32_t service_id = endpoints_[meta.endpoint].is_continuation
                                     ? response.service_id
                                     : endpoints_[meta.endpoint].service_id;
-    response.payload = SealPayload(DeriveKey(config_.crypto_root_key, service_id),
+    response.payload = SealPayload(DeriveKey(config_.serve.crypto_root_key, service_id),
                                    response.request_id ^ 0x5a5a, response.payload);
     crypto_cost = config_.pipeline.CryptoCost(response.payload.size());
   }

@@ -39,6 +39,7 @@
 #include "src/nic/cost_model.h"
 #include "src/nic/dispatch_line.h"
 #include "src/nic/dispatch_policy/dispatch_policy.h"
+#include "src/nic/serve_config.h"
 #include "src/nic/toeplitz.h"
 #include "src/os/kernel.h"
 #include "src/overload/overload.h"
@@ -82,30 +83,19 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     // through the TX/RX pipelines instead of the wire.
     uint32_t own_ip = MakeIpv4(10, 0, 0, 2);
     Duration hairpin_latency = Nanoseconds(150);
-    // Inline crypto engine (§6): open request payloads / seal responses with
-    // per-service keys.
-    bool crypto = false;
-    uint64_t crypto_root_key = 0;
+    // Inline crypto engine (§6), dedup stage and RX-pipeline admission: a
+    // shed answers with a NIC-generated kOverloaded reply at zero host-CPU
+    // cost.
+    RpcServeConfig serve;
     NicPipelineCosts pipeline;
     LauberhornParams params;
     LargeTransferPolicy large_policy = LargeTransferPolicy::kAuto;
-    // At-most-once execution: remember (flow, request id) per request so a
-    // client retransmit never runs the handler twice — duplicates of an
-    // in-flight request are dropped (the original's response answers them),
-    // and duplicates of a completed request replay the cached response.
-    bool dedup = true;
-    size_t dedup_window = 1024;  // completed entries remembered
-    // Overload admission control on the RX pipeline (src/overload): quota +
-    // sojourn checks run before a request is queued, and sheds answer with a
-    // NIC-generated kOverloaded reply at zero host-CPU cost.
-    AdmissionConfig admission;
     // Receiver-driven congestion control (DESIGN.md §15): every successful
     // response to an ECN-capable sender carries a grant — the endpoint
     // queue's free headroom divided by the senders seen within
     // grant_sender_window — capping that sender's window at the share of the
     // receive queue it can actually use. Sheds carry no grant (a shed is the
     // opposite of an invitation to send). ECN-blind senders are unaffected.
-    bool grants_enabled = true;
     Duration grant_sender_window = Microseconds(100);
     uint16_t grant_max = 64;
     // Post-reset grant ramp (DESIGN.md §16): after a crash recovery, grants

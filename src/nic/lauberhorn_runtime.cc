@@ -18,7 +18,7 @@ LauberhornRuntime::LauberhornRuntime(Simulator& sim, Kernel& kernel, LauberhornN
       iommu_(iommu),
       services_(services),
       config_(config),
-      governor_(ScaleGovernor::Config{config.scale_cooldown, config.scale_down_ticks}) {
+      governor_(config.scale) {
   next_dma_buffer_ = config_.dma_region_base;
 }
 
@@ -64,9 +64,7 @@ void LauberhornRuntime::Start() {
   }
   nic_.on_need_dispatcher = [this]() { WakeDispatcher(); };
   kernel_.AddSchedListener(this);
-  if (config_.enable_policy) {
-    sim_.Schedule(config_.policy_interval, [this]() { PolicyTick(); });
-  }
+  sim_.Schedule(config_.policy_interval, [this]() { PolicyTick(); });
 }
 
 void LauberhornRuntime::WakeDispatcher() {
@@ -157,7 +155,7 @@ void LauberhornRuntime::PolicyTick() {
     // central queue holds work.
     const bool below = count > 1 && nic_.DispatchBacklog(idlest) == 0 &&
                        nic_.ArrivalRate(idlest) < config_.scale_down_rate_rps;
-    // Hysteresis: require `scale_down_ticks` consecutive idle observations,
+    // Hysteresis: require `scale.down_ticks` consecutive idle observations,
     // then respect the per-endpoint cooldown, before releasing the core.
     if (!governor_.IdleTick(idlest, below)) {
       continue;
@@ -278,7 +276,7 @@ void LauberhornRuntime::LoopIter(EndpointRt& rt, Core& core) {
         HandleDispatch(rt, core, *dispatch);
         return;
       case LineKind::kTryAgain:
-        if (rt.stop_requested || config_.yield_on_tryagain) {
+        if (rt.stop_requested) {
           ExitLoop(rt, core);
         } else {
           // §5.1: re-issue the load; the cost of the whole poll cycle was two

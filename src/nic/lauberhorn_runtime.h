@@ -40,10 +40,7 @@ class LauberhornRuntime : public SchedStateListener {
     Duration cold_handling_overhead = Nanoseconds(400);
     // Host memory region carved into per-endpoint DMA buffers (128 KiB each).
     uint64_t dma_region_base = 0x4000000;
-    // If true, a user loop yields its core on TRYAGAIN instead of re-loading.
-    bool yield_on_tryagain = false;
-    // Periodic policy that releases idle cores when others starve (§5.2).
-    bool enable_policy = true;
+    // Period of the policy that releases idle cores when others starve (§5.2).
     Duration policy_interval = Microseconds(100);
     // Cores never parked in user loops, so dispatchers and other kernel work
     // always find a core quickly (§5.2 assumes hot services < cores).
@@ -58,8 +55,7 @@ class LauberhornRuntime : public SchedStateListener {
     // (loop start or retire) per endpoint, and consecutive below-threshold
     // policy ticks required before a scale-down. The defaults reproduce the
     // un-dampened policy.
-    Duration scale_cooldown = 0;
-    int scale_down_ticks = 1;
+    ScaleGovernor::Config scale;
     // Seeds the nested-RPC request-id space (bit 63 | machine_index << 40)
     // so frontends on different machines never issue colliding ids at the
     // same backend. Machine threads MachineConfig::machine_index here.

@@ -8,7 +8,7 @@ namespace lauberhorn {
 
 LinuxRpcStack::LinuxRpcStack(Simulator& sim, Kernel& kernel, DmaNic& nic,
                              DmaNicDriver& driver, Msix& msix, ServiceRegistry& services,
-                             Config config, SoftwareRpcServer::Config server)
+                             Config config, RpcServeConfig server)
     : sim_(sim),
       kernel_(kernel),
       nic_(nic),

@@ -37,7 +37,7 @@ class LinuxRpcStack {
   // reply TX) costs kernel CPU on the softirq core.
   LinuxRpcStack(Simulator& sim, Kernel& kernel, DmaNic& nic, DmaNicDriver& driver,
                 Msix& msix, ServiceRegistry& services, Config config,
-                SoftwareRpcServer::Config server);
+                RpcServeConfig server);
 
   // Creates the process, worker thread(s), and socket for a service.
   void RegisterServiceProcess(const ServiceDef& service);

@@ -6,13 +6,13 @@
 
 namespace lauberhorn {
 
-SoftwareRpcServer::SoftwareRpcServer(const OsCostModel& costs, Config config)
+SoftwareRpcServer::SoftwareRpcServer(const OsCostModel& costs, RpcServeConfig config)
     : costs_(costs), config_(std::move(config)), dedup_(config_.dedup_window) {}
 
 bool SoftwareRpcServer::Open(uint32_t service_id, RpcMessage& request,
                              Duration& cost) const {
   cost = 0;
-  if (!config_.encrypt_rpcs) {
+  if (!config_.crypto) {
     return true;
   }
   cost = costs_.SwCryptoCost(request.payload.size());
@@ -60,7 +60,7 @@ SoftwareRpcServer::Result SoftwareRpcServer::Serve(const ServiceDef* service,
     if (response.status == RpcStatus::kOk) {
       result.cost += service_time + costs_.SwMarshalCost(response.payload.size());
     }
-    if (config_.encrypt_rpcs && !response.payload.empty()) {
+    if (config_.crypto && !response.payload.empty()) {
       result.cost += costs_.SwCryptoCost(response.payload.size());
       response.payload =
           SealPayload(DeriveKey(config_.crypto_root_key, service->service_id),

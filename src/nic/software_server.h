@@ -17,6 +17,7 @@
 #include "src/net/headers.h"
 #include "src/net/packet.h"
 #include "src/os/cost_model.h"
+#include "src/nic/serve_config.h"
 #include "src/overload/overload.h"
 #include "src/proto/dedup.h"
 #include "src/proto/rpc_message.h"
@@ -27,22 +28,6 @@ namespace lauberhorn {
 
 class SoftwareRpcServer {
  public:
-  struct Config {
-    // Software transport crypto (no NIC offload on the Fig. 1 device).
-    bool encrypt_rpcs = false;
-    uint64_t crypto_root_key = 0;
-    // At-most-once execution: drop/replay duplicate (flow, request id) pairs
-    // instead of running the handler twice (software analog of the
-    // Lauberhorn NIC's dedup stage, so the comparison is apples-to-apples).
-    bool dedup = true;
-    size_t dedup_window = 1024;
-    // Overload admission at the stack's shed point: the same policy the
-    // Lauberhorn NIC runs in hardware, but every shed (decode + reply TX)
-    // costs host CPU — that cost difference is the point of the three-way
-    // comparison.
-    AdmissionConfig admission;
-  };
-
   // What Serve did with one request.
   enum class Outcome {
     kExecuted,  // first copy: `response` is new (and cached for replays)
@@ -55,9 +40,9 @@ class SoftwareRpcServer {
     Duration cost = 0;  // software unmarshal, handler, marshal and seal
   };
 
-  SoftwareRpcServer(const OsCostModel& costs, Config config);
+  SoftwareRpcServer(const OsCostModel& costs, RpcServeConfig config);
 
-  const Config& config() const { return config_; }
+  const RpcServeConfig& config() const { return config_; }
 
   // Opens an encrypted request payload in place; false on an authentication
   // failure. `cost` is the software crypto cost of the attempt (0 without
@@ -100,7 +85,7 @@ class SoftwareRpcServer {
 
  private:
   const OsCostModel& costs_;
-  Config config_;
+  RpcServeConfig config_;
   RpcDedupCache dedup_;
   uint64_t rpcs_completed_ = 0;
   uint64_t bad_requests_ = 0;

@@ -87,7 +87,6 @@ class Core {
   // Asks the active Run to stop at the next quantum boundary.
   void RequestPreempt() { preempt_requested_ = true; }
   bool preempt_requested() const { return preempt_requested_; }
-  void ClearPreempt() { preempt_requested_ = false; }
   // Receives (remaining, mode, continuation) of a preempted run.
   Function<void(Duration, CoreMode, Callback)> on_preempted;
   // Invoked when the core settles into idle after IRQ processing — the hook

@@ -45,18 +45,6 @@ Thread* Kernel::AddThread(Process* process, std::string name, bool kernel_priori
   return process->threads.back().get();
 }
 
-Process* Kernel::FindProcess(Pid pid) {
-  if (pid == kNoPid) {
-    return kernel_process_.get();
-  }
-  for (auto& p : processes_) {
-    if (p->pid == pid) {
-      return p.get();
-    }
-  }
-  return nullptr;
-}
-
 void Kernel::SendIpi(size_t target_core, Callback handler_done) {
   assert(target_core < cores_.size());
   sim_.Schedule(config_.costs.ipi, [this, target_core,

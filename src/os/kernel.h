@@ -52,7 +52,6 @@ class Kernel {
   Thread* AddThread(Process* process, std::string name, bool kernel_priority = false);
   // The kernel's own process (pid 0) hosting kernel threads.
   Process* kernel_process() { return kernel_process_.get(); }
-  Process* FindProcess(Pid pid);
 
   // -- Interrupts -------------------------------------------------------------
 

@@ -64,7 +64,6 @@ class Thread {
   void PinTo(int core) { pinned_core_ = core; }
 
   bool HasWork() const { return !work_.empty(); }
-  size_t QueuedWork() const { return work_.size(); }
   void PushWork(WorkItem item) { work_.push_back(std::move(item)); }
   // Used when preemption re-posts the remainder of an interrupted item.
   void PushWorkFront(WorkItem item) { work_.push_front(std::move(item)); }

@@ -1,22 +1,9 @@
 #include "src/os/scheduler.h"
-#include <cstdio>
-#include <cstdlib>
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
 namespace lauberhorn {
-namespace {
-
-#ifndef NDEBUG
-bool SchedTraceEnabled() {
-  static const bool enabled = getenv("LBH_SCHED_TRACE") != nullptr;
-  return enabled;
-}
-#endif
-
-}  // namespace
 
 Scheduler::Scheduler(Simulator& sim, const OsCostModel& costs, std::vector<Core*> cores)
     : sim_(sim), costs_(costs), cores_(std::move(cores)), resume_(cores_.size()) {
@@ -42,17 +29,6 @@ void Scheduler::Enqueue(Thread* thread) {
     ready_kernel_.push_back(thread);
   } else {
     ready_user_.push_back(thread);
-  }
-}
-
-void Scheduler::RemoveFromQueues(Thread* thread) {
-  auto drop = [thread](std::deque<Thread*>& q) {
-    q.erase(std::remove(q.begin(), q.end(), thread), q.end());
-  };
-  drop(ready_kernel_);
-  drop(ready_user_);
-  for (auto& q : resume_) {
-    drop(q);
   }
 }
 
@@ -157,18 +133,6 @@ void Scheduler::TryDispatch(Core& core) {
 }
 
 void Scheduler::Dispatch(Core& core, Thread* thread) {
-#ifndef NDEBUG
-  if (SchedTraceEnabled()) {
-    std::fprintf(stderr, "[%ld] Dispatch %s on core %d (cur=%s)\n", (long)sim_.Now(),
-                 thread->name().c_str(), core.index(),
-                 core.current_thread() ? core.current_thread()->name().c_str() : "-");
-  }
-  if (!thread->HasWork()) {
-    std::fprintf(stderr, "Dispatch without work: thread=%s state=%d core=%d\n",
-                 thread->name().c_str(), static_cast<int>(thread->state()),
-                 core.index());
-  }
-#endif
   assert(thread->HasWork());
   thread->set_state(ThreadState::kRunning);
   thread->set_last_core(core.index());
@@ -204,21 +168,7 @@ void Scheduler::Dispatch(Core& core, Thread* thread) {
 
 void Scheduler::OnWorkDone(Core& core) {
   Thread* thread = core.current_thread();
-#ifndef NDEBUG
-  if (SchedTraceEnabled()) {
-    std::fprintf(stderr, "[%ld] OnWorkDone core %d thread=%s state=%d\n", (long)sim_.Now(),
-                 core.index(), thread ? thread->name().c_str() : "-",
-                 thread ? (int)thread->state() : -1);
-  }
-#endif
   if (thread != nullptr) {
-#ifndef NDEBUG
-    if (thread->state() != ThreadState::kRunning) {
-      std::fprintf(stderr, "OnWorkDone stale: thread=%s state=%d core=%d\n",
-                   thread->name().c_str(), static_cast<int>(thread->state()),
-                   core.index());
-    }
-#endif
     assert(thread->state() == ThreadState::kRunning && "OnWorkDone on stale thread");
     if (on_placement_change) {
       on_placement_change(thread, core.index(), /*running=*/false);
@@ -233,27 +183,11 @@ void Scheduler::OnWorkDone(Core& core) {
   TryDispatch(core);
 }
 
-void Scheduler::Detach(Thread* thread, Core& core) {
-  // The thread keeps the core (e.g. parked on a blocking load) but the
-  // scheduler stops tracking it as runnable.
-  thread->set_state(ThreadState::kBlocked);
-  RemoveFromQueues(thread);
-  if (on_placement_change) {
-    on_placement_change(thread, core.index(), /*running=*/false);
-  }
-}
-
 void Scheduler::HandlePreempted(Core& core, Duration remaining, CoreMode mode,
                                 Callback then) {
   ++preemptions_;
   Thread* thread = core.current_thread();
   assert(thread != nullptr);
-#ifndef NDEBUG
-  if (SchedTraceEnabled()) {
-    std::fprintf(stderr, "[%ld] Preempt %s on core %d\n", (long)sim_.Now(),
-                 thread->name().c_str(), core.index());
-  }
-#endif
   thread->PushWorkFront([remaining, mode, then = std::move(then)](Core& c) mutable {
     c.Run(remaining, mode, std::move(then));
   });

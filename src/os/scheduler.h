@@ -32,11 +32,6 @@ class Scheduler {
   // Dispatches onto `core` if it is available and work is ready.
   void TryDispatch(Core& core);
 
-  // Removes a thread from scheduling consideration (it stays off the queues
-  // until the next Wake). Used when a thread parks itself on a blocking load
-  // outside scheduler control (the Lauberhorn user-mode loop).
-  void Detach(Thread* thread, Core& core);
-
   // Starts periodic timeslice preemption (call once after setup).
   void StartTimer();
 
@@ -52,7 +47,6 @@ class Scheduler {
  private:
   Thread* PickNext(Core& core);
   void Enqueue(Thread* thread);
-  void RemoveFromQueues(Thread* thread);
   void Dispatch(Core& core, Thread* thread);
   void HandlePreempted(Core& core, Duration remaining, CoreMode mode,
                        Callback then);

@@ -44,9 +44,6 @@ class MetricsRegistry {
   bool HasCounter(const std::string& name) const {
     return counters_.count(name) != 0;
   }
-  bool HasHisto(const std::string& name) const {
-    return histograms_.count(name) != 0;
-  }
 
   // std::map keeps iteration (and therefore JSON output) deterministic.
   const std::map<std::string, uint64_t>& counters() const { return counters_; }

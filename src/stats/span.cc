@@ -2,28 +2,6 @@
 
 namespace lauberhorn {
 
-std::string ToString(SpanStage stage) {
-  switch (stage) {
-    case SpanStage::kWireRx:
-      return "wire_rx";
-    case SpanStage::kAdmitted:
-      return "admitted";
-    case SpanStage::kDispatched:
-      return "dispatched";
-    case SpanStage::kDelivered:
-      return "delivered";
-    case SpanStage::kHandlerStart:
-      return "handler_start";
-    case SpanStage::kHandlerEnd:
-      return "handler_end";
-    case SpanStage::kWireTx:
-      return "wire_tx";
-    case SpanStage::kClientRx:
-      return "client_rx";
-  }
-  return "?";
-}
-
 const char* SpanSegmentName(size_t segment) {
   static constexpr const char* kNames[kSpanSegmentCount] = {
       "ingest",    // wire_rx -> admitted
@@ -117,14 +95,6 @@ void SpanCollector::RecordDispatch(uint64_t request_id, SpanDispatch dispatch,
   Record(request_id, SpanStage::kAdmitted, at);
   Record(request_id, SpanStage::kDispatched, at);
   Annotate(request_id, dispatch, endpoint);
-}
-
-void SpanCollector::Clear() {
-  open_.clear();
-  completed_.clear();
-  dropped_ = 0;
-  orphan_marks_ = 0;
-  reopened_ = 0;
 }
 
 SpanCollector::StageBudget SpanCollector::Aggregate() const {

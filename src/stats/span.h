@@ -42,8 +42,6 @@ enum class SpanStage : uint8_t {
 inline constexpr size_t kSpanStageCount = 8;
 inline constexpr size_t kSpanSegmentCount = kSpanStageCount - 1;
 
-std::string ToString(SpanStage stage);
-
 // Name of the segment between stage i and stage i+1 (e.g. segment 0 is
 // "ingest": wire RX to admission verdict).
 const char* SpanSegmentName(size_t segment);
@@ -147,8 +145,6 @@ class SpanCollector {
   uint64_t orphan_marks() const { return orphan_marks_; }
   // kWireRx records for an id that already had an open span (retransmits).
   uint64_t reopened() const { return reopened_; }
-
-  void Clear();
 
   // Per-segment latency budget over the completed spans (incomplete spans
   // contribute only the segments they have).

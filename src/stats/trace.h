@@ -70,10 +70,6 @@ class TraceRing {
   }
   size_t size() const { return entries_.size(); }
   uint64_t dropped() const { return dropped_; }
-  void Clear() {
-    entries_.clear();
-    dropped_ = 0;
-  }
 
   // Entries for one endpoint, in order.
   std::vector<Entry> ForEndpoint(uint32_t endpoint) const {

@@ -227,7 +227,7 @@ TEST(IntegrationTest, PacketLossDoesNotWedgeLauberhorn) {
 
 TEST(IntegrationTest, CorruptedFramesAreDroppedByChecksum) {
   MachineConfig config = BaseConfig(StackKind::kLauberhorn);
-  config.platform.wire.corrupt_probability = 1.0;
+  config.faults.net.corrupt_probability = 1.0;
   Machine machine(config);
   const ServiceDef& echo = machine.AddService(ServiceRegistry::MakeEchoService(1, 7000));
   machine.Start();

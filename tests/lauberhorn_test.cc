@@ -347,22 +347,6 @@ TEST(LauberhornNicTest, MalformedArgsRejectedByAccelerator) {
   EXPECT_EQ(machine.lauberhorn_nic()->stats().drops_bad_args, 1u);
 }
 
-TEST(LauberhornRuntimeTest, YieldOnTryagainReleasesCore) {
-  MachineConfig config = Config();
-  config.runtime.yield_on_tryagain = true;
-  LauberhornParams params = config.platform.lauberhorn;
-  params.tryagain_timeout = Milliseconds(1);
-  config.lauberhorn_params = params;
-  Machine machine(config);
-  const ServiceDef& echo = machine.AddService(ServiceRegistry::MakeEchoService(1, 7000));
-  machine.Start();
-  machine.StartHotLoop(echo);
-  machine.sim().RunUntil(Milliseconds(5));
-  // After the first TRYAGAIN the loop exits instead of re-arming.
-  EXPECT_EQ(machine.lauberhorn_runtime()->loops_exited(), 1u);
-  EXPECT_FALSE(machine.lauberhorn_nic()->EndpointActive(machine.EndpointsOf(echo)[0]));
-}
-
 
 TEST(LauberhornNicTest, KernelPushesPlacementToNic) {
   // §5.2: "the kernel keep[s] the NIC updated with the current OS scheduling

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/machine.h"
+#include "src/fault/fault.h"
 #include "src/net/headers.h"
 #include "src/net/link.h"
 #include "src/sim/random.h"
@@ -250,8 +251,11 @@ TEST(LinkTest, LossDropsDeterministically) {
 TEST(LinkTest, CorruptionFlipsOneBitCaughtByChecksum) {
   Simulator sim;
   LinkConfig config;
-  config.corrupt_probability = 1.0;
   Link link(sim, config);
+  FaultPlan plan;
+  plan.net.corrupt_probability = 1.0;
+  FaultInjector faults(sim, plan);
+  link.a_to_b().set_fault_injector(&faults);
   CollectingSink sink;
   sink.owner = &sim;
   link.a_to_b().set_sink(&sink);
@@ -270,9 +274,12 @@ TEST(LinkTest, CorruptionFlipsOneBitCaughtByChecksum) {
 TEST(LinkTest, DuplicationDeliversBackToBackCopies) {
   Simulator sim;
   LinkConfig config;
-  config.duplicate_probability = 1.0;
   config.propagation = 0;
   Link link(sim, config);
+  FaultPlan plan;
+  plan.net.duplicate_probability = 1.0;
+  FaultInjector faults(sim, plan);
+  link.a_to_b().set_fault_injector(&faults);
   CollectingSink sink;
   sink.owner = &sim;
   link.a_to_b().set_sink(&sink);
@@ -292,11 +299,14 @@ TEST(LinkTest, DuplicationDeliversBackToBackCopies) {
 TEST(LinkTest, ReorderingLetsLaterPacketsOvertake) {
   Simulator sim;
   LinkConfig config;
-  config.reorder_probability = 0.5;
-  config.reorder_extra_delay = Microseconds(3);
   config.propagation = 0;
-  config.seed = 77;
   Link link(sim, config);
+  FaultPlan plan;
+  plan.net.reorder_probability = 0.5;
+  plan.net.reorder_extra_delay = Microseconds(3);
+  plan.seed = 77;
+  FaultInjector faults(sim, plan);
+  link.a_to_b().set_fault_injector(&faults);
   CollectingSink sink;
   sink.owner = &sim;
   link.a_to_b().set_sink(&sink);
@@ -328,9 +338,13 @@ TEST(LinkTest, CorruptionCountedAndDroppedAtParse) {
   // RFC 1071 checksums are what catches the flipped bit.
   Simulator sim;
   LinkConfig config;
-  config.corrupt_probability = 0.3;
   config.seed = 5;
   Link link(sim, config);
+  FaultPlan plan;
+  plan.net.corrupt_probability = 0.3;
+  plan.seed = 5;
+  FaultInjector faults(sim, plan);
+  link.a_to_b().set_fault_injector(&faults);
   CollectingSink sink;
   sink.owner = &sim;
   link.a_to_b().set_sink(&sink);

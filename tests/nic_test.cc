@@ -247,24 +247,6 @@ TEST_F(DmaNicTest, InterruptFiresOnRx) {
   EXPECT_EQ(irqs, 1);
 }
 
-TEST_F(DmaNicTest, InterruptModerationCoalesces) {
-  DmaNic::Config config;
-  config.num_queues = 1;
-  config.interrupt_moderation = Microseconds(50);
-  Build(config);
-  int irqs = 0;
-  msix_.SetHandler(0, [&] { ++irqs; });
-  for (int i = 0; i < 10; ++i) {
-    sim_.Schedule(Microseconds(2) * i, [this, i]() {
-      nic_->ReceivePacket(MakeRequest(static_cast<uint16_t>(100 + i), 2));
-    });
-  }
-  sim_.RunUntil(Milliseconds(1));
-  // 10 packets over 20us with a 50us ITR: one or two interrupts, not ten.
-  EXPECT_LE(irqs, 2);
-  EXPECT_EQ(nic_->rx_packets(), 10u);
-}
-
 TEST_F(DmaNicTest, RssSpreadsFlowsAcrossQueues) {
   DmaNic::Config config;
   config.num_queues = 4;
@@ -281,25 +263,6 @@ TEST_F(DmaNicTest, RssSpreadsFlowsAcrossQueues) {
     }
   }
   EXPECT_GE(queues_used, 3) << "64 flows should hash to nearly every queue";
-}
-
-TEST_F(DmaNicTest, DstPortSteeringPinsServiceToOneQueue) {
-  DmaNic::Config config;
-  config.num_queues = 4;
-  config.interrupts_enabled = false;
-  config.steer_by_dst_port = true;
-  Build(config);
-  for (uint16_t src = 0; src < 32; ++src) {
-    nic_->ReceivePacket(MakeRequest(static_cast<uint16_t>(30000 + src), 7777));
-  }
-  sim_.RunUntilIdle();
-  int queues_used = 0;
-  for (uint32_t q = 0; q < 4; ++q) {
-    if (!driver_->Poll(q, 64).empty()) {
-      ++queues_used;
-    }
-  }
-  EXPECT_EQ(queues_used, 1) << "application steering binds the port to one queue";
 }
 
 // --- Toeplitz hash (RSS) -----------------------------------------------------

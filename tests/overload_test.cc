@@ -498,8 +498,8 @@ TEST(GovernorE2eTest, HysteresisReducesLoopChurn) {
     MachineConfig config;
     config.stack = StackKind::kLauberhorn;
     config.num_cores = 4;
-    config.runtime.scale_cooldown = cooldown;
-    config.runtime.scale_down_ticks = down_ticks;
+    config.runtime.scale.cooldown = cooldown;
+    config.runtime.scale.down_ticks = down_ticks;
     // Hair-trigger release threshold: every policy tick sees the idlest
     // endpoint of the two-loop service as below-rate, so the un-dampened
     // policy releases a core each tick and the next burst restarts it.
