@@ -367,19 +367,24 @@ void LauberhornRuntime::IssueNested(Core& core, const MethodDef& method,
     nic_.ClientTransmit(*continuation, call.dst_ip, call.dst_port, std::move(nested));
 
     // Park on the continuation's control line for the reply (§6: "a dedicated
-    // end-point for an RPC reply"). TRYAGAIN re-parks until it arrives.
+    // end-point for an RPC reply"). TRYAGAIN re-parks until it arrives, for
+    // at most one TRYAGAIN deadline: a reply still missing by then is lost
+    // (a NIC reset wipes a response the backend had not yet sent), so the
+    // call fails instead of holding the core and the continuation forever.
     // `done` fires once but the park lambda re-arms on TRYAGAIN, so the
     // (move-only) continuation is shared across re-parks.
+    const SimTime reply_deadline = sim_.Now() + nic_.config().params.tryagain_timeout;
     auto done_sh = std::make_shared<Function<void(RpcMessage, Duration)>>(std::move(done));
     auto park = std::make_shared<Callback>();
     *park = [this, &core, continuation, call, values = std::move(values),
-             response = std::move(response), done_sh, park]() mutable {
+             response = std::move(response), done_sh, park, reply_deadline]() mutable {
       core.BlockOnLoad(
           nic_.CtrlAddr(*continuation, 0), nic_.line_size(),
-          [this, &core, continuation, call, values, response, done_sh,
-           park](std::span<const uint8_t> data) mutable {
+          [this, &core, continuation, call, values, response, done_sh, park,
+           reply_deadline](std::span<const uint8_t> data) mutable {
             const auto reply_line = DispatchLine::Decode(data);
-            if (reply_line.has_value() && reply_line->kind == LineKind::kTryAgain) {
+            if (reply_line.has_value() && reply_line->kind == LineKind::kTryAgain &&
+                sim_.Now() < reply_deadline) {
               (*park)();
               return;
             }

@@ -3,7 +3,12 @@
 // combines the reply, on both the hot and the cold dispatch path.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
+#include <unordered_map>
+
 #include "src/core/machine.h"
+#include "src/nic/shadow.h"
 
 namespace lauberhorn {
 namespace {
@@ -159,6 +164,91 @@ TEST(NestedRpcTest, ContinuationPoolExhaustionFailsGracefully) {
   machine.sim().RunUntil(Milliseconds(50));
   EXPECT_EQ(status, RpcStatus::kInternal);
   EXPECT_EQ(machine.lauberhorn_runtime()->nested_failed(), 1u);
+}
+
+TEST(NestedRpcTest, NicCrashWithContinuationAllocatedRestoresIt) {
+  // The NIC dies while the frontend's handler is parked on a continuation
+  // waiting for a slow backend. The shadow must re-reserve that continuation
+  // on the reborn NIC, and the request must still run each handler once.
+  MachineConfig config;
+  config.stack = StackKind::kLauberhorn;
+  config.num_cores = 4;
+  config.client_retransmit_timeout = Microseconds(200);
+  config.client_max_retransmits = 8;
+  config.client_backoff_multiplier = 2.0;
+  config.client_max_retransmit_timeout = Milliseconds(2);
+  config.faults.nic_crash.first_crash_at = Microseconds(1030);
+  config.faults.nic_crash.reset_latency = Microseconds(50);
+  Machine machine(config);
+
+  std::unordered_map<uint64_t, int> frontend_runs;
+  std::unordered_map<uint64_t, int> backend_runs;
+  ServiceDef frontend_def = MakeFrontend();
+  MethodDef& compose = frontend_def.methods[0];
+  compose.nested_call = [&frontend_runs, call = std::move(compose.nested_call)](
+                            const std::vector<WireValue>& args) {
+    ++frontend_runs[args[0].scalar];
+    return call(args);
+  };
+  ServiceDef backend_def = MakeBackend();
+  MethodDef& add1 = backend_def.methods[0];
+  add1.handler = [&backend_runs, handler = std::move(add1.handler)](
+                     const std::vector<WireValue>& args) {
+    ++backend_runs[args[0].scalar];
+    return handler(args);
+  };
+  add1.SetFixedServiceTime(Microseconds(200));  // still running at the crash
+  const ServiceDef& frontend = machine.AddService(std::move(frontend_def));
+  const ServiceDef& backend = machine.AddService(std::move(backend_def));
+  machine.Start();
+  machine.StartHotLoop(frontend);
+  machine.StartHotLoop(backend);
+  machine.sim().RunUntil(Milliseconds(1));
+
+  std::optional<RpcMessage> reply;
+  machine.client().Call(frontend, 0, std::vector<WireValue>{WireValue::U64(20)},
+                        [&](const RpcMessage& r, Duration) { reply = r; });
+  NicRecoveryManager* recovery = machine.nic_recovery();
+  ASSERT_NE(recovery, nullptr);
+  while (recovery->stats().recoveries == 0 &&
+         machine.sim().Now() < Milliseconds(5)) {
+    machine.sim().RunUntil(machine.sim().Now() + Microseconds(1));
+  }
+  ASSERT_EQ(recovery->stats().recoveries, 1u);
+  EXPECT_EQ(recovery->stats().replayed_continuations, 1u);
+  ASSERT_EQ(machine.nic_shadow()->continuation_count(), 1u);
+
+  // The reborn NIC must not hand out the continuation the handler holds:
+  // draining the pool yields every other id exactly once.
+  LauberhornNic& nic = *machine.lauberhorn_nic();
+  std::set<uint32_t> handed_out;
+  while (const auto id = nic.AllocateContinuation()) {
+    EXPECT_TRUE(handed_out.insert(*id).second) << "continuation " << *id;
+  }
+  EXPECT_EQ(handed_out.size(), LauberhornNic::Config{}.num_continuations - 1);
+  for (const uint32_t id : handed_out) {
+    nic.FreeContinuation(id);
+  }
+
+  machine.sim().RunUntil(Milliseconds(40));
+  // The nested call completes, or fails explicitly, and either way the
+  // continuation goes back to the pool. A failure cannot reach the client:
+  // the reset also wiped the frontend's delivered request, whose id stays
+  // pinned in the dedup table, so the client times out.
+  ASSERT_TRUE(reply.has_value());
+  if (reply->status == RpcStatus::kOk) {
+    std::vector<WireValue> out;
+    ASSERT_TRUE(UnmarshalArgs(MethodSignature{{WireType::kU64}}, reply->payload, out));
+    EXPECT_EQ(out[0].scalar, 42u);
+    EXPECT_EQ(machine.lauberhorn_runtime()->nested_failed(), 0u);
+  } else {
+    EXPECT_EQ(reply->status, kTimedOut);
+    EXPECT_EQ(machine.lauberhorn_runtime()->nested_failed(), 1u);
+  }
+  EXPECT_EQ(machine.nic_shadow()->continuation_count(), 0u);
+  // No handler ran twice.
+  EXPECT_EQ(frontend_runs[20], 1);
+  EXPECT_LE(backend_runs[20], 1);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -213,12 +214,16 @@ TEST(TestbedTest, SwitchDropsUnroutableFrames) {
   machine.StartHotLoop(frontend);
   testbed.sim().RunUntil(Milliseconds(1));
 
-  machine.client().Call(frontend, 0, std::vector<WireValue>{WireValue::U64(1)});
+  std::optional<RpcStatus> status;
+  machine.client().Call(frontend, 0, std::vector<WireValue>{WireValue::U64(1)},
+                        [&](const RpcMessage& r, Duration) { status = r.status; });
   testbed.sim().RunUntil(Milliseconds(50));
   EXPECT_GE(testbed.fabric().dropped(), 1u);
-  // The frontend's nested call never completes; the client gets no response
-  // (a retransmit/timeout layer above would handle this).
-  EXPECT_EQ(machine.client().completed(), 0u);
+  // The frontend's nested call gets no reply. After one TRYAGAIN deadline
+  // (15 ms) it fails, so the client hears kInternal instead of nothing and
+  // the frontend's core and continuation are free again.
+  EXPECT_EQ(status, RpcStatus::kInternal);
+  EXPECT_EQ(machine.lauberhorn_runtime()->nested_failed(), 1u);
 }
 
 struct CrossTrafficRun {
