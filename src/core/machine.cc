@@ -374,6 +374,7 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
   C("client/errors", client_->errors());
   C("client/retransmits", client_->retransmits());
   C("client/retransmits_suppressed", client_->retransmits_suppressed());
+  C("client/retransmits_suppressed_breaker", client_->retransmits_suppressed_breaker());
   C("client/timeouts", client_->timeouts());
   C("client/late_responses", client_->late_responses());
   C("client/overloaded", client_->overloaded());
@@ -392,6 +393,13 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
   C("pcie/dma_read_bytes", pcie_->dma_read_bytes());
   C("pcie/dma_write_bytes", pcie_->dma_write_bytes());
   C("pcie/dma_errors", pcie_->dma_errors());
+  C("pcie/msix_interrupts", msix_->interrupts_delivered());
+  // Not "os/context_switches" or "os/preemptions": perfbench adds those keys
+  // from the scheduler itself, and would count exported ones twice.
+  const Scheduler& scheduler = kernel_->scheduler();
+  C("sched/context_switches", scheduler.context_switches());
+  C("sched/thread_switches", scheduler.thread_switches());
+  C("sched/preemptions", scheduler.preemptions());
   // Coherence traffic by message type, and the cores' cache accesses.
   const CoherenceStats& coherence = interconnect_->stats();
   for (int type = 0; type < kNumCoherenceMsgTypes; ++type) {
@@ -429,6 +437,10 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
   C("wire/nic_egress_queue_drops", wire_->b_to_a().queue_drops());
   C("wire/client_egress_ecn_marked", wire_->a_to_b().ecn_marked());
   C("wire/nic_egress_ecn_marked", wire_->b_to_a().ecn_marked());
+  // Loss drops (LinkConfig loss and injected faults); perfbench sums both
+  // directions under its own "wire/loss_drops".
+  C("wire/client_egress_loss_drops", wire_->a_to_b().packets_dropped());
+  C("wire/nic_egress_loss_drops", wire_->b_to_a().packets_dropped());
   // Tail drops attributed per (src, dst) pair: who lost packets to whom.
   const auto export_pair_drops = [&](const char* side, const LinkDirection& dir) {
     for (const auto& [key, count] : dir.pair_drops()) {
@@ -521,6 +533,7 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
     C("runtime/loops_started", lauberhorn_runtime_->loops_started());
     C("runtime/loops_exited", lauberhorn_runtime_->loops_exited());
     C("runtime/nested_issued", lauberhorn_runtime_->nested_issued());
+    C("runtime/nested_failed", lauberhorn_runtime_->nested_failed());
     C("overload/scale_suppressed", lauberhorn_runtime_->scale_suppressed());
   }
   if (const SoftwareRpcServer* server = software_server()) {

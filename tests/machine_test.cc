@@ -290,6 +290,55 @@ TEST(MachineTest, ExportsCoherenceCounters) {
   EXPECT_GT(metrics.Counter("coherence/cache_misses"), 0u);
 }
 
+TEST(MachineTest, ExportsSchedulerWireMsixAndNestedCounters) {
+  // Counters that once had no metric: each reaches the registry, equal to its
+  // accessor, under a key perfbench does not add itself.
+  for (const StackKind stack : {StackKind::kLinux, StackKind::kLauberhorn}) {
+    MachineConfig config;
+    config.stack = stack;
+    config.platform.wire.loss_probability = 0.2;
+    config.client_retransmit_timeout = Microseconds(200);
+    Machine machine(config);
+    const ServiceDef& echo = machine.AddService(ServiceRegistry::MakeEchoService(1, 7000));
+    machine.Start();
+    for (int i = 0; i < 20; ++i) {
+      machine.client().Call(echo, 0, std::vector<WireValue>{WireValue::Bytes({1, 2, 3})});
+    }
+    machine.sim().RunUntil(Milliseconds(10));
+
+    MetricsRegistry metrics;
+    machine.ExportMetrics(metrics);
+    const Scheduler& scheduler = machine.kernel().scheduler();
+    std::vector<std::pair<std::string, uint64_t>> expected = {
+        {"client/retransmits_suppressed_breaker",
+         machine.client().retransmits_suppressed_breaker()},
+        {"wire/client_egress_loss_drops", machine.wire().a_to_b().packets_dropped()},
+        {"wire/nic_egress_loss_drops", machine.wire().b_to_a().packets_dropped()},
+        {"sched/context_switches", scheduler.context_switches()},
+        {"sched/thread_switches", scheduler.thread_switches()},
+        {"sched/preemptions", scheduler.preemptions()},
+    };
+    if (stack == StackKind::kLauberhorn) {
+      expected.emplace_back("runtime/nested_failed",
+                            machine.lauberhorn_runtime()->nested_failed());
+    }
+    for (const auto& [key, value] : expected) {
+      ASSERT_TRUE(metrics.HasCounter(key)) << key;
+      EXPECT_EQ(metrics.Counter(key), value) << key;
+    }
+    ASSERT_TRUE(metrics.HasCounter("pcie/msix_interrupts"));
+    EXPECT_GT(metrics.Counter("wire/client_egress_loss_drops") +
+                  metrics.Counter("wire/nic_egress_loss_drops"),
+              0u);
+    EXPECT_GT(metrics.Counter("sched/context_switches") +
+                  metrics.Counter("sched/thread_switches"),
+              0u);
+    if (stack == StackKind::kLinux) {
+      EXPECT_GT(metrics.Counter("pcie/msix_interrupts"), 0u);
+    }
+  }
+}
+
 TEST(RpcClientTest, MatchesResponsesToRequests) {
   MachineConfig config;
   config.stack = StackKind::kLauberhorn;
