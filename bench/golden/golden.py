@@ -19,6 +19,7 @@ time, so no output of theirs is reproducible.
 Usage:
   golden.py --build BUILD_DIR [NAME ...]           check (all names if none)
   golden.py --build BUILD_DIR --update [NAME ...]  rewrite goldens, print diff
+  golden.py --list                                 print the target names
 
 A change that alters simulated behaviour on purpose regenerates the goldens
 with --update and lists every changed field in CHANGES.md.
@@ -83,7 +84,7 @@ def strip_wall(value):
 
 
 def run(name, build_dir):
-    """Runs one target; returns {golden file name: expected text}."""
+    """Runs one target; returns {golden file name: text it produced}."""
     outputs = {}
     with tempfile.TemporaryDirectory() as tmp:
         if name in EXAMPLES:
@@ -109,11 +110,18 @@ def run(name, build_dir):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--build", required=True, help="CMake build directory")
+    parser.add_argument("--build", help="CMake build directory")
     parser.add_argument("--update", action="store_true",
                         help="rewrite the golden files and print the diff")
+    parser.add_argument("--list", action="store_true",
+                        help="print the target names, one per line")
     parser.add_argument("names", nargs="*", help="targets (default: all)")
     args = parser.parse_args()
+    if args.list:
+        print("\n".join(ALL_NAMES))
+        return 0
+    if args.build is None:
+        parser.error("--build is required")
 
     names = args.names or ALL_NAMES
     unknown = [n for n in names if n not in ALL_NAMES]

@@ -72,10 +72,10 @@ void LauberhornNic::FreeContinuation(uint32_t endpoint) {
 void LauberhornNic::ClientTransmit(uint32_t continuation, uint32_t dst_ip,
                                    uint16_t dst_port, RpcMessage request) {
   if (!CheckDeviceUp()) {
-    // Nested-RPC TX on a dead device: the request is lost. The caller parks
-    // on its continuation line and spins on TRYAGAIN until recovery; nested
-    // requests have no retransmit layer, so this core's RPC is forfeited
-    // (documented §16 limitation — recovery benches avoid nested calls).
+    // Nested-RPC TX on a dead device: the request is lost. Nested requests
+    // have no retransmit layer, so the caller, parked on its continuation
+    // line, fails the call after one TRYAGAIN deadline (§16 limitation —
+    // recovery benches avoid nested calls).
     ++stats_.drops_nic_down;
     return;
   }
