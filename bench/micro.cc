@@ -319,6 +319,38 @@ void BM_HistogramRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramRecord);
 
+// 100,000 values: narrow = one decade (1-10 us in ps, one service's
+// latencies), wide = every magnitude from 0 to INT64_MAX.
+Histogram FilledHistogram(bool wide, uint64_t seed) {
+  Histogram h;
+  Rng rng(seed);
+  for (int i = 0; i < 100000; ++i) {
+    h.Record(wide ? static_cast<Duration>(rng.Next() >> rng.UniformInt(1, 63))
+                  : static_cast<Duration>(rng.UniformInt(1000000, 10000000)));
+  }
+  return h;
+}
+
+void BM_HistogramMerge(benchmark::State& state) {
+  const Histogram part = FilledHistogram(state.range(0) != 0, 1);
+  Histogram total = FilledHistogram(state.range(0) != 0, 2);
+  for (auto _ : state) {
+    total.Merge(part);
+  }
+  benchmark::DoNotOptimize(total.count());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HistogramMerge)->ArgName("wide")->Arg(0)->Arg(1);
+
+void BM_HistogramPercentile(benchmark::State& state) {
+  const Histogram h = FilledHistogram(state.range(0) != 0, 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(h.P99());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HistogramPercentile)->ArgName("wide")->Arg(0)->Arg(1);
+
 void BM_ZipfSample(benchmark::State& state) {
   ZipfDistribution zipf(static_cast<size_t>(state.range(0)), 1.0);
   Rng rng(3);

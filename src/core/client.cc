@@ -308,7 +308,7 @@ void RpcClient::OnTimeout(uint64_t request_id) {
     ++timeouts_;
     Pending expired = std::move(pending);
     pending_.erase(it);
-    RetireId(request_id);  // a response may still straggle in
+    retired_.Insert(request_id);  // a response may still straggle in
     if (config_.cc_enabled) {
       CcOnExpired(expired);
     }
@@ -345,17 +345,6 @@ void RpcClient::OnTimeout(uint64_t request_id) {
   ArmTimer(request_id);
 }
 
-void RpcClient::RetireId(uint64_t request_id) {
-  if (!retired_.insert(request_id).second) {
-    return;
-  }
-  retired_order_.push_back(request_id);
-  while (retired_order_.size() > kRetiredWindow) {
-    retired_.erase(retired_order_.front());
-    retired_order_.pop_front();
-  }
-}
-
 void RpcClient::ReceivePacket(Packet packet) {
   const auto frame = ParseUdpFrame(packet);
   if (!frame.has_value()) {
@@ -369,7 +358,7 @@ void RpcClient::ReceivePacket(Packet packet) {
   }
   auto it = pending_.find(msg->request_id);
   if (it == pending_.end()) {
-    if (retired_.count(msg->request_id) != 0) {
+    if (retired_.Contains(msg->request_id)) {
       // The original (or a duplicate) arriving after a retransmit already
       // completed the request — expected under retransmission, not an error.
       ++late_responses_;
@@ -380,7 +369,7 @@ void RpcClient::ReceivePacket(Packet packet) {
   }
   Pending pending = std::move(it->second);
   pending_.erase(it);
-  RetireId(msg->request_id);
+  retired_.Insert(msg->request_id);
   if (pending.timer != kInvalidEventId) {
     sim_.Cancel(pending.timer);
   }

@@ -14,12 +14,12 @@
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/net/headers.h"
 #include "src/net/link.h"
 #include "src/proto/cipher.h"
+#include "src/proto/id_window.h"
 #include "src/proto/rpc_message.h"
 #include "src/proto/service.h"
 #include "src/sim/random.h"
@@ -186,8 +186,6 @@ class RpcClient : public PacketSink {
   bool SpendRetryToken();
   // Brings the retry-token balance up to date (refill-on-demand).
   void RefillRetryTokens();
-  // Remembers a finished id inside the bounded retired window.
-  void RetireId(uint64_t request_id);
   // -- Congestion control (all no-ops unless config_.cc_enabled) --
   CcState& CcFor(uint32_t dst_ip);
   // Window currently governing sends to this destination: the local DCTCP
@@ -210,11 +208,9 @@ class RpcClient : public PacketSink {
   Rng rng_;
   uint64_t next_request_id_ = 1;
   std::unordered_map<uint64_t, Pending> pending_;
-  // The last kRetiredWindow completed or expired request ids, remembered for
-  // late-response accounting.
-  static constexpr size_t kRetiredWindow = 4096;
-  std::unordered_set<uint64_t> retired_;
-  std::deque<uint64_t> retired_order_;
+  // The last IdWindow::kCapacity completed or expired request ids,
+  // remembered for late-response accounting; the oldest retired goes first.
+  IdWindow retired_;
   double retry_tokens_ = 0.0;
   SimTime retry_refill_at_ = 0;
   Histogram rtt_;

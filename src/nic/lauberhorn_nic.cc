@@ -1457,24 +1457,17 @@ void LauberhornNic::BacklogQueue::Push(PreparedRequest request, bool at_front) {
 }
 
 LauberhornNic::PreparedRequest LauberhornNic::BacklogQueue::Pop(bool from_front) {
-  PreparedRequest request =
-      std::move(from_front ? items_.front() : items_.back());
-  if (from_front) {
-    items_.pop_front();
-  } else {
-    items_.pop_back();
-  }
   if (backlog_ != nullptr) {
     --*backlog_;
   }
-  return request;
+  return from_front ? items_.pop_front() : items_.pop_back();
 }
 
-std::deque<LauberhornNic::PreparedRequest> LauberhornNic::BacklogQueue::TakeAll() {
+std::vector<LauberhornNic::PreparedRequest> LauberhornNic::BacklogQueue::TakeAll() {
   if (backlog_ != nullptr) {
     *backlog_ -= items_.size();
   }
-  return std::exchange(items_, {});
+  return items_.TakeAll();
 }
 
 bool LauberhornNic::BacklogQueue::ShouldShed(SimTime now,

@@ -24,7 +24,6 @@
 #define SRC_NIC_LAUBERHORN_NIC_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -48,6 +47,7 @@
 #include "src/proto/dedup.h"
 #include "src/proto/rpc_message.h"
 #include "src/proto/service.h"
+#include "src/sim/ring_deque.h"
 #include "src/sim/simulator.h"
 #include "src/stats/histogram.h"
 #include "src/stats/span.h"
@@ -376,33 +376,38 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     SimTime wire_arrival = 0;
   };
 
+ public:
   // A NIC-side request queue, with the CoDel-style gate over its head, and
   // optionally mirrored into a service backlog register. Its mutators are
   // the only way requests enter or leave a service endpoint's private queue
   // or a central queue, so the register cannot drift from the queues it
   // sums. An unbound queue (the cold queue, kernel channels, continuations)
-  // is not counted.
+  // is not counted. Every endpoint and service owns one, so an idle queue
+  // holds no heap (kIdleHeapBytes); public so tests can check that bound.
   class BacklogQueue {
    public:
+    static constexpr size_t kIdleHeapBytes = 0;
+
     void Bind(size_t* backlog);
     bool empty() const { return items_.empty(); }
     size_t size() const { return items_.size(); }
     void Push(PreparedRequest request, bool at_front = false);
     PreparedRequest Pop(bool from_front = true);
-    // Removes every request at once (degradation drain, crash wipe). The
-    // gate keeps its state.
-    std::deque<PreparedRequest> TakeAll();
+    // Removes every request at once (degradation drain, crash wipe), front
+    // first. The gate keeps its state.
+    std::vector<PreparedRequest> TakeAll();
     // Sojourn check for an arrival that would join this queue: the age of
     // its head (wire arrival to now) against `config`. True = shed.
     bool ShouldShed(SimTime now, const SojournConfig& config);
     void ResetGate() { gate_ = SojournGate{}; }
 
    private:
-    std::deque<PreparedRequest> items_;
+    RingDeque<PreparedRequest> items_;
     size_t* backlog_ = nullptr;
     SojournGate gate_;
   };
 
+ private:
   struct WaitingLoad {
     FillFn fill;
     AgentId requester = kNoAgent;

@@ -3,19 +3,24 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 namespace lauberhorn {
-
-Histogram::Histogram() : buckets_(kNumBuckets, 0) {}
 
 void Histogram::Record(Duration value) {
   if (value < 0) {
     value = 0;
   }
-  const auto v = static_cast<uint64_t>(value);
-  // BucketIndex(v) < kNumBuckets for every non-negative Duration by
-  // construction (see kNumBuckets), so no overflow clamp is needed.
-  ++buckets_[BucketIndex(v)];
+  const size_t index = BucketIndex(static_cast<uint64_t>(value));
+  // Wraps to a huge slot when the index lies below the run.
+  size_t slot = index - first_;
+  if (slot >= buckets_.size()) [[unlikely]] {
+    const size_t magnitude = histogram_detail::BucketMagnitude(index);
+    Cover(histogram_detail::BlockBegin(magnitude),
+          histogram_detail::BlockEnd(magnitude));
+    slot = index - first_;
+  }
+  ++buckets_[slot];
   if (count_ == 0) {
     min_ = value;
     max_ = value;
@@ -35,8 +40,10 @@ void Histogram::Merge(const Histogram& other) {
   if (other.count_ == 0) {
     return;
   }
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
+  Cover(other.first_, other.first_ + other.buckets_.size());
+  const size_t offset = other.first_ - first_;
+  for (size_t i = 0; i < other.buckets_.size(); ++i) {
+    buckets_[offset + i] += other.buckets_[i];
   }
   if (count_ == 0) {
     min_ = other.min_;
@@ -62,6 +69,22 @@ void Histogram::Reset() {
   mean_ = m2_ = 0.0;
 }
 
+void Histogram::Cover(size_t begin, size_t end) {
+  const size_t last = first_ + buckets_.size();
+  if (!buckets_.empty()) {
+    if (begin >= first_ && end <= last) {
+      return;
+    }
+    begin = std::min(begin, first_);
+    end = std::max(end, last);
+  }
+  std::vector<uint64_t> wider(end - begin, 0);
+  std::copy(buckets_.begin(), buckets_.end(),
+            wider.begin() + static_cast<std::ptrdiff_t>(first_ - begin));
+  buckets_ = std::move(wider);
+  first_ = begin;
+}
+
 double Histogram::Mean() const { return count_ == 0 ? 0.0 : mean_; }
 
 double Histogram::StdDev() const {
@@ -81,12 +104,13 @@ Duration Histogram::Percentile(double q) const {
   const auto target =
       static_cast<uint64_t>(std::ceil(q * static_cast<double>(count_)));
   uint64_t seen = 0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    seen += buckets_[i];
-    if (seen >= target && buckets_[i] > 0) {
+  for (size_t slot = 0; slot < buckets_.size(); ++slot) {
+    seen += buckets_[slot];
+    if (seen >= target && buckets_[slot] > 0) {
       // Clamp to observed extremes for tighter answers at the tails. The
       // midpoint is computed in uint64 space: the top bucket's bounds sum
       // past INT64_MAX even though each fits individually.
+      const size_t i = first_ + slot;
       const uint64_t mid = BucketLow(i) / 2 + BucketHigh(i) / 2;
       return std::clamp(static_cast<Duration>(mid), min_, max_);
     }

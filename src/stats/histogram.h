@@ -18,11 +18,14 @@ namespace lauberhorn {
 
 namespace histogram_detail {
 
-// Log-linear bucketing: value magnitudes x 64 linear sub-buckets; the top 32
-// sub-buckets of each magnitude >= 1 are populated, which bounds relative
-// bucket width to 1/32.
+// Log-linear bucketing: value magnitudes x 64 linear sub-buckets. Magnitude
+// 0 holds the values 0..63 one per bucket; every magnitude m >= 1 keeps only
+// its top 32 sub-buckets (the value's top six bits), which bounds relative
+// bucket width to 1/32. Bucket indices are dense over the buckets that can be
+// filled: magnitude 0 is [0, 64) and magnitude m >= 1 is [32m + 32, 32m + 64).
 inline constexpr int kSubBucketBits = 6;
 inline constexpr int kSubBuckets = 1 << kSubBucketBits;
+inline constexpr int kHalfSubBuckets = kSubBuckets / 2;
 
 constexpr size_t BucketIndex(uint64_t value) {
   if (value < kSubBuckets) {
@@ -32,26 +35,40 @@ constexpr size_t BucketIndex(uint64_t value) {
   const int magnitude = msb - kSubBucketBits + 1;
   // Keep the top kSubBucketBits bits: sub in [kSubBuckets/2, kSubBuckets).
   const uint64_t sub = value >> magnitude;
-  return static_cast<size_t>(magnitude) * kSubBuckets +
+  return static_cast<size_t>(magnitude) * kHalfSubBuckets +
          static_cast<size_t>(sub);
+}
+constexpr size_t BucketMagnitude(size_t index) {
+  return index < kSubBuckets ? 0 : index / kHalfSubBuckets - 1;
+}
+// First and one-past-last bucket index of a magnitude's block.
+constexpr size_t BlockBegin(size_t magnitude) {
+  return magnitude == 0 ? 0 : (magnitude + 1) * kHalfSubBuckets;
+}
+constexpr size_t BlockEnd(size_t magnitude) {
+  return magnitude * kHalfSubBuckets + kSubBuckets;
 }
 // Lower/upper bound of the value range covered by bucket i.
 constexpr uint64_t BucketLow(size_t index) {
-  const size_t magnitude = index / kSubBuckets;
-  const uint64_t sub = index % kSubBuckets;
-  return sub << magnitude;
+  if (index < kSubBuckets) {
+    return index;
+  }
+  const uint64_t sub = index % kHalfSubBuckets + kHalfSubBuckets;
+  return sub << BucketMagnitude(index);
 }
 constexpr uint64_t BucketHigh(size_t index) {
-  const size_t magnitude = index / kSubBuckets;
-  return BucketLow(index) + (1ULL << magnitude) - 1;
+  return BucketLow(index) + (1ULL << BucketMagnitude(index)) - 1;
 }
 
 }  // namespace histogram_detail
 
+// Storage is one contiguous run of magnitude blocks, from the lowest to the
+// highest magnitude recorded so far; a Record outside the run widens it. A
+// latency histogram spans a few decades at most, so it holds a few hundred
+// buckets, not all kNumBuckets. Merge, Percentile, Reset and copies touch only
+// the run.
 class Histogram {
  public:
-  Histogram();
-
   void Record(Duration value);
   void Merge(const Histogram& other);
   void Reset();
@@ -82,9 +99,9 @@ class Histogram {
   }
 
   // Record clamps negatives to 0 and Duration is signed 64-bit, so the
-  // largest reachable index comes from INT64_MAX. Sizing the array exactly
-  // makes the top bucket a real, addressable bucket (its high bound is
-  // INT64_MAX itself) rather than relying on an out-of-range clamp.
+  // largest reachable index comes from INT64_MAX. The top bucket is a real,
+  // addressable bucket (its high bound is INT64_MAX itself) rather than an
+  // out-of-range clamp.
   static constexpr size_t kNumBuckets =
       histogram_detail::BucketIndex(static_cast<uint64_t>(INT64_MAX)) + 1;
   static_assert(histogram_detail::BucketHigh(
@@ -92,8 +109,20 @@ class Histogram {
                         static_cast<uint64_t>(INT64_MAX))) ==
                 static_cast<uint64_t>(INT64_MAX));
 
+  // Heap bound for values within one decade, [x, 10x): 10 < 2^4, so they
+  // span at most five magnitudes, and at most four above magnitude 0's
+  // 64-bucket block.
+  static constexpr size_t kMaxDecadeBytes =
+      (histogram_detail::kSubBuckets + 4 * histogram_detail::kHalfSubBuckets) *
+      sizeof(uint64_t);
+
  private:
+  // Widens the run to cover bucket indices [begin, end), both block bounds.
+  void Cover(size_t begin, size_t end);
+
+  // Buckets [first_, first_ + buckets_.size()); empty until the first Record.
   std::vector<uint64_t> buckets_;
+  size_t first_ = 0;
   uint64_t count_ = 0;
   Duration min_ = 0;
   Duration max_ = 0;

@@ -1,25 +1,62 @@
-// The steady-state CONTROL-line cycle allocates nothing. This binary replaces
-// the global operator new with a counting one, so it is kept apart from
-// lbh_tests.
+// Allocation and memory-bound checks. This binary replaces the global
+// operator new with one that counts allocations and live bytes, so it is kept
+// apart from lbh_tests.
+//
+// - The steady-state CONTROL-line cycle allocates nothing.
+// - Per-machine state holds no more heap than its named bound: an idle NIC
+//   endpoint queue, a histogram of one decade of values, and the client's
+//   retired-id window.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 
+#include "src/nic/lauberhorn_nic.h"
+#include "src/proto/id_window.h"
+#include "src/sim/random.h"
+#include "src/stats/histogram.h"
 #include "tests/control_line_cycle.h"
 
 namespace {
 
 std::atomic<uint64_t> g_allocations{0};
+std::atomic<int64_t> g_live_bytes{0};
+
+// Each block carries its requested size in a header, so a delete without a
+// size still knows how many live bytes it returns. The header keeps the
+// block aligned for any fundamental type.
+constexpr std::size_t kHeader = alignof(std::max_align_t);
+
+void* CountedAllocateNoThrow(std::size_t size) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  auto* block = static_cast<unsigned char*>(std::malloc(kHeader + size));
+  if (block == nullptr) {
+    return nullptr;
+  }
+  *reinterpret_cast<std::size_t*>(block) = size;
+  g_live_bytes.fetch_add(static_cast<int64_t>(size), std::memory_order_relaxed);
+  return block + kHeader;
+}
 
 void* CountedAllocate(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* block = std::malloc(size == 0 ? 1 : size)) {
+  if (void* block = CountedAllocateNoThrow(size)) {
     return block;
   }
   throw std::bad_alloc();
+}
+
+void CountedFree(void* pointer) noexcept {
+  if (pointer == nullptr) {
+    return;
+  }
+  auto* block = static_cast<unsigned char*>(pointer) - kHeader;
+  g_live_bytes.fetch_sub(static_cast<int64_t>(*reinterpret_cast<std::size_t*>(block)),
+                         std::memory_order_relaxed);
+  std::free(block);
 }
 
 }  // namespace
@@ -27,19 +64,17 @@ void* CountedAllocate(std::size_t size) {
 void* operator new(std::size_t size) { return CountedAllocate(size); }
 void* operator new[](std::size_t size) { return CountedAllocate(size); }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
+  return CountedAllocateNoThrow(size);
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
+  return CountedAllocateNoThrow(size);
 }
-void operator delete(void* block) noexcept { std::free(block); }
-void operator delete[](void* block) noexcept { std::free(block); }
-void operator delete(void* block, std::size_t) noexcept { std::free(block); }
-void operator delete[](void* block, std::size_t) noexcept { std::free(block); }
-void operator delete(void* block, const std::nothrow_t&) noexcept { std::free(block); }
-void operator delete[](void* block, const std::nothrow_t&) noexcept { std::free(block); }
+void operator delete(void* block) noexcept { CountedFree(block); }
+void operator delete[](void* block) noexcept { CountedFree(block); }
+void operator delete(void* block, std::size_t) noexcept { CountedFree(block); }
+void operator delete[](void* block, std::size_t) noexcept { CountedFree(block); }
+void operator delete(void* block, const std::nothrow_t&) noexcept { CountedFree(block); }
+void operator delete[](void* block, const std::nothrow_t&) noexcept { CountedFree(block); }
 
 namespace lauberhorn {
 namespace {
@@ -63,6 +98,76 @@ TEST(AllocTest, WarmControlLineCycleAllocatesNothing) {
   EXPECT_EQ(cycle.line()[0], static_cast<uint8_t>(kCycles - 1));
   EXPECT_EQ(cycle.interconnect().stats().bus_errors, 0u);
   EXPECT_EQ(cycle.cpu().StateOf(ControlLineCycle::kCtrl), LineState::kInvalid);
+}
+
+// Live heap bytes allocated since `before`.
+int64_t LiveSince(int64_t before) { return g_live_bytes.load() - before; }
+
+TEST(MemoryBoundTest, IdleEndpointQueueHoldsNoHeap) {
+  const uint64_t allocations = g_allocations.load();
+  const int64_t before = g_live_bytes.load();
+  size_t backlog = 0;
+  std::array<LauberhornNic::BacklogQueue, 64> queues;
+  for (LauberhornNic::BacklogQueue& queue : queues) {
+    queue.Bind(&backlog);
+  }
+  EXPECT_EQ(g_allocations.load(), allocations);
+  EXPECT_EQ(LiveSince(before),
+            static_cast<int64_t>(queues.size() * LauberhornNic::BacklogQueue::kIdleHeapBytes));
+
+  // A used queue holds its ring until a drain hands the ring over.
+  queues[0].Push({});
+  queues[0].Push({}, /*at_front=*/true);
+  EXPECT_GT(LiveSince(before), 0);
+  EXPECT_EQ(backlog, 2u);
+  EXPECT_EQ(queues[0].TakeAll().size(), 2u);
+  EXPECT_EQ(backlog, 0u);
+  EXPECT_EQ(LiveSince(before), 0);
+}
+
+TEST(MemoryBoundTest, OneDecadeHistogramStaysWithinItsBound) {
+  // [10^k, 10^(k+1)) for every decade a Duration holds, including the one
+  // that reaches into magnitude 0's 64-bucket block.
+  Rng rng(7);
+  uint64_t low = 1;
+  for (int decade = 0; decade <= 17; ++decade, low *= 10) {
+    const int64_t before = g_live_bytes.load();
+    {
+      Histogram h;
+      h.Record(static_cast<Duration>(low));
+      h.Record(static_cast<Duration>(10 * low - 1));
+      for (int i = 0; i < 1000; ++i) {
+        h.Record(static_cast<Duration>(rng.UniformInt(low, 10 * low - 1)));
+      }
+      EXPECT_LE(LiveSince(before), static_cast<int64_t>(Histogram::kMaxDecadeBytes))
+          << "decade starting at " << low;
+    }
+    EXPECT_EQ(LiveSince(before), 0);
+  }
+  // The worst case sits right below 64: [60, 600) spans magnitudes 0-4.
+  const int64_t before = g_live_bytes.load();
+  Histogram h;
+  h.Record(60);
+  h.Record(599);
+  EXPECT_EQ(LiveSince(before), static_cast<int64_t>(Histogram::kMaxDecadeBytes));
+}
+
+TEST(MemoryBoundTest, RetiredWindowAfter100kCompletionsStaysWithinItsBound) {
+  // A client's ids come from one counter and retire roughly in order.
+  Rng rng(11);
+  const int64_t before = g_live_bytes.load();
+  IdWindow retired;
+  const uint64_t first = (uint64_t{9} << 40) | 1;
+  for (uint64_t i = 0; i < 100000; i += 8) {
+    // Each batch of 8 retires in a rotated stride-5 order (5 is odd, so
+    // every id of the batch comes exactly once).
+    const uint64_t rotation = rng.UniformInt(0, 7);
+    for (uint64_t j = 0; j < 8; ++j) {
+      retired.Insert(first + i + ((j * 5 + rotation) & 7));
+    }
+  }
+  EXPECT_EQ(retired.size(), IdWindow::kCapacity);
+  EXPECT_LE(LiveSince(before), static_cast<int64_t>(IdWindow::kMaxHeapBytes));
 }
 
 }  // namespace

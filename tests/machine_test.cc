@@ -3,7 +3,9 @@
 // registration, and the RPC client.
 #include <gtest/gtest.h>
 
+#include "src/core/client.h"
 #include "src/core/machine.h"
+#include "src/proto/rpc_message.h"
 
 namespace lauberhorn {
 namespace {
@@ -468,6 +470,77 @@ TEST(RpcClientTest, TimeoutReportedWhenServerUnreachable) {
   EXPECT_EQ(machine.client().timeouts(), 1u);
   EXPECT_EQ(machine.client().retransmits(), 2u);
   EXPECT_EQ(machine.client().outstanding(), 0u);
+}
+
+// The client remembers exactly the last 4,096 retired ids, completed or
+// expired, and forgets the oldest retired first, not the lowest id. A
+// duplicate response for a remembered id is a late response; for a
+// forgotten one it is a stray error.
+TEST(RpcClientTest, RetiredWindowHoldsTheLast4096RetiredIds) {
+  Simulator sim;
+  LinkDirection to_server(sim, LinkConfig{}, /*seed=*/1);
+  RpcClient::Config config;
+  // An unanswered call is retransmitted at 100 us and expires at 300 us.
+  config.retransmit_timeout = Microseconds(100);
+  config.max_retransmits = 1;
+  RpcClient client(sim, to_server, config);
+  auto call = [&client] { return client.CallRaw(7000, 1, 0, {}); };
+  auto respond = [&client](uint64_t request_id) {
+    RpcMessage msg;
+    msg.kind = MessageKind::kResponse;
+    msg.request_id = request_id;
+    Ipv4Header ip;
+    ip.src = MakeIpv4(10, 0, 0, 2);
+    ip.dst = MakeIpv4(10, 0, 0, 1);
+    UdpHeader udp;
+    udp.src_port = 7000;
+    udp.dst_port = 40000;
+    client.ReceivePacket(BuildRpcFrame(EthernetHeader{}, ip, udp, msg));
+  };
+
+  for (int i = 0; i < 100; ++i) {
+    respond(call());
+  }
+  // Ids in issue order: expired < late < early. Retirement order: early
+  // (answered at once), expired (at 300 us), 4,094 more calls, then late.
+  const uint64_t expired = call();
+  sim.RunUntil(Microseconds(250));
+  const uint64_t late = call();
+  const uint64_t early = call();
+  respond(early);
+  sim.RunUntil(Microseconds(301));
+  ASSERT_EQ(client.timeouts(), 1u);
+  std::vector<uint64_t> rest;
+  for (int i = 0; i < 4094; ++i) {
+    rest.push_back(call());
+    respond(rest.back());
+  }
+  respond(late);
+  sim.RunUntilIdle();
+  ASSERT_EQ(client.completed(), 100u + 4096u);
+  ASSERT_EQ(client.timeouts(), 1u);
+  ASSERT_EQ(client.outstanding(), 0u);
+  ASSERT_EQ(client.errors(), 0u);
+  ASSERT_EQ(client.late_responses(), 0u);
+
+  // `expired`, the lowest id, is the 4,096th most recently retired id:
+  // remembered. `early`, the highest of the three, is the 4,097th: forgotten.
+  respond(expired);
+  EXPECT_EQ(client.late_responses(), 1u);
+  EXPECT_EQ(client.errors(), 0u);
+  respond(late);
+  respond(rest.front());
+  EXPECT_EQ(client.late_responses(), 3u);
+  EXPECT_EQ(client.errors(), 0u);
+  respond(early);
+  EXPECT_EQ(client.errors(), 1u);
+  EXPECT_EQ(client.late_responses(), 3u);
+
+  // One more completion forgets the expired id too.
+  respond(call());
+  respond(expired);
+  EXPECT_EQ(client.errors(), 2u);
+  EXPECT_EQ(client.late_responses(), 3u);
 }
 
 // FIFO eviction from the completed window is the root cause of the

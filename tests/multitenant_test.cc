@@ -5,6 +5,7 @@
 // tenant's flows across its endpoint replicas.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -23,6 +24,12 @@ MachineConfig TenantMachineConfig() {
   config.num_cores = 4;
   config.server_dedup = true;
   return config;
+}
+
+// A VF that differs from the PF only by its name: the PF's admission, no
+// endpoint cap, and the legacy dispatch discipline.
+LauberhornNic::VfConfig NamedVf(const char* name) {
+  return {.name = name, .admission = {}, .endpoint_limit = 0, .dispatch = std::nullopt};
 }
 
 // Echo service whose handler bumps a per-sequence execution counter.
@@ -161,8 +168,8 @@ TEST(VfTest, VfQuotaShedsOnNicWithDedicatedReason) {
 TEST(VfTest, DedupNamespacesIsolateTenants) {
   Machine machine(TenantMachineConfig());
   std::unordered_map<uint64_t, uint32_t> execs_a, execs_b;
-  const uint32_t vf_a = machine.CreateVf({.name = "tenant-a"});
-  const uint32_t vf_b = machine.CreateVf({.name = "tenant-b"});
+  const uint32_t vf_a = machine.CreateVf(NamedVf("tenant-a"));
+  const uint32_t vf_b = machine.CreateVf(NamedVf("tenant-b"));
   const ServiceDef& svc_a =
       machine.AddService(CountedService(1, 7000, &execs_a), 1, vf_a);
   const ServiceDef& svc_b =
@@ -200,7 +207,7 @@ TEST(VfTest, DedupNamespacesIsolateTenants) {
 TEST(VfTest, ToeplitzRssSteersVfFlowsAcrossEndpoints) {
   Machine machine(TenantMachineConfig());
   std::unordered_map<uint64_t, uint32_t> execs;
-  const uint32_t id = machine.CreateVf({.name = "spread"});
+  const uint32_t id = machine.CreateVf(NamedVf("spread"));
   const ServiceDef& svc =
       machine.AddService(CountedService(1, 7000, &execs), /*max_cores=*/2, id);
   machine.Start();

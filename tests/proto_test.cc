@@ -2,11 +2,14 @@
 // the handler call every stack shares.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "src/net/headers.h"
+#include "src/proto/id_window.h"
 #include "src/proto/marshal.h"
 #include "src/proto/rpc_message.h"
 #include "src/proto/service.h"
@@ -476,6 +479,110 @@ TEST(InvokeMethodTest, SuccessMarshalsResultAndReturnsServiceTime) {
   EXPECT_EQ(response.status, RpcStatus::kOk);
   EXPECT_EQ(response.payload, expected);
   EXPECT_EQ(response.request_id, 42u);
+}
+
+// The set-plus-deque window IdWindow replaces: same eviction rule, the
+// oldest inserted id first.
+class ReferenceIdWindow {
+ public:
+  bool Contains(uint64_t id) const { return ids_.count(id) != 0; }
+  void Insert(uint64_t id) {
+    if (!ids_.insert(id).second) {
+      return;
+    }
+    order_.push_back(id);
+    if (order_.size() > IdWindow::kCapacity) {
+      ids_.erase(order_.front());
+      order_.pop_front();
+    }
+  }
+
+ private:
+  std::unordered_set<uint64_t> ids_;
+  std::deque<uint64_t> order_;
+};
+
+TEST(IdWindowTest, EvictsOldestInsertedNotLowestId) {
+  IdWindow window;
+  EXPECT_FALSE(window.Contains(0));
+  const uint64_t base = (uint64_t{3} << 40) | 1;
+  window.Insert(base + 1);
+  window.Insert(base);  // lower id, inserted second
+  for (uint64_t i = 2; i < IdWindow::kCapacity; ++i) {
+    window.Insert(base + i);
+  }
+  EXPECT_EQ(window.size(), IdWindow::kCapacity);
+  window.Insert(base + 1);  // already held: no change, no eviction
+  EXPECT_TRUE(window.Contains(base + 1));
+  window.Insert(base + IdWindow::kCapacity);
+  EXPECT_FALSE(window.Contains(base + 1));
+  EXPECT_TRUE(window.Contains(base));
+  window.Insert(base + IdWindow::kCapacity + 1);
+  EXPECT_FALSE(window.Contains(base));
+  EXPECT_TRUE(window.Contains(base + 2));
+  EXPECT_FALSE(window.Contains(base + IdWindow::kCapacity + 2));
+}
+
+TEST(IdWindowTest, StragglerBelowTheBitmapIsStillFound) {
+  // An id that retires after 100,000 newer ones sits below the bitmap and
+  // must still be remembered until kCapacity newer retirements pass.
+  IdWindow window;
+  const uint64_t straggler = 7;
+  for (uint64_t id = 100; id < 100000; ++id) {
+    window.Insert(id);
+  }
+  window.Insert(straggler);
+  EXPECT_TRUE(window.Contains(straggler));
+  EXPECT_TRUE(window.Contains(99999));
+  EXPECT_FALSE(window.Contains(100));
+  for (uint64_t id = 100000; id < 100000 + IdWindow::kCapacity - 1; ++id) {
+    window.Insert(id);
+  }
+  EXPECT_TRUE(window.Contains(straggler));
+  window.Insert(1 << 30);  // a jump past the whole bitmap
+  EXPECT_FALSE(window.Contains(straggler));
+  EXPECT_TRUE(window.Contains(1 << 30));
+  EXPECT_TRUE(window.Contains(100000 + IdWindow::kCapacity - 2));
+}
+
+// Ids retire out of order, a few of them 40,000 ids late (below the
+// bitmap), at high id offsets and near the top of the id space; membership
+// must match the reference after every insert.
+TEST(IdWindowTest, MatchesSetAndDequeReference) {
+  for (uint64_t start : {uint64_t{1}, (uint64_t{5} << 40) | 1,
+                         ~uint64_t{0} - 200000}) {
+    Rng rng(start);
+    IdWindow window;
+    ReferenceIdWindow reference;
+    std::vector<uint64_t> open;
+    std::vector<std::pair<int, uint64_t>> parked;  // (release step, id)
+    uint64_t next = start;
+    for (int step = 0; step < 60000; ++step) {
+      while (open.size() < 64) {
+        open.push_back(next++);
+      }
+      uint64_t id = 0;
+      if (!parked.empty() && parked.front().first <= step) {
+        id = parked.front().second;  // retires 40,000 ids late
+        parked.erase(parked.begin());
+      } else {
+        // Mostly one of the oldest open ids, now and then any of them.
+        const size_t pick = rng.UniformInt(0, 99) < 98 ? rng.UniformInt(0, 7)
+                                                       : rng.UniformInt(0, 63);
+        id = open[pick];
+        open.erase(open.begin() + static_cast<std::ptrdiff_t>(pick));
+        if (rng.UniformInt(0, 999) == 0) {
+          parked.emplace_back(step + 40000, id);
+          continue;
+        }
+      }
+      window.Insert(id);
+      reference.Insert(id);
+      const uint64_t probe = next - rng.UniformInt(1, 40000);
+      ASSERT_EQ(window.Contains(id), reference.Contains(id));
+      ASSERT_EQ(window.Contains(probe), reference.Contains(probe)) << probe;
+    }
+  }
 }
 
 }  // namespace

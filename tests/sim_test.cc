@@ -2,6 +2,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <iterator>
 #include <memory>
 #include <set>
@@ -12,6 +13,7 @@
 
 #include "src/sim/callback.h"
 #include "src/sim/random.h"
+#include "src/sim/ring_deque.h"
 #include "src/sim/simulator.h"
 #include "src/sim/time.h"
 
@@ -819,6 +821,54 @@ TEST(SimulatorGoldenTest, IdenticalSeedsProduceIdenticalRuns) {
   const uint64_t b = GoldenHarness(1234).Run();
   EXPECT_EQ(a, b);
   EXPECT_NE(GoldenHarness(1235).Run(), a);
+}
+
+TEST(RingDequeTest, AllocatesNothingUntilFirstPush) {
+  RingDeque<std::vector<int>> ring;
+  EXPECT_TRUE(ring.empty());
+  EXPECT_TRUE(ring.TakeAll().empty());
+  ring.push_back({1});
+  ring.push_front({0});
+  EXPECT_EQ(ring.size(), 2u);
+  EXPECT_EQ(ring.front(), std::vector<int>{0});
+  EXPECT_EQ(ring.pop_back(), std::vector<int>{1});
+  EXPECT_EQ(ring.pop_front(), std::vector<int>{0});
+  EXPECT_TRUE(ring.empty());
+}
+
+// Random pushes and pops at both ends, through growth with a wrapped head,
+// against std::deque; TakeAll hands over the elements front first.
+TEST(RingDequeTest, MatchesStdDequeUnderRandomOps) {
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    Rng rng(seed);
+    RingDeque<uint64_t> ring;
+    std::deque<uint64_t> reference;
+    for (int op = 0; op < 20000; ++op) {
+      const uint64_t pick = rng.UniformInt(0, 99);
+      if (pick < 30) {
+        ring.push_back(op);
+        reference.push_back(op);
+      } else if (pick < 55) {
+        ring.push_front(op);
+        reference.push_front(op);
+      } else if (pick < 75 && !reference.empty()) {
+        ASSERT_EQ(ring.pop_front(), reference.front());
+        reference.pop_front();
+      } else if (pick < 98 && !reference.empty()) {
+        ASSERT_EQ(ring.pop_back(), reference.back());
+        reference.pop_back();
+      } else if (pick >= 98) {
+        const std::vector<uint64_t> taken = ring.TakeAll();
+        ASSERT_TRUE(std::equal(taken.begin(), taken.end(), reference.begin(),
+                               reference.end()));
+        reference.clear();
+      }
+      ASSERT_EQ(ring.size(), reference.size());
+      if (!reference.empty()) {
+        ASSERT_EQ(ring.front(), reference.front());
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,11 @@
 // Tests for histograms, EWMA, trace rings, and table rendering.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "src/sim/random.h"
 #include "src/stats/histogram.h"
@@ -156,6 +160,221 @@ TEST(HistogramTest, ResetClears) {
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.Percentile(0.9), 0);
 }
+
+// Percentiles on a fixed grid, for comparing two histograms exactly.
+template <typename H>
+std::vector<Duration> PercentileGrid(const H& h) {
+  std::vector<Duration> out;
+  for (int i = 0; i <= 1000; ++i) {
+    out.push_back(h.Percentile(i / 1000.0));
+  }
+  for (double q : {0.9999, 0.99999}) {
+    out.push_back(h.Percentile(q));
+  }
+  return out;
+}
+
+TEST(HistogramTest, MergeOfDisjointMagnitudeRanges) {
+  // low covers magnitudes 0-1, high magnitudes 27-31: merging either way
+  // round widens the run down or up, and must equal recording everything
+  // into one histogram.
+  Histogram low;
+  Histogram high;
+  Histogram all;
+  for (Duration v = 0; v < 128; ++v) {
+    low.Record(v);
+    all.Record(v);
+  }
+  for (Duration v = Duration{1} << 32; v < (Duration{1} << 37); v += 7777777) {
+    high.Record(v);
+    all.Record(v);
+  }
+  Histogram up = low;
+  up.Merge(high);
+  Histogram down = high;
+  down.Merge(low);
+  for (const Histogram* merged : {&up, &down}) {
+    EXPECT_EQ(merged->count(), all.count());
+    EXPECT_EQ(merged->min(), 0);
+    EXPECT_EQ(merged->max(), all.max());
+    EXPECT_EQ(PercentileGrid(*merged), PercentileGrid(all));
+    EXPECT_NEAR(merged->Mean(), all.Mean(), 1e-9 * all.Mean());
+    EXPECT_NEAR(merged->StdDev(), all.StdDev(), 1e-9 * all.StdDev());
+  }
+}
+
+TEST(HistogramTest, CopyMoveAndAssignmentLeaveHistogramsIndependent) {
+  Histogram a;
+  a.Record(Nanoseconds(5));
+  a.Record(Nanoseconds(7));
+  const std::vector<Duration> a_grid = PercentileGrid(a);
+
+  Histogram copy = a;
+  copy.Record(Seconds(1));   // widens the copy's run upward
+  copy.Record(0);            // and downward
+  EXPECT_EQ(a.count(), 2u);
+  EXPECT_EQ(PercentileGrid(a), a_grid);
+  EXPECT_EQ(copy.count(), 4u);
+
+  Histogram assigned;
+  assigned.Record(Milliseconds(3));
+  assigned = a;
+  EXPECT_EQ(PercentileGrid(assigned), a_grid);
+  assigned.Record(Nanoseconds(6));
+  EXPECT_EQ(a.count(), 2u);
+  EXPECT_EQ(PercentileGrid(a), a_grid);
+
+  const std::vector<Duration> copy_grid = PercentileGrid(copy);
+  Histogram moved = std::move(copy);
+  EXPECT_EQ(moved.count(), 4u);
+  EXPECT_EQ(PercentileGrid(moved), copy_grid);
+  copy = a;  // a moved-from histogram takes a new value
+  copy.Record(Nanoseconds(9));
+  EXPECT_EQ(copy.count(), 3u);
+  EXPECT_EQ(PercentileGrid(moved), copy_grid);
+
+  Histogram move_assigned;
+  move_assigned.Record(Microseconds(1));
+  move_assigned = std::move(moved);
+  EXPECT_EQ(move_assigned.count(), 4u);
+  EXPECT_EQ(move_assigned.min(), 0);
+  EXPECT_EQ(PercentileGrid(move_assigned), copy_grid);
+  EXPECT_EQ(PercentileGrid(a), a_grid);
+}
+
+TEST(HistogramTest, ResetThenReuseMatchesAFreshHistogram) {
+  Histogram reused;
+  for (int i = 1; i <= 1000; ++i) {
+    reused.Record(Microseconds(i));
+  }
+  reused.Reset();
+  EXPECT_EQ(reused.count(), 0u);
+  EXPECT_EQ(reused.P99(), 0);
+  EXPECT_EQ(reused.Mean(), 0.0);
+  Histogram fresh;
+  // Values below, inside and above the run the first population left.
+  for (Duration v : {Duration{3}, Nanoseconds(40), Microseconds(500), Seconds(2)}) {
+    reused.Record(v);
+    fresh.Record(v);
+  }
+  EXPECT_EQ(PercentileGrid(reused), PercentileGrid(fresh));
+  EXPECT_EQ(reused.Mean(), fresh.Mean());
+  EXPECT_EQ(reused.StdDev(), fresh.StdDev());
+  EXPECT_EQ(reused.min(), fresh.min());
+  EXPECT_EQ(reused.max(), fresh.max());
+}
+
+// The layout before blocks were stored apart: one zero-filled slot per dense
+// index 64 * magnitude + sub, 3,712 of them, walked in full. The compact
+// layout must answer exactly as this one does.
+class DenseHistogram {
+ public:
+  static constexpr size_t kNumBuckets = 3712;
+
+  static size_t Index(uint64_t value) {
+    if (value < 64) {
+      return static_cast<size_t>(value);
+    }
+    const int magnitude = 63 - std::countl_zero(value) - 5;
+    return static_cast<size_t>(magnitude) * 64 + static_cast<size_t>(value >> magnitude);
+  }
+  static uint64_t Low(size_t index) { return (index % 64) << (index / 64); }
+  static uint64_t High(size_t index) { return Low(index) + (1ULL << (index / 64)) - 1; }
+
+  void Record(Duration value) {
+    value = std::max<Duration>(value, 0);
+    ++buckets_[Index(static_cast<uint64_t>(value))];
+    min_ = count_ == 0 ? value : std::min(min_, value);
+    max_ = count_ == 0 ? value : std::max(max_, value);
+    ++count_;
+    const double d = static_cast<double>(value) - mean_;
+    mean_ += d / static_cast<double>(count_);
+    m2_ += d * (static_cast<double>(value) - mean_);
+  }
+  void Merge(const DenseHistogram& other) {
+    for (size_t i = 0; i < kNumBuckets; ++i) {
+      buckets_[i] += other.buckets_[i];
+    }
+    min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
+    max_ = count_ == 0 ? other.max_ : std::max(max_, other.max_);
+    const double na = static_cast<double>(count_);
+    const double nb = static_cast<double>(other.count_);
+    const double n = na + nb;
+    const double delta = other.mean_ - mean_;
+    m2_ += other.m2_ + delta * delta * na * nb / n;
+    mean_ += delta * nb / n;
+    count_ += other.count_;
+  }
+  Duration Percentile(double q) const {
+    const auto target = static_cast<uint64_t>(std::ceil(q * static_cast<double>(count_)));
+    uint64_t seen = 0;
+    for (size_t i = 0; i < kNumBuckets; ++i) {
+      seen += buckets_[i];
+      if (seen >= target && buckets_[i] > 0) {
+        const uint64_t mid = Low(i) / 2 + High(i) / 2;
+        return std::clamp(static_cast<Duration>(mid), min_, max_);
+      }
+    }
+    return max_;
+  }
+  double Mean() const { return mean_; }
+  double StdDev() const {
+    const double var = m2_ / static_cast<double>(count_);
+    return var > 0.0 ? std::sqrt(var) : 0.0;
+  }
+
+ private:
+  std::vector<uint64_t> buckets_ = std::vector<uint64_t>(kNumBuckets, 0);
+  uint64_t count_ = 0;
+  Duration min_ = 0;
+  Duration max_ = 0;
+  double mean_ = 0.0;
+  double m2_ = 0.0;
+};
+
+// Random values from 0 to INT64_MAX, spread over every magnitude: every
+// percentile on the grid, the mean and the standard deviation match the
+// dense reference exactly, before and after a merge.
+class HistogramDenseReferenceTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(HistogramDenseReferenceTest, MatchesDenseLayoutExactly) {
+  Rng rng(GetParam());
+  Histogram a;
+  Histogram b;
+  DenseHistogram dense_a;
+  DenseHistogram dense_b;
+  auto draw = [&rng] {
+    const auto shift = static_cast<int>(rng.UniformInt(1, 63));
+    return static_cast<Duration>(rng.Next() >> shift);
+  };
+  for (int i = 0; i < 20000; ++i) {
+    const Duration v = draw();
+    a.Record(v);
+    dense_a.Record(v);
+  }
+  for (Duration v : {Duration{0}, std::numeric_limits<Duration>::max()}) {
+    a.Record(v);
+    dense_a.Record(v);
+  }
+  // b: a narrower population, so the merge widens b's run on both sides.
+  for (int i = 0; i < 5000; ++i) {
+    const Duration v = static_cast<Duration>(rng.UniformInt(1000000, 50000000));
+    b.Record(v);
+    dense_b.Record(v);
+  }
+  EXPECT_EQ(PercentileGrid(a), PercentileGrid(dense_a));
+  EXPECT_EQ(a.Mean(), dense_a.Mean());
+  EXPECT_EQ(a.StdDev(), dense_a.StdDev());
+  EXPECT_EQ(PercentileGrid(b), PercentileGrid(dense_b));
+  b.Merge(a);
+  dense_b.Merge(dense_a);
+  EXPECT_EQ(PercentileGrid(b), PercentileGrid(dense_b));
+  EXPECT_EQ(b.Mean(), dense_b.Mean());
+  EXPECT_EQ(b.StdDev(), dense_b.StdDev());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, HistogramDenseReferenceTest,
+                         ::testing::Values(1, 2, 3, 99, 12345));
 
 // Property: percentile of a random population is within bucket error of the
 // exact order statistic.
