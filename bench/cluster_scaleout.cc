@@ -65,6 +65,7 @@ struct CellResult {
   uint64_t fabric_forwarded = 0, fabric_queue_drops = 0;
   bool fabric_metrics_present = false;
   bool sim_metrics_present = false;
+  uint64_t sim_events = 0;  // Simulator::events_executed() after the drain
 
   // Wall-clock goodput each simulated machine achieves — the simulator
   // scale metric (per-machine cost of growing the cluster).
@@ -247,6 +248,7 @@ CellResult RunCell(const CellParams& p) {
   executions.reserve(static_cast<size_t>(1.1 * expected_calls));
   const auto wall_start = std::chrono::steady_clock::now();
   testbed.sim().RunUntil(t_stop + p.drain);
+  result.sim_events = testbed.sim().events_executed();
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
@@ -348,6 +350,7 @@ int main(int argc, char** argv) {
                                  .Field("offered_rps", r.offered_rps)
                                  .Field("goodput_rps", r.goodput_rps)
                                  .Field("speedup", speedup)
+                                 .Field("sim_events", r.sim_events)
                                  .Field("p99_us", ToMicroseconds(r.p99))
                                  .Render());
     }
@@ -390,6 +393,7 @@ int main(int argc, char** argv) {
                   Table::Num(vs_8m)});
     scale_json.push_back(JsonObject()
                              .Field("machines", n)
+                             .Field("sim_events", r.sim_events)
                              .Field("goodput_rps", r.goodput_rps)
                              .Render());
     scale_wall_json.push_back(JsonObject()
@@ -484,6 +488,7 @@ int main(int argc, char** argv) {
         .Field("duplicate_executions", fr.duplicate_executions)
         .Field("max_failover_rtt_us", ToMicroseconds(fr.max_rtt))
         .Field("fabric_queue_drops", fr.fabric_queue_drops)
+        .Field("failover_sim_events", fr.sim_events)
         .Field("violations", violations)
         .Raw("wall", JsonObject()
                          .Raw("sim_scale", JsonArray(scale_wall_json))

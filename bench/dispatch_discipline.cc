@@ -155,6 +155,7 @@ struct CellResult {
   uint64_t local_queued = 0;
   uint64_t hot = 0;
   Duration p50 = 0, p99 = 0, p999 = 0;
+  uint64_t sim_events = 0;  // Simulator::events_executed() after the drain
 };
 
 CellResult RunCell(const CellParams& p) {
@@ -248,6 +249,7 @@ CellResult RunCell(const CellParams& p) {
 
   CellResult result;
   result.sent = d->seq;
+  result.sim_events = testbed.sim().events_executed();
   result.ok = d->ok;
   result.p50 = d->rtt.P50();
   result.p99 = d->rtt.P99();
@@ -353,6 +355,7 @@ int main(int argc, char** argv) {
                 .Field("central_queued", r.central_queued)
                 .Field("local_queued", r.local_queued)
                 .Field("sheds", r.sheds)
+                .Field("sim_events", r.sim_events)
                 .Field("duplicate_executions", r.dup_execs)
                 .Render());
         if (r.dup_execs != 0) {
@@ -417,6 +420,7 @@ int main(int argc, char** argv) {
                              .Field("ok", r.ok)
                              .Field("timeouts", r.timeouts)
                              .Field("nic_resets", r.nic_resets)
+                             .Field("sim_events", r.sim_events)
                              .Field("duplicate_executions", r.dup_execs)
                              .Render());
     if (r.dup_execs != 0) {

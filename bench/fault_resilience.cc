@@ -36,6 +36,7 @@ struct Cell {
   uint64_t service_down_drops = 0;
   Duration p50 = 0;
   Duration p99 = 0;
+  uint64_t sim_events = 0;  // Simulator::events_executed() after the drain
 };
 
 // One service whose handler tallies executions per sequence number (arg 0),
@@ -133,6 +134,7 @@ Cell Measure(StackKind stack, double intensity, uint64_t seed, bool smoke) {
   machine.sim().RunUntil(stop + Milliseconds(10));
 
   cell.sent = seq;
+  cell.sim_events = machine.sim().events_executed();
   cell.timeouts = machine.client().timeouts();
   cell.retransmits = machine.client().retransmits();
   cell.suppressed = machine.client().retransmits_suppressed();
@@ -228,6 +230,7 @@ int main(int argc, char** argv) {
         .Field("dedup_drops_in_flight", cell.dup_drops)
         .Field("degradations", cell.degradations)
         .Field("service_down_drops", cell.service_down_drops)
+        .Field("sim_events", cell.sim_events)
         .Field("duplicate_executions", cell.dup_execs);
     json_rows.push_back(row.Render());
 

@@ -75,6 +75,7 @@ struct CellResult {
   uint64_t grants = 0;          // grants issued by the receiver NIC
   uint64_t marks_seen = 0;      // echoes/CE observed by the sender clients
   uint64_t deferrals = 0;       // sends parked by the client window
+  uint64_t sim_events = 0;      // Simulator::events_executed() after the drain
 };
 
 ServiceDef MakeEchoU64(uint32_t id, uint16_t port, Duration service_time) {
@@ -198,6 +199,7 @@ CellResult RunCell(const CellParams& p) {
   CellResult result;
   result.senders = p.senders;
   result.cc = p.cc;
+  result.sim_events = testbed.sim().events_executed();
   Histogram rtt;
   for (const auto& d : drivers) {
     result.ok += d->ok;
@@ -279,6 +281,7 @@ int main(int argc, char** argv) {
                                .Field("retransmits", r.retransmits)
                                .Field("fabric_drops", r.fabric_drops)
                                .Field("fabric_marks", r.fabric_marks)
+                               .Field("sim_events", r.sim_events)
                                .Field("grants", r.grants)
                                .Render());
     }

@@ -29,6 +29,7 @@ struct StackResult {
   uint64_t spans_dropped = 0;
   uint64_t orphan_marks = 0;
   uint64_t reopened = 0;
+  uint64_t sim_events = 0;  // Simulator::events_executed() at the end
   bool all_complete = true;
   bool all_monotonic = true;
   std::vector<ChromeTraceEvent> events;
@@ -94,6 +95,7 @@ StackResult MeasureStack(StackKind stack, bool hot, int requests) {
   result.spans_dropped = spans.dropped();
   result.orphan_marks = spans.orphan_marks();
   result.reopened = spans.reopened();
+  result.sim_events = machine.sim().events_executed();
   for (const RequestSpan& span : spans.completed()) {
     result.all_complete = result.all_complete && span.Complete();
     result.all_monotonic = result.all_monotonic && span.Monotonic();
@@ -193,6 +195,7 @@ int main(int argc, char** argv) {
           .Raw("segments_us", SegmentsJson(r.budget))
           .Field("total_p50_us", ToMicroseconds(r.budget.total.P50()))
           .Field("total_p99_us", ToMicroseconds(r.budget.total.P99()))
+          .Field("sim_events", r.sim_events)
           .Raw("metrics", r.metrics_json);
       stacks.push_back(obj.Render());
     }

@@ -61,6 +61,7 @@ struct CellResult {
   uint64_t recoveries = 0;
   uint64_t nic_crashes = 0;
   uint64_t replayed_vfs = 0;
+  uint64_t sim_events = 0;  // Simulator::events_executed() after the drain
 };
 
 MachineConfig TenantMachine(uint64_t seed, bool chaos) {
@@ -186,6 +187,7 @@ CellResult RunCell(uint64_t seed, const double (&rates)[kTenants],
   cell.host_dispatches = machine.lauberhorn_runtime()->rpcs_hot() +
                          machine.lauberhorn_runtime()->rpcs_cold();
   cell.nic_sheds_vf_quota = nic.stats().sheds.vf_quota;
+  cell.sim_events = machine.sim().events_executed();
   if (machine.nic_recovery() != nullptr) {
     cell.recoveries = machine.nic_recovery()->stats().recoveries;
     cell.replayed_vfs = machine.nic_recovery()->stats().replayed_vfs;
@@ -203,6 +205,7 @@ struct DedupCell {
   uint64_t execs_b = 0;
   uint64_t cross_tenant_suppressions = 0;
   uint64_t intra_tenant_suppressions = 0;
+  uint64_t sim_events = 0;
 };
 
 Packet RawRequest(uint16_t src_port, uint16_t dst_port, uint64_t request_id,
@@ -282,6 +285,7 @@ DedupCell RunDedupCell(uint64_t seed) {
   cell.intra_tenant_suppressions = dedup.duplicates_in_flight +
                                    dedup.duplicates_replayed -
                                    cell.cross_tenant_suppressions;
+  cell.sim_events = machine.sim().events_executed();
   for (const auto& [s, count] : execs_a) {
     cell.execs_a += count;
   }
@@ -346,6 +350,9 @@ int main(int argc, char** argv) {
         .Field("surge_sheds_vf_quota", surge.tenants[t].sheds_vf_quota)
         .Field("rss_steered", surge.tenants[t].rss_steered)
         .Field("rss_fallbacks", surge.tenants[t].rss_fallbacks)
+        .Field("solo_sim_events", solo[t].sim_events)
+        .Field("fair_sim_events", fair.sim_events)
+        .Field("surge_sim_events", surge.sim_events)
         .Field("duplicate_executions", surge.tenants[t].dup_execs);
     json_rows.push_back(row.Render());
   }
@@ -421,6 +428,7 @@ int main(int argc, char** argv) {
         .Field("tenant_a_executions", dedup.execs_a)
         .Field("tenant_b_executions", dedup.execs_b)
         .Field("cross_tenant_suppressions", dedup.cross_tenant_suppressions)
+        .Field("sim_events", dedup.sim_events)
         .Field("intra_tenant_suppressions", dedup.intra_tenant_suppressions);
     json_rows.push_back(row.Render());
   }
@@ -465,6 +473,7 @@ int main(int argc, char** argv) {
         .Field("replayed_vfs", chaos.replayed_vfs)
         .Field("sent", chaos_sent)
         .Field("goodput", chaos_ok)
+        .Field("sim_events", chaos.sim_events)
         .Field("duplicate_executions", chaos_dups);
     json_rows.push_back(row.Render());
   }

@@ -94,6 +94,7 @@ struct RecoverCell {
   uint64_t marked_down = 0;
   uint64_t ring_moves_degraded = 0;  // hash assignments moved by kDegraded
   uint64_t ring_moves_down = 0;      // ...vs. what a kDown would have moved
+  uint64_t sim_events = 0;  // Simulator::events_executed() after the drain
 };
 
 RecoverCell MeasureRecovery(uint64_t seed) {
@@ -168,6 +169,7 @@ RecoverCell MeasureRecovery(uint64_t seed) {
   machine.sim().RunUntil(stop + Milliseconds(15));
 
   cell.sent = seq;
+  cell.sim_events = machine.sim().events_executed();
   cell.retransmits = machine.client().retransmits();
   for (const auto& [s, count] : execs) {
     cell.total_execs += count;
@@ -243,6 +245,7 @@ struct ChaosCell {
   uint64_t span_monotonic_violations = 0;
   uint64_t span_orphans_accounted = 0;  // replays + dup drops + reopens + marks
   uint64_t spans_open = 0;
+  uint64_t sim_events = 0;  // Simulator::events_executed() after the drain
 };
 
 ChaosCell MeasureChaos(uint64_t seed, bool smoke) {
@@ -293,6 +296,7 @@ ChaosCell MeasureChaos(uint64_t seed, bool smoke) {
   machine.sim().RunUntil(stop + Milliseconds(40));
 
   cell.sent = seq;
+  cell.sim_events = machine.sim().events_executed();
   for (const auto& [s, count] : execs) {
     cell.total_execs += count;
     if (count > 1) {
@@ -383,6 +387,7 @@ int main(int argc, char** argv) {
         .Field("marked_up", r.marked_up)
         .Field("marked_down", r.marked_down)
         .Field("ring_moves_degraded", r.ring_moves_degraded)
+        .Field("sim_events", r.sim_events)
         .Field("ring_moves_down", r.ring_moves_down);
     json_rows.push_back(row.Render());
   }
@@ -478,6 +483,7 @@ int main(int argc, char** argv) {
         .Field("spans_incomplete", cell.spans_incomplete)
         .Field("spans_open", cell.spans_open)
         .Field("span_orphans_accounted", cell.span_orphans_accounted)
+        .Field("sim_events", cell.sim_events)
         .Field("duplicate_executions", cell.dup_execs);
     json_rows.push_back(row.Render());
 

@@ -146,6 +146,7 @@ struct SurgeCell {
   Duration time_to_recover = 0;
   bool recovered = false;
   uint64_t scale_suppressed = 0;  // Lauberhorn governor cooldown hits
+  uint64_t sim_events = 0;  // Simulator::events_executed() after the drain
 };
 
 SurgeCell MeasureSurge(StackKind stack, double mult, double capacity_rps,
@@ -245,6 +246,7 @@ SurgeCell MeasureSurge(StackKind stack, double mult, double capacity_rps,
   gen.Stop();
   machine.sim().RunUntil(run_end + unit);  // drain stragglers
 
+  cell.sim_events = machine.sim().events_executed();
   cell.surge_sent = sent_at_surge_end - sent_at_surge_start;
   cell.surge_ok = ok[kSurge];
   cell.baseline_rate = static_cast<double>(ok[kBaseline]) /
@@ -297,6 +299,7 @@ struct FaultCell {
   uint64_t breaker_openings = 0;
   uint64_t suppressed_breaker = 0;
   uint64_t late = 0;
+  uint64_t sim_events = 0;  // Simulator::events_executed() after the drain
 };
 
 ServiceDef MakeCountingService(std::unordered_map<uint64_t, uint32_t>& execs) {
@@ -381,6 +384,7 @@ FaultCell MeasureFaulted(StackKind stack, double capacity_rps, uint64_t seed,
   machine.sim().RunUntil(stop + Milliseconds(10));
 
   cell.sent = *seq;
+  cell.sim_events = machine.sim().events_executed();
   cell.overloaded = machine.client().overloaded();
   cell.breaker_openings = machine.client().breaker_openings();
   cell.suppressed_breaker = machine.client().retransmits_suppressed_breaker();
@@ -493,6 +497,7 @@ int main(int argc, char** argv) {
         .Field("p999_unloaded_us", ToMicroseconds(cell.p999_unloaded))
         .Field("time_to_recover_us", ToMicroseconds(cell.time_to_recover))
         .Field("recovered", cell.recovered)
+        .Field("sim_events", cell.sim_events)
         .Field("scale_suppressed", cell.scale_suppressed);
     json_rows.push_back(row.Render());
 
@@ -577,6 +582,7 @@ int main(int argc, char** argv) {
         .Field("late_responses", cell.late)
         .Field("breaker_openings", cell.breaker_openings)
         .Field("retransmits_suppressed_breaker", cell.suppressed_breaker)
+        .Field("sim_events", cell.sim_events)
         .Field("duplicate_executions", cell.dup_execs);
     json_rows.push_back(row.Render());
 
