@@ -19,6 +19,8 @@ LauberhornNic::LauberhornNic(Simulator& sim, CoherentInterconnect& interconnect,
       services_(services),
       config_(config),
       dedup_(config.serve.dedup_window) {
+  assert(FirstContinuation() + config_.num_continuations <= TraceRing::kMaxEndpoints &&
+         "more endpoints than a trace entry can name");
   endpoints_.resize(FirstContinuation() + config_.num_continuations);
   WipeVolatileState();
   const uint64_t homed_bytes = endpoints_.size() * EndpointStrideLines() * line_size();

@@ -73,7 +73,9 @@ class LauberhornNic : public HomeAgent, public PacketSink {
  public:
   struct Config {
     LineAddr base = 0x1'0000'0000;  // must not overlap host memory
-    size_t num_endpoints = 64;       // service endpoints
+    // Service endpoints. Together with the kernel channels and the
+    // continuations they must not exceed TraceRing::kMaxEndpoints (65,536).
+    size_t num_endpoints = 64;
     size_t num_kernel_channels = 8;  // kernel control channels (≈ #cores)
     // Continuation endpoints (§6): lightweight one-shot endpoints a handler
     // grabs to receive the reply of a nested RPC.

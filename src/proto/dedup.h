@@ -32,13 +32,22 @@
 // crash) still stores the real response. The Linux and bypass stacks never
 // call MarkDelivered or ReplayAfterCrash; for them an entry is only ever
 // in flight or completed.
+//
+// Storage is flat, with no heap node per entry. Completed responses sit in a
+// ring of fixed-size records in completion order (the response's header
+// fields and where its payload lies), and their payloads in one byte ring in
+// the same order, so FIFO eviction advances both heads. An open-addressing
+// index (linear probing, backward-shift deletion) maps (flow, request id) to
+// the entry's state and, once completed, its record. Once the rings and the
+// index have grown to the window, Admit, MarkDelivered and Complete allocate
+// nothing.
 #ifndef SRC_PROTO_DEDUP_H_
 #define SRC_PROTO_DEDUP_H_
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
+#include <vector>
 
 #include "src/proto/rpc_message.h"
 
@@ -90,9 +99,6 @@ class RpcDedupCache {
   // so a retransmit gets a fresh chance to run.
   void Abort(uint64_t flow, uint64_t request_id);
 
-  // The cached response for a kCompleted verdict.
-  const RpcMessage* Lookup(uint64_t flow, uint64_t request_id) const;
-
   // The answer to a kCompleted duplicate of `request`: a copy of the cached
   // response, or a kInternal header with the request's ids when none is
   // cached.
@@ -100,38 +106,94 @@ class RpcDedupCache {
 
   // Applies the crash-replay rules above. Completed entries keep their
   // completion order; the synthetic terminals are appended in (flow, id)
-  // order, so the result never depends on hash-table iteration order.
+  // order, so the result never depends on the index's slot order.
   ReplayCounts ReplayAfterCrash();
 
   const Stats& stats() const { return stats_; }
-  size_t size() const { return entries_.size(); }
+  size_t size() const { return entries_; }
+
+  // Named memory bound: the live heap of a cache whose window (a power of
+  // two, at least 8) is full of responses with `payload_bytes` of payload
+  // each, with at most window / 2 requests in flight. Each completed entry
+  // costs a record and its payload; the index has at most 2 * window slots
+  // of a key and a state word.
+  static constexpr size_t FullWindowHeapBytes(size_t window, size_t payload_bytes) {
+    return window * (sizeof(Record) + payload_bytes) +
+           2 * window * (sizeof(Key) + sizeof(uint32_t));
+  }
 
  private:
-  enum class State : uint8_t { kInFlight, kDelivered, kPinned, kCompleted };
-
   struct Key {
     uint64_t flow = 0;
     uint64_t request_id = 0;
     auto operator<=>(const Key&) const = default;
   };
-  struct KeyHash {
-    size_t operator()(const Key& key) const {
-      // splitmix-style finalizer over the xor of the halves.
-      uint64_t x = key.flow ^ (key.request_id * 0x9e3779b97f4a7c15ULL);
-      x ^= x >> 30;
-      x *= 0xbf58476d1ce4e5b9ULL;
-      x ^= x >> 27;
-      return static_cast<size_t>(x);
-    }
+  // One completed response, minus its payload bytes.
+  struct Record {
+    uint64_t request_id = 0;  // the response's
+    uint32_t service_id = 0;
+    uint32_t slot = 0;         // index slot holding this entry's key
+    uint32_t payload_at = 0;   // offset in bytes_
+    uint32_t payload_size = 0;
+    uint16_t method_id = 0;
+    RpcStatus status = RpcStatus::kOk;
+    uint16_t grant = 0;
+    MessageKind kind = MessageKind::kResponse;
+    uint8_t flags = 0;
   };
-  struct Entry {
-    State state = State::kInFlight;
-    RpcMessage response;  // valid when kCompleted
-  };
+  static_assert(sizeof(Record) == 32);
+
+  // An index slot's state word: one of the values below, or kCompletedBit
+  // plus the entry's position in records_.
+  static constexpr uint32_t kEmpty = 0;
+  static constexpr uint32_t kInFlight = 1;   // admitted, not yet delivered
+  static constexpr uint32_t kDelivered = 2;  // a handler saw it
+  static constexpr uint32_t kPinned = 3;     // delivered before a crash
+  static constexpr uint32_t kCompletedBit = uint32_t{1} << 31;
+  static constexpr size_t kNoSlot = ~size_t{0};
+  static constexpr size_t kMinIndexSlots = 16;
+  static constexpr size_t kMinRecords = 16;
+
+  static bool IsCompleted(uint32_t state) { return (state & kCompletedBit) != 0; }
+  static size_t Hash(const Key& key);
+  size_t Home(const Key& key) const { return Hash(key) & (keys_.size() - 1); }
+
+  // The slot holding `key`, or kNoSlot.
+  size_t Find(const Key& key) const;
+  // Stores `key` with `state` in a free slot, growing the index first when
+  // it would pass three quarters full. `key` must be absent.
+  void Insert(const Key& key, uint32_t state);
+  void GrowIndex();
+  // Frees `slot`, shifting later entries of its probe run back into the gap.
+  void EraseSlot(size_t slot);
+
+  // Appends a completed entry for the key in `slot`: its record and a copy
+  // of `payload`, growing either ring first if it is full.
+  void Append(size_t slot, const RpcMessage& response);
+  // Evicts the oldest completed entry.
+  void EvictOldest();
+  void GrowRecords(size_t needed);
+  void GrowBytes(size_t needed);
+  size_t RecordAt(size_t i) const;  // position of the i-th oldest record
 
   size_t completed_window_;
-  std::unordered_map<Key, Entry, KeyHash> entries_;
-  std::deque<Key> completed_order_;
+
+  // Index: keys_ and states_ are parallel, with a power-of-two size.
+  std::vector<Key> keys_;
+  std::vector<uint32_t> states_;
+  size_t entries_ = 0;
+
+  // Completed entries, oldest first from records_head_.
+  std::vector<Record> records_;
+  size_t records_head_ = 0;
+  size_t records_count_ = 0;
+
+  // Their payloads, in the same order, oldest first from bytes_head_. A
+  // payload may wrap around the end.
+  std::vector<uint8_t> bytes_;
+  size_t bytes_head_ = 0;
+  size_t bytes_used_ = 0;
+
   Stats stats_;
 };
 

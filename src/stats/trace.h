@@ -6,8 +6,9 @@
 #ifndef SRC_STATS_TRACE_H_
 #define SRC_STATS_TRACE_H_
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -34,58 +35,87 @@ enum class TraceEvent : uint16_t {
 
 std::string ToString(TraceEvent event);
 
+// The entries live in one array of `capacity` entries, allocated on the first
+// Emit and then reused as a ring.
 class TraceRing {
  public:
+  // Entries store the endpoint in 16 bits; LauberhornNic rejects a
+  // configuration with more endpoints than this.
+  static constexpr size_t kMaxEndpoints = size_t{1} << 16;
+
   explicit TraceRing(size_t capacity = 4096) : capacity_(capacity) {}
 
   struct Entry {
     SimTime at = 0;
     TraceEvent event = TraceEvent::kNone;
-    uint32_t a = 0;
+    uint16_t a = 0;  // the endpoint
     uint32_t b = 0;
   };
+  static_assert(sizeof(Entry) == 16);
 
   void Emit(SimTime at, TraceEvent event, uint32_t a = 0, uint32_t b = 0) {
     if (!enabled_) {
       return;
     }
     if (capacity_ == 0) {
-      // A zero-capacity ring can hold nothing; count the drop instead of
-      // popping from an empty deque.
+      // A zero-capacity ring can hold nothing; count the drop instead.
       ++dropped_;
       return;
     }
-    if (entries_.size() >= capacity_) {
-      entries_.pop_front();
-      ++dropped_;
+    assert(a < kMaxEndpoints && "trace endpoint does not fit in 16 bits");
+    if (entries_.empty()) {
+      entries_.resize(capacity_);
     }
-    entries_.push_back(Entry{at, event, a, b});
+    size_t slot = head_ + size_;
+    if (size_ == capacity_) {
+      slot = head_;  // overwrite the oldest
+      head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
+      ++dropped_;
+    } else {
+      ++size_;
+    }
+    entries_[slot < capacity_ ? slot : slot - capacity_] =
+        Entry{at, event, static_cast<uint16_t>(a), b};
   }
 
   void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
 
+  // The entries, oldest first.
   std::vector<Entry> Snapshot() const {
-    return std::vector<Entry>(entries_.begin(), entries_.end());
+    std::vector<Entry> out;
+    out.reserve(size_);
+    for (size_t i = 0; i < size_; ++i) {
+      out.push_back(At(i));
+    }
+    return out;
   }
-  size_t size() const { return entries_.size(); }
+  size_t size() const { return size_; }
   uint64_t dropped() const { return dropped_; }
 
   // Entries for one endpoint, in order.
   std::vector<Entry> ForEndpoint(uint32_t endpoint) const {
     std::vector<Entry> out;
-    for (const Entry& entry : entries_) {
-      if (entry.a == endpoint) {
-        out.push_back(entry);
+    for (size_t i = 0; i < size_; ++i) {
+      if (At(i).a == endpoint) {
+        out.push_back(At(i));
       }
     }
     return out;
   }
 
  private:
+  // The i-th oldest entry.
+  const Entry& At(size_t i) const {
+    const size_t slot = head_ + i;
+    return entries_[slot < capacity_ ? slot : slot - capacity_];
+  }
+
   size_t capacity_;
   bool enabled_ = true;
-  std::deque<Entry> entries_;
+  std::vector<Entry> entries_;  // empty, or capacity_ entries
+  size_t head_ = 0;             // the oldest entry
+  size_t size_ = 0;
   uint64_t dropped_ = 0;
 };
 

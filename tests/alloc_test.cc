@@ -2,10 +2,11 @@
 // operator new with one that counts allocations and live bytes, so it is kept
 // apart from lbh_tests.
 //
-// - The steady-state CONTROL-line cycle allocates nothing.
+// - The steady-state CONTROL-line cycle and the steady-state dedup cycle
+//   (Admit, MarkDelivered, Complete) allocate nothing.
 // - Per-machine state holds no more heap than its named bound: an idle NIC
-//   endpoint queue, a histogram of one decade of values, and the client's
-//   retired-id window.
+//   endpoint queue, a histogram of one decade of values, the client's
+//   retired-id window, a full dedup window and a full trace ring.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,9 +17,11 @@
 #include <new>
 
 #include "src/nic/lauberhorn_nic.h"
+#include "src/proto/dedup.h"
 #include "src/proto/id_window.h"
 #include "src/sim/random.h"
 #include "src/stats/histogram.h"
+#include "src/stats/trace.h"
 #include "tests/control_line_cycle.h"
 
 namespace {
@@ -168,6 +171,75 @@ TEST(MemoryBoundTest, RetiredWindowAfter100kCompletionsStaysWithinItsBound) {
   }
   EXPECT_EQ(retired.size(), IdWindow::kCapacity);
   EXPECT_LE(LiveSince(before), static_cast<int64_t>(IdWindow::kMaxHeapBytes));
+}
+
+// A server's dedup traffic: request ids from one counter, each admitted,
+// delivered and completed with a 64-byte response.
+class DedupCycle {
+ public:
+  explicit DedupCycle(RpcDedupCache& cache) : cache_(cache) {
+    response_.kind = MessageKind::kResponse;
+    response_.payload.assign(64, 0xab);
+  }
+
+  void Run(uint64_t cycles) {
+    for (uint64_t i = 0; i < cycles; ++i, ++next_id_) {
+      cache_.Admit(kFlow, next_id_);
+      cache_.MarkDelivered(kFlow, next_id_);
+      response_.request_id = next_id_;
+      cache_.Complete(kFlow, next_id_, response_);
+    }
+  }
+
+ private:
+  static constexpr uint64_t kFlow = DedupFlowKey(0x0a000001, 40000);
+  RpcDedupCache& cache_;
+  RpcMessage response_;
+  uint64_t next_id_ = 1;
+};
+
+TEST(AllocTest, SteadyStateDedupCyclesAllocateNothing) {
+  RpcDedupCache cache(1024);
+  DedupCycle cycle(cache);
+  cycle.Run(2048);  // warm-up: the index and both rings reach the window
+  const uint64_t before = g_allocations.load();
+  cycle.Run(10000);
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  EXPECT_EQ(cache.size(), 1024u);
+  EXPECT_EQ(cache.stats().admitted, 12048u);
+  EXPECT_EQ(cache.stats().evictions, 12048u - 1024u);
+}
+
+TEST(MemoryBoundTest, FullDedupWindowStaysWithinItsBound) {
+  // 1,024 responses of 64 bytes: a 32-byte record and the payload each, and
+  // a 2,048-slot index of 20-byte slots. One hash node, one payload vector
+  // and one deque slot per entry took about 190 KiB.
+  static_assert(RpcDedupCache::FullWindowHeapBytes(1024, 64) == 136 * 1024);
+  const int64_t before = g_live_bytes.load();
+  {
+    RpcDedupCache cache(1024);
+    DedupCycle cycle(cache);
+    const int64_t cycle_bytes = LiveSince(before);  // the cycle's own response
+    cycle.Run(3000);
+    EXPECT_EQ(cache.size(), 1024u);
+    EXPECT_LE(LiveSince(before) - cycle_bytes,
+              static_cast<int64_t>(RpcDedupCache::FullWindowHeapBytes(1024, 64)));
+  }
+  EXPECT_EQ(LiveSince(before), 0);
+}
+
+static_assert(sizeof(TraceRing::Entry) == 16);
+
+TEST(MemoryBoundTest, FullTraceRingHoldsSixteenBytesPerEntry) {
+  const int64_t before = g_live_bytes.load();
+  TraceRing ring(4096);
+  EXPECT_EQ(LiveSince(before), 0);  // nothing until the first Emit
+  for (uint32_t i = 0; i < 5000; ++i) {
+    ring.Emit(static_cast<SimTime>(i), TraceEvent::kWireRx, i % 64, i);
+  }
+  EXPECT_EQ(ring.size(), 4096u);
+  EXPECT_EQ(ring.dropped(), 5000u - 4096u);
+  EXPECT_EQ(LiveSince(before), static_cast<int64_t>(4096 * sizeof(TraceRing::Entry)));
 }
 
 }  // namespace

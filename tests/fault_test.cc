@@ -4,6 +4,11 @@
 // LauberhornNic's graceful degradation of wedged endpoints.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <functional>
+#include <optional>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -14,6 +19,7 @@
 #include "src/core/machine.h"
 #include "src/fault/fault.h"
 #include "src/proto/dedup.h"
+#include "src/sim/random.h"
 #include "src/sim/simulator.h"
 
 namespace lauberhorn {
@@ -170,21 +176,36 @@ TEST(FaultInjectorTest, IommuFaultsArriveInBursts) {
 
 // --- At-most-once dedup cache ------------------------------------------------
 
+// The response cached for (flow, id), or nullopt when there is none. A Replay
+// without a cached response echoes the probe's service id, which no response
+// cached in these tests carries.
+std::optional<RpcMessage> Cached(const RpcDedupCache& cache, uint64_t flow, uint64_t id) {
+  constexpr uint32_t kProbeService = 0xffffffff;
+  RpcMessage probe;
+  probe.service_id = kProbeService;
+  probe.request_id = id;
+  RpcMessage replayed = cache.Replay(flow, probe);
+  if (replayed.service_id == kProbeService) {
+    return std::nullopt;
+  }
+  return replayed;
+}
+
 TEST(DedupCacheTest, AdmitExecuteReplayLifecycle) {
   RpcDedupCache cache(16);
   const uint64_t flow = DedupFlowKey(MakeIpv4(10, 0, 0, 1), 5555);
 
   EXPECT_EQ(cache.Admit(flow, 7), RpcDedupCache::Verdict::kNew);
   EXPECT_EQ(cache.Admit(flow, 7), RpcDedupCache::Verdict::kInFlight);
-  EXPECT_EQ(cache.Lookup(flow, 7), nullptr);  // nothing cached yet
+  EXPECT_FALSE(Cached(cache, flow, 7).has_value());  // nothing cached yet
 
   RpcMessage response;
   response.request_id = 7;
   response.status = RpcStatus::kOk;
   cache.Complete(flow, 7, response);
   EXPECT_EQ(cache.Admit(flow, 7), RpcDedupCache::Verdict::kCompleted);
-  ASSERT_NE(cache.Lookup(flow, 7), nullptr);
-  EXPECT_EQ(cache.Lookup(flow, 7)->request_id, 7u);
+  ASSERT_TRUE(Cached(cache, flow, 7).has_value());
+  EXPECT_EQ(Cached(cache, flow, 7)->request_id, 7u);
 
   EXPECT_EQ(cache.stats().admitted, 1u);
   EXPECT_EQ(cache.stats().duplicates_in_flight, 1u);
@@ -246,7 +267,7 @@ TEST(DedupCacheTest, CompleteIsIdempotent) {
   second.request_id = 9;
   second.status = RpcStatus::kInternal;
   cache.Complete(1, 9, second);  // replay path must not re-cache
-  EXPECT_EQ(cache.Lookup(1, 9)->status, RpcStatus::kOk);
+  EXPECT_EQ(Cached(cache, 1, 9)->status, RpcStatus::kOk);
 }
 
 TEST(DedupCacheTest, CompletedWindowEvictsFifoButNeverInFlight) {
@@ -333,9 +354,9 @@ TEST(DedupCacheTest, ReplayRulesAcrossTwoCrashes) {
   EXPECT_EQ(first.pinned, 2u);
   EXPECT_EQ(first.dropped, 1u);
   EXPECT_EQ(cache.size(), 3u);  // the undelivered entry is gone
-  ASSERT_NE(cache.Lookup(5, 1), nullptr);
-  EXPECT_EQ(cache.Lookup(5, 1)->status, RpcStatus::kOk);
-  EXPECT_EQ(cache.Lookup(5, 2), nullptr);
+  ASSERT_TRUE(Cached(cache, 5, 1).has_value());
+  EXPECT_EQ(Cached(cache, 5, 1)->status, RpcStatus::kOk);
+  EXPECT_FALSE(Cached(cache, 5, 2).has_value());
   EXPECT_EQ(cache.Admit(5, 2), RpcDedupCache::Verdict::kInFlight);
 
   // A response path that outlived the crash still stores the real response
@@ -343,8 +364,8 @@ TEST(DedupCacheTest, ReplayRulesAcrossTwoCrashes) {
   RpcMessage late = response;
   late.request_id = 4;
   cache.Complete(5, 4, late);
-  ASSERT_NE(cache.Lookup(5, 4), nullptr);
-  EXPECT_EQ(cache.Lookup(5, 4)->status, RpcStatus::kOk);
+  ASSERT_TRUE(Cached(cache, 5, 4).has_value());
+  EXPECT_EQ(Cached(cache, 5, 4)->status, RpcStatus::kOk);
 
   // The still-pinned entry is completed with a synthetic terminal: a second
   // crash resolves it instead of re-pinning it forever.
@@ -352,9 +373,9 @@ TEST(DedupCacheTest, ReplayRulesAcrossTwoCrashes) {
   EXPECT_EQ(second.completed, 3u);
   EXPECT_EQ(second.pinned, 0u);
   EXPECT_EQ(second.dropped, 0u);
-  ASSERT_NE(cache.Lookup(5, 2), nullptr);
-  EXPECT_EQ(cache.Lookup(5, 2)->status, RpcStatus::kInternal);
-  EXPECT_EQ(cache.Lookup(5, 2)->request_id, 2u);
+  ASSERT_TRUE(Cached(cache, 5, 2).has_value());
+  EXPECT_EQ(Cached(cache, 5, 2)->status, RpcStatus::kInternal);
+  EXPECT_EQ(Cached(cache, 5, 2)->request_id, 2u);
   EXPECT_EQ(cache.Admit(5, 2), RpcDedupCache::Verdict::kCompleted);
   EXPECT_EQ(cache.Admit(5, 3), RpcDedupCache::Verdict::kNew);
 }
@@ -390,7 +411,7 @@ TEST(DedupCacheTest, ReplayKeepsCompletionOrderAndSortsSyntheticTerminals) {
     ++next_id;
     for (size_t j = 0; j < expected_evictions.size(); ++j) {
       const auto& [flow, id] = expected_evictions[j];
-      EXPECT_EQ(cache.Lookup(flow, id) == nullptr, j <= i)
+      EXPECT_EQ(Cached(cache, flow, id).has_value(), j > i)
           << "after completion " << i << ", entry (" << flow << ", " << id
           << ")";
     }
@@ -418,11 +439,232 @@ TEST(DedupCacheTest, PinnedEntryOutlivesTheWindowUntilTheNextReplay) {
 
   const RpcDedupCache::ReplayCounts second = cache.ReplayAfterCrash();
   EXPECT_EQ(second.completed, 3u);  // the window's 2 + the synthetic one
-  ASSERT_NE(cache.Lookup(1, 1), nullptr);
-  EXPECT_EQ(cache.Lookup(1, 1)->status, RpcStatus::kInternal);
+  ASSERT_TRUE(Cached(cache, 1, 1).has_value());
+  EXPECT_EQ(Cached(cache, 1, 1)->status, RpcStatus::kInternal);
   EXPECT_EQ(cache.Admit(1, 1), RpcDedupCache::Verdict::kCompleted);
   EXPECT_EQ(cache.ReplayAfterCrash().completed, 3u);
   EXPECT_EQ(cache.Admit(1, 1), RpcDedupCache::Verdict::kCompleted);
+}
+
+// The unordered_map + deque implementation RpcDedupCache replaced, kept as
+// the reference the flat one is checked against.
+class ReferenceDedupCache {
+ public:
+  using Verdict = RpcDedupCache::Verdict;
+
+  explicit ReferenceDedupCache(size_t completed_window)
+      : completed_window_(completed_window) {}
+
+  Verdict Admit(uint64_t flow, uint64_t request_id) {
+    auto [it, inserted] = entries_.try_emplace(Key{flow, request_id});
+    if (inserted) {
+      ++stats_.admitted;
+      return Verdict::kNew;
+    }
+    if (it->second.state == State::kCompleted) {
+      ++stats_.duplicates_replayed;
+      return Verdict::kCompleted;
+    }
+    ++stats_.duplicates_in_flight;
+    return Verdict::kInFlight;
+  }
+
+  void MarkDelivered(uint64_t flow, uint64_t request_id) {
+    auto it = entries_.find(Key{flow, request_id});
+    if (it != entries_.end() && it->second.state == State::kInFlight) {
+      it->second.state = State::kDelivered;
+    }
+  }
+
+  void Complete(uint64_t flow, uint64_t request_id, const RpcMessage& response) {
+    const Key key{flow, request_id};
+    auto it = entries_.find(key);
+    if (it == entries_.end() || it->second.state == State::kCompleted) {
+      return;
+    }
+    it->second.state = State::kCompleted;
+    it->second.response = response;
+    completed_order_.push_back(key);
+    while (completed_order_.size() > completed_window_) {
+      auto victim = entries_.find(completed_order_.front());
+      completed_order_.pop_front();
+      if (victim != entries_.end() && victim->second.state == State::kCompleted) {
+        entries_.erase(victim);
+        ++stats_.evictions;
+      }
+    }
+  }
+
+  void Abort(uint64_t flow, uint64_t request_id) {
+    auto it = entries_.find(Key{flow, request_id});
+    if (it != entries_.end() && it->second.state != State::kCompleted) {
+      entries_.erase(it);
+    }
+  }
+
+  RpcMessage Replay(uint64_t flow, const RpcMessage& request) const {
+    auto it = entries_.find(Key{flow, request.request_id});
+    if (it != entries_.end() && it->second.state == State::kCompleted) {
+      return it->second.response;
+    }
+    RpcMessage response =
+        ResponseHeader(request.service_id, request.method_id, request.request_id);
+    response.status = RpcStatus::kInternal;
+    return response;
+  }
+
+  RpcDedupCache::ReplayCounts ReplayAfterCrash() {
+    RpcDedupCache::ReplayCounts counts;
+    std::vector<Key> unanswered;
+    for (auto it = entries_.begin(); it != entries_.end();) {
+      switch (it->second.state) {
+        case State::kInFlight:
+          ++counts.dropped;
+          it = entries_.erase(it);
+          continue;
+        case State::kDelivered:
+          it->second.state = State::kPinned;
+          ++counts.pinned;
+          break;
+        case State::kPinned:
+          unanswered.push_back(it->first);
+          break;
+        case State::kCompleted:
+          ++counts.completed;
+          break;
+      }
+      ++it;
+    }
+    std::sort(unanswered.begin(), unanswered.end());
+    for (const Key& key : unanswered) {
+      Entry& entry = entries_.at(key);
+      entry.state = State::kCompleted;
+      entry.response.kind = MessageKind::kResponse;
+      entry.response.status = RpcStatus::kInternal;
+      entry.response.request_id = key.request_id;
+      completed_order_.push_back(key);
+      ++counts.completed;
+    }
+    return counts;
+  }
+
+  const RpcDedupCache::Stats& stats() const { return stats_; }
+  size_t size() const { return entries_.size(); }
+
+ private:
+  enum class State : uint8_t { kInFlight, kDelivered, kPinned, kCompleted };
+  struct Key {
+    uint64_t flow = 0;
+    uint64_t request_id = 0;
+    auto operator<=>(const Key&) const = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& key) const {
+      return std::hash<uint64_t>()(key.flow * 31 + key.request_id);
+    }
+  };
+  struct Entry {
+    State state = State::kInFlight;
+    RpcMessage response;
+  };
+
+  size_t completed_window_;
+  std::unordered_map<Key, Entry, KeyHash> entries_;
+  std::deque<Key> completed_order_;
+  RpcDedupCache::Stats stats_;
+};
+
+class DedupDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, size_t>> {};
+
+INSTANTIATE_TEST_SUITE_P(SeedsAndWindows, DedupDifferentialTest,
+                         ::testing::Combine(::testing::Values(1, 2, 3, 4, 5),
+                                            ::testing::Values(0, 1, 7, 1024)));
+
+std::vector<uint8_t> Encoded(const RpcMessage& message) {
+  std::vector<uint8_t> bytes;
+  EncodeRpcMessage(message, bytes);
+  return bytes;
+}
+
+TEST_P(DedupDifferentialTest, MatchesTheMapAndDequeReference) {
+  const auto [seed, window] = GetParam();
+  Rng rng(seed);
+  RpcDedupCache cache(window);
+  ReferenceDedupCache reference(window);
+  // Keys span a few windows, so every state meets duplicates. Most
+  // operations other than Admit target a recently admitted key, so
+  // completions outnumber the window and eviction runs.
+  const uint64_t max_id = 3 * window + 8;
+  const int operations = window >= 1024 ? 30000 : 4000;
+  std::vector<std::pair<uint64_t, uint64_t>> recent(64);
+  size_t admitted = 0;
+  for (int op = 0; op < operations; ++op) {
+    uint64_t flow = rng.UniformInt(1, 3);
+    uint64_t id = rng.UniformInt(0, max_id);
+    const uint64_t kind = rng.UniformInt(0, 199);
+    if (kind >= 80 && admitted != 0 && rng.UniformInt(0, 3) != 0) {
+      std::tie(flow, id) = recent[rng.UniformInt(0, std::min(admitted, recent.size()) - 1)];
+    }
+    if (kind < 80) {
+      recent[admitted++ % recent.size()] = {flow, id};
+    }
+    SCOPED_TRACE(::testing::Message() << "op " << op << " flow " << flow << " id " << id);
+    if (kind < 80) {
+      ASSERT_EQ(cache.Admit(flow, id), reference.Admit(flow, id));
+    } else if (kind < 110) {
+      cache.MarkDelivered(flow, id);
+      reference.MarkDelivered(flow, id);
+    } else if (kind < 170) {
+      RpcMessage response;
+      response.kind = rng.UniformInt(0, 7) == 0 ? MessageKind::kRequest : MessageKind::kResponse;
+      response.service_id = static_cast<uint32_t>(rng.UniformInt(0, 99));
+      response.method_id = static_cast<uint16_t>(rng.UniformInt(0, 9));
+      response.status = static_cast<RpcStatus>(rng.UniformInt(0, 5));
+      response.request_id = rng.UniformInt(0, 15) == 0 ? id + 1 : id;
+      response.flags = static_cast<uint8_t>(rng.UniformInt(0, 3));
+      response.grant = static_cast<uint16_t>(rng.UniformInt(0, 64));
+      // Mostly small payloads, some of a few KiB, a few up to 9 KiB.
+      const uint64_t size_class = rng.UniformInt(0, 19);
+      const uint64_t max_size = size_class < 14 ? 128 : size_class < 19 ? 2048 : 9 * 1024;
+      response.payload.resize(rng.UniformInt(0, max_size));
+      for (uint8_t& byte : response.payload) {
+        byte = static_cast<uint8_t>(rng.Next());
+      }
+      cache.Complete(flow, id, response);
+      reference.Complete(flow, id, response);
+    } else if (kind < 195) {
+      cache.Abort(flow, id);
+      reference.Abort(flow, id);
+    } else if (kind < 199) {
+      // Replay of a key the reference may never have seen.
+      RpcMessage request;
+      request.service_id = static_cast<uint32_t>(rng.UniformInt(100, 199));
+      request.method_id = 3;
+      request.request_id = rng.UniformInt(0, max_id + 16);
+      ASSERT_EQ(Encoded(cache.Replay(flow, request)), Encoded(reference.Replay(flow, request)));
+    } else {
+      const RpcDedupCache::ReplayCounts got = cache.ReplayAfterCrash();
+      const RpcDedupCache::ReplayCounts want = reference.ReplayAfterCrash();
+      ASSERT_EQ(got.completed, want.completed);
+      ASSERT_EQ(got.pinned, want.pinned);
+      ASSERT_EQ(got.dropped, want.dropped);
+    }
+    RpcMessage request;
+    request.service_id = 200;
+    request.method_id = 1;
+    request.request_id = id;
+    ASSERT_EQ(Encoded(cache.Replay(flow, request)), Encoded(reference.Replay(flow, request)));
+    ASSERT_EQ(cache.size(), reference.size());
+    ASSERT_EQ(cache.stats().admitted, reference.stats().admitted);
+    ASSERT_EQ(cache.stats().duplicates_in_flight, reference.stats().duplicates_in_flight);
+    ASSERT_EQ(cache.stats().duplicates_replayed, reference.stats().duplicates_replayed);
+    ASSERT_EQ(cache.stats().evictions, reference.stats().evictions);
+  }
+  // The run reached the window and evicted past it.
+  if (window > 0) {
+    EXPECT_GT(cache.stats().evictions, 0u);
+  }
 }
 
 // --- Coherence faults exercise the bus-timeout watchdog ----------------------

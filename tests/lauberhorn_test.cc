@@ -264,6 +264,16 @@ TEST(LauberhornNicTest, TraceRecordsLifecycle) {
   EXPECT_LT(find(TraceEvent::kWireRx), find(TraceEvent::kWireTx));
 }
 
+#ifndef NDEBUG
+TEST(LauberhornNicDeathTest, RejectsMoreEndpointsThanATraceEntryNames) {
+  // 4 kernel channels and 32 continuations: 65,500 service endpoints fill
+  // the 16-bit endpoint space exactly, one more overflows it.
+  MachineConfig config = Config();
+  config.lauberhorn_endpoints = TraceRing::kMaxEndpoints - 4 - 32 + 1;
+  EXPECT_DEATH(Machine{config}, "more endpoints than a trace entry can name");
+}
+#endif
+
 TEST(LauberhornNicTest, ColdQueueDrainsThroughKernelChannels) {
   // Many services, none hot: everything must complete via kernel channels.
   MachineConfig config = Config(/*cores=*/4);
