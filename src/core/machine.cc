@@ -466,6 +466,7 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
     C("nic/dma_fallback_rx", s.dma_fallback_rx);
     C("nic/dma_fallback_tx", s.dma_fallback_tx);
     const RpcDedupCache::Stats& dedup = lauberhorn_nic_->dedup().stats();
+    C("nic/dedup_admitted", dedup.admitted);
     C("nic/dup_drops_in_flight", dedup.duplicates_in_flight);
     C("nic/dup_replays", dedup.duplicates_replayed);
     C("nic/dedup_evictions", dedup.evictions);
@@ -483,6 +484,7 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
     C("nic/wedged_polls", s.wedged_polls);
     C("nic/degraded_dispatches", s.degraded_dispatches);
     C("nic/dispatcher_wakeups", s.dispatcher_wakeups);
+    C("nic/trace_dropped", lauberhorn_nic_->trace().dropped());
     C("overload/sheds_queue", s.sheds.queue);
     C("overload/sheds_quota", s.sheds.quota);
     C("overload/sheds_sojourn", s.sheds.sojourn);

@@ -313,6 +313,7 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   }
   // Event trace ring (§6: tracing/statistics integration).
   TraceRing& trace() { return trace_; }
+  const TraceRing& trace() const { return trace_; }
   // Instantaneous queue depth of an endpoint (NIC-side pending requests).
   size_t QueueDepth(uint32_t endpoint) const;
   // Policy-aware backlog behind this endpoint: its private queue plus the

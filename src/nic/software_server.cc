@@ -96,6 +96,7 @@ void SoftwareRpcServer::ExportMetrics(MetricsRegistry& metrics, const std::strin
   const std::string base = prefix + stack + "/";
   metrics.SetCounter(base + "rpcs_completed", rpcs_completed_);
   metrics.SetCounter(base + "bad_requests", bad_requests_);
+  metrics.SetCounter(base + "dedup_admitted", dedup_.stats().admitted);
   metrics.SetCounter(base + "dup_drops_in_flight", dedup_.stats().duplicates_in_flight);
   metrics.SetCounter(base + "dup_replays", dedup_.stats().duplicates_replayed);
   metrics.SetCounter(base + "dedup_evictions", dedup_.stats().evictions);

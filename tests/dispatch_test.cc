@@ -690,7 +690,7 @@ const std::map<std::string, Outcome>& ExpectedOutcomes() {
         {"nic/core1/busy_ns", 419787}, {"nic/core1/dispatches", 66},
         {"nic/core2/busy_ns", 395738}, {"nic/core2/dispatches", 58},
         {"nic/core3/busy_ns", 253039}, {"nic/core3/dispatches", 34},
-        {"nic/dispatcher_wakeups", 4}, {"nic/hot_dispatches", 181},
+        {"nic/dedup_admitted", 400}, {"nic/dispatcher_wakeups", 4}, {"nic/hot_dispatches", 181},
         {"nic/queued_dispatches", 182}, {"nic/responses_sent", 400},
         {"nic/retires", 2}, {"overload/sheds_queue", 14},
         {"overload/sheds_quota", 75}, {"overload/sheds_sojourn", 126},
@@ -707,7 +707,7 @@ const std::map<std::string, Outcome>& ExpectedOutcomes() {
         {"nic/core1/busy_ns", 409043}, {"nic/core1/dispatches", 73},
         {"nic/core2/busy_ns", 393766}, {"nic/core2/dispatches", 58},
         {"nic/core3/busy_ns", 267673}, {"nic/core3/dispatches", 40},
-        {"nic/dispatcher_wakeups", 4}, {"nic/hot_dispatches", 193},
+        {"nic/dedup_admitted", 400}, {"nic/dispatcher_wakeups", 4}, {"nic/hot_dispatches", 193},
         {"nic/queued_dispatches", 188}, {"nic/responses_sent", 400},
         {"nic/retires", 2}, {"nic/vf1/endpoints", 3},
         {"nic/vf1/responses", 400}, {"nic/vf1/rss_fallbacks", 97},
@@ -726,7 +726,7 @@ const std::map<std::string, Outcome>& ExpectedOutcomes() {
         {"nic/core0/dispatches", 17}, {"nic/core1/busy_ns", 425147},
         {"nic/core1/dispatches", 71}, {"nic/core2/busy_ns", 402064},
         {"nic/core2/dispatches", 61}, {"nic/core3/busy_ns", 279148},
-        {"nic/core3/dispatches", 37}, {"nic/dispatcher_wakeups", 4},
+        {"nic/core3/dispatches", 37}, {"nic/dedup_admitted", 400}, {"nic/dispatcher_wakeups", 4},
         {"nic/hot_dispatches", 186}, {"nic/queued_dispatches", 182},
         {"nic/responses_sent", 400}, {"nic/retires", 2},
         {"overload/sheds_queue", 71}, {"overload/sheds_quota", 12},
@@ -743,7 +743,7 @@ const std::map<std::string, Outcome>& ExpectedOutcomes() {
         {"dispatch/c-fcfs/retargets", 105}, {"nic/core0/busy_ns", 366027},
         {"nic/core0/dispatches", 47}, {"nic/core1/busy_ns", 407653},
         {"nic/core1/dispatches", 66}, {"nic/core2/busy_ns", 317226},
-        {"nic/core2/dispatches", 43}, {"nic/hot_dispatches", 156},
+        {"nic/core2/dispatches", 43}, {"nic/dedup_admitted", 400}, {"nic/hot_dispatches", 156},
         {"nic/queued_dispatches", 151}, {"nic/responses_sent", 400},
         {"nic/retires", 2}, {"overload/sheds_queue", 14},
         {"overload/sheds_quota", 72}, {"overload/sheds_sojourn", 158},
@@ -760,7 +760,7 @@ const std::map<std::string, Outcome>& ExpectedOutcomes() {
         {"nic/core0/busy_ns", 387683}, {"nic/core0/dispatches", 64},
         {"nic/core1/busy_ns", 434268}, {"nic/core1/dispatches", 57},
         {"nic/core2/busy_ns", 337571}, {"nic/core2/dispatches", 44},
-        {"nic/hot_dispatches", 165}, {"nic/queued_dispatches", 162},
+        {"nic/dedup_admitted", 400}, {"nic/hot_dispatches", 165}, {"nic/queued_dispatches", 162},
         {"nic/responses_sent", 400}, {"nic/retires", 2},
         {"overload/sheds_queue", 21}, {"overload/sheds_quota", 67},
         {"overload/sheds_sojourn", 147}, {"span/hot", 3},
@@ -774,7 +774,7 @@ const std::map<std::string, Outcome>& ExpectedOutcomes() {
         {"nic/cold_dispatches", 20}, {"nic/cold_queued", 20},
         {"nic/core0/busy_ns", 23739}, {"nic/core0/dispatches", 5},
         {"nic/core1/busy_ns", 264041}, {"nic/core1/dispatches", 40},
-        {"nic/degradations", 3}, {"nic/degraded_dispatches", 100},
+        {"nic/dedup_admitted", 400}, {"nic/degradations", 3}, {"nic/degraded_dispatches", 100},
         {"nic/dispatcher_wakeups", 20}, {"nic/hot_dispatches", 45},
         {"nic/queued_dispatches", 56}, {"nic/responses_sent", 400},
         {"nic/retires", 7}, {"nic/tryagains", 115}, {"nic/wedged_polls", 34},
@@ -796,7 +796,7 @@ const std::map<std::string, Outcome>& ExpectedOutcomes() {
         {"nic/cold_queued", 19}, {"nic/core0/busy_ns", 129688},
         {"nic/core0/dispatches", 28}, {"nic/core1/busy_ns", 215394},
         {"nic/core1/dispatches", 33}, {"nic/core2/busy_ns", 99027},
-        {"nic/core2/dispatches", 13}, {"nic/degradations", 9},
+        {"nic/core2/dispatches", 13}, {"nic/dedup_admitted", 400}, {"nic/degradations", 9},
         {"nic/dispatcher_wakeups", 19}, {"nic/hot_dispatches", 74},
         {"nic/queued_dispatches", 79}, {"nic/responses_sent", 400},
         {"nic/retires", 8}, {"nic/tryagains", 323}, {"nic/wedged_polls", 78},

@@ -579,5 +579,59 @@ TEST_P(DedupEvictionExportTest, SequentialCallsEvictPastTheWindow) {
   EXPECT_EQ(machine.server_dedup().stats().evictions, 6u);
 }
 
+// The dedup admission count and the NIC trace ring's drops are exported, and
+// no exported key is one that perfbench's Trial::Snapshot adds on its own:
+// Snapshot sums every machine's keys with its own into one map, so a shared
+// name would be counted twice.
+TEST(MachineTest, ExportsDedupAdmissionsAndTraceDrops) {
+  const char* const snapshot_keys[] = {
+      "coherence/messages", "coherence/data_messages", "pcie/mmio",
+      "pcie/dma_bytes",     "os/context_switches",     "os/preemptions",
+      "os/busy_ps",         "wire/loss_drops",         "cluster/diverts",
+      "cluster/failovers",  "fabric/queue_drops",      "sim/events"};
+  for (StackKind stack : {StackKind::kLauberhorn, StackKind::kLinux}) {
+    SCOPED_TRACE(ToString(stack));
+    MachineConfig config;
+    config.stack = stack;
+    Machine machine(config);
+    const ServiceDef& echo = machine.AddService(ServiceRegistry::MakeEchoService(1, 7000));
+    machine.Start();
+    if (stack == StackKind::kLauberhorn) {
+      machine.StartHotLoop(echo);
+    }
+    machine.sim().RunUntil(Milliseconds(1));
+    // Enough calls that the Lauberhorn NIC's 4,096-entry trace ring wraps.
+    constexpr int kCalls = 2000;
+    int ok = 0;
+    for (int i = 0; i < kCalls; ++i) {
+      machine.client().Call(echo, 0, std::vector<WireValue>{WireValue::Bytes({1})},
+                            [&ok](const RpcMessage& r, Duration) {
+                              ok += r.status == RpcStatus::kOk;
+                            });
+      machine.sim().RunUntil(machine.sim().Now() + Microseconds(50));
+    }
+    machine.sim().RunUntil(machine.sim().Now() + Milliseconds(1));
+    ASSERT_EQ(ok, kCalls);
+
+    MetricsRegistry metrics;
+    machine.ExportMetrics(metrics);
+    const std::string dedup_key =
+        stack == StackKind::kLauberhorn ? "nic/dedup_admitted" : "linux/dedup_admitted";
+    ASSERT_TRUE(metrics.HasCounter(dedup_key));
+    EXPECT_EQ(metrics.Counter(dedup_key), machine.server_dedup().stats().admitted);
+    EXPECT_EQ(metrics.Counter(dedup_key), static_cast<uint64_t>(kCalls));
+    if (stack == StackKind::kLauberhorn) {
+      ASSERT_TRUE(metrics.HasCounter("nic/trace_dropped"));
+      EXPECT_EQ(metrics.Counter("nic/trace_dropped"),
+                machine.lauberhorn_nic()->trace().dropped());
+      EXPECT_GT(metrics.Counter("nic/trace_dropped"), 0u);
+    }
+    for (const char* key : snapshot_keys) {
+      EXPECT_FALSE(metrics.HasCounter(key)) << key;
+      EXPECT_EQ(metrics.gauges().count(key), 0u) << key;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace lauberhorn
