@@ -37,7 +37,12 @@ Machine& Testbed::AddMachine(MachineConfig config) {
 
 void Testbed::ExportMetrics(MetricsRegistry& metrics) const {
   for (size_t i = 0; i < machines_.size(); ++i) {
-    machines_[i]->ExportMetrics(metrics, "m" + std::to_string(i) + "/");
+    // Appended piece by piece: GCC 12 at -O3 warns -Wrestrict on
+    // `"m" + std::to_string(i)`.
+    std::string prefix = "m";
+    prefix += std::to_string(i);
+    prefix += '/';
+    machines_[i]->ExportMetrics(metrics, prefix);
   }
   fabric_.ExportMetrics(metrics, "fabric/");
   metrics.SetCounter("sim/pending", sim_.pending_events());

@@ -2,6 +2,8 @@
 // scheduler (dispatch, affinity, priorities, preemption), and the kernel.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/coherence/interconnect.h"
 #include "src/coherence/memory_home.h"
 #include "src/os/kernel.h"
@@ -197,7 +199,9 @@ TEST_F(OsTest, WorkSpreadsAcrossIdleCores) {
   Process* p = kernel_.CreateProcess("svc");
   std::vector<int> cores_used;
   for (int i = 0; i < 4; ++i) {
-    Thread* t = kernel_.AddThread(p, "w" + std::to_string(i));
+    std::string name = "w";
+    name += std::to_string(i);
+    Thread* t = kernel_.AddThread(p, name);
     t->PushWork([&, t](Core& core) {
       core.Run(Microseconds(100), CoreMode::kUser, [&core, &cores_used, this] {
         cores_used.push_back(core.index());
@@ -327,7 +331,9 @@ TEST_F(OsTest, TimesliceRotatesEqualPriorityThreads) {
   // 2 long threads pinned to core 0: both must make progress.
   std::vector<SimTime> completions;
   for (int i = 0; i < 2; ++i) {
-    Thread* t = kernel_.AddThread(p, "t" + std::to_string(i));
+    std::string name = "t";
+    name += std::to_string(i);
+    Thread* t = kernel_.AddThread(p, name);
     t->PinTo(0);
     t->PushWork([&completions, this](Core& core) {
       core.Run(Milliseconds(5), CoreMode::kUser, [&core, &completions, this] {

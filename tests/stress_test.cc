@@ -3,6 +3,8 @@
 // sustained mixed load.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/core/machine.h"
 #include "src/sim/random.h"
 #include "src/workload/generator.h"
@@ -26,8 +28,9 @@ TEST(SchedulerStressTest, RandomWorkStormAllItemsComplete) {
   Process* process_a = kernel.CreateProcess("a");
   Process* process_b = kernel.CreateProcess("b");
   for (int i = 0; i < kThreads; ++i) {
-    threads.push_back(kernel.AddThread(i % 2 == 0 ? process_a : process_b,
-                                       "t" + std::to_string(i),
+    std::string name = "t";
+    name += std::to_string(i);
+    threads.push_back(kernel.AddThread(i % 2 == 0 ? process_a : process_b, name,
                                        /*kernel_priority=*/i % 5 == 0));
   }
 
