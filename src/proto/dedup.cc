@@ -102,6 +102,7 @@ void RpcDedupCache::GrowRecords(size_t needed) {
     capacity = std::min(capacity, completed_window_);
   }
   capacity = std::max(capacity, needed);
+  assert(capacity <= kCompletedBit && "record positions must fit a state word");
   std::vector<Record> wider(capacity);
   for (size_t i = 0; i < records_count_; ++i) {
     wider[i] = records_[RecordAt(i)];
@@ -121,6 +122,7 @@ void RpcDedupCache::GrowBytes(size_t needed) {
           ? std::min(needed * completed_window_ / (records_count_ + 1), 2 * bytes_.size())
           : bytes_.size() + bytes_.size() / 8;
   std::vector<uint8_t> wider(std::max(needed, target));
+  assert(wider.size() <= UINT32_MAX && "payload offsets are 32 bits");
   size_t at = 0;
   for (size_t i = 0; i < records_count_; ++i) {
     Record& record = records_[RecordAt(i)];
@@ -215,10 +217,11 @@ void RpcDedupCache::Complete(uint64_t flow, uint64_t request_id,
   }
   // Make room first, so a full window never holds one record too many. The
   // entries evicted are the ones the window would drop once this one joins.
-  if (records_count_ != 0 && records_count_ >= completed_window_) {
-    while (records_count_ != 0 && records_count_ >= completed_window_) {
-      EvictOldest();
-    }
+  const uint64_t evictions = stats_.evictions;
+  while (records_count_ != 0 && records_count_ >= completed_window_) {
+    EvictOldest();
+  }
+  if (stats_.evictions != evictions) {
     slot = Find(key);  // backward shifts may have moved it
   }
   if (completed_window_ == 0) {

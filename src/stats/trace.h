@@ -35,8 +35,8 @@ enum class TraceEvent : uint16_t {
 
 std::string ToString(TraceEvent event);
 
-// The entries live in one array of `capacity` entries, allocated on the first
-// Emit and then reused as a ring.
+// The entries live in one array of `capacity` entries, reserved on the first
+// Emit, filled in order and then overwritten oldest first.
 class TraceRing {
  public:
   // Entries store the endpoint in 16 bits; LauberhornNic rejects a
@@ -63,19 +63,17 @@ class TraceRing {
       return;
     }
     assert(a < kMaxEndpoints && "trace endpoint does not fit in 16 bits");
-    if (entries_.empty()) {
-      entries_.resize(capacity_);
+    const Entry entry{at, event, static_cast<uint16_t>(a), b};
+    if (entries_.size() < capacity_) {
+      if (entries_.empty()) {
+        entries_.reserve(capacity_);
+      }
+      entries_.push_back(entry);
+      return;
     }
-    size_t slot = head_ + size_;
-    if (size_ == capacity_) {
-      slot = head_;  // overwrite the oldest
-      head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
-      ++dropped_;
-    } else {
-      ++size_;
-    }
-    entries_[slot < capacity_ ? slot : slot - capacity_] =
-        Entry{at, event, static_cast<uint16_t>(a), b};
+    entries_[head_] = entry;  // overwrite the oldest
+    head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
+    ++dropped_;
   }
 
   void set_enabled(bool enabled) { enabled_ = enabled; }
@@ -84,19 +82,19 @@ class TraceRing {
   // The entries, oldest first.
   std::vector<Entry> Snapshot() const {
     std::vector<Entry> out;
-    out.reserve(size_);
-    for (size_t i = 0; i < size_; ++i) {
+    out.reserve(entries_.size());
+    for (size_t i = 0; i < entries_.size(); ++i) {
       out.push_back(At(i));
     }
     return out;
   }
-  size_t size() const { return size_; }
+  size_t size() const { return entries_.size(); }
   uint64_t dropped() const { return dropped_; }
 
   // Entries for one endpoint, in order.
   std::vector<Entry> ForEndpoint(uint32_t endpoint) const {
     std::vector<Entry> out;
-    for (size_t i = 0; i < size_; ++i) {
+    for (size_t i = 0; i < entries_.size(); ++i) {
       if (At(i).a == endpoint) {
         out.push_back(At(i));
       }
@@ -113,9 +111,8 @@ class TraceRing {
 
   size_t capacity_;
   bool enabled_ = true;
-  std::vector<Entry> entries_;  // empty, or capacity_ entries
-  size_t head_ = 0;             // the oldest entry
-  size_t size_ = 0;
+  std::vector<Entry> entries_;  // at most capacity_ entries, never reallocated
+  size_t head_ = 0;             // the oldest entry once the ring is full
   uint64_t dropped_ = 0;
 };
 
