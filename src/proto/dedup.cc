@@ -126,18 +126,21 @@ void RpcDedupCache::GrowBytes(size_t needed) {
   size_t at = 0;
   for (size_t i = 0; i < records_count_; ++i) {
     Record& record = records_[RecordAt(i)];
-    const size_t from = record.payload_at;
+    CopyPayload(record, wider.data() + at);
     record.payload_at = static_cast<uint32_t>(at);
-    if (record.payload_size == 0) {
-      continue;
-    }
-    const size_t first = std::min<size_t>(record.payload_size, bytes_.size() - from);
-    std::memcpy(wider.data() + at, bytes_.data() + from, first);
-    std::memcpy(wider.data() + at + first, bytes_.data(), record.payload_size - first);
     at += record.payload_size;
   }
   bytes_ = std::move(wider);
   bytes_head_ = 0;
+}
+
+void RpcDedupCache::CopyPayload(const Record& record, uint8_t* out) const {
+  if (record.payload_size == 0) {
+    return;
+  }
+  const size_t first = std::min<size_t>(record.payload_size, bytes_.size() - record.payload_at);
+  std::memcpy(out, bytes_.data() + record.payload_at, first);
+  std::memcpy(out + first, bytes_.data(), record.payload_size - first);
 }
 
 void RpcDedupCache::Append(size_t slot, const RpcMessage& response) {
@@ -257,14 +260,8 @@ RpcMessage RpcDedupCache::Replay(uint64_t flow, const RpcMessage& request) const
   response.request_id = record.request_id;
   response.flags = record.flags;
   response.grant = record.grant;
-  if (record.payload_size != 0) {
-    const uint8_t* begin = bytes_.data() + record.payload_at;
-    const size_t first = std::min<size_t>(record.payload_size, bytes_.size() - record.payload_at);
-    response.payload.reserve(record.payload_size);
-    response.payload.assign(begin, begin + first);
-    response.payload.insert(response.payload.end(), bytes_.data(),
-                            bytes_.data() + (record.payload_size - first));
-  }
+  response.payload.resize(record.payload_size);
+  CopyPayload(record, response.payload.data());
   return response;
 }
 

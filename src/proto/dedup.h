@@ -168,12 +168,14 @@ class RpcDedupCache {
   void EraseSlot(size_t slot);
 
   // Appends a completed entry for the key in `slot`: its record and a copy
-  // of `payload`, growing either ring first if it is full.
+  // of the response's payload, growing either ring first if it is full.
   void Append(size_t slot, const RpcMessage& response);
   // Evicts the oldest completed entry.
   void EvictOldest();
   void GrowRecords(size_t needed);
   void GrowBytes(size_t needed);
+  // Copies `record`'s payload, which may wrap around the ring's end, to `out`.
+  void CopyPayload(const Record& record, uint8_t* out) const;
   size_t RecordAt(size_t i) const;  // position of the i-th oldest record
 
   size_t completed_window_;

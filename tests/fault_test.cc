@@ -597,9 +597,28 @@ TEST_P(DedupDifferentialTest, MatchesTheMapAndDequeReference) {
   // completions outnumber the window and eviction runs.
   const uint64_t max_id = 3 * window + 8;
   const int operations = window >= 1024 ? 30000 : 4000;
+  // Odd seeds mix payload sizes from 0 B to 9 KiB; even seeds give every
+  // payload one size, so the payload ring fills to the byte and a head that
+  // drifts from the records overwrites the oldest payload.
+  const size_t uniform_size = seed % 2 == 0 ? 2048 * seed + 1 : 0;
+  // Replays every key: the oldest entries are rarely the ones an operation
+  // touches.
+  const auto sweep = [&] {
+    for (uint64_t flow = 1; flow <= 3; ++flow) {
+      for (uint64_t id = 0; id <= max_id; ++id) {
+        RpcMessage request;
+        request.request_id = id;
+        ASSERT_EQ(Encoded(cache.Replay(flow, request)), Encoded(reference.Replay(flow, request)))
+            << "flow " << flow << " id " << id;
+      }
+    }
+  };
   std::vector<std::pair<uint64_t, uint64_t>> recent(64);
   size_t admitted = 0;
   for (int op = 0; op < operations; ++op) {
+    if (op % 1000 == 999) {
+      ASSERT_NO_FATAL_FAILURE(sweep()) << "op " << op;
+    }
     uint64_t flow = rng.UniformInt(1, 3);
     uint64_t id = rng.UniformInt(0, max_id);
     const uint64_t kind = rng.UniformInt(0, 199);
@@ -627,7 +646,7 @@ TEST_P(DedupDifferentialTest, MatchesTheMapAndDequeReference) {
       // Mostly small payloads, some of a few KiB, a few up to 9 KiB.
       const uint64_t size_class = rng.UniformInt(0, 19);
       const uint64_t max_size = size_class < 14 ? 128 : size_class < 19 ? 2048 : 9 * 1024;
-      response.payload.resize(rng.UniformInt(0, max_size));
+      response.payload.resize(uniform_size != 0 ? uniform_size : rng.UniformInt(0, max_size));
       for (uint8_t& byte : response.payload) {
         byte = static_cast<uint8_t>(rng.Next());
       }
@@ -661,6 +680,7 @@ TEST_P(DedupDifferentialTest, MatchesTheMapAndDequeReference) {
     ASSERT_EQ(cache.stats().duplicates_replayed, reference.stats().duplicates_replayed);
     ASSERT_EQ(cache.stats().evictions, reference.stats().evictions);
   }
+  sweep();
   // The run reached the window and evicted past it.
   if (window > 0) {
     EXPECT_GT(cache.stats().evictions, 0u);
