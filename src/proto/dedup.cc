@@ -34,17 +34,28 @@ size_t RpcDedupCache::Find(const Key& key) const {
   }
 }
 
-void RpcDedupCache::Insert(const Key& key, uint32_t state) {
-  if (4 * (entries_ + 1) > 3 * keys_.size()) {
-    GrowIndex();
-  }
+size_t RpcDedupCache::FreeSlotFor(const Key& key) const {
   const size_t mask = keys_.size() - 1;
   size_t i = Home(key);
   while (states_[i] != kEmpty) {
     i = (i + 1) & mask;
   }
-  keys_[i] = key;
-  states_[i] = state;
+  return i;
+}
+
+void RpcDedupCache::Put(size_t slot, const Key& key, uint32_t state) {
+  keys_[slot] = key;
+  states_[slot] = state;
+  if (IsCompleted(state)) {
+    records_[state & ~kCompletedBit].slot = static_cast<uint32_t>(slot);
+  }
+}
+
+void RpcDedupCache::Insert(const Key& key, uint32_t state) {
+  if (4 * (entries_ + 1) > 3 * keys_.size()) {
+    GrowIndex();
+  }
+  Put(FreeSlotFor(key), key, state);
   ++entries_;
 }
 
@@ -53,19 +64,9 @@ void RpcDedupCache::GrowIndex() {
       keys_, std::vector<Key>(std::max(kMinIndexSlots, 2 * keys_.size())));
   std::vector<uint32_t> old_states =
       std::exchange(states_, std::vector<uint32_t>(keys_.size(), kEmpty));
-  const size_t mask = keys_.size() - 1;
   for (size_t j = 0; j < old_keys.size(); ++j) {
-    if (old_states[j] == kEmpty) {
-      continue;
-    }
-    size_t i = Home(old_keys[j]);
-    while (states_[i] != kEmpty) {
-      i = (i + 1) & mask;
-    }
-    keys_[i] = old_keys[j];
-    states_[i] = old_states[j];
-    if (IsCompleted(states_[i])) {
-      records_[states_[i] & ~kCompletedBit].slot = static_cast<uint32_t>(i);
+    if (old_states[j] != kEmpty) {
+      Put(FreeSlotFor(old_keys[j]), old_keys[j], old_states[j]);
     }
   }
 }
@@ -77,11 +78,7 @@ void RpcDedupCache::EraseSlot(size_t slot) {
     // The entry at i may fill the hole unless its home lies cyclically in
     // (hole, i]: then the hole is before its home and lookups would miss it.
     if (((i - Home(keys_[i])) & mask) >= ((i - hole) & mask)) {
-      keys_[hole] = keys_[i];
-      states_[hole] = states_[i];
-      if (IsCompleted(states_[hole])) {
-        records_[states_[hole] & ~kCompletedBit].slot = static_cast<uint32_t>(hole);
-      }
+      Put(hole, keys_[i], states_[i]);
       hole = i;
     }
   }

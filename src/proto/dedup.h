@@ -160,6 +160,11 @@ class RpcDedupCache {
 
   // The slot holding `key`, or kNoSlot.
   size_t Find(const Key& key) const;
+  // The first free slot of `key`'s probe run.
+  size_t FreeSlotFor(const Key& key) const;
+  // Writes `key` and `state` into `slot`; a completed entry's record is
+  // pointed back at the slot.
+  void Put(size_t slot, const Key& key, uint32_t state);
   // Stores `key` with `state` in a free slot, growing the index first when
   // it would pass three quarters full. `key` must be absent.
   void Insert(const Key& key, uint32_t state);
