@@ -110,15 +110,9 @@ void RpcDedupCache::GrowRecords(size_t needed) {
 }
 
 void RpcDedupCache::GrowBytes(size_t needed) {
-  // Double, but not past what a full window of payloads this size would
-  // need: uniform payloads then end at exactly window * size bytes. A full
-  // window that still needs more grows by an eighth, so drifting payload
-  // sizes stay amortised.
-  const size_t target =
-      records_count_ + 1 < completed_window_
-          ? std::min(needed * completed_window_ / (records_count_ + 1), 2 * bytes_.size())
-          : bytes_.size() + bytes_.size() / 8;
-  std::vector<uint8_t> wider(std::max(needed, target));
+  // Plain doubling from the first payload: a power-of-two window of equal
+  // payloads ends at exactly window * size bytes.
+  std::vector<uint8_t> wider(std::max(needed, 2 * bytes_.size()));
   assert(wider.size() <= UINT32_MAX && "payload offsets are 32 bits");
   size_t at = 0;
   for (size_t i = 0; i < records_count_; ++i) {

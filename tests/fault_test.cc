@@ -598,8 +598,7 @@ TEST_P(DedupDifferentialTest, MatchesTheMapAndDequeReference) {
   const uint64_t max_id = 3 * window + 8;
   const int operations = window >= 1024 ? 30000 : 4000;
   // Odd seeds mix payload sizes from 0 B to 9 KiB; even seeds give every
-  // payload one size, so the payload ring fills to the byte and a head that
-  // drifts from the records overwrites the oldest payload.
+  // payload one size (DedupRingTest below fills the ring to the byte).
   const size_t uniform_size = seed % 2 == 0 ? 2048 * seed + 1 : 0;
   // Replays every key: the oldest entries are rarely the ones an operation
   // touches.
@@ -684,6 +683,42 @@ TEST_P(DedupDifferentialTest, MatchesTheMapAndDequeReference) {
   // The run reached the window and evicted past it.
   if (window > 0) {
     EXPECT_GT(cache.stats().evictions, 0u);
+  }
+}
+
+// A power-of-two window of equal payloads fills the byte ring to the byte, so
+// each Complete writes where the evicted payload was. A payload head that
+// drifts from the records then overwrites the oldest or the newest payload.
+TEST(DedupRingTest, EqualPayloadsFillTheByteRingWithoutOverwriting) {
+  for (const size_t window : {size_t{1}, size_t{8}, size_t{1024}}) {
+    SCOPED_TRACE(::testing::Message() << "window " << window);
+    RpcDedupCache cache(window);
+    ReferenceDedupCache reference(window);
+    Rng rng(window);
+    const auto check = [&](uint64_t id) {
+      RpcMessage request;
+      request.request_id = id;
+      ASSERT_EQ(Encoded(cache.Replay(1, request)), Encoded(reference.Replay(1, request)))
+          << "id " << id;
+    };
+    for (uint64_t id = 0; id < 3 * window + 5; ++id) {
+      ASSERT_EQ(cache.Admit(1, id), reference.Admit(1, id));
+      RpcMessage response;
+      response.request_id = id;
+      response.payload.resize(4097);
+      for (uint8_t& byte : response.payload) {
+        byte = static_cast<uint8_t>(rng.Next());
+      }
+      cache.Complete(1, id, response);
+      reference.Complete(1, id, response);
+      const uint64_t oldest = id + 1 > window ? id + 1 - window : 0;
+      ASSERT_NO_FATAL_FAILURE(check(oldest));
+      ASSERT_NO_FATAL_FAILURE(check(id));
+      if (id > 0) {
+        ASSERT_NO_FATAL_FAILURE(check(id - 1));
+      }
+    }
+    ASSERT_EQ(cache.stats().evictions, reference.stats().evictions);
   }
 }
 
