@@ -127,12 +127,21 @@ TEST(CryptoIntegrationTest, PayloadOnWireIsCiphertext) {
 
   // Sniff the wire: the marshalled plaintext must never appear.
   std::vector<uint8_t> secret(64, 0xd0);
-  bool plaintext_seen = false;
-  machine.lauberhorn_nic()->on_wire_rx = [&](const Packet& packet) {
-    auto it = std::search(packet.bytes.begin(), packet.bytes.end(), secret.begin(),
-                          secret.end());
-    plaintext_seen |= it != packet.bytes.end();
-  };
+  struct Sniffer : PacketSink {
+    PacketSink* next = nullptr;
+    const std::vector<uint8_t>* secret = nullptr;
+    bool plaintext_seen = false;
+    int frames = 0;
+    void ReceivePacket(Packet packet) override {
+      ++frames;
+      plaintext_seen |= std::search(packet.bytes.begin(), packet.bytes.end(),
+                                    secret->begin(), secret->end()) != packet.bytes.end();
+      next->ReceivePacket(std::move(packet));
+    }
+  } sniffer;
+  sniffer.next = machine.lauberhorn_nic();
+  sniffer.secret = &secret;
+  machine.wire().a_to_b().set_sink(&sniffer);
   int done = 0;
   machine.client().Call(echo, 0,
                         std::vector<WireValue>{WireValue::Bytes(secret)},
@@ -142,7 +151,8 @@ TEST(CryptoIntegrationTest, PayloadOnWireIsCiphertext) {
                         });
   machine.sim().RunUntil(Milliseconds(50));
   EXPECT_EQ(done, 1);
-  EXPECT_FALSE(plaintext_seen) << "plaintext leaked onto the wire";
+  EXPECT_GT(sniffer.frames, 0);
+  EXPECT_FALSE(sniffer.plaintext_seen) << "plaintext leaked onto the wire";
 }
 
 TEST(CryptoIntegrationTest, WrongKeyClientRejectedByNic) {

@@ -5,6 +5,7 @@
 
 #include "src/core/client.h"
 #include "src/core/machine.h"
+#include "src/proto/marshal.h"
 #include "src/proto/rpc_message.h"
 
 namespace lauberhorn {
@@ -632,6 +633,135 @@ TEST(MachineTest, ExportsDedupAdmissionsAndTraceDrops) {
     }
   }
 }
+
+// What the server NIC's wire taps record, pinned exactly: end-system latency
+// runs from the *latest* wire arrival of a request id to the wire departure
+// of a response carrying it, and every such response counts as a served RPC
+// (server_rpcs feeds cycles per RPC). Frames are injected straight onto the
+// client-to-server wire so that arrival times are exact.
+class ObservationSemanticsTest : public ::testing::TestWithParam<StackKind> {
+ protected:
+  static Packet EchoFrame(const MachineConfig& config, uint64_t request_id) {
+    std::vector<uint8_t> args;
+    MarshalArgs(MethodSignature{{WireType::kBytes}},
+                std::vector<WireValue>{WireValue::Bytes(std::vector<uint8_t>(16, 0x5a))},
+                args);
+    RpcMessage msg;
+    msg.kind = MessageKind::kRequest;
+    msg.service_id = 1;
+    msg.method_id = 0;
+    msg.request_id = request_id;
+    msg.payload = std::move(args);
+    EthernetHeader eth;
+    eth.src = {2, 0, 0, 0, 0, 1};
+    eth.dst = {2, 0, 0, 0, 0, 2};
+    Ipv4Header ip;
+    ip.src = config.client_ip;
+    ip.dst = config.server_ip;
+    UdpHeader udp;
+    udp.src_port = 40001;
+    udp.dst_port = 7000;
+    return BuildRpcFrame(eth, ip, udp, msg);
+  }
+
+  static MachineConfig Config() {
+    MachineConfig config;
+    config.stack = GetParam();
+    return config;
+  }
+
+  static void Boot(Machine& machine, const ServiceDef& echo) {
+    machine.Start();
+    if (GetParam() == StackKind::kLauberhorn) {
+      machine.StartHotLoop(echo);
+    }
+    machine.sim().RunUntil(Milliseconds(1));
+  }
+
+  static void Send(Machine& machine, Packet frame) {
+    machine.wire().a_to_b().Send(std::move(frame));
+  }
+};
+
+// Pinned against the end-system histogram: exact count, served RPCs, and
+// the percentiles and extremes it reports, in picoseconds.
+void ExpectObserved(const Machine& machine, uint64_t count, Duration p50, Duration p99,
+                    Duration min, Duration max) {
+  const Histogram& latency = machine.end_system_latency();
+  EXPECT_EQ(latency.count(), count);
+  EXPECT_EQ(machine.server_rpcs(), count);
+  EXPECT_EQ(latency.P50(), p50);
+  EXPECT_EQ(latency.P99(), p99);
+  EXPECT_EQ(latency.min(), min);
+  EXPECT_EQ(latency.max(), max);
+}
+
+TEST_P(ObservationSemanticsTest, RetransmitReplayAndBadChecksum) {
+  const MachineConfig config = Config();
+  const bool lbh = GetParam() == StackKind::kLauberhorn;
+  Machine machine(config);
+  const ServiceDef& echo = machine.AddService(
+      ServiceRegistry::MakeEchoService(1, 7000, Microseconds(10)));
+  Boot(machine, echo);
+  Simulator& sim = machine.sim();
+
+  // A retransmit lands 3 us into the original's execution. Its response
+  // answers both copies, and the latency runs from the copy's arrival.
+  Send(machine, EchoFrame(config, 1));
+  sim.RunUntil(sim.Now() + Microseconds(3));
+  Send(machine, EchoFrame(config, 1));
+  sim.RunUntil(Milliseconds(2));
+  const Duration first = lbh ? 9'713'000 : 25'067'478;
+  ExpectObserved(machine, 1, first, first, first, first);
+
+  // A later copy of the completed id is answered from the dedup cache, and
+  // that replay counts as a served RPC too.
+  Send(machine, EchoFrame(config, 1));
+  sim.RunUntil(Milliseconds(3));
+  const Duration replay = lbh ? 400'000 : 15'192'478;
+  const Duration p99 = lbh ? 9'713'000 : 24'903'679;
+  ExpectObserved(machine, 2, replay, p99, replay, first);
+
+  // A frame whose UDP checksum fails is never recorded.
+  Packet bad = EchoFrame(config, 2);
+  bad.bytes.back() ^= 0xff;
+  Send(machine, std::move(bad));
+  sim.RunUntil(Milliseconds(4));
+  ExpectObserved(machine, 2, replay, p99, replay, first);
+}
+
+TEST_P(ObservationSemanticsTest, ShedReplyIsRecorded) {
+  // A one-token quota: every request the stack admits through its shed
+  // point after the first is answered kOverloaded.
+  MachineConfig config = Config();
+  config.admission.enabled = true;
+  config.admission.quota_rps = 1.0;
+  config.admission.quota_burst = 1.0;
+  const bool lbh = GetParam() == StackKind::kLauberhorn;
+  Machine machine(config);
+  const ServiceDef& echo = machine.AddService(
+      ServiceRegistry::MakeEchoService(1, 7000, Microseconds(10)));
+  Boot(machine, echo);
+  Simulator& sim = machine.sim();
+
+  for (uint64_t id = 1; id <= 3; ++id) {
+    Send(machine, EchoFrame(config, id));
+    sim.RunUntil(sim.Now() + Microseconds(1));
+  }
+  sim.RunUntil(Milliseconds(2));
+  // The Lauberhorn NIC hands the first request straight to the parked core
+  // without consulting admission, so only the third is shed there.
+  EXPECT_EQ(machine.sheds().quota, lbh ? 1u : 2u);
+  if (lbh) {
+    ExpectObserved(machine, 3, 12'713'983, 23'175'000, 531'000, 23'175'000);
+  } else {
+    ExpectObserved(machine, 3, 22'282'239, 28'049'407, 17'804'200, 28'067'478);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ServerStacks, ObservationSemanticsTest,
+                         ::testing::Values(StackKind::kLauberhorn, StackKind::kLinux),
+                         [](const auto& info) { return ToString(info.param); });
 
 }  // namespace
 }  // namespace lauberhorn
