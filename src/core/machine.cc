@@ -207,35 +207,27 @@ Machine::~Machine() {
 }
 
 void Machine::HookLatencyTracking() {
-  auto on_rx = [this](const Packet& packet) {
-    const auto frame = ParseUdpFrame(packet);
-    if (!frame.has_value()) {
-      return;
-    }
-    const auto msg = PeekRpcHeader(frame->payload);
-    if (msg.has_value() && msg->kind == MessageKind::kRequest) {
-      request_arrivals_[msg->request_id] = sim_->Now();
+  // The NIC hands over the header it parsed (or framed): nothing is parsed
+  // here.
+  auto on_rx = [this](const RpcHeaderPeek& msg) {
+    if (msg.kind == MessageKind::kRequest) {
+      request_arrivals_[msg.request_id] = sim_->Now();
       if (spans_ != nullptr) {
         // Spans open here: wire arrival at the server NIC. Retransmits of an
         // in-flight id are counted by the collector, not re-opened.
-        spans_->Record(msg->request_id, SpanStage::kWireRx, sim_->Now());
+        spans_->Record(msg.request_id, SpanStage::kWireRx, sim_->Now());
       }
     }
   };
-  auto on_tx = [this](const Packet& packet) {
-    const auto frame = ParseUdpFrame(packet);
-    if (!frame.has_value()) {
-      return;
-    }
-    const auto msg = PeekRpcHeader(frame->payload);
-    if (!msg.has_value() || msg->kind != MessageKind::kResponse) {
+  auto on_tx = [this](const RpcHeaderPeek& msg) {
+    if (msg.kind != MessageKind::kResponse) {
       return;
     }
     if (spans_ != nullptr) {
       // Before the arrivals-map early return: dedup replays still stamp TX.
-      spans_->Record(msg->request_id, SpanStage::kWireTx, sim_->Now());
+      spans_->Record(msg.request_id, SpanStage::kWireTx, sim_->Now());
     }
-    auto it = request_arrivals_.find(msg->request_id);
+    auto it = request_arrivals_.find(msg.request_id);
     if (it == request_arrivals_.end()) {
       return;
     }

@@ -46,14 +46,20 @@ uint32_t DmaNic::RssQueue(const Packet& packet) const {
 }
 
 void DmaNic::ReceivePacket(Packet packet) {
-  if (on_wire_rx) {
-    on_wire_rx(packet);
+  // Parsed once, at wire arrival: the hook gets the header and the pipeline
+  // step below only needs the verdict.
+  const auto frame = ParseUdpFrame(packet);
+  if (on_wire_rx && frame.has_value()) {
+    if (const auto header = PeekRpcHeader(frame->payload)) {
+      on_wire_rx(*header);
+    }
   }
   // Pipeline: MAC + header parsing + RSS hash before queue selection.
   const Duration pipeline_cost = config_.pipeline.mac_rx +
                                  3 * config_.pipeline.parse_per_header +
                                  config_.pipeline.rss_hash;
-  sim_.Schedule(pipeline_cost, [this, packet = std::move(packet)]() mutable {
+  sim_.Schedule(pipeline_cost, [this, valid = frame.has_value(),
+                                packet = std::move(packet)]() mutable {
     if (faults_ != nullptr && !faults_->OsServiceUp()) {
       // OS crash window: nothing above the device will repost descriptors or
       // drain rings; arriving traffic is lost until the stack restarts.
@@ -61,7 +67,7 @@ void DmaNic::ReceivePacket(Packet packet) {
       return;
     }
     // A real NIC validates the frame before DMA (L2 CRC; checksum offload).
-    if (!ParseUdpFrame(packet).has_value()) {
+    if (!valid) {
       ++rx_drops_bad_frame_;
       return;
     }
@@ -191,7 +197,11 @@ void DmaNic::StartTx(uint32_t q) {
           Packet out;
           out.bytes = std::move(frame);
           if (on_wire_tx) {
-            on_wire_tx(out);
+            if (const auto parsed = ParseUdpFrame(out)) {
+              if (const auto header = PeekRpcHeader(parsed->payload)) {
+                on_wire_tx(*header);
+              }
+            }
           }
           tx_wire_->Send(std::move(out));
         }

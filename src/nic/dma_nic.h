@@ -17,6 +17,7 @@
 #include "src/nic/toeplitz.h"
 #include "src/pcie/pcie_link.h"
 #include "src/pcie/ring.h"
+#include "src/proto/rpc_message.h"
 #include "src/sim/simulator.h"
 
 namespace lauberhorn {
@@ -74,10 +75,13 @@ class DmaNic : public PacketSink, public MmioDevice {
   void OnMmioWrite(uint64_t offset, uint64_t value) override;
   uint64_t OnMmioRead(uint64_t offset) override;
 
-  // Observation hooks for latency tracking: invoked the moment a frame
-  // arrives from / departs to the wire (before any queueing).
-  Function<void(const Packet&)> on_wire_rx;
-  Function<void(const Packet&)> on_wire_tx;
+  // Observation hooks for latency tracking, handed the LRPC header of a
+  // frame the moment it arrives from / departs to the wire (before any
+  // queueing). The device forwards opaque bytes, so it parses each frame
+  // once at each point itself; frames that do not parse, or carry no
+  // well-formed LRPC header, are not reported.
+  Function<void(const RpcHeaderPeek&)> on_wire_rx;
+  Function<void(const RpcHeaderPeek&)> on_wire_tx;
 
   uint64_t rx_packets() const { return rx_packets_; }
   uint64_t rx_drops_no_desc() const { return rx_drops_no_desc_; }

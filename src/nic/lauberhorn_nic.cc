@@ -350,14 +350,21 @@ void LauberhornNic::SoftwareTransmit(uint64_t request_id, RpcMessage response) {
 // -- RX pipeline ---------------------------------------------------------------
 
 void LauberhornNic::ReceivePacket(Packet packet) {
-  if (on_wire_rx) {
-    on_wire_rx(packet);
+  // The frame is parsed once, here at wire arrival; the pipeline step below
+  // charges the parse time and works from this result. `frame` points into
+  // the bytes, which the step owns.
+  const std::optional<ParsedFrame> frame = ParseUdpFrame(packet);
+  if (on_wire_rx && frame.has_value()) {
+    if (const auto header = PeekRpcHeader(frame->payload)) {
+      on_wire_rx(*header);
+    }
   }
   const SimTime arrival = sim_.Now();
   const Duration front_cost = config_.pipeline.mac_rx +
                               3 * config_.pipeline.parse_per_header +
                               config_.pipeline.demux_lookup;
-  sim_.Schedule(front_cost, [this, arrival, packet = std::move(packet)]() mutable {
+  sim_.Schedule(front_cost, [this, arrival, frame,
+                             bytes = std::move(packet.bytes)]() mutable {
     if (!CheckDeviceUp()) {
       // NIC firmware crash (§16): the whole device blackholes — endpoints,
       // admission, grants. The host watchdog + shadow replay end the outage;
@@ -372,7 +379,6 @@ void LauberhornNic::ReceivePacket(Packet packet) {
       ++stats_.drops_service_down;
       return;
     }
-    const auto frame = ParseUdpFrame(packet);
     if (!frame.has_value()) {
       ++stats_.drops_bad_frame;
       return;
@@ -1417,10 +1423,11 @@ void LauberhornNic::TransmitResponse(const PreparedRequest& meta, RpcMessage res
     return;
   }
   sim_.Schedule(crypto_cost + config_.pipeline.tx_fixed,
-                [this, out = std::move(out)]() mutable {
+                [this, header = RpcHeaderPeek{response.kind, response.request_id},
+                 out = std::move(out)]() mutable {
     ++stats_.responses_sent;
     if (on_wire_tx) {
-      on_wire_tx(out);
+      on_wire_tx(header);
     }
     if (tx_wire_ != nullptr) {
       tx_wire_->Send(std::move(out));

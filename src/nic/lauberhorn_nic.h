@@ -290,9 +290,12 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // Invoked (as a model of an interrupt to the OS) when a cold request is
   // queued and no kernel channel is armed.
   Callback on_need_dispatcher;
-  // Observation hooks for latency tracking.
-  Function<void(const Packet&)> on_wire_rx;
-  Function<void(const Packet&)> on_wire_tx;
+  // Observation hooks for latency tracking, handed the LRPC header of a
+  // frame the moment it arrives from the wire (frames that parse, both
+  // checksums included) or departs to it. The RX pipeline parses each frame
+  // once, so the header costs the observer nothing.
+  Function<void(const RpcHeaderPeek&)> on_wire_rx;
+  Function<void(const RpcHeaderPeek&)> on_wire_tx;
 
   // -- Interfaces ---------------------------------------------------------------
 
