@@ -211,7 +211,7 @@ void Machine::HookLatencyTracking() {
   // here.
   auto on_rx = [this](const RpcHeaderPeek& msg) {
     if (msg.kind == MessageKind::kRequest) {
-      request_arrivals_[msg.request_id] = sim_->Now();
+      request_arrivals_.Set(msg.request_id, sim_->Now());
       if (spans_ != nullptr) {
         // Spans open here: wire arrival at the server NIC. Retransmits of an
         // in-flight id are counted by the collector, not re-opened.
@@ -227,12 +227,11 @@ void Machine::HookLatencyTracking() {
       // Before the arrivals-map early return: dedup replays still stamp TX.
       spans_->Record(msg.request_id, SpanStage::kWireTx, sim_->Now());
     }
-    auto it = request_arrivals_.find(msg.request_id);
-    if (it == request_arrivals_.end()) {
+    const std::optional<SimTime> arrival = request_arrivals_.Take(msg.request_id);
+    if (!arrival.has_value()) {
       return;
     }
-    end_system_.Record(sim_->Now() - it->second);
-    request_arrivals_.erase(it);
+    end_system_.Record(sim_->Now() - *arrival);
     ++server_rpcs_;
   };
   if (dma_nic_ != nullptr) {

@@ -23,6 +23,7 @@
 
 #include "src/coherence/interconnect.h"
 #include "src/coherence/memory_home.h"
+#include "src/core/arrival_table.h"
 #include "src/core/client.h"
 #include "src/fault/fault.h"
 #include "src/net/link.h"
@@ -237,7 +238,7 @@ class Machine {
   std::unique_ptr<RpcClient> client_;
 
   std::unordered_map<uint32_t, std::vector<uint32_t>> service_endpoints_;
-  std::unordered_map<uint64_t, SimTime> request_arrivals_;
+  ArrivalTable request_arrivals_;
   Histogram end_system_;
   uint64_t server_rpcs_ = 0;
   Duration busy_at_reset_ = 0;

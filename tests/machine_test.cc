@@ -3,6 +3,10 @@
 // registration, and the RPC client.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <unordered_map>
+
+#include "src/core/arrival_table.h"
 #include "src/core/client.h"
 #include "src/core/machine.h"
 #include "src/proto/marshal.h"
@@ -632,6 +636,48 @@ TEST(MachineTest, ExportsDedupAdmissionsAndTraceDrops) {
       EXPECT_EQ(metrics.gauges().count(key), 0u) << key;
     }
   }
+}
+
+TEST(ArrivalTableTest, LatestArrivalWinsAndTakeErases) {
+  ArrivalTable table;
+  EXPECT_EQ(table.Take(7), std::nullopt);
+  table.Set(7, 100);
+  table.Set(7, 250);  // a retransmit of the same id
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.Take(7), SimTime{250});
+  EXPECT_EQ(table.Take(7), std::nullopt);
+  EXPECT_EQ(table.size(), 0u);
+  table.Set(0, 0);  // id 0 at time 0 is an ordinary entry
+  EXPECT_EQ(table.Take(0), SimTime{0});
+}
+
+TEST(ArrivalTableTest, MatchesAHashMapUnderRandomChurn) {
+  // Ids drawn from a small range collide and cluster, so erasure's backward
+  // shifts run through long probe runs and across the array's wrap.
+  ArrivalTable table;
+  std::unordered_map<uint64_t, SimTime> reference;
+  std::mt19937_64 rng(26);
+  for (int step = 0; step < 200000; ++step) {
+    const uint64_t id = (rng() % 3000) << (step % 3 == 0 ? 32 : 0);
+    if (rng() % 5 < 3) {
+      const auto at = static_cast<SimTime>(step);
+      table.Set(id, at);
+      reference[id] = at;
+    } else {
+      const auto it = reference.find(id);
+      const std::optional<SimTime> expected =
+          it == reference.end() ? std::nullopt : std::optional<SimTime>(it->second);
+      if (it != reference.end()) {
+        reference.erase(it);
+      }
+      ASSERT_EQ(table.Take(id), expected) << "step " << step;
+    }
+    ASSERT_EQ(table.size(), reference.size());
+  }
+  for (const auto& [id, at] : reference) {
+    EXPECT_EQ(table.Take(id), at);
+  }
+  EXPECT_EQ(table.size(), 0u);
 }
 
 // What the server NIC's wire taps record, pinned exactly: end-system latency
