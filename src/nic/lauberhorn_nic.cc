@@ -22,6 +22,7 @@ LauberhornNic::LauberhornNic(Simulator& sim, CoherentInterconnect& interconnect,
   assert(FirstContinuation() + config_.num_continuations <= TraceRing::kMaxEndpoints &&
          "more endpoints than a trace entry can name");
   endpoints_.resize(FirstContinuation() + config_.num_continuations);
+  line_store_ = LineStore(endpoints_.size() * EndpointStrideLines(), line_size());
   WipeVolatileState();
   const uint64_t homed_bytes = endpoints_.size() * EndpointStrideLines() * line_size();
   home_id_ = interconnect_.RegisterHomeAgent(this, config_.base, homed_bytes,
@@ -134,11 +135,7 @@ LineAddr LauberhornNic::AuxAddr(uint32_t endpoint, size_t index) const {
 }
 
 LineData& LauberhornNic::StoredLine(LineAddr addr) {
-  LineData& line = line_store_[addr];
-  if (line.empty()) {
-    line.resize(line_size());
-  }
-  return line;
+  return line_store_.At((addr - config_.base) / line_size());
 }
 
 // -- Host-facing control interface ---------------------------------------------
@@ -214,7 +211,7 @@ void LauberhornNic::WipeVolatileState() {
     port_to_endpoints_[ContinuationPort(id)].push_back(id);
     free_continuations_.push_back(id);
   }
-  line_store_.clear();
+  line_store_.Clear();
   cold_queue_.TakeAll();
   cold_inflight_.clear();
   next_service_endpoint_ = 0;
@@ -1437,7 +1434,7 @@ void LauberhornNic::TransmitResponse(const PreparedRequest& meta, RpcMessage res
 
 void LauberhornNic::OnHomeWriteBack(AgentId /*from*/, LineAddr addr,
                                     const LineData& data) {
-  LineData& line = line_store_[addr];
+  LineData& line = StoredLine(addr);
   line = data;
   line.resize(line_size());
 }
