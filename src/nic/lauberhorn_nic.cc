@@ -22,7 +22,6 @@ LauberhornNic::LauberhornNic(Simulator& sim, CoherentInterconnect& interconnect,
   assert(FirstContinuation() + config_.num_continuations <= TraceRing::kMaxEndpoints &&
          "more endpoints than a trace entry can name");
   endpoints_.resize(FirstContinuation() + config_.num_continuations);
-  line_store_ = LineStore(endpoints_.size() * EndpointStrideLines(), line_size());
   WipeVolatileState();
   const uint64_t homed_bytes = endpoints_.size() * EndpointStrideLines() * line_size();
   home_id_ = interconnect_.RegisterHomeAgent(this, config_.base, homed_bytes,
@@ -135,7 +134,11 @@ LineAddr LauberhornNic::AuxAddr(uint32_t endpoint, size_t index) const {
 }
 
 LineData& LauberhornNic::StoredLine(LineAddr addr) {
-  return line_store_.At((addr - config_.base) / line_size());
+  LineData& line = line_store_[addr];
+  if (line.empty()) {
+    line.resize(line_size());
+  }
+  return line;
 }
 
 // -- Host-facing control interface ---------------------------------------------
@@ -211,7 +214,7 @@ void LauberhornNic::WipeVolatileState() {
     port_to_endpoints_[ContinuationPort(id)].push_back(id);
     free_continuations_.push_back(id);
   }
-  line_store_.Clear();
+  line_store_.clear();
   cold_queue_.TakeAll();
   cold_inflight_.clear();
   next_service_endpoint_ = 0;
@@ -1434,7 +1437,7 @@ void LauberhornNic::TransmitResponse(const PreparedRequest& meta, RpcMessage res
 
 void LauberhornNic::OnHomeWriteBack(AgentId /*from*/, LineAddr addr,
                                     const LineData& data) {
-  LineData& line = StoredLine(addr);
+  LineData& line = line_store_[addr];
   line = data;
   line.resize(line_size());
 }

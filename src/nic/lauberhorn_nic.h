@@ -38,7 +38,6 @@
 #include "src/nic/cost_model.h"
 #include "src/nic/dispatch_line.h"
 #include "src/nic/dispatch_policy/dispatch_policy.h"
-#include "src/nic/line_store.h"
 #include "src/nic/serve_config.h"
 #include "src/nic/toeplitz.h"
 #include "src/os/kernel.h"
@@ -225,11 +224,6 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   LineAddr AuxAddr(uint32_t endpoint, size_t index) const;
   size_t AuxCapacityBytes() const {
     return config_.params.aux_lines * line_size();
-  }
-  // Named memory bound of the line store: its heap once every line of every
-  // endpoint has been touched.
-  size_t LineStoreMaxHeapBytes() const {
-    return LineStore::MaxHeapBytes(line_store_.lines());
   }
 
   // -- Host-facing control interface (§5.2) ----------------------------------
@@ -654,8 +648,7 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // A service may have several endpoints (one per core it can occupy); the
   // demux stage picks among them per packet.
   std::unordered_map<uint16_t, std::vector<uint32_t>> port_to_endpoints_;
-  // Contents of every endpoint's lines, by line number.
-  LineStore line_store_;
+  std::unordered_map<LineAddr, LineData> line_store_;
   // Shared spillover queue of the cold path, gated device-wide.
   BacklogQueue cold_queue_;
   // Cold requests handed to a dispatcher, awaiting SoftwareTransmit.

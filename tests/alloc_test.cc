@@ -6,8 +6,7 @@
 //   (Admit, MarkDelivered, Complete) allocate nothing.
 // - Per-machine state holds no more heap than its named bound: an idle NIC
 //   endpoint queue, a histogram of one decade of values, the client's
-//   retired-id window, a full dedup window, a full trace ring and a NIC line
-//   store with every line touched.
+//   retired-id window, a full dedup window and a full trace ring.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -17,9 +16,7 @@
 #include <cstdlib>
 #include <new>
 
-#include "src/coherence/memory_home.h"
 #include "src/nic/lauberhorn_nic.h"
-#include "src/nic/line_store.h"
 #include "src/proto/dedup.h"
 #include "src/proto/id_window.h"
 #include "src/sim/random.h"
@@ -243,57 +240,6 @@ TEST(MemoryBoundTest, FullTraceRingHoldsSixteenBytesPerEntry) {
   EXPECT_EQ(ring.size(), 4096u);
   EXPECT_EQ(ring.dropped(), 5000u - 4096u);
   EXPECT_EQ(LiveSince(before), static_cast<int64_t>(4096 * sizeof(TraceRing::Entry)));
-}
-
-TEST(MemoryBoundTest, LineStoreWithEveryLineTouchedStaysWithinItsBound) {
-  // A store on its own, ending in a partial chunk, holds exactly its bound.
-  constexpr size_t kLines = 3 * LineStore::kChunkLines + 5;
-  {
-    const int64_t before = g_live_bytes.load();
-    LineStore store(kLines, 64);
-    for (size_t i = kLines; i-- > 0;) {
-      store.At(i)[0] = static_cast<uint8_t>(i);
-    }
-    EXPECT_EQ(store.touched(), kLines);
-    EXPECT_EQ(store.At(7)[0], 7);
-    EXPECT_EQ(store.At(7).size(), 64u);
-    EXPECT_EQ(LiveSince(before), static_cast<int64_t>(LineStore::MaxHeapBytes(kLines)));
-  }
-
-  // A NIC with the default layout, every CONTROL and AUX line of every
-  // endpoint read for ownership through its home-agent interface.
-  Simulator sim;
-  CoherentInterconnect interconnect(sim, CoherenceConfig{});
-  MemoryHomeAgent memory(sim, interconnect, 0, uint64_t{1} << 30);
-  Iommu iommu;
-  PcieLink pcie(sim, PcieConfig{}, memory, iommu);
-  ServiceRegistry services;
-  const LauberhornNic::Config config;
-  LauberhornNic nic(sim, interconnect, pcie, services, config);
-  const size_t endpoints =
-      config.num_kernel_channels + config.num_endpoints + config.num_continuations;
-  EXPECT_EQ(nic.LineStoreMaxHeapBytes(),
-            LineStore::MaxHeapBytes(endpoints * nic.EndpointStrideLines()));
-
-  const int64_t before = g_live_bytes.load();
-  size_t fills = 0;
-  for (uint32_t ep = 0; ep < endpoints; ++ep) {
-    std::vector<LineAddr> lines = {nic.CtrlAddr(ep, 0), nic.CtrlAddr(ep, 1)};
-    for (size_t aux = 0; aux < config.params.aux_lines; ++aux) {
-      lines.push_back(nic.AuxAddr(ep, aux));
-    }
-    for (const LineAddr addr : lines) {
-      nic.OnHomeRead(/*requester=*/0, addr, /*exclusive=*/true,
-                     [&fills, &nic](const LineData& data) {
-                       fills += data.size() == nic.line_size();
-                     });
-    }
-  }
-  EXPECT_EQ(fills, endpoints * nic.EndpointStrideLines());
-  // The index and the chunk table were sized with the NIC; touching the
-  // lines adds only their chunks.
-  EXPECT_GT(LiveSince(before), 0);
-  EXPECT_LE(LiveSince(before), static_cast<int64_t>(nic.LineStoreMaxHeapBytes()));
 }
 
 }  // namespace
