@@ -192,6 +192,10 @@ void LauberhornNic::CrashNow() {
   // loops re-park and keep getting TRYAGAINs (counted as crashed_polls)
   // until the host replays the shadow.
   for (Endpoint& ep : endpoints_) {
+    if (ep.held_dispatch != nullptr) {
+      ep.waiting = std::move(ep.held_dispatch->waiting);
+      ep.held_dispatch.reset();
+    }
     if (ep.waiting.has_value()) {
       FillWaiting(ep, LineKind::kTryAgain);
     }
@@ -200,6 +204,7 @@ void LauberhornNic::CrashNow() {
 }
 
 void LauberhornNic::WipeVolatileState() {
+  ++wipes_;
   for (size_t i = 0; i < endpoints_.size(); ++i) {
     Endpoint& ep = endpoints_[i];
     ep.pending.TakeAll();
@@ -997,8 +1002,7 @@ void LauberhornNic::RouteCold(PreparedRequest request) {
   }
 }
 
-DispatchLine LauberhornNic::BuildDispatch(const Endpoint& ep,
-                                          const PreparedRequest& request,
+DispatchLine LauberhornNic::BuildDispatch(const PreparedRequest& request,
                                           bool kernel_channel) {
   const Endpoint& target = endpoints_[request.endpoint];
   DispatchLine line;
@@ -1038,23 +1042,29 @@ DispatchLine LauberhornNic::BuildDispatch(const Endpoint& ep,
   assert(request.args.size() <= total_cap && "args exceed AUX capacity");
   const size_t inline_bytes = std::min(inline_cap, request.args.size());
   line.inline_args.assign(request.args.begin(), request.args.begin() + inline_bytes);
-  // Overflow goes into the line_store AUX lines of the endpoint whose lines
-  // carry this delivery (the kernel channel's for cold dispatch).
-  size_t remaining = request.args.size() - inline_bytes;
-  size_t aux = 0;
-  size_t cursor = inline_bytes;
-  while (remaining > 0) {
-    const size_t chunk = std::min(remaining, line_size());
-    LineData& aux_line = StoredLine(AuxAddr(ep.id, aux));
-    std::fill(aux_line.begin(), aux_line.end(), 0);
-    std::copy(request.args.begin() + cursor, request.args.begin() + cursor + chunk,
-              aux_line.begin());
-    cursor += chunk;
-    remaining -= chunk;
-    ++aux;
-  }
-  line.aux_lines = static_cast<uint8_t>(aux);
+  line.aux_lines = static_cast<uint8_t>(
+      (request.args.size() - inline_bytes + line_size() - 1) / line_size());
   return line;
+}
+
+void LauberhornNic::WriteAuxArgs(uint32_t ep_id, std::span<const uint8_t> overflow) {
+  for (size_t aux = 0; !overflow.empty(); ++aux) {
+    const size_t chunk = std::min(overflow.size(), line_size());
+    LineData& aux_line = StoredLine(AuxAddr(ep_id, aux));
+    std::fill(aux_line.begin(), aux_line.end(), 0);
+    std::copy_n(overflow.begin(), chunk, aux_line.begin());
+    overflow = overflow.subspan(chunk);
+  }
+}
+
+void LauberhornNic::EndAuxCollection(uint32_t ep_id, uint64_t epoch) {
+  Endpoint& ep = endpoints_[ep_id];
+  if (epoch != wipes_ || --ep.aux_collections > 0 || ep.held_dispatch == nullptr) {
+    return;
+  }
+  const std::unique_ptr<HeldDispatch> held = std::move(ep.held_dispatch);
+  WriteAuxArgs(ep_id, held->overflow);
+  held->waiting.fill(held->line);
 }
 
 void LauberhornNic::DeliverToWaiting(Endpoint& ep, PreparedRequest request) {
@@ -1070,7 +1080,7 @@ void LauberhornNic::DeliverToWaiting(Endpoint& ep, PreparedRequest request) {
   }
   ep.tryagain_streak = 0;  // the hot path is making progress
   WaitingLoad waiting = TakeWaiting(ep);
-  const DispatchLine dispatch = BuildDispatch(ep, request, ep.is_kernel);
+  const DispatchLine dispatch = BuildDispatch(request, ep.is_kernel);
   const LineData& line = StoredLine(CtrlAddr(ep.id, waiting.parity)) =
       dispatch.Encode(line_size());
   const std::vector<uint8_t>* args = nullptr;
@@ -1094,6 +1104,21 @@ void LauberhornNic::DeliverToWaiting(Endpoint& ep, PreparedRequest request) {
                          [fill = std::move(waiting.fill), line]() mutable { fill(line); });
     return;
   }
+  // Overflow goes into the AUX lines of the endpoint whose lines carry this
+  // delivery (the kernel channel's for cold dispatch).
+  const auto overflow = std::span<const uint8_t>(*args).subspan(dispatch.inline_args.size());
+  if (dispatch.aux_lines > 0 && ep.aux_collections > 0) {
+    // The previous response may still be in these AUX lines: a fetch that
+    // completed later would overwrite the arguments, or the core would read
+    // its own stale copy. Write them and release the core once every
+    // collection is complete.
+    assert(ep.held_dispatch == nullptr && "a held dispatch has no parked load");
+    waiting.tryagain_event = kInvalidEventId;  // cancelled by TakeWaiting
+    ep.held_dispatch = std::make_unique<HeldDispatch>(
+        HeldDispatch{std::move(waiting), line, overflow});
+    return;
+  }
+  WriteAuxArgs(ep.id, overflow);
   waiting.fill(line);
 }
 
@@ -1268,9 +1293,14 @@ void LauberhornNic::HandleCtrlPoll(Endpoint& ep, int parity, AgentId requester,
 void LauberhornNic::CollectResponse(Endpoint& ep, OutstandingRequest outstanding) {
   const LineAddr ctrl = CtrlAddr(ep.id, outstanding.parity);
   const uint32_t ep_id = ep.id;
+  // Whether the response left anything in the AUX lines is only known once
+  // its CONTROL line is back, so the collection holds them from here.
+  ++ep.aux_collections;
+  const uint64_t epoch = wipes_;
   interconnect_.FetchExclusive(
       home_id_, ctrl, StoredLine(ctrl),
-      [this, ep_id, ctrl, outstanding = std::move(outstanding)](const LineData& data) mutable {
+      [this, ep_id, epoch, ctrl,
+       outstanding = std::move(outstanding)](const LineData& data) mutable {
         const auto response_line = ResponseLine::Decode(data);
         StoredLine(ctrl) = data;
         RpcMessage response =
@@ -1278,6 +1308,7 @@ void LauberhornNic::CollectResponse(Endpoint& ep, OutstandingRequest outstanding
                            outstanding.request.request_id);
         if (!response_line.has_value() ||
             response_line->kind != LineKind::kResponse) {
+          EndAuxCollection(ep_id, epoch);
           response.status = RpcStatus::kInternal;
           TransmitResponse(outstanding.request, std::move(response));
           return;
@@ -1286,6 +1317,7 @@ void LauberhornNic::CollectResponse(Endpoint& ep, OutstandingRequest outstanding
         Endpoint& ep2 = endpoints_[ep_id];
 
         if (response_line->via_dma) {
+          EndAuxCollection(ep_id, epoch);
           ++stats_.dma_fallback_tx;
           pcie_.DeviceDmaRead(
               ep2.dma_buffer_iova + kDmaBufferRespOffset, response_line->resp_len,
@@ -1302,6 +1334,7 @@ void LauberhornNic::CollectResponse(Endpoint& ep, OutstandingRequest outstanding
                                      ? response_line->resp_len - inline_payload.size()
                                      : 0;
         if (remaining == 0) {
+          EndAuxCollection(ep_id, epoch);
           response.payload.assign(inline_payload.begin(), inline_payload.end());
           TransmitResponse(outstanding.request, std::move(response));
           return;
@@ -1320,7 +1353,7 @@ void LauberhornNic::CollectResponse(Endpoint& ep, OutstandingRequest outstanding
         auto resp = std::make_shared<RpcMessage>(std::move(response));
         const size_t resp_len = response_line->resp_len;
         auto issue = std::make_shared<Callback>();
-        *issue = [this, ep_id, aux_count, payload_parts, pending, next_index, meta,
+        *issue = [this, ep_id, epoch, aux_count, payload_parts, pending, next_index, meta,
                   resp, resp_len, issue]() {
           if (*next_index >= aux_count) {
             return;
@@ -1329,11 +1362,12 @@ void LauberhornNic::CollectResponse(Endpoint& ep, OutstandingRequest outstanding
           const LineAddr aux_addr = AuxAddr(ep_id, i);
           interconnect_.FetchExclusive(
               home_id_, aux_addr, StoredLine(aux_addr),
-              [this, i, payload_parts, pending, meta, resp, resp_len, aux_addr,
-               issue](const LineData& aux_data) {
+              [this, ep_id, epoch, i, payload_parts, pending, meta, resp, resp_len,
+               aux_addr, issue](const LineData& aux_data) {
                 StoredLine(aux_addr) = aux_data;
                 (*payload_parts)[i] = aux_data;
                 if (--*pending == 0) {
+                  EndAuxCollection(ep_id, epoch);
                   for (const LineData& part : *payload_parts) {
                     resp->payload.insert(resp->payload.end(), part.begin(), part.end());
                   }

@@ -430,6 +430,14 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     int core = -1;
   };
 
+  // A dispatch waiting for its endpoint's AUX lines: the load it will fill,
+  // the CONTROL line to fill it with, and the arguments for the AUX lines.
+  struct HeldDispatch {
+    WaitingLoad waiting;
+    LineData line;
+    std::span<const uint8_t> overflow;
+  };
+
   struct Endpoint {
     bool in_use = false;
     bool is_kernel = false;
@@ -447,6 +455,12 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     bool retire_requested = false;
     std::optional<WaitingLoad> waiting;
     std::optional<OutstandingRequest> outstanding;
+    // Both CONTROL parities share the AUX lines. While responses are being
+    // pulled back out of them (aux_collections in flight), a dispatch whose
+    // arguments need them is held: its arguments are written and its core
+    // released once the last collection is complete.
+    uint32_t aux_collections = 0;
+    std::unique_ptr<HeldDispatch> held_dispatch;
     BacklogQueue pending;  // bound to the service's register when allocated
     // Graceful degradation (§5.1 fallout): consecutive TRYAGAINs fired while
     // work was pending mean the hot path is not making progress (a wedged
@@ -596,10 +610,16 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // through the kernel path instead of stranding behind cores that will
   // never poll again.
   void MaybeRestartCold(Endpoint& ep);
-  // Writes args into line_store aux lines / DMA buffer; returns the
-  // DispatchLine describing the delivery.
-  DispatchLine BuildDispatch(const Endpoint& ep, const PreparedRequest& request,
-                             bool kernel_channel);
+  // The DispatchLine describing the delivery of `request`: inline
+  // arguments, a count of AUX lines, or the DMA buffer.
+  DispatchLine BuildDispatch(const PreparedRequest& request, bool kernel_channel);
+  // Writes `overflow`, the arguments past the inline bytes, into the AUX
+  // lines of endpoint `ep_id`, one line_size chunk per line.
+  void WriteAuxArgs(uint32_t ep_id, std::span<const uint8_t> overflow);
+  // Ends one response collection on endpoint `ep_id`, begun while wipes_
+  // was `epoch`; the last one releases the held dispatch, if any. No-op
+  // when a NIC reset has wiped the endpoint since.
+  void EndAuxCollection(uint32_t ep_id, uint64_t epoch);
   // Receiver-driven credit (§15): free queue headroom of this endpoint
   // divided across the ECN-capable senders active within
   // grant_sender_window. Prunes stale senders as a side effect.
@@ -645,6 +665,9 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   SimTime grant_ramp_until_ = 0;
 
   std::vector<Endpoint> endpoints_;  // [0, num_kernel_channels) are kernel
+  // WipeVolatileState calls so far: a response collection that outlives a
+  // wipe must not touch the reborn endpoint's count.
+  uint64_t wipes_ = 0;
   // A service may have several endpoints (one per core it can occupy); the
   // demux stage picks among them per packet.
   std::unordered_map<uint16_t, std::vector<uint32_t>> port_to_endpoints_;

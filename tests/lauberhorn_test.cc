@@ -4,6 +4,8 @@
 // NIC-side queueing, overload responses, endpoint spillover, and the trace.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "src/core/machine.h"
 
 namespace lauberhorn {
@@ -115,6 +117,53 @@ TEST(LauberhornNicTest, AuxLinePayloadRoundTrip) {
   for (uint8_t b : got) {
     ASSERT_EQ(b, 0x5a);
   }
+  EXPECT_EQ(machine.lauberhorn_nic()->stats().dma_fallback_rx, 0u);
+}
+
+TEST(LauberhornNicTest, BackToBackAuxEchoesReturnTheirOwnBytes) {
+  // Both CONTROL parities share an endpoint's AUX lines: the NIC pulls one
+  // response's AUX lines back while the next request's arguments go out
+  // through the same lines. Four callers keep one hot endpoint's queue
+  // non-empty, so every dispatch overlaps the previous response's
+  // collection; each echo must still return exactly the bytes it sent.
+  Machine machine(Config());
+  const ServiceDef& echo = machine.AddService(ServiceRegistry::MakeEchoService(1, 7000));
+  machine.Start();
+  machine.StartHotLoop(echo);
+  machine.sim().RunUntil(Milliseconds(1));
+  ASSERT_EQ(machine.EndpointsOf(echo).size(), 1u);
+
+  constexpr int kCalls = 400;
+  constexpr size_t kSize = 1024;
+  int issued = 0;
+  int ok = 0;
+  int corrupted = 0;
+  std::function<void()> call = [&]() {
+    const int index = issued++;
+    std::vector<uint8_t> sent(kSize);
+    for (size_t i = 0; i < kSize; ++i) {
+      sent[i] = static_cast<uint8_t>(index * 31 + i * 7);
+    }
+    machine.client().Call(echo, 0, std::vector<WireValue>{WireValue::Bytes(sent)},
+                          [&, sent](const RpcMessage& r, Duration) {
+                            std::vector<WireValue> out;
+                            if (r.status == RpcStatus::kOk &&
+                                UnmarshalArgs(MethodSignature{{WireType::kBytes}},
+                                              r.payload, out)) {
+                              ++(out[0].bytes == sent ? ok : corrupted);
+                            }
+                            if (issued < kCalls) {
+                              call();
+                            }
+                          });
+  };
+  for (int caller = 0; caller < 4; ++caller) {
+    call();
+  }
+  machine.sim().RunUntil(Milliseconds(100));
+  EXPECT_EQ(issued, kCalls);
+  EXPECT_EQ(corrupted, 0);
+  EXPECT_EQ(ok, kCalls);
   EXPECT_EQ(machine.lauberhorn_nic()->stats().dma_fallback_rx, 0u);
 }
 
