@@ -225,6 +225,17 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   size_t AuxCapacityBytes() const {
     return config_.params.aux_lines * line_size();
   }
+  // Named memory bound of the line store: its heap once every CONTROL and
+  // AUX line of every endpoint has been touched. Each line costs one hash
+  // node (a next pointer, the address and the line's bytes) and at most two
+  // bucket pointers: the table doubles to the next prime when it passes one
+  // line per bucket.
+  size_t LineStoreMaxHeapBytes() const {
+    const size_t lines = endpoints_.size() * EndpointStrideLines();
+    return lines * (kLineNodeBytes + 2 * sizeof(void*));
+  }
+  static constexpr size_t kLineNodeBytes =
+      sizeof(void*) + sizeof(std::pair<const LineAddr, LineData>);
 
   // -- Host-facing control interface (§5.2) ----------------------------------
   // These model uncached register writes from the kernel/runtime; each call

@@ -6,7 +6,8 @@
 //   (Admit, MarkDelivered, Complete) allocate nothing.
 // - Per-machine state holds no more heap than its named bound: an idle NIC
 //   endpoint queue, a histogram of one decade of values, the client's
-//   retired-id window, a full dedup window and a full trace ring.
+//   retired-id window, a full dedup window, a full trace ring and a NIC line
+//   store with every line touched.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,6 +17,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "src/coherence/memory_home.h"
 #include "src/nic/lauberhorn_nic.h"
 #include "src/proto/dedup.h"
 #include "src/proto/id_window.h"
@@ -240,6 +242,48 @@ TEST(MemoryBoundTest, FullTraceRingHoldsSixteenBytesPerEntry) {
   EXPECT_EQ(ring.size(), 4096u);
   EXPECT_EQ(ring.dropped(), 5000u - 4096u);
   EXPECT_EQ(LiveSince(before), static_cast<int64_t>(4096 * sizeof(TraceRing::Entry)));
+}
+
+TEST(MemoryBoundTest, NicLineStoreWithEveryLineTouchedStaysWithinItsBound) {
+  // A NIC with the default layout (104 endpoints of 32 lines), every
+  // CONTROL and AUX line of every endpoint read for ownership through its
+  // home-agent interface, which stores each line it answers from.
+  Simulator sim;
+  CoherentInterconnect interconnect(sim, CoherenceConfig{});
+  MemoryHomeAgent memory(sim, interconnect, 0, uint64_t{1} << 30);
+  Iommu iommu;
+  PcieLink pcie(sim, PcieConfig{}, memory, iommu);
+  ServiceRegistry services;
+  const LauberhornNic::Config config;
+  LauberhornNic nic(sim, interconnect, pcie, services, config);
+  const size_t endpoints =
+      config.num_kernel_channels + config.num_endpoints + config.num_continuations;
+  const size_t lines = endpoints * nic.EndpointStrideLines();
+
+  const int64_t before = g_live_bytes.load();
+  size_t fills = 0;
+  auto touch = [&](LineAddr addr) {
+    nic.OnHomeRead(/*requester=*/0, addr, /*exclusive=*/true,
+                   [&fills, &nic](const LineData& data) {
+                     fills += data.size() == nic.line_size();
+                   });
+  };
+  for (uint32_t ep = 0; ep < endpoints; ++ep) {
+    touch(nic.CtrlAddr(ep, 0));
+    touch(nic.CtrlAddr(ep, 1));
+    for (size_t aux = 0; aux < config.params.aux_lines; ++aux) {
+      touch(nic.AuxAddr(ep, aux));
+    }
+  }
+  EXPECT_EQ(fills, lines);
+  EXPECT_GE(LiveSince(before), static_cast<int64_t>(lines * LauberhornNic::kLineNodeBytes));
+  EXPECT_LE(LiveSince(before), static_cast<int64_t>(nic.LineStoreMaxHeapBytes()));
+
+  // Touching them all again stores nothing new.
+  const int64_t full = LiveSince(before);
+  touch(nic.CtrlAddr(0, 0));
+  touch(nic.AuxAddr(static_cast<uint32_t>(endpoints - 1), config.params.aux_lines - 1));
+  EXPECT_EQ(LiveSince(before), full);
 }
 
 }  // namespace
