@@ -13,8 +13,8 @@ this directory:
   - paper benches: stdout of `--seed 1`.
   - examples: stdout.
 
-sim_throughput and micro are left out: they measure only host wall-clock
-time, so no output of theirs is reproducible.
+micro is left out: it measures only host wall-clock time, so no output of
+its is reproducible.
 
 Usage:
   golden.py --build BUILD_DIR [NAME ...]           check (all names if none)
