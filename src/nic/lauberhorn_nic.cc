@@ -1113,6 +1113,7 @@ void LauberhornNic::DeliverToWaiting(Endpoint& ep, PreparedRequest request) {
     // its own stale copy. Write them and release the core once every
     // collection is complete.
     assert(ep.held_dispatch == nullptr && "a held dispatch has no parked load");
+    ++stats_.aux_holds;
     waiting.tryagain_event = kInvalidEventId;  // cancelled by TakeWaiting
     ep.held_dispatch = std::make_unique<HeldDispatch>(
         HeldDispatch{std::move(waiting), line, overflow});

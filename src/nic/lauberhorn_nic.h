@@ -151,6 +151,8 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     uint64_t responses_sent = 0;
     uint64_t dma_fallback_rx = 0;
     uint64_t dma_fallback_tx = 0;
+    // Dispatches held until the previous response left the AUX lines.
+    uint64_t aux_holds = 0;
     uint64_t dispatcher_wakeups = 0;
     uint64_t crypto_failures = 0;
     // Reliability layer (duplicates are counted by dedup().stats()).

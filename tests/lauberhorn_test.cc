@@ -120,6 +120,55 @@ TEST(LauberhornNicTest, AuxLinePayloadRoundTrip) {
   EXPECT_EQ(machine.lauberhorn_nic()->stats().dma_fallback_rx, 0u);
 }
 
+// Closed-loop callers, each sending its next distinct 1 KiB echo when the
+// previous one returns, `calls` in all. Counts the responses that came back
+// byte-equal to their request and those that did not.
+class AuxEchoLoad {
+ public:
+  static constexpr size_t kSize = 1024;
+
+  AuxEchoLoad(Machine& machine, const ServiceDef& echo, int calls)
+      : machine_(machine), echo_(echo), calls_(calls) {}
+
+  void Start(int callers) {
+    for (int i = 0; i < callers; ++i) {
+      Call();
+    }
+  }
+
+  int issued() const { return issued_; }
+  int ok() const { return ok_; }
+  int corrupted() const { return corrupted_; }
+
+ private:
+  void Call() {
+    const int index = issued_++;
+    std::vector<uint8_t> sent(kSize);
+    for (size_t i = 0; i < kSize; ++i) {
+      sent[i] = static_cast<uint8_t>(index * 31 + i * 7);
+    }
+    machine_.client().Call(echo_, 0, std::vector<WireValue>{WireValue::Bytes(sent)},
+                           [this, sent](const RpcMessage& r, Duration) {
+                             std::vector<WireValue> out;
+                             if (r.status == RpcStatus::kOk &&
+                                 UnmarshalArgs(MethodSignature{{WireType::kBytes}},
+                                               r.payload, out)) {
+                               ++(out[0].bytes == sent ? ok_ : corrupted_);
+                             }
+                             if (issued_ < calls_) {
+                               Call();
+                             }
+                           });
+  }
+
+  Machine& machine_;
+  const ServiceDef& echo_;
+  const int calls_;
+  int issued_ = 0;
+  int ok_ = 0;
+  int corrupted_ = 0;
+};
+
 TEST(LauberhornNicTest, BackToBackAuxEchoesReturnTheirOwnBytes) {
   // Both CONTROL parities share an endpoint's AUX lines: the NIC pulls one
   // response's AUX lines back while the next request's arguments go out
@@ -134,37 +183,15 @@ TEST(LauberhornNicTest, BackToBackAuxEchoesReturnTheirOwnBytes) {
   ASSERT_EQ(machine.EndpointsOf(echo).size(), 1u);
 
   constexpr int kCalls = 400;
-  constexpr size_t kSize = 1024;
-  int issued = 0;
-  int ok = 0;
-  int corrupted = 0;
-  std::function<void()> call = [&]() {
-    const int index = issued++;
-    std::vector<uint8_t> sent(kSize);
-    for (size_t i = 0; i < kSize; ++i) {
-      sent[i] = static_cast<uint8_t>(index * 31 + i * 7);
-    }
-    machine.client().Call(echo, 0, std::vector<WireValue>{WireValue::Bytes(sent)},
-                          [&, sent](const RpcMessage& r, Duration) {
-                            std::vector<WireValue> out;
-                            if (r.status == RpcStatus::kOk &&
-                                UnmarshalArgs(MethodSignature{{WireType::kBytes}},
-                                              r.payload, out)) {
-                              ++(out[0].bytes == sent ? ok : corrupted);
-                            }
-                            if (issued < kCalls) {
-                              call();
-                            }
-                          });
-  };
-  for (int caller = 0; caller < 4; ++caller) {
-    call();
-  }
+  AuxEchoLoad load(machine, echo, kCalls);
+  load.Start(4);
   machine.sim().RunUntil(Milliseconds(100));
-  EXPECT_EQ(issued, kCalls);
-  EXPECT_EQ(corrupted, 0);
-  EXPECT_EQ(ok, kCalls);
-  EXPECT_EQ(machine.lauberhorn_nic()->stats().dma_fallback_rx, 0u);
+  EXPECT_EQ(load.issued(), kCalls);
+  EXPECT_EQ(load.corrupted(), 0);
+  EXPECT_EQ(load.ok(), kCalls);
+  const LauberhornNic::Stats& stats = machine.lauberhorn_nic()->stats();
+  EXPECT_EQ(stats.dma_fallback_rx, 0u);
+  EXPECT_GE(stats.aux_holds, static_cast<uint64_t>(kCalls - 4));
 }
 
 TEST(LauberhornNicTest, LargePayloadTakesDmaFallback) {
