@@ -53,7 +53,6 @@ class ArrivalTable {
   }
 
   size_t size() const { return size_; }
-  size_t capacity() const { return slots_.size(); }
 
  private:
   struct Slot {

@@ -224,7 +224,7 @@ void Machine::HookLatencyTracking() {
       return;
     }
     if (spans_ != nullptr) {
-      // Before the arrivals-map early return: dedup replays still stamp TX.
+      // Before the arrival-table early return: dedup replays still stamp TX.
       spans_->Record(msg.request_id, SpanStage::kWireTx, sim_->Now());
     }
     const std::optional<SimTime> arrival = request_arrivals_.Take(msg.request_id);
