@@ -194,6 +194,49 @@ TEST(LauberhornNicTest, BackToBackAuxEchoesReturnTheirOwnBytes) {
   EXPECT_GE(stats.aux_holds, static_cast<uint64_t>(kCalls - 4));
 }
 
+TEST(LauberhornNicTest, CrashAnswersADispatchHeldForAuxLines) {
+  // A held dispatch has taken its core's parked load. A NIC crash must
+  // answer that load with TRYAGAIN, as it answers every parked load, or the
+  // core would wait on it forever. Eight callers keep both of the service's
+  // endpoints busy, so neither core is ever parked idle: a TRYAGAIN on one
+  // of them at the crash instant answers a held dispatch. The crash lands
+  // where the NIC next checks its health after the planned instant (an
+  // arrival, or a poll on the other endpoint), so the test sweeps the
+  // instant for some crashes to fall inside a hold. Without the crash
+  // handling of held dispatches, no sweep step sees such a TRYAGAIN.
+  int answered_at_crash = 0;
+  for (int step = 0; step < 80; ++step) {
+    MachineConfig config = Config();
+    const SimTime planned = Milliseconds(1) + Microseconds(50) + step * Nanoseconds(250);
+    config.faults.nic_crash.first_crash_at = planned;
+    Machine machine(config);
+    const ServiceDef& echo =
+        machine.AddService(ServiceRegistry::MakeEchoService(1, 7000), /*max_cores=*/2);
+    machine.Start();
+    machine.StartHotLoop(echo);
+    machine.sim().RunUntil(Milliseconds(1));
+    AuxEchoLoad load(machine, echo, 1000);
+    load.Start(8);
+    machine.sim().RunUntil(planned + Microseconds(20));
+
+    const LauberhornNic& nic = *machine.lauberhorn_nic();
+    SimTime crash_at = -1;
+    for (const TraceRing::Entry& entry : nic.trace().Snapshot()) {
+      if (entry.event == TraceEvent::kNicCrash) {
+        crash_at = entry.at;
+      }
+    }
+    ASSERT_GE(crash_at, planned);
+    ASSERT_GT(nic.stats().aux_holds, 0u);
+    for (const uint32_t ep : machine.EndpointsOf(echo)) {
+      for (const TraceRing::Entry& entry : nic.trace().ForEndpoint(ep)) {
+        answered_at_crash += entry.event == TraceEvent::kTryAgain && entry.at == crash_at;
+      }
+    }
+  }
+  EXPECT_GT(answered_at_crash, 0);
+}
+
 TEST(LauberhornNicTest, LargePayloadTakesDmaFallback) {
   Machine machine(Config());
   const ServiceDef& echo = machine.AddService(ServiceRegistry::MakeEchoService(1, 7000));
