@@ -1,7 +1,7 @@
 // MICRO — google-benchmark microbenchmarks of the substrate hot paths:
-// marshalling, framing, checksums, the event queue, the DMA path (IOMMU,
-// descriptor rings, DMA transfers), the coherence line cycle, histograms, and
-// the model checker. These gate the simulator's own performance (a simulated
+// marshalling, framing, LRPC decode, the handler call, checksums, the event
+// queue, the DMA path (IOMMU, descriptor rings, DMA transfers), the coherence
+// line cycle, histograms, and the model checker. These gate the simulator's own performance (a simulated
 // second at 100 krps is ~10^6 events).
 #include <array>
 #include <cstdint>
@@ -19,6 +19,7 @@
 #include "src/pcie/ring.h"
 #include "src/proto/marshal.h"
 #include "src/proto/rpc_message.h"
+#include "src/proto/service.h"
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 #include "src/stats/histogram.h"
@@ -96,6 +97,60 @@ void BM_BuildRpcFrame(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(msg.WireSize()));
 }
 BENCHMARK(BM_BuildRpcFrame)->Arg(64)->Arg(1400);
+
+// The receive path's decode of an owned frame that has just arrived: the
+// copying decode allocates the payload and the frame is then freed; the
+// in-place decode (in_place:1) makes the frame's buffer the payload. Each
+// iteration starts from a fresh copy of the frame, as a receiver gets one;
+// the UDP parse is left out.
+void BM_DecodeRpcMessage(benchmark::State& state) {
+  EthernetHeader eth;
+  Ipv4Header ip;
+  ip.src = MakeIpv4(10, 0, 0, 1);
+  ip.dst = MakeIpv4(10, 0, 0, 2);
+  UdpHeader udp;
+  RpcMessage msg;
+  msg.kind = MessageKind::kResponse;
+  msg.service_id = 3;
+  msg.request_id = 42;
+  msg.payload.assign(static_cast<size_t>(state.range(0)), 9);
+  const Packet sent = BuildRpcFrame(eth, ip, udp, msg);
+  const size_t offset = kAllHeadersSize;
+  const size_t size = sent.size() - kAllHeadersSize;
+  const bool in_place = state.range(1) != 0;
+  for (auto _ : state) {
+    std::vector<uint8_t> received = sent.bytes;
+    auto decoded = in_place
+                       ? DecodeRpcMessageFrom(std::move(received), offset, size)
+                       : DecodeRpcMessage(std::span(received).subspan(offset, size));
+    benchmark::DoNotOptimize(decoded);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(msg.WireSize()));
+}
+BENCHMARK(BM_DecodeRpcMessage)
+    ->ArgNames({"bytes", "in_place"})
+    ->ArgsProduct({{64, 1400}, {0, 1}});
+
+// The handler call every stack makes, on perfbench's echo signature
+// {u64, bytes} with a handler that returns its arguments.
+void BM_InvokeMethodEcho(benchmark::State& state) {
+  MethodDef method;
+  method.request_sig.args = {WireType::kU64, WireType::kBytes};
+  method.response_sig = method.request_sig;
+  method.handler = [](const std::vector<WireValue>& args) { return args; };
+  const std::vector<WireValue> args = {
+      WireValue::U64(42),
+      WireValue::Bytes(std::vector<uint8_t>(static_cast<size_t>(state.range(0)), 7))};
+  std::vector<uint8_t> wire;
+  MarshalArgs(method.request_sig, args, wire);
+  for (auto _ : state) {
+    RpcMessage response = ResponseHeader(3, 0, 42);
+    benchmark::DoNotOptimize(InvokeMethod(&method, wire, response));
+    benchmark::DoNotOptimize(response);
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(wire.size()));
+}
+BENCHMARK(BM_InvokeMethodEcho)->Arg(64);
 
 void BM_ParseUdpFrame(benchmark::State& state) {
   EthernetHeader eth;

@@ -18,7 +18,7 @@ void CacheAgent::Load(uint64_t addr, size_t size, LoadFn on_done) {
   op.addr = addr;
   op.size = size;
   op.on_load = std::move(on_done);
-  Enqueue(line_addr, std::move(op));
+  Enqueue(lines_[line_addr], line_addr, std::move(op));
 }
 
 void CacheAgent::Store(uint64_t addr, std::span<const uint8_t> data, StoreFn on_done) {
@@ -30,17 +30,17 @@ void CacheAgent::Store(uint64_t addr, std::span<const uint8_t> data, StoreFn on_
   op.addr = addr;
   op.data = LineData(data);
   op.on_store = std::move(on_done);
-  Enqueue(line_addr, std::move(op));
+  Enqueue(lines_[line_addr], line_addr, std::move(op));
 }
 
-void CacheAgent::Enqueue(LineAddr line_addr, Op op) {
-  pending_[line_addr].ops.push_back(std::move(op));
-  ProcessQueue(line_addr);
+void CacheAgent::Enqueue(Line& line, LineAddr line_addr, Op op) {
+  line.ops.push_back(std::move(op));
+  ProcessQueue(line, line_addr);
 }
 
-CacheAgent::Op CacheAgent::PendingLine::PopFront() {
+CacheAgent::Op CacheAgent::Line::PopFront() {
   Op op = std::move(ops[head++]);
-  if (empty()) {
+  if (idle()) {
     ops.clear();  // keeps the capacity
     head = 0;
   }
@@ -116,27 +116,23 @@ void CacheAgent::Flush(LineAddr addr) {
   it->second.state = LineState::kInvalid;
 }
 
-void CacheAgent::ProcessQueue(LineAddr line_addr) {
-  auto pit = pending_.find(line_addr);
-  if (pit == pending_.end()) {
-    return;
-  }
-  PendingLine& pl = pit->second;
-  if (pl.request_in_flight || pl.empty()) {
+void CacheAgent::ProcessQueue(Line& line, LineAddr line_addr) {
+  if (line.request_in_flight || line.idle()) {
     return;  // the fill handler will resume us, or nothing to do
   }
 
-  Op& front = pl.front();
-  if (Satisfies(front, StateOf(line_addr))) {
+  Op& front = line.front();
+  if (Satisfies(front, line.state)) {
     if (!front.counted) {
       ++hits_;
       front.counted = true;
     }
     // The L1 access takes l1_hit; subsequent queued ops run after it.
     interconnect_.sim().Schedule(interconnect_.config().l1_hit,
-                                 [this, line_addr, op = pl.PopFront()]() mutable {
-                                   ExecuteOp(line_addr, std::move(op));
-                                   ProcessQueue(line_addr);
+                                 [this, line = &line, line_addr,
+                                  op = line.PopFront()]() mutable {
+                                   ExecuteOp(*line, line_addr, std::move(op));
+                                   ProcessQueue(*line, line_addr);
                                  });
     return;
   }
@@ -146,31 +142,28 @@ void CacheAgent::ProcessQueue(LineAddr line_addr) {
     ++misses_;
     front.counted = true;
   }
-  pl.request_in_flight = true;
+  line.request_in_flight = true;
   const bool exclusive = front.is_store;
-  AcquireMshr([this, line_addr, exclusive]() {
-    interconnect_.SendRead(id_, line_addr, exclusive, [this, line_addr,
+  AcquireMshr([this, line = &line, line_addr, exclusive]() {
+    interconnect_.SendRead(id_, line_addr, exclusive, [this, line, line_addr,
                                                        exclusive](const LineData& data) {
       ReleaseMshr();
-      Line& installed = lines_[line_addr];
-      installed.state = exclusive ? LineState::kModified : LineState::kShared;
-      installed.data = data;
-      installed.data.resize(interconnect_.config().line_size);
-      pending_[line_addr].request_in_flight = false;
-      ProcessQueue(line_addr);
+      line->state = exclusive ? LineState::kModified : LineState::kShared;
+      line->data = data;
+      line->data.resize(interconnect_.config().line_size);
+      line->request_in_flight = false;
+      ProcessQueue(*line, line_addr);
     });
   });
 }
 
-void CacheAgent::ExecuteOp(LineAddr line_addr, Op op) {
-  auto lit = lines_.find(line_addr);
-  if (lit == lines_.end() || !Satisfies(op, lit->second.state)) {
+void CacheAgent::ExecuteOp(Line& line, LineAddr line_addr, Op op) {
+  if (!Satisfies(op, line.state)) {
     // The line was probed away between scheduling and execution: queue the
     // op again (it keeps its hit/miss attribution) so it re-fetches.
-    Enqueue(line_addr, std::move(op));
+    Enqueue(line, line_addr, std::move(op));
     return;
   }
-  Line& line = lit->second;
   const size_t offset = op.addr - line_addr;
   if (op.is_store) {
     std::copy(op.data.begin(), op.data.end(), line.data.begin() + offset);

@@ -76,19 +76,22 @@ class CacheAgent {
     LoadFn on_load;
     StoreFn on_store;
   };
+  // Everything the agent keeps for one line: its MSI state and data, and
+  // its FIFO of ops, of which ops[head..] are pending. A record is created
+  // by the first Load or Store to its line and never erased: a flushed or
+  // probed-away line stays as kInvalid, and the ops vector keeps its storage
+  // after draining, so a steady stream of ops on a line allocates nothing.
+  // Never erasing is also what lets the continuations of a line's ops and
+  // fills hold a pointer to its record across other lines' inserts (map
+  // nodes do not move on rehash).
   struct Line {
     LineState state = LineState::kInvalid;
     LineData data;
-  };
-  // The line's FIFO of ops: ops[head..] are pending. The entry and the
-  // vector's storage outlive draining, so a steady stream of ops on a line
-  // allocates nothing.
-  struct PendingLine {
     std::vector<Op> ops;
     size_t head = 0;
     bool request_in_flight = false;
 
-    bool empty() const { return head == ops.size(); }
+    bool idle() const { return head == ops.size(); }
     Op& front() { return ops[head]; }
     Op PopFront();
   };
@@ -96,9 +99,9 @@ class CacheAgent {
   static bool Satisfies(const Op& op, LineState state) {
     return op.is_store ? state == LineState::kModified : state != LineState::kInvalid;
   }
-  void Enqueue(LineAddr line_addr, Op op);
-  void ProcessQueue(LineAddr line_addr);
-  void ExecuteOp(LineAddr line_addr, Op op);
+  void Enqueue(Line& line, LineAddr line_addr, Op op);
+  void ProcessQueue(Line& line, LineAddr line_addr);
+  void ExecuteOp(Line& line, LineAddr line_addr, Op op);
   // MSHR throttling: at most config.mshrs_per_agent line transactions in
   // flight; excess requests queue FIFO.
   void AcquireMshr(Callback start);
@@ -106,9 +109,8 @@ class CacheAgent {
 
   CoherentInterconnect& interconnect_;
   AgentId id_;
-  // Flushed and probed-away lines keep their entry, as kInvalid.
+  // One record per line ever loaded or stored; never erased (see Line).
   std::unordered_map<LineAddr, Line> lines_;
-  std::unordered_map<LineAddr, PendingLine> pending_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t loads_through_ = 0;

@@ -101,7 +101,8 @@ void CoherentInterconnect::SendRead(AgentId requester, LineAddr addr, bool exclu
       }
     });
 
-    FillFn respond = [this, requester, addr, exclusive, install,
+    // The fill keeps a pointer to `entry`: directory entries are never erased.
+    FillFn respond = [this, requester, entry = &entry, exclusive, install,
                       on_fill = std::move(on_fill), hop, watchdog,
                       recall_extra](const LineData& data) mutable {
       if (faults_ != nullptr && faults_->CoherenceShouldDropFill()) {
@@ -114,12 +115,11 @@ void CoherentInterconnect::SendRead(AgentId requester, LineAddr addr, bool exclu
       }
       Count(CoherenceMsgType::kFill, true);
       if (install) {
-        DirEntry& e = Dir(addr);
         if (exclusive) {
-          e.owner = requester;
-          e.sharers.clear();
+          entry->owner = requester;
+          entry->sharers.clear();
         } else {
-          e.sharers.insert(requester);
+          entry->sharers.insert(requester);
         }
       }
       Duration fault_delay = 0;
@@ -184,7 +184,7 @@ void CoherentInterconnect::FetchExclusive(AgentId home, LineAddr addr,
   }
 
   Count(CoherenceMsgType::kProbeFetch, false);
-  Dir(addr).owner = kNoAgent;
+  it->second.owner = kNoAgent;
   sim_.Schedule(hop, [this, owner, addr, hop, fallback, done = std::move(done)]() mutable {
     const ProbeResult result = Probe(owner, addr);
     Count(CoherenceMsgType::kProbeAck, result.had);

@@ -156,6 +156,9 @@ class CoherentInterconnect {
   CoherenceConfig config_;
   std::vector<CacheAgent*> cache_agents_;
   std::vector<HomeRange> homes_;  // indexed by AgentId - kHomeAgentBase
+  // Entries are never erased (a line nobody holds keeps an empty entry), so
+  // a pending fill's continuation holds its DirEntry by reference across
+  // other lines' inserts (map nodes do not move on rehash).
   std::unordered_map<LineAddr, DirEntry> directory_;
   CoherenceStats stats_;
   Function<void(LineAddr)> bus_error_handler_;

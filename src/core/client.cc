@@ -351,7 +351,9 @@ void RpcClient::ReceivePacket(Packet packet) {
     ++errors_;
     return;
   }
-  auto msg = DecodeRpcMessage(frame->payload);
+  // The client owns the frame, so its buffer becomes the payload.
+  const size_t offset = frame->payload.data() - packet.bytes.data();
+  auto msg = DecodeRpcMessageFrom(std::move(packet.bytes), offset, frame->payload.size());
   if (!msg.has_value() || msg->kind != MessageKind::kResponse) {
     ++errors_;
     return;

@@ -396,7 +396,10 @@ void LauberhornNic::ReceivePacket(Packet packet) {
     const uint32_t ep_id = PickEndpoint(it->second, frame->ip, frame->udp);
     Endpoint& ep = endpoints_[ep_id];
     trace_.Emit(sim_.Now(), TraceEvent::kWireRx, ep_id, 0);
-    auto request = DecodeRpcMessage(frame->payload);
+    // The step owns the frame and needs none of its bytes past the LRPC
+    // header, so the frame's buffer becomes the payload.
+    const size_t offset = frame->payload.data() - bytes.data();
+    auto request = DecodeRpcMessageFrom(std::move(bytes), offset, frame->payload.size());
     if (!request.has_value()) {
       ++stats_.drops_bad_frame;
       return;

@@ -416,7 +416,10 @@ void LauberhornRuntime::IssueNested(Core& core, const MethodDef& method,
                          }
                          const std::vector<WireValue> result =
                              method->nested_finish(values, reply_values);
-                         MarshalArgs(method->response_sig, result, response.payload);
+                         if (!MarshalArgs(method->response_sig, result,
+                                          response.payload)) {
+                           response.status = RpcStatus::kInternal;
+                         }
                          // Phase 2 (finish) is charged by the caller.
                          (*done_sh)(std::move(response), extra + config_.handler_entry);
                        });

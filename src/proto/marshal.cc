@@ -89,35 +89,6 @@ void PutU32Le(std::vector<uint8_t>& out, uint32_t v) { PutLe<4>(out, v); }
 
 void PutU64Le(std::vector<uint8_t>& out, uint64_t v) { PutLe<8>(out, v); }
 
-bool GetU16Le(std::span<const uint8_t> in, size_t& off, uint16_t& v) {
-  if (off + 2 > in.size()) {
-    return false;
-  }
-  v = static_cast<uint16_t>(in[off] | (in[off + 1] << 8));
-  off += 2;
-  return true;
-}
-
-bool GetU32Le(std::span<const uint8_t> in, size_t& off, uint32_t& v) {
-  uint16_t lo = 0;
-  uint16_t hi = 0;
-  if (!GetU16Le(in, off, lo) || !GetU16Le(in, off, hi)) {
-    return false;
-  }
-  v = static_cast<uint32_t>(lo) | (static_cast<uint32_t>(hi) << 16);
-  return true;
-}
-
-bool GetU64Le(std::span<const uint8_t> in, size_t& off, uint64_t& v) {
-  uint32_t lo = 0;
-  uint32_t hi = 0;
-  if (!GetU32Le(in, off, lo) || !GetU32Le(in, off, hi)) {
-    return false;
-  }
-  v = static_cast<uint64_t>(lo) | (static_cast<uint64_t>(hi) << 32);
-  return true;
-}
-
 size_t MethodSignature::EncodedSize(std::span<const WireValue> values) const {
   size_t total = 0;
   for (size_t i = 0; i < args.size() && i < values.size(); ++i) {
@@ -188,14 +159,23 @@ bool MarshalArgs(const MethodSignature& sig, std::span<const WireValue> values,
 
 bool UnmarshalArgs(const MethodSignature& sig, std::span<const uint8_t> in,
                    std::vector<WireValue>& out, size_t* consumed) {
-  out.clear();
   out.reserve(sig.args.size());
+  size_t count = 0;
   size_t off = 0;
   const bool ok = WalkArgs(sig, in, off,
-                           [&out](WireType t, uint64_t bits,
-                                  std::span<const uint8_t> bytes) {
-                             WireValue& v = out.emplace_back();
+                           [&out, &count](WireType t, uint64_t bits,
+                                          std::span<const uint8_t> bytes) {
+                             if (count == out.size()) {
+                               out.emplace_back();
+                             }
+                             // A reused element is reset field by field, so
+                             // its byte and string buffers stay allocated.
+                             WireValue& v = out[count++];
                              v.type = t;
+                             v.scalar = 0;
+                             v.f64 = 0.0;
+                             v.bytes.clear();
+                             v.str.clear();
                              if (t == WireType::kF64) {
                                std::memcpy(&v.f64, &bits, sizeof(v.f64));
                              } else if (t == WireType::kBytes) {
@@ -210,6 +190,7 @@ bool UnmarshalArgs(const MethodSignature& sig, std::span<const uint8_t> in,
     out.clear();
     return false;
   }
+  out.resize(count);
   if (consumed != nullptr) {
     *consumed = off;
   }

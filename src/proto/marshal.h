@@ -8,7 +8,9 @@
 #ifndef SRC_PROTO_MARSHAL_H_
 #define SRC_PROTO_MARSHAL_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <variant>
@@ -71,8 +73,10 @@ bool MarshalArgs(const MethodSignature& sig, std::span<const WireValue> values,
                  std::vector<uint8_t>& out);
 
 // Deserializes exactly the values described by `sig` from `in` (trailing
-// bytes are ignored; `consumed` reports how many were read). On malformed
-// input returns false and leaves `out` empty.
+// bytes are ignored; `consumed` reports how many were read). The elements
+// already in `out` are reused, so a vector kept across calls keeps its
+// byte and string buffers. On malformed input returns false and leaves `out`
+// empty.
 bool UnmarshalArgs(const MethodSignature& sig, std::span<const uint8_t> in,
                    std::vector<WireValue>& out, size_t* consumed = nullptr);
 
@@ -84,9 +88,42 @@ bool ValidateArgs(const MethodSignature& sig, std::span<const uint8_t> in);
 void PutU16Le(std::vector<uint8_t>& out, uint16_t v);
 void PutU32Le(std::vector<uint8_t>& out, uint32_t v);
 void PutU64Le(std::vector<uint8_t>& out, uint64_t v);
-bool GetU16Le(std::span<const uint8_t> in, size_t& off, uint16_t& v);
-bool GetU32Le(std::span<const uint8_t> in, size_t& off, uint32_t& v);
-bool GetU64Le(std::span<const uint8_t> in, size_t& off, uint64_t& v);
+
+// Reads the little-endian integer at `p`, which must hold sizeof(T) bytes.
+template <typename T>
+inline T LoadLe(const uint8_t* p) {
+  T v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    T swapped = 0;
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      swapped = static_cast<T>((swapped << 8) | ((v >> (8 * i)) & 0xff));
+    }
+    v = swapped;
+  }
+  return v;
+}
+
+// Reads a little-endian integer at `off` and advances past it; false (with
+// `off` and `v` untouched) when fewer than sizeof(T) bytes remain.
+template <typename T>
+inline bool GetLe(std::span<const uint8_t> in, size_t& off, T& v) {
+  if (off + sizeof(T) > in.size()) {
+    return false;
+  }
+  v = LoadLe<T>(in.data() + off);
+  off += sizeof(T);
+  return true;
+}
+inline bool GetU16Le(std::span<const uint8_t> in, size_t& off, uint16_t& v) {
+  return GetLe(in, off, v);
+}
+inline bool GetU32Le(std::span<const uint8_t> in, size_t& off, uint32_t& v) {
+  return GetLe(in, off, v);
+}
+inline bool GetU64Le(std::span<const uint8_t> in, size_t& off, uint64_t& v) {
+  return GetLe(in, off, v);
+}
 
 }  // namespace lauberhorn
 

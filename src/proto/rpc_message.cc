@@ -1,6 +1,8 @@
 #include "src/proto/rpc_message.h"
 
 #include <array>
+#include <cassert>
+#include <cstring>
 
 namespace lauberhorn {
 
@@ -66,45 +68,31 @@ namespace {
 
 // Validates the framing (magic, version, kind, a complete header, and a
 // payload length that fits `in`) and fills every header field of `msg`.
-// Decode and peek share it, so they accept exactly the same frames.
-bool DecodeHeader(std::span<const uint8_t> in, RpcMessage& msg,
-                  size_t& payload_offset, uint32_t& payload_length) {
-  size_t off = 0;
-  uint16_t magic = 0;
-  if (!GetU16Le(in, off, magic) || magic != kLrpcMagic) {
+// Decode and peek share it, so they accept exactly the same frames. The
+// payload starts at kLrpcHeaderSize.
+bool DecodeHeader(std::span<const uint8_t> in, RpcMessage& msg, uint32_t& payload_length) {
+  if (in.size() < kLrpcHeaderSize) {
     return false;
   }
-  if (off + 2 > in.size()) {
-    return false;
-  }
-  const uint8_t version = in[off++];
-  const uint8_t kind = in[off++];
-  if (version != kLrpcVersion ||
+  const uint8_t* h = in.data();
+  const uint8_t version = h[2];
+  const uint8_t kind = h[3];
+  if (LoadLe<uint16_t>(h) != kLrpcMagic || version != kLrpcVersion ||
       (kind != static_cast<uint8_t>(MessageKind::kRequest) &&
        kind != static_cast<uint8_t>(MessageKind::kResponse))) {
     return false;
   }
+  payload_length = LoadLe<uint32_t>(h + 20);
+  if (payload_length > in.size() - kLrpcHeaderSize) {
+    return false;
+  }
   msg.kind = static_cast<MessageKind>(kind);
-  uint16_t status = 0;
-  if (!GetU32Le(in, off, msg.service_id) || !GetU16Le(in, off, msg.method_id) ||
-      !GetU16Le(in, off, status) || !GetU64Le(in, off, msg.request_id) ||
-      !GetU32Le(in, off, payload_length)) {
-    return false;
-  }
-  msg.status = static_cast<RpcStatus>(status);
-  if (off + 2 > in.size()) {
-    return false;
-  }
-  msg.flags = in[off++];
-  ++off;  // reserved
-  uint32_t reserved2 = 0;
-  if (!GetU16Le(in, off, msg.grant) || !GetU32Le(in, off, reserved2)) {
-    return false;
-  }
-  if (off + payload_length > in.size()) {
-    return false;
-  }
-  payload_offset = off;
+  msg.service_id = LoadLe<uint32_t>(h + 4);
+  msg.method_id = LoadLe<uint16_t>(h + 8);
+  msg.status = static_cast<RpcStatus>(LoadLe<uint16_t>(h + 10));
+  msg.request_id = LoadLe<uint64_t>(h + 12);
+  msg.flags = h[24];
+  msg.grant = LoadLe<uint16_t>(h + 26);  // h[25] and h[28..31] are reserved
   return true;
 }
 
@@ -112,20 +100,35 @@ bool DecodeHeader(std::span<const uint8_t> in, RpcMessage& msg,
 
 std::optional<RpcMessage> DecodeRpcMessage(std::span<const uint8_t> in) {
   RpcMessage msg;
-  size_t off = 0;
   uint32_t payload_length = 0;
-  if (!DecodeHeader(in, msg, off, payload_length)) {
+  if (!DecodeHeader(in, msg, payload_length)) {
     return std::nullopt;
   }
-  msg.payload.assign(in.begin() + off, in.begin() + off + payload_length);
+  const auto payload = in.subspan(kLrpcHeaderSize, payload_length);
+  msg.payload.assign(payload.begin(), payload.end());
+  return msg;
+}
+
+std::optional<RpcMessage> DecodeRpcMessageFrom(std::vector<uint8_t>&& frame, size_t offset,
+                                               size_t size) {
+  assert(offset + size <= frame.size() && "message past the end of the frame");
+  RpcMessage msg;
+  uint32_t payload_length = 0;
+  if (!DecodeHeader(std::span(frame).subspan(offset, size), msg, payload_length)) {
+    return std::nullopt;
+  }
+  // Slide the payload to the front of the frame's buffer and cut the rest:
+  // a shrinking resize keeps the buffer, so nothing is allocated.
+  std::memmove(frame.data(), frame.data() + offset + kLrpcHeaderSize, payload_length);
+  frame.resize(payload_length);
+  msg.payload = std::move(frame);
   return msg;
 }
 
 std::optional<RpcHeaderPeek> PeekRpcHeader(std::span<const uint8_t> in) {
   RpcMessage header;  // the payload stays empty: nothing is copied
-  size_t off = 0;
   uint32_t payload_length = 0;
-  if (!DecodeHeader(in, header, off, payload_length)) {
+  if (!DecodeHeader(in, header, payload_length)) {
     return std::nullopt;
   }
   return RpcHeaderPeek{header.kind, header.request_id};

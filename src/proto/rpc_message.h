@@ -95,6 +95,14 @@ Packet ReplyFrame(const EthernetHeader& eth, const Ipv4Header& ip, const UdpHead
 // Decodes one message from `in`; returns nullopt on malformed framing.
 std::optional<RpcMessage> DecodeRpcMessage(std::span<const uint8_t> in);
 
+// Decodes the message at frame[offset, offset + size) exactly as
+// DecodeRpcMessage does, but in place: on success the frame's own buffer
+// becomes the payload (the payload bytes slide to its front), so a received
+// frame is decoded without an allocation. Only for a caller that owns the
+// frame and is done with its other bytes. On failure `frame` is untouched.
+std::optional<RpcMessage> DecodeRpcMessageFrom(std::vector<uint8_t>&& frame, size_t offset,
+                                               size_t size);
+
 // The header fields an observer needs to follow a request, read without
 // copying the payload.
 struct RpcHeaderPeek {

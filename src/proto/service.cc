@@ -11,14 +11,23 @@ Duration InvokeMethod(const MethodDef* method, std::span<const uint8_t> args,
     response.status = RpcStatus::kNoSuchMethod;
     return 0;
   }
-  std::vector<WireValue> values;
+  // The argument vector is per-thread scratch, so its elements' buffers
+  // outlive the call. It is moved out for the call and back afterwards: a
+  // handler that calls InvokeMethod itself finds the scratch empty and uses
+  // a vector of its own.
+  thread_local std::vector<WireValue> scratch;
+  std::vector<WireValue> values = std::move(scratch);
+  Duration service_time = 0;
   if (!UnmarshalArgs(method->request_sig, args, values)) {
     response.status = RpcStatus::kBadArguments;
-    return 0;
+  } else {
+    const std::vector<WireValue> result = method->handler(values);
+    service_time = method->service_time(values);
+    if (!MarshalArgs(method->response_sig, result, response.payload)) {
+      response.status = RpcStatus::kInternal;  // the handler broke its signature
+    }
   }
-  const std::vector<WireValue> result = method->handler(values);
-  const Duration service_time = method->service_time(values);
-  MarshalArgs(method->response_sig, result, response.payload);
+  scratch = std::move(values);
   return service_time;
 }
 

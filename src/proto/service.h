@@ -84,9 +84,11 @@ struct ServiceDef {
 // Runs `method` on the marshalled `args` and fills `response`: the one
 // handler call every stack makes. An unknown method (null) sets
 // kNoSuchMethod; arguments that do not unmarshal set kBadArguments. Either
-// way the payload stays empty and the result is 0. On success the handler's
-// result is marshalled into the payload and the result is the method's
-// modelled service time. Nested calls are the caller's business.
+// way the payload stays empty and the result is 0. Otherwise the handler
+// runs and the result is the method's modelled service time; its values are
+// marshalled into the payload, or, when they do not match response_sig, the
+// payload stays empty and the status is kInternal. Nested calls are the
+// caller's business.
 Duration InvokeMethod(const MethodDef* method, std::span<const uint8_t> args,
                       RpcMessage& response);
 

@@ -2,8 +2,10 @@
 // operator new with one that counts allocations and live bytes, so it is kept
 // apart from lbh_tests.
 //
-// - The steady-state CONTROL-line cycle and the steady-state dedup cycle
-//   (Admit, MarkDelivered, Complete) allocate nothing.
+// - The steady-state CONTROL-line cycle, the steady-state dedup cycle
+//   (Admit, MarkDelivered, Complete) and the in-place decode of a received
+//   frame allocate nothing, and a warm hot echo RPC stays within its block
+//   budget.
 // - Per-machine state holds no more heap than its named bound: an idle NIC
 //   endpoint queue, a histogram of one decade of values, the client's
 //   retired-id window, a full dedup window, a full trace ring and a NIC line
@@ -18,6 +20,8 @@
 #include <new>
 
 #include "src/coherence/memory_home.h"
+#include "src/core/machine.h"
+#include "src/net/headers.h"
 #include "src/nic/lauberhorn_nic.h"
 #include "src/proto/dedup.h"
 #include "src/proto/id_window.h"
@@ -103,6 +107,87 @@ TEST(AllocTest, WarmControlLineCycleAllocatesNothing) {
   EXPECT_EQ(cycle.line()[0], static_cast<uint8_t>(kCycles - 1));
   EXPECT_EQ(cycle.interconnect().stats().bus_errors, 0u);
   EXPECT_EQ(cycle.cpu().StateOf(ControlLineCycle::kCtrl), LineState::kInvalid);
+}
+
+TEST(AllocTest, InPlaceDecodeOfAReceivedFrameAllocatesNothing) {
+  EthernetHeader eth;
+  Ipv4Header ip;
+  ip.src = MakeIpv4(10, 0, 0, 1);
+  ip.dst = MakeIpv4(10, 0, 0, 2);
+  UdpHeader udp;
+  udp.src_port = 40000;
+  udp.dst_port = 7000;
+  RpcMessage msg = ResponseHeader(1, 0, 42);
+  msg.payload.assign(1400, 0x3c);
+  Packet frame = BuildRpcFrame(eth, ip, udp, msg);
+  const auto parsed = ParseUdpFrame(frame);
+  ASSERT_TRUE(parsed.has_value());
+  const size_t offset = parsed->payload.data() - frame.bytes.data();
+
+  uint64_t before = g_allocations.load();
+  const auto copied = DecodeRpcMessage(parsed->payload);
+  EXPECT_EQ(g_allocations.load() - before, 1u);  // the payload copy
+  before = g_allocations.load();
+  const auto in_place =
+      DecodeRpcMessageFrom(std::move(frame.bytes), offset, parsed->payload.size());
+  EXPECT_EQ(g_allocations.load() - before, 0u);
+  ASSERT_TRUE(copied.has_value());
+  ASSERT_TRUE(in_place.has_value());
+  EXPECT_EQ(in_place->payload, msg.payload);
+  EXPECT_EQ(in_place->request_id, 42u);
+}
+
+// Heap blocks per warm hot echo RPC (64-byte body) on one Lauberhorn machine,
+// from the client's call to its completion callback, with the call's
+// arguments built beforehand: the client's marshalled request, pending
+// record and request frame; the handler's result (three blocks: the echo
+// handler copies its argument into an initializer list and then into the
+// returned vector) and its marshalled payload; the NIC's collected response
+// and reply frame. The parent of the change that set this budget allocated
+// 13; decoding received frames in place at the NIC and the client and
+// reusing InvokeMethod's argument vector took it to 9.
+constexpr uint64_t kHotEchoBlocksPerRpc = 9;
+
+TEST(AllocTest, WarmHotEchoRpcStaysWithinItsBlockBudget) {
+  MachineConfig config;
+  config.stack = StackKind::kLauberhorn;
+  config.num_cores = 4;
+  Machine machine(config);
+  const ServiceDef& echo = machine.AddService(ServiceRegistry::MakeEchoService(1, 7000));
+  machine.Start();
+  machine.StartHotLoop(echo);
+  machine.sim().RunUntil(Milliseconds(1));
+
+  constexpr Duration kSpacing = Microseconds(100);
+  const std::vector<WireValue> args = {WireValue::Bytes(std::vector<uint8_t>(64, 0x5c))};
+  uint64_t echoed = 0;
+  const auto call = [&] {
+    machine.client().Call(echo, 0, args, [&echoed](const RpcMessage& r, Duration) {
+      echoed += r.status == RpcStatus::kOk && r.payload.size() == 4 + 64;
+    });
+    machine.sim().RunUntil(machine.sim().Now() + kSpacing);
+  };
+  // Warm-up: slab slots, histogram blocks and line records, and more calls
+  // than the client's retired-id window (IdWindow::kCapacity) holds, so it
+  // and the NIC's dedup window have reached their full size.
+  constexpr uint64_t kWarmUp = IdWindow::kCapacity + 1000;
+  for (uint64_t i = 0; i < kWarmUp; ++i) {
+    call();
+  }
+  constexpr uint64_t kCalls = 1000;
+  // What the same stretch of simulated time allocates without a call: the
+  // runtime's periodic policy tick builds a small map each time.
+  uint64_t before = g_allocations.load();
+  machine.sim().RunUntil(machine.sim().Now() + kCalls * kSpacing);
+  const uint64_t idle = g_allocations.load() - before;
+  before = g_allocations.load();
+  for (uint64_t i = 0; i < kCalls; ++i) {
+    call();
+  }
+  const uint64_t blocks = g_allocations.load() - before - idle;
+  EXPECT_EQ(echoed, kWarmUp + kCalls);
+  EXPECT_LE(blocks, kHotEchoBlocksPerRpc * kCalls)
+      << blocks << " blocks for " << kCalls << " RPCs (" << idle << " idle)";
 }
 
 // Live heap bytes allocated since `before`.

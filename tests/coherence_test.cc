@@ -454,6 +454,74 @@ TEST_F(CoherenceTest, ProbedAwayOpCountedOnce) {
   EXPECT_EQ(got, (std::vector<uint8_t>{10, 11, 12}));
 }
 
+// A cache agent keeps one record per line and never erases it, and a line's
+// fill continuation points at that record. A store miss held open by the
+// device while the same agent first touches 1,000 other lines (growing and
+// rehashing its table many times) must still install into its own record.
+TEST_F(CoherenceTest, OutstandingMissSurvivesAThousandOtherLinesFirstTouches) {
+  const LineAddr held = kDevBase + 256;
+  bool stored = false;
+  cpu0_.Store(held + 3, std::vector<uint8_t>{0x5a, 0x5b}, [&stored] { stored = true; });
+  sim_.RunUntil(Microseconds(1));
+  ASSERT_EQ(device_.reads.size(), 1u);
+  EXPECT_TRUE(device_.reads[0].exclusive);
+
+  constexpr int kOtherLines = 1000;
+  int loaded = 0;
+  for (int i = 0; i < kOtherLines; ++i) {
+    const LineAddr line = 0x10000 + static_cast<LineAddr>(i) * 128;
+    memory_.WriteBytes(line, std::vector<uint8_t>{static_cast<uint8_t>(i)});
+    cpu0_.Load(line, 1, [&loaded, i](std::span<const uint8_t> data) {
+      loaded += data[0] == static_cast<uint8_t>(i);
+    });
+  }
+  sim_.RunUntil(sim_.Now() + Microseconds(200));
+  EXPECT_EQ(loaded, kOtherLines);
+  EXPECT_FALSE(stored);
+
+  device_.reads[0].fill(MakeLine(0x11));
+  sim_.RunUntil(sim_.Now() + Microseconds(5));
+  EXPECT_TRUE(stored);
+  EXPECT_EQ(cpu0_.StateOf(held), LineState::kModified);
+  EXPECT_EQ(cpu0_.misses(), kOtherLines + 1u);  // the held store counted once
+  EXPECT_EQ(cpu0_.hits(), 0u);
+  std::vector<uint8_t> got;
+  cpu0_.Load(held + 2, 4, Into(got));
+  sim_.RunUntil(sim_.Now() + Microseconds(1));
+  EXPECT_EQ(got, (std::vector<uint8_t>{0x11, 0x5a, 0x5b, 0x11}));
+  EXPECT_EQ(interconnect_.stats().bus_errors, 0u);
+}
+
+// The directory never erases an entry, and a read's fill continuation keeps
+// the entry it found on arrival. Another agent's first reads of 1,000 other
+// lines, made while the device holds the fill, must not lose the sharer.
+TEST_F(CoherenceTest, HeldDirectoryEntrySurvivesOtherLinesFirstReads) {
+  const LineAddr held = kDevBase + 512;
+  std::vector<uint8_t> got;
+  cpu0_.Load(held, 2, Into(got));
+  sim_.RunUntil(Microseconds(1));
+  ASSERT_EQ(device_.reads.size(), 1u);
+
+  constexpr int kOtherLines = 1000;
+  for (int i = 0; i < kOtherLines; ++i) {
+    cpu1_.Load(0x10000 + static_cast<LineAddr>(i) * 128, 1, [](std::span<const uint8_t>) {});
+  }
+  sim_.RunUntil(sim_.Now() + Microseconds(200));
+  EXPECT_EQ(cpu1_.misses(), static_cast<uint64_t>(kOtherLines));
+  EXPECT_EQ(interconnect_.SharersOf(0x10000), std::vector<AgentId>{cpu1_.id()});
+
+  LineData line = MakeLine(0);
+  line[0] = 0xc3;
+  line[1] = 0x3c;
+  device_.reads[0].fill(std::move(line));
+  sim_.RunUntil(sim_.Now() + Microseconds(5));
+  EXPECT_EQ(got, (std::vector<uint8_t>{0xc3, 0x3c}));
+  EXPECT_EQ(interconnect_.SharersOf(held), std::vector<AgentId>{cpu0_.id()});
+  EXPECT_EQ(interconnect_.OwnerOf(held), kNoAgent);
+  EXPECT_EQ(cpu0_.StateOf(held), LineState::kShared);
+  EXPECT_EQ(interconnect_.stats().bus_errors, 0u);
+}
+
 TEST_F(CoherenceTest, DeviceLineSizeMatchesConfig) {
   EXPECT_EQ(interconnect_.AlignToLine(kDevBase + 127), kDevBase);
   EXPECT_EQ(interconnect_.AlignToLine(kDevBase + 128), kDevBase + 128);

@@ -61,6 +61,51 @@ INSTANTIATE_TEST_SUITE_P(
                                          size_t{1400}, size_t{6000})),
     MatrixName);
 
+// --- a handler result off its response signature -------------------------------
+
+// A handler that returns a U64 where response_sig says kBytes is answered
+// kInternal with an empty payload on every stack, not kOk.
+class ResponseSigMismatchTest : public ::testing::TestWithParam<StackKind> {};
+
+TEST_P(ResponseSigMismatchTest, OffSignatureResultIsInternal) {
+  MachineConfig config;
+  config.stack = GetParam();
+  config.num_cores = 4;
+  config.nic_queues = 2;
+  Machine machine(config);
+  ServiceDef def = ServiceRegistry::MakeEchoService(1, 7000);
+  int runs = 0;
+  def.methods[0].handler = [&runs](const std::vector<WireValue>&) {
+    ++runs;
+    return std::vector<WireValue>{WireValue::U64(7)};
+  };
+  const ServiceDef& service = machine.AddService(std::move(def));
+  machine.Start();
+  if (GetParam() == StackKind::kLauberhorn) {
+    machine.StartHotLoop(service);
+  }
+  machine.sim().RunUntil(Milliseconds(1));
+
+  std::vector<RpcMessage> responses;
+  for (uint8_t i = 0; i < 3; ++i) {
+    machine.client().Call(service, 0,
+                          std::vector<WireValue>{WireValue::Bytes({i, i})},
+                          [&](const RpcMessage& r, Duration) { responses.push_back(r); });
+    machine.sim().RunUntil(machine.sim().Now() + Milliseconds(20));
+  }
+  ASSERT_EQ(responses.size(), 3u);
+  for (const RpcMessage& r : responses) {
+    EXPECT_EQ(r.status, RpcStatus::kInternal);
+    EXPECT_TRUE(r.payload.empty());
+  }
+  EXPECT_EQ(runs, 3);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStacks, ResponseSigMismatchTest,
+                         ::testing::Values(StackKind::kLinux, StackKind::kBypass,
+                                           StackKind::kLauberhorn),
+                         [](const auto& info) { return ToString(info.param); });
+
 // --- codec fuzz -------------------------------------------------------------------
 
 TEST(DispatchLineFuzzTest, RandomBytesNeverCrashDecode) {

@@ -145,6 +145,32 @@ TEST(NestedRpcTest, BackendBusyDelaysButCompletes) {
   EXPECT_EQ(fx.Compose(10), 22u);
 }
 
+TEST(NestedRpcTest, FinishResultOffResponseSigIsInternal) {
+  MachineConfig config;
+  config.stack = StackKind::kLauberhorn;
+  config.num_cores = 4;
+  Machine machine(config);
+  ServiceDef frontend_def = MakeFrontend();
+  frontend_def.methods[0].nested_finish = [](const std::vector<WireValue>&,
+                                             const std::vector<WireValue>&) {
+    return std::vector<WireValue>{WireValue::Bytes({1})};  // response_sig is {kU64}
+  };
+  const ServiceDef& frontend = machine.AddService(std::move(frontend_def));
+  const ServiceDef& backend = machine.AddService(MakeBackend());
+  machine.Start();
+  machine.StartHotLoop(frontend);
+  machine.StartHotLoop(backend);
+  machine.sim().RunUntil(Milliseconds(1));
+  std::optional<RpcMessage> response;
+  machine.client().Call(frontend, 0, std::vector<WireValue>{WireValue::U64(1)},
+                        [&](const RpcMessage& r, Duration) { response = r; });
+  machine.sim().RunUntil(Milliseconds(50));
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->status, RpcStatus::kInternal);
+  EXPECT_TRUE(response->payload.empty());
+  EXPECT_EQ(machine.lauberhorn_runtime()->nested_issued(), 1u);
+}
+
 TEST(NestedRpcTest, ContinuationPoolExhaustionFailsGracefully) {
   MachineConfig config;
   config.stack = StackKind::kLauberhorn;

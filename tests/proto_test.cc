@@ -2,6 +2,7 @@
 // the handler call every stack shares.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <string>
 #include <unordered_set>
@@ -207,6 +208,63 @@ TEST_P(MarshalPropertyTest, ValidateAgreesWithUnmarshal) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MarshalPropertyTest, ::testing::Values(1, 5, 9, 42, 77));
 
+// One output vector reused across changing signatures ends up equal to a
+// fresh one each time, with every field of a reused element reset, and it
+// keeps the byte buffers it grew.
+TEST(MarshalTest, ReusedOutputEqualsAFreshVector) {
+  const std::vector<uint8_t> long_bytes(1000, 0x42);
+  const std::vector<std::pair<MethodSignature, std::vector<WireValue>>> calls = {
+      {{{WireType::kBytes, WireType::kU64}},
+       {WireValue::Bytes(long_bytes), WireValue::U64(9)}},
+      {{{WireType::kString}}, {WireValue::Str("hello")}},
+      {{{WireType::kU8, WireType::kU16, WireType::kU32, WireType::kU64, WireType::kI64,
+         WireType::kF64}},
+       {WireValue::U8(1), WireValue::U16(2), WireValue::U32(3), WireValue::U64(4),
+        WireValue::I64(-5), WireValue::F64(6.5)}},
+      {{{WireType::kString, WireType::kBytes, WireType::kF64}},
+       {WireValue::Str(std::string(300, 's')), WireValue::Bytes({7, 7}),
+        WireValue::F64(-0.25)}},
+      {{{WireType::kBytes}}, {WireValue::Bytes({1, 2, 3})}},
+      {{{WireType::kU64}}, {WireValue::U64(0xffff'ffff'ffff'ffffULL)}},
+      {{{}}, {}},
+  };
+  std::vector<WireValue> reused;
+  for (size_t i = 0; i < calls.size(); ++i) {
+    SCOPED_TRACE("call " + std::to_string(i));
+    const auto& [sig, values] = calls[i];
+    std::vector<uint8_t> wire;
+    ASSERT_TRUE(MarshalArgs(sig, values, wire));
+    std::vector<WireValue> fresh;
+    size_t fresh_consumed = 0;
+    size_t reused_consumed = 0;
+    ASSERT_TRUE(UnmarshalArgs(sig, wire, fresh, &fresh_consumed));
+    ASSERT_TRUE(UnmarshalArgs(sig, wire, reused, &reused_consumed));
+    EXPECT_EQ(reused, fresh);
+    EXPECT_EQ(reused, values);
+    EXPECT_EQ(reused_consumed, fresh_consumed);
+    for (size_t k = 0; k < reused.size(); ++k) {
+      EXPECT_EQ(reused[k].scalar, fresh[k].scalar);
+      EXPECT_EQ(reused[k].f64, fresh[k].f64);
+      EXPECT_EQ(reused[k].bytes, fresh[k].bytes);
+      EXPECT_EQ(reused[k].str, fresh[k].str);
+    }
+    if (i == 4) {
+      // The first element held 1,000 bytes two calls ago; it keeps that buffer.
+      EXPECT_GE(reused[0].bytes.capacity(), long_bytes.size());
+    }
+  }
+
+  // A failed unmarshal still leaves the reused vector empty.
+  const MethodSignature sig{{WireType::kU64, WireType::kBytes}};
+  std::vector<uint8_t> wire;
+  ASSERT_TRUE(MarshalArgs(sig, {{WireValue::U64(1), WireValue::Bytes({1, 2})}}, wire));
+  ASSERT_TRUE(UnmarshalArgs(sig, wire, reused));
+  ASSERT_EQ(reused.size(), 2u);
+  wire.pop_back();  // the byte string overruns
+  EXPECT_FALSE(UnmarshalArgs(sig, wire, reused));
+  EXPECT_TRUE(reused.empty());
+}
+
 TEST(RpcMessageTest, EncodeDecodeRoundTrip) {
   RpcMessage msg;
   msg.kind = MessageKind::kRequest;
@@ -325,6 +383,99 @@ TEST(RpcMessageTest, PeekAcceptsExactlyWhatDecodeAccepts) {
   EXPECT_EQ(accepted, 2);  // only the two valid frames
 }
 
+void ExpectSameMessage(const RpcMessage& a, const RpcMessage& b) {
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.service_id, b.service_id);
+  EXPECT_EQ(a.method_id, b.method_id);
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.request_id, b.request_id);
+  EXPECT_EQ(a.flags, b.flags);
+  EXPECT_EQ(a.grant, b.grant);
+  EXPECT_EQ(a.payload, b.payload);
+}
+
+// DecodeRpcMessageFrom gives the same verdict, header and payload as
+// DecodeRpcMessage on every frame class; on success the payload lives in the
+// frame's own buffer, and on failure the frame is untouched.
+TEST(RpcMessageTest, InPlaceDecodeMatchesCopyingDecode) {
+  RpcMessage request;
+  request.kind = MessageKind::kRequest;
+  request.service_id = 0x0a0b0c0d;
+  request.method_id = 5;
+  request.request_id = 0x0102030405060708ULL;
+  request.flags = kLrpcFlagEcnEcho | kLrpcFlagGrant;
+  request.grant = 77;
+  for (size_t i = 0; i < 40; ++i) {
+    request.payload.push_back(static_cast<uint8_t>(i * 29 + 3));
+  }
+  std::vector<uint8_t> valid;
+  EncodeRpcMessage(request, valid);
+  RpcMessage empty = request;
+  empty.kind = MessageKind::kResponse;
+  empty.status = RpcStatus::kInternal;
+  empty.payload.clear();
+  std::vector<uint8_t> valid_empty;
+  EncodeRpcMessage(empty, valid_empty);
+
+  // (name, message bytes, bytes after the message that are not part of it)
+  struct Case {
+    std::string name;
+    std::vector<uint8_t> message;
+    size_t padding = 0;
+  };
+  std::vector<Case> cases = {{"valid", valid},
+                             {"empty payload", valid_empty},
+                             {"ethernet padding", valid, 18},
+                             {"empty payload, padded", valid_empty, 26}};
+  const auto mutate = [&](const std::string& name, size_t offset, uint8_t value) {
+    std::vector<uint8_t> wire = valid;
+    wire[offset] = value;
+    cases.push_back({name, std::move(wire)});
+  };
+  mutate("bad magic", 0, 0x4d);
+  mutate("bad version", 2, kLrpcVersion + 1);
+  mutate("kind 0", 3, 0);
+  mutate("kind 3", 3, 3);
+  mutate("payload length past end", 20, 41);
+  // Padding cannot lend the payload its bytes: the length counts only the
+  // message.
+  cases.push_back({"payload length into padding", valid, 8});
+  cases.back().message[20] = 48;
+  for (size_t len = 0; len <= kLrpcHeaderSize; ++len) {
+    cases.push_back({"truncated to " + std::to_string(len),
+                     std::vector<uint8_t>(valid.begin(),
+                                          valid.begin() + static_cast<long>(len))});
+  }
+
+  int accepted = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    // The message sits behind 42 bytes of frame headers, followed by the
+    // padding (0xee), as in a received Ethernet frame.
+    std::vector<uint8_t> frame(kAllHeadersSize + c.message.size() + c.padding, 0xee);
+    std::fill_n(frame.begin(), kAllHeadersSize, 0x99);
+    std::copy(c.message.begin(), c.message.end(), frame.begin() + kAllHeadersSize);
+    const std::vector<uint8_t> original = frame;
+    const uint8_t* buffer = frame.data();
+
+    const auto copied =
+        DecodeRpcMessage(std::span(original).subspan(kAllHeadersSize, c.message.size()));
+    const auto in_place =
+        DecodeRpcMessageFrom(std::move(frame), kAllHeadersSize, c.message.size());
+    ASSERT_EQ(in_place.has_value(), copied.has_value());
+    if (!copied.has_value()) {
+      EXPECT_EQ(frame, original);  // a rejected frame is left as it was
+      continue;
+    }
+    ++accepted;
+    ExpectSameMessage(*in_place, *copied);
+    if (!in_place->payload.empty()) {
+      EXPECT_EQ(in_place->payload.data(), buffer);
+    }
+  }
+  EXPECT_EQ(accepted, 4);  // the valid, empty and padded frames
+}
+
 // --- BuildRpcFrame: the one-buffer frame --------------------------------------
 
 struct FrameCase {
@@ -409,6 +560,28 @@ TEST(RpcFrameTest, EqualsEncodeThenFrameAndRoundTrips) {
   }
 }
 
+// A received frame may carry Ethernet padding after its UDP payload; the
+// in-place decode takes the message's bounds from the UDP parse, as the
+// NIC's RX step and the client do, and matches the copying decode.
+TEST(RpcFrameTest, InPlaceDecodeOfAPaddedFrameMatchesCopyingDecode) {
+  for (size_t payload_size : {size_t{0}, size_t{1}, size_t{64}, size_t{1400}}) {
+    SCOPED_TRACE("payload " + std::to_string(payload_size));
+    const FrameCase c = MakeFrameCase(MessageKind::kResponse, kEcnEct0, 0, payload_size);
+    Packet frame = BuildRpcFrame(c.eth, c.ip, c.udp, c.msg);
+    frame.bytes.insert(frame.bytes.end(), 12, 0xa5);  // padding
+    const auto parsed = ParseUdpFrame(frame);
+    ASSERT_TRUE(parsed.has_value());
+    const auto copied = DecodeRpcMessage(parsed->payload);
+    ASSERT_TRUE(copied.has_value());
+    const size_t offset = parsed->payload.data() - frame.bytes.data();
+    const auto in_place =
+        DecodeRpcMessageFrom(std::move(frame.bytes), offset, parsed->payload.size());
+    ASSERT_TRUE(in_place.has_value());
+    ExpectSameMessage(*in_place, *copied);
+    EXPECT_EQ(in_place->payload, c.msg.payload);
+  }
+}
+
 // --- ReplyFrame and InvokeMethod: shared by every stack ----------------------
 
 TEST(ReplyFrameTest, SwapsAddressingAndAnswersEcnCapableRequestsWithEct0) {
@@ -479,6 +652,64 @@ TEST(InvokeMethodTest, SuccessMarshalsResultAndReturnsServiceTime) {
   EXPECT_EQ(response.status, RpcStatus::kOk);
   EXPECT_EQ(response.payload, expected);
   EXPECT_EQ(response.request_id, 42u);
+}
+
+TEST(InvokeMethodTest, ResultNotMatchingResponseSigIsInternalWithEmptyPayload) {
+  const ServiceDef echo = ServiceRegistry::MakeEchoService(1, 7000, Microseconds(3));
+  MethodDef method = echo.methods.at(0);  // response_sig {kBytes}
+  method.handler = [](const std::vector<WireValue>&) {
+    return std::vector<WireValue>{WireValue::U64(7)};
+  };
+  std::vector<uint8_t> request;
+  ASSERT_TRUE(MarshalArgs(method.request_sig, {{WireValue::Bytes({1, 2})}}, request));
+  RpcMessage response = ResponseHeader(1, 0, 42);
+  EXPECT_EQ(InvokeMethod(&method, request, response), Microseconds(3));  // it ran
+  EXPECT_EQ(response.status, RpcStatus::kInternal);
+  EXPECT_TRUE(response.payload.empty());
+}
+
+// The argument vector is per-thread scratch; a handler that itself calls
+// InvokeMethod gets a vector of its own, so both calls see their own
+// arguments and both results are right.
+TEST(InvokeMethodTest, HandlerThatInvokesAMethodGetsBothResultsRight) {
+  const ServiceDef echo = ServiceRegistry::MakeEchoService(1, 7000, Microseconds(2));
+  const MethodDef& inner = echo.methods.at(0);
+  MethodDef outer;
+  outer.request_sig.args = {WireType::kU64, WireType::kBytes};
+  outer.response_sig.args = {WireType::kU64, WireType::kBytes, WireType::kBytes};
+  outer.SetFixedServiceTime(Microseconds(5));
+  RpcMessage inner_response = ResponseHeader(1, 0, 7);
+  outer.handler = [&](const std::vector<WireValue>& args) {
+    std::vector<uint8_t> reversed(args[1].bytes.rbegin(), args[1].bytes.rend());
+    std::vector<uint8_t> inner_request;
+    EXPECT_TRUE(MarshalArgs(inner.request_sig, {{WireValue::Bytes(reversed)}},
+                            inner_request));
+    EXPECT_EQ(InvokeMethod(&inner, inner_request, inner_response), Microseconds(2));
+    std::vector<WireValue> echoed;
+    EXPECT_TRUE(UnmarshalArgs(inner.response_sig, inner_response.payload, echoed));
+    // The outer arguments are intact after the inner call.
+    return std::vector<WireValue>{WireValue::U64(args[0].scalar + 1),
+                                  WireValue::Bytes(args[1].bytes),
+                                  WireValue::Bytes(echoed.at(0).bytes)};
+  };
+
+  for (uint64_t round = 0; round < 3; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::vector<uint8_t> body = {1, 2, 3, static_cast<uint8_t>(round)};
+    std::vector<uint8_t> request;
+    ASSERT_TRUE(MarshalArgs(outer.request_sig,
+                            {{WireValue::U64(100 + round), WireValue::Bytes(body)}}, request));
+    RpcMessage response = ResponseHeader(2, 0, 8);
+    EXPECT_EQ(InvokeMethod(&outer, request, response), Microseconds(5));
+    EXPECT_EQ(response.status, RpcStatus::kOk);
+    EXPECT_EQ(inner_response.status, RpcStatus::kOk);
+    std::vector<WireValue> result;
+    ASSERT_TRUE(UnmarshalArgs(outer.response_sig, response.payload, result));
+    EXPECT_EQ(result[0].scalar, 101 + round);
+    EXPECT_EQ(result[1].bytes, body);
+    EXPECT_EQ(result[2].bytes, std::vector<uint8_t>(body.rbegin(), body.rend()));
+    inner_response.payload.clear();
+  }
 }
 
 // The set-plus-deque window IdWindow replaces: same eviction rule, the
