@@ -157,7 +157,7 @@ class CoherentInterconnect {
   std::vector<CacheAgent*> cache_agents_;
   std::vector<HomeRange> homes_;  // indexed by AgentId - kHomeAgentBase
   // Entries are never erased (a line nobody holds keeps an empty entry), so
-  // a pending fill's continuation holds its DirEntry by reference across
+  // a pending fill's continuation keeps a pointer to its DirEntry across
   // other lines' inserts (map nodes do not move on rehash).
   std::unordered_map<LineAddr, DirEntry> directory_;
   CoherenceStats stats_;

@@ -89,18 +89,14 @@ void PutU16Le(std::vector<uint8_t>& out, uint16_t v);
 void PutU32Le(std::vector<uint8_t>& out, uint32_t v);
 void PutU64Le(std::vector<uint8_t>& out, uint64_t v);
 
-// Reads the little-endian integer at `p`, which must hold sizeof(T) bytes.
+// Reads the little-endian integer at `p`, which must hold sizeof(T) bytes,
+// as one load.
+static_assert(std::endian::native == std::endian::little,
+              "LoadLe reads wire integers in host byte order");
 template <typename T>
 inline T LoadLe(const uint8_t* p) {
   T v;
   std::memcpy(&v, p, sizeof(v));
-  if constexpr (std::endian::native == std::endian::big) {
-    T swapped = 0;
-    for (size_t i = 0; i < sizeof(T); ++i) {
-      swapped = static_cast<T>((swapped << 8) | ((v >> (8 * i)) & 0xff));
-    }
-    v = swapped;
-  }
   return v;
 }
 

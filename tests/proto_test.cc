@@ -417,11 +417,10 @@ TEST(RpcMessageTest, InPlaceDecodeMatchesCopyingDecode) {
   std::vector<uint8_t> valid_empty;
   EncodeRpcMessage(empty, valid_empty);
 
-  // (name, message bytes, bytes after the message that are not part of it)
   struct Case {
     std::string name;
     std::vector<uint8_t> message;
-    size_t padding = 0;
+    size_t padding = 0;  // bytes after the message that are not part of it
   };
   std::vector<Case> cases = {{"valid", valid},
                              {"empty payload", valid_empty},
