@@ -192,54 +192,79 @@ TEST(NestedRpcTest, ContinuationPoolExhaustionFailsGracefully) {
   EXPECT_EQ(machine.lauberhorn_runtime()->nested_failed(), 1u);
 }
 
-TEST(NestedRpcTest, NicCrashWithContinuationAllocatedRestoresIt) {
-  // The NIC dies while the frontend's handler is parked on a continuation
-  // waiting for a slow backend. The shadow must re-reserve that continuation
-  // on the reborn NIC, and the request must still run each handler once.
-  MachineConfig config;
-  config.stack = StackKind::kLauberhorn;
-  config.num_cores = 4;
-  config.client_retransmit_timeout = Microseconds(200);
-  config.client_max_retransmits = 8;
-  config.client_backoff_multiplier = 2.0;
-  config.client_max_retransmit_timeout = Milliseconds(2);
-  config.faults.nic_crash.first_crash_at = Microseconds(1030);
-  config.faults.nic_crash.reset_latency = Microseconds(50);
-  Machine machine(config);
+// The NIC dies at 1.03 ms while the frontend's handler is parked on a
+// continuation waiting for a slow backend; the client's request is in
+// flight from 1 ms. Handler runs are counted per argument.
+struct NicCrashFixture {
+  NicCrashFixture() {
+    MachineConfig config;
+    config.stack = StackKind::kLauberhorn;
+    config.num_cores = 4;
+    config.client_retransmit_timeout = Microseconds(200);
+    config.client_max_retransmits = 8;
+    config.client_backoff_multiplier = 2.0;
+    config.client_max_retransmit_timeout = Milliseconds(2);
+    config.faults.nic_crash.first_crash_at = Microseconds(1030);
+    config.faults.nic_crash.reset_latency = Microseconds(50);
+    machine = std::make_unique<Machine>(config);
 
+    ServiceDef frontend_def = MakeFrontend();
+    MethodDef& compose = frontend_def.methods[0];
+    compose.nested_call = [this, call = std::move(compose.nested_call)](
+                              const std::vector<WireValue>& args) {
+      ++frontend_runs[args[0].scalar];
+      return call(args);
+    };
+    ServiceDef backend_def = MakeBackend();
+    MethodDef& add1 = backend_def.methods[0];
+    add1.handler = [this, handler = std::move(add1.handler)](
+                       const std::vector<WireValue>& args) {
+      ++backend_runs[args[0].scalar];
+      return handler(args);
+    };
+    add1.SetFixedServiceTime(Microseconds(200));  // still running at the crash
+    const ServiceDef& frontend = machine->AddService(std::move(frontend_def));
+    const ServiceDef& backend = machine->AddService(std::move(backend_def));
+    machine->Start();
+    machine->StartHotLoop(frontend);
+    machine->StartHotLoop(backend);
+    machine->sim().RunUntil(Milliseconds(1));
+    machine->client().Call(frontend, 0, std::vector<WireValue>{WireValue::U64(20)},
+                           [this](const RpcMessage& r, Duration) { reply = r; });
+  }
+
+  // Steps the simulation until `done` holds, for at most 5 ms of simulated
+  // time.
+  template <typename Pred>
+  void RunUntil(Pred done) {
+    while (!done() && machine->sim().Now() < Milliseconds(5)) {
+      machine->sim().RunUntil(machine->sim().Now() + Microseconds(1));
+    }
+  }
+
+  std::unique_ptr<Machine> machine;
   std::unordered_map<uint64_t, int> frontend_runs;
   std::unordered_map<uint64_t, int> backend_runs;
-  ServiceDef frontend_def = MakeFrontend();
-  MethodDef& compose = frontend_def.methods[0];
-  compose.nested_call = [&frontend_runs, call = std::move(compose.nested_call)](
-                            const std::vector<WireValue>& args) {
-    ++frontend_runs[args[0].scalar];
-    return call(args);
-  };
-  ServiceDef backend_def = MakeBackend();
-  MethodDef& add1 = backend_def.methods[0];
-  add1.handler = [&backend_runs, handler = std::move(add1.handler)](
-                     const std::vector<WireValue>& args) {
-    ++backend_runs[args[0].scalar];
-    return handler(args);
-  };
-  add1.SetFixedServiceTime(Microseconds(200));  // still running at the crash
-  const ServiceDef& frontend = machine.AddService(std::move(frontend_def));
-  const ServiceDef& backend = machine.AddService(std::move(backend_def));
-  machine.Start();
-  machine.StartHotLoop(frontend);
-  machine.StartHotLoop(backend);
-  machine.sim().RunUntil(Milliseconds(1));
-
   std::optional<RpcMessage> reply;
-  machine.client().Call(frontend, 0, std::vector<WireValue>{WireValue::U64(20)},
-                        [&](const RpcMessage& r, Duration) { reply = r; });
+};
+
+// Takes every continuation the pool hands out, in allocation order.
+std::vector<uint32_t> DrainContinuations(LauberhornNic& nic) {
+  std::vector<uint32_t> ids;
+  while (const auto id = nic.AllocateContinuation()) {
+    ids.push_back(*id);
+  }
+  return ids;
+}
+
+TEST(NestedRpcTest, NicCrashWithContinuationAllocatedRestoresIt) {
+  // The shadow must re-reserve the parked handler's continuation on the
+  // reborn NIC, and the request must still run each handler once.
+  NicCrashFixture fx;
+  Machine& machine = *fx.machine;
   NicRecoveryManager* recovery = machine.nic_recovery();
   ASSERT_NE(recovery, nullptr);
-  while (recovery->stats().recoveries == 0 &&
-         machine.sim().Now() < Milliseconds(5)) {
-    machine.sim().RunUntil(machine.sim().Now() + Microseconds(1));
-  }
+  fx.RunUntil([&] { return recovery->stats().recoveries > 0; });
   ASSERT_EQ(recovery->stats().recoveries, 1u);
   EXPECT_EQ(recovery->stats().replayed_continuations, 1u);
   ASSERT_EQ(machine.nic_shadow()->continuation_count(), 1u);
@@ -248,8 +273,8 @@ TEST(NestedRpcTest, NicCrashWithContinuationAllocatedRestoresIt) {
   // draining the pool yields every other id exactly once.
   LauberhornNic& nic = *machine.lauberhorn_nic();
   std::set<uint32_t> handed_out;
-  while (const auto id = nic.AllocateContinuation()) {
-    EXPECT_TRUE(handed_out.insert(*id).second) << "continuation " << *id;
+  for (const uint32_t id : DrainContinuations(nic)) {
+    EXPECT_TRUE(handed_out.insert(id).second) << "continuation " << id;
   }
   EXPECT_EQ(handed_out.size(), LauberhornNic::Config{}.num_continuations - 1);
   for (const uint32_t id : handed_out) {
@@ -261,20 +286,68 @@ TEST(NestedRpcTest, NicCrashWithContinuationAllocatedRestoresIt) {
   // continuation goes back to the pool. A failure cannot reach the client:
   // the reset also wiped the frontend's delivered request, whose id stays
   // pinned in the dedup table, so the client times out.
-  ASSERT_TRUE(reply.has_value());
-  if (reply->status == RpcStatus::kOk) {
+  ASSERT_TRUE(fx.reply.has_value());
+  if (fx.reply->status == RpcStatus::kOk) {
     std::vector<WireValue> out;
-    ASSERT_TRUE(UnmarshalArgs(MethodSignature{{WireType::kU64}}, reply->payload, out));
+    ASSERT_TRUE(UnmarshalArgs(MethodSignature{{WireType::kU64}}, fx.reply->payload, out));
     EXPECT_EQ(out[0].scalar, 42u);
     EXPECT_EQ(machine.lauberhorn_runtime()->nested_failed(), 0u);
   } else {
-    EXPECT_EQ(reply->status, kTimedOut);
+    EXPECT_EQ(fx.reply->status, kTimedOut);
     EXPECT_EQ(machine.lauberhorn_runtime()->nested_failed(), 1u);
   }
   EXPECT_EQ(machine.nic_shadow()->continuation_count(), 0u);
   // No handler ran twice.
-  EXPECT_EQ(frontend_runs[20], 1);
-  EXPECT_LE(backend_runs[20], 1);
+  EXPECT_EQ(fx.frontend_runs[20], 1);
+  EXPECT_LE(fx.backend_runs[20], 1);
+}
+
+TEST(NestedRpcTest, ContinuationAllocatedDuringBlackoutAvoidsHeldOne) {
+  // Between the crash and the reset the host may still take a continuation.
+  // It must not get the one the parked handler holds, and once both are
+  // back the pool holds every id exactly once.
+  NicCrashFixture fx;
+  Machine& machine = *fx.machine;
+  LauberhornNic& nic = *machine.lauberhorn_nic();
+  const size_t pool = nic.config().num_continuations;
+
+  // Find the held continuation: the one id of the pool's range it does not
+  // hand out. Continuations follow the kernel channels and service
+  // endpoints. Returning the others in reverse leaves the pool as it was.
+  machine.sim().RunUntil(Microseconds(1020));
+  const std::vector<uint32_t> free_before = DrainContinuations(nic);
+  ASSERT_EQ(free_before.size(), pool - 1);
+  const auto first = static_cast<uint32_t>(nic.config().num_kernel_channels +
+                                           nic.config().num_endpoints);
+  const std::set<uint32_t> free_ids(free_before.begin(), free_before.end());
+  uint32_t held = first;
+  while (free_ids.count(held) != 0) {
+    ++held;
+  }
+  ASSERT_LT(held, first + pool);
+  for (auto it = free_before.rbegin(); it != free_before.rend(); ++it) {
+    nic.FreeContinuation(*it);
+  }
+
+  NicRecoveryManager* recovery = machine.nic_recovery();
+  ASSERT_NE(recovery, nullptr);
+  fx.RunUntil([&] { return !nic.device_up(); });
+  ASSERT_FALSE(nic.device_up());
+  ASSERT_EQ(recovery->stats().recoveries, 0u);
+  const std::optional<uint32_t> taken = nic.AllocateContinuation();
+  ASSERT_TRUE(taken.has_value());
+  EXPECT_NE(*taken, held);
+
+  fx.RunUntil([&] { return recovery->stats().recoveries > 0; });
+  ASSERT_EQ(recovery->stats().recoveries, 1u);
+  nic.FreeContinuation(*taken);
+  // The nested call completes or fails; either way it frees its
+  // continuation before the client hears back.
+  machine.sim().RunUntil(Milliseconds(40));
+  ASSERT_TRUE(fx.reply.has_value());
+  const std::vector<uint32_t> drained = DrainContinuations(nic);
+  EXPECT_EQ(drained.size(), pool);
+  EXPECT_EQ(std::set<uint32_t>(drained.begin(), drained.end()).size(), pool);
 }
 
 }  // namespace
