@@ -1,13 +1,13 @@
-// RECOV — NIC hot recovery: OS-shadowed state, watchdog reset, chaos campaign.
+// RECOV — NIC hot recovery: OS-owned state, watchdog reset, chaos campaign.
 //
 // Part 1 (recover): kills the Lauberhorn NIC once mid-load and measures the
-// recovery path end to end — watchdog detection + reset + shadow replay
-// blackout, the goodput dip around the crash, and at-most-once across the
-// outage (every sequence executes exactly once; delivered-but-unanswered
-// requests are pinned in flight by the replay rules and surface as client
-// timeouts, never as second executions). The run also publishes recovery
+// recovery path end to end — watchdog detection + reset blackout, the
+// goodput dip around the crash, and at-most-once across the outage (every
+// sequence executes exactly once; delivered-but-unanswered requests are
+// pinned in flight by the replay rules and surface as client timeouts,
+// never as second executions). The run also publishes recovery
 // into a cluster directory the way a dispatch plane would: the replica goes
-// kDegraded while the shadow replays (LeastLoaded diverts) and back kUp
+// kDegraded while the NIC resets (LeastLoaded diverts) and back kUp
 // after — never kDown, so the consistent-hash ring keeps every key in place
 // (churn is measured and must be zero).
 //
@@ -84,8 +84,7 @@ struct RecoverCell {
   uint64_t dropped_undelivered = 0;
   uint64_t crashed_polls = 0;
   uint64_t drops_nic_down = 0;
-  uint64_t shadow_writes = 0;
-  Duration blackout = 0;  // watchdog detection -> shadow replay done
+  Duration blackout = 0;  // watchdog detection -> reset done
   double goodput_before = 0;  // ok/ms mean before the crash
   double goodput_crash = 0;   // ok/ms in the crash millisecond
   double goodput_after = 0;   // ok/ms mean after recovery
@@ -187,7 +186,6 @@ RecoverCell MeasureRecovery(uint64_t seed) {
   const auto& nic = machine.lauberhorn_nic()->stats();
   cell.crashed_polls = nic.crashed_polls;
   cell.drops_nic_down = nic.drops_nic_down;
-  cell.shadow_writes = machine.nic_shadow()->writes();
 
   // Goodput shape around the crash millisecond (bucket 5): warm buckets
   // before, the crash bucket itself, and the recovered steady state.
@@ -357,7 +355,6 @@ int main(int argc, char** argv) {
   recover.AddRow({"dropped undelivered", Table::Int(static_cast<int64_t>(r.dropped_undelivered))});
   recover.AddRow({"crashed polls", Table::Int(static_cast<int64_t>(r.crashed_polls))});
   recover.AddRow({"drops while down", Table::Int(static_cast<int64_t>(r.drops_nic_down))});
-  recover.AddRow({"shadow writes", Table::Int(static_cast<int64_t>(r.shadow_writes))});
   recover.AddRow({"retransmits", Table::Int(static_cast<int64_t>(r.retransmits))});
   recover.AddRow({"dup execs", Table::Int(static_cast<int64_t>(r.dup_execs))});
   recover.AddRow({"ring moves (degraded)", Table::Int(static_cast<int64_t>(r.ring_moves_degraded))});
@@ -380,7 +377,6 @@ int main(int argc, char** argv) {
         .Field("dropped_undelivered", r.dropped_undelivered)
         .Field("crashed_polls", r.crashed_polls)
         .Field("drops_nic_down", r.drops_nic_down)
-        .Field("shadow_writes", r.shadow_writes)
         .Field("retransmits", r.retransmits)
         .Field("duplicate_executions", r.dup_execs)
         .Field("marked_degraded", r.marked_degraded)

@@ -37,7 +37,7 @@ enum class PlacementKind {
 std::string ToString(PlacementKind placement);
 
 // Replica health as seen by the dispatch plane. kDegraded is the NIC-recovery
-// signal (DESIGN.md §16): the replica's machine is replaying its NIC shadow —
+// signal (DESIGN.md §16): the replica's machine is resetting its NIC —
 // it still answers (retransmit + dedup carry requests across the blackout),
 // so it stays resolvable and keeps its hash-ring keys, but LeastLoaded
 // penalizes it until the host publishes recovery completion.

@@ -131,16 +131,11 @@ Machine::Machine(MachineConfig config, Simulator* shared_sim)
       lauberhorn_nic_->set_tx_wire(&wire_->b_to_a());
       wire_->a_to_b().set_sink(lauberhorn_nic_.get());
 
-      // §16: the OS's authoritative shadow of the NIC's control-plane state,
-      // written through on every mutation. The watchdog (heartbeat + reset +
-      // replay) runs only when a crash can actually happen.
-      nic_shadow_ = std::make_unique<NicShadow>();
-      nic_shadow_->RecordAdmission(serve_config.admission);
-      lauberhorn_nic_->set_shadow(nic_shadow_.get());
+      // §16: the watchdog (heartbeat + reset) runs only when a crash can
+      // actually happen.
       if (faults_ != nullptr && config_.faults.nic_crash.Any()) {
         nic_recovery_ = std::make_unique<NicRecoveryManager>(
-            *sim_, *lauberhorn_nic_, *nic_shadow_, faults_.get(),
-            NicRecoveryManager::Config{});
+            *sim_, *lauberhorn_nic_, faults_.get(), NicRecoveryManager::Config{});
       }
 
       LauberhornRuntime::Config runtime_config = config_.runtime;
@@ -461,6 +456,9 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
     C("nic/dup_drops_in_flight", dedup.duplicates_in_flight);
     C("nic/dup_replays", dedup.duplicates_replayed);
     C("nic/dedup_evictions", dedup.evictions);
+    // The name predates the single dedup table; perfbench reads it.
+    G("recovery/shadow_dedup_entries",
+      static_cast<double>(lauberhorn_nic_->dedup().size()));
     C("nic/degradations", s.degradations);
     C("nic/grants_issued", s.grants_issued);
     C("nic/ecn_echoes", s.ecn_echoes);
@@ -550,13 +548,6 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
     C("fault/nic_crashes", f.nic_crashes);
     C("fault/cc_grant_losses", f.cc_grant_losses);
     C("fault/cc_ecn_corruptions", f.cc_ecn_corruptions);
-  }
-  if (nic_shadow_ != nullptr) {
-    C("recovery/shadow_writes", nic_shadow_->writes());
-    G("recovery/shadow_vfs", static_cast<double>(nic_shadow_->vf_count()));
-    G("recovery/shadow_endpoints", static_cast<double>(nic_shadow_->endpoint_count()));
-    // The name predates the single dedup table; perfbench reads it.
-    G("recovery/shadow_dedup_entries", static_cast<double>(lauberhorn_nic_->dedup().size()));
   }
   if (nic_recovery_ != nullptr) {
     const NicRecoveryManager::Stats& r = nic_recovery_->stats();

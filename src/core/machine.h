@@ -33,7 +33,7 @@
 #include "src/nic/lauberhorn_nic.h"
 #include "src/nic/lauberhorn_runtime.h"
 #include "src/nic/linux_stack.h"
-#include "src/nic/shadow.h"
+#include "src/nic/recovery.h"
 #include "src/os/kernel.h"
 #include "src/overload/overload.h"
 #include "src/pcie/iommu.h"
@@ -181,11 +181,9 @@ class Machine {
   FaultInjector* fault_injector() { return faults_.get(); }
   // Null unless config.enable_spans.
   SpanCollector* spans() { return spans_.get(); }
-  // Lauberhorn only: the OS's write-through NIC shadow (always present) and
-  // the watchdog recovery manager (heartbeats + reset + shadow replay, with
+  // Lauberhorn only: the watchdog recovery manager (heartbeats + reset, with
   // NicRecoveryManager::Config's defaults; null unless the fault plan
   // schedules NIC crashes).
-  NicShadow* nic_shadow() { return nic_shadow_.get(); }
   NicRecoveryManager* nic_recovery() { return nic_recovery_.get(); }
 
   // -- Measurement -----------------------------------------------------------
@@ -233,7 +231,6 @@ class Machine {
   std::unique_ptr<BypassRuntime> bypass_;
   std::unique_ptr<LauberhornNic> lauberhorn_nic_;
   std::unique_ptr<LauberhornRuntime> lauberhorn_runtime_;
-  std::unique_ptr<NicShadow> nic_shadow_;
   std::unique_ptr<NicRecoveryManager> nic_recovery_;
   std::unique_ptr<RpcClient> client_;
 

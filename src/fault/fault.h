@@ -99,11 +99,13 @@ struct NicFaultPlan {
 // Whole-NIC crash faults: the Lauberhorn firmware dies on a deterministic
 // schedule (like OsFaultPlan's crash windows). Unlike a wedged CONTROL line,
 // a crash blackholes the entire device — every endpoint, the admission plane
-// and grant computation — and wipes its volatile state (endpoint table,
-// queues, admission config; the host-owned dedup table survives). Recovery
-// is *host-driven*: the OS watchdog detects the dead device, holds it in
-// reset for `reset_latency`, and replays the NicShadow into it. The injector only declares the crash
-// instant; NicDeviceRecovered() is how the host ends the outage.
+// and grant computation — and wipes its device state (queues, lines, grants,
+// quota buckets); the control state the OS owns (endpoint bindings, VF and
+// admission configs, the dedup table) survives. Recovery is *host-driven*:
+// the OS watchdog detects the dead device and holds it in reset for
+// `reset_latency`; the device comes back with the control state it kept.
+// The injector only declares the crash instant; NicDeviceRecovered() is how
+// the host ends the outage.
 struct NicCrashFaultPlan {
   Duration first_crash_at = 0;  // 0 = never crash
   Duration crash_period = 0;    // 0 = crash once; else every period
@@ -217,9 +219,9 @@ class FaultInjector {
   // stays dead until the host calls NicDeviceRecovered(). Counts each
   // distinct crash instant once.
   bool NicDeviceCrashed();
-  // Host-driven recovery: the watchdog finished reset + shadow replay. Ends
-  // the current outage; a periodic plan can still fire again at a strictly
-  // later crash instant.
+  // Host-driven recovery: the watchdog finished the reset. Ends the current
+  // outage; a periodic plan can still fire again at a strictly later crash
+  // instant.
   void NicDeviceRecovered();
 
   // --- congestion control (client response edge) ---

@@ -44,8 +44,8 @@ enum class DispatchPolicyKind : uint8_t {
 
 // Per-service policy selection, embedded in ServiceDef (and optionally as a
 // per-VF default in LauberhornNic::VfConfig). Control-plane state: it lives
-// in the OS's service registry, so it survives a NIC crash and shadow
-// replay re-derives the same queues.
+// in the OS's service registry, so it survives a NIC crash and the reborn
+// NIC re-derives the same queues.
 struct DispatchPolicyConfig {
   DispatchPolicyKind kind = DispatchPolicyKind::kLegacy;
   // JBSQ bound: max requests resident at one core (the in-flight request

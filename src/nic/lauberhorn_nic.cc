@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "src/fault/fault.h"
-#include "src/nic/shadow.h"
 
 namespace lauberhorn {
 
@@ -22,6 +21,12 @@ LauberhornNic::LauberhornNic(Simulator& sim, CoherentInterconnect& interconnect,
   assert(FirstContinuation() + config_.num_continuations <= TraceRing::kMaxEndpoints &&
          "more endpoints than a trace entry can name");
   endpoints_.resize(FirstContinuation() + config_.num_continuations);
+  for (uint32_t id = 0; id < endpoints_.size(); ++id) {
+    endpoints_[id].id = id;
+    endpoints_[id].is_kernel = id < config_.num_kernel_channels;
+    endpoints_[id].is_continuation = id >= FirstContinuation();
+  }
+  vfs_.resize(1);  // the PF
   WipeVolatileState();
   const uint64_t homed_bytes = endpoints_.size() * EndpointStrideLines() * line_size();
   home_id_ = interconnect_.RegisterHomeAgent(this, config_.base, homed_bytes,
@@ -31,18 +36,7 @@ LauberhornNic::LauberhornNic(Simulator& sim, CoherentInterconnect& interconnect,
 uint32_t LauberhornNic::CreateVf(VfConfig config) {
   const auto vf = static_cast<uint32_t>(vfs_.size());
   vfs_.push_back(VfState{std::move(config), std::nullopt, VfStats{}});
-  if (shadow_ != nullptr) {
-    shadow_->RecordVf(vf, vfs_.back().config);
-  }
   return vf;
-}
-
-void LauberhornNic::RestoreVf(uint32_t vf, const VfConfig& config) {
-  if (vfs_.size() <= vf) {
-    vfs_.resize(vf + 1);
-  }
-  vfs_[vf].config = config;
-  vfs_[vf].quota.reset();  // volatile: a reborn device starts a full bucket
 }
 
 std::optional<uint32_t> LauberhornNic::AllocateContinuation() {
@@ -52,9 +46,6 @@ std::optional<uint32_t> LauberhornNic::AllocateContinuation() {
   const uint32_t id = free_continuations_.back();
   free_continuations_.pop_back();
   endpoints_[id].in_use = true;
-  if (shadow_ != nullptr) {
-    shadow_->RecordContinuationAllocated(id);
-  }
   return id;
 }
 
@@ -66,9 +57,6 @@ void LauberhornNic::FreeContinuation(uint32_t endpoint) {
   ep.pending.TakeAll();
   ep.outstanding.reset();
   free_continuations_.push_back(endpoint);
-  if (shadow_ != nullptr) {
-    shadow_->RecordContinuationFreed(endpoint);
-  }
 }
 
 void LauberhornNic::ClientTransmit(uint32_t continuation, uint32_t dst_ip,
@@ -86,11 +74,9 @@ void LauberhornNic::ClientTransmit(uint32_t continuation, uint32_t dst_ip,
   const bool local = dst_ip == 0 || dst_ip == config_.own_ip;
   if (config_.serve.crypto) {
     uint32_t service_id = request.service_id;  // remote: caller-provided
-    if (local) {
-      const auto target = port_to_endpoints_.find(dst_port);
-      if (target != port_to_endpoints_.end() && !target->second.empty()) {
-        service_id = endpoints_[target->second.front()].service_id;
-      }
+    const std::vector<uint32_t>& targets = DemuxCandidates(dst_port);
+    if (local && !targets.empty()) {
+      service_id = endpoints_[targets.front()].service_id;
     }
     request.service_id = service_id;
     request.payload = SealPayload(DeriveKey(config_.serve.crypto_root_key, service_id),
@@ -155,23 +141,23 @@ std::optional<uint32_t> LauberhornNic::AllocateEndpointOnVf(
       owner.stats.endpoints >= owner.config.endpoint_limit) {
     return std::nullopt;  // the tenant's slice is full; it cannot spill over
   }
-  const uint32_t id =
-      static_cast<uint32_t>(config_.num_kernel_channels) + next_service_endpoint_;
-  RestoreEndpoint(id, service_id, pid, code_ptr, data_ptr, dma_buffer_iova, vf);
-  if (shadow_ != nullptr) {
-    shadow_->RecordEndpoint({id, service_id, pid, code_ptr, data_ptr,
-                             dma_buffer_iova, vf});
-  }
-  return id;
+  Endpoint& ep =
+      endpoints_[config_.num_kernel_channels + next_service_endpoint_];
+  ep.in_use = true;
+  ep.service_id = service_id;
+  ep.vf = vf;
+  ep.pid = pid;
+  ep.code_ptr = code_ptr;
+  ep.data_ptr = data_ptr;
+  ep.dma_buffer_iova = dma_buffer_iova;
+  BindEndpoint(ep);
+  return ep.id;
 }
 
 uint32_t LauberhornNic::AllocateKernelChannel() {
   assert(next_kernel_channel_ < config_.num_kernel_channels && "out of channels");
   const uint32_t id = next_kernel_channel_++;
   endpoints_[id].in_use = true;
-  if (shadow_ != nullptr) {
-    shadow_->RecordKernelChannel(id);
-  }
   return id;
 }
 
@@ -190,7 +176,7 @@ void LauberhornNic::CrashNow() {
   // Parked loads must not strand their cores: the coherence bus-timeout path
   // answers them with TRYAGAIN, exactly as a wedged line would. The runtime
   // loops re-park and keep getting TRYAGAINs (counted as crashed_polls)
-  // until the host replays the shadow.
+  // until the host resets the device.
   for (Endpoint& ep : endpoints_) {
     if (ep.held_dispatch != nullptr) {
       ep.waiting = std::move(ep.held_dispatch->waiting);
@@ -205,30 +191,20 @@ void LauberhornNic::CrashNow() {
 
 void LauberhornNic::WipeVolatileState() {
   ++wipes_;
-  for (size_t i = 0; i < endpoints_.size(); ++i) {
-    Endpoint& ep = endpoints_[i];
+  for (Endpoint& ep : endpoints_) {
     ep.pending.TakeAll();
+    const EndpointBinding binding = ep;
     ep = Endpoint{};
-    ep.id = static_cast<uint32_t>(i);
-    ep.is_kernel = i < config_.num_kernel_channels;
-    ep.is_continuation = i >= FirstContinuation();
-  }
-  port_to_endpoints_.clear();
-  free_continuations_.clear();
-  for (uint32_t id = FirstContinuation(); id < endpoints_.size(); ++id) {
-    port_to_endpoints_[ContinuationPort(id)].push_back(id);
-    free_continuations_.push_back(id);
+    static_cast<EndpointBinding&>(ep) = binding;
   }
   line_store_.clear();
   cold_queue_.TakeAll();
   cold_inflight_.clear();
-  next_service_endpoint_ = 0;
-  next_kernel_channel_ = 0;
   service_quota_.clear();
   cc_senders_.clear();
   // Dispatch-discipline queues are device state; their contents die here.
-  // The *configs* are derived from the OS's ServiceDef/VfConfig on first
-  // use after replay, and the counters persist like stats_.
+  // The *configs* are derived from the OS's ServiceDef/VfConfig, which a
+  // crash keeps, and the counters persist like stats_.
   for (auto& [service_id, group] : groups_) {
     group.central.TakeAll();
     group.central.ResetGate();
@@ -237,12 +213,42 @@ void LauberhornNic::WipeVolatileState() {
     assert(backlog == 0 && "backlog register drifted from its queues");
   }
   grant_ramp_until_ = 0;
-  // VF partitions are device state too: the firmware that knew them is gone.
-  // The shadow replays RestoreVf before any endpoint, so tenants come back
-  // with their slice caps and quotas (buckets restart full). Slot 0 is the
-  // physical function.
-  vfs_.clear();
-  vfs_.resize(1);
+  // Tenants keep their configs; their buckets restart full.
+  for (VfState& state : vfs_) {
+    state.quota.reset();
+    state.stats = VfStats{};
+  }
+  RebuildIndexes();
+}
+
+void LauberhornNic::RebuildIndexes() {
+  port_to_endpoints_.clear();
+  free_continuations_.clear();
+  next_service_endpoint_ = 0;
+  next_kernel_channel_ = 0;
+  for (Endpoint& ep : endpoints_) {
+    if (ep.is_continuation) {
+      port_to_endpoints_[ContinuationPort(ep.id)].push_back(ep.id);
+      if (!ep.in_use) {
+        free_continuations_.push_back(ep.id);
+      }
+    } else if (ep.in_use && ep.is_kernel) {
+      next_kernel_channel_ = ep.id + 1;
+    } else if (ep.in_use) {
+      BindEndpoint(ep);
+    }
+  }
+}
+
+void LauberhornNic::BindEndpoint(Endpoint& ep) {
+  assert(ep.vf < vfs_.size() && "endpoint on unknown VF");
+  ++vfs_[ep.vf].stats.endpoints;
+  ep.pending.Bind(&service_backlog_[ep.service_id]);
+  const ServiceDef* service = services_.Find(ep.service_id);
+  assert(service != nullptr && "endpoint for unknown service");
+  port_to_endpoints_[service->udp_port].push_back(ep.id);
+  next_service_endpoint_ =
+      ep.id - static_cast<uint32_t>(config_.num_kernel_channels) + 1;
 }
 
 void LauberhornNic::CompleteReset() {
@@ -252,41 +258,17 @@ void LauberhornNic::CompleteReset() {
   trace_.Emit(sim_.Now(), TraceEvent::kNicReset, 0, 0);
 }
 
-void LauberhornNic::RestoreEndpoint(uint32_t id, uint32_t service_id, Pid pid,
-                                    uint64_t code_ptr, uint64_t data_ptr,
-                                    uint64_t dma_buffer_iova, uint32_t vf) {
-  Endpoint& ep = endpoints_[id];
-  ep.in_use = true;
-  ep.service_id = service_id;
-  assert(vf < vfs_.size() && "endpoint bound before its VF");
-  ep.vf = vf;
-  ++vfs_[vf].stats.endpoints;
-  ep.pid = pid;
-  ep.code_ptr = code_ptr;
-  ep.data_ptr = data_ptr;
-  ep.dma_buffer_iova = dma_buffer_iova;
-  ep.pending.Bind(&service_backlog_[service_id]);
-  const ServiceDef* service = services_.Find(service_id);
-  assert(service != nullptr && "endpoint for unknown service");
-  port_to_endpoints_[service->udp_port].push_back(id);
-  const uint32_t index = id - static_cast<uint32_t>(config_.num_kernel_channels);
-  next_service_endpoint_ = std::max(next_service_endpoint_, index + 1);
-}
-
-void LauberhornNic::RestoreKernelChannel(uint32_t id) {
-  endpoints_[id].in_use = true;
-  next_kernel_channel_ = std::max(next_kernel_channel_, id + 1);
-}
-
-void LauberhornNic::RestoreContinuation(uint32_t id) {
-  endpoints_[id].in_use = true;
-  free_continuations_.erase(
-      std::remove(free_continuations_.begin(), free_continuations_.end(), id),
-      free_continuations_.end());
-}
-
-void LauberhornNic::RestoreAdmission(const AdmissionConfig& admission) {
-  config_.serve.admission = admission;
+LauberhornNic::ControlCounts LauberhornNic::CountControlState() const {
+  ControlCounts counts;
+  counts.vfs = vfs_.size() - 1;
+  for (const Endpoint& ep : endpoints_) {
+    if (ep.in_use) {
+      ++(ep.is_kernel         ? counts.kernel_channels
+         : ep.is_continuation ? counts.continuations
+                              : counts.endpoints);
+    }
+  }
+  return counts;
 }
 
 RpcDedupCache::ReplayCounts LauberhornNic::ReplayDedup() {
@@ -372,7 +354,7 @@ void LauberhornNic::ReceivePacket(Packet packet) {
                              bytes = std::move(packet.bytes)]() mutable {
     if (!CheckDeviceUp()) {
       // NIC firmware crash (§16): the whole device blackholes — endpoints,
-      // admission, grants. The host watchdog + shadow replay end the outage;
+      // admission, grants. The host watchdog's reset ends the outage;
       // client retransmits carry the RPCs over it.
       ++stats_.drops_nic_down;
       return;
@@ -388,12 +370,12 @@ void LauberhornNic::ReceivePacket(Packet packet) {
       ++stats_.drops_bad_frame;
       return;
     }
-    const auto it = port_to_endpoints_.find(frame->udp.dst_port);
-    if (it == port_to_endpoints_.end() || it->second.empty()) {
+    const std::vector<uint32_t>& candidates = DemuxCandidates(frame->udp.dst_port);
+    if (candidates.empty()) {
       ++stats_.drops_no_endpoint;
       return;
     }
-    const uint32_t ep_id = PickEndpoint(it->second, frame->ip, frame->udp);
+    const uint32_t ep_id = PickEndpoint(candidates, frame->ip, frame->udp);
     Endpoint& ep = endpoints_[ep_id];
     trace_.Emit(sim_.Now(), TraceEvent::kWireRx, ep_id, 0);
     // The step owns the frame and needs none of its bytes past the LRPC
@@ -640,11 +622,13 @@ LauberhornNic::DispatchGroup& LauberhornNic::EnsureGroup(const Endpoint& ep) {
 const std::vector<uint32_t>& LauberhornNic::GroupMembers(const Endpoint& ep) {
   static const std::vector<uint32_t> kNoMembers;
   const ServiceDef* service = services_.Find(ep.service_id);
-  if (service == nullptr) {
-    return kNoMembers;
-  }
-  auto it = port_to_endpoints_.find(service->udp_port);
-  return it != port_to_endpoints_.end() ? it->second : kNoMembers;
+  return service != nullptr ? DemuxCandidates(service->udp_port) : kNoMembers;
+}
+
+const std::vector<uint32_t>& LauberhornNic::DemuxCandidates(uint16_t port) const {
+  static const std::vector<uint32_t> kNone;
+  auto it = port_to_endpoints_.find(port);
+  return it != port_to_endpoints_.end() ? it->second : kNone;
 }
 
 const LauberhornNic::DispatchGroup* LauberhornNic::CentralGroup(
@@ -1548,11 +1532,9 @@ DispatchPolicyConfig LauberhornNic::ServicePolicy(uint32_t service_id) {
   if (service == nullptr) {
     return DispatchPolicyConfig{};
   }
-  auto it = port_to_endpoints_.find(service->udp_port);
-  if (it != port_to_endpoints_.end() && !it->second.empty()) {
-    return EnsureGroup(endpoints_[it->second.front()]).config;
-  }
-  return service->dispatch;
+  const std::vector<uint32_t>& members = DemuxCandidates(service->udp_port);
+  return members.empty() ? service->dispatch
+                         : EnsureGroup(endpoints_[members.front()]).config;
 }
 
 std::vector<std::pair<DispatchPolicyKind, DispatchPolicyStats>>

@@ -55,8 +55,6 @@
 
 namespace lauberhorn {
 
-class NicShadow;
-
 // How the NIC moves payloads that exceed the AUX capacity.
 enum class LargeTransferPolicy {
   kAuto,            // cache lines up to dma_fallback_bytes, then DMA (§6)
@@ -186,33 +184,51 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   void set_fault_injector(FaultInjector* faults) { faults_ = faults; }
   // Per-request span tracing: the NIC stamps admission/dispatch/delivery.
   void set_span_collector(SpanCollector* spans) { spans_ = spans; }
-  // OS-side write-through shadow (src/nic/shadow): mirrors every
-  // control-plane mutation so the host can rebuild the device after a crash.
-  // The dedup table needs no mirror: it is host-owned and survives a crash.
-  void set_shadow(NicShadow* shadow) { shadow_ = shadow; }
 
   // -- Crash / recovery (§16) ----------------------------------------------
+  // The NIC's fields are of two kinds. Control state is the OS's: VF
+  // configs, endpoint bindings, kernel-channel and continuation allocations,
+  // the admission config and the dedup table. A crash keeps it. Device state
+  // (queues, lines, grants, quota buckets, statistics of the VFs) dies with
+  // the firmware.
 
   // Watchdog probe: a live device answers (true). The probe also performs
   // the lazy crash check against the fault plan, so a crash whose instant
   // has passed is detected here even on an idle machine.
   bool HeartbeatProbe() { return CheckDeviceUp(); }
   bool device_up() const { return device_up_; }
-  // Host-driven reset completion: the device is reborn empty (the crash
-  // already wiped all volatile state) and grants ramp from grant_reset_cap.
-  // The caller (NicRecoveryManager) replays the shadow and applies the dedup
-  // table's crash-replay rules immediately after.
+  // Host-driven reset completion: the device comes back with the control
+  // state the crash kept and grants ramping from grant_reset_cap. The caller
+  // (NicRecoveryManager) applies the dedup table's crash-replay rules
+  // immediately after.
   void CompleteReset();
-  // Shadow replay entry points. Restore* reconstruct control-plane state
-  // exactly as the original Allocate* calls built it, without re-recording
-  // into the shadow.
-  void RestoreEndpoint(uint32_t id, uint32_t service_id, Pid pid,
-                       uint64_t code_ptr, uint64_t data_ptr,
-                       uint64_t dma_buffer_iova, uint32_t vf = 0);
-  void RestoreVf(uint32_t vf, const VfConfig& config);
-  void RestoreKernelChannel(uint32_t id);
-  void RestoreContinuation(uint32_t id);
-  void RestoreAdmission(const AdmissionConfig& admission);
+  // An endpoint's binding: control state, kept by a crash. The id and the
+  // kind are the address map's and never change.
+  struct EndpointBinding {
+    bool in_use = false;
+    bool is_kernel = false;
+    bool is_continuation = false;
+    uint32_t id = 0;
+    uint32_t service_id = 0;
+    uint32_t vf = 0;  // owning virtual function (0 = PF)
+    Pid pid = kNoPid;
+    uint64_t code_ptr = 0;
+    uint64_t data_ptr = 0;
+    uint64_t dma_buffer_iova = 0;
+
+    bool operator==(const EndpointBinding&) const = default;
+  };
+  const EndpointBinding& binding(uint32_t endpoint) const {
+    return endpoints_[endpoint];
+  }
+  // What the control state holds, counted in the recovery statistics.
+  struct ControlCounts {
+    uint64_t vfs = 0;  // created VFs; the PF is not counted
+    uint64_t endpoints = 0;
+    uint64_t kernel_channels = 0;
+    uint64_t continuations = 0;  // currently allocated
+  };
+  ControlCounts CountControlState() const;
   // Applies the dedup table's crash-replay rules (src/proto/dedup.h).
   RpcDedupCache::ReplayCounts ReplayDedup();
   const RpcDedupCache& dedup() const { return dedup_; }
@@ -243,9 +259,9 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // These model uncached register writes from the kernel/runtime; each call
   // takes effect after one device hop.
 
-  // Carves a virtual function. Control-plane mutation: write-through
-  // shadowed so the partition survives a device crash. Returns the VF id
-  // (>= 1; VF 0 is the PF and always exists).
+  // Carves a virtual function. Its config is control state, so the
+  // partition survives a device crash. Returns the VF id (>= 1; VF 0 is the
+  // PF and always exists).
   uint32_t CreateVf(VfConfig config);
   size_t NumVfs() const { return vfs_.size(); }  // including the PF slot
   const VfConfig& vf_config(uint32_t vf) const { return vfs_[vf].config; }
@@ -330,6 +346,9 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // Event trace ring (§6: tracing/statistics integration).
   TraceRing& trace() { return trace_; }
   const TraceRing& trace() const { return trace_; }
+  // The demux table: the endpoints a UDP port's requests may go to, in the
+  // order the demux stage considers them (empty for an unbound port).
+  const std::vector<uint32_t>& DemuxCandidates(uint16_t port) const;
   // Instantaneous queue depth of an endpoint (NIC-side pending requests).
   size_t QueueDepth(uint32_t endpoint) const;
   // Policy-aware backlog behind this endpoint: its private queue plus the
@@ -451,17 +470,8 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     std::span<const uint8_t> overflow;
   };
 
-  struct Endpoint {
-    bool in_use = false;
-    bool is_kernel = false;
-    bool is_continuation = false;
-    uint32_t id = 0;
-    uint32_t service_id = 0;
-    uint32_t vf = 0;  // owning virtual function (0 = PF)
-    Pid pid = kNoPid;
-    uint64_t code_ptr = 0;
-    uint64_t data_ptr = 0;
-    uint64_t dma_buffer_iova = 0;
+  // The binding plus the endpoint's device state, which a crash wipes.
+  struct Endpoint : EndpointBinding {
     bool active = false;           // a core is in (or entering) the user loop
     int active_core = -1;
     bool cold_dispatch_inflight = false;
@@ -491,8 +501,8 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     ShedCounts sheds;  // overload sheds attributed to this endpoint
   };
 
-  // Per-VF runtime state. The config is control-plane (shadowed, replayed);
-  // the quota bucket and stats are volatile and die with the firmware.
+  // Per-VF state. The config is control state; the quota bucket and stats
+  // are device state and die with the firmware.
   struct VfState {
     VfConfig config;
     std::optional<TokenBucket> quota;  // built from config.admission
@@ -641,14 +651,20 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // sighting of a new crash instant, wipes the device. Returns device_up_.
   bool CheckDeviceUp();
   // The firmware died: answer every parked load with TRYAGAIN (the
-  // bus-timeout model keeps cores from stranding), then wipe all volatile
-  // state. The dedup table is host-owned memory and survives.
+  // bus-timeout model keeps cores from stranding), then wipe the device
+  // state. The control state is host-owned and survives.
   void CrashNow();
-  // The device's volatile state as at power-on: endpoint table, line store,
-  // queues, admission buckets, grant state, VF partitions — exactly what the
-  // shadow exists to rebuild. Structural identity (line addresses,
-  // continuation ports) is part of the address map and is laid out again.
+  // Returns the device state to power-on (endpoint queues and loads, line
+  // store, cold queue, quota buckets, grant state, VF statistics), then
+  // rebuilds the indexes derived from the control state.
   void WipeVolatileState();
+  // Rebuilds, in id order, what the device derives from the control state:
+  // the demux table, the continuation free list, the allocation cursors,
+  // each VF's endpoint count and each endpoint queue's backlog register.
+  void RebuildIndexes();
+  // Indexes one bound service endpoint: its queue's register, its demux
+  // entry, its VF's endpoint count and the allocation cursor.
+  void BindEndpoint(Endpoint& ep);
   // Continuation endpoints follow the service endpoints; each owns a fixed
   // reply port.
   uint32_t FirstContinuation() const {
@@ -669,7 +685,6 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   LinkDirection* tx_wire_ = nullptr;
   FaultInjector* faults_ = nullptr;
   SpanCollector* spans_ = nullptr;
-  NicShadow* shadow_ = nullptr;
   RpcDedupCache dedup_;
   // §16: false between a crash and the host-driven CompleteReset().
   bool device_up_ = true;
@@ -695,8 +710,7 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // Overload control: per-service quota buckets (lazily created from
   // config_.admission).
   std::unordered_map<uint32_t, TokenBucket> service_quota_;
-  // VF partitions; slot 0 is the PF. Configs are control-plane state
-  // (rebuilt by shadow replay); buckets/stats are volatile.
+  // VF partitions; slot 0 is the PF.
   std::vector<VfState> vfs_;
   // ECN-capable senders (src ip -> last request arrival), the denominator of
   // the per-sender grant.

@@ -70,8 +70,8 @@ struct ServiceDef {
   std::string name;
   uint16_t udp_port = 0;
   // How the NIC hands this service's requests to cores (DESIGN.md §18).
-  // Control-plane state: lives in the OS registry, so a NIC crash + shadow
-  // replay rebuilds the same discipline (only queue *contents* die).
+  // Control-plane state: lives in the OS registry, so the NIC comes back
+  // from a crash with the same discipline (only queue *contents* die).
   DispatchPolicyConfig dispatch;
   std::map<uint16_t, MethodDef> methods;
 

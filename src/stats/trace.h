@@ -30,7 +30,7 @@ enum class TraceEvent : uint16_t {
   kDrop,            // a=endpoint, b=reason (ShedReason in src/overload)
   kDegrade,         // a=endpoint, b=tryagain streak at demotion
   kNicCrash,        // whole-NIC firmware crash: volatile state wiped (§16)
-  kNicReset,        // host-driven reset completed; shadow replay follows
+  kNicReset,        // host-driven reset completed; dedup replay follows
 };
 
 std::string ToString(TraceEvent event);

@@ -406,8 +406,8 @@ TEST(DispatchCentralTest, TryAgainDoesNotStrandCentralRequests) {
 
 TEST(DispatchChaosTest, AtMostOnceAcrossNicCrashesUnderCentralPolicies) {
   // NIC crash wipes the central queue along with every other volatile
-  // structure; the shadow replay restores control state and retransmits
-  // re-run admission fresh. No sequence number may execute twice.
+  // structure; the control state survives and retransmits re-run admission
+  // fresh. No sequence number may execute twice.
   for (DispatchPolicyKind kind :
        {DispatchPolicyKind::kCFcfs, DispatchPolicyKind::kJbsq}) {
     MachineConfig config = DispatchConfig();

@@ -8,7 +8,6 @@
 #include <unordered_map>
 
 #include "src/core/machine.h"
-#include "src/nic/shadow.h"
 
 namespace lauberhorn {
 namespace {
@@ -258,8 +257,8 @@ std::vector<uint32_t> DrainContinuations(LauberhornNic& nic) {
 }
 
 TEST(NestedRpcTest, NicCrashWithContinuationAllocatedRestoresIt) {
-  // The shadow must re-reserve the parked handler's continuation on the
-  // reborn NIC, and the request must still run each handler once.
+  // The reborn NIC must keep the parked handler's continuation reserved,
+  // and the request must still run each handler once.
   NicCrashFixture fx;
   Machine& machine = *fx.machine;
   NicRecoveryManager* recovery = machine.nic_recovery();
@@ -267,11 +266,11 @@ TEST(NestedRpcTest, NicCrashWithContinuationAllocatedRestoresIt) {
   fx.RunUntil([&] { return recovery->stats().recoveries > 0; });
   ASSERT_EQ(recovery->stats().recoveries, 1u);
   EXPECT_EQ(recovery->stats().replayed_continuations, 1u);
-  ASSERT_EQ(machine.nic_shadow()->continuation_count(), 1u);
+  LauberhornNic& nic = *machine.lauberhorn_nic();
+  ASSERT_EQ(nic.CountControlState().continuations, 1u);
 
   // The reborn NIC must not hand out the continuation the handler holds:
   // draining the pool yields every other id exactly once.
-  LauberhornNic& nic = *machine.lauberhorn_nic();
   std::set<uint32_t> handed_out;
   for (const uint32_t id : DrainContinuations(nic)) {
     EXPECT_TRUE(handed_out.insert(id).second) << "continuation " << id;
@@ -296,7 +295,10 @@ TEST(NestedRpcTest, NicCrashWithContinuationAllocatedRestoresIt) {
     EXPECT_EQ(fx.reply->status, kTimedOut);
     EXPECT_EQ(machine.lauberhorn_runtime()->nested_failed(), 1u);
   }
-  EXPECT_EQ(machine.nic_shadow()->continuation_count(), 0u);
+  const std::vector<uint32_t> drained = DrainContinuations(nic);
+  EXPECT_EQ(std::set<uint32_t>(drained.begin(), drained.end()).size(),
+            drained.size());
+  EXPECT_EQ(drained.size(), nic.config().num_continuations);
   // No handler ran twice.
   EXPECT_EQ(fx.frontend_runs[20], 1);
   EXPECT_LE(fx.backend_runs[20], 1);

@@ -1,6 +1,6 @@
 // Tests for NIC hot recovery (DESIGN.md §16): the whole-NIC crash fault
-// layer, the OS-side write-through NicShadow of control-plane state and its
-// dedup replay through the NIC, the watchdog-driven reset path end to end,
+// layer, the NIC's control state kept across a crash and its dedup replay,
+// the watchdog-driven reset path end to end,
 // and the cluster directory's kDegraded publication during recovery. Also
 // the PR's satellite coverage: exported CC fault counters, dedup replay
 // across an OS crash window, and the FaultInjector periodic-crash
@@ -8,14 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <set>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include "src/cluster/directory.h"
+#include "src/coherence/memory_home.h"
 #include "src/core/machine.h"
 #include "src/fault/fault.h"
-#include "src/nic/shadow.h"
+#include "src/nic/recovery.h"
 #include "src/sim/simulator.h"
 #include "src/stats/metrics.h"
 
@@ -81,23 +83,94 @@ TEST(FaultInjectorTest, PeriodicOsCrashCountsEachWindowOnce) {
   }
 }
 
-// --- NicShadow unit tests ----------------------------------------------------
+// --- The NIC's control state across a crash ----------------------------------
 
-TEST(NicShadowTest, RecordsControlPlaneAllocations) {
-  NicShadow shadow;
-  shadow.RecordKernelChannel(0);
-  shadow.RecordEndpoint({/*id=*/2, /*service_id=*/1, /*pid=*/0, 0, 0, 0});
-  shadow.RecordContinuationAllocated(7);
-  shadow.RecordContinuationAllocated(8);
-  shadow.RecordContinuationFreed(7);
-  AdmissionConfig admission;
-  admission.enabled = true;
-  shadow.RecordAdmission(admission);
+TEST(NicControlStateTest, CrashKeepsControlStateAndRebuildsIndexes) {
+  // A standalone NIC: two services, each with one endpoint on the PF and
+  // one on a tenant VF, allocated alternately so neither port's candidates
+  // are one run of ids; two kernel channels; one held continuation and one
+  // returned. The fault plan crashes it, and the test resets it by hand.
+  Simulator sim;
+  CoherentInterconnect interconnect(sim, CoherenceConfig{});
+  MemoryHomeAgent memory(sim, interconnect, 0, uint64_t{1} << 30);
+  Iommu iommu;
+  PcieLink pcie(sim, PcieConfig{}, memory, iommu);
+  ServiceRegistry services;
+  services.Add(ServiceRegistry::MakeEchoService(1, 7000));
+  services.Add(ServiceRegistry::MakeEchoService(2, 7100));
+  FaultPlan plan;
+  plan.nic_crash.first_crash_at = Microseconds(10);
+  FaultInjector faults(sim, plan);
+  LauberhornNic nic(sim, interconnect, pcie, services, LauberhornNic::Config{});
+  nic.set_fault_injector(&faults);
 
-  EXPECT_EQ(shadow.kernel_channel_count(), 1u);
-  EXPECT_EQ(shadow.endpoint_count(), 1u);
-  EXPECT_EQ(shadow.continuation_count(), 1u);  // 8 allocated, 7 freed
-  EXPECT_EQ(shadow.writes(), 6u);
+  LauberhornNic::VfConfig tenant;
+  tenant.name = "tenant";
+  tenant.admission.enabled = true;
+  tenant.endpoint_limit = 2;
+  const uint32_t vf = nic.CreateVf(tenant);
+  for (const uint32_t owner : {0u, vf}) {
+    for (const uint32_t service : {1u, 2u}) {
+      ASSERT_TRUE(nic.AllocateEndpointOnVf(owner, service, /*pid=*/owner + 7,
+                                           0x5000 + service, 0x7000 + service,
+                                           0x10000 * (owner + 1))
+                      .has_value());
+    }
+  }
+  EXPECT_EQ(nic.AllocateKernelChannel(), 0u);
+  EXPECT_EQ(nic.AllocateKernelChannel(), 1u);
+  const std::optional<uint32_t> held = nic.AllocateContinuation();
+  const std::optional<uint32_t> returned = nic.AllocateContinuation();
+  ASSERT_TRUE(held.has_value() && returned.has_value());
+  nic.FreeContinuation(*returned);
+
+  const std::vector<uint32_t> port_a = nic.DemuxCandidates(7000);
+  const std::vector<uint32_t> port_b = nic.DemuxCandidates(7100);
+  ASSERT_EQ(port_a.size(), 2u);
+  ASSERT_EQ(port_b.size(), 2u);
+  const size_t num_endpoints = nic.config().num_kernel_channels +
+                               nic.config().num_endpoints +
+                               nic.config().num_continuations;
+  std::vector<LauberhornNic::EndpointBinding> bindings;
+  for (uint32_t id = 0; id < num_endpoints; ++id) {
+    bindings.push_back(nic.binding(id));
+  }
+
+  sim.RunUntil(Microseconds(20));
+  ASSERT_FALSE(nic.HeartbeatProbe());  // the crash wiped the device state
+  faults.NicDeviceRecovered();
+  nic.CompleteReset();
+  ASSERT_TRUE(nic.device_up());
+
+  // The VF configs, every binding and the demux order came back.
+  ASSERT_EQ(nic.NumVfs(), 2u);
+  EXPECT_EQ(nic.vf_config(vf).name, "tenant");
+  EXPECT_TRUE(nic.vf_config(vf).admission.enabled);
+  EXPECT_EQ(nic.vf_config(vf).endpoint_limit, 2u);
+  for (uint32_t id = 0; id < num_endpoints; ++id) {
+    EXPECT_EQ(nic.binding(id), bindings[id]) << "endpoint " << id;
+  }
+  EXPECT_EQ(nic.DemuxCandidates(7000), port_a);
+  EXPECT_EQ(nic.DemuxCandidates(7100), port_b);
+  const LauberhornNic::ControlCounts counts = nic.CountControlState();
+  EXPECT_EQ(counts.vfs, 1u);
+  EXPECT_EQ(counts.endpoints, 4u);
+  EXPECT_EQ(counts.kernel_channels, 2u);
+  EXPECT_EQ(counts.continuations, 1u);
+
+  // The derived indexes follow the bindings: each VF counts its endpoints
+  // again (the tenant's slice is full), the kernel-channel cursor moved on,
+  // and the pool hands out every continuation but the held one.
+  EXPECT_EQ(nic.vf_stats(0).endpoints, 2u);
+  EXPECT_EQ(nic.vf_stats(vf).endpoints, 2u);
+  EXPECT_FALSE(nic.AllocateEndpointOnVf(vf, 1, 0, 0, 0, 0).has_value());
+  EXPECT_EQ(nic.AllocateKernelChannel(), 2u);
+  std::set<uint32_t> handed_out;
+  while (const auto id = nic.AllocateContinuation()) {
+    EXPECT_NE(*id, *held);
+    EXPECT_TRUE(handed_out.insert(*id).second) << "continuation " << *id;
+  }
+  EXPECT_EQ(handed_out.size(), nic.config().num_continuations - 1);
 }
 
 // --- End-to-end recovery through Machine -------------------------------------
@@ -196,30 +269,28 @@ MachineConfig RecoveryConfig() {
   return config;
 }
 
-TEST(NicShadowTest, ReplayRulesAcrossTwoResets) {
+TEST(NicControlStateTest, ReplayRulesAcrossTwoResets) {
   // Three requests 10 us apart reach one hot 100 us handler; 150 us in, the
   // NIC's dedup table holds one entry per state: the first completed, the
   // second delivered (its handler still running), the third still queued.
-  // A standalone shadow (no control-plane records) replays into that live
-  // NIC twice and reports the table's rule counts.
+  // The crash-replay rules run on that live NIC twice and report the
+  // table's rule counts.
   RecoveryHarness harness(RecoveryConfig(), std::nullopt, Microseconds(100));
   harness.Run(3, Microseconds(10), Microseconds(120));
   LauberhornNic& nic = *harness.machine().lauberhorn_nic();
 
-  NicShadow shadow;
-  const NicShadow::ReplayCounts first = shadow.ReplayInto(nic);
-  EXPECT_EQ(first.endpoints, 0u);
-  EXPECT_EQ(first.dedup.completed, 1u);
-  EXPECT_EQ(first.dedup.pinned, 1u);
-  EXPECT_EQ(first.dedup.dropped, 1u);
+  const RpcDedupCache::ReplayCounts first = nic.ReplayDedup();
+  EXPECT_EQ(first.completed, 1u);
+  EXPECT_EQ(first.pinned, 1u);
+  EXPECT_EQ(first.dropped, 1u);
   EXPECT_EQ(nic.dedup().size(), 2u);  // the undelivered entry is gone
 
   // The pinned entry gets a synthetic terminal: a second reset replays it
   // as completed instead of re-pinning it forever.
-  const NicShadow::ReplayCounts second = shadow.ReplayInto(nic);
-  EXPECT_EQ(second.dedup.completed, 2u);
-  EXPECT_EQ(second.dedup.pinned, 0u);
-  EXPECT_EQ(second.dedup.dropped, 0u);
+  const RpcDedupCache::ReplayCounts second = nic.ReplayDedup();
+  EXPECT_EQ(second.completed, 2u);
+  EXPECT_EQ(second.pinned, 0u);
+  EXPECT_EQ(second.dropped, 0u);
   EXPECT_EQ(nic.dedup().size(), 2u);
 }
 
@@ -230,7 +301,7 @@ TEST(RecoveryE2eTest, WatchdogRecoversNicMidLoadAtMostOnce) {
   RecoveryHarness harness(config);
 
   // Publish recovery into a directory the way a cluster plane would: the
-  // replica degrades while the shadow replays and comes back up after —
+  // replica degrades while the NIC resets and comes back up after —
   // never kDown, so a hash ring would keep its keys.
   ServiceDirectory directory;
   directory.AddReplica(1, ReplicaInfo{});
@@ -241,7 +312,7 @@ TEST(RecoveryE2eTest, WatchdogRecoversNicMidLoadAtMostOnce) {
 
   harness.Run(100, Microseconds(10));
 
-  // The watchdog detected the dead device and drove reset + shadow replay.
+  // The watchdog detected the dead device and drove the reset.
   const auto& stats = recovery->stats();
   EXPECT_EQ(stats.watchdog_fires, 1u);
   EXPECT_EQ(stats.recoveries, 1u);
@@ -262,7 +333,7 @@ TEST(RecoveryE2eTest, WatchdogRecoversNicMidLoadAtMostOnce) {
   EXPECT_GE(harness.ok(), harness.sent() - stats.replayed_dedup_in_flight);
   EXPECT_GT(client.retransmits(), 0u);
 
-  // Degraded during replay, up after, and the marked_down path never ran.
+  // Degraded during the reset, up after, and the marked_down path never ran.
   EXPECT_EQ(directory.stats().marked_degraded, 1u);
   EXPECT_EQ(directory.stats().marked_up, 1u);
   EXPECT_EQ(directory.stats().marked_down, 0u);
@@ -313,17 +384,22 @@ TEST(RecoveryE2eTest, DeterministicAcrossRuns) {
     config.faults.nic_crash.crash_period = Milliseconds(1);
     RecoveryHarness harness(config);
     harness.Run(150, Microseconds(8));
+    const NicRecoveryManager::Stats& stats =
+        harness.machine().nic_recovery()->stats();
     return std::tuple(harness.ok(), harness.TotalExecutions(),
                       harness.machine().client().retransmits(),
-                      harness.machine().nic_recovery()->stats().recoveries,
-                      harness.machine().nic_shadow()->writes());
+                      stats.recoveries, stats.replayed_vfs,
+                      stats.replayed_endpoints, stats.replayed_kernel_channels,
+                      stats.replayed_continuations,
+                      stats.replayed_dedup_completed,
+                      stats.replayed_dedup_in_flight);
   };
   EXPECT_EQ(run(), run());
 }
 
 // Tentpole: a tenant's whole NIC slice — the VF partition, its admission
 // quota, and its endpoint allocations — is OS state, so it survives a NIC
-// crash via shadow replay like everything else, with at-most-once intact.
+// crash like the rest of the control state, with at-most-once intact.
 TEST(RecoveryE2eTest, VfPartitionAndQuotaSurviveNicCrash) {
   MachineConfig config = RecoveryConfig();
   config.faults.nic_crash.first_crash_at = Microseconds(300);
@@ -409,8 +485,11 @@ TEST(RecoveryE2eTest, ExportsFaultAndRecoveryMetrics) {
   EXPECT_EQ(metrics.Counter("fault/nic_crashes"), 1u);
   EXPECT_TRUE(metrics.HasCounter("nic/resets"));
   EXPECT_EQ(metrics.Counter("nic/resets"), 1u);
-  EXPECT_TRUE(metrics.HasCounter("recovery/shadow_writes"));
-  EXPECT_GT(metrics.Counter("recovery/shadow_writes"), 0u);
+  // perfbench reads the dedup table's size under its historical name.
+  ASSERT_EQ(metrics.gauges().count("recovery/shadow_dedup_entries"), 1u);
+  EXPECT_GT(metrics.Gauge("recovery/shadow_dedup_entries"), 0.0);
+  EXPECT_EQ(metrics.Gauge("recovery/shadow_dedup_entries"),
+            static_cast<double>(harness.machine().lauberhorn_nic()->dedup().size()));
   EXPECT_EQ(metrics.Counter("recovery/recoveries"), 1u);
   EXPECT_GT(metrics.Gauge("recovery/last_blackout_us"), 0.0);
 }
