@@ -241,10 +241,12 @@ struct NicCrashFixture {
     }
   }
 
-  std::unique_ptr<Machine> machine;
+  // The machine's handlers write these, so it is declared after them and
+  // destroyed first.
   std::unordered_map<uint64_t, int> frontend_runs;
   std::unordered_map<uint64_t, int> backend_runs;
   std::optional<RpcMessage> reply;
+  std::unique_ptr<Machine> machine;
 };
 
 // Takes every continuation the pool hands out, in allocation order.
