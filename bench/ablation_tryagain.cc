@@ -41,7 +41,7 @@ Cell Measure(Duration timeout) {
   const uint32_t ep = machine.EndpointsOf(echo)[0];
   const SimTime retire_at = machine.sim().Now();
   machine.lauberhorn_runtime()->Deschedule(ep);
-  while (machine.lauberhorn_runtime()->loops_exited() == 0 &&
+  while (machine.lauberhorn_runtime()->stats().loops_exited == 0 &&
          machine.sim().Now() < retire_at + Seconds(1)) {
     machine.sim().RunUntil(machine.sim().Now() + Microseconds(10));
   }

@@ -254,7 +254,7 @@ CellResult RunCell(const CellParams& p) {
   result.p50 = d->rtt.P50();
   result.p99 = d->rtt.P99();
   result.p999 = d->rtt.P999();
-  result.timeouts = client.client().timeouts();
+  result.timeouts = client.client().stats().timeouts;
   result.sheds = server.sheds().total();
   result.nic_resets = server.lauberhorn_nic()->stats().nic_resets;
   for (const auto& [kind, ps] : server.lauberhorn_nic()->PolicyStatsSnapshot()) {

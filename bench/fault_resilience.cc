@@ -135,10 +135,10 @@ Cell Measure(StackKind stack, double intensity, uint64_t seed, bool smoke) {
 
   cell.sent = seq;
   cell.sim_events = machine.sim().events_executed();
-  cell.timeouts = machine.client().timeouts();
-  cell.retransmits = machine.client().retransmits();
-  cell.suppressed = machine.client().retransmits_suppressed();
-  cell.late = machine.client().late_responses();
+  cell.timeouts = machine.client().stats().timeouts;
+  cell.retransmits = machine.client().stats().retransmits;
+  cell.suppressed = machine.client().stats().retransmits_suppressed;
+  cell.late = machine.client().stats().late_responses;
   for (const auto& [s, count] : execs) {
     if (count > 1) {
       ++cell.dup_execs;
@@ -152,7 +152,7 @@ Cell Measure(StackKind stack, double intensity, uint64_t seed, bool smoke) {
   switch (stack) {
     case StackKind::kLinux:
     case StackKind::kBypass:
-      cell.service_down_drops = machine.dma_nic()->rx_drops_service_down();
+      cell.service_down_drops = machine.dma_nic()->stats().rx_drops_service_down;
       break;
     case StackKind::kLauberhorn: {
       const auto& stats = machine.lauberhorn_nic()->stats();

@@ -211,10 +211,10 @@ CellResult RunCell(const CellParams& p) {
   result.p99 = rtt.P99();
   for (int m = 1; m <= p.senders; ++m) {
     const RpcClient& client = machines[static_cast<size_t>(m)]->client();
-    result.timeouts += client.timeouts();
-    result.retransmits += client.retransmits();
-    result.marks_seen += client.cc_marks_seen();
-    result.deferrals += client.cc_deferrals();
+    result.timeouts += client.stats().timeouts;
+    result.retransmits += client.stats().retransmits;
+    result.marks_seen += client.stats().cc_marks_seen;
+    result.deferrals += client.stats().cc_deferrals;
   }
   MetricsRegistry metrics;
   testbed.ExportMetrics(metrics);

@@ -184,8 +184,8 @@ CellResult RunCell(uint64_t seed, const double (&rates)[kTenants],
     obs.rss_fallbacks = vstats.rss_fallbacks;
     obs.p99_us = ToMicroseconds(rtts[t].P99());
   }
-  cell.host_dispatches = machine.lauberhorn_runtime()->rpcs_hot() +
-                         machine.lauberhorn_runtime()->rpcs_cold();
+  cell.host_dispatches = machine.lauberhorn_runtime()->stats().rpcs_hot +
+                         machine.lauberhorn_runtime()->stats().rpcs_cold;
   cell.nic_sheds_vf_quota = nic.stats().sheds.vf_quota;
   cell.sim_events = machine.sim().events_executed();
   if (machine.nic_recovery() != nullptr) {

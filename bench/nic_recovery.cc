@@ -169,7 +169,7 @@ RecoverCell MeasureRecovery(uint64_t seed) {
 
   cell.sent = seq;
   cell.sim_events = machine.sim().events_executed();
-  cell.retransmits = machine.client().retransmits();
+  cell.retransmits = machine.client().stats().retransmits;
   for (const auto& [s, count] : execs) {
     cell.total_execs += count;
     if (count > 1) {
@@ -308,7 +308,7 @@ ChaosCell MeasureChaos(uint64_t seed, bool smoke) {
   cell.grant_losses = faults.cc_grant_losses;
   cell.ecn_corruptions = faults.cc_ecn_corruptions;
   cell.recoveries = machine.nic_recovery()->stats().recoveries;
-  cell.retransmits = machine.client().retransmits();
+  cell.retransmits = machine.client().stats().retransmits;
 
   const SpanCollector& spans = *machine.spans();
   for (const RequestSpan& span : spans.completed()) {

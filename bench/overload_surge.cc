@@ -219,7 +219,7 @@ SurgeCell MeasureSurge(StackKind stack, double mult, double capacity_rps,
   machine.sim().ScheduleAt(surge_start, [&, phase]() {
     *phase = kSurge;
     sent_at_surge_start = gen.sent();
-    overloaded_at_surge_start = machine.client().overloaded();
+    overloaded_at_surge_start = machine.client().stats().overloaded;
     sheds_at_surge_start = ReadSheds(machine);
     gen.SetRate(mult * capacity_rps);
     gen.SetWeights({0.55, 0.15, 0.15, 0.15});  // flash crowd on service 1
@@ -236,7 +236,7 @@ SurgeCell MeasureSurge(StackKind stack, double mult, double capacity_rps,
     cell.sheds.sojourn = now.sojourn - sheds_at_surge_start.sojourn;
     cell.sheds.cpu = now.cpu - sheds_at_surge_start.cpu;
     cell.surge_overloaded =
-        machine.client().overloaded() - overloaded_at_surge_start;
+        machine.client().stats().overloaded - overloaded_at_surge_start;
     gen.SetRate(0.5 * capacity_rps);
     gen.SetWeights({1.0, 1.0, 1.0, 1.0});
   });
@@ -385,10 +385,10 @@ FaultCell MeasureFaulted(StackKind stack, double capacity_rps, uint64_t seed,
 
   cell.sent = *seq;
   cell.sim_events = machine.sim().events_executed();
-  cell.overloaded = machine.client().overloaded();
-  cell.breaker_openings = machine.client().breaker_openings();
-  cell.suppressed_breaker = machine.client().retransmits_suppressed_breaker();
-  cell.late = machine.client().late_responses();
+  cell.overloaded = machine.client().stats().overloaded;
+  cell.breaker_openings = machine.client().stats().breaker_openings;
+  cell.suppressed_breaker = machine.client().stats().retransmits_suppressed_breaker;
+  cell.late = machine.client().stats().late_responses;
   cell.sheds = ReadSheds(machine).total();
   for (const auto& [s, count] : execs) {
     if (count > 1) {

@@ -84,7 +84,7 @@ int main() {
   table.AddRow({"hot dispatches", Table::Int(static_cast<int64_t>(stats.hot_dispatches))});
   table.AddRow({"cold dispatches", Table::Int(static_cast<int64_t>(stats.cold_dispatches))});
   table.AddRow({"loops started (cores recruited)",
-                Table::Int(static_cast<int64_t>(machine.lauberhorn_runtime()->loops_started()))});
+                Table::Int(static_cast<int64_t>(machine.lauberhorn_runtime()->stats().loops_started))});
   table.AddRow({"retires (cores released)",
                 Table::Int(static_cast<int64_t>(stats.retires))});
   table.AddRow({"burst-call RTT p50/p99 (us)",

@@ -27,8 +27,7 @@ namespace lauberhorn {
 
 // Where a replica's requests land on its machine: parked user-mode poll
 // loops (the Lauberhorn hot path) or kernel-mediated dispatch. Placement is
-// advisory metadata — LeastLoaded uses it as a tie-break preference, and
-// operators read it in DebugReport-style dumps.
+// advisory metadata — LeastLoaded uses it as a tie-break preference.
 enum class PlacementKind {
   kHotUserPoll,
   kColdKernel,

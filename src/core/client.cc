@@ -56,7 +56,7 @@ uint64_t RpcClient::CallRawTo(uint32_t dst_ip, uint16_t dst_port,
   pending.request.payload = std::move(payload);
   pending.rto = config_.retransmit_timeout;
   auto [it, inserted] = pending_.emplace(request_id, std::move(pending));
-  ++sent_;
+  ++stats_.sent;
   if (config_.cc_enabled) {
     CcState& cc = CcFor(dst_ip != 0 ? dst_ip : config_.server_ip);
     if (cc.outstanding >= CcEffectiveWindow(cc)) {
@@ -65,7 +65,7 @@ uint64_t RpcClient::CallRawTo(uint32_t dst_ip, uint16_t dst_port,
       // spurious timeouts.
       it->second.cc_deferred = true;
       cc.deferred.push_back(request_id);
-      ++cc_deferrals_;
+      ++stats_.cc_deferrals;
       return request_id;
     }
     CcNoteSend(cc, it->second);
@@ -150,7 +150,7 @@ void RpcClient::CcOnResponse(const Pending& pending, const RpcMessage& msg,
         !(faults_ != nullptr && faults_->CcShouldLoseGrant())) {
       cc.grant = msg.grant;
       cc.grant_expires = sim_.Now() + config_.cc_grant_ttl;
-      ++cc_grants_received_;
+      ++stats_.cc_grants_received;
     }
     // Congestion mark: the receiver echoing CE on the request path, or the
     // response itself marked on the way back. The fault layer can flip the
@@ -161,7 +161,7 @@ void RpcClient::CcOnResponse(const Pending& pending, const RpcMessage& msg,
       marked = !marked;
     }
     if (marked) {
-      ++cc_marks_seen_;
+      ++stats_.cc_marks_seen;
     }
     ++cc.round_acks;
     cc.round_marks += marked ? 1 : 0;
@@ -215,11 +215,6 @@ void RpcClient::CcOnExpired(const Pending& pending) {
 double RpcClient::cc_window(uint32_t dst_ip) const {
   const auto it = cc_.find(dst_ip);
   return it != cc_.end() ? it->second.window : 0.0;
-}
-
-uint16_t RpcClient::cc_grant(uint32_t dst_ip) const {
-  const auto it = cc_.find(dst_ip);
-  return it != cc_.end() ? it->second.grant : 0;
 }
 
 size_t RpcClient::cc_outstanding(uint32_t dst_ip) const {
@@ -305,7 +300,7 @@ void RpcClient::OnTimeout(uint64_t request_id) {
   }
   Pending& pending = it->second;
   if (pending.attempts > config_.max_retransmits) {
-    ++timeouts_;
+    ++stats_.timeouts;
     Pending expired = std::move(pending);
     pending_.erase(it);
     retired_.Insert(request_id);  // a response may still straggle in
@@ -333,14 +328,14 @@ void RpcClient::OnTimeout(uint64_t request_id) {
   if (sim_.Now() < breaker_until_) {
     // Circuit breaker open: the server said "overloaded" explicitly, so
     // retry copies are withheld outright (the backoff above still runs).
-    ++retransmits_suppressed_;
-    ++retransmits_suppressed_breaker_;
+    ++stats_.retransmits_suppressed;
+    ++stats_.retransmits_suppressed_breaker;
   } else if (SpendRetryToken()) {
-    ++retransmits_;
+    ++stats_.retransmits;
     ++pending.tokens_spent;
     SendFrame(pending);
   } else {
-    ++retransmits_suppressed_;
+    ++stats_.retransmits_suppressed;
   }
   ArmTimer(request_id);
 }
@@ -348,14 +343,14 @@ void RpcClient::OnTimeout(uint64_t request_id) {
 void RpcClient::ReceivePacket(Packet packet) {
   const auto frame = ParseUdpFrame(packet);
   if (!frame.has_value()) {
-    ++errors_;
+    ++stats_.errors;
     return;
   }
   // The client owns the frame, so its buffer becomes the payload.
   const size_t offset = frame->payload.data() - packet.bytes.data();
   auto msg = DecodeRpcMessageFrom(std::move(packet.bytes), offset, frame->payload.size());
   if (!msg.has_value() || msg->kind != MessageKind::kResponse) {
-    ++errors_;
+    ++stats_.errors;
     return;
   }
   auto it = pending_.find(msg->request_id);
@@ -363,9 +358,9 @@ void RpcClient::ReceivePacket(Packet packet) {
     if (retired_.Contains(msg->request_id)) {
       // The original (or a duplicate) arriving after a retransmit already
       // completed the request — expected under retransmission, not an error.
-      ++late_responses_;
+      ++stats_.late_responses;
     } else {
-      ++errors_;  // stray: an id we never issued or long since forgot
+      ++stats_.errors;  // stray: an id we never issued or long since forgot
     }
     return;
   }
@@ -376,7 +371,7 @@ void RpcClient::ReceivePacket(Packet packet) {
     sim_.Cancel(pending.timer);
   }
   const Duration rtt = sim_.Now() - pending.sent_at;
-  ++completed_;
+  ++stats_.completed;
   if (spans_ != nullptr) {
     spans_->Record(msg->request_id, SpanStage::kClientRx, sim_.Now());
   }
@@ -384,7 +379,7 @@ void RpcClient::ReceivePacket(Packet packet) {
     // Explicit server push-back: its own bucket (not errors, not timeouts),
     // excluded from the admitted-RTT histogram, and a multiplicative cut of
     // the retry budget — congestion response to a congestion signal.
-    ++overloaded_;
+    ++stats_.overloaded;
     const bool granted_shed = config_.cc_enabled && pending.cc_sent_under_grant;
     if (config_.retry_budget_per_sec > 0.0) {
       RefillRetryTokens();
@@ -402,20 +397,20 @@ void RpcClient::ReceivePacket(Packet packet) {
       }
     }
     if (granted_shed) {
-      ++cc_shed_refunds_;
+      ++stats_.cc_shed_refunds;
     }
     if (config_.overload_breaker_threshold > 0 &&
         ++overload_streak_ >=
             static_cast<uint32_t>(config_.overload_breaker_threshold)) {
       overload_streak_ = 0;
       breaker_until_ = sim_.Now() + config_.overload_breaker_window;
-      ++breaker_openings_;
+      ++stats_.breaker_openings;
     }
   } else {
     overload_streak_ = 0;
     rtt_.Record(rtt);
     if (msg->status != RpcStatus::kOk) {
-      ++errors_;
+      ++stats_.errors;
     }
   }
   if (config_.cc_enabled) {
@@ -426,7 +421,7 @@ void RpcClient::ReceivePacket(Packet packet) {
     auto plain = OpenPayload(DeriveKey(config_.root_key, pending.request.service_id),
                              opened.payload);
     if (!plain.has_value()) {
-      ++errors_;
+      ++stats_.errors;
       opened.status = RpcStatus::kInternal;
       opened.payload.clear();
     } else {

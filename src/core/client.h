@@ -25,6 +25,7 @@
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 #include "src/stats/histogram.h"
+#include "src/stats/metrics.h"
 #include "src/stats/span.h"
 
 namespace lauberhorn {
@@ -87,6 +88,23 @@ class RpcClient : public PacketSink {
     Duration cc_grant_ttl = Microseconds(200);
   };
 
+  struct Stats {
+    uint64_t sent = 0;
+    uint64_t completed = 0;
+    uint64_t errors = 0;
+    uint64_t retransmits = 0;
+    uint64_t retransmits_suppressed = 0;
+    uint64_t retransmits_suppressed_breaker = 0;  // of those, by the breaker
+    uint64_t timeouts = 0;
+    uint64_t late_responses = 0;
+    uint64_t overloaded = 0;  // kOverloaded replies: neither errors nor timeouts
+    uint64_t breaker_openings = 0;
+    uint64_t cc_deferrals = 0;  // congestion control (cc_*)
+    uint64_t cc_marks_seen = 0;
+    uint64_t cc_grants_received = 0;
+    uint64_t cc_shed_refunds = 0;
+  };
+
   using ResponseFn = Function<void(const RpcMessage&, Duration rtt)>;
 
   RpcClient(Simulator& sim, LinkDirection& to_server);  // default config
@@ -114,21 +132,9 @@ class RpcClient : public PacketSink {
   // RTT histogram of *admitted* requests (kOverloaded replies are excluded —
   // a shed is not a served RPC).
   const Histogram& rtt() const { return rtt_; }
-  uint64_t sent() const { return sent_; }
-  uint64_t completed() const { return completed_; }
-  uint64_t errors() const { return errors_; }
-  uint64_t retransmits() const { return retransmits_; }
-  uint64_t retransmits_suppressed() const { return retransmits_suppressed_; }
-  uint64_t timeouts() const { return timeouts_; }
-  uint64_t late_responses() const { return late_responses_; }
+  const Stats& stats() const { return stats_; }
+  uint64_t completed() const { return stats_.completed; }
   size_t outstanding() const { return pending_.size(); }
-  // Overload accounting: kOverloaded replies get their own bucket (they are
-  // neither errors nor timeouts), plus breaker state for tests/benches.
-  uint64_t overloaded() const { return overloaded_; }
-  uint64_t breaker_openings() const { return breaker_openings_; }
-  uint64_t retransmits_suppressed_breaker() const {
-    return retransmits_suppressed_breaker_;
-  }
   bool breaker_open() const { return sim_.Now() < breaker_until_; }
   double retry_tokens() const { return retry_tokens_; }
 
@@ -139,12 +145,7 @@ class RpcClient : public PacketSink {
   void set_fault_injector(FaultInjector* faults) { faults_ = faults; }
 
   // Congestion-control introspection (0 / empty until traffic to `dst_ip`).
-  uint64_t cc_deferrals() const { return cc_deferrals_; }
-  uint64_t cc_marks_seen() const { return cc_marks_seen_; }
-  uint64_t cc_grants_received() const { return cc_grants_received_; }
-  uint64_t cc_shed_refunds() const { return cc_shed_refunds_; }
   double cc_window(uint32_t dst_ip) const;
-  uint16_t cc_grant(uint32_t dst_ip) const;
   size_t cc_outstanding(uint32_t dst_ip) const;
   size_t cc_deferred_count(uint32_t dst_ip) const;
 
@@ -214,24 +215,30 @@ class RpcClient : public PacketSink {
   double retry_tokens_ = 0.0;
   SimTime retry_refill_at_ = 0;
   Histogram rtt_;
-  uint64_t sent_ = 0;
-  uint64_t completed_ = 0;
-  uint64_t errors_ = 0;
-  uint64_t retransmits_ = 0;
-  uint64_t retransmits_suppressed_ = 0;
-  uint64_t timeouts_ = 0;
-  uint64_t late_responses_ = 0;
-  uint64_t overloaded_ = 0;
-  uint64_t breaker_openings_ = 0;
-  uint64_t retransmits_suppressed_breaker_ = 0;
+  Stats stats_;
   uint32_t overload_streak_ = 0;
   SimTime breaker_until_ = 0;
   std::unordered_map<uint32_t, CcState> cc_;  // dst ip -> window state
-  uint64_t cc_deferrals_ = 0;
-  uint64_t cc_marks_seen_ = 0;
-  uint64_t cc_grants_received_ = 0;
-  uint64_t cc_shed_refunds_ = 0;
 };
+
+// Exported as client/<name>.
+inline constexpr StatsField<RpcClient::Stats> kClientStatsFields[] = {
+    {"sent", &RpcClient::Stats::sent},
+    {"completed", &RpcClient::Stats::completed},
+    {"errors", &RpcClient::Stats::errors},
+    {"retransmits", &RpcClient::Stats::retransmits},
+    {"retransmits_suppressed", &RpcClient::Stats::retransmits_suppressed},
+    {"retransmits_suppressed_breaker", &RpcClient::Stats::retransmits_suppressed_breaker},
+    {"timeouts", &RpcClient::Stats::timeouts},
+    {"late_responses", &RpcClient::Stats::late_responses},
+    {"overloaded", &RpcClient::Stats::overloaded},
+    {"breaker_openings", &RpcClient::Stats::breaker_openings},
+    {"cc_deferrals", &RpcClient::Stats::cc_deferrals},
+    {"cc_marks_seen", &RpcClient::Stats::cc_marks_seen},
+    {"cc_grants_received", &RpcClient::Stats::cc_grants_received},
+    {"cc_shed_refunds", &RpcClient::Stats::cc_shed_refunds},
+};
+static_assert(CoversStats(kClientStatsFields));
 
 // Status delivered to on_done when every retransmit attempt expires. The
 // RpcMessage carries this status and the request id; payload is empty.

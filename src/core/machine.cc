@@ -343,8 +343,7 @@ void Machine::ResetMeasurement() {
   rpcs_at_reset_ = server_rpcs_;
 }
 
-void Machine::ExportMetrics(MetricsRegistry& metrics,
-                            const std::string& prefix) const {
+void Machine::ExportMetrics(MetricsRegistry& metrics, const std::string& prefix) const {
   const auto C = [&](const char* name, uint64_t value) {
     metrics.SetCounter(prefix + name, value);
   };
@@ -355,20 +354,7 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
     return metrics.Histo(prefix + name);
   };
 
-  C("client/sent", client_->sent());
-  C("client/completed", client_->completed());
-  C("client/errors", client_->errors());
-  C("client/retransmits", client_->retransmits());
-  C("client/retransmits_suppressed", client_->retransmits_suppressed());
-  C("client/retransmits_suppressed_breaker", client_->retransmits_suppressed_breaker());
-  C("client/timeouts", client_->timeouts());
-  C("client/late_responses", client_->late_responses());
-  C("client/overloaded", client_->overloaded());
-  C("client/breaker_openings", client_->breaker_openings());
-  C("client/cc_deferrals", client_->cc_deferrals());
-  C("client/cc_marks_seen", client_->cc_marks_seen());
-  C("client/cc_grants_received", client_->cc_grants_received());
-  C("client/cc_shed_refunds", client_->cc_shed_refunds());
+  ExportStats(metrics, prefix + "client/", client_->stats(), kClientStatsFields);
   H("client/rtt").Merge(client_->rtt());
   // Every device DMA translates through the IOMMU, one lookup per page.
   C("pcie/iotlb_hits", iommu_.iotlb_hits());
@@ -415,69 +401,26 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
                                 static_cast<double>(Microseconds(1)));
   H("machine/end_system_latency").Merge(end_system_);
 
-  // Fabric-facing wire counters: what this machine offered to (and dropped
-  // on) its own egress queues, visible even outside a testbed.
-  C("wire/client_egress_packets", wire_->a_to_b().packets_sent());
-  C("wire/client_egress_queue_drops", wire_->a_to_b().queue_drops());
-  C("wire/nic_egress_packets", wire_->b_to_a().packets_sent());
-  C("wire/nic_egress_queue_drops", wire_->b_to_a().queue_drops());
-  C("wire/client_egress_ecn_marked", wire_->a_to_b().ecn_marked());
-  C("wire/nic_egress_ecn_marked", wire_->b_to_a().ecn_marked());
-  // Loss drops (LinkConfig loss and injected faults); perfbench sums both
-  // directions under its own "wire/loss_drops".
-  C("wire/client_egress_loss_drops", wire_->a_to_b().packets_dropped());
-  C("wire/nic_egress_loss_drops", wire_->b_to_a().packets_dropped());
+  // This machine's own wire, visible even outside a testbed; perfbench sums
+  // the two loss_drops under its own "wire/loss_drops".
+  ExportStats(metrics, prefix + "wire/client_egress_", wire_->a_to_b().stats(),
+              kLinkStatsFields);
+  ExportStats(metrics, prefix + "wire/nic_egress_", wire_->b_to_a().stats(),
+              kLinkStatsFields);
   // Tail drops attributed per (src, dst) pair: who lost packets to whom.
-  const auto export_pair_drops = [&](const char* side, const LinkDirection& dir) {
-    for (const auto& [key, count] : dir.pair_drops()) {
-      const uint32_t src = static_cast<uint32_t>(key >> 32);
-      const uint32_t dst = static_cast<uint32_t>(key);
-      metrics.SetCounter(prefix + "wire/" + side + "_pair_drop/" +
-                             FormatIpv4(src) + "->" + FormatIpv4(dst),
-                         count);
-    }
-  };
-  export_pair_drops("client_egress", wire_->a_to_b());
-  export_pair_drops("nic_egress", wire_->b_to_a());
+  wire_->a_to_b().ExportPairDrops(metrics, prefix + "wire/client_egress_pair_drop/");
+  wire_->b_to_a().ExportPairDrops(metrics, prefix + "wire/nic_egress_pair_drop/");
 
   if (lauberhorn_nic_ != nullptr) {
     const LauberhornNic::Stats& s = lauberhorn_nic_->stats();
-    C("nic/hot_dispatches", s.hot_dispatches);
-    C("nic/queued_dispatches", s.queued_dispatches);
-    C("nic/cold_dispatches", s.cold_dispatches);
-    C("nic/cold_queued", s.cold_queued);
-    C("nic/tryagains", s.tryagains);
-    C("nic/retires", s.retires);
-    C("nic/responses_sent", s.responses_sent);
-    C("nic/dma_fallback_rx", s.dma_fallback_rx);
-    C("nic/dma_fallback_tx", s.dma_fallback_tx);
-    const RpcDedupCache::Stats& dedup = lauberhorn_nic_->dedup().stats();
-    C("nic/dedup_admitted", dedup.admitted);
-    C("nic/dup_drops_in_flight", dedup.duplicates_in_flight);
-    C("nic/dup_replays", dedup.duplicates_replayed);
-    C("nic/dedup_evictions", dedup.evictions);
+    ExportStats(metrics, prefix + "nic/", s, kLauberhornNicStatsFields);
+    ExportStats(metrics, prefix + "overload/sheds_", s.sheds, kShedCountsFields);
+    ExportStats(metrics, prefix + "nic/", lauberhorn_nic_->dedup().stats(),
+                kDedupStatsFields);
     // The name predates the single dedup table; perfbench reads it.
     G("recovery/shadow_dedup_entries",
       static_cast<double>(lauberhorn_nic_->dedup().size()));
-    C("nic/degradations", s.degradations);
-    C("nic/grants_issued", s.grants_issued);
-    C("nic/ecn_echoes", s.ecn_echoes);
-    C("nic/drops_nic_down", s.drops_nic_down);
-    C("nic/crashed_polls", s.crashed_polls);
-    C("nic/resets", s.nic_resets);
-    C("nic/drops_bad_frame", s.drops_bad_frame);
-    C("nic/drops_no_endpoint", s.drops_no_endpoint);
-    C("nic/drops_bad_args", s.drops_bad_args);
-    C("nic/drops_service_down", s.drops_service_down);
-    C("nic/crypto_failures", s.crypto_failures);
-    C("nic/wedged_polls", s.wedged_polls);
-    C("nic/degraded_dispatches", s.degraded_dispatches);
-    C("nic/dispatcher_wakeups", s.dispatcher_wakeups);
     C("nic/trace_dropped", lauberhorn_nic_->trace().dropped());
-    C("overload/sheds_queue", s.sheds.queue);
-    C("overload/sheds_quota", s.sheds.quota);
-    C("overload/sheds_sojourn", s.sheds.sojourn);
-    C("overload/sheds_vf_quota", s.sheds.vf_quota);
     // Per-core occupancy: where the NIC's dispatch decisions actually landed
     // (§18). busy_ns is delivered-to-collected time, queue_depth the live
     // private backlog of the endpoint active on that core.
@@ -491,40 +434,26 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
     }
     // Per-discipline dispatch counters, keyed by policy name.
     for (const auto& [kind, ps] : lauberhorn_nic_->PolicyStatsSnapshot()) {
-      ExportDispatchPolicyStats(metrics, prefix, kind, ps);
+      ExportStats(metrics, prefix + "dispatch/" + ToString(kind) + "/", ps,
+                  kDispatchPolicyStatsFields);
     }
     // Per-tenant (VF) slices; VF 0 is the PF and carries no tenant quota.
     for (uint32_t vf = 1; vf < lauberhorn_nic_->NumVfs(); ++vf) {
       const LauberhornNic::VfStats& v = lauberhorn_nic_->vf_stats(vf);
       const std::string base = "nic/vf" + std::to_string(vf) + "/";
-      metrics.SetCounter(prefix + base + "rx_requests", v.rx_requests);
-      metrics.SetCounter(prefix + base + "responses", v.responses);
-      metrics.SetCounter(prefix + base + "sheds_queue", v.sheds.queue);
-      metrics.SetCounter(prefix + base + "sheds_quota", v.sheds.quota);
-      metrics.SetCounter(prefix + base + "sheds_sojourn", v.sheds.sojourn);
-      metrics.SetCounter(prefix + base + "sheds_vf_quota", v.sheds.vf_quota);
-      metrics.SetCounter(prefix + base + "rss_steered", v.rss_steered);
-      metrics.SetCounter(prefix + base + "rss_fallbacks", v.rss_fallbacks);
-      metrics.SetCounter(prefix + base + "endpoints", v.endpoints);
+      ExportStats(metrics, prefix + base, v, kVfStatsFields);
+      ExportStats(metrics, prefix + base + "sheds_", v.sheds, kShedCountsFields);
     }
   }
   if (dma_nic_ != nullptr) {
-    C("dmanic/rx_packets", dma_nic_->rx_packets());
-    C("dmanic/tx_packets", dma_nic_->tx_packets());
-    C("dmanic/rx_drops_no_desc", dma_nic_->rx_drops_no_desc());
-    C("dmanic/rx_drops_bad_frame", dma_nic_->rx_drops_bad_frame());
-    C("dmanic/rx_drops_service_down", dma_nic_->rx_drops_service_down());
-    C("dmanic/tx_ring_full", dma_driver_->tx_ring_full());
-    C("dmanic/rx_rebinds", dma_nic_->rx_rebinds());
+    ExportStats(metrics, prefix + "dmanic/", dma_nic_->stats(), kDmaNicStatsFields);
+    ExportStats(metrics, prefix + "dmanic/", dma_driver_->stats(),
+                kDmaNicDriverStatsFields);
     G("dmanic/bound_ports", static_cast<double>(dma_nic_->BoundPorts()));
   }
   if (lauberhorn_runtime_ != nullptr) {
-    C("runtime/rpcs_hot", lauberhorn_runtime_->rpcs_hot());
-    C("runtime/rpcs_cold", lauberhorn_runtime_->rpcs_cold());
-    C("runtime/loops_started", lauberhorn_runtime_->loops_started());
-    C("runtime/loops_exited", lauberhorn_runtime_->loops_exited());
-    C("runtime/nested_issued", lauberhorn_runtime_->nested_issued());
-    C("runtime/nested_failed", lauberhorn_runtime_->nested_failed());
+    ExportStats(metrics, prefix + "runtime/", lauberhorn_runtime_->stats(),
+                kRuntimeStatsFields);
     C("overload/scale_suppressed", lauberhorn_runtime_->scale_suppressed());
   }
   if (const SoftwareRpcServer* server = software_server()) {
@@ -534,37 +463,11 @@ void Machine::ExportMetrics(MetricsRegistry& metrics,
     C("bypass/empty_polls", bypass_->empty_polls());
   }
   if (faults_ != nullptr) {
-    const FaultInjector::Stats& f = faults_->stats();
-    C("fault/net_drops", f.net_drops);
-    C("fault/net_duplicates", f.net_duplicates);
-    C("fault/net_reorders", f.net_reorders);
-    C("fault/net_corruptions", f.net_corruptions);
-    C("fault/coherence_fill_delays", f.coherence_fill_delays);
-    C("fault/coherence_fill_drops", f.coherence_fill_drops);
-    C("fault/iommu_faults", f.iommu_faults);
-    C("fault/dma_errors", f.dma_errors);
-    C("fault/os_crashes", f.os_crashes);
-    C("fault/nic_wedges", f.nic_wedges);
-    C("fault/nic_crashes", f.nic_crashes);
-    C("fault/cc_grant_losses", f.cc_grant_losses);
-    C("fault/cc_ecn_corruptions", f.cc_ecn_corruptions);
+    ExportStats(metrics, prefix + "fault/", faults_->stats(), kFaultStatsFields);
   }
   if (nic_recovery_ != nullptr) {
-    const NicRecoveryManager::Stats& r = nic_recovery_->stats();
-    C("recovery/heartbeats", r.heartbeats);
-    C("recovery/watchdog_fires", r.watchdog_fires);
-    C("recovery/recoveries", r.recoveries);
-    C("recovery/replayed_vfs", r.replayed_vfs);
-    C("recovery/replayed_endpoints", r.replayed_endpoints);
-    C("recovery/replayed_kernel_channels", r.replayed_kernel_channels);
-    C("recovery/replayed_continuations", r.replayed_continuations);
-    C("recovery/replayed_dedup_completed", r.replayed_dedup_completed);
-    C("recovery/replayed_dedup_in_flight", r.replayed_dedup_in_flight);
-    C("recovery/dropped_undelivered", r.dropped_undelivered);
-    G("recovery/last_blackout_us", static_cast<double>(r.last_blackout) /
-                                       static_cast<double>(Microseconds(1)));
-    G("recovery/total_blackout_us", static_cast<double>(r.total_blackout) /
-                                        static_cast<double>(Microseconds(1)));
+    ExportStats(metrics, prefix + "recovery/", nic_recovery_->stats(),
+                kRecoveryStatsFields);
   }
   if (spans_ != nullptr) {
     C("span/completed", spans_->completed().size());

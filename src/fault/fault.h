@@ -22,6 +22,7 @@
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 #include "src/sim/time.h"
+#include "src/stats/metrics.h"
 
 namespace lauberhorn {
 
@@ -189,7 +190,6 @@ class FaultInjector {
   bool NetShouldDuplicate();
   // Returns 0 (deliver in order) or an extra delay to apply to this packet.
   Duration NetReorderDelay();
-  bool net_in_burst() const { return net_bad_state_; }
 
   // --- coherence ---
   bool CoherenceShouldDropFill();
@@ -247,6 +247,25 @@ class FaultInjector {
   SimTime nic_crash_cleared_until_ = -1;
   std::unordered_map<uint32_t, SimTime> nic_wedged_until_;
 };
+
+// Exported as fault/<name>.
+inline constexpr StatsField<FaultInjector::Stats> kFaultStatsFields[] = {
+    {"net_drops", &FaultInjector::Stats::net_drops},
+    {"net_burst_entries", &FaultInjector::Stats::net_burst_entries},
+    {"net_duplicates", &FaultInjector::Stats::net_duplicates},
+    {"net_reorders", &FaultInjector::Stats::net_reorders},
+    {"net_corruptions", &FaultInjector::Stats::net_corruptions},
+    {"coherence_fill_delays", &FaultInjector::Stats::coherence_fill_delays},
+    {"coherence_fill_drops", &FaultInjector::Stats::coherence_fill_drops},
+    {"iommu_faults", &FaultInjector::Stats::iommu_faults},
+    {"dma_errors", &FaultInjector::Stats::dma_errors},
+    {"os_crashes", &FaultInjector::Stats::os_crashes},
+    {"nic_wedges", &FaultInjector::Stats::nic_wedges},
+    {"nic_crashes", &FaultInjector::Stats::nic_crashes},
+    {"cc_grant_losses", &FaultInjector::Stats::cc_grant_losses},
+    {"cc_ecn_corruptions", &FaultInjector::Stats::cc_ecn_corruptions},
+};
+static_assert(CoversStats(kFaultStatsFields));
 
 }  // namespace lauberhorn
 

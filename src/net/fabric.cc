@@ -40,41 +40,22 @@ void IpSwitch::ReceivePacket(Packet packet) {
   ports_[it->second]->egress.Send(std::move(packet));
 }
 
-uint64_t IpSwitch::queue_drops() const {
-  uint64_t total = 0;
-  for (const auto& port : ports_) {
-    total += port->egress.queue_drops();
+void IpSwitch::ExportMetrics(MetricsRegistry& metrics, const std::string& prefix) const {
+  LinkDirection::Stats total;
+  for (size_t i = 0; i < ports_.size(); ++i) {
+    const LinkDirection::Stats& port = ports_[i]->egress.stats();
+    AddStats(total, port, kLinkStatsFields);
+    const std::string base = prefix + "port" + std::to_string(i) + "/";
+    metrics.SetCounter(base + "forwarded", port.packets_sent);
+    metrics.SetCounter(base + "queue_drops", port.queue_drops);
+    metrics.SetCounter(base + "ecn_marked", port.ecn_marked);
+    metrics.SetCounter(base + "bytes", port.bytes_sent);
+    ports_[i]->egress.ExportPairDrops(metrics, base + "pair_drop/");
   }
-  return total;
-}
-
-uint64_t IpSwitch::ecn_marked() const {
-  uint64_t total = 0;
-  for (const auto& port : ports_) {
-    total += port->egress.ecn_marked();
-  }
-  return total;
-}
-
-void IpSwitch::ExportMetrics(MetricsRegistry& metrics,
-                             const std::string& prefix) const {
   metrics.SetCounter(prefix + "forwarded", forwarded_);
   metrics.SetCounter(prefix + "dropped", dropped_);
-  metrics.SetCounter(prefix + "queue_drops", queue_drops());
-  metrics.SetCounter(prefix + "ecn_marked", ecn_marked());
-  for (size_t i = 0; i < ports_.size(); ++i) {
-    const std::string base = prefix + "port" + std::to_string(i) + "/";
-    metrics.SetCounter(base + "forwarded", ports_[i]->egress.packets_sent());
-    metrics.SetCounter(base + "queue_drops", ports_[i]->egress.queue_drops());
-    metrics.SetCounter(base + "ecn_marked", ports_[i]->egress.ecn_marked());
-    metrics.SetCounter(base + "bytes", ports_[i]->egress.bytes_sent());
-    for (const auto& [key, drops] : ports_[i]->egress.pair_drops()) {
-      metrics.SetCounter(base + "pair_drop/" +
-                             FormatIpv4(static_cast<uint32_t>(key >> 32)) +
-                             "->" + FormatIpv4(static_cast<uint32_t>(key)),
-                         drops);
-    }
-  }
+  metrics.SetCounter(prefix + "queue_drops", total.queue_drops);
+  metrics.SetCounter(prefix + "ecn_marked", total.ecn_marked);
 }
 
 }  // namespace lauberhorn

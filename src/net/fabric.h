@@ -48,18 +48,14 @@ class IpSwitch : public PacketSink {
   uint64_t forwarded() const { return forwarded_; }
   // Unroutable or unparseable frames dropped at ingress.
   uint64_t dropped() const { return dropped_; }
-  // Egress-buffer tail drops summed over all ports.
-  uint64_t queue_drops() const;
-  // CE marks applied across all egress queues.
-  uint64_t ecn_marked() const;
 
   size_t num_ports() const { return ports_.size(); }
   uint32_t port_ip(size_t index) const { return ports_[index]->ip; }
   const LinkDirection& port(size_t index) const { return ports_[index]->egress; }
 
-  // Snapshots fabric counters under `prefix`: aggregate forwarded / dropped /
-  // queue_drops plus per-port forwarded, queue_drops, and bytes keyed as
-  // "<prefix>port<i>/...". Ports are numbered in registration order.
+  // Snapshots fabric counters under `prefix`: forwarded, dropped and the ports'
+  // summed queue_drops and ecn_marked, plus each port's forwarded, queue_drops,
+  // ecn_marked, bytes and pair drops under "<prefix>port<i>/" (registration order).
   void ExportMetrics(MetricsRegistry& metrics,
                      const std::string& prefix = "fabric/") const;
 

@@ -52,7 +52,7 @@ void LinkDirection::Send(Packet packet) {
       busy_until_.pop_front();
     }
     if (config_.queue_limit > 0 && busy_until_.size() >= config_.queue_limit) {
-      ++queue_drops_;
+      ++stats_.queue_drops;
       // Attribute the drop to the (src, dst) pair so incast victims are
       // identifiable instead of vanishing into a per-port aggregate.
       const auto pair = PeekIpv4SrcDst(packet);
@@ -66,18 +66,18 @@ void LinkDirection::Send(Packet packet) {
     // of the queue, corruption of the marked frame a property of the wire.
     if (config_.ecn_threshold > 0 &&
         busy_until_.size() >= config_.ecn_threshold && MarkEcnCe(packet)) {
-      ++ecn_marked_;
+      ++stats_.ecn_marked;
     }
   }
-  ++packets_sent_;
-  bytes_sent_ += packet.size();
+  ++stats_.packets_sent;
+  stats_.bytes_sent += packet.size();
 
   bool drop = config_.loss_probability > 0.0 && rng_.Bernoulli(config_.loss_probability);
   if (faults_ != nullptr && faults_->NetShouldDrop()) {
     drop = true;
   }
   if (drop) {
-    ++packets_dropped_;
+    ++stats_.packets_dropped;
     return;
   }
   if (faults_ == nullptr) {
@@ -88,16 +88,16 @@ void LinkDirection::Send(Packet packet) {
     const size_t byte_index = rng_.UniformInt(0, packet.bytes.size() - 1);
     const auto bit = static_cast<uint8_t>(1u << rng_.UniformInt(0, 7));
     packet.bytes[byte_index] ^= bit;
-    ++packets_corrupted_;
+    ++stats_.packets_corrupted;
   }
   const bool duplicate = faults_->NetShouldDuplicate();
   const Duration extra = faults_->NetReorderDelay();
   if (extra > 0) {
-    ++packets_reordered_;
+    ++stats_.packets_reordered;
   }
 
   if (duplicate) {
-    ++packets_duplicated_;
+    ++stats_.packets_duplicated;
     Transmit(packet, extra);  // copies; the duplicate serializes right behind
   }
   Transmit(std::move(packet), extra);
@@ -105,5 +105,13 @@ void LinkDirection::Send(Packet packet) {
 
 Link::Link(Simulator& sim, const LinkConfig& config)
     : a_to_b_(sim, config, config.seed * 2 + 1), b_to_a_(sim, config, config.seed * 2 + 2) {}
+
+void LinkDirection::ExportPairDrops(MetricsRegistry& metrics, const std::string& prefix) const {
+  for (const auto& [key, drops] : pair_drops_) {
+    metrics.SetCounter(prefix + FormatIpv4(static_cast<uint32_t>(key >> 32)) + "->" +
+                           FormatIpv4(static_cast<uint32_t>(key)),
+                       drops);
+  }
+}
 
 }  // namespace lauberhorn

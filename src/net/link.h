@@ -14,6 +14,7 @@
 #include "src/sim/random.h"
 #include "src/sim/simulator.h"
 #include "src/sim/time.h"
+#include "src/stats/metrics.h"
 
 namespace lauberhorn {
 
@@ -32,7 +33,7 @@ struct LinkConfig {
   double loss_probability = 0.0;            // silently drop
   // Finite egress buffer, in packets awaiting or under serialization. A
   // packet arriving at a full buffer is dropped and counted in
-  // queue_drops(). 0 = unbounded (the seed behavior; machine wires keep it).
+  // Stats::queue_drops. 0 = unbounded (the seed behavior; machine wires keep it).
   size_t queue_limit = 0;
   // ECN marking threshold K, in packets (DCTCP-style instantaneous-depth
   // marking): an ECT packet arriving when the buffer already holds >= K
@@ -53,6 +54,17 @@ struct LinkConfig {
 // later packets overtake it in arrival order.
 class LinkDirection {
  public:
+  struct Stats {
+    uint64_t packets_sent = 0;
+    uint64_t packets_dropped = 0;  // LinkConfig loss and injected burst loss
+    uint64_t packets_corrupted = 0;
+    uint64_t packets_duplicated = 0;
+    uint64_t packets_reordered = 0;
+    uint64_t queue_drops = 0;  // tail drops at a full egress buffer
+    uint64_t ecn_marked = 0;
+    uint64_t bytes_sent = 0;
+  };
+
   LinkDirection(Simulator& sim, const LinkConfig& config, uint64_t seed);
 
   void set_sink(PacketSink* sink) { sink_ = sink; }
@@ -63,14 +75,8 @@ class LinkDirection {
   // Hands a packet to the wire.
   void Send(Packet packet);
 
-  uint64_t packets_sent() const { return packets_sent_; }
-  uint64_t packets_dropped() const { return packets_dropped_; }
-  uint64_t packets_corrupted() const { return packets_corrupted_; }
-  uint64_t packets_duplicated() const { return packets_duplicated_; }
-  uint64_t packets_reordered() const { return packets_reordered_; }
-  uint64_t queue_drops() const { return queue_drops_; }
-  uint64_t ecn_marked() const { return ecn_marked_; }
-  uint64_t bytes_sent() const { return bytes_sent_; }
+  const Stats& stats() const { return stats_; }
+  uint64_t packets_dropped() const { return stats_.packets_dropped; }
   // Packets currently buffered or serializing (0 when neither queue_limit
   // nor ecn_threshold is set, which skips occupancy tracking entirely).
   size_t queue_depth(SimTime now) const;
@@ -81,6 +87,8 @@ class LinkDirection {
   static uint64_t PairKey(uint32_t src, uint32_t dst) {
     return (static_cast<uint64_t>(src) << 32) | dst;
   }
+  // Sets <prefix><src>-><dst> to each pair's tail drops.
+  void ExportPairDrops(MetricsRegistry& metrics, const std::string& prefix) const;
 
  private:
   Duration SerializationDelay(size_t bytes) const;
@@ -101,15 +109,21 @@ class LinkDirection {
   // tracked): entries <= now have left the buffer and are pruned lazily.
   std::deque<SimTime> busy_until_;
   std::map<uint64_t, uint64_t> pair_drops_;  // PairKey(src, dst) -> tail drops
-  uint64_t packets_sent_ = 0;
-  uint64_t packets_dropped_ = 0;
-  uint64_t packets_corrupted_ = 0;
-  uint64_t packets_duplicated_ = 0;
-  uint64_t packets_reordered_ = 0;
-  uint64_t queue_drops_ = 0;
-  uint64_t ecn_marked_ = 0;
-  uint64_t bytes_sent_ = 0;
+  Stats stats_;
 };
+
+// A machine's wire exported as wire/<side>_egress_<name>.
+inline constexpr StatsField<LinkDirection::Stats> kLinkStatsFields[] = {
+    {"packets", &LinkDirection::Stats::packets_sent},
+    {"loss_drops", &LinkDirection::Stats::packets_dropped},
+    {"packets_corrupted", &LinkDirection::Stats::packets_corrupted},
+    {"packets_duplicated", &LinkDirection::Stats::packets_duplicated},
+    {"packets_reordered", &LinkDirection::Stats::packets_reordered},
+    {"queue_drops", &LinkDirection::Stats::queue_drops},
+    {"ecn_marked", &LinkDirection::Stats::ecn_marked},
+    {"bytes", &LinkDirection::Stats::bytes_sent},
+};
+static_assert(CoversStats(kLinkStatsFields));
 
 // A full-duplex link: direction A->B and B->A.
 class Link {

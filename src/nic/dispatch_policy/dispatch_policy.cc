@@ -1,18 +1,6 @@
 #include "src/nic/dispatch_policy/dispatch_policy.h"
 
-#include "src/stats/metrics.h"
-
 namespace lauberhorn {
-
-void ExportDispatchPolicyStats(MetricsRegistry& metrics,
-                               const std::string& prefix,
-                               DispatchPolicyKind kind,
-                               const DispatchPolicyStats& stats) {
-  const std::string base = prefix + "dispatch/" + ToString(kind) + "/";
-  for (const DispatchPolicyStatsField& field : kDispatchPolicyStatsFields) {
-    metrics.SetCounter(base + field.name, stats.*field.value);
-  }
-}
 
 const char* ToString(DispatchPolicyKind kind) {
   switch (kind) {

@@ -29,9 +29,10 @@
 #define SRC_NIC_DISPATCH_POLICY_DISPATCH_POLICY_H_
 
 #include <cstdint>
-#include <iterator>
 #include <optional>
 #include <string>
+
+#include "src/stats/metrics.h"
 
 namespace lauberhorn {
 
@@ -70,11 +71,7 @@ struct DispatchPolicyStats {
 
 // The one list of DispatchPolicyStats fields, in export order. Both the
 // per-policy sum and the dispatch/<policy>/<name> export walk it.
-struct DispatchPolicyStatsField {
-  const char* name;
-  uint64_t DispatchPolicyStats::*value;
-};
-inline constexpr DispatchPolicyStatsField kDispatchPolicyStatsFields[] = {
+inline constexpr StatsField<DispatchPolicyStats> kDispatchPolicyStatsFields[] = {
     {"hot_dispatches", &DispatchPolicyStats::hot_dispatches},
     {"local_queued", &DispatchPolicyStats::local_queued},
     {"central_queued", &DispatchPolicyStats::central_queued},
@@ -84,17 +81,7 @@ inline constexpr DispatchPolicyStatsField kDispatchPolicyStatsFields[] = {
     {"returned_on_retire", &DispatchPolicyStats::returned_on_retire},
     {"drained_cold", &DispatchPolicyStats::drained_cold},
 };
-static_assert(std::size(kDispatchPolicyStatsFields) * sizeof(uint64_t) ==
-                  sizeof(DispatchPolicyStats),
-              "every DispatchPolicyStats field is listed once");
-
-class MetricsRegistry;
-
-// Sets <prefix>dispatch/<kind>/<field> for every field of `stats`.
-void ExportDispatchPolicyStats(MetricsRegistry& metrics,
-                               const std::string& prefix,
-                               DispatchPolicyKind kind,
-                               const DispatchPolicyStats& stats);
+static_assert(CoversStats(kDispatchPolicyStatsFields));
 
 const char* ToString(DispatchPolicyKind kind);
 std::optional<DispatchPolicyKind> ParseDispatchPolicyKind(

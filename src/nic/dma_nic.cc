@@ -21,7 +21,7 @@ void DmaNic::BindPort(uint16_t dst_port, uint32_t queue) {
   auto [it, inserted] = port_bindings_.emplace(dst_port, queue);
   if (!inserted && it->second != queue) {
     it->second = queue;
-    ++rx_rebinds_;
+    ++stats_.rx_rebinds;
   }
 }
 
@@ -63,18 +63,18 @@ void DmaNic::ReceivePacket(Packet packet) {
     if (faults_ != nullptr && !faults_->OsServiceUp()) {
       // OS crash window: nothing above the device will repost descriptors or
       // drain rings; arriving traffic is lost until the stack restarts.
-      ++rx_drops_service_down_;
+      ++stats_.rx_drops_service_down;
       return;
     }
     // A real NIC validates the frame before DMA (L2 CRC; checksum offload).
     if (!valid) {
-      ++rx_drops_bad_frame_;
+      ++stats_.rx_drops_bad_frame;
       return;
     }
     const uint32_t q = RssQueue(packet);
     Queue& queue = queues_[q];
     if (queue.rx_backlog.size() >= config_.rx_fifo_depth) {
-      ++rx_drops_no_desc_;  // device FIFO overflow
+      ++stats_.rx_drops_no_desc;  // device FIFO overflow
       return;
     }
     queue.rx_backlog.push_back(std::move(packet));
@@ -90,7 +90,7 @@ void DmaNic::StartRxDelivery(uint32_t q) {
   if (queue.rx_size == 0 || queue.rx_head == queue.rx_tail) {
     // No posted descriptors: drop from the head of the backlog, as hardware
     // does when the host is too slow.
-    ++rx_drops_no_desc_;
+    ++stats_.rx_drops_no_desc;
     queue.rx_backlog.pop_front();
     if (!queue.rx_backlog.empty()) {
       sim_.Schedule(0, [this, q]() { StartRxDelivery(q); });
@@ -116,13 +116,13 @@ void DmaNic::DeliverOne(uint32_t q, Packet packet) {
       [this, q, desc_iova, packet = std::move(packet)](std::span<const uint8_t> raw) mutable {
     Queue& queue = queues_[q];
     if (raw.empty()) {
-      ++rx_drops_no_desc_;  // IOMMU fault on the ring
+      ++stats_.rx_drops_no_desc;  // IOMMU fault on the ring
       queue.rx_busy = false;
       return;
     }
     Descriptor desc = Descriptor::Decode(raw);
     if ((desc.flags & kDescReady) == 0 || desc.length < packet.size()) {
-      ++rx_drops_no_desc_;
+      ++stats_.rx_drops_no_desc;
       queue.rx_busy = false;
       StartRxDelivery(q);
       return;
@@ -140,7 +140,7 @@ void DmaNic::DeliverOne(uint32_t q, Packet packet) {
           [this, q]() {
             Queue& queue = queues_[q];
             ++queue.rx_head;
-            ++rx_packets_;
+            ++stats_.rx_packets;
             queue.rx_busy = false;
             MaybeInterrupt(q);
             StartRxDelivery(q);
@@ -205,7 +205,7 @@ void DmaNic::StartTx(uint32_t q) {
           }
           tx_wire_->Send(std::move(out));
         }
-        ++tx_packets_;
+        ++stats_.tx_packets;
         Descriptor done = desc;
         done.flags = kDescDone;
         pcie_.DeviceDmaWrite(
@@ -384,7 +384,7 @@ bool DmaNicDriver::Transmit(uint32_t q, std::span<const uint8_t> bytes) {
   if ((ring.Read(index).flags & kDescReady) != 0) {
     // The device has not completed this slot yet: the ring is full, and
     // overwriting the slot would lose its frame.
-    ++tx_ring_full_;
+    ++stats_.tx_ring_full;
     return false;
   }
   const uint64_t buffer = queue.tx_buffers + index * config_.buffer_size;

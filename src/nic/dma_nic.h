@@ -19,6 +19,7 @@
 #include "src/pcie/ring.h"
 #include "src/proto/rpc_message.h"
 #include "src/sim/simulator.h"
+#include "src/stats/metrics.h"
 
 namespace lauberhorn {
 
@@ -46,6 +47,15 @@ class DmaNic : public PacketSink, public MmioDevice {
     // say "no". Small values drop early instead of hiding milliseconds of
     // delay from the host's overload signals.
     size_t rx_fifo_depth = 4096;
+  };
+
+  struct Stats {
+    uint64_t rx_packets = 0;
+    uint64_t tx_packets = 0;
+    uint64_t rx_drops_no_desc = 0;  // FIFO overflow, no descriptor, ring fault
+    uint64_t rx_drops_bad_frame = 0;
+    uint64_t rx_drops_service_down = 0;  // RX while the OS is crashed
+    uint64_t rx_rebinds = 0;  // a bound port re-pointed at another queue
   };
 
   DmaNic(Simulator& sim, Config config, PcieLink& pcie, Msix& msix);
@@ -83,12 +93,7 @@ class DmaNic : public PacketSink, public MmioDevice {
   Function<void(const RpcHeaderPeek&)> on_wire_rx;
   Function<void(const RpcHeaderPeek&)> on_wire_tx;
 
-  uint64_t rx_packets() const { return rx_packets_; }
-  uint64_t rx_drops_no_desc() const { return rx_drops_no_desc_; }
-  uint64_t rx_drops_bad_frame() const { return rx_drops_bad_frame_; }
-  uint64_t rx_drops_service_down() const { return rx_drops_service_down_; }
-  uint64_t tx_packets() const { return tx_packets_; }
-  uint64_t rx_rebinds() const { return rx_rebinds_; }
+  const Stats& stats() const { return stats_; }
 
  private:
   struct Queue {
@@ -120,13 +125,19 @@ class DmaNic : public PacketSink, public MmioDevice {
   std::vector<Queue> queues_;
   std::unordered_map<uint16_t, uint32_t> port_bindings_;
   bool interrupts_enabled_;
-  uint64_t rx_packets_ = 0;
-  uint64_t rx_drops_no_desc_ = 0;
-  uint64_t rx_drops_bad_frame_ = 0;
-  uint64_t rx_drops_service_down_ = 0;
-  uint64_t tx_packets_ = 0;
-  uint64_t rx_rebinds_ = 0;
+  Stats stats_;
 };
+
+// Exported as dmanic/<name>.
+inline constexpr StatsField<DmaNic::Stats> kDmaNicStatsFields[] = {
+    {"rx_packets", &DmaNic::Stats::rx_packets},
+    {"tx_packets", &DmaNic::Stats::tx_packets},
+    {"rx_drops_no_desc", &DmaNic::Stats::rx_drops_no_desc},
+    {"rx_drops_bad_frame", &DmaNic::Stats::rx_drops_bad_frame},
+    {"rx_drops_service_down", &DmaNic::Stats::rx_drops_service_down},
+    {"rx_rebinds", &DmaNic::Stats::rx_rebinds},
+};
+static_assert(CoversStats(kDmaNicStatsFields));
 
 // Host-side driver: owns rings and buffers in host memory, posts RX
 // descriptors, harvests completions, and submits TX. The CPU cost of driver
@@ -163,9 +174,12 @@ class DmaNicDriver {
   // ring is full (the next slot's descriptor is still owned by the device).
   bool Transmit(uint32_t q, std::span<const uint8_t> bytes);
 
+  struct Stats {
+    uint64_t tx_ring_full = 0;  // transmits refused because the TX ring was full
+  };
+
   uint32_t num_queues() const { return config_.num_queues; }
-  // Transmits refused because the TX ring was full.
-  uint64_t tx_ring_full() const { return tx_ring_full_; }
+  const Stats& stats() const { return stats_; }
 
  private:
   struct QueueState {
@@ -186,8 +200,14 @@ class DmaNicDriver {
   Iommu& iommu_;
   MemoryHomeAgent& memory_;
   std::vector<QueueState> queues_;
-  uint64_t tx_ring_full_ = 0;
+  Stats stats_;
 };
+
+// Exported as dmanic/<name>, next to the device's own counters.
+inline constexpr StatsField<DmaNicDriver::Stats> kDmaNicDriverStatsFields[] = {
+    {"tx_ring_full", &DmaNicDriver::Stats::tx_ring_full},
+};
+static_assert(CoversStats(kDmaNicDriverStatsFields));
 
 }  // namespace lauberhorn
 

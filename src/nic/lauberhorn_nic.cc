@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <memory>
 #include <utility>
 
@@ -192,13 +191,13 @@ void LauberhornNic::CrashNow() {
 void LauberhornNic::WipeVolatileState() {
   ++wipes_;
   for (Endpoint& ep : endpoints_) {
-    ep.pending.TakeAll();
+    stats_.wiped_requests += ep.pending.TakeAll().size();
     const EndpointBinding binding = ep;
     ep = Endpoint{};
     static_cast<EndpointBinding&>(ep) = binding;
   }
   line_store_.clear();
-  cold_queue_.TakeAll();
+  stats_.wiped_requests += cold_queue_.TakeAll().size();
   cold_inflight_.clear();
   service_quota_.clear();
   cc_senders_.clear();
@@ -206,7 +205,7 @@ void LauberhornNic::WipeVolatileState() {
   // The *configs* are derived from the OS's ServiceDef/VfConfig, which a
   // crash keeps, and the counters persist like stats_.
   for (auto& [service_id, group] : groups_) {
-    group.central.TakeAll();
+    stats_.wiped_requests += group.central.TakeAll().size();
     group.central.ResetGate();
   }
   for (const auto& [service_id, backlog] : service_backlog_) {
@@ -1537,16 +1536,12 @@ DispatchPolicyConfig LauberhornNic::ServicePolicy(uint32_t service_id) {
                          : EnsureGroup(endpoints_[members.front()]).config;
 }
 
-std::vector<std::pair<DispatchPolicyKind, DispatchPolicyStats>>
-LauberhornNic::PolicyStatsSnapshot() const {
+std::map<DispatchPolicyKind, DispatchPolicyStats> LauberhornNic::PolicyStatsSnapshot() const {
   std::map<DispatchPolicyKind, DispatchPolicyStats> by_kind;
   for (const auto& [service_id, group] : groups_) {
-    DispatchPolicyStats& agg = by_kind[group.config.kind];
-    for (const DispatchPolicyStatsField& field : kDispatchPolicyStatsFields) {
-      agg.*field.value += group.stats.*field.value;
-    }
+    AddStats(by_kind[group.config.kind], group.stats, kDispatchPolicyStatsFields);
   }
-  return {by_kind.begin(), by_kind.end()};
+  return by_kind;
 }
 
 std::map<int, LauberhornNic::CoreOccupancy>
@@ -1566,59 +1561,6 @@ double LauberhornNic::ArrivalRate(uint32_t endpoint) const {
 
 bool LauberhornNic::EndpointActive(uint32_t endpoint) const {
   return endpoints_[endpoint].active;
-}
-
-std::string LauberhornNic::DebugReport() {
-  std::string out = "LauberhornNic endpoints:\n";
-  char line[256];
-  for (const Endpoint& ep : endpoints_) {
-    if (!ep.in_use) {
-      continue;
-    }
-    const char* kind = ep.is_kernel ? "kernel" : ep.is_continuation ? "cont" : "svc";
-    std::snprintf(line, sizeof(line),
-                  "  ep=%u kind=%-6s svc=%u pid=%u %s%s queue=%zu rate=%.0f/s %s\n",
-                  ep.id, kind, ep.service_id, ep.pid, ep.active ? "active" : "idle",
-                  ep.waiting.has_value() ? "+parked" : "", ep.pending.size(),
-                  ep.arrival_rate.value(),
-                  ep.latency != nullptr ? ep.latency->Summary().c_str() : "no-traffic");
-    out += line;
-  }
-  std::snprintf(line, sizeof(line),
-                "  totals: hot=%llu queued=%llu cold=%llu tryagain=%llu retire=%llu "
-                "tx=%llu drops=%llu\n",
-                static_cast<unsigned long long>(stats_.hot_dispatches),
-                static_cast<unsigned long long>(stats_.queued_dispatches),
-                static_cast<unsigned long long>(stats_.cold_dispatches),
-                static_cast<unsigned long long>(stats_.tryagains),
-                static_cast<unsigned long long>(stats_.retires),
-                static_cast<unsigned long long>(stats_.responses_sent),
-                static_cast<unsigned long long>(
-                    stats_.drops_bad_frame + stats_.drops_no_endpoint +
-                    stats_.drops_bad_args + stats_.sheds.queue));
-  out += line;
-  std::snprintf(line, sizeof(line),
-                "  sheds: queue=%llu quota=%llu sojourn=%llu vf_quota=%llu\n",
-                static_cast<unsigned long long>(stats_.sheds.queue),
-                static_cast<unsigned long long>(stats_.sheds.quota),
-                static_cast<unsigned long long>(stats_.sheds.sojourn),
-                static_cast<unsigned long long>(stats_.sheds.vf_quota));
-  out += line;
-  for (size_t vf = 1; vf < vfs_.size(); ++vf) {
-    const VfState& state = vfs_[vf];
-    std::snprintf(line, sizeof(line),
-                  "  vf=%zu name=%s endpoints=%llu rx=%llu tx=%llu "
-                  "vf_quota_sheds=%llu rss=%llu/%llu\n",
-                  vf, state.config.name.c_str(),
-                  static_cast<unsigned long long>(state.stats.endpoints),
-                  static_cast<unsigned long long>(state.stats.rx_requests),
-                  static_cast<unsigned long long>(state.stats.responses),
-                  static_cast<unsigned long long>(state.stats.sheds.vf_quota),
-                  static_cast<unsigned long long>(state.stats.rss_steered),
-                  static_cast<unsigned long long>(state.stats.rss_fallbacks));
-    out += line;
-  }
-  return out;
 }
 
 const Histogram& LauberhornNic::EndpointLatency(uint32_t endpoint) {

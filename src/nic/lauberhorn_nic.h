@@ -171,6 +171,7 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     uint64_t drops_nic_down = 0;
     uint64_t crashed_polls = 0;
     uint64_t nic_resets = 0;
+    uint64_t wiped_requests = 0;  // queued requests a crash discarded
   };
 
   LauberhornNic(Simulator& sim, CoherentInterconnect& interconnect, PcieLink& pcie,
@@ -376,8 +377,7 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // Per-policy counters summed over the services running each discipline,
   // exported as dispatch/<policy>/*. Every discipline some service has
   // resolved to appears, with or without traffic.
-  std::vector<std::pair<DispatchPolicyKind, DispatchPolicyStats>>
-  PolicyStatsSnapshot() const;
+  std::map<DispatchPolicyKind, DispatchPolicyStats> PolicyStatsSnapshot() const;
   // Per-core occupancy (§18 satellite): dispatches delivered to the core,
   // handler-busy nanoseconds, and the instantaneous depth of the private
   // queues owned by endpoints the core is polling. Keyed by core id;
@@ -395,10 +395,6 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // NIC-maintained per-endpoint end-system latency (empty histogram until
   // the endpoint served a request).
   const Histogram& EndpointLatency(uint32_t endpoint);
-  // Human-readable operational snapshot (§6's debugging integration): one
-  // line per in-use endpoint with state, queue depth, arrival rate, and
-  // latency summary, plus the global counters.
-  std::string DebugReport();
 
  private:
   struct PreparedRequest {
@@ -727,6 +723,46 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   Stats stats_;
   TraceRing trace_;
 };
+
+// Exported as nic/<name>; `sheds` goes out as overload/sheds_<reason>.
+inline constexpr StatsField<LauberhornNic::Stats> kLauberhornNicStatsFields[] = {
+    {"hot_dispatches", &LauberhornNic::Stats::hot_dispatches},
+    {"queued_dispatches", &LauberhornNic::Stats::queued_dispatches},
+    {"cold_dispatches", &LauberhornNic::Stats::cold_dispatches},
+    {"cold_queued", &LauberhornNic::Stats::cold_queued},
+    {"tryagains", &LauberhornNic::Stats::tryagains},
+    {"retires", &LauberhornNic::Stats::retires},
+    {"drops_bad_frame", &LauberhornNic::Stats::drops_bad_frame},
+    {"drops_no_endpoint", &LauberhornNic::Stats::drops_no_endpoint},
+    {"drops_bad_args", &LauberhornNic::Stats::drops_bad_args},
+    {"responses_sent", &LauberhornNic::Stats::responses_sent},
+    {"dma_fallback_rx", &LauberhornNic::Stats::dma_fallback_rx},
+    {"dma_fallback_tx", &LauberhornNic::Stats::dma_fallback_tx},
+    {"aux_holds", &LauberhornNic::Stats::aux_holds},
+    {"dispatcher_wakeups", &LauberhornNic::Stats::dispatcher_wakeups},
+    {"crypto_failures", &LauberhornNic::Stats::crypto_failures},
+    {"degradations", &LauberhornNic::Stats::degradations},
+    {"degraded_dispatches", &LauberhornNic::Stats::degraded_dispatches},
+    {"wedged_polls", &LauberhornNic::Stats::wedged_polls},
+    {"drops_service_down", &LauberhornNic::Stats::drops_service_down},
+    {"grants_issued", &LauberhornNic::Stats::grants_issued},
+    {"ecn_echoes", &LauberhornNic::Stats::ecn_echoes},
+    {"drops_nic_down", &LauberhornNic::Stats::drops_nic_down},
+    {"crashed_polls", &LauberhornNic::Stats::crashed_polls},
+    {"resets", &LauberhornNic::Stats::nic_resets},
+    {"wiped_requests", &LauberhornNic::Stats::wiped_requests},
+};
+static_assert(CoversStats(kLauberhornNicStatsFields, sizeof(ShedCounts)));
+
+// Exported as nic/vf<i>/<name>; `sheds` goes out as nic/vf<i>/sheds_<reason>.
+inline constexpr StatsField<LauberhornNic::VfStats> kVfStatsFields[] = {
+    {"rx_requests", &LauberhornNic::VfStats::rx_requests},
+    {"responses", &LauberhornNic::VfStats::responses},
+    {"rss_steered", &LauberhornNic::VfStats::rss_steered},
+    {"rss_fallbacks", &LauberhornNic::VfStats::rss_fallbacks},
+    {"endpoints", &LauberhornNic::VfStats::endpoints},
+};
+static_assert(CoversStats(kVfStatsFields, sizeof(ShedCounts)));
 
 }  // namespace lauberhorn
 

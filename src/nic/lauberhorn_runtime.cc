@@ -1,5 +1,6 @@
 #include "src/nic/lauberhorn_runtime.h"
 
+#include <algorithm>
 #include <cassert>
 #include <map>
 #include <memory>
@@ -137,34 +138,42 @@ void LauberhornRuntime::PolicyTick() {
   // Scale down: a service holding several cores releases the idlest one once
   // its load no longer justifies it (§5.2: "dynamic scaling of the cores used
   // for RPC based on load").
-  std::unordered_map<Process*, std::pair<int, uint32_t>> per_process;  // count, idlest
+  // Services go in ascending lowest-endpoint-id order, so which one releases
+  // first never depends on where its Process was allocated.
+  scale_candidates_.clear();
   for (const auto& [id, rt] : endpoints_) {
     if (!rt->in_loop || rt->stop_requested) {
       continue;
     }
-    auto [it, inserted] = per_process.emplace(rt->process, std::make_pair(0, id));
-    ++it->second.first;
-    if (nic_.ArrivalRate(id) < nic_.ArrivalRate(it->second.second)) {
-      it->second.second = id;
+    auto it = std::find_if(scale_candidates_.begin(), scale_candidates_.end(),
+                           [&](const ScaleCandidate& c) { return c.process == rt->process; });
+    if (it == scale_candidates_.end()) {
+      it = scale_candidates_.insert(it, {rt->process, id, id, 0});
+    }
+    ++it->count;
+    it->lowest = std::min(it->lowest, id);
+    if (nic_.ArrivalRate(id) < nic_.ArrivalRate(it->idlest)) {
+      it->idlest = id;
     }
   }
-  for (const auto& [process, entry] : per_process) {
-    const auto& [count, idlest] = entry;
+  std::sort(scale_candidates_.begin(), scale_candidates_.end(),
+            [](const ScaleCandidate& a, const ScaleCandidate& b) { return a.lowest < b.lowest; });
+  for (const ScaleCandidate& c : scale_candidates_) {
     // The governor consumes the policy's aggregate backlog (§18): a core
     // only counts as idle when neither its private queue nor the service's
     // central queue holds work.
-    const bool below = count > 1 && nic_.DispatchBacklog(idlest) == 0 &&
-                       nic_.ArrivalRate(idlest) < config_.scale_down_rate_rps;
+    const bool below = c.count > 1 && nic_.DispatchBacklog(c.idlest) == 0 &&
+                       nic_.ArrivalRate(c.idlest) < config_.scale_down_rate_rps;
     // Hysteresis: require `scale.down_ticks` consecutive idle observations,
     // then respect the per-endpoint cooldown, before releasing the core.
-    if (!governor_.IdleTick(idlest, below)) {
+    if (!governor_.IdleTick(c.idlest, below)) {
       continue;
     }
-    if (!governor_.CanChange(idlest, sim_.Now())) {
+    if (!governor_.CanChange(c.idlest, sim_.Now())) {
       governor_.NoteSuppressed();
       continue;
     }
-    Deschedule(idlest);
+    Deschedule(c.idlest);
     break;  // at most one release per tick
   }
   // Scale up (§18): under a central discipline a backlogged service never
@@ -221,7 +230,7 @@ void LauberhornRuntime::StartUserLoop(uint32_t endpoint, int core_hint) {
   governor_.NoteChange(endpoint, sim_.Now());
   rt.in_loop = true;
   rt.stop_requested = false;
-  ++loops_started_;
+  ++stats_.loops_started;
   rt.thread->PushWork([this, &rt](Core& core) {
     // Re-anchor the cooldown at actual loop entry: under core saturation the
     // thread can wait longer than the cooldown for a core, and a cooldown
@@ -256,7 +265,7 @@ void LauberhornRuntime::Deschedule(uint32_t endpoint) {
 
 void LauberhornRuntime::ExitLoop(EndpointRt& rt, Core& core) {
   rt.in_loop = false;
-  ++loops_exited_;
+  ++stats_.loops_exited;
   nic_.trace().Emit(sim_.Now(), TraceEvent::kLoopExit, rt.endpoint,
                     static_cast<uint32_t>(core.index()));
   nic_.DeactivateEndpoint(rt.endpoint);
@@ -350,12 +359,12 @@ void LauberhornRuntime::IssueNested(Core& core, const MethodDef& method,
     const MethodDef::NestedCall call = method.nested_call(values);
     const auto continuation = nic_.AllocateContinuation();
     if (!continuation.has_value()) {
-      ++nested_failed_;
+      ++stats_.nested_failed;
       response.status = RpcStatus::kInternal;  // continuation pool exhausted
       done(std::move(response), 0);
       return;
     }
-    ++nested_issued_;
+    ++stats_.nested_issued;
     RpcMessage nested;
     nested.kind = MessageKind::kRequest;
     nested.service_id = call.service_id;
@@ -391,7 +400,7 @@ void LauberhornRuntime::IssueNested(Core& core, const MethodDef& method,
             if (!reply_line.has_value() ||
                 reply_line->kind != LineKind::kRpcDispatch) {
               nic_.FreeContinuation(*continuation);
-              ++nested_failed_;
+              ++stats_.nested_failed;
               response.status = RpcStatus::kInternal;
               (*done_sh)(std::move(response), 0);
               return;
@@ -509,7 +518,7 @@ void LauberhornRuntime::WriteResponse(EndpointRt& rt, Core& core, uint64_t reque
         core.cache().Store(ctrl, line.Encode(nic_.line_size()),
                            [continue_loop]() { continue_loop(); });
       });
-      ++rpcs_hot_;
+      ++stats_.rpcs_hot;
       return;
     }
 
@@ -538,7 +547,7 @@ void LauberhornRuntime::WriteResponse(EndpointRt& rt, Core& core, uint64_t reque
       const Duration cpu_cost =
           static_cast<Duration>(1 + aux_count) * params.posted_write_cost;
       core.Run(cpu_cost, CoreMode::kUser, continue_loop);
-      ++rpcs_hot_;
+      ++stats_.rpcs_hot;
       return;
     }
 
@@ -561,7 +570,7 @@ void LauberhornRuntime::WriteResponse(EndpointRt& rt, Core& core, uint64_t reque
       core.cache().Store(nic_.AuxAddr(rt.endpoint, i), aux, on_store);
     }
     core.cache().Store(ctrl, line.Encode(line_size), on_store);
-    ++rpcs_hot_;
+    ++stats_.rpcs_hot;
   });
 }
 
@@ -648,7 +657,7 @@ void LauberhornRuntime::FinishColdDispatch(size_t slot, Core& core, EndpointRt& 
                spans_->Record(response.request_id, SpanStage::kHandlerEnd, sim_.Now());
              }
              nic_.SoftwareTransmit(response.request_id, std::move(response));
-             ++rpcs_cold_;
+             ++stats_.rpcs_cold;
              dispatchers_[slot].armed = false;
              kernel_.scheduler().OnWorkDone(core);
              // Fig. 5 (1): the core stays with the process in its user-mode

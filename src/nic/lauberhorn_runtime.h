@@ -62,6 +62,15 @@ class LauberhornRuntime : public SchedStateListener {
     uint32_t machine_index = 0;
   };
 
+  struct Stats {
+    uint64_t rpcs_hot = 0;
+    uint64_t rpcs_cold = 0;
+    uint64_t loops_started = 0;
+    uint64_t loops_exited = 0;
+    uint64_t nested_issued = 0;
+    uint64_t nested_failed = 0;
+  };
+
   LauberhornRuntime(Simulator& sim, Kernel& kernel, LauberhornNic& nic,
                     MemoryHomeAgent& memory, Iommu& iommu, ServiceRegistry& services,
                     Config config);
@@ -89,12 +98,7 @@ class LauberhornRuntime : public SchedStateListener {
   // threads' moves are mirrored to the NIC over the interconnect.
   void OnPlacement(Thread* thread, int core, bool running) override;
 
-  uint64_t rpcs_hot() const { return rpcs_hot_; }
-  uint64_t rpcs_cold() const { return rpcs_cold_; }
-  uint64_t nested_issued() const { return nested_issued_; }
-  uint64_t nested_failed() const { return nested_failed_; }
-  uint64_t loops_started() const { return loops_started_; }
-  uint64_t loops_exited() const { return loops_exited_; }
+  const Stats& stats() const { return stats_; }
   // Scale actions withheld by the hysteresis governor (cooldown hits).
   uint64_t scale_suppressed() const { return governor_.suppressed(); }
 
@@ -109,6 +113,13 @@ class LauberhornRuntime : public SchedStateListener {
     bool in_loop = false;
     bool stop_requested = false;
     size_t stores_pending = 0;  // response-line stores still in flight
+  };
+  // One process's in-loop endpoints, as PolicyTick's scale-down sees them.
+  struct ScaleCandidate {
+    Process* process;
+    uint32_t lowest;  // lowest endpoint id: the walk order
+    uint32_t idlest;
+    int count;
   };
 
   void LoopIter(EndpointRt& rt, Core& core);
@@ -162,18 +173,25 @@ class LauberhornRuntime : public SchedStateListener {
     bool armed = false;  // parked on (or heading to) its kernel channel
   };
   std::vector<DispatcherRt> dispatchers_;
+  std::vector<ScaleCandidate> scale_candidates_;  // PolicyTick scratch
   uint64_t next_dma_buffer_ = 0;
   uint64_t next_nested_id_ = 1;
-  uint64_t nested_issued_ = 0;
-  uint64_t nested_failed_ = 0;
-  uint64_t rpcs_hot_ = 0;
-  uint64_t rpcs_cold_ = 0;
-  uint64_t loops_started_ = 0;
-  uint64_t loops_exited_ = 0;
+  Stats stats_;
   // Hysteresis + cooldown on the scale-up/RETIRE feedback loop so core
   // reallocation converges under surge instead of thrashing.
   ScaleGovernor governor_;
 };
+
+// Exported as runtime/<name>.
+inline constexpr StatsField<LauberhornRuntime::Stats> kRuntimeStatsFields[] = {
+    {"rpcs_hot", &LauberhornRuntime::Stats::rpcs_hot},
+    {"rpcs_cold", &LauberhornRuntime::Stats::rpcs_cold},
+    {"loops_started", &LauberhornRuntime::Stats::loops_started},
+    {"loops_exited", &LauberhornRuntime::Stats::loops_exited},
+    {"nested_issued", &LauberhornRuntime::Stats::nested_issued},
+    {"nested_failed", &LauberhornRuntime::Stats::nested_failed},
+};
+static_assert(CoversStats(kRuntimeStatsFields));
 
 }  // namespace lauberhorn
 

@@ -69,7 +69,6 @@ class NicRecoveryManager {
   Callback on_recovery_end;
 
   const Stats& stats() const { return stats_; }
-  bool recovering() const { return recovering_; }
 
  private:
   void Tick();
@@ -86,6 +85,23 @@ class NicRecoveryManager {
   bool recovering_ = false;
   SimTime detected_at_ = 0;
 };
+
+// Exported as recovery/<name>; the blackouts are gauges in µs.
+inline constexpr StatsField<NicRecoveryManager::Stats> kRecoveryStatsFields[] = {
+    {"heartbeats", &NicRecoveryManager::Stats::heartbeats},
+    {"watchdog_fires", &NicRecoveryManager::Stats::watchdog_fires},
+    {"recoveries", &NicRecoveryManager::Stats::recoveries},
+    {"replayed_vfs", &NicRecoveryManager::Stats::replayed_vfs},
+    {"replayed_endpoints", &NicRecoveryManager::Stats::replayed_endpoints},
+    {"replayed_kernel_channels", &NicRecoveryManager::Stats::replayed_kernel_channels},
+    {"replayed_continuations", &NicRecoveryManager::Stats::replayed_continuations},
+    {"replayed_dedup_completed", &NicRecoveryManager::Stats::replayed_dedup_completed},
+    {"replayed_dedup_in_flight", &NicRecoveryManager::Stats::replayed_dedup_in_flight},
+    {"dropped_undelivered", &NicRecoveryManager::Stats::dropped_undelivered},
+    {"last_blackout_us", &NicRecoveryManager::Stats::last_blackout},
+    {"total_blackout_us", &NicRecoveryManager::Stats::total_blackout},
+};
+static_assert(CoversStats(kRecoveryStatsFields));
 
 }  // namespace lauberhorn
 

@@ -96,13 +96,8 @@ void SoftwareRpcServer::ExportMetrics(MetricsRegistry& metrics, const std::strin
   const std::string base = prefix + stack + "/";
   metrics.SetCounter(base + "rpcs_completed", rpcs_completed_);
   metrics.SetCounter(base + "bad_requests", bad_requests_);
-  metrics.SetCounter(base + "dedup_admitted", dedup_.stats().admitted);
-  metrics.SetCounter(base + "dup_drops_in_flight", dedup_.stats().duplicates_in_flight);
-  metrics.SetCounter(base + "dup_replays", dedup_.stats().duplicates_replayed);
-  metrics.SetCounter(base + "dedup_evictions", dedup_.stats().evictions);
-  metrics.SetCounter(prefix + "overload/sheds_queue", sheds_.queue);
-  metrics.SetCounter(prefix + "overload/sheds_quota", sheds_.quota);
-  metrics.SetCounter(prefix + "overload/sheds_sojourn", sheds_.sojourn);
+  ExportStats(metrics, base, dedup_.stats(), kDedupStatsFields);
+  ExportStats(metrics, prefix + "overload/sheds_", sheds_, kShedCountsFields);
   metrics.SetGauge(prefix + "overload/shed_cpu_us",
                    static_cast<double>(shed_cpu_time_) /
                        static_cast<double>(Microseconds(1)));

@@ -77,10 +77,8 @@ class SoftwareRpcServer {
   const ShedCounts& sheds() const { return sheds_; }
   Duration shed_cpu_time() const { return shed_cpu_time_; }
 
-  // Exports the counters: `stack`/rpcs_completed, bad_requests,
-  // dedup_admitted, dup_drops_in_flight, dup_replays and dedup_evictions,
-  // plus the shared overload/sheds_{queue,quota,sojourn} and
-  // overload/shed_cpu_us.
+  // Exports <stack>/rpcs_completed, bad_requests and the dedup table, plus
+  // the shared overload/sheds_<reason> and overload/shed_cpu_us.
   void ExportMetrics(MetricsRegistry& metrics, const std::string& prefix,
                      const std::string& stack) const;
 

@@ -20,6 +20,7 @@
 #include <unordered_map>
 
 #include "src/sim/time.h"
+#include "src/stats/metrics.h"
 
 namespace lauberhorn {
 
@@ -47,6 +48,15 @@ struct ShedCounts {
   void Count(ShedReason reason);
   uint64_t total() const { return queue + quota + sojourn + vf_quota; }
 };
+
+// Exported under "<...>sheds_" prefixes: overload/sheds_queue, and so on.
+inline constexpr StatsField<ShedCounts> kShedCountsFields[] = {
+    {"queue", &ShedCounts::queue},
+    {"quota", &ShedCounts::quota},
+    {"sojourn", &ShedCounts::sojourn},
+    {"vf_quota", &ShedCounts::vf_quota},
+};
+static_assert(CoversStats(kShedCountsFields));
 
 // Refill-on-demand token bucket. Unmetered (rate <= 0) buckets always admit,
 // so a default-constructed bucket is a no-op and stacks can keep one per

@@ -50,6 +50,7 @@
 #include <vector>
 
 #include "src/proto/rpc_message.h"
+#include "src/stats/metrics.h"
 
 namespace lauberhorn {
 
@@ -203,6 +204,15 @@ class RpcDedupCache {
 
   Stats stats_;
 };
+
+// Exported under the serving stack's prefix: nic/, linux/ or bypass/.
+inline constexpr StatsField<RpcDedupCache::Stats> kDedupStatsFields[] = {
+    {"dedup_admitted", &RpcDedupCache::Stats::admitted},
+    {"dup_drops_in_flight", &RpcDedupCache::Stats::duplicates_in_flight},
+    {"dup_replays", &RpcDedupCache::Stats::duplicates_replayed},
+    {"dedup_evictions", &RpcDedupCache::Stats::evictions},
+};
+static_assert(CoversStats(kDedupStatsFields));
 
 }  // namespace lauberhorn
 

@@ -1,5 +1,5 @@
 // Named metrics registry (§6). Subsystems export their counters, gauges, and
-// latency histograms into one flat namespace ("client/rpcs_sent",
+// latency histograms into one flat namespace ("client/sent",
 // "overload/sheds_quota", ...) so benches can dump a machine-wide snapshot as
 // JSON next to their own results instead of each inventing ad-hoc fields.
 //
@@ -7,13 +7,18 @@
 // (or test) calls Machine::ExportMetrics() once at the end of a run, which
 // copies each subsystem's already-maintained counters in. That keeps the
 // hot-path cost of "metrics support" at exactly zero.
+//
+// A stats struct's StatsField table, next to it and static_assert-checked to
+// cover every field, is its export list: ExportStats writes one key per row.
 #ifndef SRC_STATS_METRICS_H_
 #define SRC_STATS_METRICS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
 
+#include "src/sim/time.h"
 #include "src/stats/histogram.h"
 
 namespace lauberhorn {
@@ -67,6 +72,47 @@ class MetricsRegistry {
   std::map<std::string, double> gauges_;
   std::map<std::string, Histogram> histograms_;
 };
+
+// One exported field of stats struct S: its key under the caller's prefix
+// and the member that holds it, a counter or (a Duration) a gauge in µs.
+template <typename S>
+struct StatsField {
+  constexpr StatsField(const char* n, uint64_t S::*c) : name(n), counter(c) {}
+  constexpr StatsField(const char* n, Duration S::*g) : name(n), gauge_us(g) {}
+  const char* name;
+  uint64_t S::*counter = nullptr;
+  Duration S::*gauge_us = nullptr;
+};
+
+// True when `fields` has one row per 8-byte member of S, apart from
+// `nested_bytes` of members that are exported through their own table.
+template <typename S, size_t N>
+constexpr bool CoversStats(const StatsField<S> (&)[N], size_t nested_bytes = 0) {
+  return N * sizeof(uint64_t) + nested_bytes == sizeof(S);
+}
+
+// Sets <prefix><name> for every row of `fields`.
+template <typename S, size_t N>
+void ExportStats(MetricsRegistry& metrics, const std::string& prefix, const S& stats,
+                 const StatsField<S> (&fields)[N]) {
+  for (const StatsField<S>& f : fields) {
+    if (f.counter != nullptr) {
+      metrics.SetCounter(prefix + f.name, stats.*f.counter);
+    } else {
+      metrics.SetGauge(prefix + f.name, static_cast<double>(stats.*f.gauge_us) / kMicrosecond);
+    }
+  }
+}
+
+// Adds every counter row of `from` into `into`; gauge rows are left alone.
+template <typename S, size_t N>
+void AddStats(S& into, const S& from, const StatsField<S> (&fields)[N]) {
+  for (const StatsField<S>& f : fields) {
+    if (f.counter != nullptr) {
+      into.*f.counter += from.*f.counter;
+    }
+  }
+}
 
 }  // namespace lauberhorn
 

@@ -118,7 +118,7 @@ TEST(EgressQueueTest, TailDropAtExactlyQueueLimit) {
   for (int i = 0; i < 5; ++i) {
     egress.Send(TestFrame(kEcnNotEct, src, dst));
   }
-  EXPECT_EQ(egress.queue_drops(), 1u);
+  EXPECT_EQ(egress.stats().queue_drops, 1u);
   sim.RunUntilIdle();
   EXPECT_EQ(sink.packets.size(), 4u);
 
@@ -139,7 +139,7 @@ TEST(EgressQueueTest, CeMarkAtExactlyThreshold) {
   for (int i = 0; i < 3; ++i) {
     egress.Send(TestFrame(kEcnEct0));
   }
-  EXPECT_EQ(egress.ecn_marked(), 1u);  // only the third found depth == K
+  EXPECT_EQ(egress.stats().ecn_marked, 1u);  // only the third found depth == K
   sim.RunUntilIdle();
   ASSERT_EQ(sink.packets.size(), 3u);
   EXPECT_EQ(ParseUdpFrame(sink.packets[0])->ip.ecn, kEcnEct0);
@@ -158,7 +158,7 @@ TEST(EgressQueueTest, NonEctTrafficIsNeverMarked) {
   for (int i = 0; i < 4; ++i) {
     egress.Send(TestFrame(kEcnNotEct));
   }
-  EXPECT_EQ(egress.ecn_marked(), 0u);
+  EXPECT_EQ(egress.stats().ecn_marked, 0u);
   sim.RunUntilIdle();
   for (const Packet& p : sink.packets) {
     EXPECT_EQ(ParseUdpFrame(p)->ip.ecn, kEcnNotEct);
@@ -256,7 +256,7 @@ TEST(CcClientTest, WindowDefersBurstBeyondLimitAndDrainsAll) {
   harness.Run(10, /*gap=*/0);
   RpcClient& client = harness.machine().client();
   EXPECT_EQ(harness.ok(), 10u);
-  EXPECT_GE(client.cc_deferrals(), 8u);
+  EXPECT_GE(client.stats().cc_deferrals, 8u);
   const uint32_t server = harness.machine().config().server_ip;
   EXPECT_EQ(client.cc_outstanding(server), 0u);  // every slot released
   EXPECT_EQ(client.cc_deferred_count(server), 0u);
@@ -267,7 +267,7 @@ TEST(CcClientTest, LauberhornReceiverIssuesGrants) {
   harness.Run(200, Microseconds(2));
   Machine& m = harness.machine();
   EXPECT_EQ(harness.ok(), 200u);
-  EXPECT_GT(m.client().cc_grants_received(), 0u);
+  EXPECT_GT(m.client().stats().cc_grants_received, 0u);
   EXPECT_GT(m.lauberhorn_nic()->stats().grants_issued, 0u);
   // Grants cap the window at the receiver's headroom, they never raise it
   // beyond the configured maximum.
@@ -328,7 +328,7 @@ TEST(CcClientTest, FabricCeMarksReachClientAccounting) {
   testbed.sim().RunUntil(Milliseconds(20));
 
   EXPECT_EQ(ok, 200u);
-  EXPECT_GT(client.cc_marks_seen(), 0u);
+  EXPECT_GT(client.stats().cc_marks_seen, 0u);
   MetricsRegistry metrics;
   testbed.ExportMetrics(metrics);
   EXPECT_GT(metrics.Counter("fabric/ecn_marked"), 0u);
@@ -346,7 +346,7 @@ TEST(CcClientTest, SustainedMarksCollapseWindowToFloor) {
   RpcClient& client = harness.machine().client();
 
   EXPECT_EQ(harness.ok(), 400u);  // throttled, never stalled
-  EXPECT_GT(client.cc_marks_seen(), 300u);
+  EXPECT_GT(client.stats().cc_marks_seen, 300u);
   EXPECT_LT(client.cc_window(harness.machine().config().server_ip), 3.0);
 }
 
@@ -364,8 +364,8 @@ TEST(CcFaultTest, GrantLossFallsBackToRetransmitWithAtMostOnce) {
 
   EXPECT_EQ(harness.ok(), 300u);                       // nothing lost for good
   EXPECT_EQ(harness.DuplicateExecutions(), 0u);        // at-most-once held
-  EXPECT_GT(m.client().retransmits(), 0u);             // the ladder carried it
-  EXPECT_EQ(m.client().cc_grants_received(), 0u);      // no grant ever landed
+  EXPECT_GT(m.client().stats().retransmits, 0u);             // the ladder carried it
+  EXPECT_EQ(m.client().stats().cc_grants_received, 0u);      // no grant ever landed
   EXPECT_GT(m.lauberhorn_nic()->stats().grants_issued, 0u);  // NIC kept trying
   EXPECT_GT(m.fault_injector()->stats().cc_grant_losses, 0u);
 }
@@ -382,7 +382,7 @@ TEST(CcFaultTest, EcnCorruptionDegradesButCompletes) {
   EXPECT_GT(m.fault_injector()->stats().cc_ecn_corruptions, 0u);
   // Inverted bits manufacture marks on a clean path, so the client sees
   // congestion that does not exist — and must still make progress.
-  EXPECT_GT(m.client().cc_marks_seen(), 0u);
+  EXPECT_GT(m.client().stats().cc_marks_seen, 0u);
 }
 
 // --- Granted-but-shed interplay (satellite: overload audit) ------------------
@@ -408,7 +408,7 @@ TEST(CcOverloadTest, GrantedButShedRefundsRetryTokens) {
     CcHarness harness(config);
     harness.Run(400, Nanoseconds(500), Milliseconds(20));
     return std::pair<uint64_t, double>(
-        harness.machine().client().cc_shed_refunds(),
+        harness.machine().client().stats().cc_shed_refunds,
         harness.machine().client().retry_tokens());
   };
   const auto [refunds_granted, tokens_granted] = run(/*lose_grants=*/false);
@@ -437,16 +437,16 @@ TEST(CcClientTest, StaleGrantRevertsToUnscheduledBudget) {
   RpcClient& client = harness.machine().client();
   const uint32_t server = harness.machine().config().server_ip;
   ASSERT_GT(client.cc_window(server), 3.0);
-  ASSERT_GT(client.cc_grants_received(), 0u);
+  ASSERT_GT(client.stats().cc_grants_received, 0u);
 
   // Idle past the TTL, then burst: only the unscheduled budget may leave
   // immediately, so at least burst - initial_window sends must defer.
   harness.machine().sim().RunUntil(harness.machine().sim().Now() +
                                    Milliseconds(1));
-  const uint64_t deferrals_before = client.cc_deferrals();
+  const uint64_t deferrals_before = client.stats().cc_deferrals;
   harness.Run(10, /*gap=*/0);
   EXPECT_EQ(harness.ok(), 310u);
-  EXPECT_GE(client.cc_deferrals() - deferrals_before, 8u);
+  EXPECT_GE(client.stats().cc_deferrals - deferrals_before, 8u);
 }
 
 }  // namespace

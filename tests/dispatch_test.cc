@@ -54,7 +54,7 @@ TEST(DispatchPolicyStatsTest, EveryFieldExportsUnderItsPolicy) {
   stats.returned_on_retire = 107;
   stats.drained_cold = 108;
   MetricsRegistry metrics;
-  ExportDispatchPolicyStats(metrics, "m0/", DispatchPolicyKind::kJbsq, stats);
+  ExportStats(metrics, "m0/dispatch/jbsq/", stats, kDispatchPolicyStatsFields);
   const std::map<std::string, uint64_t> expected = {
       {"m0/dispatch/jbsq/hot_dispatches", 101},
       {"m0/dispatch/jbsq/local_queued", 102},
@@ -289,7 +289,7 @@ TEST_P(DispatchE2eTest, EveryRequestCompletesExactlyOnce) {
   EXPECT_EQ(harness.ok(), harness.sent());
   EXPECT_EQ(harness.DuplicateExecutions(), 0u);
   EXPECT_EQ(harness.TotalExecutions(), harness.sent());
-  EXPECT_EQ(harness.machine().client().errors(), 0u);
+  EXPECT_EQ(harness.machine().client().stats().errors, 0u);
   // The policy actually ran: its counters (not legacy's) carry the traffic.
   bool found = false;
   for (const auto& [kind, stats] : harness.nic().PolicyStatsSnapshot()) {
@@ -425,9 +425,9 @@ TEST(DispatchChaosTest, AtMostOnceAcrossNicCrashesUnderCentralPolicies) {
 
     EXPECT_EQ(harness.DuplicateExecutions(), 0u) << ToString(kind);
     EXPECT_GT(harness.machine().lauberhorn_nic()->stats().nic_resets, 0u);
-    EXPECT_GT(harness.machine().client().retransmits(), 0u);
+    EXPECT_GT(harness.machine().client().stats().retransmits, 0u);
     EXPECT_GT(harness.ok(), 0u);
-    EXPECT_EQ(harness.ok() + harness.machine().client().timeouts(),
+    EXPECT_EQ(harness.ok() + harness.machine().client().stats().timeouts,
               harness.sent())
         << ToString(kind);
   }

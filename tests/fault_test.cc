@@ -897,8 +897,8 @@ TEST_P(ReliabilityE2eTest, AtMostOnceUnderHeavyDuplication) {
   EXPECT_GT(dedup.duplicates_replayed + dedup.duplicates_in_flight, 0u);
   // A duplicate of an already-answered request produces a second response the
   // client retires quietly, never an error (satellite: late responses).
-  EXPECT_EQ(m.client().errors(), 0u);
-  EXPECT_GT(m.client().late_responses(), 0u);
+  EXPECT_EQ(m.client().stats().errors, 0u);
+  EXPECT_GT(m.client().stats().late_responses, 0u);
 }
 
 TEST_P(ReliabilityE2eTest, BackoffCarriesRpcsOverBurstLoss) {
@@ -911,7 +911,7 @@ TEST_P(ReliabilityE2eTest, BackoffCarriesRpcsOverBurstLoss) {
 
   EXPECT_EQ(harness.ok(), harness.sent());
   EXPECT_EQ(harness.DuplicateExecutions(), 0u);
-  EXPECT_GT(harness.machine().client().retransmits(), 0u);
+  EXPECT_GT(harness.machine().client().stats().retransmits, 0u);
   EXPECT_GT(harness.machine().fault_injector()->stats().net_drops, 0u);
 }
 
@@ -930,9 +930,9 @@ TEST_P(ReliabilityE2eTest, RetransmitsRideOutOsCrashWindow) {
   const uint64_t blackholed =
       GetParam() == StackKind::kLauberhorn
           ? m.lauberhorn_nic()->stats().drops_service_down
-          : m.dma_nic()->rx_drops_service_down();
+          : m.dma_nic()->stats().rx_drops_service_down;
   EXPECT_GT(blackholed, 0u);
-  EXPECT_GT(m.client().retransmits(), 0u);
+  EXPECT_GT(m.client().stats().retransmits, 0u);
 }
 
 TEST_P(ReliabilityE2eTest, DeterministicAcrossRuns) {
@@ -944,7 +944,7 @@ TEST_P(ReliabilityE2eTest, DeterministicAcrossRuns) {
     E2eHarness harness(config);
     harness.Run(100, Microseconds(5));
     return std::tuple(harness.ok(), harness.TotalExecutions(),
-                      harness.machine().client().retransmits(),
+                      harness.machine().client().stats().retransmits,
                       harness.machine().fault_injector()->stats().net_drops);
   };
   EXPECT_EQ(run(), run());
@@ -963,10 +963,10 @@ TEST(ReliabilityE2eTest, RetryBudgetSuppressesRetransmitStorm) {
 
   EXPECT_EQ(harness.ok(), 0u);
   RpcClient& client = harness.machine().client();
-  EXPECT_GT(client.retransmits_suppressed(), 0u);
-  EXPECT_EQ(client.timeouts(), harness.sent());
+  EXPECT_GT(client.stats().retransmits_suppressed, 0u);
+  EXPECT_EQ(client.stats().timeouts, harness.sent());
   // Bounded: well under the unmetered worst case of max_retransmits per call.
-  EXPECT_LT(client.retransmits(),
+  EXPECT_LT(client.stats().retransmits,
             harness.sent() * static_cast<uint64_t>(config.client_max_retransmits) / 2);
 }
 

@@ -153,7 +153,7 @@ TEST(IntegrationTest, LauberhornColdPathSchedulesProcess) {
   machine.sim().RunUntil(Milliseconds(50));
   EXPECT_EQ(done, 1);
   EXPECT_GE(machine.lauberhorn_nic()->stats().cold_dispatches, 1u);
-  EXPECT_EQ(machine.lauberhorn_runtime()->rpcs_cold(), 1u);
+  EXPECT_EQ(machine.lauberhorn_runtime()->stats().rpcs_cold, 1u);
 
   // A burst makes the endpoint hot (queued work promotes it to a user-mode
   // loop, Fig. 5 (1)); subsequent requests then dispatch without the kernel.
@@ -164,7 +164,7 @@ TEST(IntegrationTest, LauberhornColdPathSchedulesProcess) {
   machine.sim().RunUntil(Milliseconds(100));
   EXPECT_EQ(done, 9);
   EXPECT_GE(machine.lauberhorn_nic()->stats().hot_dispatches, 1u);
-  EXPECT_GT(machine.lauberhorn_runtime()->loops_started(), 0u);
+  EXPECT_GT(machine.lauberhorn_runtime()->stats().loops_started, 0u);
 }
 
 TEST(IntegrationTest, LauberhornFasterThanBypassFasterThanLinux) {

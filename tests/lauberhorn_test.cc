@@ -85,7 +85,7 @@ TEST(LauberhornNicTest, RetireUnparksCoreAndDeactivates) {
   machine.sim().RunUntil(Milliseconds(2));
   EXPECT_FALSE(machine.lauberhorn_nic()->EndpointActive(ep));
   EXPECT_EQ(machine.lauberhorn_nic()->stats().retires, 1u);
-  EXPECT_EQ(machine.lauberhorn_runtime()->loops_exited(), 1u);
+  EXPECT_EQ(machine.lauberhorn_runtime()->stats().loops_exited, 1u);
   // The core is idle again.
   bool any_blocked = false;
   for (size_t i = 0; i < machine.kernel().num_cores(); ++i) {
@@ -495,24 +495,6 @@ TEST(LauberhornNicTest, KernelPushesPlacementToNic) {
 }
 
 
-TEST(LauberhornNicTest, DebugReportListsEndpointsAndTotals) {
-  Machine machine(Config());
-  const ServiceDef& echo = machine.AddService(ServiceRegistry::MakeEchoService(1, 7000));
-  machine.Start();
-  machine.StartHotLoop(echo);
-  machine.sim().RunUntil(Milliseconds(1));
-  machine.client().Call(echo, 0, Payload(32));
-  machine.sim().RunUntil(Milliseconds(10));
-
-  const std::string report = machine.lauberhorn_nic()->DebugReport();
-  EXPECT_NE(report.find("kind=svc"), std::string::npos);
-  EXPECT_NE(report.find("kind=kernel"), std::string::npos);
-  EXPECT_NE(report.find("active"), std::string::npos);
-  EXPECT_NE(report.find("hot=1"), std::string::npos);
-  EXPECT_NE(report.find("tx=1"), std::string::npos);
-}
-
-
 TEST(LauberhornNicTest, PreemptionDanceIpiThenRetire) {
   // §5.1: "the OS (or the NIC) can send an IPI to the process' core, and
   // then Lauberhorn can send the process a TRYAGAIN message, unblocking it
@@ -545,7 +527,7 @@ TEST(LauberhornNicTest, PreemptionDanceIpiThenRetire) {
   machine.sim().RunUntil(machine.sim().Now() + Microseconds(100));
   EXPECT_GT(ipi_at, 0);
   EXPECT_FALSE(core.blocked_on_load());
-  EXPECT_EQ(machine.lauberhorn_runtime()->loops_exited(), 1u);
+  EXPECT_EQ(machine.lauberhorn_runtime()->stats().loops_exited, 1u);
   EXPECT_EQ(machine.lauberhorn_nic()->stats().retires, 1u);
 }
 

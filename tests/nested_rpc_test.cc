@@ -103,8 +103,8 @@ TEST(NestedRpcTest, HotPathComputesThroughBothServices) {
   NestedFixture fx(/*hot=*/true);
   // compose(20) = (20 + 1) * 2 = 42.
   EXPECT_EQ(fx.Compose(20), 42u);
-  EXPECT_EQ(fx.machine->lauberhorn_runtime()->nested_issued(), 1u);
-  EXPECT_EQ(fx.machine->lauberhorn_runtime()->nested_failed(), 0u);
+  EXPECT_EQ(fx.machine->lauberhorn_runtime()->stats().nested_issued, 1u);
+  EXPECT_EQ(fx.machine->lauberhorn_runtime()->stats().nested_failed, 0u);
 }
 
 TEST(NestedRpcTest, SequentialNestedCallsReuseContinuations) {
@@ -112,16 +112,16 @@ TEST(NestedRpcTest, SequentialNestedCallsReuseContinuations) {
   for (uint64_t i = 0; i < 20; ++i) {
     EXPECT_EQ(fx.Compose(i), (i + 1) * 2);
   }
-  EXPECT_EQ(fx.machine->lauberhorn_runtime()->nested_issued(), 20u);
+  EXPECT_EQ(fx.machine->lauberhorn_runtime()->stats().nested_issued, 20u);
   // The pool (32 continuations) never exhausts because each is freed.
-  EXPECT_EQ(fx.machine->lauberhorn_runtime()->nested_failed(), 0u);
+  EXPECT_EQ(fx.machine->lauberhorn_runtime()->stats().nested_failed, 0u);
 }
 
 TEST(NestedRpcTest, ColdDispatchedFrontendAlsoNests) {
   NestedFixture fx(/*hot=*/false);
   EXPECT_EQ(fx.Compose(5), 12u);
   EXPECT_GE(fx.machine->lauberhorn_nic()->stats().cold_dispatches, 1u);
-  EXPECT_EQ(fx.machine->lauberhorn_runtime()->nested_issued(), 1u);
+  EXPECT_EQ(fx.machine->lauberhorn_runtime()->stats().nested_issued, 1u);
 }
 
 TEST(NestedRpcTest, NestedLatencyIsTwoHotTraversals) {
@@ -167,7 +167,7 @@ TEST(NestedRpcTest, FinishResultOffResponseSigIsInternal) {
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, RpcStatus::kInternal);
   EXPECT_TRUE(response->payload.empty());
-  EXPECT_EQ(machine.lauberhorn_runtime()->nested_issued(), 1u);
+  EXPECT_EQ(machine.lauberhorn_runtime()->stats().nested_issued, 1u);
 }
 
 TEST(NestedRpcTest, ContinuationPoolExhaustionFailsGracefully) {
@@ -188,7 +188,7 @@ TEST(NestedRpcTest, ContinuationPoolExhaustionFailsGracefully) {
                         [&](const RpcMessage& r, Duration) { status = r.status; });
   machine.sim().RunUntil(Milliseconds(50));
   EXPECT_EQ(status, RpcStatus::kInternal);
-  EXPECT_EQ(machine.lauberhorn_runtime()->nested_failed(), 1u);
+  EXPECT_EQ(machine.lauberhorn_runtime()->stats().nested_failed, 1u);
 }
 
 // The NIC dies at 1.03 ms while the frontend's handler is parked on a
@@ -292,10 +292,10 @@ TEST(NestedRpcTest, NicCrashWithContinuationAllocatedRestoresIt) {
     std::vector<WireValue> out;
     ASSERT_TRUE(UnmarshalArgs(MethodSignature{{WireType::kU64}}, fx.reply->payload, out));
     EXPECT_EQ(out[0].scalar, 42u);
-    EXPECT_EQ(machine.lauberhorn_runtime()->nested_failed(), 0u);
+    EXPECT_EQ(machine.lauberhorn_runtime()->stats().nested_failed, 0u);
   } else {
     EXPECT_EQ(fx.reply->status, kTimedOut);
-    EXPECT_EQ(machine.lauberhorn_runtime()->nested_failed(), 1u);
+    EXPECT_EQ(machine.lauberhorn_runtime()->stats().nested_failed, 1u);
   }
   const std::vector<uint32_t> drained = DrainContinuations(nic);
   EXPECT_EQ(std::set<uint32_t>(drained.begin(), drained.end()).size(),

@@ -292,8 +292,8 @@ TEST(LinkTest, DuplicationDeliversBackToBackCopies) {
   EXPECT_EQ(sink.packets[0].bytes, sink.packets[1].bytes);
   // The copy occupies the wire a second time: strictly later arrival.
   EXPECT_GT(sink.arrival_times[1], sink.arrival_times[0]);
-  EXPECT_EQ(link.a_to_b().packets_duplicated(), 1u);
-  EXPECT_EQ(link.a_to_b().packets_sent(), 1u);
+  EXPECT_EQ(link.a_to_b().stats().packets_duplicated, 1u);
+  EXPECT_EQ(link.a_to_b().stats().packets_sent, 1u);
 }
 
 TEST(LinkTest, ReorderingLetsLaterPacketsOvertake) {
@@ -320,8 +320,8 @@ TEST(LinkTest, ReorderingLetsLaterPacketsOvertake) {
   sim.RunUntilIdle();
 
   ASSERT_EQ(sink.packets.size(), static_cast<size_t>(kPackets));
-  EXPECT_GT(link.a_to_b().packets_reordered(), 10u);
-  EXPECT_LT(link.a_to_b().packets_reordered(), 90u);
+  EXPECT_GT(link.a_to_b().stats().packets_reordered, 10u);
+  EXPECT_LT(link.a_to_b().stats().packets_reordered, 90u);
   // A slipped packet falls behind successors sent within the extra delay.
   int inversions = 0;
   for (int i = 1; i < kPackets; ++i) {
@@ -333,7 +333,7 @@ TEST(LinkTest, ReorderingLetsLaterPacketsOvertake) {
 }
 
 TEST(LinkTest, CorruptionCountedAndDroppedAtParse) {
-  // Satellite: corrupted packets are charged to packets_corrupted() at the
+  // Satellite: corrupted packets are charged to Stats::packets_corrupted at the
   // wire and to the checksum-drop counter at the receiver — the genuine
   // RFC 1071 checksums are what catches the flipped bit.
   Simulator sim;
@@ -357,7 +357,7 @@ TEST(LinkTest, CorruptionCountedAndDroppedAtParse) {
   sim.RunUntilIdle();
 
   ASSERT_EQ(sink.packets.size(), static_cast<size_t>(kPackets));
-  const uint64_t corrupted = link.a_to_b().packets_corrupted();
+  const uint64_t corrupted = link.a_to_b().stats().packets_corrupted;
   EXPECT_GT(corrupted, 20u);
   uint64_t parse_drops = 0;
   for (const Packet& p : sink.packets) {
@@ -431,15 +431,15 @@ TEST(LinkTest, CorruptedRequestsAreDroppedByNicChecksumAccounting) {
     (*fire)();
     machine.sim().RunUntil(Milliseconds(15));
 
-    const uint64_t corrupted = machine.wire().a_to_b().packets_corrupted() +
-                               machine.wire().b_to_a().packets_corrupted();
+    const uint64_t corrupted = machine.wire().a_to_b().stats().packets_corrupted +
+                               machine.wire().b_to_a().stats().packets_corrupted;
     const uint64_t checksum_drops = stack == StackKind::kLauberhorn
                                         ? machine.lauberhorn_nic()->stats().drops_bad_frame
-                                        : machine.dma_nic()->rx_drops_bad_frame();
+                                        : machine.dma_nic()->stats().rx_drops_bad_frame;
     EXPECT_GT(corrupted, 0u) << ToString(stack);
     EXPECT_GT(checksum_drops, 0u) << ToString(stack);
     EXPECT_EQ(ok, 100u) << ToString(stack);  // retransmits recover every RPC
-    EXPECT_GT(machine.client().retransmits(), 0u) << ToString(stack);
+    EXPECT_GT(machine.client().stats().retransmits, 0u) << ToString(stack);
   }
 }
 

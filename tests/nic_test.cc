@@ -229,7 +229,7 @@ TEST_F(DmaNicTest, RxPacketLandsInHostMemory) {
   const Packet request = MakeRequest(1000, 2000);
   nic_->ReceivePacket(request);
   sim_.RunUntilIdle();
-  EXPECT_EQ(nic_->rx_packets(), 1u);
+  EXPECT_EQ(nic_->stats().rx_packets, 1u);
   auto packets = driver_->Poll(0, 16);
   ASSERT_EQ(packets.size(), 1u);
   EXPECT_EQ(packets[0].bytes, request.bytes);
@@ -327,15 +327,15 @@ TEST_F(DmaNicTest, RebindIsCountedAndTakesEffect) {
   config.interrupts_enabled = false;
   Build(config);
   nic_->BindPort(7777, 0);
-  EXPECT_EQ(nic_->rx_rebinds(), 0u);
+  EXPECT_EQ(nic_->stats().rx_rebinds, 0u);
   EXPECT_EQ(nic_->RssQueue(MakeRequest(1, 7777)), 0u);
   // Re-binding to the same queue is a no-op, not a rebind.
   nic_->BindPort(7777, 0);
-  EXPECT_EQ(nic_->rx_rebinds(), 0u);
+  EXPECT_EQ(nic_->stats().rx_rebinds, 0u);
   // Moving the service to another queue is counted and takes effect
   // immediately — no stale binding keeps steering to the old queue.
   nic_->BindPort(7777, 2);
-  EXPECT_EQ(nic_->rx_rebinds(), 1u);
+  EXPECT_EQ(nic_->stats().rx_rebinds, 1u);
   EXPECT_EQ(nic_->RssQueue(MakeRequest(1, 7777)), 2u);
   nic_->UnbindPort(7777);
   EXPECT_EQ(nic_->BoundPorts(), 0u);
@@ -349,8 +349,8 @@ TEST_F(DmaNicTest, CorruptFrameDroppedBeforeDma) {
   bad.bytes.back() ^= 0x01;
   nic_->ReceivePacket(bad);
   sim_.RunUntilIdle();
-  EXPECT_EQ(nic_->rx_packets(), 0u);
-  EXPECT_EQ(nic_->rx_drops_bad_frame(), 1u);
+  EXPECT_EQ(nic_->stats().rx_packets, 0u);
+  EXPECT_EQ(nic_->stats().rx_drops_bad_frame, 1u);
 }
 
 TEST_F(DmaNicTest, RingWrapsAfterManyPackets) {
@@ -371,7 +371,7 @@ TEST_F(DmaNicTest, RingWrapsAfterManyPackets) {
   sim_.RunUntilIdle();
   received += driver_->Poll(0, 16).size();
   EXPECT_EQ(received, 100u);
-  EXPECT_EQ(nic_->rx_drops_no_desc(), 0u);
+  EXPECT_EQ(nic_->stats().rx_drops_no_desc, 0u);
 }
 
 TEST_F(DmaNicTest, RxDropsWhenHostStopsPolling) {
@@ -384,8 +384,8 @@ TEST_F(DmaNicTest, RxDropsWhenHostStopsPolling) {
     nic_->ReceivePacket(MakeRequest(static_cast<uint16_t>(i), 2));
   }
   sim_.RunUntilIdle();
-  EXPECT_EQ(nic_->rx_packets(), 7u);
-  EXPECT_EQ(nic_->rx_drops_no_desc(), 13u);
+  EXPECT_EQ(nic_->stats().rx_packets, 7u);
+  EXPECT_EQ(nic_->stats().rx_drops_no_desc, 13u);
 }
 
 TEST_F(DmaNicTest, TxPathDeliversToWire) {
@@ -406,7 +406,7 @@ TEST_F(DmaNicTest, TxPathDeliversToWire) {
   sim_.RunUntilIdle();
   ASSERT_EQ(sink.packets.size(), 1u);
   EXPECT_EQ(sink.packets[0].bytes, out.bytes);
-  EXPECT_EQ(nic_->tx_packets(), 1u);
+  EXPECT_EQ(nic_->stats().tx_packets, 1u);
 }
 
 TEST_F(DmaNicTest, TxRingFullRefusesAndRecovers) {
@@ -432,7 +432,7 @@ TEST_F(DmaNicTest, TxRingFullRefusesAndRecovers) {
   for (size_t i = 0; i < frames.size(); ++i) {
     EXPECT_EQ(driver_->Transmit(0, frames[i].bytes), i < 4) << "frame " << i;
   }
-  EXPECT_EQ(driver_->tx_ring_full(), 6u);
+  EXPECT_EQ(driver_->stats().tx_ring_full, 6u);
   sim_.RunUntilIdle();
   ASSERT_EQ(sink.packets.size(), 4u);
   for (size_t i = 0; i < 4; ++i) {
@@ -444,8 +444,8 @@ TEST_F(DmaNicTest, TxRingFullRefusesAndRecovers) {
   sim_.RunUntilIdle();
   ASSERT_EQ(sink.packets.size(), 5u);
   EXPECT_EQ(sink.packets[4].bytes, frames[9].bytes);
-  EXPECT_EQ(nic_->tx_packets(), 5u);
-  EXPECT_EQ(driver_->tx_ring_full(), 6u);
+  EXPECT_EQ(nic_->stats().tx_packets, 5u);
+  EXPECT_EQ(driver_->stats().tx_ring_full, 6u);
 }
 
 TEST_F(DmaNicTest, TxRejectsOversizedPayload) {

@@ -310,7 +310,7 @@ TEST_P(OverloadE2eTest, DisabledByDefaultPreservesSeedBehavior) {
   OverloadHarness harness(config, /*service_time=*/Microseconds(1));
   harness.Flood(50, Microseconds(5));
   EXPECT_EQ(harness.machine().sheds().total(), 0u);
-  EXPECT_EQ(harness.machine().client().overloaded(), 0u);
+  EXPECT_EQ(harness.machine().client().stats().overloaded, 0u);
   EXPECT_EQ(harness.ok(), harness.sent());
 }
 
@@ -322,12 +322,12 @@ TEST_P(OverloadE2eTest, QuotaShedsAnswerWithOverloadedReplies) {
   EXPECT_GT(m.sheds().total(), 0u);
   // Every shed is an explicit kOverloaded reply, never silence or an error:
   // the client can tell push-back from loss.
-  EXPECT_GT(m.client().overloaded(), 0u);
-  EXPECT_EQ(m.client().errors(), 0u);
-  EXPECT_EQ(m.client().overloaded() + harness.ok(), harness.sent());
+  EXPECT_GT(m.client().stats().overloaded, 0u);
+  EXPECT_EQ(m.client().stats().errors, 0u);
+  EXPECT_EQ(m.client().stats().overloaded + harness.ok(), harness.sent());
   // Admitted-only RTT histogram: overloaded replies complete the request but
   // never enter the latency story.
-  EXPECT_EQ(m.client().rtt().count() + m.client().overloaded(),
+  EXPECT_EQ(m.client().rtt().count() + m.client().stats().overloaded,
             m.client().completed());
 
   // The cost asymmetry that motivates NIC-side admission: Linux and bypass
@@ -393,7 +393,7 @@ TEST(OverloadLauberhornTest, QueueDepthLimitTripsQueueFullSheds) {
   OverloadHarness harness(std::move(config), /*service_time=*/Microseconds(20));
   harness.Flood(100, Microseconds(1));
   EXPECT_GT(harness.machine().lauberhorn_nic()->stats().sheds.queue, 0u);
-  EXPECT_EQ(harness.machine().client().errors(), 0u);
+  EXPECT_EQ(harness.machine().client().stats().errors, 0u);
 }
 
 // --- Client overload reaction ------------------------------------------------
@@ -409,7 +409,7 @@ TEST(ClientOverloadTest, OverloadCutsRetryTokens) {
   // Each kOverloaded reply multiplicatively cuts the retry-token balance:
   // push-back tightens the client's own retry budget, distinct from loss
   // backoff (which only spends tokens).
-  EXPECT_GT(harness.machine().client().overloaded(), 0u);
+  EXPECT_GT(harness.machine().client().stats().overloaded, 0u);
   EXPECT_LT(harness.machine().client().retry_tokens(), tokens_before);
 }
 
@@ -431,11 +431,11 @@ TEST(ClientOverloadTest, BreakerOpensOnOverloadStreakAndSuppressesRetries) {
   OverloadHarness harness(std::move(config));
   harness.Flood(400, Microseconds(1));
   Machine& m = harness.machine();
-  EXPECT_GT(m.client().overloaded(), 0u);
-  EXPECT_GT(m.client().breaker_openings(), 0u);
+  EXPECT_GT(m.client().stats().overloaded, 0u);
+  EXPECT_GT(m.client().stats().breaker_openings, 0u);
   // While open, retry copies are withheld (new calls still go out).
-  EXPECT_GT(m.client().retransmits_suppressed_breaker(), 0u);
-  EXPECT_EQ(m.client().errors(), 0u);
+  EXPECT_GT(m.client().stats().retransmits_suppressed_breaker, 0u);
+  EXPECT_EQ(m.client().stats().errors, 0u);
 }
 
 TEST(ClientOverloadTest, LateOverloadedAfterRetransmitIsBenign) {
@@ -449,14 +449,14 @@ TEST(ClientOverloadTest, LateOverloadedAfterRetransmitIsBenign) {
   OverloadHarness harness(std::move(config));
   harness.Flood(200, Microseconds(1));
   Machine& m = harness.machine();
-  EXPECT_GT(m.client().retransmits(), 0u);
-  EXPECT_GT(m.client().overloaded(), 0u);
-  EXPECT_GT(m.client().late_responses(), 0u);
-  EXPECT_EQ(m.client().errors(), 0u);
+  EXPECT_GT(m.client().stats().retransmits, 0u);
+  EXPECT_GT(m.client().stats().overloaded, 0u);
+  EXPECT_GT(m.client().stats().late_responses, 0u);
+  EXPECT_EQ(m.client().stats().errors, 0u);
   // Each request resolved exactly once across both copies: either a reply
   // completed it, or it exhausted its (deliberately tiny) retransmit budget
   // and timed out before any copy's reply arrived. Never both.
-  EXPECT_EQ(m.client().completed() + m.client().timeouts(), harness.sent());
+  EXPECT_EQ(m.client().completed() + m.client().stats().timeouts, harness.sent());
 }
 
 // --- Overload + faults: at-most-once must survive shedding -------------------
@@ -484,7 +484,7 @@ TEST_P(OverloadFaultComposeTest, ZeroDuplicateExecutionsWhileShedding) {
   // executes twice.
   EXPECT_EQ(harness.DuplicateExecutions(), 0u);
   EXPECT_GT(m.sheds().total(), 0u);
-  EXPECT_GT(m.client().overloaded(), 0u);
+  EXPECT_GT(m.client().stats().overloaded, 0u);
   EXPECT_GT(harness.ok(), 0u);  // shedding degrades, it does not blackhole
 }
 
@@ -512,7 +512,7 @@ TEST(GovernorE2eTest, HysteresisReducesLoopChurn) {
     if (suppressed != nullptr) {
       *suppressed = harness.machine().lauberhorn_runtime()->scale_suppressed();
     }
-    return harness.machine().lauberhorn_runtime()->loops_started();
+    return harness.machine().lauberhorn_runtime()->stats().loops_started;
   };
   uint64_t suppressed = 0;
   const uint64_t undampened = churn(0, 1, nullptr);

@@ -329,9 +329,9 @@ TEST(RecoveryE2eTest, WatchdogRecoversNicMidLoadAtMostOnce) {
   EXPECT_EQ(harness.DuplicateExecutions(), 0u);
   EXPECT_EQ(harness.TotalExecutions(), harness.sent());
   RpcClient& client = harness.machine().client();
-  EXPECT_EQ(harness.ok() + client.timeouts(), harness.sent());
+  EXPECT_EQ(harness.ok() + client.stats().timeouts, harness.sent());
   EXPECT_GE(harness.ok(), harness.sent() - stats.replayed_dedup_in_flight);
-  EXPECT_GT(client.retransmits(), 0u);
+  EXPECT_GT(client.stats().retransmits, 0u);
 
   // Degraded during the reset, up after, and the marked_down path never ran.
   EXPECT_EQ(directory.stats().marked_degraded, 1u);
@@ -355,9 +355,9 @@ TEST(RecoveryE2eTest, CrashDuringHandlerPinsTheRequest) {
   EXPECT_EQ(stats.replayed_dedup_in_flight, 1u);
   EXPECT_EQ(harness.TotalExecutions(), 1u);
   RpcClient& client = harness.machine().client();
-  EXPECT_GT(client.retransmits(), 0u);
+  EXPECT_GT(client.stats().retransmits, 0u);
   EXPECT_GT(harness.machine().server_dedup().stats().duplicates_in_flight, 0u);
-  EXPECT_EQ(harness.ok() + client.timeouts(), 1u);
+  EXPECT_EQ(harness.ok() + client.stats().timeouts, 1u);
 }
 
 TEST(RecoveryE2eTest, PeriodicCrashesRecoverEveryTime) {
@@ -373,7 +373,7 @@ TEST(RecoveryE2eTest, PeriodicCrashesRecoverEveryTime) {
   EXPECT_EQ(stats.recoveries, harness.machine().fault_injector()->stats().nic_crashes);
   EXPECT_EQ(harness.DuplicateExecutions(), 0u);
   EXPECT_EQ(harness.TotalExecutions(), harness.sent());
-  EXPECT_EQ(harness.ok() + harness.machine().client().timeouts(),
+  EXPECT_EQ(harness.ok() + harness.machine().client().stats().timeouts,
             harness.sent());
 }
 
@@ -387,7 +387,7 @@ TEST(RecoveryE2eTest, DeterministicAcrossRuns) {
     const NicRecoveryManager::Stats& stats =
         harness.machine().nic_recovery()->stats();
     return std::tuple(harness.ok(), harness.TotalExecutions(),
-                      harness.machine().client().retransmits(),
+                      harness.machine().client().stats().retransmits,
                       stats.recoveries, stats.replayed_vfs,
                       stats.replayed_endpoints, stats.replayed_kernel_channels,
                       stats.replayed_continuations,
@@ -433,7 +433,7 @@ TEST(RecoveryE2eTest, VfPartitionAndQuotaSurviveNicCrash) {
   // At-most-once held across the crash: no request executed twice.
   EXPECT_EQ(harness.DuplicateExecutions(), 0u);
   EXPECT_EQ(harness.TotalExecutions(), harness.sent());
-  EXPECT_EQ(harness.ok() + harness.machine().client().timeouts(),
+  EXPECT_EQ(harness.ok() + harness.machine().client().stats().timeouts,
             harness.sent());
 
   MetricsRegistry metrics;
@@ -457,7 +457,7 @@ TEST(RecoveryE2eTest, DedupReplaysAcrossOsCrashWindow) {
 
   // Heavy loss can exhaust a retransmit budget (a timeout, accounted), but
   // at-most-once must hold and the bulk of goodput must survive.
-  EXPECT_EQ(harness.ok() + harness.machine().client().timeouts(),
+  EXPECT_EQ(harness.ok() + harness.machine().client().stats().timeouts,
             harness.sent());
   EXPECT_GE(harness.ok(), harness.sent() * 95 / 100);
   EXPECT_EQ(harness.DuplicateExecutions(), 0u);
@@ -466,7 +466,7 @@ TEST(RecoveryE2eTest, DedupReplaysAcrossOsCrashWindow) {
   // Cached responses served duplicates.
   EXPECT_GT(harness.machine().server_dedup().stats().duplicates_replayed, 0u);
   EXPECT_GT(nic.drops_service_down, 0u);    // the window was actually hit
-  EXPECT_GT(harness.machine().client().retransmits(), 0u);
+  EXPECT_GT(harness.machine().client().stats().retransmits, 0u);
 }
 
 // Satellite: the PR-7 CC fault counters and the recovery counters must be
@@ -492,6 +492,34 @@ TEST(RecoveryE2eTest, ExportsFaultAndRecoveryMetrics) {
             static_cast<double>(harness.machine().lauberhorn_nic()->dedup().size()));
   EXPECT_EQ(metrics.Counter("recovery/recoveries"), 1u);
   EXPECT_GT(metrics.Gauge("recovery/last_blackout_us"), 0.0);
+}
+
+// Twenty requests 1 us apart reach one service whose two hot cores take
+// 100 us per request, so most of them wait in the endpoint queues when the
+// NIC crashes. The wipe counts each queued request once, and the queues are
+// empty afterwards.
+TEST(RecoveryE2eTest, CrashCountsTheQueuedRequestsItDiscards) {
+  MachineConfig config = RecoveryConfig();
+  config.faults.nic_crash.first_crash_at = Microseconds(150);
+  RecoveryHarness harness(config, std::nullopt, Microseconds(100));
+  harness.Run(20, Microseconds(1), /*drain=*/0);
+  LauberhornNic& nic = *harness.machine().lauberhorn_nic();
+  ASSERT_TRUE(nic.device_up());
+  size_t queued = 0;
+  while (nic.device_up()) {
+    queued = nic.ServiceBacklog(1) + nic.ColdQueueDepth();
+    ASSERT_TRUE(harness.machine().sim().Step());
+  }
+  EXPECT_GE(queued, 10u);
+  EXPECT_EQ(nic.stats().wiped_requests, queued);
+  EXPECT_EQ(nic.ServiceBacklog(1), 0u);
+  EXPECT_EQ(nic.ColdQueueDepth(), 0u);
+
+  // The client's retransmits bring every discarded request back after the
+  // reset, and each still runs at most once.
+  harness.machine().sim().RunUntil(harness.machine().sim().Now() + Milliseconds(20));
+  EXPECT_GE(harness.ok(), queued);
+  EXPECT_EQ(harness.DuplicateExecutions(), 0u);
 }
 
 }  // namespace

@@ -223,7 +223,7 @@ TEST(TestbedTest, SwitchDropsUnroutableFrames) {
   // (15 ms) it fails, so the client hears kInternal instead of nothing and
   // the frontend's core and continuation are free again.
   EXPECT_EQ(status, RpcStatus::kInternal);
-  EXPECT_EQ(machine.lauberhorn_runtime()->nested_failed(), 1u);
+  EXPECT_EQ(machine.lauberhorn_runtime()->stats().nested_failed, 1u);
 }
 
 struct CrossTrafficRun {
