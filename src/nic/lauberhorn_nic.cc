@@ -112,9 +112,10 @@ LineAddr LauberhornNic::CtrlAddr(uint32_t endpoint, int parity) const {
              line_size();
 }
 
-LineAddr LauberhornNic::AuxAddr(uint32_t endpoint, size_t index) const {
+LineAddr LauberhornNic::AuxAddr(uint32_t endpoint, int parity, size_t index) const {
   return config_.base +
-         (static_cast<uint64_t>(endpoint) * EndpointStrideLines() + 2 + index) *
+         (static_cast<uint64_t>(endpoint) * EndpointStrideLines() + 2 +
+          static_cast<uint64_t>(parity) * config_.params.aux_lines + index) *
              line_size();
 }
 
@@ -177,9 +178,9 @@ void LauberhornNic::CrashNow() {
   // loops re-park and keep getting TRYAGAINs (counted as crashed_polls)
   // until the host resets the device.
   for (Endpoint& ep : endpoints_) {
-    if (ep.held_dispatch != nullptr) {
-      ep.waiting = std::move(ep.held_dispatch->waiting);
-      ep.held_dispatch.reset();
+    if (ep.deferred_poll != nullptr) {
+      ep.waiting = std::move(*ep.deferred_poll);
+      ep.deferred_poll.reset();
     }
     if (ep.waiting.has_value()) {
       FillWaiting(ep, LineKind::kTryAgain);
@@ -901,7 +902,6 @@ bool LauberhornNic::Admit(Endpoint& ep, const PreparedRequest& request,
 void LauberhornNic::Shed(Endpoint& ep, const PreparedRequest& request,
                          ShedReason reason) {
   stats_.sheds.Count(reason);
-  ep.sheds.Count(reason);
   vfs_[ep.vf].stats.sheds.Count(reason);
   trace_.Emit(sim_.Now(), TraceEvent::kDrop, ep.id,
               static_cast<uint32_t>(reason));
@@ -1033,24 +1033,27 @@ DispatchLine LauberhornNic::BuildDispatch(const PreparedRequest& request,
   return line;
 }
 
-void LauberhornNic::WriteAuxArgs(uint32_t ep_id, std::span<const uint8_t> overflow) {
+void LauberhornNic::WriteAuxArgs(uint32_t ep_id, int parity,
+                                 std::span<const uint8_t> overflow) {
   for (size_t aux = 0; !overflow.empty(); ++aux) {
     const size_t chunk = std::min(overflow.size(), line_size());
-    LineData& aux_line = StoredLine(AuxAddr(ep_id, aux));
+    LineData& aux_line = StoredLine(AuxAddr(ep_id, parity, aux));
     std::fill(aux_line.begin(), aux_line.end(), 0);
     std::copy_n(overflow.begin(), chunk, aux_line.begin());
     overflow = overflow.subspan(chunk);
   }
 }
 
-void LauberhornNic::EndAuxCollection(uint32_t ep_id, uint64_t epoch) {
+void LauberhornNic::EndCollection(uint32_t ep_id, int parity, uint64_t epoch) {
   Endpoint& ep = endpoints_[ep_id];
-  if (epoch != wipes_ || --ep.aux_collections > 0 || ep.held_dispatch == nullptr) {
+  if (epoch != wipes_) {
     return;
   }
-  const std::unique_ptr<HeldDispatch> held = std::move(ep.held_dispatch);
-  WriteAuxArgs(ep_id, held->overflow);
-  held->waiting.fill(held->line);
+  ep.collecting[parity] = false;
+  if (ep.deferred_poll != nullptr && ep.deferred_poll->parity == parity) {
+    const std::unique_ptr<WaitingLoad> poll = std::move(ep.deferred_poll);
+    HandleCtrlPoll(ep, parity, poll->requester, std::move(poll->fill));
+  }
 }
 
 void LauberhornNic::DeliverToWaiting(Endpoint& ep, PreparedRequest request) {
@@ -1090,22 +1093,11 @@ void LauberhornNic::DeliverToWaiting(Endpoint& ep, PreparedRequest request) {
                          [fill = std::move(waiting.fill), line]() mutable { fill(line); });
     return;
   }
-  // Overflow goes into the AUX lines of the endpoint whose lines carry this
-  // delivery (the kernel channel's for cold dispatch).
-  const auto overflow = std::span<const uint8_t>(*args).subspan(dispatch.inline_args.size());
-  if (dispatch.aux_lines > 0 && ep.aux_collections > 0) {
-    // The previous response may still be in these AUX lines: a fetch that
-    // completed later would overwrite the arguments, or the core would read
-    // its own stale copy. Write them and release the core once every
-    // collection is complete.
-    assert(ep.held_dispatch == nullptr && "a held dispatch has no parked load");
-    ++stats_.aux_holds;
-    waiting.tryagain_event = kInvalidEventId;  // cancelled by TakeWaiting
-    ep.held_dispatch = std::make_unique<HeldDispatch>(
-        HeldDispatch{std::move(waiting), line, overflow});
-    return;
-  }
-  WriteAuxArgs(ep.id, overflow);
+  // Overflow goes into the AUX lines of the endpoint and parity whose
+  // CONTROL line carries this delivery (the kernel channel's for cold
+  // dispatch).
+  WriteAuxArgs(ep.id, waiting.parity,
+               std::span<const uint8_t>(*args).subspan(dispatch.inline_args.size()));
   waiting.fill(line);
 }
 
@@ -1228,6 +1220,13 @@ void LauberhornNic::HandleCtrlPoll(Endpoint& ep, int parity, AgentId requester,
     }
     CollectResponse(ep, std::move(done));
   }
+  if (ep.collecting[parity]) {
+    // This parity's previous response is still being pulled out of its AUX
+    // lines or DMA region; filling it now would overwrite that response.
+    ep.deferred_poll = std::make_unique<WaitingLoad>(
+        WaitingLoad{std::move(fill), requester, parity, kInvalidEventId});
+    return;
+  }
   if (ep.retire_requested) {
     ep.retire_requested = false;
     ep.waiting = WaitingLoad{std::move(fill), requester, parity, kInvalidEventId};
@@ -1278,15 +1277,17 @@ void LauberhornNic::HandleCtrlPoll(Endpoint& ep, int parity, AgentId requester,
 }
 
 void LauberhornNic::CollectResponse(Endpoint& ep, OutstandingRequest outstanding) {
-  const LineAddr ctrl = CtrlAddr(ep.id, outstanding.parity);
+  const int parity = outstanding.parity;
+  const LineAddr ctrl = CtrlAddr(ep.id, parity);
   const uint32_t ep_id = ep.id;
-  // Whether the response left anything in the AUX lines is only known once
-  // its CONTROL line is back, so the collection holds them from here.
-  ++ep.aux_collections;
+  // Whether the response left anything in the parity's AUX lines or DMA
+  // region is only known once its CONTROL line is back, so the collection
+  // holds the parity from here.
+  ep.collecting[parity] = true;
   const uint64_t epoch = wipes_;
   interconnect_.FetchExclusive(
       home_id_, ctrl, StoredLine(ctrl),
-      [this, ep_id, epoch, ctrl,
+      [this, ep_id, parity, epoch, ctrl,
        outstanding = std::move(outstanding)](const LineData& data) mutable {
         const auto response_line = ResponseLine::Decode(data);
         StoredLine(ctrl) = data;
@@ -1295,7 +1296,7 @@ void LauberhornNic::CollectResponse(Endpoint& ep, OutstandingRequest outstanding
                            outstanding.request.request_id);
         if (!response_line.has_value() ||
             response_line->kind != LineKind::kResponse) {
-          EndAuxCollection(ep_id, epoch);
+          EndCollection(ep_id, parity, epoch);
           response.status = RpcStatus::kInternal;
           TransmitResponse(outstanding.request, std::move(response));
           return;
@@ -1304,13 +1305,13 @@ void LauberhornNic::CollectResponse(Endpoint& ep, OutstandingRequest outstanding
         Endpoint& ep2 = endpoints_[ep_id];
 
         if (response_line->via_dma) {
-          EndAuxCollection(ep_id, epoch);
           ++stats_.dma_fallback_tx;
           pcie_.DeviceDmaRead(
-              ep2.dma_buffer_iova + kDmaBufferRespOffset, response_line->resp_len,
-              [this, outstanding = std::move(outstanding),
+              ep2.dma_buffer_iova + DmaResponseOffset(parity), response_line->resp_len,
+              [this, ep_id, parity, epoch, outstanding = std::move(outstanding),
                response = std::move(response)](std::span<const uint8_t> payload) mutable {
                 response.payload.assign(payload.begin(), payload.end());
+                EndCollection(ep_id, parity, epoch);
                 TransmitResponse(outstanding.request, std::move(response));
               });
           return;
@@ -1321,7 +1322,7 @@ void LauberhornNic::CollectResponse(Endpoint& ep, OutstandingRequest outstanding
                                      ? response_line->resp_len - inline_payload.size()
                                      : 0;
         if (remaining == 0) {
-          EndAuxCollection(ep_id, epoch);
+          EndCollection(ep_id, parity, epoch);
           response.payload.assign(inline_payload.begin(), inline_payload.end());
           TransmitResponse(outstanding.request, std::move(response));
           return;
@@ -1340,21 +1341,21 @@ void LauberhornNic::CollectResponse(Endpoint& ep, OutstandingRequest outstanding
         auto resp = std::make_shared<RpcMessage>(std::move(response));
         const size_t resp_len = response_line->resp_len;
         auto issue = std::make_shared<Callback>();
-        *issue = [this, ep_id, epoch, aux_count, payload_parts, pending, next_index, meta,
-                  resp, resp_len, issue]() {
+        *issue = [this, ep_id, parity, epoch, aux_count, payload_parts, pending, next_index,
+                  meta, resp, resp_len, issue]() {
           if (*next_index >= aux_count) {
             return;
           }
           const size_t i = (*next_index)++;
-          const LineAddr aux_addr = AuxAddr(ep_id, i);
+          const LineAddr aux_addr = AuxAddr(ep_id, parity, i);
           interconnect_.FetchExclusive(
               home_id_, aux_addr, StoredLine(aux_addr),
-              [this, ep_id, epoch, i, payload_parts, pending, meta, resp, resp_len,
+              [this, ep_id, parity, epoch, i, payload_parts, pending, meta, resp, resp_len,
                aux_addr, issue](const LineData& aux_data) {
                 StoredLine(aux_addr) = aux_data;
                 (*payload_parts)[i] = aux_data;
                 if (--*pending == 0) {
-                  EndAuxCollection(ep_id, epoch);
+                  EndCollection(ep_id, parity, epoch);
                   for (const LineData& part : *payload_parts) {
                     resp->payload.insert(resp->payload.end(), part.begin(), part.end());
                   }

@@ -62,10 +62,13 @@ enum class LargeTransferPolicy {
   kForceDma,        // always DMA
 };
 
-// Byte offset of the response region inside an endpoint's DMA buffer (the
-// first half carries request args, the second half responses).
-inline constexpr uint64_t kDmaBufferRespOffset = 64 * 1024;
-inline constexpr uint64_t kDmaBufferSize = 128 * 1024;
+// An endpoint's DMA buffer: request args in the first 64 KiB region, then
+// one 64 KiB response region per CONTROL parity.
+inline constexpr uint64_t kDmaRegionBytes = 64 * 1024;
+inline constexpr uint64_t kDmaBufferSize = 3 * kDmaRegionBytes;
+inline constexpr uint64_t DmaResponseOffset(int parity) {
+  return (1 + static_cast<uint64_t>(parity)) * kDmaRegionBytes;
+}
 
 class LauberhornNic : public HomeAgent, public PacketSink {
  public:
@@ -149,8 +152,6 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     uint64_t responses_sent = 0;
     uint64_t dma_fallback_rx = 0;
     uint64_t dma_fallback_tx = 0;
-    // Dispatches held until the previous response left the AUX lines.
-    uint64_t aux_holds = 0;
     uint64_t dispatcher_wakeups = 0;
     uint64_t crypto_failures = 0;
     // Reliability layer (duplicates are counted by dedup().stats()).
@@ -237,10 +238,12 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // -- Address layout ------------------------------------------------------
 
   size_t line_size() const { return interconnect_.config().line_size; }
-  // Lines per endpoint: 2 control + aux.
-  size_t EndpointStrideLines() const { return 2 + config_.params.aux_lines; }
+  // Lines per endpoint: 2 control, then one set of aux lines per parity.
+  size_t EndpointStrideLines() const { return 2 + 2 * config_.params.aux_lines; }
   LineAddr CtrlAddr(uint32_t endpoint, int parity) const;
-  LineAddr AuxAddr(uint32_t endpoint, size_t index) const;
+  // AUX line `index` of CONTROL parity `parity` (kernel channels and
+  // continuations use parity 0 only).
+  LineAddr AuxAddr(uint32_t endpoint, int parity, size_t index) const;
   size_t AuxCapacityBytes() const {
     return config_.params.aux_lines * line_size();
   }
@@ -339,11 +342,6 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // -- Introspection -------------------------------------------------------------
 
   const Stats& stats() const { return stats_; }
-  // Per-endpoint shed counters (tail drops must be attributable, not
-  // silent).
-  const ShedCounts& endpoint_sheds(uint32_t endpoint) const {
-    return endpoints_[endpoint].sheds;
-  }
   // Event trace ring (§6: tracing/statistics integration).
   TraceRing& trace() { return trace_; }
   const TraceRing& trace() const { return trace_; }
@@ -458,14 +456,6 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     int core = -1;
   };
 
-  // A dispatch waiting for its endpoint's AUX lines: the load it will fill,
-  // the CONTROL line to fill it with, and the arguments for the AUX lines.
-  struct HeldDispatch {
-    WaitingLoad waiting;
-    LineData line;
-    std::span<const uint8_t> overflow;
-  };
-
   // The binding plus the endpoint's device state, which a crash wipes.
   struct Endpoint : EndpointBinding {
     bool active = false;           // a core is in (or entering) the user loop
@@ -474,12 +464,12 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     bool retire_requested = false;
     std::optional<WaitingLoad> waiting;
     std::optional<OutstandingRequest> outstanding;
-    // Both CONTROL parities share the AUX lines. While responses are being
-    // pulled back out of them (aux_collections in flight), a dispatch whose
-    // arguments need them is held: its arguments are written and its core
-    // released once the last collection is complete.
-    uint32_t aux_collections = 0;
-    std::unique_ptr<HeldDispatch> held_dispatch;
+    // Each CONTROL parity owns its AUX lines and its DMA response region.
+    // A parity is collected from the poll that hands its response back
+    // until the NIC has pulled the response out; a poll on it meanwhile
+    // waits in deferred_poll and runs when the collection ends.
+    bool collecting[2] = {false, false};
+    std::unique_ptr<WaitingLoad> deferred_poll;
     BacklogQueue pending;  // bound to the service's register when allocated
     // Graceful degradation (§5.1 fallout): consecutive TRYAGAINs fired while
     // work was pending mean the hot path is not making progress (a wedged
@@ -494,7 +484,6 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     // Per-endpoint end-system latency (§6 statistics): wire arrival to
     // response transmission, kept by the NIC itself. Lazily allocated.
     std::unique_ptr<Histogram> latency;
-    ShedCounts sheds;  // overload sheds attributed to this endpoint
   };
 
   // Per-VF state. The config is control state; the quota bucket and stats
@@ -555,8 +544,8 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   void Enqueue(Endpoint& ep, DispatchGroup& group, BacklogQueue& queue,
                size_t limit, uint64_t& counter, PreparedRequest request);
   void RouteCold(PreparedRequest request);
-  // Sheds `request` with a NIC-generated kOverloaded reply: bumps the global
-  // and per-endpoint counters and emits exactly one kDrop trace entry
+  // Sheds `request` with a NIC-generated kOverloaded reply: bumps the device
+  // and VF counters and emits exactly one kDrop trace entry
   // (a = endpoint, b = reason) before handing off to TransmitResponse (which
   // aborts the dedup entry so a retransmit may run later).
   void Shed(Endpoint& ep, const PreparedRequest& request, ShedReason reason);
@@ -633,12 +622,12 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // arguments, a count of AUX lines, or the DMA buffer.
   DispatchLine BuildDispatch(const PreparedRequest& request, bool kernel_channel);
   // Writes `overflow`, the arguments past the inline bytes, into the AUX
-  // lines of endpoint `ep_id`, one line_size chunk per line.
-  void WriteAuxArgs(uint32_t ep_id, std::span<const uint8_t> overflow);
-  // Ends one response collection on endpoint `ep_id`, begun while wipes_
-  // was `epoch`; the last one releases the held dispatch, if any. No-op
-  // when a NIC reset has wiped the endpoint since.
-  void EndAuxCollection(uint32_t ep_id, uint64_t epoch);
+  // lines of endpoint `ep_id`'s parity, one line_size chunk per line.
+  void WriteAuxArgs(uint32_t ep_id, int parity, std::span<const uint8_t> overflow);
+  // Ends the collection of endpoint `ep_id`'s parity, begun while wipes_ was
+  // `epoch`, and runs the poll deferred on that parity, if any. No-op when a
+  // NIC reset has wiped the endpoint since.
+  void EndCollection(uint32_t ep_id, int parity, uint64_t epoch);
   // Receiver-driven credit (§15): free queue headroom of this endpoint
   // divided across the ECN-capable senders active within
   // grant_sender_window. Prunes stale senders as a side effect.
@@ -690,7 +679,7 @@ class LauberhornNic : public HomeAgent, public PacketSink {
 
   std::vector<Endpoint> endpoints_;  // [0, num_kernel_channels) are kernel
   // WipeVolatileState calls so far: a response collection that outlives a
-  // wipe must not touch the reborn endpoint's count.
+  // wipe must not touch the reborn endpoint.
   uint64_t wipes_ = 0;
   // A service may have several endpoints (one per core it can occupy); the
   // demux stage picks among them per packet.
@@ -738,7 +727,6 @@ inline constexpr StatsField<LauberhornNic::Stats> kLauberhornNicStatsFields[] = 
     {"responses_sent", &LauberhornNic::Stats::responses_sent},
     {"dma_fallback_rx", &LauberhornNic::Stats::dma_fallback_rx},
     {"dma_fallback_tx", &LauberhornNic::Stats::dma_fallback_tx},
-    {"aux_holds", &LauberhornNic::Stats::aux_holds},
     {"dispatcher_wakeups", &LauberhornNic::Stats::dispatcher_wakeups},
     {"crypto_failures", &LauberhornNic::Stats::crypto_failures},
     {"degradations", &LauberhornNic::Stats::degradations},

@@ -303,7 +303,7 @@ void LauberhornRuntime::LoopIter(EndpointRt& rt, Core& core) {
   });
 }
 
-void LauberhornRuntime::GatherArgs(uint32_t line_owner_endpoint, Core& core,
+void LauberhornRuntime::GatherArgs(uint32_t line_owner_endpoint, int parity, Core& core,
                                    const DispatchLine& dispatch, ArgsFn done) {
   if (dispatch.via_dma) {
     // Arguments were DMA'd into the endpoint's host buffer; the handler reads
@@ -333,7 +333,7 @@ void LauberhornRuntime::GatherArgs(uint32_t line_owner_endpoint, Core& core,
   const uint32_t arg_len = dispatch.arg_len;
   for (size_t i = 0; i < aux_count; ++i) {
     core.cache().LoadThrough(
-        nic_.AuxAddr(line_owner_endpoint, i), nic_.line_size(),
+        nic_.AuxAddr(line_owner_endpoint, parity, i), nic_.line_size(),
         [i, parts, pending, base, cb, arg_len](std::span<const uint8_t> line) {
           (*parts)[i].assign(line.begin(), line.end());
           if (--*pending == 0) {
@@ -405,7 +405,7 @@ void LauberhornRuntime::IssueNested(Core& core, const MethodDef& method,
               (*done_sh)(std::move(response), 0);
               return;
             }
-            GatherArgs(*continuation, core, *reply_line,
+            GatherArgs(*continuation, 0, core, *reply_line,
                        [this, continuation, call, values, response,
                         done_sh](std::span<const uint8_t> reply_bytes,
                                  Duration extra) mutable {
@@ -441,7 +441,7 @@ void LauberhornRuntime::IssueNested(Core& core, const MethodDef& method,
 void LauberhornRuntime::HandleDispatch(EndpointRt& rt, Core& core,
                                        const DispatchLine& dispatch) {
   // Only the ids travel on: the capture stays inside Function's inline buffer.
-  GatherArgs(rt.endpoint, core, dispatch,
+  GatherArgs(rt.endpoint, rt.parity, core, dispatch,
              [this, &rt, &core, service_id = dispatch.service_id,
               method_id = dispatch.method_id, request_id = dispatch.request_id](
                  std::span<const uint8_t> args, Duration extra_cost) {
@@ -511,7 +511,7 @@ void LauberhornRuntime::WriteResponse(EndpointRt& rt, Core& core, uint64_t reque
     if (via_dma) {
       line.via_dma = true;
       // Copy the payload into the host DMA buffer, then store the control line.
-      memory_.WriteBytes(rt.dma_buffer + kDmaBufferRespOffset, response.payload);
+      memory_.WriteBytes(rt.dma_buffer + DmaResponseOffset(rt.parity), response.payload);
       const Duration copy_cost = kernel_.costs().CopyCost(response.payload.size());
       core.Run(copy_cost, CoreMode::kUser, [this, &rt, &core, line, ctrl,
                                             continue_loop]() mutable {
@@ -538,7 +538,7 @@ void LauberhornRuntime::WriteResponse(EndpointRt& rt, Core& core, uint64_t reque
       size_t cursor = inline_bytes;
       for (size_t i = 0; i < aux_count; ++i) {
         const size_t chunk = std::min(remaining, line_size);
-        core.cache().StoreThrough(nic_.AuxAddr(rt.endpoint, i),
+        core.cache().StoreThrough(nic_.AuxAddr(rt.endpoint, rt.parity, i),
                                   payload.subspan(cursor, chunk));
         cursor += chunk;
         remaining -= chunk;
@@ -567,7 +567,7 @@ void LauberhornRuntime::WriteResponse(EndpointRt& rt, Core& core, uint64_t reque
       std::copy_n(response.payload.begin() + cursor, chunk, aux.begin());
       cursor += chunk;
       remaining -= chunk;
-      core.cache().Store(nic_.AuxAddr(rt.endpoint, i), aux, on_store);
+      core.cache().Store(nic_.AuxAddr(rt.endpoint, rt.parity, i), aux, on_store);
     }
     core.cache().Store(ctrl, line.Encode(line_size), on_store);
     ++stats_.rpcs_hot;
@@ -593,7 +593,7 @@ void LauberhornRuntime::DispatcherIter(size_t slot, Core& core) {
       kernel_.scheduler().OnWorkDone(core);
       return;
     }
-    GatherArgs(d.channel, core, *dispatch,
+    GatherArgs(d.channel, 0, core, *dispatch,
                [this, slot, &core, dispatch = *dispatch](std::span<const uint8_t> args,
                                                          Duration extra) {
                  HandleColdDispatch(slot, core, dispatch, args);

@@ -149,13 +149,14 @@ class LauberhornRuntime : public SchedStateListener {
   void RetireVictim();
   int ActiveLoops() const;
 
-  // Builds the full marshalled args: inline + aux lines + DMA, with costs
-  // charged on `core`, then invokes `done(args_bytes, extra_user_cost)`.
-  // The span is valid only during the call; args that fit inline are handed
-  // over straight from the line, without a copy.
+  // Builds the full marshalled args: inline + the AUX lines of the parity
+  // the dispatch came on + DMA, with costs charged on `core`, then invokes
+  // `done(args_bytes, extra_user_cost)`. The span is valid only during the
+  // call; args that fit inline are handed over straight from the line,
+  // without a copy.
   using ArgsFn = Function<void(std::span<const uint8_t>, Duration)>;
-  void GatherArgs(uint32_t line_owner_endpoint, Core& core, const DispatchLine& dispatch,
-                  ArgsFn done);
+  void GatherArgs(uint32_t line_owner_endpoint, int parity, Core& core,
+                  const DispatchLine& dispatch, ArgsFn done);
 
   Simulator& sim_;
   Kernel& kernel_;

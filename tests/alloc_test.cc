@@ -331,9 +331,10 @@ TEST(MemoryBoundTest, FullTraceRingHoldsSixteenBytesPerEntry) {
 }
 
 TEST(MemoryBoundTest, NicLineStoreWithEveryLineTouchedStaysWithinItsBound) {
-  // A NIC with the default layout (104 endpoints of 32 lines), every
-  // CONTROL and AUX line of every endpoint read for ownership through its
-  // home-agent interface, which stores each line it answers from.
+  // A NIC with the default layout (104 endpoints of 62 lines: 2 CONTROL and
+  // 30 AUX lines per parity), every CONTROL and AUX line of every endpoint
+  // read for ownership through its home-agent interface, which stores each
+  // line it answers from.
   Simulator sim;
   CoherentInterconnect interconnect(sim, CoherenceConfig{});
   MemoryHomeAgent memory(sim, interconnect, 0, uint64_t{1} << 30);
@@ -357,8 +358,10 @@ TEST(MemoryBoundTest, NicLineStoreWithEveryLineTouchedStaysWithinItsBound) {
   for (uint32_t ep = 0; ep < endpoints; ++ep) {
     touch(nic.CtrlAddr(ep, 0));
     touch(nic.CtrlAddr(ep, 1));
-    for (size_t aux = 0; aux < config.params.aux_lines; ++aux) {
-      touch(nic.AuxAddr(ep, aux));
+    for (const int parity : {0, 1}) {
+      for (size_t aux = 0; aux < config.params.aux_lines; ++aux) {
+        touch(nic.AuxAddr(ep, parity, aux));
+      }
     }
   }
   EXPECT_EQ(fills, lines);
@@ -368,7 +371,7 @@ TEST(MemoryBoundTest, NicLineStoreWithEveryLineTouchedStaysWithinItsBound) {
   // Touching them all again stores nothing new.
   const int64_t full = LiveSince(before);
   touch(nic.CtrlAddr(0, 0));
-  touch(nic.AuxAddr(static_cast<uint32_t>(endpoints - 1), config.params.aux_lines - 1));
+  touch(nic.AuxAddr(static_cast<uint32_t>(endpoints - 1), 1, config.params.aux_lines - 1));
   EXPECT_EQ(LiveSince(before), full);
 }
 

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <set>
 
 #include "src/core/machine.h"
+#include "tests/payload_calls.h"
 
 namespace lauberhorn {
 namespace {
@@ -30,12 +32,27 @@ TEST(LauberhornNicTest, EndpointAddressLayoutDistinct) {
   const auto endpoints = machine.EndpointsOf(echo);
   ASSERT_EQ(endpoints.size(), 1u);
   const uint32_t ep = endpoints[0];
+  const size_t line = nic.line_size();
   EXPECT_NE(nic.CtrlAddr(ep, 0), nic.CtrlAddr(ep, 1));
-  EXPECT_EQ(nic.CtrlAddr(ep, 1) - nic.CtrlAddr(ep, 0), nic.line_size());
-  EXPECT_EQ(nic.AuxAddr(ep, 0) - nic.CtrlAddr(ep, 0), 2 * nic.line_size());
+  EXPECT_EQ(nic.CtrlAddr(ep, 1) - nic.CtrlAddr(ep, 0), line);
+  // Each parity owns its AUX lines: the two sets follow the CONTROL pair,
+  // are disjoint, and fill the rest of the endpoint's stride.
+  const LineAddr stride_end = nic.CtrlAddr(ep, 0) + nic.EndpointStrideLines() * line;
+  std::set<LineAddr> aux;
+  for (const int parity : {0, 1}) {
+    for (size_t i = 0; i < nic.config().params.aux_lines; ++i) {
+      const LineAddr addr = nic.AuxAddr(ep, parity, i);
+      EXPECT_GE(addr, nic.CtrlAddr(ep, 1) + line);
+      EXPECT_LE(addr + line, stride_end);
+      aux.insert(addr);
+    }
+  }
+  EXPECT_EQ(aux.size(), 2 * nic.config().params.aux_lines);
+  EXPECT_EQ(*aux.begin(), nic.CtrlAddr(ep, 0) + 2 * line);
+  EXPECT_EQ(*aux.rbegin() + line, stride_end);
   // Endpoints do not overlap.
   EXPECT_GE(nic.CtrlAddr(ep, 0),
-            nic.CtrlAddr(ep - 1, 0) + nic.EndpointStrideLines() * nic.line_size());
+            nic.CtrlAddr(ep - 1, 0) + nic.EndpointStrideLines() * line);
 }
 
 TEST(LauberhornNicTest, TryagainFiresAtConfiguredDeadline) {
@@ -120,103 +137,31 @@ TEST(LauberhornNicTest, AuxLinePayloadRoundTrip) {
   EXPECT_EQ(machine.lauberhorn_nic()->stats().dma_fallback_rx, 0u);
 }
 
-// Closed-loop callers, each sending its next distinct 1 KiB echo when the
-// previous one returns, `calls` in all. Counts the responses that came back
-// byte-equal to their request and those that did not.
-class AuxEchoLoad {
- public:
-  static constexpr size_t kSize = 1024;
-
-  AuxEchoLoad(Machine& machine, const ServiceDef& echo, int calls)
-      : machine_(machine), echo_(echo), calls_(calls) {}
-
-  void Start(int callers) {
-    for (int i = 0; i < callers; ++i) {
-      Call();
-    }
-  }
-
-  int issued() const { return issued_; }
-  int ok() const { return ok_; }
-  int corrupted() const { return corrupted_; }
-
- private:
-  void Call() {
-    const int index = issued_++;
-    std::vector<uint8_t> sent(kSize);
-    for (size_t i = 0; i < kSize; ++i) {
-      sent[i] = static_cast<uint8_t>(index * 31 + i * 7);
-    }
-    machine_.client().Call(echo_, 0, std::vector<WireValue>{WireValue::Bytes(sent)},
-                           [this, sent](const RpcMessage& r, Duration) {
-                             std::vector<WireValue> out;
-                             if (r.status == RpcStatus::kOk &&
-                                 UnmarshalArgs(MethodSignature{{WireType::kBytes}},
-                                               r.payload, out)) {
-                               ++(out[0].bytes == sent ? ok_ : corrupted_);
-                             }
-                             if (issued_ < calls_) {
-                               Call();
-                             }
-                           });
-  }
-
-  Machine& machine_;
-  const ServiceDef& echo_;
-  const int calls_;
-  int issued_ = 0;
-  int ok_ = 0;
-  int corrupted_ = 0;
-};
-
-TEST(LauberhornNicTest, BackToBackAuxEchoesReturnTheirOwnBytes) {
-  // Both CONTROL parities share an endpoint's AUX lines: the NIC pulls one
-  // response's AUX lines back while the next request's arguments go out
-  // through the same lines. Four callers keep one hot endpoint's queue
-  // non-empty, so every dispatch overlaps the previous response's
-  // collection; each echo must still return exactly the bytes it sent.
-  Machine machine(Config());
-  const ServiceDef& echo = machine.AddService(ServiceRegistry::MakeEchoService(1, 7000));
-  machine.Start();
-  machine.StartHotLoop(echo);
-  machine.sim().RunUntil(Milliseconds(1));
-  ASSERT_EQ(machine.EndpointsOf(echo).size(), 1u);
-
-  constexpr int kCalls = 400;
-  AuxEchoLoad load(machine, echo, kCalls);
-  load.Start(4);
-  machine.sim().RunUntil(Milliseconds(100));
-  EXPECT_EQ(load.issued(), kCalls);
-  EXPECT_EQ(load.corrupted(), 0);
-  EXPECT_EQ(load.ok(), kCalls);
-  const LauberhornNic::Stats& stats = machine.lauberhorn_nic()->stats();
-  EXPECT_EQ(stats.dma_fallback_rx, 0u);
-  EXPECT_GE(stats.aux_holds, static_cast<uint64_t>(kCalls - 4));
-}
-
-TEST(LauberhornNicTest, CrashAnswersADispatchHeldForAuxLines) {
-  // A held dispatch has taken its core's parked load. A NIC crash must
-  // answer that load with TRYAGAIN, as it answers every parked load, or the
-  // core would wait on it forever. Eight callers keep both of the service's
+TEST(LauberhornNicTest, CrashAnswersADeferredPoll) {
+  // A poll on a CONTROL parity whose previous response the NIC is still
+  // reading out of the parity's DMA region is deferred until the read ends.
+  // A NIC crash must answer a deferred poll with TRYAGAIN, as it answers
+  // every parked load, or its core would wait on it forever. Eight callers
+  // of 16 B requests with 8,000 B responses keep both of the service's
   // endpoints busy, so neither core is ever parked idle: a TRYAGAIN on one
-  // of them at the crash instant answers a held dispatch. The crash lands
+  // of them at the crash instant answers a deferred poll. The crash lands
   // where the NIC next checks its health after the planned instant (an
   // arrival, or a poll on the other endpoint), so the test sweeps the
-  // instant for some crashes to fall inside a hold. Without the crash
-  // handling of held dispatches, no sweep step sees such a TRYAGAIN.
+  // instant for some crashes to fall inside a deferral. Without the crash
+  // handling of deferred polls, no sweep step sees such a TRYAGAIN.
   int answered_at_crash = 0;
   for (int step = 0; step < 80; ++step) {
     MachineConfig config = Config();
     const SimTime planned = Milliseconds(1) + Microseconds(50) + step * Nanoseconds(250);
     config.faults.nic_crash.first_crash_at = planned;
     Machine machine(config);
-    const ServiceDef& echo =
-        machine.AddService(ServiceRegistry::MakeEchoService(1, 7000), /*max_cores=*/2);
+    const ServiceDef& service =
+        machine.AddService(MakeShapeService(1, 7000), /*max_cores=*/2);
     machine.Start();
-    machine.StartHotLoop(echo);
+    machine.StartHotLoop(service);
     machine.sim().RunUntil(Milliseconds(1));
-    AuxEchoLoad load(machine, echo, 1000);
-    load.Start(8);
+    ClosedLoopCalls calls(machine, service, std::vector<CallSize>(1000, CallSize{16, 8000}));
+    calls.Start(8);
     machine.sim().RunUntil(planned + Microseconds(20));
 
     const LauberhornNic& nic = *machine.lauberhorn_nic();
@@ -227,8 +172,8 @@ TEST(LauberhornNicTest, CrashAnswersADispatchHeldForAuxLines) {
       }
     }
     ASSERT_GE(crash_at, planned);
-    ASSERT_GT(nic.stats().aux_holds, 0u);
-    for (const uint32_t ep : machine.EndpointsOf(echo)) {
+    ASSERT_GT(nic.stats().dma_fallback_tx, 0u);
+    for (const uint32_t ep : machine.EndpointsOf(service)) {
       for (const TraceRing::Entry& entry : nic.trace().ForEndpoint(ep)) {
         answered_at_crash += entry.event == TraceEvent::kTryAgain && entry.at == crash_at;
       }

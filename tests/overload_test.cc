@@ -363,27 +363,6 @@ TEST(OverloadLauberhornTest, ShedsEmitDropTraceRecordsWithReasonCodes) {
   EXPECT_GT(drops_seen, 0u);
 }
 
-TEST(OverloadLauberhornTest, PerEndpointShedCountersSumToTotals) {
-  OverloadHarness harness(OverloadedConfig(StackKind::kLauberhorn));
-  harness.Flood(300, Microseconds(1));
-  Machine& m = harness.machine();
-
-  uint64_t queue = 0;
-  uint64_t quota = 0;
-  uint64_t sojourn = 0;
-  for (uint32_t ep : m.EndpointsOf(harness.service())) {
-    const ShedCounts& sheds = m.lauberhorn_nic()->endpoint_sheds(ep);
-    queue += sheds.queue;
-    quota += sheds.quota;
-    sojourn += sheds.sojourn;
-  }
-  const auto& stats = m.lauberhorn_nic()->stats();
-  EXPECT_EQ(queue, stats.sheds.queue);
-  EXPECT_EQ(quota, stats.sheds.quota);
-  EXPECT_EQ(sojourn, stats.sheds.sojourn);
-  EXPECT_GT(queue + quota + sojourn, 0u);
-}
-
 TEST(OverloadLauberhornTest, QueueDepthLimitTripsQueueFullSheds) {
   MachineConfig config;
   config.stack = StackKind::kLauberhorn;

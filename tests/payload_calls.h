@@ -55,7 +55,7 @@ inline MethodDef MakeShapeMethod() {
     return std::vector<WireValue>{WireValue::Bytes(
         ShapeBytes(static_cast<uint32_t>(args.at(0).scalar), args.at(1).bytes))};
   };
-  method.SetFixedServiceTime(Nanoseconds(500));
+  method.SetFixedServiceTime(Nanoseconds(0));
   return method;
 }
 
@@ -94,8 +94,6 @@ class ClosedLoopCalls {
     }
   }
 
-  size_t issued() const { return next_; }
-  size_t returned() const { return returned_; }
   bool done() const { return returned_ == sizes_.size(); }
   const std::vector<std::optional<std::vector<uint8_t>>>& responses() const {
     return responses_;
