@@ -38,7 +38,8 @@ class LauberhornRuntime : public SchedStateListener {
     Duration handler_entry = Nanoseconds(20);
     // Software fixed cost around a cold (kernel-mediated) request.
     Duration cold_handling_overhead = Nanoseconds(400);
-    // Host memory region carved into per-endpoint DMA buffers (128 KiB each).
+    // Host memory region carved into per-endpoint DMA buffers
+    // (kDmaBufferSize, 192 KiB, each).
     uint64_t dma_region_base = 0x4000000;
     // Period of the policy that releases idle cores when others starve (§5.2).
     Duration policy_interval = Microseconds(100);
