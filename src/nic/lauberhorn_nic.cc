@@ -154,10 +154,11 @@ std::optional<uint32_t> LauberhornNic::AllocateEndpointOnVf(
   return ep.id;
 }
 
-uint32_t LauberhornNic::AllocateKernelChannel() {
+uint32_t LauberhornNic::AllocateKernelChannel(uint64_t args_iova) {
   assert(next_kernel_channel_ < config_.num_kernel_channels && "out of channels");
   const uint32_t id = next_kernel_channel_++;
   endpoints_[id].in_use = true;
+  endpoints_[id].dma_buffer_iova = args_iova;
   return id;
 }
 
@@ -761,6 +762,7 @@ void LauberhornNic::DispatchPrepared(PreparedRequest request) {
     return;
   }
   DispatchGroup& group = EnsureGroup(ep);
+  bool overflow = false;
   if (IsCentral(group.config)) {
     if (CentralDispatch(ep, group, request)) {
       return;
@@ -775,6 +777,14 @@ void LauberhornNic::DispatchPrepared(PreparedRequest request) {
              !(faults_ != nullptr && faults_->NicEndpointWedgedNow(ep.id))) {
     DispatchHot(ep, &group, std::move(request));
     return;
+  } else if (ep.active && group.config.kind == DispatchPolicyKind::kLegacy &&
+             ep.pending.size() >= config_.params.spillover_queue_depth &&
+             idle_core_available && idle_core_available()) {
+    // §5.2: the kernel reports an idle core while this endpoint's own core
+    // is saturated. The request runs there through a kernel channel rather
+    // than queueing behind the busy core. d-FCFS keeps its head-of-line
+    // blocking: that is the behaviour the discipline exists to measure.
+    overflow = true;
   } else if (ep.active || ep.outstanding.has_value() || !ep.pending.empty() ||
              ep.cold_dispatch_inflight || ep.waiting.has_value()) {
     Enqueue(ep, group, ep.pending, EffectiveDepthLimit(ep),
@@ -782,6 +792,9 @@ void LauberhornNic::DispatchPrepared(PreparedRequest request) {
     return;
   }
   if (Admit(ep, request, cold_queue_, config_.serve.admission.sojourn)) {
+    if (overflow) {
+      ++stats_.overflow_dispatches;
+    }
     RouteCold(std::move(request));
   }
 }
@@ -988,11 +1001,11 @@ void LauberhornNic::RouteCold(PreparedRequest request) {
   }
 }
 
-DispatchLine LauberhornNic::BuildDispatch(const PreparedRequest& request,
-                                          bool kernel_channel) {
+DispatchLine LauberhornNic::BuildDispatch(const Endpoint& delivering,
+                                          const PreparedRequest& request) {
   const Endpoint& target = endpoints_[request.endpoint];
   DispatchLine line;
-  line.kind = kernel_channel ? LineKind::kKernelDispatch : LineKind::kRpcDispatch;
+  line.kind = delivering.is_kernel ? LineKind::kKernelDispatch : LineKind::kRpcDispatch;
   line.method_id = request.method_id;
   line.service_id = target.service_id;
   line.request_id = request.request_id;
@@ -1017,12 +1030,18 @@ DispatchLine LauberhornNic::BuildDispatch(const PreparedRequest& request,
                 request.args.size() > total_cap;
       break;
   }
-  if (use_dma && target.dma_buffer_iova == 0) {
+  // A kernel channel's own args region: a cold dispatch may run while the
+  // target endpoint's loop reads its region. A channel without one uses the
+  // target's.
+  const uint64_t args_iova = delivering.dma_buffer_iova != 0
+                                 ? delivering.dma_buffer_iova
+                                 : target.dma_buffer_iova;
+  if (use_dma && args_iova == 0) {
     use_dma = false;  // no buffer registered; fall back to lines
   }
   if (use_dma) {
     line.via_dma = true;
-    line.data_ptr = target.dma_buffer_iova;
+    line.data_ptr = args_iova;
     return line;
   }
   assert(request.args.size() <= total_cap && "args exceed AUX capacity");
@@ -1069,7 +1088,7 @@ void LauberhornNic::DeliverToWaiting(Endpoint& ep, PreparedRequest request) {
   }
   ep.tryagain_streak = 0;  // the hot path is making progress
   WaitingLoad waiting = TakeWaiting(ep);
-  const DispatchLine dispatch = BuildDispatch(request, ep.is_kernel);
+  const DispatchLine dispatch = BuildDispatch(ep, request);
   const LineData& line = StoredLine(CtrlAddr(ep.id, waiting.parity)) =
       dispatch.Encode(line_size());
   const std::vector<uint8_t>* args = nullptr;

@@ -153,6 +153,9 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     uint64_t dma_fallback_rx = 0;
     uint64_t dma_fallback_tx = 0;
     uint64_t dispatcher_wakeups = 0;
+    // Requests a saturated in-loop endpoint overflowed onto an idle core
+    // through a kernel channel (§5.2; DESIGN.md §11).
+    uint64_t overflow_dispatches = 0;
     uint64_t crypto_failures = 0;
     // Reliability layer (duplicates are counted by dedup().stats()).
     uint64_t degradations = 0;         // endpoint demoted to the cold path
@@ -294,7 +297,12 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   int EndpointCore(uint32_t endpoint) const { return endpoints_[endpoint].active_core; }
 
   // Allocates a kernel control channel (id in [0, num_kernel_channels)).
-  uint32_t AllocateKernelChannel();
+  // `args_iova` is the channel's own DMA args region (kDmaRegionBytes,
+  // mapped by the runtime): a cold dispatch's DMA-fallback arguments go
+  // there, never into the target endpoint's region, which its own loop may
+  // be reading at the same time. 0 = no region: they then go to the target
+  // endpoint's region.
+  uint32_t AllocateKernelChannel(uint64_t args_iova = 0);
 
   // §5.2: ask the parked core on this endpoint to return to the OS. If a
   // load is waiting it is answered with RETIRE now; otherwise the next one is.
@@ -323,6 +331,10 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // Invoked (as a model of an interrupt to the OS) when a cold request is
   // queued and no kernel channel is armed.
   Callback on_need_dispatcher;
+  // §5.2 scheduling state the kernel pushes to the NIC: true while some
+  // core is idle. A legacy endpoint whose core is saturated overflows onto
+  // such a core through a kernel channel instead of queueing behind itself.
+  Function<bool()> idle_core_available;
   // Observation hooks for latency tracking, handed the LRPC header of a
   // frame the moment it arrives from the wire (frames that parse, both
   // checksums included) or departs to it. The RX pipeline parses each frame
@@ -618,9 +630,10 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // through the kernel path instead of stranding behind cores that will
   // never poll again.
   void MaybeRestartCold(Endpoint& ep);
-  // The DispatchLine describing the delivery of `request`: inline
-  // arguments, a count of AUX lines, or the DMA buffer.
-  DispatchLine BuildDispatch(const PreparedRequest& request, bool kernel_channel);
+  // The DispatchLine describing the delivery of `request` through
+  // `delivering` (the target endpoint itself, a continuation, or a kernel
+  // channel): inline arguments, a count of AUX lines, or a DMA region.
+  DispatchLine BuildDispatch(const Endpoint& delivering, const PreparedRequest& request);
   // Writes `overflow`, the arguments past the inline bytes, into the AUX
   // lines of endpoint `ep_id`'s parity, one line_size chunk per line.
   void WriteAuxArgs(uint32_t ep_id, int parity, std::span<const uint8_t> overflow);
@@ -728,6 +741,7 @@ inline constexpr StatsField<LauberhornNic::Stats> kLauberhornNicStatsFields[] = 
     {"dma_fallback_rx", &LauberhornNic::Stats::dma_fallback_rx},
     {"dma_fallback_tx", &LauberhornNic::Stats::dma_fallback_tx},
     {"dispatcher_wakeups", &LauberhornNic::Stats::dispatcher_wakeups},
+    {"overflow_dispatches", &LauberhornNic::Stats::overflow_dispatches},
     {"crypto_failures", &LauberhornNic::Stats::crypto_failures},
     {"degradations", &LauberhornNic::Stats::degradations},
     {"degraded_dispatches", &LauberhornNic::Stats::degraded_dispatches},

@@ -56,14 +56,27 @@ uint32_t LauberhornRuntime::RegisterService(const ServiceDef& service, int max_c
 
 void LauberhornRuntime::Start() {
   for (int i = 0; i < config_.dispatcher_threads; ++i) {
+    // Each channel owns an args region. Cold responses leave through
+    // SoftwareTransmit, so it needs no response region.
+    const uint64_t args_region = next_dma_buffer_;
+    next_dma_buffer_ += kDmaRegionBytes;
+    iommu_.Map(args_region, args_region, kDmaRegionBytes);
     DispatcherRt d;
-    d.channel = nic_.AllocateKernelChannel();
+    d.channel = nic_.AllocateKernelChannel(args_region);
     d.thread = kernel_.AddThread(kernel_.kernel_process(),
                                  "lbh-dispatcher-" + std::to_string(i),
                                  /*kernel_priority=*/true);
     dispatchers_.push_back(d);
   }
   nic_.on_need_dispatcher = [this]() { WakeDispatcher(); };
+  nic_.idle_core_available = [this]() {
+    for (size_t i = 0; i < kernel_.num_cores(); ++i) {
+      if (kernel_.core(i).Available()) {
+        return true;
+      }
+    }
+    return false;
+  };
   kernel_.AddSchedListener(this);
   sim_.Schedule(config_.policy_interval, [this]() { PolicyTick(); });
 }

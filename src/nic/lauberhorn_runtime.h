@@ -39,7 +39,8 @@ class LauberhornRuntime : public SchedStateListener {
     // Software fixed cost around a cold (kernel-mediated) request.
     Duration cold_handling_overhead = Nanoseconds(400);
     // Host memory region carved into per-endpoint DMA buffers
-    // (kDmaBufferSize, 192 KiB, each).
+    // (kDmaBufferSize, 192 KiB, each), then one kDmaRegionBytes args region
+    // per kernel channel.
     uint64_t dma_region_base = 0x4000000;
     // Period of the policy that releases idle cores when others starve (§5.2).
     Duration policy_interval = Microseconds(100);

@@ -684,40 +684,41 @@ const std::map<std::string, Outcome>& ExpectedOutcomes() {
   static const auto* expected = new std::map<std::string, Outcome>{
       {"LegacyPf",
        {{"dispatch/legacy/hot_dispatches", 2},
-        {"dispatch/legacy/local_queued", 182},
-        {"nic/cold_dispatches", 4}, {"nic/cold_queued", 4},
-        {"nic/core0/busy_ns", 151394}, {"nic/core0/dispatches", 23},
-        {"nic/core1/busy_ns", 419787}, {"nic/core1/dispatches", 66},
-        {"nic/core2/busy_ns", 395738}, {"nic/core2/dispatches", 58},
-        {"nic/core3/busy_ns", 253039}, {"nic/core3/dispatches", 34},
-        {"nic/dedup_admitted", 400}, {"nic/dispatcher_wakeups", 4}, {"nic/hot_dispatches", 181},
-        {"nic/queued_dispatches", 182}, {"nic/responses_sent", 400},
-        {"nic/retires", 2}, {"overload/sheds_queue", 14},
-        {"overload/sheds_quota", 75}, {"overload/sheds_sojourn", 126},
-        {"span/cold", 1}, {"span/hot", 2}, {"span/queued", 182},
-        {"span/unknown", 215}, {"trace/dispatch-cold", 4},
-        {"trace/dispatch-hot", 2}, {"trace/dispatch-queued", 182},
-        {"trace/drop", 215}, {"trace/loop-enter", 5}, {"trace/loop-exit", 2},
-        {"trace/retire", 2}, {"trace/wire-rx", 400}, {"trace/wire-tx", 400}}},
+        {"dispatch/legacy/local_queued", 173}, {"nic/cold_dispatches", 21},
+        {"nic/cold_queued", 21}, {"nic/core0/busy_ns", 155336},
+        {"nic/core0/dispatches", 28}, {"nic/core1/busy_ns", 413561},
+        {"nic/core1/dispatches", 61}, {"nic/core2/busy_ns", 387304},
+        {"nic/core2/dispatches", 49}, {"nic/core3/busy_ns", 248954},
+        {"nic/core3/dispatches", 34}, {"nic/dedup_admitted", 400},
+        {"nic/dispatcher_wakeups", 21}, {"nic/hot_dispatches", 172},
+        {"nic/overflow_dispatches", 17}, {"nic/queued_dispatches", 173},
+        {"nic/responses_sent", 400}, {"nic/retires", 2},
+        {"overload/sheds_queue", 7}, {"overload/sheds_quota", 82},
+        {"overload/sheds_sojourn", 118}, {"span/cold", 18}, {"span/hot", 2},
+        {"span/queued", 173}, {"span/unknown", 207},
+        {"trace/dispatch-cold", 21}, {"trace/dispatch-hot", 2},
+        {"trace/dispatch-queued", 173}, {"trace/drop", 207},
+        {"trace/loop-enter", 5}, {"trace/loop-exit", 2}, {"trace/retire", 2},
+        {"trace/wire-rx", 400}, {"trace/wire-tx", 400}}},
       {"LegacyVf",
-       {{"dispatch/legacy/hot_dispatches", 8},
-        {"dispatch/legacy/local_queued", 188},
-        {"nic/cold_dispatches", 4}, {"nic/cold_queued", 4},
-        {"nic/core0/busy_ns", 153801}, {"nic/core0/dispatches", 22},
-        {"nic/core1/busy_ns", 409043}, {"nic/core1/dispatches", 73},
-        {"nic/core2/busy_ns", 393766}, {"nic/core2/dispatches", 58},
-        {"nic/core3/busy_ns", 267673}, {"nic/core3/dispatches", 40},
-        {"nic/dedup_admitted", 400}, {"nic/dispatcher_wakeups", 4}, {"nic/hot_dispatches", 193},
-        {"nic/queued_dispatches", 188}, {"nic/responses_sent", 400},
-        {"nic/retires", 2}, {"nic/vf1/endpoints", 3},
-        {"nic/vf1/responses", 400}, {"nic/vf1/rss_fallbacks", 97},
-        {"nic/vf1/rss_steered", 303}, {"nic/vf1/rx_requests", 400},
-        {"nic/vf1/sheds_sojourn", 58}, {"nic/vf1/sheds_vf_quota", 145},
-        {"overload/sheds_sojourn", 58}, {"overload/sheds_vf_quota", 145},
-        {"span/cold", 1}, {"span/hot", 8}, {"span/queued", 188},
-        {"span/unknown", 203}, {"trace/dispatch-cold", 4},
-        {"trace/dispatch-hot", 8}, {"trace/dispatch-queued", 188},
-        {"trace/drop", 203}, {"trace/loop-enter", 5}, {"trace/loop-exit", 2},
+       {{"dispatch/legacy/hot_dispatches", 13},
+        {"dispatch/legacy/local_queued", 190}, {"nic/cold_dispatches", 9},
+        {"nic/cold_queued", 9}, {"nic/core0/busy_ns", 154331},
+        {"nic/core0/dispatches", 20}, {"nic/core1/busy_ns", 398277},
+        {"nic/core1/dispatches", 72}, {"nic/core2/busy_ns", 414041},
+        {"nic/core2/dispatches", 65}, {"nic/core3/busy_ns", 276242},
+        {"nic/core3/dispatches", 43}, {"nic/dedup_admitted", 400},
+        {"nic/dispatcher_wakeups", 9}, {"nic/hot_dispatches", 200},
+        {"nic/overflow_dispatches", 5}, {"nic/queued_dispatches", 190},
+        {"nic/responses_sent", 400}, {"nic/retires", 2},
+        {"nic/vf1/endpoints", 3}, {"nic/vf1/responses", 400},
+        {"nic/vf1/rss_fallbacks", 97}, {"nic/vf1/rss_steered", 303},
+        {"nic/vf1/rx_requests", 400}, {"nic/vf1/sheds_sojourn", 46},
+        {"nic/vf1/sheds_vf_quota", 145}, {"overload/sheds_sojourn", 46},
+        {"overload/sheds_vf_quota", 145}, {"span/cold", 6}, {"span/hot", 13},
+        {"span/queued", 190}, {"span/unknown", 191}, {"trace/dispatch-cold", 9},
+        {"trace/dispatch-hot", 13}, {"trace/dispatch-queued", 190},
+        {"trace/drop", 191}, {"trace/loop-enter", 5}, {"trace/loop-exit", 2},
         {"trace/retire", 2}, {"trace/wire-rx", 400}, {"trace/wire-tx", 400}}},
       {"dFcfs",
        {{"dispatch/d-fcfs/hot_dispatches", 7},
@@ -770,19 +771,20 @@ const std::map<std::string, Outcome>& ExpectedOutcomes() {
         {"trace/retire", 2}, {"trace/wire-rx", 400}, {"trace/wire-tx", 400}}},
       {"LegacyWedge",
        {{"dispatch/legacy/hot_dispatches", 4},
-        {"dispatch/legacy/local_queued", 56},
-        {"nic/cold_dispatches", 20}, {"nic/cold_queued", 20},
-        {"nic/core0/busy_ns", 23739}, {"nic/core0/dispatches", 5},
-        {"nic/core1/busy_ns", 264041}, {"nic/core1/dispatches", 40},
-        {"nic/dedup_admitted", 400}, {"nic/degradations", 3}, {"nic/degraded_dispatches", 100},
-        {"nic/dispatcher_wakeups", 20}, {"nic/hot_dispatches", 45},
-        {"nic/queued_dispatches", 56}, {"nic/responses_sent", 400},
-        {"nic/retires", 7}, {"nic/tryagains", 115}, {"nic/wedged_polls", 34},
-        {"overload/sheds_queue", 73}, {"overload/sheds_quota", 69},
-        {"overload/sheds_sojourn", 193}, {"span/cold", 41}, {"span/hot", 4},
-        {"span/queued", 56}, {"span/unknown", 299}, {"trace/degrade", 3},
-        {"trace/dispatch-cold", 20}, {"trace/dispatch-hot", 4},
-        {"trace/dispatch-queued", 56}, {"trace/drop", 335},
+        {"dispatch/legacy/local_queued", 56}, {"nic/cold_dispatches", 24},
+        {"nic/cold_queued", 24}, {"nic/core0/busy_ns", 23739},
+        {"nic/core0/dispatches", 5}, {"nic/core1/busy_ns", 264041},
+        {"nic/core1/dispatches", 40}, {"nic/dedup_admitted", 400},
+        {"nic/degradations", 3}, {"nic/degraded_dispatches", 100},
+        {"nic/dispatcher_wakeups", 24}, {"nic/hot_dispatches", 45},
+        {"nic/overflow_dispatches", 4}, {"nic/queued_dispatches", 56},
+        {"nic/responses_sent", 400}, {"nic/retires", 7}, {"nic/tryagains", 115},
+        {"nic/wedged_polls", 34}, {"overload/sheds_queue", 69},
+        {"overload/sheds_quota", 69}, {"overload/sheds_sojourn", 193},
+        {"span/cold", 45}, {"span/hot", 4}, {"span/queued", 56},
+        {"span/unknown", 295}, {"trace/degrade", 3},
+        {"trace/dispatch-cold", 24}, {"trace/dispatch-hot", 4},
+        {"trace/dispatch-queued", 56}, {"trace/drop", 331},
         {"trace/loop-enter", 9}, {"trace/loop-exit", 8}, {"trace/retire", 7},
         {"trace/tryagain", 115}, {"trace/wire-rx", 400},
         {"trace/wire-tx", 400}}},

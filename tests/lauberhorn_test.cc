@@ -4,8 +4,10 @@
 // NIC-side queueing, overload responses, endpoint spillover, and the trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <set>
+#include <string>
 
 #include "src/core/machine.h"
 #include "tests/payload_calls.h"
@@ -474,6 +476,241 @@ TEST(LauberhornNicTest, PreemptionDanceIpiThenRetire) {
   EXPECT_FALSE(core.blocked_on_load());
   EXPECT_EQ(machine.lauberhorn_runtime()->stats().loops_exited, 1u);
   EXPECT_EQ(machine.lauberhorn_nic()->stats().retires, 1u);
+}
+
+// --- Overflow onto an idle core (§5.2) ---------------------------------------
+// One hot single-endpoint service whose handler runs 2 µs, under 8
+// closed-loop callers. The loop's core saturates, so its private queue
+// reaches spillover_queue_depth; while the kernel reports an idle core,
+// later requests overflow onto it through a kernel channel. Every other
+// call carries 8,000 B of arguments, which reach a kernel channel through
+// the channel's own DMA args region.
+
+ServiceDef SlowShapeService(DispatchPolicyKind kind = DispatchPolicyKind::kLegacy) {
+  ServiceDef def = MakeShapeService(1, 7000);
+  def.methods[0].SetFixedServiceTime(Microseconds(2));
+  def.dispatch.kind = kind;
+  return def;
+}
+
+std::vector<CallSize> OverflowCalls(size_t count = 200) {
+  std::vector<CallSize> sizes(count);
+  for (size_t i = 0; i < count; ++i) {
+    sizes[i] = i % 2 == 0 ? CallSize{64, 64} : CallSize{8000, 1024};
+  }
+  return sizes;
+}
+
+// Calls that returned, but not with the handler's answer to their own
+// request.
+int WrongResponses(const ClosedLoopCalls& calls, const std::vector<CallSize>& sizes) {
+  const MethodDef method = MakeShapeMethod();
+  int wrong = 0;
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    std::vector<uint8_t> expected;
+    MarshalArgs(method.response_sig, method.handler(ShapeArgs(sizes[i], i)), expected);
+    wrong += calls.responses()[i] != expected;
+  }
+  return wrong;
+}
+
+// Runs `calls` to completion (or 100 ms), sampling the backlog behind
+// `endpoint` (its private queue plus, under c-FCFS and JBSQ, the central
+// queue) every 10 ns. Returns the deepest sample.
+size_t RunSamplingBacklog(Machine& machine, const ClosedLoopCalls& calls, uint32_t endpoint) {
+  size_t deepest = 0;
+  while (!calls.done() && machine.sim().Now() < Milliseconds(100)) {
+    machine.sim().RunUntil(machine.sim().Now() + Nanoseconds(10));
+    deepest = std::max(deepest, machine.lauberhorn_nic()->DispatchBacklog(endpoint));
+  }
+  return deepest;
+}
+
+// Occupies every idle core with a user thread that runs for `busy`.
+void OccupyIdleCores(Machine& machine, Duration busy) {
+  Kernel& kernel = machine.kernel();
+  Process* process = kernel.CreateProcess("hog");
+  for (size_t i = 0; i < kernel.num_cores(); ++i) {
+    if (!kernel.core(i).Available()) {
+      continue;
+    }
+    Thread* hog = kernel.AddThread(process, "hog" + std::to_string(i));
+    hog->PushWork([&kernel, busy](Core& core) {
+      core.Run(busy, CoreMode::kUser, [&kernel, &core]() { kernel.scheduler().OnWorkDone(core); });
+    });
+    kernel.scheduler().Wake(hog, static_cast<int>(i));
+  }
+}
+
+TEST(LauberhornNicTest, OverflowRunsOnIdleCoresAndCapsThePrivateQueue) {
+  Machine machine(Config(/*cores=*/8));
+  const ServiceDef& service = machine.AddService(SlowShapeService());
+  machine.Start();
+  machine.StartHotLoop(service);
+  machine.sim().RunUntil(Milliseconds(1));
+  const uint32_t ep = machine.EndpointsOf(service)[0];
+  const LauberhornNic& nic = *machine.lauberhorn_nic();
+  ASSERT_TRUE(nic.idle_core_available());
+
+  const std::vector<CallSize> sizes = OverflowCalls();
+  ClosedLoopCalls calls(machine, service, sizes);
+  calls.Start(8);
+  const size_t deepest = RunSamplingBacklog(machine, calls, ep);
+  ASSERT_TRUE(calls.done());
+  EXPECT_EQ(WrongResponses(calls, sizes), 0);
+  EXPECT_GT(nic.stats().overflow_dispatches, 0u);
+  // The endpoint held its core throughout, so every cold dispatch was an
+  // overflow, and the private queue never grew past the overflow depth.
+  EXPECT_EQ(nic.stats().cold_dispatches, nic.stats().overflow_dispatches);
+  EXPECT_EQ(deepest, nic.config().params.spillover_queue_depth);
+  EXPECT_GT(nic.stats().dma_fallback_rx, 0u);
+}
+
+TEST(LauberhornNicTest, OverflowNeedsAnIdleCore) {
+  Machine machine(Config());
+  const ServiceDef& service = machine.AddService(SlowShapeService());
+  machine.Start();
+  machine.StartHotLoop(service);
+  machine.sim().RunUntil(Milliseconds(1));
+  const uint32_t ep = machine.EndpointsOf(service)[0];
+  OccupyIdleCores(machine, Milliseconds(50));
+  const LauberhornNic& nic = *machine.lauberhorn_nic();
+  ASSERT_FALSE(nic.idle_core_available());
+
+  const std::vector<CallSize> sizes = OverflowCalls();
+  ClosedLoopCalls calls(machine, service, sizes);
+  calls.Start(8);
+  const size_t deepest = RunSamplingBacklog(machine, calls, ep);
+  ASSERT_TRUE(calls.done());
+  EXPECT_EQ(WrongResponses(calls, sizes), 0);
+  EXPECT_EQ(nic.stats().overflow_dispatches, 0u);
+  EXPECT_EQ(nic.stats().cold_dispatches, 0u);
+  // The queue went past the overflow depth: with an idle core, the rule
+  // would have fired.
+  EXPECT_GT(deepest, nic.config().params.spillover_queue_depth);
+}
+
+TEST(LauberhornNicTest, OverflowOnlyUnderLegacyDispatch) {
+  // c-FCFS and JBSQ place requests from their central queue; d-FCFS keeps
+  // its head-of-line blocking, the behaviour it exists to measure.
+  for (const DispatchPolicyKind kind :
+       {DispatchPolicyKind::kDFcfs, DispatchPolicyKind::kCFcfs, DispatchPolicyKind::kJbsq}) {
+    Machine machine(Config());
+    const ServiceDef& service = machine.AddService(SlowShapeService(kind));
+    machine.Start();
+    machine.StartHotLoop(service);
+    machine.sim().RunUntil(Milliseconds(1));
+    const uint32_t ep = machine.EndpointsOf(service)[0];
+    const LauberhornNic& nic = *machine.lauberhorn_nic();
+    ASSERT_TRUE(nic.idle_core_available()) << ToString(kind);
+
+    const std::vector<CallSize> sizes = OverflowCalls();
+    ClosedLoopCalls calls(machine, service, sizes);
+    calls.Start(8);
+    const size_t deepest = RunSamplingBacklog(machine, calls, ep);
+    ASSERT_TRUE(calls.done()) << ToString(kind);
+    EXPECT_EQ(WrongResponses(calls, sizes), 0) << ToString(kind);
+    EXPECT_EQ(nic.stats().overflow_dispatches, 0u) << ToString(kind);
+    EXPECT_EQ(nic.stats().cold_dispatches, 0u) << ToString(kind);
+    // The backlog went past the overflow depth, so only the discipline kept
+    // the rule from firing.
+    EXPECT_GT(deepest, nic.config().params.spillover_queue_depth) << ToString(kind);
+  }
+}
+
+TEST(LauberhornNicTest, ServiceQuotaShedsOverflowedRequestsLikeColdOnes) {
+  // A 5 ms handler holds the first call on the loop's core; calls 2-5 take
+  // four quota tokens into the private queue, and call 6 takes the last
+  // one onto an idle core. From then on the queue stays at the overflow
+  // depth, so every later call takes the overflow branch and meets the
+  // same gate as a cold request: the empty bucket sheds it with an
+  // overloaded reply and one trace drop, and it reaches no kernel channel.
+  MachineConfig config = Config();
+  config.admission.enabled = true;
+  config.admission.quota_rps = 1.0;
+  config.admission.quota_burst = 5;
+  Machine machine(config);
+  ServiceDef def = SlowShapeService();
+  def.methods[0].SetFixedServiceTime(Milliseconds(5));
+  const ServiceDef& service = machine.AddService(std::move(def));
+  machine.Start();
+  machine.StartHotLoop(service);
+  machine.sim().RunUntil(Milliseconds(1));
+  const uint32_t ep = machine.EndpointsOf(service)[0];
+  const LauberhornNic& nic = *machine.lauberhorn_nic();
+
+  const std::vector<CallSize> sizes(200, CallSize{64, 64});
+  ClosedLoopCalls calls(machine, service, sizes);
+  calls.Start(8);
+  const size_t deepest = RunSamplingBacklog(machine, calls, ep);
+  ASSERT_TRUE(calls.done());
+  EXPECT_EQ(deepest, nic.config().params.spillover_queue_depth);
+  EXPECT_EQ(nic.stats().queued_dispatches, 4u);
+  EXPECT_EQ(nic.stats().overflow_dispatches, 1u);
+  EXPECT_EQ(nic.stats().cold_dispatches, 1u);
+  EXPECT_EQ(nic.stats().sheds.quota, 194u);
+  EXPECT_EQ(nic.stats().sheds.total(), 194u);
+  EXPECT_EQ(machine.client().stats().overloaded, 194u);
+  size_t quota_drops = 0;
+  for (const TraceRing::Entry& entry : nic.trace().ForEndpoint(ep)) {
+    quota_drops += entry.event == TraceEvent::kDrop &&
+                   entry.b == static_cast<uint32_t>(ShedReason::kQuota);
+  }
+  EXPECT_EQ(quota_drops, 194u);
+  int answered = 0;
+  for (const auto& response : calls.responses()) {
+    answered += response.has_value();
+  }
+  EXPECT_EQ(answered, 6);
+}
+
+TEST(LauberhornNicTest, RetireWithOverflowInFlightStrandsNoQueuedRequest) {
+  // RouteCold marks the endpoint's one cold_dispatch_inflight flag for
+  // each overflowed request, and the first SoftwareTransmit clears it. The
+  // flag is enough: when the loop retires while overflowed requests run,
+  // the retire leaves the private queue alone (the flag is set), and each
+  // overflow's transmit restarts one queued request on the cold path until
+  // the queue is empty. The cooldown keeps the loop from restarting, so
+  // only the cold path can drain the queue.
+  MachineConfig config = Config();
+  config.runtime.scale.cooldown = Milliseconds(100);
+  Machine machine(config);
+  const ServiceDef& service = machine.AddService(SlowShapeService());
+  machine.Start();
+  machine.StartHotLoop(service);
+  machine.sim().RunUntil(Milliseconds(1));
+  const uint32_t ep = machine.EndpointsOf(service)[0];
+  const LauberhornNic& nic = *machine.lauberhorn_nic();
+  LauberhornRuntime& runtime = *machine.lauberhorn_runtime();
+  const auto overflow_running = [&]() {
+    return nic.stats().overflow_dispatches > 0 &&
+           nic.stats().cold_dispatches > runtime.stats().rpcs_cold &&
+           nic.QueueDepth(ep) > 0;
+  };
+
+  const std::vector<CallSize> sizes = OverflowCalls();
+  ClosedLoopCalls calls(machine, service, sizes);
+  calls.Start(8);
+  while (!overflow_running() && machine.sim().Now() < Milliseconds(10)) {
+    machine.sim().RunUntil(machine.sim().Now() + Nanoseconds(10));
+  }
+  ASSERT_TRUE(overflow_running());
+  runtime.Deschedule(ep);
+  while (nic.stats().retires == 0 && machine.sim().Now() < Milliseconds(10)) {
+    machine.sim().RunUntil(machine.sim().Now() + Nanoseconds(10));
+  }
+  ASSERT_EQ(nic.stats().retires, 1u);
+  ASSERT_FALSE(nic.EndpointActive(ep));
+  // The retire landed while overflowed requests ran and requests waited.
+  EXPECT_GT(nic.stats().cold_dispatches, runtime.stats().rpcs_cold);
+  EXPECT_GT(nic.QueueDepth(ep), 0u);
+
+  RunSamplingBacklog(machine, calls, ep);
+  ASSERT_TRUE(calls.done());
+  EXPECT_EQ(WrongResponses(calls, sizes), 0);
+  EXPECT_EQ(nic.QueueDepth(ep), 0u);
+  EXPECT_EQ(runtime.stats().loops_started, 1u);
+  EXPECT_FALSE(nic.EndpointActive(ep));
 }
 
 }  // namespace
