@@ -156,6 +156,7 @@ std::optional<uint32_t> LauberhornNic::AllocateEndpointOnVf(
 
 uint32_t LauberhornNic::AllocateKernelChannel(uint64_t args_iova) {
   assert(next_kernel_channel_ < config_.num_kernel_channels && "out of channels");
+  assert(args_iova != 0 && "a kernel channel needs its own args region");
   const uint32_t id = next_kernel_channel_++;
   endpoints_[id].in_use = true;
   endpoints_[id].dma_buffer_iova = args_iova;
@@ -300,6 +301,18 @@ void LauberhornNic::NoteThreadPlacement(uint32_t endpoint, int core, bool runnin
                   }
                   ep.active_core = running ? core : -1;
                 });
+}
+
+void LauberhornNic::NoteSpareCores(int delta) {
+  SpareCores();  // keep only the pushes still in flight
+  spare_pushes_.push_back({sim_.Now() + interconnect_.config().cpu_device_hop, delta});
+}
+
+int64_t LauberhornNic::SpareCores() {
+  while (!spare_pushes_.empty() && spare_pushes_.front().lands <= sim_.Now()) {
+    spare_cores_ += spare_pushes_.pop_front().delta;
+  }
+  return spare_cores_;
 }
 
 void LauberhornNic::RequestRetire(uint32_t endpoint) {
@@ -779,11 +792,12 @@ void LauberhornNic::DispatchPrepared(PreparedRequest request) {
     return;
   } else if (ep.active && group.config.kind == DispatchPolicyKind::kLegacy &&
              ep.pending.size() >= config_.params.spillover_queue_depth &&
-             idle_core_available && idle_core_available()) {
-    // §5.2: the kernel reports an idle core while this endpoint's own core
-    // is saturated. The request runs there through a kernel channel rather
-    // than queueing behind the busy core. d-FCFS keeps its head-of-line
-    // blocking: that is the behaviour the discipline exists to measure.
+             ColdPathHasRoom()) {
+    // §5.2: this endpoint's own core is saturated while the kernel path
+    // has a core to spare. The request runs there through a kernel channel
+    // rather than queueing behind the busy core. d-FCFS keeps its
+    // head-of-line blocking: that is the behaviour the discipline exists to
+    // measure.
     overflow = true;
   } else if (ep.active || ep.outstanding.has_value() || !ep.pending.empty() ||
              ep.cold_dispatch_inflight || ep.waiting.has_value()) {
@@ -792,10 +806,7 @@ void LauberhornNic::DispatchPrepared(PreparedRequest request) {
     return;
   }
   if (Admit(ep, request, cold_queue_, config_.serve.admission.sojourn)) {
-    if (overflow) {
-      ++stats_.overflow_dispatches;
-    }
-    RouteCold(std::move(request));
+    RouteCold(std::move(request), overflow);
   }
 }
 
@@ -958,7 +969,25 @@ uint16_t LauberhornNic::ComputeGrant(const Endpoint& ep) {
       std::min<size_t>(share, config_.grant_max));
 }
 
-void LauberhornNic::RouteCold(PreparedRequest request) {
+LauberhornNic::Endpoint* LauberhornNic::WaitingKernelChannel() {
+  for (size_t i = 0; i < config_.num_kernel_channels; ++i) {
+    Endpoint& channel = endpoints_[i];
+    if (channel.in_use && channel.waiting.has_value()) {
+      return &channel;
+    }
+  }
+  return nullptr;
+}
+
+bool LauberhornNic::ColdPathHasRoom() {
+  if (WaitingKernelChannel() != nullptr) {
+    return true;
+  }
+  const int64_t claimed = static_cast<int64_t>(cold_queue_.size() + cold_inflight_.size());
+  return claimed < std::min<int64_t>(SpareCores(), next_kernel_channel_);
+}
+
+void LauberhornNic::RouteCold(PreparedRequest request, bool overflow) {
   Endpoint& ep = endpoints_[request.endpoint];
   if (spans_ != nullptr) {
     // First-write-wins keeps the original stamps when a queued request is
@@ -966,16 +995,14 @@ void LauberhornNic::RouteCold(PreparedRequest request) {
     spans_->RecordDispatch(request.request_id, SpanDispatch::kCold, ep.id,
                            sim_.Now());
   }
-  for (size_t i = 0; i < config_.num_kernel_channels; ++i) {
-    Endpoint& channel = endpoints_[i];
-    if (channel.in_use && channel.waiting.has_value()) {
-      ep.cold_dispatch_inflight = true;
-      trace_.Emit(sim_.Now(), TraceEvent::kDispatchCold, ep.id,
-                  static_cast<uint32_t>(request.request_id));
-      ++stats_.cold_dispatches;
-      DeliverToWaiting(channel, std::move(request));
-      return;
-    }
+  if (Endpoint* channel = WaitingKernelChannel()) {
+    ep.cold_dispatch_inflight = true;
+    trace_.Emit(sim_.Now(), TraceEvent::kDispatchCold, ep.id,
+                static_cast<uint32_t>(request.request_id));
+    ++stats_.cold_dispatches;
+    stats_.overflow_dispatches += overflow;
+    DeliverToWaiting(*channel, std::move(request));
+    return;
   }
   // The shared spillover queue is bounded: past the limit the NIC sheds
   // rather than queueing without bound (the cold path is already the slow
@@ -994,6 +1021,7 @@ void LauberhornNic::RouteCold(PreparedRequest request) {
   trace_.Emit(sim_.Now(), TraceEvent::kDispatchCold, ep.id,
               static_cast<uint32_t>(request.request_id));
   ++stats_.cold_queued;
+  stats_.overflow_dispatches += overflow;
   cold_queue_.Push(std::move(request));
   if (on_need_dispatcher) {
     ++stats_.dispatcher_wakeups;
@@ -1030,18 +1058,14 @@ DispatchLine LauberhornNic::BuildDispatch(const Endpoint& delivering,
                 request.args.size() > total_cap;
       break;
   }
-  // A kernel channel's own args region: a cold dispatch may run while the
-  // target endpoint's loop reads its region. A channel without one uses the
-  // target's.
-  const uint64_t args_iova = delivering.dma_buffer_iova != 0
-                                 ? delivering.dma_buffer_iova
-                                 : target.dma_buffer_iova;
-  if (use_dma && args_iova == 0) {
+  // The delivering endpoint's args region: a kernel channel has its own, as
+  // a cold dispatch may run while the target's loop reads the target's.
+  if (use_dma && delivering.dma_buffer_iova == 0) {
     use_dma = false;  // no buffer registered; fall back to lines
   }
   if (use_dma) {
     line.via_dma = true;
-    line.data_ptr = args_iova;
+    line.data_ptr = delivering.dma_buffer_iova;
     return line;
   }
   assert(request.args.size() <= total_cap && "args exceed AUX capacity");

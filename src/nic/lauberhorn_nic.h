@@ -154,7 +154,8 @@ class LauberhornNic : public HomeAgent, public PacketSink {
     uint64_t dma_fallback_tx = 0;
     uint64_t dispatcher_wakeups = 0;
     // Requests a saturated in-loop endpoint overflowed onto an idle core
-    // through a kernel channel (§5.2; DESIGN.md §11).
+    // through a kernel channel (§5.2; DESIGN.md §11): handed to a channel
+    // or queued for one. One the cold queue's limit sheds is not counted.
     uint64_t overflow_dispatches = 0;
     uint64_t crypto_failures = 0;
     // Reliability layer (duplicates are counted by dedup().stats()).
@@ -295,14 +296,20 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // entry/exit remains explicit via Activate/Deactivate.
   void NoteThreadPlacement(uint32_t endpoint, int core, bool running);
   int EndpointCore(uint32_t endpoint) const { return endpoints_[endpoint].active_core; }
+  // The same push for the host's spare cores: cores that no thread but a
+  // kernel dispatcher occupies (a dispatcher is there to take cold
+  // requests). A change of `delta` that lands one device hop later, so the
+  // NIC's count lags the scheduler's by that hop; the overflow rule
+  // decides on it.
+  void NoteSpareCores(int delta);
+  int64_t SpareCores();
 
   // Allocates a kernel control channel (id in [0, num_kernel_channels)).
-  // `args_iova` is the channel's own DMA args region (kDmaRegionBytes,
-  // mapped by the runtime): a cold dispatch's DMA-fallback arguments go
-  // there, never into the target endpoint's region, which its own loop may
-  // be reading at the same time. 0 = no region: they then go to the target
-  // endpoint's region.
-  uint32_t AllocateKernelChannel(uint64_t args_iova = 0);
+  // `args_iova` (nonzero) is the channel's own DMA args region
+  // (kDmaRegionBytes, mapped by the runtime): a cold dispatch's DMA-fallback
+  // arguments go there, never into the target endpoint's region, which its
+  // own loop may be reading at the same time.
+  uint32_t AllocateKernelChannel(uint64_t args_iova);
 
   // §5.2: ask the parked core on this endpoint to return to the OS. If a
   // load is waiting it is answered with RETIRE now; otherwise the next one is.
@@ -331,10 +338,6 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // Invoked (as a model of an interrupt to the OS) when a cold request is
   // queued and no kernel channel is armed.
   Callback on_need_dispatcher;
-  // §5.2 scheduling state the kernel pushes to the NIC: true while some
-  // core is idle. A legacy endpoint whose core is saturated overflows onto
-  // such a core through a kernel channel instead of queueing behind itself.
-  Function<bool()> idle_core_available;
   // Observation hooks for latency tracking, handed the LRPC header of a
   // frame the moment it arrives from the wire (frames that parse, both
   // checksums included) or departs to it. The RX pipeline parses each frame
@@ -555,7 +558,16 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   // hands the request to `ep`, counts it in `counter` and queues it.
   void Enqueue(Endpoint& ep, DispatchGroup& group, BacklogQueue& queue,
                size_t limit, uint64_t& counter, PreparedRequest request);
-  void RouteCold(PreparedRequest request);
+  // Hands `request` to a waiting kernel channel, else queues it on the
+  // cold queue (shedding at its limit). `overflow`: it left a saturated
+  // in-loop endpoint (counted once it is delivered or queued).
+  void RouteCold(PreparedRequest request, bool overflow = false);
+  // A kernel channel with a load waiting for work, or nullptr.
+  Endpoint* WaitingKernelChannel();
+  // §5.2: a kernel channel would take one more cold request without it
+  // waiting for a core to free: a channel waits for work now, or the spare
+  // cores (and channels) outnumber the cold requests queued and running.
+  bool ColdPathHasRoom();
   // Sheds `request` with a NIC-generated kOverloaded reply: bumps the device
   // and VF counters and emits exactly one kDrop trace entry
   // (a = endpoint, b = reason) before handing off to TransmitResponse (which
@@ -700,6 +712,16 @@ class LauberhornNic : public HomeAgent, public PacketSink {
   std::unordered_map<LineAddr, LineData> line_store_;
   // Shared spillover queue of the cold path, gated device-wide.
   BacklogQueue cold_queue_;
+  // Host spare cores as the pushes that have landed give them, and the
+  // pushes still crossing the interconnect, oldest first, each with the
+  // time it lands (NoteSpareCores). They are applied when read, not by a
+  // simulator event per push. Host state: a device wipe keeps it.
+  struct SparePush {
+    SimTime lands = 0;
+    int delta = 0;
+  };
+  int64_t spare_cores_ = 0;
+  RingDeque<SparePush> spare_pushes_;
   // Cold requests handed to a dispatcher, awaiting SoftwareTransmit.
   std::unordered_map<uint64_t, PreparedRequest> cold_inflight_;
   uint32_t next_service_endpoint_ = 0;

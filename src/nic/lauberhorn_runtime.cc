@@ -69,14 +69,14 @@ void LauberhornRuntime::Start() {
     dispatchers_.push_back(d);
   }
   nic_.on_need_dispatcher = [this]() { WakeDispatcher(); };
-  nic_.idle_core_available = [this]() {
-    for (size_t i = 0; i < kernel_.num_cores(); ++i) {
-      if (kernel_.core(i).Available()) {
-        return true;
-      }
-    }
-    return false;
-  };
+  // The NIC's spare-core count starts from the cores that no thread but a
+  // dispatcher occupies; OnPlacement pushes every change after that.
+  int spare = 0;
+  for (size_t i = 0; i < kernel_.num_cores(); ++i) {
+    const Thread* thread = kernel_.core(i).current_thread();
+    spare += thread == nullptr || IsDispatcher(thread);
+  }
+  nic_.NoteSpareCores(spare);
   kernel_.AddSchedListener(this);
   sim_.Schedule(config_.policy_interval, [this]() { PolicyTick(); });
 }
@@ -259,7 +259,15 @@ void LauberhornRuntime::StartUserLoop(uint32_t endpoint, int core_hint) {
   kernel_.scheduler().Wake(rt.thread, core_hint);
 }
 
+bool LauberhornRuntime::IsDispatcher(const Thread* thread) const {
+  return std::any_of(dispatchers_.begin(), dispatchers_.end(),
+                     [thread](const DispatcherRt& d) { return d.thread == thread; });
+}
+
 void LauberhornRuntime::OnPlacement(Thread* thread, int core, bool running) {
+  if (!IsDispatcher(thread)) {
+    nic_.NoteSpareCores(running ? -1 : 1);
+  }
   for (const auto& [id, rt] : endpoints_) {
     if (rt->thread == thread) {
       nic_.NoteThreadPlacement(id, core, running);

@@ -96,8 +96,9 @@ class LauberhornRuntime : public SchedStateListener {
   // §5.2: reclaim the endpoint's core (IPI + RETIRE handshake).
   void Deschedule(uint32_t endpoint);
 
-  // SchedStateListener: the kernel reports every placement change; loop
-  // threads' moves are mirrored to the NIC over the interconnect.
+  // SchedStateListener: the kernel reports every placement change. Each
+  // but a dispatcher's moves the NIC's spare-core count, and loop threads'
+  // moves are mirrored too, both over the interconnect.
   void OnPlacement(Thread* thread, int core, bool running) override;
 
   const Stats& stats() const { return stats_; }
@@ -150,6 +151,7 @@ class LauberhornRuntime : public SchedStateListener {
   // when no core is free for a dispatcher, retire the coldest parked loop.
   void RetireVictim();
   int ActiveLoops() const;
+  bool IsDispatcher(const Thread* thread) const;
 
   // Builds the full marshalled args: inline + the AUX lines of the parity
   // the dispatch came on + DMA, with costs charged on `core`, then invokes

@@ -683,21 +683,21 @@ Outcome RunOutcomeCell(const OutcomeCell& cell) {
 const std::map<std::string, Outcome>& ExpectedOutcomes() {
   static const auto* expected = new std::map<std::string, Outcome>{
       {"LegacyPf",
-       {{"dispatch/legacy/hot_dispatches", 2},
-        {"dispatch/legacy/local_queued", 173}, {"nic/cold_dispatches", 21},
-        {"nic/cold_queued", 21}, {"nic/core0/busy_ns", 155336},
-        {"nic/core0/dispatches", 28}, {"nic/core1/busy_ns", 413561},
-        {"nic/core1/dispatches", 61}, {"nic/core2/busy_ns", 387304},
-        {"nic/core2/dispatches", 49}, {"nic/core3/busy_ns", 248954},
-        {"nic/core3/dispatches", 34}, {"nic/dedup_admitted", 400},
-        {"nic/dispatcher_wakeups", 21}, {"nic/hot_dispatches", 172},
-        {"nic/overflow_dispatches", 17}, {"nic/queued_dispatches", 173},
+       {{"dispatch/legacy/hot_dispatches", 4},
+        {"dispatch/legacy/local_queued", 177}, {"nic/cold_dispatches", 21},
+        {"nic/cold_queued", 21}, {"nic/core0/busy_ns", 150378},
+        {"nic/core0/dispatches", 23}, {"nic/core1/busy_ns", 419996},
+        {"nic/core1/dispatches", 60}, {"nic/core2/busy_ns", 399809},
+        {"nic/core2/dispatches", 52}, {"nic/core3/busy_ns", 269068},
+        {"nic/core3/dispatches", 43}, {"nic/dedup_admitted", 400},
+        {"nic/dispatcher_wakeups", 21}, {"nic/hot_dispatches", 178},
+        {"nic/overflow_dispatches", 17}, {"nic/queued_dispatches", 177},
         {"nic/responses_sent", 400}, {"nic/retires", 2},
-        {"overload/sheds_queue", 7}, {"overload/sheds_quota", 82},
-        {"overload/sheds_sojourn", 118}, {"span/cold", 18}, {"span/hot", 2},
-        {"span/queued", 173}, {"span/unknown", 207},
-        {"trace/dispatch-cold", 21}, {"trace/dispatch-hot", 2},
-        {"trace/dispatch-queued", 173}, {"trace/drop", 207},
+        {"overload/sheds_queue", 7}, {"overload/sheds_quota", 80},
+        {"overload/sheds_sojourn", 114}, {"span/cold", 18}, {"span/hot", 4},
+        {"span/queued", 177}, {"span/unknown", 201},
+        {"trace/dispatch-cold", 21}, {"trace/dispatch-hot", 4},
+        {"trace/dispatch-queued", 177}, {"trace/drop", 201},
         {"trace/loop-enter", 5}, {"trace/loop-exit", 2}, {"trace/retire", 2},
         {"trace/wire-rx", 400}, {"trace/wire-tx", 400}}},
       {"LegacyVf",
@@ -770,23 +770,24 @@ const std::map<std::string, Outcome>& ExpectedOutcomes() {
         {"trace/drop", 235}, {"trace/loop-enter", 5}, {"trace/loop-exit", 2},
         {"trace/retire", 2}, {"trace/wire-rx", 400}, {"trace/wire-tx", 400}}},
       {"LegacyWedge",
-       {{"dispatch/legacy/hot_dispatches", 4},
-        {"dispatch/legacy/local_queued", 56}, {"nic/cold_dispatches", 24},
-        {"nic/cold_queued", 24}, {"nic/core0/busy_ns", 23739},
-        {"nic/core0/dispatches", 5}, {"nic/core1/busy_ns", 264041},
-        {"nic/core1/dispatches", 40}, {"nic/dedup_admitted", 400},
-        {"nic/degradations", 3}, {"nic/degraded_dispatches", 100},
-        {"nic/dispatcher_wakeups", 24}, {"nic/hot_dispatches", 45},
-        {"nic/overflow_dispatches", 4}, {"nic/queued_dispatches", 56},
-        {"nic/responses_sent", 400}, {"nic/retires", 7}, {"nic/tryagains", 115},
-        {"nic/wedged_polls", 34}, {"overload/sheds_queue", 69},
-        {"overload/sheds_quota", 69}, {"overload/sheds_sojourn", 193},
-        {"span/cold", 45}, {"span/hot", 4}, {"span/queued", 56},
-        {"span/unknown", 295}, {"trace/degrade", 3},
-        {"trace/dispatch-cold", 24}, {"trace/dispatch-hot", 4},
-        {"trace/dispatch-queued", 56}, {"trace/drop", 331},
-        {"trace/loop-enter", 9}, {"trace/loop-exit", 8}, {"trace/retire", 7},
-        {"trace/tryagain", 115}, {"trace/wire-rx", 400},
+       {{"dispatch/legacy/hot_dispatches", 5},
+        {"dispatch/legacy/local_queued", 72}, {"nic/cold_dispatches", 30},
+        {"nic/cold_queued", 30}, {"nic/core0/busy_ns", 23739},
+        {"nic/core0/dispatches", 5}, {"nic/core1/busy_ns", 151984},
+        {"nic/core1/dispatches", 23}, {"nic/core2/busy_ns", 163818},
+        {"nic/core2/dispatches", 19}, {"nic/dedup_admitted", 400},
+        {"nic/degradations", 4}, {"nic/degraded_dispatches", 132},
+        {"nic/dispatcher_wakeups", 30}, {"nic/hot_dispatches", 47},
+        {"nic/overflow_dispatches", 4}, {"nic/queued_dispatches", 72},
+        {"nic/responses_sent", 400}, {"nic/retires", 8}, {"nic/tryagains", 219},
+        {"nic/wedged_polls", 48}, {"overload/sheds_queue", 132},
+        {"overload/sheds_quota", 39}, {"overload/sheds_sojourn", 152},
+        {"span/cold", 45}, {"span/hot", 5}, {"span/queued", 72},
+        {"span/unknown", 278}, {"trace/degrade", 4},
+        {"trace/dispatch-cold", 30}, {"trace/dispatch-hot", 5},
+        {"trace/dispatch-queued", 72}, {"trace/drop", 323},
+        {"trace/loop-enter", 13}, {"trace/loop-exit", 11}, {"trace/retire", 8},
+        {"trace/tryagain", 219}, {"trace/wire-rx", 400},
         {"trace/wire-tx", 400}}},
       {"Jbsq2Wedge",
        {{"dispatch/jbsq/central_queued", 74},

@@ -481,8 +481,9 @@ TEST(LauberhornNicTest, PreemptionDanceIpiThenRetire) {
 // --- Overflow onto an idle core (§5.2) ---------------------------------------
 // One hot single-endpoint service whose handler runs 2 µs, under 8
 // closed-loop callers. The loop's core saturates, so its private queue
-// reaches spillover_queue_depth; while the kernel reports an idle core,
-// later requests overflow onto it through a kernel channel. Every other
+// reaches spillover_queue_depth; while the NIC counts a spare core (or a
+// kernel channel waits for work), later requests overflow onto it through
+// a kernel channel. Every other
 // call carries 8,000 B of arguments, which reach a kernel channel through
 // the channel's own DMA args region.
 
@@ -543,14 +544,14 @@ void OccupyIdleCores(Machine& machine, Duration busy) {
 }
 
 TEST(LauberhornNicTest, OverflowRunsOnIdleCoresAndCapsThePrivateQueue) {
-  Machine machine(Config(/*cores=*/8));
+  Machine machine(Config());
   const ServiceDef& service = machine.AddService(SlowShapeService());
   machine.Start();
   machine.StartHotLoop(service);
   machine.sim().RunUntil(Milliseconds(1));
   const uint32_t ep = machine.EndpointsOf(service)[0];
-  const LauberhornNic& nic = *machine.lauberhorn_nic();
-  ASSERT_TRUE(nic.idle_core_available());
+  LauberhornNic& nic = *machine.lauberhorn_nic();
+  ASSERT_GT(nic.SpareCores(), 0);
 
   const std::vector<CallSize> sizes = OverflowCalls();
   ClosedLoopCalls calls(machine, service, sizes);
@@ -573,9 +574,16 @@ TEST(LauberhornNicTest, OverflowNeedsAnIdleCore) {
   machine.StartHotLoop(service);
   machine.sim().RunUntil(Milliseconds(1));
   const uint32_t ep = machine.EndpointsOf(service)[0];
+  LauberhornNic& nic = *machine.lauberhorn_nic();
+  const int64_t spare = nic.SpareCores();
+  ASSERT_GT(spare, 0);
   OccupyIdleCores(machine, Milliseconds(50));
-  const LauberhornNic& nic = *machine.lauberhorn_nic();
-  ASSERT_FALSE(nic.idle_core_available());
+  // The kernel's push reaches the NIC one device hop after the placement.
+  const Duration hop = machine.interconnect().config().cpu_device_hop;
+  machine.sim().RunUntil(machine.sim().Now() + hop - 1);
+  EXPECT_EQ(nic.SpareCores(), spare);
+  machine.sim().RunUntil(machine.sim().Now() + 1);
+  ASSERT_EQ(nic.SpareCores(), 0);
 
   const std::vector<CallSize> sizes = OverflowCalls();
   ClosedLoopCalls calls(machine, service, sizes);
@@ -601,8 +609,8 @@ TEST(LauberhornNicTest, OverflowOnlyUnderLegacyDispatch) {
     machine.StartHotLoop(service);
     machine.sim().RunUntil(Milliseconds(1));
     const uint32_t ep = machine.EndpointsOf(service)[0];
-    const LauberhornNic& nic = *machine.lauberhorn_nic();
-    ASSERT_TRUE(nic.idle_core_available()) << ToString(kind);
+    LauberhornNic& nic = *machine.lauberhorn_nic();
+    ASSERT_GT(nic.SpareCores(), 0) << ToString(kind);
 
     const std::vector<CallSize> sizes = OverflowCalls();
     ClosedLoopCalls calls(machine, service, sizes);

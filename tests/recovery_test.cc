@@ -117,8 +117,8 @@ TEST(NicControlStateTest, CrashKeepsControlStateAndRebuildsIndexes) {
                       .has_value());
     }
   }
-  EXPECT_EQ(nic.AllocateKernelChannel(), 0u);
-  EXPECT_EQ(nic.AllocateKernelChannel(), 1u);
+  EXPECT_EQ(nic.AllocateKernelChannel(/*args_iova=*/0x100000), 0u);
+  EXPECT_EQ(nic.AllocateKernelChannel(/*args_iova=*/0x110000), 1u);
   const std::optional<uint32_t> held = nic.AllocateContinuation();
   const std::optional<uint32_t> returned = nic.AllocateContinuation();
   ASSERT_TRUE(held.has_value() && returned.has_value());
@@ -164,7 +164,7 @@ TEST(NicControlStateTest, CrashKeepsControlStateAndRebuildsIndexes) {
   EXPECT_EQ(nic.vf_stats(0).endpoints, 2u);
   EXPECT_EQ(nic.vf_stats(vf).endpoints, 2u);
   EXPECT_FALSE(nic.AllocateEndpointOnVf(vf, 1, 0, 0, 0, 0).has_value());
-  EXPECT_EQ(nic.AllocateKernelChannel(), 2u);
+  EXPECT_EQ(nic.AllocateKernelChannel(/*args_iova=*/0x120000), 2u);
   std::set<uint32_t> handed_out;
   while (const auto id = nic.AllocateContinuation()) {
     EXPECT_NE(*id, *held);
