@@ -119,6 +119,13 @@ void LauberhornRuntime::RetireVictim() {
     if (!rt->in_loop || rt->stop_requested || nic_.DispatchBacklog(id) != 0) {
       continue;
     }
+    // A loop whose thread is off its core (preempted, or started and still
+    // waiting for one) frees no core by retiring. It would take the RETIRE
+    // on its first poll once it runs, and its cooldown would then refuse
+    // the restart while requests queue on the endpoint.
+    if (rt->thread->state() != ThreadState::kRunning) {
+      continue;
+    }
     if (!governor_.CanChange(id, sim_.Now())) {
       // Recently (re)started: retiring it now is exactly the thrash the
       // cooldown exists to prevent. Prefer a victim outside its window.

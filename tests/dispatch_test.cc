@@ -802,14 +802,14 @@ const std::map<std::string, Outcome>& ExpectedOutcomes() {
         {"nic/core2/dispatches", 13}, {"nic/dedup_admitted", 400}, {"nic/degradations", 9},
         {"nic/dispatcher_wakeups", 19}, {"nic/hot_dispatches", 74},
         {"nic/queued_dispatches", 79}, {"nic/responses_sent", 400},
-        {"nic/retires", 8}, {"nic/tryagains", 323}, {"nic/wedged_polls", 78},
+        {"nic/retires", 7}, {"nic/tryagains", 323}, {"nic/wedged_polls", 77},
         {"overload/sheds_queue", 58}, {"overload/sheds_quota", 54},
         {"overload/sheds_sojourn", 195}, {"span/cold", 28}, {"span/hot", 3},
         {"span/queued", 79}, {"span/unknown", 290}, {"trace/degrade", 9},
         {"trace/dispatch-cold", 19}, {"trace/dispatch-hot", 3},
         {"trace/dispatch-queued", 79}, {"trace/drop", 307},
         {"trace/loop-enter", 11}, {"trace/loop-exit", 8},
-        {"trace/retire", 8}, {"trace/tryagain", 323}, {"trace/wire-rx", 400},
+        {"trace/retire", 7}, {"trace/tryagain", 323}, {"trace/wire-rx", 400},
         {"trace/wire-tx", 400}}},
   };
   return *expected;

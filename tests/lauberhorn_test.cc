@@ -721,5 +721,43 @@ TEST(LauberhornNicTest, RetireWithOverflowInFlightStrandsNoQueuedRequest) {
   EXPECT_FALSE(nic.EndpointActive(ep));
 }
 
+TEST(LauberhornNicTest, StarvedThreadsRetireOnlyALoopThatHoldsACore) {
+  // The `waiting` loop is started while every core is taken: its thread
+  // waits for one. The policy tick sees a starving thread and retires a
+  // loop to free a core. `waiting` has seen no request and `parked` has, so
+  // `waiting` has the lower arrival rate, and only its holding no core
+  // keeps it from being the victim. Retiring it would free nothing: its
+  // thread would take the RETIRE on its first poll once it got a core.
+  Machine machine(Config());
+  const ServiceDef& waiting = machine.AddService(ServiceRegistry::MakeEchoService(1, 7000));
+  const ServiceDef& parked = machine.AddService(ServiceRegistry::MakeEchoService(2, 7001));
+  machine.Start();
+  machine.StartHotLoop(parked);
+  machine.sim().RunUntil(Milliseconds(1));
+  const uint32_t parked_ep = machine.EndpointsOf(parked)[0];
+  const uint32_t waiting_ep = machine.EndpointsOf(waiting)[0];
+  const LauberhornNic& nic = *machine.lauberhorn_nic();
+  ASSERT_TRUE(nic.EndpointActive(parked_ep));
+  int answered = 0;
+  for (int i = 0; i < 8; ++i) {
+    machine.client().Call(parked, 0, Payload(8), [&](const RpcMessage& r, Duration) {
+      answered += r.status == RpcStatus::kOk;
+    });
+  }
+  machine.sim().RunUntil(machine.sim().Now() + Microseconds(100));
+  ASSERT_EQ(answered, 8);
+  ASSERT_GT(nic.ArrivalRate(parked_ep), nic.ArrivalRate(waiting_ep));
+
+  OccupyIdleCores(machine, Milliseconds(2));
+  machine.StartHotLoop(waiting);
+  ASSERT_EQ(machine.kernel().scheduler().ready_count(), 1u);
+  machine.sim().RunUntil(Milliseconds(4));
+
+  EXPECT_EQ(nic.stats().retires, 1u);
+  EXPECT_FALSE(nic.EndpointActive(parked_ep));
+  EXPECT_TRUE(nic.EndpointActive(waiting_ep));
+  EXPECT_EQ(machine.lauberhorn_runtime()->stats().loops_exited, 1u);
+}
+
 }  // namespace
 }  // namespace lauberhorn
